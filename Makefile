@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-diff bench-full bench-parallel crash-matrix lint verify soak-smoke
+.PHONY: build test race fuzz bench bench-diff bench-full bench-parallel bench-e2e bench-e2e-compare crash-matrix lint verify soak-smoke
 
 build:
 	$(GO) build ./...
@@ -74,13 +74,25 @@ bench-full:
 bench-parallel:
 	$(GO) test -bench 'BenchmarkLoaderParallel|BenchmarkLoaderPartitioned' -benchtime 10x -run XXX .
 
+# The end-to-end + per-layer benchmark BENCHMARK.json declares (see
+# bench/README.md): every workload, as deployed, into one result file —
+# and the comparison of two such files by the acceptance rules.
+#   make bench-e2e                                  # → bench-result.json
+#   make bench-e2e-compare A=parent.json B=bench-result.json
+bench-e2e:
+	$(GO) run ./bench -out bench-result.json
+
+bench-e2e-compare:
+	$(GO) run ./bench -compare $(A) $(B)
+
 # The crash-recovery matrix under the race detector: torn WAL tails at
 # every record boundary and beyond, kill-points during parallel group
-# commit, checkpoint corruption fallback, and the system-level check that
-# checkpoint+WAL-tail recovery hashes bit-identical to an event-log
-# rebuild.
+# commit, checkpoint corruption fallback, a read-only LoadDir over a torn
+# tail (touches nothing) and against a live checkpointing writer, and the
+# system-level check that checkpoint+WAL-tail recovery hashes
+# bit-identical to an event-log rebuild.
 crash-matrix:
-	$(GO) test -race -count=1 -run 'TestCrashMatrixTornWALTail|TestKillDuringParallelGroupCommit|TestRecoveryFallsBackPastInvalidCheckpoint|TestDurablePartitionedRecoveryMatchesRebuild' ./internal/relstore ./internal/eventlog
+	$(GO) test -race -count=1 -run 'TestCrashMatrixTornWALTail|TestKillDuringParallelGroupCommit|TestRecoveryFallsBackPastInvalidCheckpoint|TestOpenTornFinalLine|TestLoadDirAgainstLiveWriter|TestDurablePartitionedRecoveryMatchesRebuild' ./internal/relstore ./internal/eventlog
 
 # gofmt prints nothing when every file is formatted; any output fails the
 # target.

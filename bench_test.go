@@ -270,8 +270,7 @@ func benchLoadDurable(b *testing.B, jobs, batch int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		path := filepath.Join(b.TempDir(), "bench.db")
-		a, err := archive.Open(path)
+		a, err := archive.OpenDir(filepath.Join(b.TempDir(), "bench"), relstore.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

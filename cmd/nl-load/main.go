@@ -1,7 +1,8 @@
 // nl-load is the loader CLI: it reads NetLogger BP event streams from log
 // files or subscribes to a broker queue, validates them against the
-// Stampede schema, and loads them into a relational archive file —
-// the reproduction of the published nl_load + stampede_loader invocations:
+// Stampede schema, and loads them into a relational archive (a store
+// directory) — the reproduction of the published nl_load +
+// stampede_loader invocations:
 //
 //	nl-load -db test.db workflow.bp.log
 //	nl-load -db test.db -amqp 127.0.0.1:7000 -queue stampede
@@ -19,12 +20,13 @@ import (
 	"repro/internal/health"
 	"repro/internal/loader"
 	"repro/internal/mq"
+	"repro/internal/relstore"
 	"repro/internal/telemetry"
 )
 
 func main() {
 	var (
-		dbPath     = flag.String("db", "stampede.db", "archive database file (WAL)")
+		dbPath     = flag.String("db", "stampede.db", "archive store directory (created with one partition per shard if absent)")
 		amqpAddr   = flag.String("amqp", "", "broker address to subscribe to instead of reading files")
 		queueName  = flag.String("queue", "stampede", "queue to consume from the broker")
 		topic      = flag.String("topic", "stampede.#", "topic binding for the queue")
@@ -38,7 +40,9 @@ func main() {
 	)
 	flag.Parse()
 
-	arch, err := archive.Open(*dbPath)
+	// A new directory gets one partition per apply shard, so shards and
+	// partition writers line up 1:1; an existing one keeps its own count.
+	arch, err := archive.OpenDir(*dbPath, relstore.Options{Partitions: *shards})
 	if err != nil {
 		fatal("open archive: %v", err)
 	}

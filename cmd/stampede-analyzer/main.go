@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		dbPath  = flag.String("db", "stampede.db", "archive database file")
+		dbPath  = flag.String("db", "stampede.db", "archive store directory")
 		wfUUID  = flag.String("wf", "", "workflow uuid (default: every root workflow)")
 		quiet   = flag.Bool("q", false, "exit status only; print nothing")
 		tracesF = flag.String("traces", "", "trace dump to analyze: a JSON file or an /api/traces URL (skips the archive)")
@@ -41,11 +41,10 @@ func main() {
 		return
 	}
 
-	arch, err := archive.Open(*dbPath)
+	arch, err := archive.LoadDir(*dbPath)
 	if err != nil {
 		fatal("open archive: %v", err)
 	}
-	defer arch.Close()
 	// One snapshot for the whole analysis: the root listing and every
 	// drill-down report describe the same point in time.
 	q, release := query.New(arch).Snapshot()

@@ -4,7 +4,7 @@
 //
 //	stampede-dashboard -db test.db -listen :8080
 //
-// With -follow the archive file is re-read periodically so a dashboard
+// With -follow the store directory is re-read periodically so a dashboard
 // can track a database an nl-load process is still writing.
 package main
 
@@ -59,9 +59,9 @@ func (h *reloadingHandler) swap(next http.Handler, cleanup func()) {
 
 func main() {
 	var (
-		dbPath      = flag.String("db", "stampede.db", "archive database file")
+		dbPath      = flag.String("db", "stampede.db", "archive store directory")
 		listen      = flag.String("listen", ":8080", "address to serve on")
-		follow      = flag.Duration("follow", 0, "re-read the database at this interval (0 = once)")
+		follow      = flag.Duration("follow", 0, "re-read the store directory at this interval (0 = once)")
 		debugAddr   = flag.String("debug-addr", "", "serve /debug/pprof (and a second /metrics) on this address (empty = off)")
 		traceSample = flag.Int("trace-sample", trace.DefaultSampleEvery, "trace 1 in N events end to end (0 disables tracing)")
 		bundleDir   = flag.String("bundle-dir", ".", "firing alerts write diagnostics bundles here (empty = off)")
@@ -105,12 +105,9 @@ func main() {
 	}
 
 	load := func() (http.Handler, func(), error) {
-		arch, err := archive.Open(*dbPath)
+		// A read-only load: a loader may be writing this directory.
+		arch, err := archive.LoadDir(*dbPath)
 		if err != nil {
-			return nil, nil, err
-		}
-		// Read-only use: close the WAL writer, keep the in-memory state.
-		if err := arch.Close(); err != nil {
 			return nil, nil, err
 		}
 		// Materialized views over the replayed state: the listing and the
@@ -138,9 +135,14 @@ func main() {
 	if *follow > 0 {
 		go func() {
 			for range time.Tick(*follow) {
-				if next, cleanup, err := load(); err == nil {
-					h.swap(next, cleanup)
+				next, cleanup, err := load()
+				if err != nil {
+					// The previous generation keeps serving; a load can
+					// lose its race with the loader's checkpoint.
+					fmt.Fprintf(os.Stderr, "stampede-dashboard: reload: %v\n", err)
+					continue
 				}
+				h.swap(next, cleanup)
 			}
 		}()
 	}

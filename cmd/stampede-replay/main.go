@@ -11,8 +11,8 @@
 //	stampede-replay -dir soak-eventlog                 # replay all, print stats + snapshot hash
 //	stampede-replay -dir soak-eventlog -upto 5000      # point-in-time: records [1, 5000)
 //	stampede-replay -dir soak-eventlog -verify         # replay twice, fail on hash mismatch
-//	stampede-replay -dir soak-eventlog -out pitr.db    # materialize into a durable archive
-//	stampede-replay -dir soak-eventlog -out st -parts 4  # materialize into a 4-partition store dir
+//	stampede-replay -dir soak-eventlog -out pitr       # materialize into a durable store directory
+//	stampede-replay -dir soak-eventlog -out st -parts 4  # ... with 4 partitions
 //	stampede-replay -dir soak-eventlog -info           # segment map, seq range, torn-tail bytes
 //	stampede-replay -store st -info                    # partition map, checkpoint high-water seqs
 package main
@@ -34,8 +34,8 @@ func main() {
 		dir      = flag.String("dir", "", "event log directory (required unless -store -info)")
 		upto     = flag.Uint64("upto", 0, "replay records [1, upto); 0 = whole log")
 		verify   = flag.Bool("verify", false, "replay twice and require identical snapshot hashes")
-		out      = flag.String("out", "", "materialize into a durable archive at this path instead of in memory")
-		parts    = flag.Int("parts", 0, "with -out: partition count for a checkpointed store directory (0 = legacy single-file WAL)")
+		out      = flag.String("out", "", "materialize into a durable store directory at this path instead of in memory")
+		parts    = flag.Int("parts", 1, "with -out: partition count of a newly created store directory")
 		storeDir = flag.String("store", "", "with -info: inspect a partitioned store directory instead of the event log")
 		info     = flag.Bool("info", false, "inspect the log (segments, seq range, integrity) without replaying")
 	)
@@ -77,26 +77,18 @@ func main() {
 }
 
 // replay rebuilds [1, upto) and returns the resulting snapshot hash. An
-// empty out path means in memory; otherwise the store is durable at out
-// — a legacy single-file WAL when parts is 0, a partitioned checkpointed
-// store directory when parts > 0.
+// empty out path means in memory; otherwise the store is a durable
+// directory at out, created with parts partitions.
 func replay(lg *eventlog.Log, upto uint64, out string, parts int) (string, loader.Stats) {
 	var (
 		arch  *archive.Archive
 		stats loader.Stats
 		err   error
 	)
-	switch {
-	case out == "":
+	if out == "" {
 		arch, stats, err = eventlog.Rebuild(lg, upto)
-	case parts > 0:
+	} else {
 		arch, err = archive.OpenDir(out, relstore.Options{Partitions: parts})
-		if err == nil {
-			defer arch.Close()
-			stats, err = eventlog.RebuildInto(lg, upto, arch)
-		}
-	default:
-		arch, err = archive.Open(out)
 		if err == nil {
 			defer arch.Close()
 			stats, err = eventlog.RebuildInto(lg, upto, arch)

@@ -18,7 +18,7 @@ import (
 
 func main() {
 	var (
-		dbPath    = flag.String("db", "stampede.db", "archive database file")
+		dbPath    = flag.String("db", "stampede.db", "archive store directory")
 		wfUUID    = flag.String("wf", "", "workflow uuid (default: every root workflow)")
 		noRecurse = flag.Bool("no-recurse", false, "do not aggregate sub-workflows")
 		breakdown = flag.Bool("breakdown", false, "print breakdown.txt (per-transformation)")
@@ -29,11 +29,10 @@ func main() {
 	)
 	flag.Parse()
 
-	arch, err := archive.Open(*dbPath)
+	arch, err := archive.LoadDir(*dbPath)
 	if err != nil {
 		fatal("open archive: %v", err)
 	}
-	defer arch.Close()
 	// Pin one snapshot for the whole run: every report below — workflow
 	// listing included — describes the same instant of the archive, even if
 	// a loader is appending to the database concurrently.

@@ -226,16 +226,6 @@ func NewInMemoryN(parts int) *Archive {
 	return a
 }
 
-// Open returns an archive over the persistent store at path, creating or
-// replaying it as needed.
-func Open(path string) (*Archive, error) {
-	store, err := relstore.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return New(store)
-}
-
 // OpenDir returns an archive over a partitioned durable store rooted at
 // dir (per-partition checkpoints plus WAL segments), creating or
 // recovering it as needed. The partition count recorded in the
@@ -251,6 +241,17 @@ func OpenDir(dir string, opts relstore.Options) (*Archive, error) {
 		return nil, err
 	}
 	return a, nil
+}
+
+// LoadDir returns an in-memory archive holding what the store directory
+// at dir holds, without writing to the directory: the way to read a
+// database another process may still be loading (see relstore.LoadDir).
+func LoadDir(dir string) (*Archive, error) {
+	store, err := relstore.LoadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	return New(store)
 }
 
 // writerFor returns the partition writer a workflow's rows commit

@@ -307,8 +307,8 @@ func TestApplyMissingXwfID(t *testing.T) {
 }
 
 func TestArchivePersistAndReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "archive.db")
-	a, err := Open(path)
+	dir := filepath.Join(t.TempDir(), "archive")
+	a, err := OpenDir(dir, relstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,14 @@ func TestArchivePersistAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(path)
+	ro, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := ro.Store().Count(TInvocation); n != 2 {
+		t.Fatalf("invocations in a read-only load = %d", n)
+	}
+	re, err := OpenDir(dir, relstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

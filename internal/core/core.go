@@ -27,13 +27,14 @@ import (
 	"repro/internal/loader"
 	"repro/internal/mq"
 	"repro/internal/query"
+	"repro/internal/relstore"
 	"repro/internal/stats"
 )
 
 // Config tunes the monitoring service.
 type Config struct {
-	// DatabasePath persists the archive to a WAL file; empty keeps it in
-	// memory.
+	// DatabasePath persists the archive to a store directory (created
+	// with one partition per loader shard); empty keeps it in memory.
 	DatabasePath string
 	// QueueName and Topic configure the bus binding (defaults: "stampede"
 	// bound to "stampede.#", exactly the published deployment).
@@ -42,9 +43,8 @@ type Config struct {
 	// BatchSize and FlushEvery tune the loader (see loader.Options).
 	BatchSize  int
 	FlushEvery time.Duration
-	// Shards is the loader's apply-shard count; 0 or 1 keeps the
-	// sequential path, N > 1 loads distinct workflows in parallel (see
-	// loader.Options.Shards).
+	// Shards is the loader's apply-shard count: N > 1 loads distinct
+	// workflows in parallel (see loader.Options.Shards).
 	Shards int
 	// Validate runs schema validation on every event (default on; set
 	// SkipValidation to disable for trusted producers).
@@ -80,7 +80,7 @@ func Start(cfg Config) (*Stampede, error) {
 	var arch *archive.Archive
 	var err error
 	if cfg.DatabasePath != "" {
-		arch, err = archive.Open(cfg.DatabasePath)
+		arch, err = archive.OpenDir(cfg.DatabasePath, relstore.Options{Partitions: cfg.Shards})
 	} else {
 		arch = archive.NewInMemory()
 	}

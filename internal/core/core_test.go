@@ -86,7 +86,7 @@ func TestStartRunQueryStop(t *testing.T) {
 }
 
 func TestPersistentArchiveAcrossRestarts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stampede.db")
+	path := filepath.Join(t.TempDir(), "stampede-store")
 	st, err := Start(Config{DatabasePath: path, FlushEvery: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

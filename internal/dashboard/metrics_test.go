@@ -18,6 +18,7 @@ import (
 	"repro/internal/loader"
 	"repro/internal/mq"
 	"repro/internal/query"
+	"repro/internal/relstore"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
 	"repro/internal/wfclock"
@@ -84,7 +85,7 @@ var sampleLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? (\S+)$`)
 // exposition parses line by line and that each instrumented layer shows
 // up under its published metric name.
 func TestMetricsEndpoint(t *testing.T) {
-	arch, err := archive.Open(filepath.Join(t.TempDir(), "metrics.db"))
+	arch, err := archive.OpenDir(filepath.Join(t.TempDir(), "metrics"), relstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

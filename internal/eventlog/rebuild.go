@@ -25,14 +25,15 @@ func Rebuild(lg *Log, upTo uint64) (*archive.Archive, loader.Stats, error) {
 }
 
 // RebuildInto replays [1, upTo) into an existing (expected-empty)
-// archive, e.g. a durable one created by archive.Open for point-in-time
-// recovery.
+// archive, e.g. a durable one created by archive.OpenDir for
+// point-in-time recovery.
 //
 // Determinism rules, in order of subtlety:
 //
-//   - The loader runs sequential (Shards: 1). The sharded pipeline
-//     interleaves per-workflow apply order across shards, which would
-//     make primary-key assignment depend on scheduling.
+//   - The loader pipeline runs at width one (Shards: 1): a single apply
+//     goroutine in arrival order. A wider pipeline interleaves apply
+//     order across shards, which would make primary-key assignment
+//     depend on scheduling.
 //   - The flush ticker runs on a manual clock that never advances, so
 //     batch boundaries depend only on record count, never on how fast
 //     this machine replays. (Batch boundaries don't change final state

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/loader"
+	"repro/internal/relstore"
 	"repro/internal/synth"
 )
 
@@ -76,9 +77,10 @@ func LoaderScale(jobCounts []int, batchSize int, validate bool) ([]LoaderScaleRo
 
 // LoaderBatchSweep measures throughput at one workflow size across batch
 // sizes: the ablation for the paper's batched-insert design decision
-// (§V-D). The archive is persistent so every batch pays a real commit
-// (WAL write); each point is the best of three runs after a warm-up pass,
-// so allocator and GC noise do not swamp the batch effect.
+// (§V-D). The archive is a durable store directory so every batch pays a
+// real commit (WAL write + fsync); each point is the best of three runs
+// after a warm-up pass, so allocator and GC noise do not swamp the batch
+// effect.
 func LoaderBatchSweep(jobs int, batchSizes []int) ([]LoaderScaleRow, error) {
 	trace := TraceFor(jobs)
 	dir, err := os.MkdirTemp("", "stampede-batchsweep")
@@ -89,7 +91,7 @@ func LoaderBatchSweep(jobs int, batchSizes []int) ([]LoaderScaleRow, error) {
 	run := 0
 	once := func(bs int) (loader.Stats, error) {
 		run++
-		a, err := archive.Open(filepath.Join(dir, fmt.Sprintf("run%d.db", run)))
+		a, err := archive.OpenDir(filepath.Join(dir, fmt.Sprintf("run%d", run)), relstore.Options{})
 		if err != nil {
 			return loader.Stats{}, err
 		}

@@ -96,9 +96,8 @@ func runTapped(t *testing.T, shards int, consume bool, stream []byte) (loader.St
 	return st, lg
 }
 
-// TestTapSeesEveryIngestPath: on all four ingest paths (reader/consume ×
-// sequential/sharded), the log receives exactly read+malformed records,
-// in content order for the sequential reader, with malformed lines
+// TestTapSeesEveryIngestPath: on both ingest paths (reader and consume)
+// the log receives exactly read+malformed records, with malformed lines
 // preserved verbatim.
 func TestTapSeesEveryIngestPath(t *testing.T) {
 	stream := tapStream(t)
@@ -108,9 +107,7 @@ func TestTapSeesEveryIngestPath(t *testing.T) {
 		shards  int
 		consume bool
 	}{
-		{"reader-sequential", 1, false},
 		{"reader-sharded", 4, false},
-		{"consume-sequential", 1, true},
 		{"consume-sharded", 4, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,8 +126,7 @@ func TestTapSeesEveryIngestPath(t *testing.T) {
 	}
 }
 
-// TestTapPreservesContentOrderAndBytes: on the sequential reader path
-// the log is byte-for-byte the content lines of the input, in order.
+// TestTapPreservesContentOrderAndBytes: on the reader path the log is byte-for-byte the content lines of the input, in order.
 func TestTapPreservesContentOrderAndBytes(t *testing.T) {
 	stream := tapStream(t)
 	_, lg := runTapped(t, 1, false, stream)

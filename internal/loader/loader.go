@@ -5,11 +5,11 @@
 //
 // Batching is the paper's key loader design decision (§V-D notes inserts
 // are batched "to improve the performance of Pegasus workflows logging");
-// BenchmarkLoaderBatchSize at the repository root quantifies it. With
-// Options.Shards > 1 the loader runs as a staged pipeline — parse stage,
-// per-shard validators, per-shard batching appliers — routing events by
-// xwf.id so per-workflow order is preserved while distinct workflows load
-// in parallel (see pipeline.go).
+// BenchmarkLoaderBatchSize at the repository root quantifies it. Every
+// load runs as a staged pipeline — parse stage, per-shard validators,
+// per-shard batching appliers — routing events by xwf.id so per-workflow
+// order is preserved while distinct workflows load in parallel (see
+// pipeline.go); Options.Shards is the pipeline's width.
 package loader
 
 import (
@@ -57,11 +57,12 @@ type Options struct {
 	// Lenient makes malformed BP lines and schema-invalid or unknown
 	// events non-fatal: they are counted and skipped.
 	Lenient bool
-	// Shards is the number of parallel apply shards. Zero or one keeps
-	// the classic single-goroutine path, byte-for-byte identical in
-	// behaviour. With N > 1, events route to shards by xwf.id, so each
+	// Shards is the pipeline's width: the number of parallel apply
+	// shards. Zero means one. Events route to shards by xwf.id, so each
 	// workflow's events stay ordered while different workflows apply in
-	// parallel.
+	// parallel; at width one the whole stream applies in arrival order
+	// through a single goroutine, which is what makes an event-log
+	// rebuild deterministic.
 	Shards int
 	// QueueDepth bounds the per-shard pipeline channels; a slow archive
 	// backpressures producers instead of growing memory. Zero means
@@ -71,8 +72,8 @@ type Options struct {
 	// tests inject a wfclock.Manual to make timer flushes deterministic.
 	Clock wfclock.Clock
 	// Tap, when set, runs on every raw line before it is parsed —
-	// malformed lines included — on all ingest paths (file, reader,
-	// consume, sharded or not). The soak harness and ingest binaries use
+	// malformed lines included — on both ingest paths (reader and
+	// consume). The soak harness and ingest binaries use
 	// it to append lines to the event log, making the log a faithful
 	// record of the stream as it arrived, not of what parsed. The line
 	// buffer is only valid for the duration of the call. A Tap error is
@@ -82,8 +83,8 @@ type Options struct {
 	// Views, when set, receives every successfully applied event right
 	// after its batch commits (and before the events are recycled), so
 	// materialized aggregates stay incremental with the archive — the
-	// dashboard serves from them instead of scanning snapshots. All
-	// ingest paths, sharded or not, feed the same instance. Must be a
+	// dashboard serves from them instead of scanning snapshots. Every
+	// shard feeds the same instance. Must be a
 	// non-nil implementation when set (typically *views.Views).
 	Views ViewObserver
 }
@@ -113,9 +114,8 @@ type Stats struct {
 	Unknown   uint64 // events whose type the archive does not materialise
 	Malformed uint64 // unparseable BP lines (lenient mode only)
 	Elapsed   time.Duration
-	// Shards holds per-shard counters when the load ran sharded (empty on
-	// the sequential path), so the scaling experiment can report where
-	// time goes.
+	// Shards holds the per-shard counters, one entry per apply shard, so
+	// the scaling experiment can report where time goes.
 	Shards []ShardStats
 
 	// String() memo: the rendered line plus the counter values it was
@@ -233,12 +233,10 @@ func (l *Loader) account(s Stats) {
 	l.mu.Unlock()
 }
 
-// batch is one goroutine's accumulation state. The sequential path owns a
-// single batch with the validator attached; each pipeline shard owns one
-// with val == nil (validation already happened upstream).
+// batch is one apply shard's accumulation state; the events it buffers
+// were already validated upstream.
 type batch struct {
 	arch  *archive.Archive
-	val   *schema.Validator
 	opts  Options
 	buf   []*bp.Event
 	stats Stats
@@ -263,43 +261,20 @@ type tracedRef struct {
 	ns int64
 }
 
-// newBatch builds the accumulation state for one apply shard (the
-// sequential path is shard 0), resolving its telemetry children up front.
+// newBatch builds the accumulation state for one apply shard, resolving
+// its telemetry children up front.
 func (l *Loader) newBatch(shard int) *batch {
 	s := shardLabel(shard)
 	return &batch{
-		arch: l.arch, val: l.val, opts: l.opts,
+		arch: l.arch, opts: l.opts,
 		mApplied: mShardApplied.With(s),
 		mBatches: mShardBatches.With(s),
 		mFlush:   mFlushSeconds.With(s),
 	}
 }
 
-// add takes ownership of ev (a pooled event): it is either buffered until
-// the batch commits or released here on the reject paths.
-func (b *batch) add(ev *bp.Event) error {
-	b.stats.Read++
-	mRead.Inc()
-	if b.val != nil {
-		if err := b.val.Validate(ev); err != nil {
-			b.stats.Invalid++
-			mInvalid.Inc()
-			// The validation error holds formatted copies, never the
-			// event itself, so releasing before returning it is safe.
-			bp.ReleaseEvent(ev)
-			if b.opts.Lenient {
-				return nil
-			}
-			return err
-		}
-		traceValidated(ev)
-	}
-	return b.addValidated(ev)
-}
-
 // traceValidated records the validate span for a sampled event and moves
-// its stage boundary forward. Shared by the sequential path (batch.add)
-// and the pipeline's validate workers.
+// its stage boundary forward.
 func traceValidated(ev *bp.Event) {
 	if ev.TraceID == 0 {
 		return
@@ -343,15 +318,6 @@ func traceRead(id uint64, t0 int64, ev *bp.Event) {
 	now := time.Now().UnixNano()
 	trace.Record(id, trace.StageParse, wf, t0, now)
 	ev.TraceID, ev.TraceNS = id, now
-}
-
-// addValidated appends an already-validated event, flushing at BatchSize.
-func (b *batch) addValidated(ev *bp.Event) error {
-	b.buf = append(b.buf, ev)
-	if len(b.buf) >= b.opts.BatchSize {
-		return b.flush()
-	}
-	return nil
 }
 
 func (b *batch) flush() error {
@@ -461,48 +427,10 @@ func (b *batch) releaseBuf() {
 
 // LoadReader loads a complete BP stream from r, flushing at EOF.
 func (l *Loader) LoadReader(r io.Reader) (Stats, error) {
-	if l.opts.Shards > 1 {
-		return l.loadReaderParallel(r)
-	}
 	start := time.Now()
-	br := bp.NewReader(r)
-	br.SetLenient(l.opts.Lenient)
-	// Pooled mode: the batch owns each event until its flush releases it.
-	br.SetPooled(true)
-	if l.opts.Tap != nil {
-		br.SetTap(l.opts.Tap)
-	}
-	if trace.Enabled() {
-		br.SetSampler(trace.Sample)
-	}
-	b := l.newBatch(0)
-	for {
-		ev, err := br.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			b.releaseBuf()
-			b.stats.Elapsed = time.Since(start)
-			l.account(b.stats)
-			return b.stats, err
-		}
-		if id, t0 := br.LastSample(); id != 0 {
-			traceRead(id, t0, ev)
-		}
-		if err := b.add(ev); err != nil {
-			b.releaseBuf()
-			b.stats.Elapsed = time.Since(start)
-			l.account(b.stats)
-			return b.stats, err
-		}
-	}
-	err := b.flush()
-	b.stats.Malformed = uint64(br.Skipped())
-	mMalformed.Add(b.stats.Malformed)
-	b.stats.Elapsed = time.Since(start)
-	l.account(b.stats)
-	return b.stats, err
+	p := l.newPipeline()
+	p.produceReader(r)
+	return p.finish(start)
 }
 
 // LoadFile loads a BP log file.
@@ -519,70 +447,19 @@ func (l *Loader) LoadFile(path string) (Stats, error) {
 // closes or ctx is done, folding message bodies (BP lines) into the
 // archive. Batches are flushed by size and by the FlushEvery ticker so
 // live dashboards see events promptly; this is the realtime path the
-// paper's DART run used.
+// paper's DART run used. Cancelling ctx only stops the reading: every
+// message already taken off msgs is still applied (or counted as rejected)
+// and flushed before Consume returns ctx's error. A failing Tap or, in
+// strict mode, a malformed line ends the reading the same way.
 func (l *Loader) Consume(ctx context.Context, msgs <-chan mq.Message) (Stats, error) {
-	if l.opts.Shards > 1 {
-		return l.consumeParallel(ctx, msgs)
-	}
 	start := time.Now()
-	b := l.newBatch(0)
-	ticker := wfclock.NewTicker(l.opts.Clock, l.opts.FlushEvery)
-	defer ticker.Stop()
-	finish := func(err error) (Stats, error) {
-		if ferr := b.flush(); err == nil {
-			err = ferr
-		}
-		if ferr := l.arch.Flush(); err == nil {
-			err = ferr
-		}
-		b.stats.Elapsed = time.Since(start)
-		l.account(b.stats)
-		return b.stats, err
+	p := l.newPipeline()
+	p.produceMsgs(ctx, msgs)
+	st, err := p.finish(start)
+	if err == nil {
+		err = ctx.Err()
 	}
-	for {
-		select {
-		case <-ctx.Done():
-			return finish(ctx.Err())
-		case <-ticker.C():
-			if err := b.flush(); err != nil {
-				return finish(err)
-			}
-			if err := l.arch.Flush(); err != nil {
-				return finish(err)
-			}
-		case m, ok := <-msgs:
-			if !ok {
-				return finish(nil)
-			}
-			if l.opts.Tap != nil {
-				if err := l.opts.Tap(m.Body); err != nil {
-					return finish(err)
-				}
-			}
-			// Sampling runs on the raw body before the parse so the parse
-			// span has a start; unsampled messages pay one hash.
-			var id uint64
-			var recvNS int64
-			if trace.Enabled() {
-				if id = trace.Sample(m.Body); id != 0 {
-					recvNS = time.Now().UnixNano()
-				}
-			}
-			ev, err := bp.ParseBytes(m.Body)
-			if err != nil {
-				b.stats.Malformed++
-				mMalformed.Inc()
-				if l.opts.Lenient {
-					continue
-				}
-				return finish(err)
-			}
-			traceConsumed(id, recvNS, m, ev)
-			if err := b.add(ev); err != nil {
-				return finish(err)
-			}
-		}
-	}
+	return st, err
 }
 
 // ConsumeQueue is Consume over an in-process broker queue; it cancels the

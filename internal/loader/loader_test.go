@@ -294,8 +294,8 @@ func TestOptionsValidation(t *testing.T) {
 }
 
 func TestRelstoreIntegrationPersists(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.db")
-	st, err := relstore.Open(path)
+	dir := filepath.Join(t.TempDir(), "a")
+	st, err := relstore.OpenDir(dir, relstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,11 +311,10 @@ func TestRelstoreIntegrationPersists(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := archive.Open(path)
+	re, err := archive.LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
 	if n, _ := re.Store().Count(archive.TJob); n != 4 {
 		t.Fatalf("persisted jobs = %d", n)
 	}

@@ -9,8 +9,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Loader telemetry. Per-shard families are labeled by shard index; the
-// sequential (unsharded) path reports as shard "0". Children are resolved
+// Loader telemetry. Per-shard families are labeled by shard index (a
+// width-one pipeline is shard "0"). Children are resolved
 // once per pipeline in newBatch/newPipeline so the per-event path is pure
 // atomic increments.
 var (

@@ -21,12 +21,12 @@ func shardIndex(uuid string, shards int) int {
 	return archive.StripeFor(uuid) % shards
 }
 
-// The sharded pipeline: one parse stage (the caller's goroutine), then per
-// shard a validate worker feeding a batching applier over bounded
-// channels. Events route to shards by hashing xwf.id, so every event of
-// one workflow flows through one shard in arrival order — the archive's
-// per-workflow ordering contract — while different workflows validate and
-// apply concurrently. Bounded channels give backpressure end to end: a
+// The pipeline every load runs through: one parse stage (the caller's
+// goroutine), then per shard a validate worker feeding a batching applier
+// over bounded channels. Events route to shards by hashing xwf.id, so
+// every event of one workflow flows through one shard in arrival order —
+// the archive's per-workflow ordering contract — while different
+// workflows validate and apply concurrently. Bounded channels give backpressure end to end: a
 // slow archive fills the apply queue, which blocks the validator, which
 // fills the validate queue, which blocks the parser.
 //
@@ -38,7 +38,15 @@ func shardIndex(uuid string, shards int) int {
 // paying a no-op channel hop per event.
 
 type pipeline struct {
-	l      *Loader
+	l *Loader
+	// ctx is the pipeline's own abort signal, cancelled when a stage
+	// fails (fail): the parse stage stops feeding, the validators stop,
+	// and each applier commits what it already holds. It is deliberately
+	// not the caller's context — whatever stops the parse stage itself (a
+	// caller cancelling Consume, a failing Tap, a malformed line in
+	// strict mode) stops only the reading, and the stages then drain by
+	// channel close as at end of input, so no event already read is
+	// dropped.
 	ctx    context.Context
 	cancel context.CancelFunc
 	shards []*pshard
@@ -72,9 +80,9 @@ type pshard struct {
 	mQueueHW    *telemetry.Gauge
 }
 
-func (l *Loader) newPipeline(ctx context.Context) *pipeline {
-	pctx, cancel := context.WithCancel(ctx)
-	p := &pipeline{l: l, ctx: pctx, cancel: cancel}
+func (l *Loader) newPipeline() *pipeline {
+	ctx, cancel := context.WithCancel(context.Background())
+	p := &pipeline{l: l, ctx: ctx, cancel: cancel}
 	for i := 0; i < l.opts.Shards; i++ {
 		sh := &pshard{
 			idx:         i,
@@ -83,7 +91,6 @@ func (l *Loader) newPipeline(ctx context.Context) *pipeline {
 			mQueueDepth: mShardQueueDepth.With(shardLabel(i)),
 			mQueueHW:    mShardQueueHighWater.With(shardLabel(i)),
 		}
-		sh.b.val = nil // validation happens in the shard's validate stage
 		p.shards = append(p.shards, sh)
 		if l.val != nil {
 			sh.validateCh = make(chan *bp.Event, l.opts.QueueDepth)
@@ -96,16 +103,22 @@ func (l *Loader) newPipeline(ctx context.Context) *pipeline {
 	return p
 }
 
-// fail records the first error and cancels the pipeline.
-func (p *pipeline) fail(err error) {
-	if err == nil {
-		return
-	}
+// note records the first error and stops nothing: the parse stage notes
+// what ended its reading and returns.
+func (p *pipeline) note(err error) {
 	p.emu.Lock()
 	if p.err == nil {
 		p.err = err
 	}
 	p.emu.Unlock()
+}
+
+// fail records the first error and aborts the pipeline.
+func (p *pipeline) fail(err error) {
+	if err == nil {
+		return
+	}
+	p.note(err)
 	p.cancel()
 }
 
@@ -123,7 +136,7 @@ func (p *pipeline) shardFor(ev *bp.Event) *pshard {
 }
 
 // dispatch hands an event to its shard, blocking for backpressure. It
-// returns false when the pipeline was cancelled.
+// returns false when the pipeline was aborted.
 func (p *pipeline) dispatch(ev *bp.Event) bool {
 	sh := p.shardFor(ev)
 	ch := sh.validateCh
@@ -158,7 +171,7 @@ func (p *pipeline) produceReader(r io.Reader) {
 			break
 		}
 		if err != nil {
-			p.fail(err)
+			p.note(err)
 			break
 		}
 		if id, t0 := br.LastSample(); id != 0 {
@@ -167,7 +180,7 @@ func (p *pipeline) produceReader(r io.Reader) {
 		p.read++
 		mRead.Inc()
 		if !p.dispatch(ev) {
-			// Cancelled before handoff: the event never reached a shard,
+			// Aborted before handoff: the event never reached a shard,
 			// so ownership is still here.
 			bp.ReleaseEvent(ev)
 			break
@@ -177,10 +190,13 @@ func (p *pipeline) produceReader(r io.Reader) {
 	mMalformed.Add(p.malformed)
 }
 
-// produceMsgs is the parse stage over an mq delivery channel.
-func (p *pipeline) produceMsgs(msgs <-chan mq.Message) {
+// produceMsgs is the parse stage over an mq delivery channel; it returns
+// when msgs closes, ctx is done or the pipeline aborts.
+func (p *pipeline) produceMsgs(ctx context.Context, msgs <-chan mq.Message) {
 	for {
 		select {
+		case <-ctx.Done():
+			return
 		case <-p.ctx.Done():
 			return
 		case m, ok := <-msgs:
@@ -189,7 +205,7 @@ func (p *pipeline) produceMsgs(msgs <-chan mq.Message) {
 			}
 			if p.l.opts.Tap != nil {
 				if err := p.l.opts.Tap(m.Body); err != nil {
-					p.fail(err)
+					p.note(err)
 					return
 				}
 			}
@@ -207,7 +223,7 @@ func (p *pipeline) produceMsgs(msgs <-chan mq.Message) {
 				if p.l.opts.Lenient {
 					continue
 				}
-				p.fail(err)
+				p.note(err)
 				return
 			}
 			traceConsumed(id, recvNS, m, ev)
@@ -221,9 +237,10 @@ func (p *pipeline) produceMsgs(msgs <-chan mq.Message) {
 	}
 }
 
+// runValidate is the shard's validate stage; it exists only when validation
+// is on.
 func (sh *pshard) runValidate(p *pipeline) {
 	defer close(sh.applyCh)
-	val := p.l.val
 	for {
 		select {
 		case <-p.ctx.Done():
@@ -232,21 +249,19 @@ func (sh *pshard) runValidate(p *pipeline) {
 			if !ok {
 				return
 			}
-			if val != nil {
-				if err := val.Validate(ev); err != nil {
-					sh.invalid++
-					mInvalid.Inc()
-					// Rejected events never reach the apply shard, so the
-					// validator is their last owner.
-					bp.ReleaseEvent(ev)
-					if p.l.opts.Lenient {
-						continue
-					}
-					p.fail(err)
-					return
+			if err := p.l.val.Validate(ev); err != nil {
+				sh.invalid++
+				mInvalid.Inc()
+				// Rejected events never reach the apply shard, so the
+				// validator is their last owner.
+				bp.ReleaseEvent(ev)
+				if p.l.opts.Lenient {
+					continue
 				}
-				traceValidated(ev)
+				p.fail(err)
+				return
 			}
+			traceValidated(ev)
 			select {
 			case sh.applyCh <- ev:
 			case <-p.ctx.Done():
@@ -276,26 +291,13 @@ func (sh *pshard) runApply(p *pipeline) {
 	for {
 		select {
 		case <-p.ctx.Done():
-			// Cancelled: drain events already handed to this shard,
-			// then make them visible — like sequential Consume, where
-			// every event read before cancel is in the batch it
-			// flushes. Without the drain an event could be lost in
-			// the queue when cancellation and delivery race.
-		drain:
-			for {
-				select {
-				case ev, ok := <-sh.applyCh:
-					if !ok {
-						break drain
-					}
-					sh.b.buf = append(sh.b.buf, ev)
-				default:
-					break drain
-				}
+			// Aborted: commit what was already handed to this shard —
+			// it was read, tapped and validated, and the failure is
+			// somewhere else.
+			for len(sh.applyCh) > 0 {
+				sh.b.buf = append(sh.b.buf, <-sh.applyCh)
 			}
-			if err := flush(); err != nil {
-				p.fail(err)
-			}
+			p.fail(flush())
 			return
 		case <-ticker.C():
 			if err := flush(); err != nil {
@@ -358,21 +360,4 @@ func (p *pipeline) finish(start time.Time) (Stats, error) {
 	agg.Elapsed = time.Since(start)
 	p.l.account(agg)
 	return agg, p.firstErr()
-}
-
-func (l *Loader) loadReaderParallel(r io.Reader) (Stats, error) {
-	start := time.Now()
-	p := l.newPipeline(context.Background())
-	p.produceReader(r)
-	return p.finish(start)
-}
-
-func (l *Loader) consumeParallel(ctx context.Context, msgs <-chan mq.Message) (Stats, error) {
-	start := time.Now()
-	p := l.newPipeline(ctx)
-	p.produceMsgs(msgs)
-	if err := ctx.Err(); err != nil {
-		p.fail(err)
-	}
-	return p.finish(start)
 }

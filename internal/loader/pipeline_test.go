@@ -1,7 +1,9 @@
 package loader
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -99,6 +101,43 @@ func assertJobstateOrdering(t *testing.T, a *archive.Archive) {
 	}
 }
 
+// foldLines is the loader's oracle, deliberately not a loader: each line
+// goes through bp.ParseBytes, the schema validator and archive.Apply, one
+// event at a time on the calling goroutine, and whatever any of the three
+// rejects is skipped.
+func foldLines(t *testing.T, a *archive.Archive, lines [][]byte) {
+	t.Helper()
+	val, err := schema.NewValidator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range lines {
+		ev, err := bp.ParseBytes(line)
+		if err != nil {
+			continue
+		}
+		if val.Validate(ev) == nil {
+			_ = a.Apply(ev)
+		}
+		bp.ReleaseEvent(ev)
+	}
+}
+
+func archiveHash(t *testing.T, a *archive.Archive) string {
+	t.Helper()
+	sn := a.Snapshot()
+	defer sn.Close()
+	h, err := sn.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestParallelLoadMatchesSequential checks the pipeline at every width
+// against the foldLines oracle: the same row counts and per-workflow
+// ordering at any width, and at width one — a single applier in arrival
+// order — the very same store, primary keys included.
 func TestParallelLoadMatchesSequential(t *testing.T) {
 	const workflows = 9
 	var streams []string
@@ -107,7 +146,11 @@ func TestParallelLoadMatchesSequential(t *testing.T) {
 	}
 	input := interleavedStream(streams)
 
-	var want map[string]int
+	ref := archive.NewInMemory()
+	foldLines(t, ref, bytes.Split([]byte(strings.TrimSpace(input)), []byte("\n")))
+	want := tableCounts(t, ref)
+	assertJobstateOrdering(t, ref)
+
 	for _, shards := range []int{1, 2, 4, 8} {
 		a := archive.NewInMemory()
 		l, err := New(a, Options{Validate: true, Shards: shards, BatchSize: 16})
@@ -122,31 +165,28 @@ func TestParallelLoadMatchesSequential(t *testing.T) {
 		if stats.Read != wantEvents || stats.Loaded != wantEvents {
 			t.Fatalf("shards=%d: stats=%+v, want read=loaded=%d", shards, stats, wantEvents)
 		}
-		if shards > 1 {
-			if len(stats.Shards) != shards {
-				t.Fatalf("shards=%d: got %d shard stats", shards, len(stats.Shards))
-			}
-			var sum uint64
-			for _, ss := range stats.Shards {
-				sum += ss.Applied
-			}
-			if sum != stats.Loaded {
-				t.Fatalf("shards=%d: shard applied sum %d != loaded %d", shards, sum, stats.Loaded)
-			}
-		} else if len(stats.Shards) != 0 {
-			t.Fatalf("sequential load reported shard stats: %+v", stats.Shards)
+		if len(stats.Shards) != shards {
+			t.Fatalf("shards=%d: got %d shard stats", shards, len(stats.Shards))
+		}
+		var sum uint64
+		for _, ss := range stats.Shards {
+			sum += ss.Applied
+		}
+		if sum != stats.Loaded {
+			t.Fatalf("shards=%d: shard applied sum %d != loaded %d", shards, sum, stats.Loaded)
 		}
 		counts := tableCounts(t, a)
-		if want == nil {
-			want = counts
-		} else {
-			for table, n := range want {
-				if counts[table] != n {
-					t.Errorf("shards=%d: table %s = %d rows, want %d", shards, table, counts[table], n)
-				}
+		for table, n := range want {
+			if counts[table] != n {
+				t.Errorf("shards=%d: table %s = %d rows, the fold has %d", shards, table, counts[table], n)
 			}
 		}
 		assertJobstateOrdering(t, a)
+		if shards == 1 {
+			if got, want := archiveHash(t, a), archiveHash(t, ref); got != want {
+				t.Errorf("width-1 pipeline hashed %s, the fold %s", got, want)
+			}
+		}
 	}
 }
 
@@ -352,41 +392,88 @@ func TestManualClockFlushNoSleep(t *testing.T) {
 	}
 }
 
-// TestParallelConsumeCancelFlushes mirrors TestConsumeContextCancel for
-// the sharded path: cancellation returns ctx.Err() and flushes what was
-// buffered.
+// TestParallelConsumeCancelFlushes: whatever ends Consume's reading
+// mid-stream — the caller cancelling, or the Tap failing — stops the
+// reading and nothing else. Whatever was read off the channel — parked in
+// a validate queue, in a validator's hand, in an apply queue or a batch
+// buffer — is still applied or counted in a reject bucket, and flushed:
+// the store ends up exactly the fold of the first Read lines. Validation
+// is on and the queues are short, so at the moment of the stop every
+// stage of every shard is holding events.
 func TestParallelConsumeCancelFlushes(t *testing.T) {
-	broker := mq.NewBroker()
-	q, _ := broker.DeclareQueue("q", mq.QueueOpts{Durable: true})
-	_ = broker.Bind("q", "stampede.#")
-	a := archive.NewInMemory()
-	l, _ := New(a, Options{Shards: 4, BatchSize: 100000, FlushEvery: time.Hour})
-	ctx, cancel := context.WithCancel(context.Background())
-	loadDone := make(chan error, 1)
-	var stats Stats
-	go func() {
-		var err error
-		stats, err = l.ConsumeQueue(ctx, q)
-		loadDone <- err
-	}()
-	wf := uuid.New().String()
-	ev := bp.New(schema.XwfStart, t0).Set(schema.AttrXwfID, wf).SetInt("restart_count", 0)
-	broker.Publish(ev.Type, []byte(ev.Format()))
-	// Wait for the pipeline to pick the message up before cancelling.
-	deadline := time.Now().Add(5 * time.Second)
-	for q.Len() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never drained")
+	const workflows = 40
+	var streams []string
+	for i := 0; i < workflows; i++ {
+		streams = append(streams, workflowStream(uuid.New().String(), 8))
+	}
+	lines := bytes.Split([]byte(strings.TrimSpace(interleavedStream(streams))), []byte("\n"))
+	// A schema-invalid line every so often, so the Invalid bucket is part
+	// of the balance.
+	bad := []byte("ts=2012-03-13T12:35:38.000000Z event=stampede.xwf.start xwf.id=" + uuid.New().String())
+	for i := 50; i < len(lines); i += 97 {
+		lines[i] = bad
+	}
+	tapErr := errors.New("disk full")
+
+	for _, shards := range []int{1, 4} {
+		for _, tapFails := range []bool{false, true} {
+			for run := 0; run < 20; run++ {
+				name := fmt.Sprintf("shards=%d tapFails=%v run %d", shards, tapFails, run)
+				msgs := make(chan mq.Message, len(lines))
+				for _, ln := range lines {
+					msgs <- mq.Message{Body: ln}
+				}
+				a := archive.NewInMemory()
+				// Both stops come once the pipeline is in full flow.
+				inFlow := func() bool { return a.Applied() >= 64 }
+				opts := Options{Shards: shards, Validate: true, Lenient: true,
+					BatchSize: 8, QueueDepth: 2, FlushEvery: time.Hour}
+				wantErr := context.Canceled
+				if tapFails {
+					wantErr = tapErr
+					opts.Tap = func([]byte) error {
+						if inFlow() {
+							return tapErr
+						}
+						return nil
+					}
+				}
+				l, err := New(a, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				if !tapFails {
+					go func() {
+						for !inFlow() {
+							runtime.Gosched()
+						}
+						cancel()
+					}()
+				}
+				st, err := l.Consume(ctx, msgs)
+				cancel()
+				if !errors.Is(err, wantErr) {
+					t.Fatalf("%s: err = %v, want %v", name, err, wantErr)
+				}
+				if st.Read == 0 || st.Read+st.Malformed >= uint64(len(lines)) {
+					t.Fatalf("%s: the stop was not mid-stream: %s", name, st.String())
+				}
+				if st.Read != st.Loaded+st.Invalid+st.Unknown {
+					t.Fatalf("%s: %d events read but not accounted for: %s",
+						name, st.Read-st.Loaded-st.Invalid-st.Unknown, st.String())
+				}
+				ref := archive.NewInMemory()
+				foldLines(t, ref, lines[:st.Read])
+				got := tableCounts(t, a)
+				for table, n := range tableCounts(t, ref) {
+					if got[table] != n {
+						t.Fatalf("%s: table %s = %d rows, the fold of the first %d lines has %d",
+							name, table, got[table], st.Read, n)
+					}
+				}
+			}
 		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	err := <-loadDone
-	if err == nil || !strings.Contains(err.Error(), "canceled") {
-		t.Fatalf("err = %v, want context canceled", err)
-	}
-	if stats.Loaded != 1 {
-		t.Fatalf("loaded = %d, want the buffered event flushed on cancel", stats.Loaded)
 	}
 }
 

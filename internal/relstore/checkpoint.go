@@ -18,7 +18,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Directory-mode persistence: a store directory holds a MANIFEST fixing
+// On-disk layout: a store directory holds a MANIFEST fixing
 // the partition count plus one subdirectory per partition, each with its
 // own WAL segment chain and checkpoint images:
 //
@@ -49,7 +49,7 @@ const DefaultCheckpointEvery = 1 << 16
 // Options configures OpenDir.
 type Options struct {
 	// Partitions is the partition count for a newly created directory;
-	// 0 means 1. An existing directory's MANIFEST always wins, so a store
+	// 0 means 1, negative is an error. An existing directory's MANIFEST always wins, so a store
 	// reopens with the partition count it was created with.
 	Partitions int
 	// CheckpointEvery is the number of WAL records a partition absorbs
@@ -82,36 +82,68 @@ func ckptPath(dir string, seq uint64) string {
 
 func partDirName(i int) string { return fmt.Sprintf("p%03d", i) }
 
+// manifestVersion is the only store-directory layout this build reads or
+// writes.
+const manifestVersion = 1
+
+// errDirChanged marks a recovery that found the directory changing under
+// it: a listed file vanished, or the WAL no longer continues from the image
+// just loaded. That is a live writer's checkpoint cleanup, and LoadDir
+// answers it by starting over from a fresh listing.
+var errDirChanged = errors.New("relstore: store directory changed during load")
+
+// rejectFile fails when path names a regular file: the one-file database
+// layout is gone, and such a file is rebuilt as a directory from its event
+// log.
+func rejectFile(path string) error {
+	if st, err := os.Stat(path); err == nil && !st.IsDir() {
+		return fmt.Errorf("relstore: %s is a file, not a store directory; rebuild it from the event log with stampede-replay -out DIR", path)
+	}
+	return nil
+}
+
+// readManifest reads and checks dir's MANIFEST. A missing one is reported
+// as an error wrapping os.ErrNotExist.
+func readManifest(dir string) (dirManifest, error) {
+	var m dirManifest
+	b, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		return m, fmt.Errorf("relstore: %s is not a store directory: %w", dir, err)
+	}
+	if err := json.Unmarshal(b, &m); err != nil || m.Partitions < 1 {
+		return m, fmt.Errorf("relstore: bad MANIFEST in %s", dir)
+	}
+	if m.Version != manifestVersion {
+		return m, fmt.Errorf("relstore: %s: MANIFEST version %d, but this build only reads version %d", dir, m.Version, manifestVersion)
+	}
+	return m, nil
+}
+
 // OpenDir opens (or creates) a partitioned, checkpoint-capable store at
 // dir: it loads each partition's newest valid checkpoint, replays that
 // partition's WAL tail (truncating a torn final record), and attaches the
 // WAL writers. The partition count of an existing directory comes from its
-// MANIFEST; opts.Partitions only applies to a fresh directory.
+// MANIFEST; opts.Partitions only applies to a fresh directory. OpenDir
+// assumes it is the directory's only writer; a process that wants to read
+// a directory another process may be writing uses LoadDir.
 func OpenDir(dir string, opts Options) (*Store, error) {
+	if err := rejectFile(dir); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	n := opts.Partitions
-	manifestPath := filepath.Join(dir, "MANIFEST")
-	if b, err := os.ReadFile(manifestPath); err == nil {
-		var m dirManifest
-		if err := json.Unmarshal(b, &m); err != nil || m.Partitions < 1 {
-			return nil, fmt.Errorf("relstore: bad MANIFEST in %s", dir)
-		}
-		n = m.Partitions
-	} else if errors.Is(err, os.ErrNotExist) {
-		if n < 1 {
-			n = 1
-		}
-		b, _ := json.Marshal(dirManifest{Version: 1, Partitions: n})
-		if err := writeFileSync(manifestPath, append(b, '\n')); err != nil {
-			return nil, err
-		}
-	} else {
+	m, err := readManifest(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		m = dirManifest{Version: manifestVersion, Partitions: max(opts.Partitions, 1)}
+		b, _ := json.Marshal(m)
+		err = writeFileSync(filepath.Join(dir, "MANIFEST"), append(b, '\n'))
+	}
+	if err != nil {
 		return nil, err
 	}
 
-	s := NewStoreN(n)
+	s := NewStoreN(m.Partitions)
 	s.dir = dir
 	s.ckptEvery = opts.CheckpointEvery
 	if s.ckptEvery == 0 {
@@ -126,17 +158,9 @@ func OpenDir(dir string, opts Options) (*Store, error) {
 	// Recover every partition before attaching any writer: replaying
 	// partition k's create records runs CreateTable across all partitions,
 	// which must not be re-logged into already-attached WALs.
-	seqs := make([]uint64, n)
-	starts := make([]uint64, n)
-	for i, p := range s.parts {
-		seq, fileStart, err := p.recover(s)
-		if err != nil {
-			return nil, fmt.Errorf("relstore: recovering %s: %w", p.dir, err)
-		}
-		seqs[i], starts[i] = seq, fileStart
-	}
-	for _, p := range s.parts {
-		p.epoch.Store(1)
+	seqs, starts, err := s.recoverAll(dir, true)
+	if err != nil {
+		return nil, err
 	}
 	for i, p := range s.parts {
 		if err := p.attachWAL(seqs[i], starts[i]); err != nil {
@@ -147,12 +171,78 @@ func OpenDir(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// recover rebuilds one partition from its newest valid checkpoint plus the
-// WAL segments past it. It returns the recovered record high-water and the
-// start of the segment new appends should continue in (0 when a fresh
-// segment must be created).
-func (p *partition) recover(s *Store) (seq, fileStart uint64, err error) {
-	ckpts, err := listNumbered(p.dir, "checkpoint-", ".ck")
+// loadDirAttempts bounds how often LoadDir restarts after losing a race
+// with the writer's checkpoint cleanup.
+const loadDirAttempts = 3
+
+// LoadDir reads the store directory at dir into an in-memory store without
+// touching the directory: no write, truncate, rename, mkdir or remove. It
+// is how a reader process (dashboard, statistics, analyzer) looks at a
+// database a loader may still be writing, where OpenDir's repairs and WAL
+// writer would corrupt the live writer's files.
+//
+// Each partition is its newest valid checkpoint plus its WAL tail, exactly
+// what OpenDir would recover had the writer crashed the moment that
+// partition was read: a torn final record ends the partition's replay (and
+// stays on disk), and partitions are read one after another, so the result
+// is a prefix of every partition's history rather than one cut across
+// them. A load that loses a race with the writer's checkpoint (a listed
+// file vanished, or the WAL no longer continues from the image it loaded)
+// starts over from a fresh listing, at most loadDirAttempts times. Writes
+// to the returned store stay in memory.
+func LoadDir(dir string) (*Store, error) {
+	if err := rejectFile(dir); err != nil {
+		return nil, err
+	}
+	m, err := readManifest(dir)
+	if err != nil {
+		return nil, err
+	}
+	for attempt := 1; ; attempt++ {
+		s := NewStoreN(m.Partitions)
+		_, _, err := s.recoverAll(dir, false)
+		if err == nil {
+			return s, nil
+		}
+		if !errors.Is(err, errDirChanged) || attempt == loadDirAttempts {
+			return nil, err
+		}
+	}
+}
+
+// recoverAll rebuilds every partition of an empty store from dir and
+// publishes the result at epoch 1. It returns, per partition, the recovered
+// record high-water and the start of the segment appends continue in (see
+// partition.recover). repair is OpenDir's licence to fix the directory up
+// on the way; without it nothing on disk is touched.
+func (s *Store) recoverAll(dir string, repair bool) (seqs, starts []uint64, err error) {
+	seqs = make([]uint64, len(s.parts))
+	starts = make([]uint64, len(s.parts))
+	for i, p := range s.parts {
+		pdir := filepath.Join(dir, partDirName(i))
+		seqs[i], starts[i], err = p.recover(s, pdir, repair)
+		if !repair && errors.Is(err, os.ErrNotExist) {
+			// Listed a moment ago: a live writer's checkpoint dropped it.
+			err = fmt.Errorf("%w: %v", errDirChanged, err)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("relstore: recovering %s: %w", pdir, err)
+		}
+	}
+	for _, p := range s.parts {
+		p.epoch.Store(1)
+	}
+	return seqs, starts, nil
+}
+
+// recover rebuilds one partition from the newest valid checkpoint in pdir
+// plus the WAL segments past it. It returns the recovered record high-water
+// and the start of the segment new appends should continue in (0 when a
+// fresh segment must be created). With repair set it also clears what a
+// crash left behind — a torn final record, segments a checkpoint already
+// covers, stale temp images.
+func (p *partition) recover(s *Store, pdir string, repair bool) (seq, fileStart uint64, err error) {
+	ckpts, err := listNumbered(pdir, "checkpoint-", ".ck")
 	if err != nil {
 		return 0, 0, err
 	}
@@ -168,12 +258,14 @@ func (p *partition) recover(s *Store) (seq, fileStart uint64, err error) {
 			}
 			break
 		}
-		if !errors.Is(lerr, errInvalidCkpt) {
+		// Fall back to the next older image past an invalid one — and,
+		// as the directory's only user, past an unreadable one.
+		if !errors.Is(lerr, errInvalidCkpt) && !(repair && errors.Is(lerr, os.ErrNotExist)) {
 			return 0, 0, lerr
 		}
 	}
 
-	files, err := listNumbered(p.dir, "wal-", ".log")
+	files, err := listNumbered(pdir, "wal-", ".log")
 	if err != nil {
 		return 0, 0, err
 	}
@@ -182,23 +274,31 @@ func (p *partition) recover(s *Store) (seq, fileStart uint64, err error) {
 		if wf.start <= base {
 			// Fully covered by the checkpoint (segments are cut exactly at
 			// checkpoint boundaries); left behind only if a post-checkpoint
-			// cleanup crashed. Safe to drop now.
-			_ = os.Remove(wf.path)
+			// cleanup crashed, or has not run yet.
+			if repair {
+				_ = os.Remove(wf.path)
+			}
 			continue
 		}
 		if wf.start != seq+1 {
-			return 0, 0, fmt.Errorf("WAL gap: segment %s after seq %d", filepath.Base(wf.path), seq)
+			err := fmt.Errorf("WAL gap: segment %s after seq %d", filepath.Base(wf.path), seq)
+			if !repair {
+				// A live writer's checkpoint dropped the segments between.
+				err = fmt.Errorf("%w: %v", errDirChanged, err)
+			}
+			return 0, 0, err
 		}
 		newest := idx == len(files)-1
-		n, rerr := p.replaySegment(s, wf.path, newest)
+		n, rerr := p.replaySegment(s, wf.path, newest, repair)
 		if rerr != nil {
 			return 0, 0, rerr
 		}
 		seq = wf.start - 1 + n
 		fileStart = wf.start
 	}
-	// Clear stale temp images from an interrupted checkpoint write.
-	if tmps, _ := filepath.Glob(filepath.Join(p.dir, "*.tmp")); tmps != nil {
+	if repair {
+		// Clear stale temp images from an interrupted checkpoint write.
+		tmps, _ := filepath.Glob(filepath.Join(pdir, "*.tmp"))
 		for _, t := range tmps {
 			_ = os.Remove(t)
 		}
@@ -207,12 +307,13 @@ func (p *partition) recover(s *Store) (seq, fileStart uint64, err error) {
 }
 
 // replaySegment applies one WAL segment's records into the partition. Only
-// the newest segment may end in a torn record (crash mid-append); the torn
-// bytes are truncated away so the segment is clean for appending. Any
-// malformed record elsewhere is corruption and fails recovery.
-func (p *partition) replaySegment(s *Store, path string, newest bool) (uint64, error) {
+// the newest segment may end in a torn record (crash mid-append, or a live
+// writer mid-flush): replay stops there, and with repair set the torn bytes
+// are truncated away so the segment is clean for appending. Any malformed
+// record elsewhere is corruption and fails recovery.
+func (p *partition) replaySegment(s *Store, path string, newest, repair bool) (uint64, error) {
 	flags := os.O_RDONLY
-	if newest {
+	if newest && repair {
 		flags = os.O_RDWR
 	}
 	f, err := os.OpenFile(path, flags, 0)
@@ -224,6 +325,9 @@ func (p *partition) replaySegment(s *Store, path string, newest bool) (uint64, e
 	var off int64
 	var records uint64
 	truncTorn := func() error {
+		if !repair {
+			return nil
+		}
 		if err := f.Truncate(off); err != nil {
 			return fmt.Errorf("%s: truncating torn tail: %w", path, err)
 		}
@@ -266,7 +370,7 @@ func (p *partition) replaySegment(s *Store, path string, newest bool) (uint64, e
 					off += int64(len(line))
 					// Complete record but no newline: terminate it so the
 					// next append starts on a fresh line.
-					if newest {
+					if newest && repair {
 						if _, werr := f.WriteAt([]byte("\n"), off); werr == nil {
 							off++
 						}
@@ -293,12 +397,7 @@ func (p *partition) attachWAL(seq, fileStart uint64) error {
 	if err != nil {
 		return err
 	}
-	w := newWalWriter(f, p.idx)
-	w.dir = p.dir
-	w.seq = seq
-	w.fileStart = fileStart
-	w.committed = seq // everything recovered is on disk by definition
-	p.wal.Store(w)
+	p.wal.Store(newWalWriter(f, p.idx, p.dir, seq, fileStart))
 	return nil
 }
 
@@ -441,6 +540,9 @@ func (p *partition) cleanupAfterCheckpoint(S uint64) {
 // so recovery can fall back to an older image.
 func (p *partition) loadCheckpoint(s *Store, path string) (uint64, error) {
 	b, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, err // a read-only load wants to know (recoverAll)
+	}
 	if err != nil {
 		return 0, errInvalidCkpt
 	}
@@ -634,13 +736,9 @@ type PartitionInfo struct {
 // InspectDir reads a store directory's partition map and recovery state
 // without replaying anything (stampede-replay -info).
 func InspectDir(dir string) (*DirInfo, error) {
-	b, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	m, err := readManifest(dir)
 	if err != nil {
-		return nil, fmt.Errorf("relstore: %s is not a store directory: %w", dir, err)
-	}
-	var m dirManifest
-	if err := json.Unmarshal(b, &m); err != nil || m.Partitions < 1 {
-		return nil, fmt.Errorf("relstore: bad MANIFEST in %s", dir)
+		return nil, err
 	}
 	info := &DirInfo{Partitions: m.Partitions}
 	for i := 0; i < m.Partitions; i++ {

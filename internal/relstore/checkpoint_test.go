@@ -1,10 +1,12 @@
 package relstore
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -457,4 +459,113 @@ func mustSelect(t *testing.T, s *Store, table string) []Row {
 		t.Fatal(err)
 	}
 	return rows
+}
+
+// TestLoadDirAgainstLiveWriter races read-only loads against a writer that
+// inserts, updates, flushes and auto-checkpoints every 64 records on four
+// partitions — so loads keep running into rotated segments, superseded
+// images and half-flushed tails. A load may lose that race three times in
+// a row and say so; one that succeeds must be a consistent prefix of every
+// partition: each child's parent (same partition, earlier record) is
+// present, no table holds more rows than the writer ever wrote, and the
+// writer's directory recovers afterwards as if it had never been read.
+func TestLoadDirAgainstLiveWriter(t *testing.T) {
+	const parts = 4
+	const perPart = 400
+	dir := t.TempDir()
+	s, err := OpenDir(dir, Options{Partitions: parts, CheckpointEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range concurrencySchemas() {
+		if err := s.CreateTable(ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	var wwg sync.WaitGroup
+	for p := 0; p < parts; p++ {
+		wwg.Add(1)
+		go func(p int) {
+			defer wwg.Done()
+			w := s.Writer(p)
+			for i := 0; i < perPart; i++ {
+				id, err := w.Insert("parent", Row{"name": fmt.Sprintf("p%d-%d", p, i)})
+				if err == nil {
+					_, err = w.Insert("child", Row{"parent_id": id, "n": int64(i)})
+				}
+				if err == nil && i%5 == 0 {
+					err = w.Update("parent", id, Row{"name": fmt.Sprintf("p%d-%d-renamed", p, i)})
+				}
+				if err == nil && i%8 == 0 {
+					err = s.Flush()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p)
+	}
+	writersDone := make(chan struct{})
+	go func() { wwg.Wait(); close(writersDone) }()
+
+	var loads, lostRaces atomic.Int64
+	var rwg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		rwg.Add(1)
+		go func() {
+			defer rwg.Done()
+			for {
+				select {
+				case <-writersDone:
+					return
+				default:
+				}
+				ro, err := LoadDir(dir)
+				if errors.Is(err, errDirChanged) {
+					lostRaces.Add(1)
+					continue
+				}
+				if err != nil {
+					t.Errorf("LoadDir against a live writer: %v", err)
+					return
+				}
+				loads.Add(1)
+				for _, c := range mustSelect(t, ro, "child") {
+					if parent, _ := ro.Get("parent", c["parent_id"].(int64)); parent == nil {
+						t.Errorf("loaded child %d without its parent %d", c.ID(), c["parent_id"])
+						return
+					}
+				}
+				for _, table := range []string{"parent", "child"} {
+					if n, _ := ro.Count(table); n > parts*perPart {
+						t.Errorf("loaded %d %s rows, the writer only ever writes %d", n, table, parts*perPart)
+					}
+				}
+			}
+		}()
+	}
+	rwg.Wait()
+	<-writersDone
+	t.Logf("%d loads succeeded, %d lost the race with a checkpoint three times over", loads.Load(), lostRaces.Load())
+	if loads.Load() == 0 {
+		t.Fatal("no load ever succeeded against the live writer")
+	}
+
+	want := storeHash(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := loadDirHash(t, dir); got != want {
+		t.Fatalf("LoadDir of the quiescent directory hashed %s, want the writer's %s", got, want)
+	}
+	re := openDirStore(t, dir, parts)
+	defer re.Close()
+	if got := storeHash(t, re); got != want {
+		t.Fatalf("OpenDir after the readers hashed %s, want the writer's %s", got, want)
+	}
 }

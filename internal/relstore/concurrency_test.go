@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -217,11 +216,8 @@ func TestReadersNeverLoseRowsToGC(t *testing.T) {
 // Flush against a synced WAL all return with their records durable, and
 // that the WAL replays to the same state.
 func TestConcurrentFlushGroupCommit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.db")
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	s := openDirStore(t, dir, 1)
 	if err := s.CreateTable(concurrencySchemas()[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +257,7 @@ func TestConcurrentFlushGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := openDirStore(t, dir, 1)
 	defer re.Close()
 	if n, _ := re.Count("parent"); n != writers*each {
 		t.Fatalf("replayed rows = %d, want %d", n, writers*each)

@@ -18,8 +18,7 @@ import (
 type partition struct {
 	idx int
 	// writeMu serializes this partition's Insert/InsertBatch/Update/Delete
-	// (and its slice of CreateTable). Multi-partition batches lock several
-	// writeMus in ascending partition order.
+	// (and its slice of CreateTable).
 	writeMu sync.Mutex
 	// epoch is the partition's newest published epoch. A mutation works at
 	// epoch+1 and publishes by storing the new value after all its versions

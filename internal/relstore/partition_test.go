@@ -3,7 +3,6 @@ package relstore
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -111,87 +110,6 @@ func TestWriterPartitionPinning(t *testing.T) {
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("merged select saw %d rows, %v; want 1", len(rows), err)
 	}
-}
-
-// TestSnapshotNeverSeesTornMultiPartitionBatch hammers InsertBatchParts
-// batches that straddle every partition while snapshot readers count
-// rows per batch marker: any snapshot must see a whole batch or none of
-// it, never a prefix — the vector-epoch acquisition has to be atomic
-// with respect to the multi-partition commit.
-func TestSnapshotNeverSeesTornMultiPartitionBatch(t *testing.T) {
-	const parts = 4
-	const batchLen = 8 // 2 rows per partition
-	s := NewStoreN(parts)
-	if err := s.CreateTable(TableSchema{
-		Name: "events",
-		Columns: []Column{
-			{Name: "batch", Type: Int},
-		},
-		Indexes: [][]string{{"batch"}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	const totalBatches = 600
-	var batches atomic.Int64
-	var wwg sync.WaitGroup
-	wwg.Add(1)
-	go func() {
-		defer wwg.Done()
-		for b := int64(0); b < totalBatches; b++ {
-			rows := make([]Row, batchLen)
-			routes := make([]int, batchLen)
-			for i := range rows {
-				rows[i] = Row{"batch": b}
-				routes[i] = i % parts
-			}
-			if _, err := s.InsertBatchParts("events", rows, routes); err != nil {
-				t.Error(err)
-				return
-			}
-			batches.Store(b + 1)
-		}
-	}()
-
-	// Readers probe through the batch index (bounded work per check, so
-	// the test stays sane on one core): the newest possibly-in-flight
-	// batch must be all-or-nothing, and batches committed strictly before
-	// the snapshot pin must be whole.
-	var rwg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		rwg.Add(1)
-		go func(r int) {
-			defer rwg.Done()
-			for k := 0; ; k++ {
-				hi := batches.Load() // committed strictly before the pin below
-				sn := s.Snapshot()
-				probe := []int64{hi} // in flight (or next) at pin time
-				if hi > 0 {
-					probe = append(probe, hi-1, int64(k)%hi)
-				}
-				for _, b := range probe {
-					rows, err := sn.Select(Query{Table: "events", Conds: []Cond{Eq("batch", b)}})
-					if err != nil {
-						t.Error(err)
-						sn.Close()
-						return
-					}
-					if n := len(rows); n != 0 && n != batchLen {
-						t.Errorf("snapshot %v saw torn batch %d: %d of %d rows", sn.Epochs(), b, n, batchLen)
-					}
-					if b < hi && len(rows) != batchLen {
-						t.Errorf("snapshot %v lost committed batch %d: saw %d of %d rows", sn.Epochs(), b, len(rows), batchLen)
-					}
-				}
-				sn.Close()
-				if hi >= totalBatches {
-					return
-				}
-			}
-		}(r)
-	}
-	wwg.Wait()
-	rwg.Wait()
 }
 
 // TestReadersNeverLoseRowsToGCPerPartition is the per-partition version

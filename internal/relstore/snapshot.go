@@ -68,9 +68,10 @@ var (
 )
 
 // Snapshot is an immutable point-in-time view across every table of every
-// partition. It pins a vector of partition epochs acquired atomically with
-// respect to multi-partition batches (see Store.pinAll), so a cross-table,
-// cross-partition traversal can never observe a torn batch. Reads through
+// partition. It pins a vector of partition epochs (see Store.pinAll);
+// every commit publishes in one partition with one atomic store, so a
+// cross-table, cross-partition traversal can never observe a torn batch.
+// Reads through
 // a snapshot take no locks and return the stored (immutable) row versions
 // without copying; the caller must not mutate them. A snapshot pins
 // version history on every partition: Close releases it so version GC can

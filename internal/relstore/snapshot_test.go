@@ -402,14 +402,11 @@ func TestSnapshotTableNames(t *testing.T) {
 }
 
 // TestSnapshotWALReplay: snapshots work identically on a store replayed
-// from a WAL file — replayed history lands at epoch 1 and update/delete
+// from its WAL — replayed history lands at epoch 1 and update/delete
 // records resolve to the final state.
 func TestSnapshotWALReplay(t *testing.T) {
-	path := t.TempDir() + "/snap.db"
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	s := openDirStore(t, dir, 1)
 	if err := s.CreateTable(wfSchema()); err != nil {
 		t.Fatal(err)
 	}
@@ -438,10 +435,7 @@ func TestSnapshotWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := openDirStore(t, dir, 1)
 	defer re.Close()
 	sn := re.Snapshot()
 	defer sn.Close()

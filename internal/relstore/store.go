@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -17,20 +16,12 @@ import (
 // old store-wide single-writer wall for the loader's apply shards.
 //
 // Cross-partition reads stay point-in-time: Snapshot pins a vector of
-// partition epochs (see pinAll) so a traversal can never observe a torn
-// multi-partition batch. Primary keys are allocated from one shared
-// counter per logical table, so ids are unique store-wide and a row's id
-// says nothing about which partition holds it.
+// partition epochs (see pinAll), and since every commit lives in exactly
+// one partition a traversal can never observe a torn one. Primary keys are
+// allocated from one shared counter per logical table, so ids are unique
+// store-wide and a row's id says nothing about which partition holds it.
 type Store struct {
 	parts []*partition
-
-	// mpSeq is a seqlock guarding multi-partition atomic commits
-	// (InsertBatchParts). A writer makes the sequence odd, publishes every
-	// involved partition's epoch, then makes it even again; pinAll retries
-	// until it pins all partitions inside one even interval. Commits that
-	// touch a single partition never touch mpSeq — their epoch publish is
-	// already atomic on its own.
-	mpSeq atomic.Uint64
 
 	// checkFKs can be disabled for bulk replay of already-validated data.
 	checkFKs atomic.Bool
@@ -42,8 +33,8 @@ type Store struct {
 	// every partition's instance of one table points at the same counter.
 	allocs map[string]*atomic.Int64
 
-	// dir is the backing directory for directory-mode stores (see OpenDir);
-	// empty for in-memory and legacy single-file stores.
+	// dir is the backing directory of a durable store (see OpenDir); empty
+	// for in-memory stores.
 	dir string
 	// ckptEvery is the per-partition WAL-record count that triggers an
 	// automatic background checkpoint; 0 disables automatic checkpoints.
@@ -276,165 +267,15 @@ func (s *Store) InsertBatch(tableName string, rows []Row) ([]int64, error) {
 	return s.parts[0].insertBatch(s, tableName, rows)
 }
 
-// InsertBatchParts adds many rows in one atomic batch spanning partitions:
-// rows[i] goes to partition parts[i]. The involved partitions' writer
-// mutexes are taken in ascending order (deadlock-free against concurrent
-// multi-partition batches), every row is validated before any is applied,
-// primary keys are assigned in input order, and the per-partition epochs
-// publish inside one odd mpSeq interval — so a snapshot observes all of
-// the batch or none of it, never a torn subset.
-func (s *Store) InsertBatchParts(tableName string, rows []Row, parts []int) ([]int64, error) {
-	if len(rows) != len(parts) {
-		return nil, fmt.Errorf("relstore: InsertBatchParts: %d rows but %d partition assignments", len(rows), len(parts))
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	involved := make([]bool, len(s.parts))
-	for _, pi := range parts {
-		if pi < 0 || pi >= len(s.parts) {
-			return nil, fmt.Errorf("relstore: partition %d out of range [0,%d)", pi, len(s.parts))
-		}
-		involved[pi] = true
-	}
-	var locked []*partition
-	for i, p := range s.parts {
-		if involved[i] {
-			p.writeMu.Lock()
-			locked = append(locked, p)
-		}
-	}
-	unlock := func() {
-		for i := len(locked) - 1; i >= 0; i-- {
-			locked[i].writeMu.Unlock()
-		}
-	}
-
-	tbl := make([]*table, len(s.parts))
-	for i, p := range s.parts {
-		if !involved[i] {
-			continue
-		}
-		t, err := p.table(tableName)
-		if err != nil {
-			unlock()
-			return nil, err
-		}
-		tbl[i] = t
-	}
-
-	// Validate everything before mutating, so failure is atomic. Unique
-	// checks consider earlier rows of the batch bound for the same
-	// partition (uniqueness is enforced per partition; rows that share a
-	// routing key land in the same partition, which is what makes the
-	// per-partition check globally sufficient under workflow routing).
-	normalized := make([]Row, len(rows))
-	batchKeys := make(map[int][]map[string]bool)
-	for i, r := range rows {
-		pi := parts[i]
-		t := tbl[pi]
-		n, err := t.normalize(r)
-		if err != nil {
-			unlock()
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		if err := t.checkUnique(n, 0); err != nil {
-			unlock()
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		bk, ok := batchKeys[pi]
-		if !ok {
-			bk = make([]map[string]bool, len(t.schema.Unique))
-			for u := range bk {
-				bk[u] = make(map[string]bool)
-			}
-			batchKeys[pi] = bk
-		}
-		for u, cols := range t.schema.Unique {
-			key := compositeKey(n, cols)
-			if bk[u][key] {
-				unlock()
-				return nil, fmt.Errorf("row %d: %w", i, &UniqueError{Table: tableName, Columns: cols})
-			}
-			bk[u][key] = true
-		}
-		if err := s.checkForeignKeys(s.parts[pi], t, n); err != nil {
-			unlock()
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		normalized[i] = n
-	}
-
-	newE := make([]uint64, len(s.parts))
-	perPart := make([][]Row, len(s.parts))
-	counts := make([]int64, len(s.parts))
-	for i, p := range s.parts {
-		if involved[i] {
-			newE[i] = p.epoch.Load() + 1
-		}
-	}
-	ids := make([]int64, len(rows))
-	for i, n := range normalized {
-		pi := parts[i]
-		id := tbl[pi].alloc.Add(1)
-		n["id"] = id
-		tbl[pi].putRow(n, newE[pi])
-		ids[i] = id
-		perPart[pi] = append(perPart[pi], n)
-		counts[pi]++
-	}
-	// Publish all involved epochs inside one odd seqlock interval.
-	s.mpSeq.Add(1)
-	for i, p := range s.parts {
-		if involved[i] {
-			p.epoch.Store(newE[i])
-		}
-	}
-	s.mpSeq.Add(1)
-	for i := range s.parts {
-		if involved[i] {
-			tbl[i].live.Add(counts[i])
-		}
-	}
-	var werr error
-	for i, p := range s.parts {
-		if !involved[i] {
-			continue
-		}
-		if w := p.wal.Load(); w != nil {
-			if err := w.logInsertBatch(tableName, perPart[i]); err != nil {
-				if werr == nil {
-					werr = err
-				}
-			} else {
-				p.noteRecords(s, 1)
-			}
-		}
-	}
-	unlock()
-	return ids, werr
-}
-
-// pinAll pins every partition's published epoch inside one even mpSeq
-// interval, so the resulting epoch vector can never straddle a
-// multi-partition batch commit.
+// pinAll pins every partition's published epoch. Every commit touches
+// exactly one partition and publishes with one atomic store, so the
+// resulting epoch vector holds each commit entirely or not at all.
 func (s *Store) pinAll() []*epochPin {
 	pins := make([]*epochPin, len(s.parts))
-	for {
-		s0 := s.mpSeq.Load()
-		if s0&1 == 0 {
-			for i, p := range s.parts {
-				pins[i] = p.pin()
-			}
-			if s.mpSeq.Load() == s0 {
-				return pins
-			}
-			for i, p := range s.parts {
-				p.unpin(pins[i])
-			}
-		}
-		runtime.Gosched()
+	for i, p := range s.parts {
+		pins[i] = p.pin()
 	}
+	return pins
 }
 
 // checkForeignKeys verifies row's FK values. The caller holds p's writeMu,

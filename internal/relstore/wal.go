@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -33,16 +32,16 @@ var (
 )
 
 // Persistence: every mutation appends one JSON record to its partition's
-// write-ahead log. Open (legacy single file) and OpenDir (partitioned
-// segments + checkpoints) replay the log to rebuild the store, so a
+// write-ahead log. OpenDir (and its read-only sibling LoadDir) rebuild the
+// store from each partition's newest checkpoint plus its log tail, so a
 // database is exactly the history of committed mutations — simple,
-// crash-tolerant (a torn final line is detected, and truncated in
-// directory mode), and adequate for the monitoring archive's
-// append-mostly workload. In directory mode each partition owns a chain
-// of segment files named wal-<start>.log, where <start> is the sequence
-// number of the segment's first record; checkpoints cut segments at their
-// exact high-water, so recovery's skip rule is simply "replay segments
-// whose start exceeds the checkpoint seq".
+// crash-tolerant (a torn final line is detected, and truncated by
+// OpenDir), and adequate for the monitoring archive's append-mostly
+// workload. Each partition owns a chain of segment files named
+// wal-<start>.log, where <start> is the sequence number of the segment's
+// first record; checkpoints cut segments at their exact high-water, so
+// recovery's skip rule is simply "replay segments whose start exceeds the
+// checkpoint seq".
 
 type walRecord struct {
 	Op    string           `json:"op"` // create, insert, update, delete
@@ -57,11 +56,10 @@ type walWriter struct {
 	f    *os.File
 	w    *bufio.Writer
 	sync bool
-	seq  uint64 // records appended so far (absolute in directory mode)
+	seq  uint64 // records appended so far, over the partition's whole history
 
-	// Directory mode: dir is the partition's segment directory and
-	// fileStart the seq of the current segment's first record. Empty dir
-	// means legacy single-file mode, which never rotates.
+	// dir is the partition's segment directory and fileStart the seq of
+	// the current segment's first record.
 	dir       string
 	fileStart uint64
 
@@ -85,12 +83,18 @@ type walWriter struct {
 	mFsyncLat *telemetry.Histogram
 }
 
-func newWalWriter(f *os.File, part int) *walWriter {
+// newWalWriter wraps f, partition part's open append segment in dir: the
+// segment starts at record fileStart, and seq records exist (and are on
+// disk) across the whole chain.
+func newWalWriter(f *os.File, part int, dir string, seq, fileStart uint64) *walWriter {
 	label := strconv.Itoa(part)
 	w := &walWriter{
 		f:         f,
 		w:         bufio.NewWriterSize(f, 256*1024),
-		fileStart: 1,
+		dir:       dir,
+		seq:       seq,
+		fileStart: fileStart,
+		committed: seq, // everything recovered is on disk by definition
 		mRecords:  mWALRecords.With(label),
 		mFlushes:  mWALFlushes.With(label),
 		mFsyncs:   mWALFsyncs.With(label),
@@ -247,7 +251,7 @@ func (w *walWriter) rotate() (uint64, error) {
 
 	w.mu.Lock()
 	S := w.seq
-	if w.dir == "" || S+1 == w.fileStart {
+	if S+1 == w.fileStart {
 		w.mu.Unlock()
 		done(0)
 		return S, nil
@@ -304,29 +308,6 @@ func encodeRow(r Row) map[string]any {
 		}
 	}
 	return out
-}
-
-// Open opens (or creates) a persistent single-partition store backed by
-// the one WAL file at path, replaying any existing history first. This is
-// the legacy single-file layout; OpenDir is the partitioned,
-// checkpoint-capable layout.
-func Open(path string) (*Store, error) {
-	s := NewStore()
-	if f, err := os.Open(path); err == nil {
-		err = s.replay(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("relstore: replaying %s: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	s.parts[0].wal.Store(newWalWriter(f, 0))
-	return s, nil
 }
 
 // SetSync makes every Flush also fsync the WAL files: full durability at
@@ -412,40 +393,6 @@ func (s *Store) Close() error {
 	}
 	unregisterCheckpointTelemetry(s)
 	return first
-}
-
-// replay applies legacy single-file WAL records into partition 0 of an
-// empty store. Replay bypasses FK and unique re-validation (the records
-// were valid when written) but rebuilds all indexes. Every record lands at
-// epoch 1 — the store starts with a flat, single-version history — and
-// epoch 1 is published at the end. A torn trailing record (crash
-// mid-write) ends the replay cleanly.
-func (s *Store) replay(r io.Reader) error {
-	p := s.parts[0]
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 256*1024), 64<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var rec walRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			// Only tolerate a torn *final* line; corruption mid-file is an error.
-			if !sc.Scan() {
-				p.epoch.Store(1)
-				return nil
-			}
-			return fmt.Errorf("line %d: %v", line, err)
-		}
-		if err := s.applyRecord(p, rec); err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
-		}
-	}
-	p.epoch.Store(1)
-	return sc.Err()
 }
 
 // applyRecord applies one WAL record into partition p at epoch 1. Create

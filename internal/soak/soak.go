@@ -33,7 +33,7 @@ import (
 
 // Options tunes a soak run.
 type Options struct {
-	// Shards is the loader's apply parallelism (0 = 1, the sequential path).
+	// Shards is the loader's apply parallelism (0 = 1, a pipeline of width one).
 	Shards int
 	// Speedup divides the scenario's planned publish offsets: 1 replays in
 	// real time, 10 replays ten times faster, 0 publishes flat out with no
