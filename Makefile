@@ -19,12 +19,15 @@ race:
 
 # A few seconds of coverage-guided fuzzing on the BP wire format
 # (round-trips Format→Parse on everything the fuzzer finds), on the
-# scenario-config parser (must reject, never panic), and on the event-log
-# record framing (corruption never panics, is always detected).
+# scenario-config parser (must reject, never panic), on the event-log
+# record framing (corruption never panics, is always detected), and on the
+# relstore WAL frame + row decoder shared with the checkpoint image reader
+# (never panics, bounded allocation, encode→decode→encode is stable).
 fuzz:
 	$(GO) test ./internal/bp -run FuzzParse -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/synth -run FuzzScenarioConfig -fuzz FuzzScenarioConfig -fuzztime 10s
 	$(GO) test ./internal/eventlog -run FuzzRecordRoundTrip -fuzz FuzzRecordRoundTrip -fuzztime 10s
+	$(GO) test ./internal/relstore -run FuzzWALRecord -fuzz FuzzWALRecord -fuzztime 10s
 
 # A 30-second fault-plan soak through the whole pipeline
 # (mq → loader → archive), paced in real time, with ingest teed into an
@@ -50,6 +53,7 @@ soak-smoke:
 # enough iterations that GC and flush-burst placement average out.
 bench:
 	{ $(GO) test -bench 'BenchmarkLoader|BenchmarkReadersUnderLoad|BenchmarkParseBytes|BenchmarkEventlog|BenchmarkDashboardRequests' -benchmem -run XXX . ; \
+	  $(GO) test -bench 'BenchmarkWALAppend' -benchmem -run XXX ./internal/relstore ; \
 	  $(GO) test -bench 'BenchmarkSubscribersUnderLoad' -benchmem -benchtime 250x -run XXX . ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_loader.json
 
@@ -85,14 +89,16 @@ bench-e2e:
 bench-e2e-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
-# The crash-recovery matrix under the race detector: torn WAL tails at
-# every record boundary and beyond, kill-points during parallel group
+# The crash-recovery matrix under the race detector: the newest WAL segment
+# cut at every byte of its final frame and around every frame boundary,
+# every byte of a mid-file frame flipped and segments dropped or swapped
+# (refused, naming file and offset), kill-points during parallel group
 # commit, checkpoint corruption fallback, a read-only LoadDir over a torn
 # tail (touches nothing) and against a live checkpointing writer, and the
 # system-level check that checkpoint+WAL-tail recovery hashes
 # bit-identical to an event-log rebuild.
 crash-matrix:
-	$(GO) test -race -count=1 -run 'TestCrashMatrixTornWALTail|TestKillDuringParallelGroupCommit|TestRecoveryFallsBackPastInvalidCheckpoint|TestOpenTornFinalLine|TestLoadDirAgainstLiveWriter|TestDurablePartitionedRecoveryMatchesRebuild' ./internal/relstore ./internal/eventlog
+	$(GO) test -race -count=1 -run 'TestCrashMatrixTornWALTail|TestKillDuringParallelGroupCommit|TestRecoveryFallsBackPastInvalidCheckpoint|TestOpenTornFinalLine|TestOpenCorruptionMidFileRejected|TestLoadDirAgainstLiveWriter|TestDurablePartitionedRecoveryMatchesRebuild' ./internal/relstore ./internal/eventlog
 
 # gofmt prints nothing when every file is formatted; any output fails the
 # target.

@@ -6,6 +6,7 @@ package cmd_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -101,6 +103,35 @@ func TestBinariesOverOneStoreDirectory(t *testing.T) {
 		t.Fatalf("store directory after nl-load -shards 4: %+v, %v", info, err)
 	}
 
+	// stampede-replay -info hops the WAL's frame headers; its per-partition
+	// tail counts must sum to the frames on disk, counted here from the
+	// documented layout | len u32 | seq u64 | payload | crc32c u32 |.
+	var onDisk, reported uint64
+	segs, _ := filepath.Glob(filepath.Join(store, "p*", "wal-*.log"))
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(b) >= 16 {
+			b = b[16+binary.LittleEndian.Uint32(b):]
+			onDisk++
+		}
+	}
+	out = run(t, tool("stampede-replay"), "-store", store, "-info")
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 6 && strings.HasPrefix(f[0], "p0") {
+			n, err := strconv.ParseUint(f[4], 10, 64)
+			if err != nil {
+				t.Fatalf("stampede-replay -info row %q: %v", line, err)
+			}
+			reported += n
+		}
+	}
+	if onDisk == 0 || reported != onDisk {
+		t.Fatalf("stampede-replay -info reports %d tail records, the WAL segments hold %d frames:\n%s", reported, onDisk, out)
+	}
+
 	// The report tools read it without opening it for writing.
 	for _, name := range []string{"stampede-statistics", "stampede-analyzer"} {
 		if out := run(t, tool(name), "-db", store); !strings.Contains(out, tr1.RootUUID) {
@@ -155,6 +186,19 @@ func TestBinariesOverOneStoreDirectory(t *testing.T) {
 	refused, err := exec.Command(tool("stampede-statistics"), "-db", log1).CombinedOutput()
 	if err == nil || !strings.Contains(string(refused), "stampede-replay -out") {
 		t.Fatalf("stampede-statistics -db <file>: err %v, output:\n%s", err, refused)
+	}
+
+	// So is a directory from before the WAL went binary.
+	v1 := filepath.Join(tmp, "v1store")
+	if err := os.MkdirAll(v1, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(v1, "MANIFEST"), []byte(`{"version":1,"partitions":4}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused, err = exec.Command(tool("stampede-statistics"), "-db", v1).CombinedOutput()
+	if err == nil || !strings.Contains(string(refused), "MANIFEST version 1") || !strings.Contains(string(refused), "stampede-replay -out") {
+		t.Fatalf("stampede-statistics -db <version 1 directory>: err %v, output:\n%s", err, refused)
 	}
 
 	// Replay from an event log into a second store directory.

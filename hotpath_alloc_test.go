@@ -19,6 +19,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/health"
 	"repro/internal/loader"
+	"repro/internal/relstore"
 	"repro/internal/schema"
 	"repro/internal/trace"
 	"repro/internal/uuid"
@@ -102,6 +103,51 @@ func TestLoadAllocCeiling(t *testing.T) {
 	t.Logf("load: %.2f allocs/event over %d events (ceiling %d)", perEvent, loaded, maxAllocsPerEvent)
 	if perEvent > maxAllocsPerEvent {
 		t.Errorf("hot path allocates %.2f/event, ceiling %d", perEvent, maxAllocsPerEvent)
+	}
+}
+
+// TestLoadAllocCeilingDurable pins what the WAL may add to that path: the
+// same stream into a 4-partition store directory (fsync off — allocations,
+// not disk time, are measured) must cost at most one allocation per event
+// more than into the same partitions in memory. A WAL record is framed
+// into its writer's reused scratch; the JSON records this replaced cost
+// about twenty per event.
+func TestLoadAllocCeilingDurable(t *testing.T) {
+	trace := experiments.TraceFor(2000)
+	const parts = 4
+	perEvent := func(open func() *archive.Archive) float64 {
+		load := func() (uint64, uint64) {
+			a := open()
+			defer a.Close()
+			l, err := loader.New(a, loader.Options{BatchSize: 512, Validate: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ms0, ms1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms0)
+			st, err := l.LoadReader(bytes.NewReader(trace))
+			runtime.ReadMemStats(&ms1)
+			if err != nil || st.Loaded == 0 {
+				t.Fatalf("loaded %d events: %v", st.Loaded, err)
+			}
+			return ms1.Mallocs - ms0.Mallocs, st.Loaded
+		}
+		load() // warm: intern table, schema validator singletons, event pool
+		mallocs, loaded := load()
+		return float64(mallocs) / float64(loaded)
+	}
+	memory := perEvent(func() *archive.Archive { return archive.NewInMemoryN(parts) })
+	durable := perEvent(func() *archive.Archive {
+		a, err := archive.OpenDir(t.TempDir(), relstore.Options{Partitions: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	})
+	t.Logf("load: %.2f allocs/event in memory, %.2f durable", memory, durable)
+	if durable > memory+1 {
+		t.Errorf("the WAL adds %.2f allocs/event (%.2f durable vs %.2f in memory), ceiling 1", durable-memory, durable, memory)
 	}
 }
 

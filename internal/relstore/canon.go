@@ -22,9 +22,17 @@ import (
 // one is kept and all later writes become no-ops, so serialization code
 // can stay unconditional and check err once at the end (hash.Hash writers
 // never error; file writers can).
+//
+// compact selects the WAL's denser spelling of the same stream: integers
+// and string lengths are uvarints instead of 8 little-endian bytes and a
+// type tag is its one byte instead of a one-byte string. The sequence of
+// tags, integers and strings is identical, so the row walk below serves
+// hash, checkpoint image and WAL frame alike.
 type canonWriter struct {
 	w       io.Writer
-	scratch [8]byte
+	compact bool
+	scratch [binary.MaxVarintLen64]byte
+	num     [32]byte // float formatting, so a float value allocates nothing
 	err     error
 }
 
@@ -32,8 +40,13 @@ func (c *canonWriter) uint(v uint64) {
 	if c.err != nil {
 		return
 	}
-	binary.LittleEndian.PutUint64(c.scratch[:], v)
-	_, c.err = c.w.Write(c.scratch[:])
+	n := 8
+	if c.compact {
+		n = binary.PutUvarint(c.scratch[:], v)
+	} else {
+		binary.LittleEndian.PutUint64(c.scratch[:], v)
+	}
+	_, c.err = c.w.Write(c.scratch[:n])
 }
 
 func (c *canonWriter) str(s string) {
@@ -44,29 +57,45 @@ func (c *canonWriter) str(s string) {
 	_, c.err = io.WriteString(c.w, s)
 }
 
+// tag writes a one-character marker: str(string(t)) without the string.
+func (c *canonWriter) tag(t byte) {
+	if !c.compact {
+		c.uint(1)
+	}
+	if c.err != nil {
+		return
+	}
+	c.scratch[0] = t
+	_, c.err = c.w.Write(c.scratch[:1])
+}
+
 // value writes one canonical type-tagged value.
 func (c *canonWriter) value(v any) error {
 	switch x := v.(type) {
 	case nil:
-		c.str("n")
+		c.tag('n')
 	case int64:
-		c.str("i")
+		c.tag('i')
 		c.uint(uint64(x))
 	case float64:
-		c.str("f")
-		c.str(strconv.FormatFloat(x, 'g', -1, 64))
+		c.tag('f')
+		b := strconv.AppendFloat(c.num[:0], x, 'g', -1, 64)
+		c.uint(uint64(len(b)))
+		if c.err == nil {
+			_, c.err = c.w.Write(b)
+		}
 	case string:
-		c.str("s")
+		c.tag('s')
 		c.str(x)
 	case bool:
-		c.str("b")
+		c.tag('b')
 		if x {
 			c.uint(1)
 		} else {
 			c.uint(0)
 		}
 	case time.Time:
-		c.str("t")
+		c.tag('t')
 		c.uint(uint64(x.UTC().UnixNano()))
 	default:
 		return fmt.Errorf("unhashable value type %T", v)
@@ -74,15 +103,21 @@ func (c *canonWriter) value(v any) error {
 	return c.err
 }
 
-// row writes one row: the "row" marker, the primary key, then every value
-// in schema column order. Error messages keep the shapes Hash has always
-// produced, since replay tests match on them.
+// row writes one row of a table's state: the "row" marker, then rowBody.
 func (c *canonWriter) row(tableName string, cols []Column, r Row) error {
+	c.str("row")
+	return c.rowBody(tableName, cols, r)
+}
+
+// rowBody writes the primary key, then every value in schema column order
+// — the one row encoding, which a WAL frame carries without the marker.
+// Error messages keep the shapes Hash has always produced, since replay
+// tests match on them.
+func (c *canonWriter) rowBody(tableName string, cols []Column, r Row) error {
 	id, ok := r["id"].(int64)
 	if !ok {
 		return fmt.Errorf("relstore: hash %s: row id %v (%T) is not int64", tableName, r["id"], r["id"])
 	}
-	c.str("row")
 	c.uint(uint64(id))
 	for _, col := range cols {
 		if err := c.value(r[col.Name]); err != nil {
@@ -129,60 +164,92 @@ func (c *canonWriter) writeState(ts *tableSet, epoch uint64) error {
 	return c.err
 }
 
-// canonReader decodes the canonical encoding. The tag makes every value
-// self-describing, so decoding needs no schema — though the checkpoint
-// loader still walks schema column order, mirroring the writer.
+// canonReader decodes the canonical encoding from memory (a verified
+// checkpoint image body, or one WAL frame's payload); compact mirrors the
+// writer's. Every length is checked against the bytes that remain before
+// anything is sliced or allocated.
 type canonReader struct {
-	r       io.Reader
-	scratch [8]byte
+	b       []byte
+	compact bool
 }
 
 func (c *canonReader) uint() (uint64, error) {
-	if _, err := io.ReadFull(c.r, c.scratch[:]); err != nil {
-		return 0, err
+	if c.compact {
+		v, n := binary.Uvarint(c.b)
+		if n <= 0 {
+			return 0, io.ErrUnexpectedEOF
+		}
+		c.b = c.b[n:]
+		return v, nil
 	}
-	return binary.LittleEndian.Uint64(c.scratch[:]), nil
+	if len(c.b) < 8 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	v := binary.LittleEndian.Uint64(c.b)
+	c.b = c.b[8:]
+	return v, nil
+}
+
+// bytes reads one length-prefixed string without copying it.
+func (c *canonReader) bytes() ([]byte, error) {
+	n, err := c.uint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(c.b)) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	b := c.b[:n]
+	c.b = c.b[n:]
+	return b, nil
 }
 
 func (c *canonReader) str() (string, error) {
-	n, err := c.uint()
-	if err != nil {
-		return "", err
+	b, err := c.bytes()
+	return string(b), err
+}
+
+// tag reads what canonWriter.tag wrote.
+func (c *canonReader) tag() (byte, error) {
+	if !c.compact {
+		if n, err := c.uint(); err != nil {
+			return 0, err
+		} else if n != 1 {
+			return 0, fmt.Errorf("relstore: canonical tag of length %d", n)
+		}
 	}
-	if n > 1<<30 {
-		return "", fmt.Errorf("relstore: canonical string length %d implausible", n)
+	if len(c.b) == 0 {
+		return 0, io.ErrUnexpectedEOF
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(c.r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	t := c.b[0]
+	c.b = c.b[1:]
+	return t, nil
 }
 
 // value reads one type-tagged value.
 func (c *canonReader) value() (any, error) {
-	tag, err := c.str()
+	tag, err := c.tag()
 	if err != nil {
 		return nil, err
 	}
 	switch tag {
-	case "n":
+	case 'n':
 		return nil, nil
-	case "i":
+	case 'i':
 		v, err := c.uint()
 		return int64(v), err
-	case "f":
-		s, err := c.str()
+	case 'f':
+		b, err := c.bytes()
 		if err != nil {
 			return nil, err
 		}
-		return strconv.ParseFloat(s, 64)
-	case "s":
+		return strconv.ParseFloat(string(b), 64)
+	case 's':
 		return c.str()
-	case "b":
+	case 'b':
 		v, err := c.uint()
 		return v != 0, err
-	case "t":
+	case 't':
 		v, err := c.uint()
 		return time.Unix(0, int64(v)).UTC(), err
 	default:
@@ -190,13 +257,36 @@ func (c *canonReader) value() (any, error) {
 	}
 }
 
+// rowBody reads what canonWriter.rowBody wrote: values arrive typed, every
+// schema column is set (a null one to nil), and a value that does not fit
+// its column is an error rather than a row the indexes would choke on.
+func (c *canonReader) rowBody(tableName string, cols []Column) (Row, error) {
+	id, err := c.uint()
+	if err != nil {
+		return nil, err
+	}
+	row := make(Row, len(cols)+1)
+	row["id"] = int64(id)
+	for _, col := range cols {
+		v, err := c.value()
+		if err != nil {
+			return nil, err
+		}
+		if !col.holds(v) {
+			return nil, fmt.Errorf("relstore: %s.%s id=%d: stored value %v (%T) is not a %s", tableName, col.Name, int64(id), v, v, col.Type)
+		}
+		row[col.Name] = v
+	}
+	return row, nil
+}
+
 // expect reads a marker string and errors when it differs.
 func (c *canonReader) expect(marker string) error {
-	got, err := c.str()
+	got, err := c.bytes()
 	if err != nil {
 		return err
 	}
-	if got != marker {
+	if string(got) != marker {
 		return fmt.Errorf("relstore: canonical stream: want %q marker, got %q", marker, got)
 	}
 	return nil

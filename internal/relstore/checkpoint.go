@@ -22,8 +22,8 @@ import (
 // the partition count plus one subdirectory per partition, each with its
 // own WAL segment chain and checkpoint images:
 //
-//	dir/MANIFEST                      {"version":1,"partitions":N}
-//	dir/p000/wal-<start>.log          WAL segments; <start> = seq of first record
+//	dir/MANIFEST                      {"version":2,"partitions":N}
+//	dir/p000/wal-<start>.log          WAL segments of binary frames (wal.go); <start> = seq of first record
 //	dir/p000/checkpoint-<seq>.ck      canonical state image covering WAL 1..<seq>
 //
 // A checkpoint cuts the partition's WAL exactly at its record high-water S
@@ -83,8 +83,9 @@ func ckptPath(dir string, seq uint64) string {
 func partDirName(i int) string { return fmt.Sprintf("p%03d", i) }
 
 // manifestVersion is the only store-directory layout this build reads or
-// writes.
-const manifestVersion = 1
+// writes. Version 1 held the same files with newline-delimited JSON WAL
+// records.
+const manifestVersion = 2
 
 // errDirChanged marks a recovery that found the directory changing under
 // it: a listed file vanished, or the WAL no longer continues from the image
@@ -112,6 +113,9 @@ func readManifest(dir string) (dirManifest, error) {
 	}
 	if err := json.Unmarshal(b, &m); err != nil || m.Partitions < 1 {
 		return m, fmt.Errorf("relstore: bad MANIFEST in %s", dir)
+	}
+	if m.Version == 1 {
+		return m, fmt.Errorf("relstore: %s: MANIFEST version 1 stores JSON WAL records, which this build no longer reads (version %d frames them in binary); rebuild the directory from its event log with stampede-replay -out DIR", dir, manifestVersion)
 	}
 	if m.Version != manifestVersion {
 		return m, fmt.Errorf("relstore: %s: MANIFEST version %d, but this build only reads version %d", dir, m.Version, manifestVersion)
@@ -289,7 +293,7 @@ func (p *partition) recover(s *Store, pdir string, repair bool) (seq, fileStart 
 			return 0, 0, err
 		}
 		newest := idx == len(files)-1
-		n, rerr := p.replaySegment(s, wf.path, newest, repair)
+		n, rerr := p.replaySegment(s, wf, newest, repair)
 		if rerr != nil {
 			return 0, 0, rerr
 		}
@@ -306,85 +310,54 @@ func (p *partition) recover(s *Store, pdir string, repair bool) (seq, fileStart 
 	return seq, fileStart, nil
 }
 
-// replaySegment applies one WAL segment's records into the partition. Only
-// the newest segment may end in a torn record (crash mid-append, or a live
-// writer mid-flush): replay stops there, and with repair set the torn bytes
-// are truncated away so the segment is clean for appending. Any malformed
-// record elsewhere is corruption and fails recovery.
-func (p *partition) replaySegment(s *Store, path string, newest, repair bool) (uint64, error) {
-	flags := os.O_RDONLY
-	if newest && repair {
-		flags = os.O_RDWR
-	}
-	f, err := os.OpenFile(path, flags, 0)
+// replaySegment applies one WAL segment's records into the partition and
+// returns how many it held. A frame that is cut short, fails its checksum
+// or carries the wrong seq is tolerated only as the last bytes of the
+// newest segment (crash mid-append, or a live writer mid-flush): replay
+// stops there, and with repair set the segment is truncated back to the
+// last good frame so it is clean for appending. Anywhere else it is
+// corruption and fails recovery.
+func (p *partition) replaySegment(s *Store, wf numbered, newest, repair bool) (uint64, error) {
+	data, err := os.ReadFile(wf.path)
 	if err != nil {
 		return 0, err
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 256*1024)
-	var off int64
 	var records uint64
-	truncTorn := func() error {
-		if !repair {
-			return nil
+	for off := 0; off < len(data); records++ {
+		payload, size, err := readFrame(data[off:], wf.start+records)
+		if err != nil {
+			if !newest || off+size != len(data) {
+				return records, fmt.Errorf("%s: corrupt record at offset %d: %w", wf.path, off, err)
+			}
+			if repair {
+				if err := truncateSync(wf.path, int64(off)); err != nil {
+					return records, fmt.Errorf("%s: truncating torn tail: %w", wf.path, err)
+				}
+			}
+			break
 		}
-		if err := f.Truncate(off); err != nil {
-			return fmt.Errorf("%s: truncating torn tail: %w", path, err)
+		rec, err := decodeWALRecord(payload, p.tables.Load())
+		if err == nil {
+			err = s.applyRecord(p, rec)
 		}
-		return f.Sync()
+		if err != nil {
+			return records, fmt.Errorf("%s: record at offset %d: %w", wf.path, off, err)
+		}
+		off += size
 	}
-	for {
-		line, rerr := r.ReadBytes('\n')
-		if rerr == nil {
-			if len(bytes.TrimSpace(line)) == 0 {
-				off += int64(len(line))
-				continue
-			}
-			var rec walRecord
-			if jerr := json.Unmarshal(line, &rec); jerr != nil {
-				if !newest {
-					return records, fmt.Errorf("%s: corrupt record at offset %d: %v", path, off, jerr)
-				}
-				// Tolerate only a torn *final* record: anything after it
-				// means mid-file corruption.
-				if _, e := r.ReadByte(); e != io.EOF {
-					return records, fmt.Errorf("%s: corrupt record at offset %d: %v", path, off, jerr)
-				}
-				return records, truncTorn()
-			}
-			if aerr := s.applyRecord(p, rec); aerr != nil {
-				return records, fmt.Errorf("%s: %w", path, aerr)
-			}
-			records++
-			off += int64(len(line))
-			continue
-		}
-		if rerr == io.EOF {
-			if len(line) > 0 {
-				var rec walRecord
-				if jerr := json.Unmarshal(line, &rec); jerr == nil {
-					if aerr := s.applyRecord(p, rec); aerr != nil {
-						return records, fmt.Errorf("%s: %w", path, aerr)
-					}
-					records++
-					off += int64(len(line))
-					// Complete record but no newline: terminate it so the
-					// next append starts on a fresh line.
-					if newest && repair {
-						if _, werr := f.WriteAt([]byte("\n"), off); werr == nil {
-							off++
-						}
-					}
-				} else if newest {
-					return records, truncTorn()
-				} else {
-					return records, fmt.Errorf("%s: torn record in non-final segment", path)
-				}
-			}
-			return records, nil
-		}
-		return records, rerr
+	return records, nil
+}
+
+func truncateSync(path string, size int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
 	}
+	defer f.Close()
+	if err := f.Truncate(size); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // attachWAL opens (or creates) the partition's append segment and installs
@@ -572,17 +545,10 @@ func (p *partition) loadCheckpoint(s *Store, path string) (uint64, error) {
 		}
 	}
 	ts := p.tables.Load()
-	cr := &canonReader{r: bytes.NewReader(body[nl+1:])}
-	for {
-		marker, err := cr.str()
-		if err == io.EOF {
-			return hdr.Seq, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		if marker != "table" {
-			return 0, fmt.Errorf("relstore: checkpoint %s: want table marker, got %q", path, marker)
+	cr := canonReader{b: body[nl+1:]}
+	for len(cr.b) > 0 {
+		if err := cr.expect("table"); err != nil {
+			return 0, fmt.Errorf("relstore: checkpoint %s: %w", path, err)
 		}
 		name, err := cr.str()
 		if err != nil {
@@ -600,25 +566,16 @@ func (p *partition) loadCheckpoint(s *Store, path string) (uint64, error) {
 			if err := cr.expect("row"); err != nil {
 				return 0, err
 			}
-			idU, err := cr.uint()
+			row, err := cr.rowBody(name, t.schema.Columns)
 			if err != nil {
 				return 0, err
 			}
-			id := int64(idU)
-			row := make(Row, len(t.schema.Columns)+1)
-			row["id"] = id
-			for _, col := range t.schema.Columns {
-				v, err := cr.value()
-				if err != nil {
-					return 0, err
-				}
-				row[col.Name] = v
-			}
 			t.putRow(row, 1)
 			t.live.Add(1)
-			t.noteID(id)
+			t.noteID(row.ID())
 		}
 	}
+	return hdr.Seq, nil
 }
 
 // CheckpointStat describes one partition's last completed checkpoint.
@@ -760,9 +717,17 @@ func InspectDir(dir string) (*DirInfo, error) {
 			if wf.start <= pi.CheckpointSeq {
 				continue
 			}
-			n, err := countLines(wf.path)
+			data, err := os.ReadFile(wf.path)
 			if err != nil {
 				return nil, err
+			}
+			var n uint64
+			for off := 0; off < len(data); n++ {
+				_, size, err := readFrame(data[off:], wf.start+n)
+				if err != nil {
+					break // what a restart would truncate, or refuse
+				}
+				off += size
 			}
 			pi.WALSegments++
 			pi.TailRecords += n
@@ -771,30 +736,6 @@ func InspectDir(dir string) (*DirInfo, error) {
 		info.Parts = append(info.Parts, pi)
 	}
 	return info, nil
-}
-
-func countLines(path string) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var n uint64
-	buf := make([]byte, 256*1024)
-	for {
-		c, err := f.Read(buf)
-		for _, b := range buf[:c] {
-			if b == '\n' {
-				n++
-			}
-		}
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
 }
 
 // Checkpoint telemetry: scrape-time gauges per partition index, fed from a

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -234,12 +235,32 @@ func TestRecoveryFallsBackPastInvalidCheckpoint(t *testing.T) {
 	}
 }
 
+// frameEnds hops the frame headers of a WAL segment image whose first
+// record is seq start and returns the end offset of every frame.
+func frameEnds(t *testing.T, seg []byte, start uint64) []int {
+	t.Helper()
+	var ends []int
+	for off := 0; off < len(seg); {
+		_, size, err := readFrame(seg[off:], start+uint64(len(ends)))
+		if err != nil {
+			t.Fatalf("frame %d at offset %d: %v", len(ends), off, err)
+		}
+		off += size
+		ends = append(ends, off)
+	}
+	return ends
+}
+
 // TestCrashMatrixTornWALTail is the byte-level crash matrix: the newest
-// WAL segment is cut (or garbage-extended) at a sweep of offsets, and
-// every mutilation must recover to exactly the intact-record prefix —
-// the state an in-memory store reaches after the same prefix of inserts.
-// Double recovery of the same crash image must also agree, and a second
-// reopen after the truncating recovery is clean.
+// WAL segment is cut at every byte offset of its final frame and at a
+// sweep of offsets around every other frame boundary, bare or followed by
+// bytes a crash can leave behind the last good frame, and the final frame
+// is damaged in place. Every mutilation must recover to exactly the
+// intact-frame prefix — the state an in-memory store reaches after the
+// same prefix of inserts. LoadDir must reach it without touching a byte;
+// the OpenDir that follows truncates to the frame boundary and appends;
+// double recovery of the same crash image must agree, and the reopen
+// after the truncating recovery sees the appended record.
 func TestCrashMatrixTornWALTail(t *testing.T) {
 	// Single partition, one insert per record: WAL record k is insert k,
 	// so a prefix of records maps to a prefix of inserts.
@@ -261,9 +282,9 @@ func TestCrashMatrixTornWALTail(t *testing.T) {
 	// Expected hash for every prefix, from in-memory replays of the same
 	// logical history. wantHash[k] = state after k inserts. The create
 	// record is part of the WAL too: prefixes that cut into it recover an
-	// empty store with no tables; those land before firstRecOK below.
-	wantHash := make([]string, inserts+1)
-	for k := 0; k <= inserts; k++ {
+	// empty store with no tables; those are skipped below.
+	wantHash := make([]string, inserts+2)
+	for k := 0; k <= inserts+1; k++ {
 		m := NewStore()
 		if err := m.CreateTable(concurrencySchemas()[0]); err != nil {
 			t.Fatal(err)
@@ -285,93 +306,100 @@ func TestCrashMatrixTornWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Record boundaries: newline offsets. Line 0 is the create record,
-	// lines 1..inserts are the insert records.
-	var bounds []int
-	for i, b := range whole {
-		if b == '\n' {
-			bounds = append(bounds, i+1)
-		}
+	// Frame 0 is the create record, frames 1..inserts the insert records.
+	ends := frameEnds(t, whole, 1)
+	if len(ends) != inserts+1 {
+		t.Fatalf("WAL has %d records, want %d", len(ends), inserts+1)
 	}
-	if len(bounds) != inserts+1 {
-		t.Fatalf("WAL has %d records, want %d", len(bounds), inserts+1)
+	type crash struct {
+		name   string
+		seg    []byte
+		frames int // whole frames ahead of the damage
+	}
+	var crashes []crash
+	cutAt := func(cut int, tail []byte) {
+		frames := 0
+		for _, e := range ends {
+			if e <= cut {
+				frames++
+			}
+		}
+		crashes = append(crashes, crash{
+			name:   fmt.Sprintf("cut%d+%d", cut, len(tail)),
+			seg:    append(append([]byte(nil), whole[:cut]...), tail...),
+			frames: frames,
+		})
+	}
+	// Every byte offset of the final frame, the clean boundary before it
+	// included.
+	for cut := ends[inserts-1]; cut < len(whole); cut++ {
+		cutAt(cut, nil)
+	}
+	// Around every earlier boundary: on it, one past it, mid-frame. On a
+	// boundary also what may follow the last good frame: fewer bytes than a
+	// frame, and a block whose length field claims more than the file.
+	for i, e := range ends[:inserts] {
+		cutAt(e, nil)
+		cutAt(e+1, nil)
+		cutAt(e+(ends[i+1]-e)/2, nil)
+		cutAt(e, []byte{0xff, 0xff, 0xff})
+		cutAt(e, bytes.Repeat([]byte{0xff}, 20))
+	}
+	// The final frame complete but damaged in place: payload, seq, checksum.
+	last := ends[inserts-1]
+	for _, off := range []int{last + 4, last + walHeaderSize + 2, len(whole) - 1} {
+		mut := append([]byte(nil), whole...)
+		mut[off] ^= 0x40
+		crashes = append(crashes, crash{name: fmt.Sprintf("flip%d", off), seg: mut, frames: inserts})
 	}
 
-	// recordsIntact = whole newline-terminated records surviving a cut at
-	// byte offset cut, plus the complete-but-unterminated final record
-	// recovery also applies when nothing was appended after it (the cut
-	// removed exactly the trailing newline).
-	recordsIntact := func(cut int, garbage string) int {
-		n := 0
-		terminated := false
-		for _, b := range bounds {
-			if b <= cut {
-				n++
-			}
-			if garbage == "" && b == cut+1 {
-				terminated = true
-			}
+	for _, c := range crashes {
+		img := filepath.Join(t.TempDir(), "img")
+		copyDir(t, dir, img)
+		seg := filepath.Join(img, partDirName(0), filepath.Base(segs[0].path))
+		if err := os.WriteFile(seg, c.seg, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if terminated {
-			n++
-		}
-		return n
-	}
+		img2 := filepath.Join(t.TempDir(), "img2")
+		copyDir(t, img, img2)
 
-	offsets := []int{len(whole), len(whole) - 1, len(whole) - 7}
-	for _, b := range bounds {
-		offsets = append(offsets, b, b+1, b+half(bounds, b))
-	}
-	for _, cut := range offsets {
-		if cut < bounds[0] || cut > len(whole) {
-			continue // cutting inside the create record loses the schema; not a prefix state
-		}
-		for _, garbage := range []string{"", "{\"torn\":", "\xff\xfe not json"} {
-			name := fmt.Sprintf("cut%d-g%d", cut, len(garbage))
-			img := filepath.Join(t.TempDir(), "img")
-			copyDir(t, dir, img)
-			seg := filepath.Join(img, partDirName(0), filepath.Base(segs[0].path))
-			mut := append(append([]byte(nil), whole[:cut]...), garbage...)
-			if err := os.WriteFile(seg, mut, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			img2 := filepath.Join(t.TempDir(), "img2")
-			copyDir(t, img, img2)
+		k := c.frames - 1 // minus the create record
+		boundary := ends[k]
 
-			wantK := recordsIntact(cut, garbage) - 1 // minus the create record
-			r1 := openDirStore(t, img, 1)
-			got := storeHash(t, r1)
-			if got != wantHash[wantK] {
-				t.Fatalf("%s: recovered hash != in-memory prefix of %d inserts", name, wantK)
-			}
-			if err := r1.Close(); err != nil {
-				t.Fatal(err)
-			}
-			// The truncating recovery must leave a cleanly reopenable dir.
-			r1b := openDirStore(t, img, 1)
-			if rh := storeHash(t, r1b); rh != got {
-				t.Fatalf("%s: second reopen diverged", name)
-			}
-			r1b.Close()
-
-			r2 := openDirStore(t, img2, 1)
-			if h2 := storeHash(t, r2); h2 != got {
-				t.Fatalf("%s: double recovery diverged: %s vs %s", name, got, h2)
-			}
-			r2.Close()
+		before := dirImage(t, img)
+		if got := loadDirHash(t, img); got != wantHash[k] {
+			t.Fatalf("%s: LoadDir hash != in-memory prefix of %d inserts", c.name, k)
 		}
-	}
-}
+		requireUntouched(t, img, before)
 
-// half returns half the distance from b to the next boundary after it,
-// to generate mid-record cut offsets.
-func half(bounds []int, b int) int {
-	for _, nb := range bounds {
-		if nb > b {
-			return (nb - b) / 2
+		r1 := openDirStore(t, img, 1)
+		got := storeHash(t, r1)
+		if got != wantHash[k] {
+			t.Fatalf("%s: recovered hash != in-memory prefix of %d inserts", c.name, k)
 		}
+		if st, err := os.Stat(seg); err != nil || st.Size() != int64(boundary) {
+			t.Fatalf("%s: OpenDir left the segment at %d bytes, want the frame boundary %d (%v)", c.name, st.Size(), boundary, err)
+		}
+		// The truncating recovery must leave a segment that appends and
+		// reopens cleanly: the next insert is insert k of the history.
+		if _, err := r1.Insert("parent", Row{"name": fmt.Sprintf("row%04d", k)}); err != nil {
+			t.Fatalf("%s: append after recovery: %v", c.name, err)
+		}
+		if err := r1.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r1b := openDirStore(t, img, 1)
+		if rh := storeHash(t, r1b); rh != wantHash[k+1] {
+			t.Fatalf("%s: reopen after the appended record diverged from %d inserts", c.name, k+1)
+		}
+		r1b.Close()
+
+		r2 := openDirStore(t, img2, 1)
+		if h2 := storeHash(t, r2); h2 != got {
+			t.Fatalf("%s: double recovery diverged: %s vs %s", c.name, got, h2)
+		}
+		r2.Close()
 	}
-	return 0
 }
 
 // TestKillDuringParallelGroupCommit images the store directory while

@@ -31,6 +31,10 @@ type partition struct {
 	// id allocator, disjoint rows).
 	tables atomic.Pointer[tableSet]
 	wal    atomic.Pointer[walWriter] // nil for purely in-memory partitions
+	// oneRow is insertRowLocked's batch of one for the WAL, under writeMu: a
+	// slice literal there would escape through the record, one allocation
+	// per insert.
+	oneRow [1]Row
 
 	// snapMu guards the pin registry (open snapshots plus in-flight
 	// Store-level reads); minLive caches the oldest pinned epoch
@@ -118,7 +122,8 @@ func (p *partition) insertRowLocked(s *Store, tableName string, t *table, n Row)
 	p.epoch.Store(e)
 	t.live.Add(1)
 	if w := p.wal.Load(); w != nil {
-		if err := w.logInsertBatch(tableName, []Row{n}); err != nil {
+		p.oneRow[0] = n
+		if err := w.logInsertBatch(t, p.oneRow[:]); err != nil {
 			return id, err
 		}
 		p.noteRecords(s, 1)
@@ -152,7 +157,7 @@ func (p *partition) insertBatch(s *Store, tableName string, rows []Row) ([]int64
 	p.epoch.Store(e)
 	t.live.Add(int64(len(normalized)))
 	if w := p.wal.Load(); w != nil {
-		if err := w.logInsertBatch(tableName, normalized); err != nil {
+		if err := w.logInsertBatch(t, normalized); err != nil {
 			return ids, err
 		}
 		p.noteRecords(s, 1)
@@ -247,7 +252,7 @@ func (p *partition) update(s *Store, tableName string, id int64, changes Row) er
 	p.gcAfterWrite(t, chain, id, old.row, merged, e-1)
 	p.epoch.Store(e)
 	if w := p.wal.Load(); w != nil {
-		if err := w.logUpdate(tableName, id, merged); err != nil {
+		if err := w.logUpdate(t, merged); err != nil {
 			return err
 		}
 		p.noteRecords(s, 1)
@@ -277,7 +282,7 @@ func (p *partition) delete(s *Store, tableName string, id int64) error {
 	p.epoch.Store(e)
 	t.live.Add(-1)
 	if w := p.wal.Load(); w != nil {
-		if err := w.logDelete(tableName, id); err != nil {
+		if err := w.logDelete(t, id); err != nil {
 			return err
 		}
 		p.noteRecords(s, 1)

@@ -48,6 +48,26 @@ type Column struct {
 	Nullable bool
 }
 
+// holds reports whether v is a canonical stored value for the column: the
+// column type's Go type, or nil when the column is nullable.
+func (c Column) holds(v any) bool {
+	switch v.(type) {
+	case nil:
+		return c.Nullable
+	case int64:
+		return c.Type == Int
+	case float64:
+		return c.Type == Float
+	case string:
+		return c.Type == Str
+	case time.Time:
+		return c.Type == Time
+	case bool:
+		return c.Type == Bool
+	}
+	return false
+}
+
 // ForeignKey declares that values of Column must exist in RefTable's
 // RefColumn (which must be unique or the primary key there).
 type ForeignKey struct {

@@ -2,9 +2,12 @@ package relstore
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -31,24 +34,178 @@ var (
 		"Latency of one WAL bufio flush + fsync.", telemetry.DurationBuckets, "partition")
 )
 
-// Persistence: every mutation appends one JSON record to its partition's
+// Persistence: every mutation appends one record to its partition's
 // write-ahead log. OpenDir (and its read-only sibling LoadDir) rebuild the
 // store from each partition's newest checkpoint plus its log tail, so a
 // database is exactly the history of committed mutations — simple,
-// crash-tolerant (a torn final line is detected, and truncated by
+// crash-tolerant (a torn final record is detected, and truncated by
 // OpenDir), and adequate for the monitoring archive's append-mostly
 // workload. Each partition owns a chain of segment files named
 // wal-<start>.log, where <start> is the sequence number of the segment's
 // first record; checkpoints cut segments at their exact high-water, so
 // recovery's skip rule is simply "replay segments whose start exceeds the
 // checkpoint seq".
+//
+// A record is framed the way internal/eventlog frames its own:
+//
+//	| len u32 | seq u64 | payload | crc32c u32 |
+//
+// little-endian, the CRC over everything before it, seq the partition's
+// record number (so a missing, duplicated or reordered segment fails replay
+// instead of folding silently). The payload is canon.go's encoding in its
+// compact spelling:
+//
+//	| op 'c' | table | schema JSON |        create
+//	| op 'i' | table | n | row * n |        insert (one batch)
+//	| op 'u' | table | row |                update (the full new row)
+//	| op 'd' | table | id |                 delete
+//
+// where a row is the checkpoint image's row: primary key, then every column
+// in schema declaration order behind its type tag. Hash, checkpoint and WAL
+// therefore share one row codec, and replay needs no type coercion.
 
+const (
+	walHeaderSize    = 4 + 8 // len u32, seq u64
+	walTrailerSize   = 4     // crc32c
+	walFrameOverhead = walHeaderSize + walTrailerSize
+
+	// maxWALRecordBytes bounds one payload. An insert batch is one record,
+	// so the bound is generous; a length field above it can only be damage
+	// and is never waited for or allocated.
+	maxWALRecordBytes = 1 << 30
+
+	opCreate = 'c'
+	opInsert = 'i'
+	opUpdate = 'u'
+	opDelete = 'd'
+)
+
+var walCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// walRecord is one logical WAL record.
 type walRecord struct {
-	Op    string           `json:"op"` // create, insert, update, delete
-	Table string           `json:"table"`
-	Rows  []map[string]any `json:"rows,omitempty"`
-	ID    int64            `json:"id,omitempty"`
-	Sch   *TableSchema     `json:"schema,omitempty"`
+	op    byte
+	table string
+	rows  []Row        // insert: the batch
+	row   Row          // update: the full new row
+	id    int64        // delete
+	sch   *TableSchema // create
+}
+
+// encode writes the record's payload. cols is the table's column list
+// (unused by create and delete).
+func (rec walRecord) encode(c *canonWriter, cols []Column) error {
+	c.tag(rec.op)
+	c.str(rec.table)
+	switch rec.op {
+	case opCreate:
+		b, err := json.Marshal(rec.sch)
+		if err != nil {
+			return err
+		}
+		c.str(string(b))
+	case opInsert:
+		c.uint(uint64(len(rec.rows)))
+		for _, r := range rec.rows {
+			if err := c.rowBody(rec.table, cols, r); err != nil {
+				return err
+			}
+		}
+	case opUpdate:
+		return c.rowBody(rec.table, cols, rec.row)
+	case opDelete:
+		c.uint(uint64(rec.id))
+	}
+	return c.err
+}
+
+// decodeWALRecord parses one frame payload. Row records are decoded
+// against their table's columns in ts.
+func decodeWALRecord(payload []byte, ts *tableSet) (walRecord, error) {
+	c := canonReader{b: payload, compact: true}
+	var rec walRecord
+	var err error
+	if rec.op, err = c.tag(); err != nil {
+		return rec, err
+	}
+	if rec.table, err = c.str(); err != nil {
+		return rec, err
+	}
+	var cols []Column
+	if rec.op != opCreate {
+		t, ok := ts.byName[rec.table]
+		if !ok {
+			return rec, fmt.Errorf("record %q for unknown table %s", rec.op, rec.table)
+		}
+		cols = t.schema.Columns
+	}
+	switch rec.op {
+	case opCreate:
+		b, err := c.bytes()
+		if err != nil {
+			return rec, err
+		}
+		rec.sch = new(TableSchema)
+		if err := json.Unmarshal(b, rec.sch); err != nil {
+			return rec, fmt.Errorf("create record for %s: %v", rec.table, err)
+		}
+	case opInsert:
+		n, err := c.uint()
+		if err != nil {
+			return rec, err
+		}
+		// A row is at least its id and one tag per column, so a hostile
+		// count cannot size the slice past the payload.
+		if n > uint64(len(c.b)) {
+			return rec, fmt.Errorf("insert record for %s claims %d rows in %d bytes", rec.table, n, len(c.b))
+		}
+		rec.rows = make([]Row, n)
+		for i := range rec.rows {
+			if rec.rows[i], err = c.rowBody(rec.table, cols); err != nil {
+				return rec, err
+			}
+		}
+	case opUpdate:
+		if rec.row, err = c.rowBody(rec.table, cols); err != nil {
+			return rec, err
+		}
+	case opDelete:
+		id, err := c.uint()
+		if err != nil {
+			return rec, err
+		}
+		rec.id = int64(id)
+	default:
+		return rec, fmt.Errorf("unknown WAL op %q", rec.op)
+	}
+	if len(c.b) != 0 {
+		return rec, fmt.Errorf("%d trailing bytes after a %q record", len(c.b), rec.op)
+	}
+	return rec, nil
+}
+
+// readFrame parses the frame at the start of b, which must carry seq want,
+// and returns its payload (aliasing b) and size. On error, size is how much
+// of b the bad frame covers — all of it when the frame is cut short or its
+// length is implausible — so the caller can tell a torn final frame (nothing
+// after it) from damage with records behind it.
+func readFrame(b []byte, want uint64) (payload []byte, size int, err error) {
+	if len(b) < walFrameOverhead {
+		return nil, len(b), fmt.Errorf("%d bytes, shorter than a frame", len(b))
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if n > maxWALRecordBytes || walFrameOverhead+int(n) > len(b) {
+		return nil, len(b), fmt.Errorf("%d-byte payload with %d bytes left", n, len(b)-walFrameOverhead)
+	}
+	size = walFrameOverhead + int(n)
+	body := b[:size-walTrailerSize]
+	if crc32.Checksum(body, walCRC) != binary.LittleEndian.Uint32(b[len(body):]) {
+		return nil, size, errors.New("checksum mismatch")
+	}
+	if seq := binary.LittleEndian.Uint64(b[4:]); seq != want {
+		return nil, size, fmt.Errorf("seq %d where %d belongs", seq, want)
+	}
+	return body[walHeaderSize:], size, nil
 }
 
 type walWriter struct {
@@ -62,6 +219,12 @@ type walWriter struct {
 	// the current segment's first record.
 	dir       string
 	fileStart uint64
+
+	// frame is the scratch one record is encoded into (through enc) before
+	// it reaches w; reused under mu, so a steady-state append allocates
+	// nothing.
+	frame bytes.Buffer
+	enc   canonWriter
 
 	// Group-commit state. Concurrent Flush callers elect one leader that
 	// flushes (and fsyncs) everything appended so far; the rest wait on
@@ -101,20 +264,32 @@ func newWalWriter(f *os.File, part int, dir string, seq, fileStart uint64) *walW
 		mFsyncLat: mWALFsyncSeconds.With(label),
 	}
 	w.cond = sync.NewCond(&w.cmu)
+	w.enc = canonWriter{w: &w.frame, compact: true}
 	return w
 }
 
-func (w *walWriter) append(rec walRecord) error {
+// append frames rec as the partition's next record. Nothing reaches the
+// segment unless the whole record encoded.
+func (w *walWriter) append(rec walRecord, cols []Column) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	b, err := json.Marshal(rec)
-	if err != nil {
+	var fixed [walHeaderSize]byte // the header's place first, the checksum's bytes last
+	w.frame.Reset()
+	w.frame.Write(fixed[:])
+	w.enc.err = nil
+	if err := rec.encode(&w.enc, cols); err != nil {
 		return err
 	}
-	if _, err := w.w.Write(b); err != nil {
-		return err
+	n := w.frame.Len() - walHeaderSize
+	if n > maxWALRecordBytes {
+		return fmt.Errorf("relstore: WAL record for %s is %d bytes, over the %d cap", rec.table, n, maxWALRecordBytes)
 	}
-	if err := w.w.WriteByte('\n'); err != nil {
+	b := w.frame.Bytes()
+	binary.LittleEndian.PutUint32(b, uint32(n))
+	binary.LittleEndian.PutUint64(b[4:], w.seq+1)
+	binary.LittleEndian.PutUint32(fixed[:], crc32.Checksum(b, walCRC))
+	w.frame.Write(fixed[:walTrailerSize])
+	if _, err := w.w.Write(w.frame.Bytes()); err != nil {
 		return err
 	}
 	w.seq++
@@ -129,23 +304,19 @@ func (w *walWriter) setSync(on bool) {
 }
 
 func (w *walWriter) logCreate(s *TableSchema) error {
-	return w.append(walRecord{Op: "create", Table: s.Name, Sch: s})
+	return w.append(walRecord{op: opCreate, table: s.Name, sch: s}, nil)
 }
 
-func (w *walWriter) logInsertBatch(tbl string, rows []Row) error {
-	enc := make([]map[string]any, len(rows))
-	for i, r := range rows {
-		enc[i] = encodeRow(r)
-	}
-	return w.append(walRecord{Op: "insert", Table: tbl, Rows: enc})
+func (w *walWriter) logInsertBatch(t *table, rows []Row) error {
+	return w.append(walRecord{op: opInsert, table: t.schema.Name, rows: rows}, t.schema.Columns)
 }
 
-func (w *walWriter) logUpdate(tbl string, id int64, full Row) error {
-	return w.append(walRecord{Op: "update", Table: tbl, ID: id, Rows: []map[string]any{encodeRow(full)}})
+func (w *walWriter) logUpdate(t *table, full Row) error {
+	return w.append(walRecord{op: opUpdate, table: t.schema.Name, row: full}, t.schema.Columns)
 }
 
-func (w *walWriter) logDelete(tbl string, id int64) error {
-	return w.append(walRecord{Op: "delete", Table: tbl, ID: id})
+func (w *walWriter) logDelete(t *table, id int64) error {
+	return w.append(walRecord{op: opDelete, table: t.schema.Name, id: id}, nil)
 }
 
 // flush makes every record appended before the call durable (fsynced when
@@ -296,20 +467,6 @@ func walPath(dir string, start uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%020d.log", start))
 }
 
-// encodeRow renders times as RFC 3339 strings so JSON round-trips; the
-// schema's column types drive decoding on replay.
-func encodeRow(r Row) map[string]any {
-	out := make(map[string]any, len(r))
-	for k, v := range r {
-		if t, ok := v.(time.Time); ok {
-			out[k] = t.UTC().Format(time.RFC3339Nano)
-		} else {
-			out[k] = v
-		}
-	}
-	return out
-}
-
 // SetSync makes every Flush also fsync the WAL files: full durability at
 // the cost of one disk sync per commit per partition, the trade a
 // production archive makes and the reason the loader batches inserts.
@@ -395,50 +552,29 @@ func (s *Store) Close() error {
 	return first
 }
 
-// applyRecord applies one WAL record into partition p at epoch 1. Create
-// records go through CreateTable (idempotent, installs the table in every
-// partition); row records touch only p's table instances.
+// applyRecord applies one decoded WAL record into partition p at epoch 1.
+// Create records go through CreateTable (idempotent, installs the table in
+// every partition); row records touch only p's table instances.
 func (s *Store) applyRecord(p *partition, rec walRecord) error {
 	const e = 1 // all replayed history lands in one epoch
-	switch rec.Op {
-	case "create":
-		if rec.Sch == nil {
-			return errors.New("create record without schema")
-		}
-		return s.CreateTable(*rec.Sch)
-	case "insert":
-		t, ok := p.tables.Load().byName[rec.Table]
-		if !ok {
-			return fmt.Errorf("insert into unknown table %s", rec.Table)
-		}
-		for _, enc := range rec.Rows {
-			row, err := t.decodeRow(enc)
-			if err != nil {
-				return err
-			}
+	if rec.op == opCreate {
+		return s.CreateTable(*rec.sch)
+	}
+	t := p.tables.Load().byName[rec.table]
+	switch rec.op {
+	case opInsert:
+		for _, row := range rec.rows {
 			id := row.ID()
 			if id == 0 {
-				return fmt.Errorf("insert record without id in %s", rec.Table)
+				return fmt.Errorf("insert record without id in %s", rec.table)
 			}
 			t.putRow(row, e)
 			t.live.Add(1)
 			t.noteID(id)
 		}
-		return nil
-	case "update":
-		t, ok := p.tables.Load().byName[rec.Table]
-		if !ok {
-			return fmt.Errorf("update of unknown table %s", rec.Table)
-		}
-		if len(rec.Rows) != 1 {
-			return errors.New("update record without full row")
-		}
-		row, err := t.decodeRow(rec.Rows[0])
-		if err != nil {
-			return err
-		}
-		row["id"] = rec.ID
-		if c, ok := t.rows.Load(rec.ID); ok {
+	case opUpdate:
+		row := rec.row
+		if c, ok := t.rows.Load(row.ID()); ok {
 			if old := c.liveVersion(); old != nil {
 				t.supersede(c, old, row, e)
 				// Both versions carry epoch 1; nothing can ever read the
@@ -450,39 +586,15 @@ func (s *Store) applyRecord(p *partition, rec walRecord) error {
 		}
 		t.putRow(row, e)
 		t.live.Add(1)
-		return nil
-	case "delete":
-		t, ok := p.tables.Load().byName[rec.Table]
-		if !ok {
-			return fmt.Errorf("delete from unknown table %s", rec.Table)
-		}
-		if c, ok := t.rows.Load(rec.ID); ok {
+	case opDelete:
+		if c, ok := t.rows.Load(rec.id); ok {
 			if old := c.liveVersion(); old != nil {
 				t.kill(old, e)
 				t.live.Add(-1)
-				t.rows.Delete(rec.ID)
+				t.rows.Delete(rec.id)
 				t.pruneRowKeys(old.row, e)
 			}
 		}
-		return nil
-	default:
-		return fmt.Errorf("unknown WAL op %q", rec.Op)
 	}
-}
-
-// decodeRow converts a JSON-decoded map back to canonical column types.
-func (t *table) decodeRow(enc map[string]any) (Row, error) {
-	row := make(Row, len(enc))
-	for k, v := range enc {
-		ct, ok := t.colType[k]
-		if !ok {
-			return nil, fmt.Errorf("table %s: WAL row has unknown column %s", t.schema.Name, k)
-		}
-		cv, err := coerce(t.schema.Name, k, ct, v)
-		if err != nil {
-			return nil, err
-		}
-		row[k] = cv
-	}
-	return row, nil
+	return nil
 }

@@ -1,0 +1,180 @@
+package relstore
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// fig3Schemas are the archive's job_instance and jobstate tables (Fig. 3),
+// the two the loader writes most, plus the test job table for its bool.
+func fig3Schemas() []TableSchema {
+	return []TableSchema{
+		{
+			Name: "job_instance",
+			Columns: []Column{
+				{Name: "job_id", Type: Int},
+				{Name: "job_submit_seq", Type: Int},
+				{Name: "host_id", Type: Int, Nullable: true},
+				{Name: "site", Type: Str, Nullable: true},
+				{Name: "user", Type: Str, Nullable: true},
+				{Name: "subwf_uuid", Type: Str, Nullable: true},
+				{Name: "stdout_file", Type: Str, Nullable: true},
+				{Name: "stdout_text", Type: Str, Nullable: true},
+				{Name: "stderr_file", Type: Str, Nullable: true},
+				{Name: "stderr_text", Type: Str, Nullable: true},
+				{Name: "multiplier_factor", Type: Int, Nullable: true},
+				{Name: "exitcode", Type: Int, Nullable: true},
+				{Name: "local_duration", Type: Float, Nullable: true},
+			},
+			Unique:  [][]string{{"job_id", "job_submit_seq"}},
+			Indexes: [][]string{{"job_id"}, {"host_id"}},
+		},
+		{
+			Name: "jobstate",
+			Columns: []Column{
+				{Name: "job_instance_id", Type: Int},
+				{Name: "state", Type: Str},
+				{Name: "timestamp", Type: Time},
+				{Name: "jobstate_submit_seq", Type: Int},
+			},
+			Indexes: [][]string{{"job_instance_id"}},
+		},
+		{Name: "job", Columns: jobSchema().Columns},
+	}
+}
+
+func fig3Store(t testing.TB) *Store {
+	t.Helper()
+	s := NewStore()
+	for _, sch := range fig3Schemas() {
+		if err := s.CreateTable(sch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// fig3Records is one record of each op over those tables, between them
+// carrying a null, a float, a bool and a time.
+func fig3Records() []walRecord {
+	ji := Row{"id": int64(7), "job_id": int64(3), "job_submit_seq": int64(1), "host_id": int64(2),
+		"site": "local", "user": nil, "subwf_uuid": nil, "stdout_file": "j3.out", "stdout_text": nil,
+		"stderr_file": nil, "stderr_text": nil, "multiplier_factor": int64(1), "exitcode": int64(-1),
+		"local_duration": 74.25}
+	state := func(id int64, st string) Row {
+		return Row{"id": id, "job_instance_id": int64(7), "state": st,
+			"timestamp": time.Date(2012, 11, 10, 0, 1, 2, 3000, time.UTC), "jobstate_submit_seq": id}
+	}
+	sch := fig3Schemas()[1]
+	return []walRecord{
+		{op: opCreate, table: sch.Name, sch: &sch},
+		{op: opInsert, table: "job_instance", rows: []Row{ji}},
+		{op: opInsert, table: "jobstate", rows: []Row{state(1, "SUBMIT"), state(2, "EXECUTE")}},
+		{op: opUpdate, table: "job_instance", row: ji},
+		{op: opUpdate, table: "job", row: Row{"id": int64(4), "wf_id": int64(1), "exec_job_id": "j4", "runtime": nil, "done": true}},
+		{op: opDelete, table: "jobstate", id: 2},
+	}
+}
+
+func encodePayload(t testing.TB, ts *tableSet, rec walRecord) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	var cols []Column
+	if tbl, ok := ts.byName[rec.table]; ok {
+		cols = tbl.schema.Columns
+	}
+	if err := rec.encode(&canonWriter{w: &buf, compact: true}, cols); err != nil {
+		t.Fatalf("encoding a %q record: %v", rec.op, err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzWALRecord feeds arbitrary bytes to everything that decodes stored
+// rows. As a WAL frame and as a frame payload they must never panic, never
+// allocate out of proportion to the input (a hostile length or row count is
+// checked against the bytes that remain before anything is made), and a
+// payload that decodes must re-encode to bytes that decode and re-encode
+// identically, then apply. With image set the bytes are a checkpoint image
+// short of its SHA-256 footer, which the target appends so mutations reach
+// the reader behind the verification: loadCheckpoint must not panic either.
+func FuzzWALRecord(f *testing.F) {
+	seedStore := fig3Store(f)
+	ts := seedStore.parts[0].tables.Load()
+	for _, rec := range fig3Records() {
+		f.Add(encodePayload(f, ts, rec), false)
+	}
+	f.Add([]byte{opInsert, 8, 'j', 'o', 'b', 's', 't', 'a', 't', 'e', 0xff, 0xff, 0xff, 0xff, 0x0f}, false)
+
+	// One real image: the rows above, inserted and checkpointed.
+	dir := f.TempDir()
+	ck, err := OpenDir(dir, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, sch := range fig3Schemas() {
+		if err := ck.CreateTable(sch); err != nil {
+			f.Fatal(err)
+		}
+	}
+	recs := fig3Records()
+	for _, rec := range []walRecord{recs[1], recs[2], {table: "job", rows: []Row{recs[4].row}}} {
+		for _, row := range rec.rows {
+			row = row.Clone()
+			delete(row, "id")
+			if _, err := ck.Insert(rec.table, row); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	if err := ck.Checkpoint(); err != nil {
+		f.Fatal(err)
+	}
+	img, err := os.ReadFile(ckptPath(filepath.Join(dir, partDirName(0)), ck.CheckpointStats()[0].Seq))
+	if err != nil {
+		f.Fatal(err)
+	}
+	ck.Close()
+	f.Add(img[:len(img)-sha256.Size], true)
+
+	f.Fuzz(func(t *testing.T, data []byte, image bool) {
+		if image {
+			sum := sha256.Sum256(data)
+			path := filepath.Join(t.TempDir(), "fuzz.ck")
+			if err := os.WriteFile(path, append(append([]byte(nil), data...), sum[:]...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := NewStore()
+			_, _ = s.parts[0].loadCheckpoint(s, path)
+			return
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _ = readFrame(data, 1)
+		rec, err := decodeWALRecord(data, ts)
+		runtime.ReadMemStats(&after)
+		// A row is a map of every column: ~1 KiB for job_instance's 13, and
+		// costs the input at least one byte per column.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+256*len(data)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d, over %d", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		e1 := encodePayload(t, ts, rec)
+		rec2, err := decodeWALRecord(e1, ts)
+		if err != nil {
+			t.Fatalf("re-encoded %q record does not decode: %v", rec.op, err)
+		}
+		if e2 := encodePayload(t, ts, rec2); !bytes.Equal(e1, e2) {
+			t.Fatalf("encode → decode → encode changed the bytes:\n%x\n%x", e1, e2)
+		}
+		s := fig3Store(t)
+		_ = s.applyRecord(s.parts[0], rec)
+	})
+}

@@ -1,6 +1,8 @@
 package relstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -167,15 +169,19 @@ func TestOpenTornFinalLine(t *testing.T) {
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no WAL tail to tear: %v", err)
 	}
-	torn := segs[len(segs)-1].path
-	f, err := os.OpenFile(torn, os.O_APPEND|os.O_WRONLY, 0)
+	torn := segs[len(segs)-1]
+	clean, err := os.ReadFile(torn.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"insert","table":"parent","rows":[{"na`); err != nil {
+	// The next record, half written: the last frame again under the next
+	// seq, cut in the middle of its payload.
+	ends := frameEnds(t, clean, torn.start)
+	half := append([]byte(nil), clean[ends[len(ends)-2]:]...)
+	binary.LittleEndian.PutUint64(half[4:], torn.start+uint64(len(ends)))
+	if err := os.WriteFile(torn.path, append(append([]byte(nil), clean...), half[:len(half)/2]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 	// A checkpoint write interrupted by the same crash.
 	if err := os.WriteFile(filepath.Join(pdir, "checkpoint-00000000000000009999.ck.tmp"), []byte("half an image"), 0o644); err != nil {
 		t.Fatal(err)
@@ -192,8 +198,8 @@ func TestOpenTornFinalLine(t *testing.T) {
 	if got := storeHash(t, re); got != want {
 		t.Fatalf("OpenDir over a torn tail hashed %s, want %s", got, want)
 	}
-	if b, _ := os.ReadFile(torn); strings.Contains(string(b), `{"na`) {
-		t.Fatal("OpenDir left the torn record in the WAL")
+	if b, _ := os.ReadFile(torn.path); !bytes.Equal(b, clean) {
+		t.Fatalf("OpenDir left the torn record in the WAL: %d bytes, want the %d before the tear", len(b), len(clean))
 	}
 	if tmps, _ := filepath.Glob(filepath.Join(pdir, "*.tmp")); len(tmps) != 0 {
 		t.Fatalf("OpenDir left stale temp images: %v", tmps)
@@ -203,28 +209,115 @@ func TestOpenTornFinalLine(t *testing.T) {
 	}
 }
 
-// TestOpenCorruptionMidFileRejected: a malformed record with intact
-// records after it is corruption, not a torn tail; neither opener may
-// quietly drop what follows it.
+// TestOpenCorruptionMidFileRejected: damage with intact records after it
+// is corruption, not a torn tail; neither opener may quietly drop what
+// follows it. Every byte of a non-final frame's seq, payload and checksum
+// is flipped in turn, and both openers must name the segment and the
+// frame's offset. (The length field is left alone: a damaged length can
+// claim the rest of the file, which no reader can tell from a torn tail —
+// the checksum it would fail is somewhere past the end.) A segment missing
+// from the middle of a chain, or standing in another's place, breaks the
+// record numbering and is refused the same way.
 func TestOpenCorruptionMidFileRejected(t *testing.T) {
 	dir := t.TempDir()
 	s := openDirStore(t, dir, 1)
+	if err := s.CreateTable(concurrencySchemas()[0]); err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	insert := func(n int) {
+		for i := 0; i < n; i++ {
+			rows++
+			if _, err := s.Insert("parent", Row{"name": fmt.Sprintf("row%d", rows)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Three segments of three, four and five records: rotate is what a
+	// checkpoint uses to cut the WAL, without the cleanup that follows it.
+	insert(2)
+	for _, n := range []int{4, 5} {
+		if _, err := s.parts[0].wal.Load().rotate(); err != nil {
+			t.Fatal(err)
+		}
+		insert(n)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	content := `{"op":"create","table":"w","schema":{"Name":"w","Columns":[{"Name":"a","Type":0,"Nullable":true}]}}
-THIS IS NOT JSON
-{"op":"insert","table":"w","rows":[{"id":1,"a":5}]}
-`
-	if err := os.WriteFile(walPath(filepath.Join(dir, partDirName(0)), 1), []byte(content), 0o644); err != nil {
-		t.Fatal(err)
+	pdir := filepath.Join(dir, partDirName(0))
+	segs, err := listNumbered(pdir, "wal-", ".log")
+	if err != nil || len(segs) != 3 {
+		t.Fatalf("want three WAL segments, got %d (%v)", len(segs), err)
 	}
-	if _, err := LoadDir(dir); err == nil {
-		t.Fatal("LoadDir accepted mid-file corruption")
+
+	bothRefuse := func(t *testing.T, img string, wants ...string) {
+		t.Helper()
+		_, lerr := LoadDir(img)
+		_, oerr := OpenDir(img, Options{})
+		for opener, err := range map[string]error{"LoadDir": lerr, "OpenDir": oerr} {
+			if err == nil {
+				t.Fatalf("%s accepted the damaged directory", opener)
+			}
+			for _, want := range wants {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s error %q does not name %q", opener, err, want)
+				}
+			}
+		}
 	}
-	if _, err := OpenDir(dir, Options{}); err == nil {
-		t.Fatal("OpenDir accepted mid-file corruption")
+	image := func(t *testing.T) (img string, seg func(i int) string) {
+		img = filepath.Join(t.TempDir(), "img")
+		copyDir(t, dir, img)
+		return img, func(i int) string { return filepath.Join(img, partDirName(0), filepath.Base(segs[i].path)) }
 	}
+
+	t.Run("flipped byte", func(t *testing.T) {
+		newest, err := os.ReadFile(segs[2].path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends := frameEnds(t, newest, segs[2].start)
+		start, end := ends[1], ends[2] // the third of five frames
+		for off := start + 4; off < end; off++ {
+			img, seg := image(t)
+			mut := append([]byte(nil), newest...)
+			mut[off] ^= 0x01
+			if err := os.WriteFile(seg(2), mut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			bothRefuse(t, img, seg(2), fmt.Sprintf("offset %d", start))
+		}
+	})
+	t.Run("damaged final frame of an older segment", func(t *testing.T) {
+		img, seg := image(t)
+		b, err := os.ReadFile(seg(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(seg(1), b[:len(b)-3], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bothRefuse(t, img, seg(1), "offset")
+	})
+	t.Run("middle segment deleted", func(t *testing.T) {
+		img, seg := image(t)
+		if err := os.Remove(seg(1)); err != nil {
+			t.Fatal(err)
+		}
+		bothRefuse(t, img, "WAL gap")
+	})
+	t.Run("middle segment replaced by the newest", func(t *testing.T) {
+		img, seg := image(t)
+		b, err := os.ReadFile(seg(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(seg(1), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bothRefuse(t, img, seg(1), "offset 0", "seq")
+	})
 }
 
 // TestOpenRejectsForeignPaths: the openers refuse what they cannot read —
@@ -244,12 +337,22 @@ func TestOpenRejectsForeignPaths(t *testing.T) {
 	cases := []struct {
 		name     string
 		path     func(*testing.T) string
-		wantErr  string
-		openOnly bool // OpenDir creates what is missing; only LoadDir rejects
+		wantErr  string // "" = both openers accept
+		openOnly bool   // OpenDir creates what is missing; only LoadDir rejects
 	}{
 		{name: "version 0", path: manifest(`{"partitions":2}`), wantErr: "MANIFEST version 0"},
-		{name: "version 2", path: manifest(`{"version":2,"partitions":2}`), wantErr: "MANIFEST version 2"},
-		{name: "no partitions", path: manifest(`{"version":1,"partitions":0}`), wantErr: "bad MANIFEST"},
+		{name: "version 1", path: manifest(`{"version":1,"partitions":2}`),
+			wantErr: "version 1 stores JSON WAL records, which this build no longer reads (version 2 frames them in binary); rebuild the directory from its event log with stampede-replay -out"},
+		{name: "version 2", path: func(t *testing.T) string {
+			dir := t.TempDir()
+			openDirStore(t, dir, 2).Close()
+			if b, _ := os.ReadFile(filepath.Join(dir, "MANIFEST")); !strings.Contains(string(b), `"version":2`) {
+				t.Fatalf("a fresh directory's MANIFEST is %q, want version 2", b)
+			}
+			return dir
+		}},
+		{name: "version 3", path: manifest(`{"version":3,"partitions":2}`), wantErr: "MANIFEST version 3"},
+		{name: "no partitions", path: manifest(`{"version":2,"partitions":0}`), wantErr: "bad MANIFEST"},
 		{name: "not json", path: manifest(`partitions: 4`), wantErr: "bad MANIFEST"},
 		{name: "regular file", path: func(t *testing.T) string {
 			p := filepath.Join(t.TempDir(), "stampede.db")
@@ -267,15 +370,19 @@ func TestOpenRejectsForeignPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			path := tc.path(t)
 			before := dirImage(t, filepath.Dir(path))
-			_, err := LoadDir(path)
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			ro, err := LoadDir(path)
+			if tc.wantErr == "" {
+				if err != nil || ro.NumPartitions() != 2 {
+					t.Fatalf("LoadDir of a version-2 directory: %v", err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("LoadDir error %v, want one naming %q", err, tc.wantErr)
 			}
 			requireUntouched(t, filepath.Dir(path), before)
 			s, err := OpenDir(path, Options{})
-			if tc.openOnly {
+			if tc.openOnly || tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("OpenDir should create a store here: %v", err)
+					t.Fatalf("OpenDir should open a store here: %v", err)
 				}
 				s.Close()
 				return
@@ -326,4 +433,91 @@ func TestInMemoryFlushCloseNoops(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWALAppendAllocatesNothing pins the point of the binary codec: on a
+// warmed writer, framing an insert batch, a full-row update or a delete —
+// nulls, floats, bools and times included — touches the heap not at all.
+func TestWALAppendAllocatesNothing(t *testing.T) {
+	s, err := OpenDir(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, sch := range fig3Schemas() {
+		if err := s.CreateTable(sch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := s.parts[0].wal.Load()
+	ts := s.parts[0].tables.Load()
+	recs := fig3Records()
+	ji, states, job := recs[1], recs[2], recs[4]
+	for name, log := range map[string]func() error{
+		"logInsertBatch": func() error { return w.logInsertBatch(ts.byName[states.table], states.rows) },
+		"logUpdate":      func() error { return w.logUpdate(ts.byName[ji.table], ji.rows[0]) },
+		"logUpdate/bool": func() error { return w.logUpdate(ts.byName[job.table], job.row) },
+		"logDelete":      func() error { return w.logDelete(ts.byName[states.table], 2) },
+	} {
+		if err := log(); err != nil { // warm the frame scratch
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			if err := log(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocs per record, want 0", name, n)
+		}
+	}
+}
+
+// BenchmarkWALAppend times the WAL's append fast path alone — row encode,
+// frame, CRC32C, buffered write; no fsync — over the two records the loader
+// writes most: a one-row jobstate insert and a full-row job_instance
+// update. BenchmarkEventlogAppend is its counterpart for the other durable
+// log.
+func BenchmarkWALAppend(b *testing.B) {
+	s, err := OpenDir(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	for _, sch := range fig3Schemas() {
+		if err := s.CreateTable(sch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	w := s.parts[0].wal.Load()
+	ts := s.parts[0].tables.Load()
+	recs := fig3Records()
+	jobstate, state := ts.byName["jobstate"], recs[2].rows[:1]
+	jobInstance, ji := ts.byName["job_instance"], recs[1].rows[0]
+	segment := func() int64 {
+		if err := w.flush(); err != nil {
+			b.Fatal(err)
+		}
+		st, err := os.Stat(walPath(w.dir, w.fileStart))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st.Size()
+	}
+	size0 := segment()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if i%2 == 0 {
+			err = w.logInsertBatch(jobstate, state)
+		} else {
+			err = w.logUpdate(jobInstance, ji)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(segment()-size0)/float64(b.N), "bytes/record")
 }

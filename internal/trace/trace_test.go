@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -168,5 +171,64 @@ func TestNameTableRoundTrip(t *testing.T) {
 	}
 	if nameAt(1<<30) != "" {
 		t.Fatal("out-of-range index did not collapse to empty")
+	}
+}
+
+// TestWatermarkRegistryScales: registering a workflow is O(1) — 4,000 first
+// sightings allocate a few hundred bytes each, where copying the registry
+// per sighting needed hundreds of megabytes — and at the cap an unseen
+// workflow is handed the shared overflow entry from the read side: no
+// allocation, and no write lock for concurrent apply shards to queue on.
+func TestWatermarkRegistryScales(t *testing.T) {
+	// The registry is process-global: run on an empty one, restore after.
+	watermarks.mu.Lock()
+	saved := watermarks.by
+	watermarks.by = map[string]*Watermark{}
+	watermarks.mu.Unlock()
+	t.Cleanup(func() {
+		watermarks.mu.Lock()
+		watermarks.by = saved
+		watermarks.mu.Unlock()
+	})
+
+	wfs := make([]string, maxWatermarks)
+	for i := range wfs {
+		wfs[i] = fmt.Sprintf("wf-scale-%04d", i)
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for _, wf := range wfs[:4000] {
+		WatermarkFor(wf).Advance(1)
+	}
+	runtime.ReadMemStats(&ms1)
+	if got := ms1.TotalAlloc - ms0.TotalAlloc; got > 2<<20 {
+		t.Fatalf("registering 4,000 workflows allocated %d bytes, want under 2 MiB", got)
+	}
+	for _, wf := range wfs[4000:] {
+		WatermarkFor(wf)
+	}
+	if w := WatermarkFor(wfs[17]); w == &watermarks.of || w.Max().IsZero() {
+		t.Fatal("a registered workflow lost its watermark at the cap")
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if WatermarkFor(fmt.Sprintf("wf-over-%d-%d", g, i)) != &watermarks.of {
+					t.Errorf("an unseen workflow at the cap got its own watermark")
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := testing.AllocsPerRun(1000, func() { WatermarkFor("wf-over-the-cap") }); n != 0 {
+		t.Fatalf("an over-cap lookup allocates %v times, want 0", n)
+	}
+	if _, ok := WatermarkOf("wf-over-the-cap"); ok {
+		t.Fatal("an over-cap workflow was registered")
 	}
 }

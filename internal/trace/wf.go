@@ -109,40 +109,38 @@ var mFreshness = telemetry.NewGaugeVec("stampede_trace_freshness_seconds",
 // correct in aggregate even when the gauge set is saturated.
 const maxWatermarks = 4096
 
-var watermarks struct {
-	mu sync.Mutex
-	by atomic.Pointer[map[string]*Watermark]
+var watermarks = struct {
+	mu sync.RWMutex
+	by map[string]*Watermark
 	of Watermark // shared overflow entry past maxWatermarks
-}
-
-func init() {
-	m := map[string]*Watermark{}
-	watermarks.by.Store(&m)
-}
+}{by: map[string]*Watermark{}}
 
 // WatermarkFor returns the workflow's watermark, creating (and
-// registering its freshness gauge) on first sight. The archive caches
-// the pointer per stripe, so steady state never touches the map.
+// registering its freshness gauge) on first sight. The archive memoises
+// the pointer per stripe, but interleaved workflows sharing a stripe miss
+// that memo constantly, so a lookup — the over-cap one included — takes
+// only the read lock; the write lock is for a workflow's first event.
 func WatermarkFor(wf string) *Watermark {
-	if w, ok := (*watermarks.by.Load())[wf]; ok {
+	watermarks.mu.RLock()
+	w, ok := watermarks.by[wf]
+	full := len(watermarks.by) >= maxWatermarks
+	watermarks.mu.RUnlock()
+	if ok {
 		return w
+	}
+	if full {
+		return &watermarks.of
 	}
 	watermarks.mu.Lock()
 	defer watermarks.mu.Unlock()
-	old := *watermarks.by.Load()
-	if w, ok := old[wf]; ok {
+	if w, ok := watermarks.by[wf]; ok {
 		return w
 	}
-	if len(old) >= maxWatermarks {
+	if len(watermarks.by) >= maxWatermarks {
 		return &watermarks.of
 	}
-	w := &Watermark{}
-	next := make(map[string]*Watermark, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[wf] = w
-	watermarks.by.Store(&next)
+	w = &Watermark{}
+	watermarks.by[wf] = w
 	mFreshness.SetFunc(func() float64 {
 		ns := w.max.Load()
 		if ns == 0 {
@@ -155,7 +153,9 @@ func WatermarkFor(wf string) *Watermark {
 
 // WatermarkOf reports the workflow's watermark without creating one.
 func WatermarkOf(wf string) (time.Time, bool) {
-	w, ok := (*watermarks.by.Load())[wf]
+	watermarks.mu.RLock()
+	w, ok := watermarks.by[wf]
+	watermarks.mu.RUnlock()
 	if !ok {
 		return time.Time{}, false
 	}
@@ -169,9 +169,10 @@ func WatermarkOf(wf string) (time.Time, bool) {
 func WatermarkMax(wfs []string) (time.Time, bool) {
 	var max time.Time
 	any := false
-	by := *watermarks.by.Load()
+	watermarks.mu.RLock()
+	defer watermarks.mu.RUnlock()
 	for _, wf := range wfs {
-		w, ok := by[wf]
+		w, ok := watermarks.by[wf]
 		if !ok {
 			continue
 		}
