@@ -22,12 +22,15 @@ race:
 # scenario-config parser (must reject, never panic), on the event-log
 # record framing (corruption never panics, is always detected), and on the
 # relstore WAL frame + row decoder shared with the checkpoint image reader
-# (never panics, bounded allocation, encode→decode→encode is stable).
+# (never panics, bounded allocation, encode→decode→encode is stable), and
+# on the mq wire decoder, alone and behind Server.handle and the Subscribe
+# reader (never panics or hangs, an accepted header re-encodes identically).
 fuzz:
 	$(GO) test ./internal/bp -run FuzzParse -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/synth -run FuzzScenarioConfig -fuzz FuzzScenarioConfig -fuzztime 10s
 	$(GO) test ./internal/eventlog -run FuzzRecordRoundTrip -fuzz FuzzRecordRoundTrip -fuzztime 10s
 	$(GO) test ./internal/relstore -run FuzzWALRecord -fuzz FuzzWALRecord -fuzztime 10s
+	$(GO) test ./internal/mq -run FuzzMQWire -fuzz FuzzMQWire -fuzztime 10s
 
 # A 30-second fault-plan soak through the whole pipeline
 # (mq → loader → archive), paced in real time, with ingest teed into an
@@ -54,6 +57,7 @@ soak-smoke:
 bench:
 	{ $(GO) test -bench 'BenchmarkLoader|BenchmarkReadersUnderLoad|BenchmarkParseBytes|BenchmarkEventlog|BenchmarkDashboardRequests' -benchmem -run XXX . ; \
 	  $(GO) test -bench 'BenchmarkWALAppend' -benchmem -run XXX ./internal/relstore ; \
+	  $(GO) test -bench 'BenchmarkMQTCP' -benchmem -run XXX ./internal/mq ; \
 	  $(GO) test -bench 'BenchmarkSubscribersUnderLoad' -benchmem -benchtime 250x -run XXX . ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_loader.json
 

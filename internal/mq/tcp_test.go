@@ -123,30 +123,39 @@ func TestTCPPublishAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := ctl.PublishAsync("k.async", []byte(fmt.Sprintf("a%03d", i))); err != nil {
-			t.Fatal(err)
+	// Async bursts interleaved with synchronous commands on one client:
+	// every burst sits in the client's buffer when the sync command is
+	// written behind it, so the wire order is the call order, and since
+	// PUBA frames draw no reply each sync command reads its own — the
+	// Publish an OK, the Bind to an undeclared queue its error.
+	const rounds, burst = 20, 50
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < burst; i++ {
+			if err := ctl.PublishAsync("k.async", []byte(fmt.Sprintf("a%02d.%02d", r, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ctl.Publish("k.sync", []byte(fmt.Sprintf("s%02d", r))); err != nil {
+			t.Fatalf("round %d: sync publish after async burst: %v", r, err)
+		}
+		if err := ctl.Bind("ghost", "#"); err == nil || !strings.Contains(err.Error(), "undeclared") {
+			t.Fatalf("round %d: bind ghost err = %v (replies mispaired)", r, err)
 		}
 	}
-	// A sync command after the async burst proves the connection state is
-	// intact (no stray OK responses queued up).
-	if err := ctl.Publish("k.sync", []byte("tail")); err != nil {
-		t.Fatalf("sync publish after async burst: %v", err)
-	}
-	for i := 0; i < n+1; i++ {
-		select {
-		case m := <-msgs:
-			if i < n {
-				want := fmt.Sprintf("a%03d", i)
-				if string(m.Body) != want {
-					t.Fatalf("message %d = %q, want %q", i, m.Body, want)
-				}
-			} else if string(m.Body) != "tail" {
-				t.Fatalf("tail = %q", m.Body)
+	for r := 0; r < rounds; r++ {
+		for i := 0; i <= burst; i++ {
+			want := fmt.Sprintf("a%02d.%02d", r, i)
+			if i == burst {
+				want = fmt.Sprintf("s%02d", r)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out at message %d", i)
+			select {
+			case m := <-msgs:
+				if string(m.Body) != want {
+					t.Fatalf("round %d message %d = %q, want %q", r, i, m.Body, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("timed out at round %d message %d", r, i)
+			}
 		}
 	}
 	if err := ctl.PublishAsync("bad key", []byte("x")); err == nil {

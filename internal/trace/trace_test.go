@@ -232,3 +232,96 @@ func TestWatermarkRegistryScales(t *testing.T) {
 		t.Fatal("an over-cap workflow was registered")
 	}
 }
+
+// TestNameTableScales pins the span-label table the way
+// TestWatermarkRegistryScales pins the watermark registry: a new label
+// costs O(1) (the copy-on-write table this replaces copied every earlier
+// label, ~190 MB for these 4,000), a hit allocates nothing, a label and
+// its index round-trip while other goroutines insert, and once the table
+// is full a lookup needs the read lock only.
+func TestNameTableScales(t *testing.T) {
+	// The table is process-global: run on an empty one, restore after.
+	names.mu.Lock()
+	savedName, savedIdx := names.byName, names.byIdx
+	names.byName, names.byIdx = map[string]uint32{"": 0}, []string{""}
+	names.mu.Unlock()
+	t.Cleanup(func() {
+		names.mu.Lock()
+		names.byName, names.byIdx = savedName, savedIdx
+		names.mu.Unlock()
+	})
+
+	labels := make([]string, maxNames)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("wf-name-%05d", i)
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for _, l := range labels[:4000] {
+		nameIdx(l)
+	}
+	runtime.ReadMemStats(&ms1)
+	if got := ms1.TotalAlloc - ms0.TotalAlloc; got > 2<<20 {
+		t.Fatalf("interning 4,000 labels allocated %d bytes, want under 2 MiB", got)
+	}
+	if n := testing.AllocsPerRun(1000, func() { nameIdx(labels[17]) }); n != 0 {
+		t.Fatalf("a hit allocates %v times, want 0", n)
+	}
+	if nameIdx("") != 0 || nameAt(0) != "" {
+		t.Fatal("the empty label is not index 0")
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 4000 + g; i < 12000; i += 4 {
+				if got := nameAt(nameIdx(labels[i])); got != labels[i] {
+					t.Errorf("nameAt(nameIdx(%q)) = %q", labels[i], got)
+					return
+				}
+				if old := labels[i%4000]; nameAt(nameIdx(old)) != old {
+					t.Errorf("label %q moved while others were inserted", old)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	for _, l := range labels[12000:] {
+		nameIdx(l)
+	}
+	if nameIdx(labels[17]) == 0 {
+		t.Fatal("an interned label lost its index at the cap")
+	}
+	// With the read lock held here, a lookup that wanted the write lock
+	// would wait for it and never report back.
+	names.mu.RLock()
+	over := make(chan bool, 4)
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			ok := true
+			for i := 0; i < 1000; i++ {
+				ok = ok && nameIdx(fmt.Sprintf("wf-over-%d-%d", g, i)) == 0
+			}
+			over <- ok
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		select {
+		case ok := <-over:
+			if !ok {
+				t.Error("an unseen label at the cap got an index")
+			}
+		case <-time.After(5 * time.Second):
+			names.mu.RUnlock()
+			t.Fatal("an over-cap lookup blocked behind a reader: it took the write lock")
+		}
+	}
+	names.mu.RUnlock()
+	if n := testing.AllocsPerRun(1000, func() { nameIdx("wf-over-the-cap") }); n != 0 {
+		t.Fatalf("an over-cap lookup allocates %v times, want 0", n)
+	}
+}
