@@ -116,7 +116,7 @@ func BenchmarkFig7Progress(b *testing.B) {
 
 // --- E5: loader scaling and its ablations -------------------------------
 
-func benchLoad(b *testing.B, jobs, batch int, validate bool) {
+func benchLoad(b *testing.B, jobs, batch int) {
 	trace := experiments.TraceFor(jobs)
 	var events int
 	// allocs/event is measured as the MemStats mallocs delta over the timed
@@ -134,7 +134,7 @@ func benchLoad(b *testing.B, jobs, batch int, validate bool) {
 	// over many iterations, which skewed the cross-scale comparison.
 	{
 		a := archive.NewInMemory()
-		l, err := loader.New(a, loader.Options{BatchSize: batch, Validate: validate})
+		l, err := loader.New(a, loader.Options{BatchSize: batch, Validate: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func benchLoad(b *testing.B, jobs, batch int, validate bool) {
 		runtime.ReadMemStats(&ms0)
 		b.StartTimer()
 		a := archive.NewInMemory()
-		l, err := loader.New(a, loader.Options{BatchSize: batch, Validate: validate})
+		l, err := loader.New(a, loader.Options{BatchSize: batch, Validate: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,10 +179,10 @@ func benchLoad(b *testing.B, jobs, batch int, validate bool) {
 
 // BenchmarkLoaderScale measures end-to-end load throughput across
 // workflow sizes (the paper's O(10^6)-events claim at the top size).
-func BenchmarkLoaderScale100(b *testing.B)  { benchLoad(b, 100, 512, true) }
-func BenchmarkLoaderScale1k(b *testing.B)   { benchLoad(b, 1000, 512, true) }
-func BenchmarkLoaderScale10k(b *testing.B)  { benchLoad(b, 10000, 512, true) }
-func BenchmarkLoaderScale100k(b *testing.B) { benchLoad(b, 100000, 512, true) }
+func BenchmarkLoaderScale100(b *testing.B)  { benchLoad(b, 100, 512) }
+func BenchmarkLoaderScale1k(b *testing.B)   { benchLoad(b, 1000, 512) }
+func BenchmarkLoaderScale10k(b *testing.B)  { benchLoad(b, 10000, 512) }
+func BenchmarkLoaderScale100k(b *testing.B) { benchLoad(b, 100000, 512) }
 
 // BenchmarkLoaderScale10kEventlog is BenchmarkLoaderScale10k with the
 // event-log tap attached: every raw line is framed, content-hashed,
@@ -312,7 +312,7 @@ var parallelTraceOnce struct {
 // parallelTrace round-robin interleaves the event streams of independent
 // synthetic workflows, the worst case for per-workflow batching locality
 // and the realistic shape of a shared message bus feed. Workflows are
-// picked so their uuids spread evenly over 8 stripe classes — a skewed
+// picked so their uuids spread evenly over 8 routing classes — a skewed
 // handful of workflows would measure hash luck, not the pipeline.
 func parallelTrace(workflows, jobs int) []byte {
 	parallelTraceOnce.Do(func() {
@@ -321,7 +321,7 @@ func parallelTrace(workflows, jobs int) []byte {
 		streams := make([][]string, 0, workflows)
 		for seed := int64(1); len(streams) < workflows && seed < 10000; seed++ {
 			tr := synth.Generate(synth.Config{Seed: seed, Jobs: jobs})
-			cls := archive.StripeFor(tr.RootUUID) % 8
+			cls := archive.Route(tr.RootUUID, 8)
 			if classCount[cls] >= perClass {
 				continue
 			}
@@ -364,7 +364,7 @@ func benchLoadParallel(b *testing.B, shards int) {
 			b.Fatal(err)
 		}
 		a.Store().SetSync(true)
-		l, err := loader.New(a, loader.Options{BatchSize: 1, Validate: false, Shards: shards, QueueDepth: 4096})
+		l, err := loader.New(a, loader.Options{BatchSize: 1, Validate: false, Shards: shards})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func benchLoadPartitioned(b *testing.B, parts int) {
 			b.Fatal(err)
 		}
 		a.Store().SetSync(true)
-		l, err := loader.New(a, loader.Options{BatchSize: 512, Validate: true, Shards: parts, QueueDepth: 4096})
+		l, err := loader.New(a, loader.Options{BatchSize: 512, Validate: true, Shards: parts})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -432,11 +432,6 @@ func benchLoadPartitioned(b *testing.B, parts int) {
 func BenchmarkLoaderPartitioned1(b *testing.B)  { benchLoadPartitioned(b, 1) }
 func BenchmarkLoaderPartitioned4(b *testing.B)  { benchLoadPartitioned(b, 4) }
 func BenchmarkLoaderPartitioned16(b *testing.B) { benchLoadPartitioned(b, 16) }
-
-// BenchmarkLoaderValidation isolates the YANG-validation cost in the load
-// path.
-func BenchmarkLoaderValidationOn(b *testing.B)  { benchLoad(b, 5000, 512, true) }
-func BenchmarkLoaderValidationOff(b *testing.B) { benchLoad(b, 5000, 512, false) }
 
 // BenchmarkReadersUnderLoad measures loader throughput while concurrent
 // dashboard-style scanners poll the archive through snapshots. Each scanner
@@ -890,12 +885,11 @@ func benchRelstore(b *testing.B, indexed bool) {
 		b.Fatal(err)
 	}
 	const rows = 20000
-	batch := make([]relstore.Row, rows)
-	for i := range batch {
-		batch[i] = relstore.Row{"job_instance_id": int64(i % 1000), "state": "EXECUTE"}
-	}
-	if _, err := s.InsertBatch("jobstate", batch); err != nil {
-		b.Fatal(err)
+	w := s.Writer(0)
+	for i := 0; i < rows; i++ {
+		if _, err := w.InsertOwned("jobstate", relstore.Row{"job_instance_id": int64(i % 1000), "state": "EXECUTE"}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

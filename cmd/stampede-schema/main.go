@@ -32,7 +32,7 @@ func main() {
 	}
 	switch {
 	case *validate != "":
-		runValidate(*validate, *strict)
+		validateLog(*validate, *strict)
 	case *event != "":
 		out, err := yang.Describe(model, *event)
 		if err != nil {
@@ -44,7 +44,7 @@ func main() {
 	}
 }
 
-func runValidate(path string, strict bool) {
+func validateLog(path string, strict bool) {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal("%v", err)

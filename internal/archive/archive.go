@@ -37,46 +37,61 @@ func floatAttr(ev *bp.Event, key string) (float64, bool) {
 	return f, err == nil
 }
 
-// Archive telemetry. Contention on a stripe mutex is detected with
-// TryLock before the blocking Lock: the counter is a proxy for how often
-// concurrent apply shards collide on one workflow-uuid stripe.
+// Archive telemetry.
 var (
 	mApplied = telemetry.NewCounter("stampede_archive_events_applied_total",
 		"Events folded into archive tables.")
-	mStripeContention = telemetry.NewCounter("stampede_archive_stripe_contention_total",
-		"Stripe lock acquisitions that found the lock already held.")
 	mRows = telemetry.NewGaugeVec("stampede_archive_rows",
 		"Rows per archive table (sampled at scrape time).", "table")
 )
 
-// numStripes is the lock-striping width. Events are routed to a stripe by
-// their workflow uuid, so per-workflow event order is serialized by one
-// mutex while distinct workflows fold in concurrently. 64 is far above
-// any realistic apply-shard count, keeping cross-workflow collisions rare.
-const numStripes = 64
+// routeSlots is the width of the space Route folds a workflow uuid into
+// before taking it modulo the partition count. It is an on-disk contract:
+// rows never migrate, and the partition a workflow's rows were written to
+// must be the one its later events (and Writer.Update) route to. It is also
+// why a store has at most routeSlots partitions (relstore refuses to create
+// more): a partition index above it could never come out of Route.
+const routeSlots = 64
 
-// stripe holds the identity caches whose keys are scoped to a single
-// workflow (jobs, job instances and their sequence counters). Because all
-// events of one workflow hash to one stripe, these maps need no further
-// synchronisation than the stripe mutex.
-type stripe struct {
+// Route maps a workflow uuid onto one of n owners: FNV-1a of the uuid,
+// folded into 64 slots, modulo n. It is the one router between a BP line
+// and a row: the archive keeps a workflow's identity caches and writes its
+// rows in partition Route(uuid, NumPartitions()), the loader hands that
+// partition's events to one apply shard, and the views pick their lock
+// stripe with Route(uuid, 64).
+func Route(uuid string, n int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(uuid); i++ {
+		h ^= uint32(uuid[i])
+		h *= 16777619
+	}
+	return int(h%routeSlots) % n
+}
+
+// partState is everything the archive keeps per store partition: the
+// partition's writer and the identity caches of the workflows that route to
+// it (jobs, tasks, job instances and their sequence counters), under one
+// mutex. The loader enters a partition from one apply shard only, so under
+// it the mutex is never contended; it is what keeps Apply and ApplyBatch
+// safe for callers that make no such promise.
+type partState struct {
 	mu      sync.Mutex
-	w       relstore.Writer        // partition writer: stripe i -> partition i mod N
+	w       relstore.Writer
 	jobIDs  map[jobKey]boxed       // (wf row, exec_job_id) -> job row id
 	taskIDs map[jobKey]int64       // (wf row, abs_task_id) -> task row id
 	insts   map[instKey]*instState // (job row, submit seq) -> instance state
 
-	// Last workflow resolved on this stripe. Events arrive in per-workflow
-	// runs, so this single-entry memo turns the per-event uuid -> row
-	// resolution (an RLock plus a 36-byte string hash) into one string
+	// Last workflow resolved in this partition. Events arrive in
+	// per-workflow runs, so this single-entry memo turns the per-event uuid
+	// -> row resolution (an RLock plus a 36-byte string hash) into one string
 	// compare. Guarded by mu like everything else here; never invalidated,
 	// because a workflow's row id is immutable once assigned.
 	lastUUID string
 	lastWF   boxed
 
 	// Freshness-watermark memo for the tracing layer, same discipline as
-	// lastUUID/lastWF: one cached pointer per stripe turns the per-event
-	// watermark advance into a string compare plus a max-CAS.
+	// lastUUID/lastWF: one cached pointer turns the per-event watermark
+	// advance into a string compare plus a max-CAS.
 	wmUUID string
 	wm     *trace.Watermark
 }
@@ -113,13 +128,13 @@ type instState struct {
 // Concurrency contract: Apply and ApplyBatch may be called from many
 // goroutines, provided all events of one workflow (one xwf.id) are applied
 // from a single goroutine at a time — exactly what the sharded loader
-// guarantees by routing events to shards by xwf.id. Cross-workflow caches
-// (workflow uuid map, host map) take their own short-lived locks.
-// When the store is partitioned, stripes map onto partitions by index
-// modulo the partition count, so all events of one workflow commit
-// through one partition's writer (its own mutex, epoch, and WAL
-// segment) and distinct workflows on distinct partitions never contend.
-// Host rows are shared across workflows and pin to partition 0.
+// guarantees by routing events to shards by xwf.id. Everything scoped to a
+// workflow lives in the partState of partition Route(uuid, N): all events of
+// one workflow take that one mutex and commit through that one partition's
+// writer (its own writer mutex, epoch and WAL segment), so distinct
+// workflows on distinct partitions never contend. Cross-workflow caches
+// (workflow uuid map, host map) take their own short-lived locks. Host rows
+// are shared across workflows and pin to partition 0.
 type Archive struct {
 	store *relstore.Store
 
@@ -131,7 +146,7 @@ type Archive struct {
 
 	host relstore.Writer // partition-0 writer for cross-workflow host rows
 
-	stripes [numStripes]stripe
+	parts   []partState // one per store partition, indexed by Route
 	applied atomic.Uint64
 }
 
@@ -149,20 +164,9 @@ type hostKey struct {
 	site, hostname, ip string
 }
 
-// StripeFor maps a workflow uuid to its stripe index (FNV-1a). The loader
-// uses the same function to route events to apply shards so that shard
-// parallelism and stripe parallelism line up.
-func StripeFor(uuid string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(uuid); i++ {
-		h ^= uint32(uuid[i])
-		h *= 16777619
-	}
-	return int(h % numStripes)
-}
-
-func (a *Archive) stripeOf(ev *bp.Event) *stripe {
-	return &a.stripes[StripeFor(ev.Get(schema.AttrXwfID))]
+// partOf returns the state of the partition uuid routes to.
+func (a *Archive) partOf(uuid string) *partState {
+	return &a.parts[Route(uuid, len(a.parts))]
 }
 
 // New creates the Figure 3 tables on store (idempotently) and returns an
@@ -178,15 +182,14 @@ func New(store *relstore.Store) (*Archive, error) {
 		wfIDs:   map[string]boxed{},
 		hostIDs: map[hostKey]int64{},
 		host:    store.Writer(0),
+		parts:   make([]partState, store.NumPartitions()),
 	}
-	nparts := store.NumPartitions()
-	for i := range a.stripes {
-		a.stripes[i] = stripe{
-			w:       store.Writer(i % nparts),
-			jobIDs:  map[jobKey]boxed{},
-			taskIDs: map[jobKey]int64{},
-			insts:   map[instKey]*instState{},
-		}
+	for i := range a.parts {
+		st := &a.parts[i]
+		st.w = store.Writer(i)
+		st.jobIDs = map[jobKey]boxed{}
+		st.taskIDs = map[jobKey]int64{}
+		st.insts = map[instKey]*instState{}
 	}
 	if err := a.warmCaches(); err != nil {
 		return nil, err
@@ -215,9 +218,9 @@ func NewInMemory() *Archive {
 }
 
 // NewInMemoryN returns an archive over a fresh in-memory store with
-// parts partitions. Workflows route to partitions by the same uuid hash
-// the loader shards on, so apply shards and partitions line up 1:1 when
-// parts equals the shard count.
+// parts partitions. The loader hands each partition's workflows to one
+// apply shard (see Route), so shards and partitions line up 1:1 when parts
+// equals the shard count.
 func NewInMemoryN(parts int) *Archive {
 	a, err := New(relstore.NewStoreN(parts))
 	if err != nil {
@@ -254,18 +257,9 @@ func LoadDir(dir string) (*Archive, error) {
 	return New(store)
 }
 
-// writerFor returns the partition writer a workflow's rows commit
-// through: the one its stripe maps onto. ensureWF must use this (not a
-// caller's stripe writer) because any stripe may materialise any
-// workflow — a child's plan event references its parent — and the
-// parent's row has to land in the parent's own partition.
-func (a *Archive) writerFor(uuid string) relstore.Writer {
-	return a.stripes[StripeFor(uuid)].w
-}
-
 // warmCaches rebuilds the identity caches from an existing store so that
-// appending to a reopened database works. Per-workflow entries are routed
-// to the stripe their workflow uuid hashes to; warmCaches runs before the
+// appending to a reopened database works. Per-workflow entries go to the
+// partition their workflow uuid routes to; warmCaches runs before the
 // archive is shared, so no locks are needed. All five table reads come
 // from one snapshot, so the caches describe a single point in history.
 func (a *Archive) warmCaches() error {
@@ -287,7 +281,7 @@ func (a *Archive) warmCaches() error {
 	}
 	for _, r := range tasks {
 		wf := r["wf_id"].(int64)
-		st := &a.stripes[StripeFor(wfUUID[wf])]
+		st := a.partOf(wfUUID[wf])
 		st.taskIDs[jobKey{wf, r["abs_task_id"].(string)}] = r.ID()
 	}
 	jobs, err := sn.Select(relstore.Query{Table: TJob})
@@ -298,7 +292,7 @@ func (a *Archive) warmCaches() error {
 	for _, r := range jobs {
 		wf := r["wf_id"].(int64)
 		jobWF[r.ID()] = wf
-		st := &a.stripes[StripeFor(wfUUID[wf])]
+		st := a.partOf(wfUUID[wf])
 		st.jobIDs[jobKey{wf, r["exec_job_id"].(string)}] = boxed{r.ID(), r["id"]}
 	}
 	insts, err := sn.Select(relstore.Query{Table: TJobInstance})
@@ -308,7 +302,7 @@ func (a *Archive) warmCaches() error {
 	instByID := make(map[int64]*instState, len(insts))
 	for _, r := range insts {
 		job := r["job_id"].(int64)
-		st := &a.stripes[StripeFor(wfUUID[jobWF[job]])]
+		st := a.partOf(wfUUID[jobWF[job]])
 		is := &instState{id: r.ID(), box: r["id"]}
 		st.insts[instKey{job, r["job_submit_seq"].(int64)}] = is
 		instByID[r.ID()] = is
@@ -370,8 +364,8 @@ var ErrUnknownEvent = errors.New("archive: event type not materialised")
 // static events (workflow restarts re-emit task/job descriptions) are
 // tolerated and skipped.
 func (a *Archive) Apply(ev *bp.Event) error {
-	st := a.stripeOf(ev)
-	lockStripe(st)
+	st := a.partOf(ev.Get(schema.AttrXwfID))
+	st.mu.Lock()
 	defer st.mu.Unlock()
 	if err := a.applyLocked(st, ev); err != nil {
 		return fmt.Errorf("archive: %s at %s: %w", ev.Type, ev.TS.Format("15:04:05.000"), err)
@@ -385,8 +379,9 @@ func (a *Archive) Apply(ev *bp.Event) error {
 // advanceWatermark publishes ev.TS into its workflow's freshness
 // watermark (internal/trace) after a successful apply; the dashboard
 // exposes now − max as stampede_trace_freshness_seconds. Called under
-// the stripe lock so the memo fields need no further synchronisation.
-func advanceWatermark(st *stripe, ev *bp.Event) {
+// the partition state's lock so the memo fields need no further
+// synchronisation.
+func advanceWatermark(st *partState, ev *bp.Event) {
 	uuid := ev.Get(schema.AttrXwfID)
 	if uuid == "" {
 		return
@@ -397,22 +392,13 @@ func advanceWatermark(st *stripe, ev *bp.Event) {
 	st.wm.Advance(ev.TS.UnixNano())
 }
 
-// lockStripe acquires a stripe mutex, counting the cases where the lock
-// was already held (two shards folding workflows that hash together).
-func lockStripe(st *stripe) {
-	if !st.mu.TryLock() {
-		mStripeContention.Inc()
-		st.mu.Lock()
-	}
-}
-
-// ApplyBatch folds a slice of events, holding each workflow stripe's lock
-// across runs of consecutive same-stripe events; the loader's batching
+// ApplyBatch folds a slice of events, holding each partition state's lock
+// across runs of consecutive same-partition events; the loader's batching
 // path. The first error aborts the rest of the batch; the returned count
 // is how many events were applied, so callers can resume after the
 // failing event without re-applying the prefix.
 func (a *Archive) ApplyBatch(evs []*bp.Event) (n int, err error) {
-	var cur *stripe
+	var cur *partState
 	defer func() {
 		if cur != nil {
 			cur.mu.Unlock()
@@ -422,12 +408,12 @@ func (a *Archive) ApplyBatch(evs []*bp.Event) (n int, err error) {
 	// are measurable at loader rates and the totals only need to be
 	// eventually exact, which the error path below preserves.
 	for i, ev := range evs {
-		st := a.stripeOf(ev)
+		st := a.partOf(ev.Get(schema.AttrXwfID))
 		if st != cur {
 			if cur != nil {
 				cur.mu.Unlock()
 			}
-			lockStripe(st)
+			st.mu.Lock()
 			cur = st
 		}
 		if err := a.applyLocked(st, ev); err != nil {
@@ -446,7 +432,7 @@ func (a *Archive) ApplyBatch(evs []*bp.Event) (n int, err error) {
 	return len(evs), nil
 }
 
-func (a *Archive) applyLocked(st *stripe, ev *bp.Event) error {
+func (a *Archive) applyLocked(st *partState, ev *bp.Event) error {
 	switch ev.Type {
 	case schema.WfPlan:
 		return a.applyPlan(ev)
@@ -516,19 +502,21 @@ func (a *Archive) lookupWF(uuid string) (boxed, bool) {
 }
 
 // ensureWF returns the row id for uuid, inserting a minimal placeholder
-// row when absent. Check-and-insert holds the workflow mutex so any
-// stripe may safely materialise any workflow — a child's plan event can
-// reference its parent before the parent's own events have been applied
-// (routine under sharded loading, where parent and child stream through
-// different shards), and two stripes racing on one uuid still produce
-// exactly one row.
+// row when absent, through the writer of the partition uuid itself routes
+// to — not the caller's: a child's plan event references its parent, and
+// the parent's row has to land in the parent's own partition. Check-and-
+// insert holds the workflow mutex, so any caller may safely materialise any
+// workflow before that workflow's own events have been applied (routine
+// under sharded loading, where parent and child stream through different
+// shards), and two callers racing on one uuid still produce exactly one
+// row.
 func (a *Archive) ensureWF(uuid string, ts time.Time) (boxed, error) {
 	a.wfMu.Lock()
 	defer a.wfMu.Unlock()
 	if b, ok := a.wfIDs[uuid]; ok {
 		return b, nil
 	}
-	id, err := a.writerFor(uuid).InsertOwned(TWorkflow, relstore.Row{
+	id, err := a.partOf(uuid).w.InsertOwned(TWorkflow, relstore.Row{
 		"wf_uuid":   uuid,
 		"timestamp": ts,
 	})
@@ -542,9 +530,9 @@ func (a *Archive) ensureWF(uuid string, ts time.Time) (boxed, error) {
 
 // wfRow returns the workflow row id for the event's xwf.id, creating a
 // minimal placeholder when the plan event has not been seen (events can
-// race ahead of the plan on multi-producer buses). The stripe memo makes
-// the common consecutive-same-workflow case lock-free.
-func (a *Archive) wfRow(st *stripe, ev *bp.Event) (boxed, error) {
+// race ahead of the plan on multi-producer buses). The partition's memo
+// makes the common consecutive-same-workflow case lock-free.
+func (a *Archive) wfRow(st *partState, ev *bp.Event) (boxed, error) {
 	uuid := ev.Get(schema.AttrXwfID)
 	if uuid == "" {
 		return boxed{}, errors.New("event lacks xwf.id")
@@ -600,14 +588,14 @@ func (a *Archive) applyPlan(ev *bp.Event) error {
 		return err
 	}
 	delete(fields, "wf_uuid")
-	return a.writerFor(uuid).Update(TWorkflow, wf.id, fields)
+	return a.partOf(uuid).w.Update(TWorkflow, wf.id, fields)
 }
 
 // applyWorkflowState takes state as an any so call sites hand in the
 // WFState* constants pre-boxed: converting a constant string to an
 // interface uses static data, where boxing a dynamic string parameter
 // would allocate per event. insertJobState does the same with JS*.
-func (a *Archive) applyWorkflowState(st *stripe, ev *bp.Event, state any) error {
+func (a *Archive) applyWorkflowState(st *partState, ev *bp.Event, state any) error {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return err
@@ -629,7 +617,7 @@ func (a *Archive) applyWorkflowState(st *stripe, ev *bp.Event, state any) error 
 	return err
 }
 
-func (a *Archive) applyTaskInfo(st *stripe, ev *bp.Event) error {
+func (a *Archive) applyTaskInfo(st *partState, ev *bp.Event) error {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return err
@@ -649,7 +637,7 @@ func (a *Archive) applyTaskInfo(st *stripe, ev *bp.Event) error {
 	return nil
 }
 
-func (a *Archive) applyTaskEdge(st *stripe, ev *bp.Event) error {
+func (a *Archive) applyTaskEdge(st *partState, ev *bp.Event) error {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return err
@@ -662,7 +650,7 @@ func (a *Archive) applyTaskEdge(st *stripe, ev *bp.Event) error {
 	return ignoreDuplicate(err)
 }
 
-func (a *Archive) applyJobInfo(st *stripe, ev *bp.Event) error {
+func (a *Archive) applyJobInfo(st *partState, ev *bp.Event) error {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return err
@@ -685,7 +673,7 @@ func (a *Archive) applyJobInfo(st *stripe, ev *bp.Event) error {
 	return nil
 }
 
-func (a *Archive) applyJobEdge(st *stripe, ev *bp.Event) error {
+func (a *Archive) applyJobEdge(st *partState, ev *bp.Event) error {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return err
@@ -698,7 +686,7 @@ func (a *Archive) applyJobEdge(st *stripe, ev *bp.Event) error {
 	return ignoreDuplicate(err)
 }
 
-func (a *Archive) applyMapTaskJob(st *stripe, ev *bp.Event) error {
+func (a *Archive) applyMapTaskJob(st *partState, ev *bp.Event) error {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return err
@@ -729,7 +717,7 @@ func (a *Archive) applyMapTaskJob(st *stripe, ev *bp.Event) error {
 	return st.w.Update(TTask, task, relstore.Row{"job_id": jobRow.box})
 }
 
-func (a *Archive) applyMapSubwfJob(st *stripe, ev *bp.Event) error {
+func (a *Archive) applyMapSubwfJob(st *partState, ev *bp.Event) error {
 	is, err := a.instRow(st, ev)
 	if err != nil {
 		return err
@@ -739,7 +727,7 @@ func (a *Archive) applyMapSubwfJob(st *stripe, ev *bp.Event) error {
 
 // jobRow resolves (wf row, exec job id) to the job table row, creating a
 // placeholder when job.info has not been seen yet.
-func (a *Archive) jobRow(st *stripe, wf boxed, execID string) (boxed, error) {
+func (a *Archive) jobRow(st *partState, wf boxed, execID string) (boxed, error) {
 	if execID == "" {
 		return boxed{}, errors.New("event lacks job.id")
 	}
@@ -758,7 +746,7 @@ func (a *Archive) jobRow(st *stripe, wf boxed, execID string) (boxed, error) {
 
 // instRow resolves the (job, submit seq) of a job_inst.* event to the
 // job_instance state, creating the row on first reference.
-func (a *Archive) instRow(st *stripe, ev *bp.Event) (*instState, error) {
+func (a *Archive) instRow(st *partState, ev *bp.Event) (*instState, error) {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return nil, err
@@ -787,7 +775,7 @@ func (a *Archive) instRow(st *stripe, ev *bp.Event) (*instState, error) {
 	return is, nil
 }
 
-func (a *Archive) applyJobState(st *stripe, ev *bp.Event, state any) error {
+func (a *Archive) applyJobState(st *partState, ev *bp.Event, state any) error {
 	is, err := a.instRow(st, ev)
 	if err != nil {
 		return err
@@ -799,7 +787,7 @@ func (a *Archive) applyJobState(st *stripe, ev *bp.Event, state any) error {
 // every job instance lands here. state is any (not string) so the JS*
 // constants box statically at the call sites — see applyWorkflowState —
 // and the instance id goes in pre-boxed from the instState.
-func (a *Archive) insertJobState(st *stripe, is *instState, state any, ev *bp.Event) error {
+func (a *Archive) insertJobState(st *partState, is *instState, state any, ev *bp.Event) error {
 	seq := is.stateSeq
 	is.stateSeq = seq + 1
 	_, err := st.w.InsertOwned(TJobState, relstore.Row{
@@ -811,7 +799,7 @@ func (a *Archive) insertJobState(st *stripe, is *instState, state any, ev *bp.Ev
 	return err
 }
 
-func (a *Archive) applyScriptEnd(st *stripe, ev *bp.Event, okState, failState any) error {
+func (a *Archive) applyScriptEnd(st *partState, ev *bp.Event, okState, failState any) error {
 	is, err := a.instRow(st, ev)
 	if err != nil {
 		return err
@@ -823,7 +811,7 @@ func (a *Archive) applyScriptEnd(st *stripe, ev *bp.Event, okState, failState an
 	return a.insertJobState(st, is, state, ev)
 }
 
-func (a *Archive) applyMainStart(st *stripe, ev *bp.Event) error {
+func (a *Archive) applyMainStart(st *partState, ev *bp.Event) error {
 	is, err := a.instRow(st, ev)
 	if err != nil {
 		return err
@@ -844,7 +832,7 @@ func (a *Archive) applyMainStart(st *stripe, ev *bp.Event) error {
 	return a.insertJobState(st, is, JSExecute, ev)
 }
 
-func (a *Archive) applyMainEnd(st *stripe, ev *bp.Event) error {
+func (a *Archive) applyMainEnd(st *partState, ev *bp.Event) error {
 	is, err := a.instRow(st, ev)
 	if err != nil {
 		return err
@@ -888,14 +876,14 @@ func (a *Archive) applyMainEnd(st *stripe, ev *bp.Event) error {
 	return a.insertJobState(st, is, state, ev)
 }
 
-func (a *Archive) applyHostInfo(st *stripe, ev *bp.Event) error {
+func (a *Archive) applyHostInfo(st *partState, ev *bp.Event) error {
 	is, err := a.instRow(st, ev)
 	if err != nil {
 		return err
 	}
 	k := hostKey{ev.Get(schema.AttrSite), ev.Get(schema.AttrHostname), ev.Get("ip")}
 	// Hosts are shared across workflows, so the lookup-or-insert must be
-	// atomic under its own lock to keep concurrent stripes from racing
+	// atomic under its own lock to keep concurrent partitions from racing
 	// the unique constraint.
 	a.hostMu.Lock()
 	hid, ok := a.hostIDs[k]
@@ -921,7 +909,7 @@ func (a *Archive) applyHostInfo(st *stripe, ev *bp.Event) error {
 	})
 }
 
-func (a *Archive) applyInvEnd(st *stripe, ev *bp.Event) error {
+func (a *Archive) applyInvEnd(st *partState, ev *bp.Event) error {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return err

@@ -59,7 +59,7 @@ func runTapped(t *testing.T, shards int, consume bool, stream []byte) (loader.St
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lg.Close() })
-	arch := archive.NewInMemory()
+	arch := archive.NewInMemoryN(shards)
 	t.Cleanup(func() { arch.Close() })
 	ld, err := loader.New(arch, loader.Options{
 		Shards:   shards,
@@ -168,7 +168,7 @@ func TestTapErrorFailsLoadEvenLenient(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, consume := range []bool{false, true} {
 			name := fmt.Sprintf("shards=%d consume=%v", shards, consume)
-			arch := archive.NewInMemory()
+			arch := archive.NewInMemoryN(shards)
 			ld, err := loader.New(arch, loader.Options{
 				Shards:   shards,
 				Validate: true,

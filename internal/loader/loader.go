@@ -6,10 +6,10 @@
 // Batching is the paper's key loader design decision (§V-D notes inserts
 // are batched "to improve the performance of Pegasus workflows logging");
 // BenchmarkLoaderBatchSize at the repository root quantifies it. Every
-// load runs as a staged pipeline — parse stage, per-shard validators,
-// per-shard batching appliers — routing events by xwf.id so per-workflow
-// order is preserved while distinct workflows load in parallel (see
-// pipeline.go); Options.Shards is the pipeline's width.
+// load runs as a pipeline — a parse stage, then per shard one queue and one
+// goroutine that validates, batches and applies — routing events by xwf.id
+// so per-workflow order is preserved while distinct workflows load in
+// parallel (see pipeline.go); Options.Shards is the pipeline's width.
 package loader
 
 import (
@@ -58,16 +58,14 @@ type Options struct {
 	// events non-fatal: they are counted and skipped.
 	Lenient bool
 	// Shards is the pipeline's width: the number of parallel apply
-	// shards. Zero means one. Events route to shards by xwf.id, so each
-	// workflow's events stay ordered while different workflows apply in
-	// parallel; at width one the whole stream applies in arrival order
+	// shards. Zero means one. Events route to shards by the archive
+	// partition their xwf.id routes to (partition p feeds shard
+	// p % Shards), so each workflow's events stay ordered while different
+	// partitions apply in parallel — shards beyond the archive's partition
+	// count stay idle; at width one the whole stream applies in arrival order
 	// through a single goroutine, which is what makes an event-log
 	// rebuild deterministic.
 	Shards int
-	// QueueDepth bounds the per-shard pipeline channels; a slow archive
-	// backpressures producers instead of growing memory. Zero means
-	// DefaultQueueDepth.
-	QueueDepth int
 	// Clock drives the FlushEvery ticker. Nil means the wall clock;
 	// tests inject a wfclock.Manual to make timer flushes deterministic.
 	Clock wfclock.Clock
@@ -93,8 +91,11 @@ type Options struct {
 const (
 	DefaultBatchSize  = 512
 	DefaultFlushEvery = 500 * time.Millisecond
-	DefaultQueueDepth = 256
 )
+
+// shardQueueDepth bounds each shard's queue: a slow archive backpressures
+// the parser instead of growing memory.
+const shardQueueDepth = 256
 
 // ShardStats reports one apply shard's share of a load.
 type ShardStats struct {
@@ -172,6 +173,9 @@ type Loader struct {
 	arch *archive.Archive
 	val  *schema.Validator
 	opts Options
+	// queueDepth is shardQueueDepth, except in this package's backpressure
+	// and cancel tests, which shrink it.
+	queueDepth int
 
 	mu    sync.Mutex
 	total Stats
@@ -194,16 +198,10 @@ func New(arch *archive.Archive, opts Options) (*Loader, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("loader: shard count %d out of range", opts.Shards)
 	}
-	if opts.QueueDepth == 0 {
-		opts.QueueDepth = DefaultQueueDepth
-	}
-	if opts.QueueDepth < 1 {
-		return nil, fmt.Errorf("loader: queue depth %d out of range", opts.QueueDepth)
-	}
 	if opts.Clock == nil {
 		opts.Clock = wfclock.Real
 	}
-	l := &Loader{arch: arch, opts: opts}
+	l := &Loader{arch: arch, opts: opts, queueDepth: shardQueueDepth}
 	if opts.Validate {
 		v, err := schema.NewValidator()
 		if err != nil {
@@ -234,7 +232,7 @@ func (l *Loader) account(s Stats) {
 }
 
 // batch is one apply shard's accumulation state; the events it buffers
-// were already validated upstream.
+// have passed validation (see pshard.admit).
 type batch struct {
 	arch  *archive.Archive
 	opts  Options
@@ -273,8 +271,10 @@ func (l *Loader) newBatch(shard int) *batch {
 	}
 }
 
-// traceValidated records the validate span for a sampled event and moves
-// its stage boundary forward.
+// traceValidated records the validate span for a sampled event — parse end
+// to validated, so it includes the wait in the shard's queue — and moves
+// its stage boundary forward; the queue span that follows is the event's
+// residency in the batch.
 func traceValidated(ev *bp.Event) {
 	if ev.TraceID == 0 {
 		return
@@ -340,8 +340,9 @@ func (b *batch) flush() error {
 // them durable.
 func (b *batch) applyAndCommit() error {
 	// Gather sampled events' trace context before the flush releases
-	// them. The queue span (validation to apply start) closes here; the
-	// apply and commit spans are recorded once the batch is durable.
+	// them. The queue span (validated, or parsed when validation is off, to
+	// apply start) closes here; the apply and commit spans are recorded
+	// once the batch is durable.
 	b.traced = b.traced[:0]
 	var applyStart int64
 	if trace.Enabled() {

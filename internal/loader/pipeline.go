@@ -16,33 +16,35 @@ import (
 	"repro/internal/wfclock"
 )
 
-// shardIndex maps a workflow uuid to an apply shard.
-func shardIndex(uuid string, shards int) int {
-	return archive.StripeFor(uuid) % shards
-}
-
 // The pipeline every load runs through: one parse stage (the caller's
-// goroutine), then per shard a validate worker feeding a batching applier
-// over bounded channels. Events route to shards by hashing xwf.id, so
-// every event of one workflow flows through one shard in arrival order —
-// the archive's per-workflow ordering contract — while different
-// workflows validate and apply concurrently. Bounded channels give backpressure end to end: a
-// slow archive fills the apply queue, which blocks the validator, which
-// fills the validate queue, which blocks the parser.
+// goroutine) feeding, per shard, one bounded queue and one goroutine that
+// validates, batches and applies:
 //
-// The validate worker is paired one-per-shard rather than drawn from a
-// free pool on purpose: a free pool could finish two events of the same
-// workflow out of order, breaking the ordering guarantee the routing
-// exists to provide. With validation disabled the stage is skipped
-// entirely — the parser feeds the apply queue directly rather than
-// paying a no-op channel hop per event.
+//	source -> parse -> route by xwf.id -> queue[s] -> validate, batch, apply -> partition
+//
+// Events route with archive.Route, the router the archive places rows with:
+// a workflow's partition is Route(xwf.id, partitions) and that partition's
+// events all go to shard partition % shards. Every event of one workflow
+// therefore flows through one shard in arrival order — the archive's
+// per-workflow ordering contract — and every partition is entered by one
+// shard only, so its writer and identity caches have one owner from the
+// queue down. Different shards validate and apply concurrently. The bounded
+// queue gives backpressure end to end: a slow archive fills it, which
+// blocks the parser.
+//
+// Validation shares the apply goroutine on purpose. Per-workflow order
+// needs a worker paired with the shard anyway — a free pool could finish
+// two events of one workflow out of order — and a second paired goroutine
+// with its own queue measured no faster end to end than this one (CHANGES.md,
+// PR 16), so a width-N pipeline runs N goroutines beside the parser, with or
+// without Options.Validate.
 
 type pipeline struct {
 	l *Loader
 	// ctx is the pipeline's own abort signal, cancelled when a stage
-	// fails (fail): the parse stage stops feeding, the validators stop,
-	// and each applier commits what it already holds. It is deliberately
-	// not the caller's context — whatever stops the parse stage itself (a
+	// fails (fail): the parse stage stops feeding and each shard validates
+	// and commits what it was handed. It is deliberately not the caller's
+	// context — whatever stops the parse stage itself (a
 	// caller cancelling Consume, a failing Tap, a malformed line in
 	// strict mode) stops only the reading, and the stages then drain by
 	// channel close as at end of input, so no event already read is
@@ -50,6 +52,7 @@ type pipeline struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	shards []*pshard
+	parts  int // the archive's partition count, for routing
 	wg     sync.WaitGroup
 
 	emu sync.Mutex
@@ -60,14 +63,12 @@ type pipeline struct {
 	malformed uint64
 }
 
-// pshard is one shard's channels, batch buffer and counters. Counter
-// fields are single-writer: invalid belongs to the validate goroutine,
-// the rest to the apply goroutine; finish() reads them after wg.Wait.
+// pshard is one shard's queue, batch buffer and counters. The counters
+// belong to the shard's goroutine; finish() reads them after wg.Wait.
 type pshard struct {
-	idx        int
-	validateCh chan *bp.Event // nil when validation is off
-	applyCh    chan *bp.Event
-	b          *batch
+	idx int
+	ch  chan *bp.Event
+	b   *batch
 
 	invalid   uint64
 	maxQueue  int
@@ -82,23 +83,18 @@ type pshard struct {
 
 func (l *Loader) newPipeline() *pipeline {
 	ctx, cancel := context.WithCancel(context.Background())
-	p := &pipeline{l: l, ctx: ctx, cancel: cancel}
+	p := &pipeline{l: l, ctx: ctx, cancel: cancel, parts: l.arch.Store().NumPartitions()}
 	for i := 0; i < l.opts.Shards; i++ {
 		sh := &pshard{
 			idx:         i,
-			applyCh:     make(chan *bp.Event, l.opts.QueueDepth),
+			ch:          make(chan *bp.Event, l.queueDepth),
 			b:           l.newBatch(i),
 			mQueueDepth: mShardQueueDepth.With(shardLabel(i)),
 			mQueueHW:    mShardQueueHighWater.With(shardLabel(i)),
 		}
 		p.shards = append(p.shards, sh)
-		if l.val != nil {
-			sh.validateCh = make(chan *bp.Event, l.opts.QueueDepth)
-			p.wg.Add(1)
-			go func() { defer p.wg.Done(); sh.runValidate(p) }()
-		}
 		p.wg.Add(1)
-		go func() { defer p.wg.Done(); sh.runApply(p) }()
+		go func() { defer p.wg.Done(); sh.run(p) }()
 	}
 	return p
 }
@@ -128,23 +124,13 @@ func (p *pipeline) firstErr() error {
 	return p.err
 }
 
-// shardFor routes a parsed event to its shard. It reuses the archive's
-// workflow-uuid hash so shard affinity and archive stripe affinity line
-// up.
-func (p *pipeline) shardFor(ev *bp.Event) *pshard {
-	return p.shards[shardIndex(ev.Get(schema.AttrXwfID), len(p.shards))]
-}
-
-// dispatch hands an event to its shard, blocking for backpressure. It
-// returns false when the pipeline was aborted.
+// dispatch hands an event to the shard that owns its workflow's partition,
+// blocking for backpressure. It returns false when the pipeline was
+// aborted.
 func (p *pipeline) dispatch(ev *bp.Event) bool {
-	sh := p.shardFor(ev)
-	ch := sh.validateCh
-	if ch == nil {
-		ch = sh.applyCh
-	}
+	sh := p.shards[archive.Route(ev.Get(schema.AttrXwfID), p.parts)%len(p.shards)]
 	select {
-	case ch <- ev:
+	case sh.ch <- ev:
 		return true
 	case <-p.ctx.Done():
 		return false
@@ -155,9 +141,8 @@ func (p *pipeline) dispatch(ev *bp.Event) bool {
 func (p *pipeline) produceReader(r io.Reader) {
 	br := bp.NewReader(r)
 	br.SetLenient(p.l.opts.Lenient)
-	// Pooled events flow down the pipeline with ownership: parser →
-	// validator → apply shard, which releases them after its batch
-	// commits.
+	// Pooled events flow down the pipeline with ownership: parser → shard,
+	// which releases them when it rejects them or after its batch commits.
 	br.SetPooled(true)
 	if p.l.opts.Tap != nil {
 		br.SetTap(p.l.opts.Tap)
@@ -237,41 +222,28 @@ func (p *pipeline) produceMsgs(ctx context.Context, msgs <-chan mq.Message) {
 	}
 }
 
-// runValidate is the shard's validate stage; it exists only when validation
-// is on.
-func (sh *pshard) runValidate(p *pipeline) {
-	defer close(sh.applyCh)
-	for {
-		select {
-		case <-p.ctx.Done():
-			return
-		case ev, ok := <-sh.validateCh:
-			if !ok {
-				return
-			}
-			if err := p.l.val.Validate(ev); err != nil {
-				sh.invalid++
-				mInvalid.Inc()
-				// Rejected events never reach the apply shard, so the
-				// validator is their last owner.
-				bp.ReleaseEvent(ev)
-				if p.l.opts.Lenient {
-					continue
-				}
+// admit validates an event just taken off the queue and, if it passes, adds
+// it to the batch. A rejected event is counted and released here, its last
+// owner; in strict mode it also fails the pipeline.
+func (sh *pshard) admit(p *pipeline, ev *bp.Event) {
+	if p.l.val != nil {
+		if err := p.l.val.Validate(ev); err != nil {
+			sh.invalid++
+			mInvalid.Inc()
+			bp.ReleaseEvent(ev)
+			if !p.l.opts.Lenient {
 				p.fail(err)
-				return
 			}
-			traceValidated(ev)
-			select {
-			case sh.applyCh <- ev:
-			case <-p.ctx.Done():
-				return
-			}
+			return
 		}
+		traceValidated(ev)
 	}
+	sh.b.buf = append(sh.b.buf, ev)
 }
 
-func (sh *pshard) runApply(p *pipeline) {
+// run is the shard's goroutine: it takes events off the queue, validates
+// them, and commits them in batches by size and by the flush ticker.
+func (sh *pshard) run(p *pipeline) {
 	ticker := wfclock.NewTicker(p.l.opts.Clock, p.l.opts.FlushEvery)
 	defer ticker.Stop()
 	flush := func() error {
@@ -291,11 +263,14 @@ func (sh *pshard) runApply(p *pipeline) {
 	for {
 		select {
 		case <-p.ctx.Done():
-			// Aborted: commit what was already handed to this shard —
-			// it was read, tapped and validated, and the failure is
-			// somewhere else.
-			for len(sh.applyCh) > 0 {
-				sh.b.buf = append(sh.b.buf, <-sh.applyCh)
+			// Aborted: the failure is somewhere else (or was one event of
+			// this shard's, already rejected), and what is handed to this
+			// shard was read and tapped. Validate and commit all of it:
+			// the parse stage stops feeding on the same signal, and finish
+			// closes the queue once it has, so nothing read goes
+			// unaccounted.
+			for ev := range sh.ch {
+				sh.admit(p, ev)
 			}
 			p.fail(flush())
 			return
@@ -304,19 +279,19 @@ func (sh *pshard) runApply(p *pipeline) {
 				p.fail(err)
 				return
 			}
-		case ev, ok := <-sh.applyCh:
+		case ev, ok := <-sh.ch:
 			if !ok {
 				if err := flush(); err != nil {
 					p.fail(err)
 				}
 				return
 			}
-			sh.mQueueDepth.Set(int64(len(sh.applyCh)))
-			if depth := len(sh.applyCh) + 1; depth > sh.maxQueue {
+			sh.mQueueDepth.Set(int64(len(sh.ch)))
+			if depth := len(sh.ch) + 1; depth > sh.maxQueue {
 				sh.maxQueue = depth
 				sh.mQueueHW.SetMax(int64(depth))
 			}
-			sh.b.buf = append(sh.b.buf, ev)
+			sh.admit(p, ev)
 			if len(sh.b.buf) >= p.l.opts.BatchSize {
 				if err := flush(); err != nil {
 					p.fail(err)
@@ -332,11 +307,7 @@ func (sh *pshard) runApply(p *pipeline) {
 // finish is called.
 func (p *pipeline) finish(start time.Time) (Stats, error) {
 	for _, sh := range p.shards {
-		if sh.validateCh != nil {
-			close(sh.validateCh) // runValidate drains, then closes applyCh
-		} else {
-			close(sh.applyCh)
-		}
+		close(sh.ch)
 	}
 	p.wg.Wait()
 	p.cancel()

@@ -152,7 +152,7 @@ func TestParallelLoadMatchesSequential(t *testing.T) {
 	assertJobstateOrdering(t, ref)
 
 	for _, shards := range []int{1, 2, 4, 8} {
-		a := archive.NewInMemory()
+		a := archive.NewInMemoryN(shards)
 		l, err := New(a, Options{Validate: true, Shards: shards, BatchSize: 16})
 		if err != nil {
 			t.Fatal(err)
@@ -211,7 +211,7 @@ func TestParallelSubworkflowLinkage(t *testing.T) {
 
 	var want map[string]int
 	for _, shards := range []int{1, 4, 8} {
-		a := archive.NewInMemory()
+		a := archive.NewInMemoryN(shards)
 		l, err := New(a, Options{Validate: true, Shards: shards, BatchSize: 8})
 		if err != nil {
 			t.Fatal(err)
@@ -269,11 +269,12 @@ func TestConsumeShardedStress(t *testing.T) {
 	if err := broker.Bind("stampede", "stampede.#"); err != nil {
 		t.Fatal(err)
 	}
-	a := archive.NewInMemory()
-	l, err := New(a, Options{Validate: true, Shards: 4, BatchSize: 8, FlushEvery: 5 * time.Millisecond, QueueDepth: 32})
+	a := archive.NewInMemoryN(4)
+	l, err := New(a, Options{Validate: true, Shards: 4, BatchSize: 8, FlushEvery: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.queueDepth = 32
 
 	loadDone := make(chan struct{})
 	var stats Stats
@@ -350,7 +351,7 @@ func TestManualClockFlushNoSleep(t *testing.T) {
 			broker := mq.NewBroker()
 			q, _ := broker.DeclareQueue("q", mq.QueueOpts{Durable: true})
 			_ = broker.Bind("q", "stampede.#")
-			a := archive.NewInMemory()
+			a := archive.NewInMemoryN(shards)
 			// Huge batch size and huge interval: only a virtual-clock tick
 			// can make the event visible.
 			l, err := New(a, Options{
@@ -395,11 +396,11 @@ func TestManualClockFlushNoSleep(t *testing.T) {
 // TestParallelConsumeCancelFlushes: whatever ends Consume's reading
 // mid-stream — the caller cancelling, or the Tap failing — stops the
 // reading and nothing else. Whatever was read off the channel — parked in
-// a validate queue, in a validator's hand, in an apply queue or a batch
+// a shard's queue, in the shard's hand being validated, or in a batch
 // buffer — is still applied or counted in a reject bucket, and flushed:
 // the store ends up exactly the fold of the first Read lines. Validation
 // is on and the queues are short, so at the moment of the stop every
-// stage of every shard is holding events.
+// shard is holding events at every one of those places.
 func TestParallelConsumeCancelFlushes(t *testing.T) {
 	const workflows = 40
 	var streams []string
@@ -423,12 +424,23 @@ func TestParallelConsumeCancelFlushes(t *testing.T) {
 				for _, ln := range lines {
 					msgs <- mq.Message{Body: ln}
 				}
-				a := archive.NewInMemory()
+				a := archive.NewInMemoryN(shards)
 				// Both stops come once the pipeline is in full flow.
 				inFlow := func() bool { return a.Applied() >= 64 }
 				opts := Options{Shards: shards, Validate: true, Lenient: true,
-					BatchSize: 8, QueueDepth: 2, FlushEvery: time.Hour}
+					BatchSize: 8, FlushEvery: time.Hour}
+				// Either stop is raised from the Tap, that is on the reading
+				// goroutine between two messages: the short queues hold the
+				// reader within a batch or so of what has been applied, so the
+				// stop lands mid-stream however the goroutines are scheduled.
+				ctx, cancel := context.WithCancel(context.Background())
 				wantErr := context.Canceled
+				opts.Tap = func([]byte) error {
+					if inFlow() {
+						cancel()
+					}
+					return nil
+				}
 				if tapFails {
 					wantErr = tapErr
 					opts.Tap = func([]byte) error {
@@ -442,15 +454,7 @@ func TestParallelConsumeCancelFlushes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ctx, cancel := context.WithCancel(context.Background())
-				if !tapFails {
-					go func() {
-						for !inFlow() {
-							runtime.Gosched()
-						}
-						cancel()
-					}()
-				}
+				l.queueDepth = 2
 				st, err := l.Consume(ctx, msgs)
 				cancel()
 				if !errors.Is(err, wantErr) {
@@ -480,7 +484,7 @@ func TestParallelConsumeCancelFlushes(t *testing.T) {
 // TestParallelStrictFailure checks strict-mode error propagation through
 // the pipeline: a schema-invalid event fails the load.
 func TestParallelStrictFailure(t *testing.T) {
-	a := archive.NewInMemory()
+	a := archive.NewInMemoryN(4)
 	l, _ := New(a, Options{Validate: true, Shards: 4})
 	wf := uuid.New().String()
 	input := workflowStream(wf, 2) +

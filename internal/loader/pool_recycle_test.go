@@ -49,8 +49,8 @@ func TestPoolRecycleInvisibleToReaders(t *testing.T) {
 	}
 
 	_, _, returns0 := bp.PoolStats()
-	a := archive.NewInMemory()
-	l, err := New(a, Options{BatchSize: 32, Validate: true, Shards: 2, QueueDepth: 256})
+	a := archive.NewInMemoryN(2)
+	l, err := New(a, Options{BatchSize: 32, Validate: true, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

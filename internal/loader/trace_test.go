@@ -3,6 +3,7 @@ package loader
 import (
 	"bytes"
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +12,16 @@ import (
 	"repro/internal/synth"
 	"repro/internal/trace"
 )
+
+// traceRuns numbers the invocations of these tests in one process. They
+// look their spans up by trace id in the process-wide ring, and a trace id
+// is a hash of the line: a stream that repeated an earlier run's (under
+// -count) would find that run's spans beside its own.
+var traceRuns atomic.Int64
+
+// freshSeed is a synth seed no other invocation uses: a different seed is
+// different workflow uuids, so different lines and ids.
+func freshSeed(base int64) int64 { return base + 1000*traceRuns.Add(1) }
 
 // spansFor collects the default ring's spans for one trace id, keyed by
 // stage.
@@ -78,7 +89,7 @@ func TestFileLoadTracesEndToEnd(t *testing.T) {
 	defer trace.SetSampleEvery(trace.DefaultSampleEvery)
 	trace.SetSampleEvery(1)
 
-	stream, lines := synthLines(t, synth.Config{Seed: 11, Jobs: 4})
+	stream, lines := synthLines(t, synth.Config{Seed: freshSeed(11), Jobs: 4})
 	arch := archive.NewInMemory()
 	defer arch.Close()
 	l, err := New(arch, Options{Validate: true})
@@ -118,8 +129,8 @@ func TestShardedLoadTracesEndToEnd(t *testing.T) {
 	defer trace.SetSampleEvery(trace.DefaultSampleEvery)
 	trace.SetSampleEvery(1)
 
-	stream, lines := synthLines(t, synth.Config{Seed: 13, Jobs: 6, SubWorkflows: 2})
-	arch := archive.NewInMemory()
+	stream, lines := synthLines(t, synth.Config{Seed: freshSeed(13), Jobs: 6, SubWorkflows: 2})
+	arch := archive.NewInMemoryN(4)
 	defer arch.Close()
 	l, err := New(arch, Options{Validate: true, Shards: 4, BatchSize: 32})
 	if err != nil {
@@ -142,7 +153,7 @@ func TestBusConsumeTracesRouteSpan(t *testing.T) {
 	defer trace.SetSampleEvery(trace.DefaultSampleEvery)
 	trace.SetSampleEvery(1)
 
-	_, lines := synthLines(t, synth.Config{Seed: 17, Jobs: 3})
+	_, lines := synthLines(t, synth.Config{Seed: freshSeed(17), Jobs: 3})
 	broker := mq.NewBroker()
 	q, err := broker.Subscribe("#")
 	if err != nil {

@@ -1,6 +1,7 @@
 package mq
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,14 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
+
+// uniqueLine appends an attribute no other call (or earlier run under
+// -count) produces. A trace id is a hash of the line and these tests look
+// their spans up in the process-wide ring, so a repeated body would find the
+// previous run's spans beside its own.
+func uniqueLine(line string) []byte {
+	return []byte(fmt.Sprintf("%s test.run=%d", line, time.Now().UnixNano()))
+}
 
 // findSpans returns the default ring's spans with the given id and stage.
 func findSpans(id uint64, st trace.Stage) []trace.Span {
@@ -44,7 +53,7 @@ func TestWildcardRoutingDwellSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body := []byte("ts=2012-03-20T17:44:31.331549Z event=stampede.job.mainjob.start xwf.id=wf-route-test job.id=j1")
+	body := uniqueLine("ts=2012-03-20T17:44:31.331549Z event=stampede.job.mainjob.start xwf.id=wf-route-test job.id=j1")
 	id := trace.Sample(body)
 	if id == 0 {
 		t.Fatal("rate 1 must sample the line")
@@ -100,8 +109,8 @@ func TestDropTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kept := []byte("ts=2012-03-20T17:44:31Z event=stampede.job.mainjob.start xwf.id=wf-drop job.id=keep")
-	lost := []byte("ts=2012-03-20T17:44:32Z event=stampede.job.mainjob.end xwf.id=wf-drop job.id=lose")
+	kept := uniqueLine("ts=2012-03-20T17:44:31Z event=stampede.job.mainjob.start xwf.id=wf-drop job.id=keep")
+	lost := uniqueLine("ts=2012-03-20T17:44:32Z event=stampede.job.mainjob.end xwf.id=wf-drop job.id=lose")
 	b.Publish("stampede.job.mainjob.start", kept)
 	b.Publish("stampede.job.mainjob.end", lost)
 

@@ -21,8 +21,8 @@ func TestNoTornReadsUnderLoad(t *testing.T) {
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	a := archive.NewInMemory()
-	l, err := loader.New(a, loader.Options{BatchSize: 8, Validate: true, Shards: 4, QueueDepth: 256})
+	a := archive.NewInMemoryN(4)
+	l, err := loader.New(a, loader.Options{BatchSize: 8, Validate: true, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,8 +49,9 @@ const DefaultCheckpointEvery = 1 << 16
 // Options configures OpenDir.
 type Options struct {
 	// Partitions is the partition count for a newly created directory;
-	// 0 means 1, negative is an error. An existing directory's MANIFEST always wins, so a store
-	// reopens with the partition count it was created with.
+	// 0 means 1, and a count below 0 or above maxPartitions is an error.
+	// An existing directory's MANIFEST always wins, so a store reopens with
+	// the partition count it was created with.
 	Partitions int
 	// CheckpointEvery is the number of WAL records a partition absorbs
 	// before an automatic background checkpoint; 0 means
@@ -81,6 +82,12 @@ func ckptPath(dir string, seq uint64) string {
 }
 
 func partDirName(i int) string { return fmt.Sprintf("p%03d", i) }
+
+// maxPartitions bounds the partition count of a new directory. It is the
+// width of the hash space archive.Route folds workflow uuids into before
+// taking them modulo the partition count: partitions beyond it could never
+// receive a workflow, only WAL chains and checkpoint schedules.
+const maxPartitions = 64
 
 // manifestVersion is the only store-directory layout this build reads or
 // writes. Version 1 held the same files with newline-delimited JSON WAL
@@ -134,11 +141,14 @@ func OpenDir(dir string, opts Options) (*Store, error) {
 	if err := rejectFile(dir); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	m, err := readManifest(dir)
 	if errors.Is(err, os.ErrNotExist) {
+		if opts.Partitions < 0 || opts.Partitions > maxPartitions {
+			return nil, fmt.Errorf("relstore: %d partitions for new store directory %s: the count must be between 1 and %d", opts.Partitions, dir, maxPartitions)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
 		m = dirManifest{Version: manifestVersion, Partitions: max(opts.Partitions, 1)}
 		b, _ := json.Marshal(m)
 		err = writeFileSync(filepath.Join(dir, "MANIFEST"), append(b, '\n'))

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// Model-based test: a random sequence of inserts, updates, deletes and
-// lookups runs against both the store and a plain-map reference model;
+// Model-based test: a random sequence of inserts, updates (of a plain
+// column, and of a unique-key column) and lookups runs against both the
+// store and a plain-map reference model;
 // any divergence is a bug. The store is a one-partition directory that
 // checkpoints itself every few hundred records, so the final round trips
 // (a writable reopen and a read-only load) check that checkpoint image +
@@ -56,7 +57,7 @@ func TestStoreAgainstModel(t *testing.T) {
 				wf:   int64(rng.Intn(wfs)),
 				run:  float64(rng.Intn(100)),
 			}
-			id, err := s.Insert("m", Row{"name": r.name, "wf": r.wf, "run": r.run})
+			id, err := ins(s, "m", Row{"name": r.name, "wf": r.wf, "run": r.run})
 			_, dup := byKey[key(r.wf, r.name)]
 			if dup {
 				if err == nil {
@@ -75,23 +76,33 @@ func TestStoreAgainstModel(t *testing.T) {
 				continue
 			}
 			newRun := float64(rng.Intn(1000))
-			if err := s.Update("m", id, Row{"run": newRun}); err != nil {
+			if err := upd(s, "m", id, Row{"run": newRun}); err != nil {
 				t.Fatalf("op %d: update: %v", op, err)
 			}
 			r := model[id]
 			r.run = newRun
 			model[id] = r
-		case 6: // delete
+		case 6: // rename a random live row: its unique key moves, or collides
 			id := randomID(rng, model)
 			if id == 0 {
 				continue
 			}
-			if err := s.Delete("m", id); err != nil {
-				t.Fatalf("op %d: delete: %v", op, err)
-			}
 			r := model[id]
+			name := fmt.Sprintf("job%03d", rng.Intn(200))
+			err := upd(s, "m", id, Row{"name": name})
+			if other, taken := byKey[key(r.wf, name)]; taken && other != id {
+				if err == nil {
+					t.Fatalf("op %d: rename onto a live key accepted", op)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("op %d: rename: %v", op, err)
+			}
 			delete(byKey, key(r.wf, r.name))
-			delete(model, id)
+			r.name = name
+			model[id] = r
+			byKey[key(r.wf, name)] = id
 		case 7: // point lookup by pk
 			id := randomID(rng, model)
 			if id == 0 {

@@ -17,8 +17,8 @@ import (
 // its own group-commit fsync — while readers stay lock-free.
 type partition struct {
 	idx int
-	// writeMu serializes this partition's Insert/InsertBatch/Update/Delete
-	// (and its slice of CreateTable).
+	// writeMu serializes this partition's inserts and updates (and its slice
+	// of CreateTable).
 	writeMu sync.Mutex
 	// epoch is the partition's newest published epoch. A mutation works at
 	// epoch+1 and publishes by storing the new value after all its versions
@@ -31,7 +31,7 @@ type partition struct {
 	// id allocator, disjoint rows).
 	tables atomic.Pointer[tableSet]
 	wal    atomic.Pointer[walWriter] // nil for purely in-memory partitions
-	// oneRow is insertRowLocked's batch of one for the WAL, under writeMu: a
+	// oneRow is insert's batch of one for the WAL, under writeMu: a
 	// slice literal there would escape through the record, one allocation
 	// per insert.
 	oneRow [1]Row
@@ -83,31 +83,19 @@ func (p *partition) table(tableName string) (*table, error) {
 	return t, nil
 }
 
-// insert runs Insert/InsertOwned against this partition. The caller does
-// not hold writeMu.
-func (p *partition) insert(s *Store, tableName string, row Row, owned bool) (int64, error) {
+// insert normalizes row, checks its unique and foreign keys, assigns the
+// primary key, links the version and publishes it at a fresh epoch.
+func (p *partition) insert(s *Store, tableName string, row Row) (int64, error) {
 	p.writeMu.Lock()
 	defer p.writeMu.Unlock()
 	t, err := p.table(tableName)
 	if err != nil {
 		return 0, err
 	}
-	var n Row
-	if owned {
-		n, err = t.normalizeOwned(row)
-	} else {
-		n, err = t.normalize(row)
-	}
+	n, err := t.normalize(row)
 	if err != nil {
 		return 0, err
 	}
-	return p.insertRowLocked(s, tableName, t, n)
-}
-
-// insertRowLocked runs the shared tail of the insert paths: uniqueness and
-// FK checks, id assignment, version linking and epoch publish. The caller
-// holds p.writeMu and has normalized n.
-func (p *partition) insertRowLocked(s *Store, tableName string, t *table, n Row) (int64, error) {
 	e := p.epoch.Load() + 1
 	keys := t.buildUniqueKeys(n)
 	if err := t.checkUniqueKeys(keys, 0); err != nil {
@@ -123,78 +111,12 @@ func (p *partition) insertRowLocked(s *Store, tableName string, t *table, n Row)
 	t.live.Add(1)
 	if w := p.wal.Load(); w != nil {
 		p.oneRow[0] = n
-		if err := w.logInsertBatch(t, p.oneRow[:]); err != nil {
+		if err := w.logInsert(t, p.oneRow[:]); err != nil {
 			return id, err
 		}
 		p.noteRecords(s, 1)
 	}
 	return id, nil
-}
-
-// insertBatch adds many rows under one lock acquisition, one epoch, and one
-// WAL record. It fails atomically: on any error no row from the batch is
-// applied; because the whole batch publishes as a single epoch, a snapshot
-// either sees all of the batch or none of it.
-func (p *partition) insertBatch(s *Store, tableName string, rows []Row) ([]int64, error) {
-	p.writeMu.Lock()
-	defer p.writeMu.Unlock()
-	t, err := p.table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	normalized, err := p.validateBatch(s, tableName, t, rows)
-	if err != nil {
-		return nil, err
-	}
-	e := p.epoch.Load() + 1
-	ids := make([]int64, len(normalized))
-	for i, n := range normalized {
-		id := t.alloc.Add(1)
-		n["id"] = id
-		t.putRow(n, e)
-		ids[i] = id
-	}
-	p.epoch.Store(e)
-	t.live.Add(int64(len(normalized)))
-	if w := p.wal.Load(); w != nil {
-		if err := w.logInsertBatch(t, normalized); err != nil {
-			return ids, err
-		}
-		p.noteRecords(s, 1)
-	}
-	return ids, nil
-}
-
-// validateBatch normalizes and validates every row before any mutation, so
-// batch failure is atomic. Unique checks also consider earlier rows in the
-// same batch. The caller holds p.writeMu.
-func (p *partition) validateBatch(s *Store, tableName string, t *table, rows []Row) ([]Row, error) {
-	normalized := make([]Row, len(rows))
-	batchKeys := make([]map[string]bool, len(t.schema.Unique))
-	for i := range batchKeys {
-		batchKeys[i] = make(map[string]bool)
-	}
-	for i, r := range rows {
-		n, err := t.normalize(r)
-		if err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		if err := t.checkUnique(n, 0); err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		for u, cols := range t.schema.Unique {
-			key := compositeKey(n, cols)
-			if batchKeys[u][key] {
-				return nil, fmt.Errorf("row %d: %w", i, &UniqueError{Table: tableName, Columns: cols})
-			}
-			batchKeys[u][key] = true
-		}
-		if err := s.checkForeignKeys(p, t, n); err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		normalized[i] = n
-	}
-	return normalized, nil
 }
 
 // update rewrites the named columns of the row with primary key id, which
@@ -249,40 +171,10 @@ func (p *partition) update(s *Store, tableName string, id int64, changes Row) er
 	}
 	e := p.epoch.Load() + 1
 	t.supersede(chain, old, merged, e)
-	p.gcAfterWrite(t, chain, id, old.row, merged, e-1)
+	p.gcAfterWrite(t, chain, old.row, merged, e-1)
 	p.epoch.Store(e)
 	if w := p.wal.Load(); w != nil {
 		if err := w.logUpdate(t, merged); err != nil {
-			return err
-		}
-		p.noteRecords(s, 1)
-	}
-	return nil
-}
-
-// delete removes a row; deleting an absent row is a no-op.
-func (p *partition) delete(s *Store, tableName string, id int64) error {
-	p.writeMu.Lock()
-	defer p.writeMu.Unlock()
-	t, err := p.table(tableName)
-	if err != nil {
-		return err
-	}
-	chain, ok := t.rows.Load(id)
-	if !ok {
-		return nil
-	}
-	old := chain.liveVersion()
-	if old == nil {
-		return nil
-	}
-	e := p.epoch.Load() + 1
-	t.kill(old, e)
-	p.gcAfterWrite(t, chain, id, old.row, nil, e-1)
-	p.epoch.Store(e)
-	t.live.Add(-1)
-	if w := p.wal.Load(); w != nil {
-		if err := w.logDelete(t, id); err != nil {
 			return err
 		}
 		p.noteRecords(s, 1)
@@ -308,27 +200,14 @@ func (p *partition) gcHorizon(published uint64) uint64 {
 	return published
 }
 
-// gcAfterWrite prunes the version chains a mutation just touched — the
-// row's own chain plus the posting chains for the old and new key values —
-// so hot rows do not accumulate history when no snapshot needs it.
-func (p *partition) gcAfterWrite(t *table, c *rowChain, id int64, oldRow, newRow Row, published uint64) {
+// gcAfterWrite prunes the version chains an update just touched — the row's
+// own chain plus the posting chains for the old and new key values — so hot
+// rows do not accumulate history when no snapshot needs it.
+func (p *partition) gcAfterWrite(t *table, c *rowChain, oldRow, newRow Row, published uint64) {
 	minE := p.gcHorizon(published)
 	n := pruneChain(c, minE)
-	if hv := c.head.Load(); hv != nil {
-		if end := hv.end.Load(); end != 0 && end <= minE {
-			// The whole chain is invisible at and after the horizon:
-			// drop the row entry itself. Primary keys are never reused,
-			// so a later insert cannot collide with a paused reader.
-			t.rows.Delete(id)
-			n++
-		}
-	}
-	if oldRow != nil {
-		n += t.pruneRowKeys(oldRow, minE)
-	}
-	if newRow != nil {
-		n += t.pruneRowKeys(newRow, minE)
-	}
+	n += t.pruneRowKeys(oldRow, minE)
+	n += t.pruneRowKeys(newRow, minE)
 	if n > 0 {
 		p.mReclaims.Add(uint64(n))
 	}

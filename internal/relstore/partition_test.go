@@ -8,9 +8,8 @@ import (
 
 // applyRoutedOps drives one deterministic op sequence into a store with
 // any partition count, routing each logical row to partition key%N — the
-// same modular routing the archive uses for workflow stripes. Returned
-// ids feed the update/delete phases so every store sees the identical
-// logical history.
+// same modular routing the archive uses for workflows. The ids feed the
+// update phase, so every store sees the identical logical history.
 func applyRoutedOps(t *testing.T, s *Store, rows int) {
 	t.Helper()
 	for _, ts := range concurrencySchemas() {
@@ -20,10 +19,9 @@ func applyRoutedOps(t *testing.T, s *Store, rows int) {
 	}
 	n := s.NumPartitions()
 	parentIDs := make([]int64, rows)
-	childIDs := make([]int64, rows)
 	for i := 0; i < rows; i++ {
 		w := s.Writer(i % n)
-		id, err := w.Insert("parent", Row{"name": fmt.Sprintf("p%d", i)})
+		id, err := w.InsertOwned("parent", Row{"name": fmt.Sprintf("p%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,26 +29,13 @@ func applyRoutedOps(t *testing.T, s *Store, rows int) {
 	}
 	for i := 0; i < rows; i++ {
 		w := s.Writer(i % n)
-		id, err := w.Insert("child", Row{"parent_id": parentIDs[i], "n": int64(i * i)})
-		if err != nil {
+		if _, err := w.InsertOwned("child", Row{"parent_id": parentIDs[i], "n": int64(i * i)}); err != nil {
 			t.Fatal(err)
 		}
-		childIDs[i] = id
 	}
 	for i := 0; i < rows; i += 3 {
 		w := s.Writer(i % n)
 		if err := w.Update("parent", parentIDs[i], Row{"name": fmt.Sprintf("p%d-renamed", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Drop a scattering of child+parent pairs; both route to i%n, so the
-	// whole history of any one row plays out in a single partition.
-	for i := 5; i < rows; i += 7 {
-		w := s.Writer(i % n)
-		if err := w.Delete("child", childIDs[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Delete("parent", parentIDs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +78,7 @@ func TestWriterPartitionPinning(t *testing.T) {
 	if w.Partition() != 2 {
 		t.Fatalf("Writer(2).Partition() = %d", w.Partition())
 	}
-	if _, err := w.Insert("parent", Row{"name": "pinned"}); err != nil {
+	if _, err := w.InsertOwned("parent", Row{"name": "pinned"}); err != nil {
 		t.Fatal(err)
 	}
 	after := s.Epochs()
@@ -125,7 +110,7 @@ func TestReadersNeverLoseRowsToGCPerPartition(t *testing.T) {
 	}
 	ids := make([]int64, parts)
 	for p := 0; p < parts; p++ {
-		id, err := s.Writer(p).Insert("parent", Row{"name": fmt.Sprintf("pinned%d", p)})
+		id, err := insAt(s, p, "parent", Row{"name": fmt.Sprintf("pinned%d", p)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +162,4 @@ func TestReadersNeverLoseRowsToGCPerPartition(t *testing.T) {
 	rwg.Wait()
 	close(stop)
 	wwg.Wait()
-	if n := s.GC(); n < 0 {
-		t.Fatalf("GC reclaimed %d", n)
-	}
 }

@@ -45,6 +45,14 @@ func (s *Store) SelectOne(q Query) (Row, error) {
 	return v.selOne(q)
 }
 
+// Get returns a copy of the row with the given primary key, or nil when
+// absent.
+func (s *Store) Get(tableName string, id int64) (Row, error) {
+	v, release := s.pinnedView(true)
+	defer release()
+	return v.get(tableName, id)
+}
+
 // sel evaluates a query against the view's epoch vector: each partition
 // yields its candidates in primary-key order, the per-partition results
 // merge into global primary-key order (ids are unique store-wide), and

@@ -9,23 +9,21 @@ import (
 
 func seedJobs(t *testing.T, s *Store, wf int64, n int) {
 	t.Helper()
-	rows := make([]Row, n)
 	for i := 0; i < n; i++ {
-		rows[i] = Row{
+		if _, err := ins(s, "job", Row{
 			"wf_id":       wf,
 			"exec_job_id": fmt.Sprintf("job-%03d", i),
 			"runtime":     float64(i % 10),
+		}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := s.InsertBatch("job", rows); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestSelectByIndexedColumn(t *testing.T) {
 	s := newTestStore(t)
-	wf1, _ := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
-	wf2, _ := s.Insert("workflow", Row{"wf_uuid": "u2", "ts": now})
+	wf1, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf2, _ := ins(s, "workflow", Row{"wf_uuid": "u2", "ts": now})
 	seedJobs(t, s, wf1, 20)
 	seedJobs(t, s, wf2, 5)
 	rows, err := s.Select(Query{Table: "job", Conds: []Cond{Eq("wf_id", wf1)}})
@@ -44,7 +42,7 @@ func TestSelectByIndexedColumn(t *testing.T) {
 
 func TestSelectByUniqueColumn(t *testing.T) {
 	s := newTestStore(t)
-	_, _ = s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
+	_, _ = ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
 	row, err := s.SelectOne(Query{Table: "workflow", Conds: []Cond{Eq("wf_uuid", "u1")}})
 	if err != nil || row == nil {
 		t.Fatalf("SelectOne = %v, %v", row, err)
@@ -57,7 +55,7 @@ func TestSelectByUniqueColumn(t *testing.T) {
 
 func TestSelectOneAmbiguous(t *testing.T) {
 	s := newTestStore(t)
-	wf, _ := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
 	seedJobs(t, s, wf, 3)
 	if _, err := s.SelectOne(Query{Table: "job", Conds: []Cond{Eq("wf_id", wf)}}); err == nil {
 		t.Fatal("ambiguous SelectOne succeeded")
@@ -66,7 +64,7 @@ func TestSelectOneAmbiguous(t *testing.T) {
 
 func TestSelectScanWithWhere(t *testing.T) {
 	s := newTestStore(t)
-	wf, _ := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
 	seedJobs(t, s, wf, 30)
 	rows, err := s.Select(Query{
 		Table: "job",
@@ -82,7 +80,7 @@ func TestSelectScanWithWhere(t *testing.T) {
 
 func TestSelectOrderByAndLimit(t *testing.T) {
 	s := newTestStore(t)
-	wf, _ := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
 	seedJobs(t, s, wf, 25)
 	rows, err := s.Select(Query{Table: "job", OrderBy: "runtime", Desc: true, Limit: 5})
 	if err != nil {
@@ -105,7 +103,7 @@ func TestSelectTimeOrdering(t *testing.T) {
 	s := newTestStore(t)
 	base := now
 	for i := 4; i >= 0; i-- {
-		_, err := s.Insert("workflow", Row{"wf_uuid": fmt.Sprintf("u%d", i), "ts": base.Add(time.Duration(i) * time.Minute)})
+		_, err := ins(s, "workflow", Row{"wf_uuid": fmt.Sprintf("u%d", i), "ts": base.Add(time.Duration(i) * time.Minute)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,14 +135,14 @@ func TestSelectIndexedEqualsScanProperty(t *testing.T) {
 	s := newTestStore(t)
 	wfIDs := make([]int64, 5)
 	for i := range wfIDs {
-		wfIDs[i], _ = s.Insert("workflow", Row{"wf_uuid": fmt.Sprintf("u%d", i), "ts": now})
+		wfIDs[i], _ = ins(s, "workflow", Row{"wf_uuid": fmt.Sprintf("u%d", i), "ts": now})
 	}
 	n := 0
 	f := func(picks []uint8) bool {
 		for _, p := range picks {
 			wf := wfIDs[int(p)%len(wfIDs)]
 			n++
-			if _, err := s.Insert("job", Row{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%05d", n)}); err != nil {
+			if _, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%05d", n)}); err != nil {
 				return false
 			}
 		}

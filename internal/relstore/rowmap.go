@@ -10,9 +10,9 @@ import "sync/atomic"
 // forces — on the loader's insert path that boxing plus the map's
 // per-entry nodes were several heap allocations per row.
 //
-// Concurrency follows the store's single-writer discipline: Store and
-// Delete run under Store.writeMu only; Load and Range are lock-free and
-// safe concurrently with the writer. The directory grows copy-on-write
+// Concurrency follows the store's single-writer discipline: Store runs
+// under the partition's writeMu only (entries are never removed); Load and
+// Range are lock-free and safe concurrently with the writer. The directory grows copy-on-write
 // (pages never move), so a reader that loaded an old directory still
 // sees every page it contains.
 type rowMap struct {
@@ -77,25 +77,6 @@ func (m *rowMap) Store(id int64, c *rowChain) {
 		(*dp)[pi].Store(p)
 	}
 	p[id&(rowPageSize-1)].Store(c)
-}
-
-// Delete clears the slot for id (the page stays; ids are never reused).
-// Writer-only.
-func (m *rowMap) Delete(id int64) {
-	if id < 0 {
-		return
-	}
-	dp := m.dir.Load()
-	if dp == nil {
-		return
-	}
-	pi := int(id >> rowPageShift)
-	if pi >= len(*dp) {
-		return
-	}
-	if p := (*dp)[pi].Load(); p != nil {
-		p[id&(rowPageSize-1)].Store(nil)
-	}
 }
 
 // Range calls f for every stored chain in ascending id order until f

@@ -70,7 +70,7 @@ var (
 // Snapshot is an immutable point-in-time view across every table of every
 // partition. It pins a vector of partition epochs (see Store.pinAll);
 // every commit publishes in one partition with one atomic store, so a
-// cross-table, cross-partition traversal can never observe a torn batch.
+// cross-table, cross-partition traversal can never observe a torn commit.
 // Reads through
 // a snapshot take no locks and return the stored (immutable) row versions
 // without copying; the caller must not mutate them. A snapshot pins

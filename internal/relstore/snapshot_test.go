@@ -8,18 +8,19 @@ import (
 )
 
 // TestSnapshotPointInTime: a snapshot keeps seeing the state at its epoch
-// while the live store moves on through inserts, updates and deletes.
+// while the live store moves on through inserts and updates, including an
+// update that moves a row to another unique key.
 func TestSnapshotPointInTime(t *testing.T) {
 	s := newTestStore(t)
-	wf, err := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err := s.Insert("job", Row{"wf_id": wf, "exec_job_id": "a", "runtime": 1.0})
+	j1, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "a", "runtime": 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := s.Insert("job", Row{"wf_id": wf, "exec_job_id": "b", "runtime": 2.0})
+	j2, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "b", "runtime": 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +28,14 @@ func TestSnapshotPointInTime(t *testing.T) {
 	sn := s.Snapshot()
 	defer sn.Close()
 
-	// Mutate after the snapshot: update j1, delete j2, insert j3.
-	if err := s.Update("job", j1, Row{"runtime": 99.0}); err != nil {
+	// Mutate after the snapshot: update j1, rename j2, insert j3.
+	if err := upd(s, "job", j1, Row{"runtime": 99.0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("job", j2); err != nil {
+	if err := upd(s, "job", j2, Row{"exec_job_id": "z"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Insert("job", Row{"wf_id": wf, "exec_job_id": "c"}); err != nil {
+	if _, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "c"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -46,8 +47,9 @@ func TestSnapshotPointInTime(t *testing.T) {
 	if rt := row["runtime"].(float64); rt != 1.0 {
 		t.Fatalf("snapshot sees runtime %v, want pre-update 1.0", rt)
 	}
-	if row, err := sn.Get("job", j2); err != nil || row == nil {
-		t.Fatalf("snapshot lost deleted row: %v, %v", row, err)
+	byOldKey := Query{Table: "job", Conds: []Cond{Eq("wf_id", wf), Eq("exec_job_id", "b")}}
+	if row, err := sn.SelectOne(byOldKey); err != nil || row == nil || row.ID() != j2 {
+		t.Fatalf("snapshot lost the renamed row under its old key: %v, %v", row, err)
 	}
 	if n, err := sn.Count("job"); err != nil || n != 2 {
 		t.Fatalf("snapshot Count = %d, %v, want 2", n, err)
@@ -68,18 +70,21 @@ func TestSnapshotPointInTime(t *testing.T) {
 	if rt := live["runtime"].(float64); rt != 99.0 {
 		t.Fatalf("live store sees runtime %v, want 99.0", rt)
 	}
-	if row, _ := s.Get("job", j2); row != nil {
-		t.Fatalf("live store still has deleted row %v", row)
+	if row, _ := s.SelectOne(byOldKey); row != nil {
+		t.Fatalf("live store still finds the renamed row under its old key: %v", row)
 	}
-	if n, _ := s.Count("job"); n != 2 { // j1 + j3
-		t.Fatalf("live Count = %d, want 2", n)
+	if n, _ := s.Count("job"); n != 3 {
+		t.Fatalf("live Count = %d, want 3", n)
 	}
 
 	// A fresh snapshot sees the new state too.
 	sn2 := s.Snapshot()
 	defer sn2.Close()
-	if row, _ := sn2.Get("job", j2); row != nil {
-		t.Fatalf("new snapshot resurrected deleted row %v", row)
+	if row, _ := sn2.SelectOne(byOldKey); row != nil {
+		t.Fatalf("new snapshot finds the renamed row under its old key: %v", row)
+	}
+	if row, _ := sn2.Get("job", j2); row == nil || row["exec_job_id"] != "z" {
+		t.Fatalf("new snapshot Get(j2) = %v, want the renamed row", row)
 	}
 }
 
@@ -89,7 +94,7 @@ func TestSnapshotPointInTime(t *testing.T) {
 // between the index path and the scan path).
 func TestSelectOrderDeterministic(t *testing.T) {
 	s := newTestStore(t)
-	wf, err := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +103,7 @@ func TestSelectOrderDeterministic(t *testing.T) {
 	names := []string{"z", "m", "a", "q", "b"}
 	ids := make([]int64, len(names))
 	for i, name := range names {
-		id, err := s.Insert("job", Row{"wf_id": wf, "exec_job_id": name})
+		id, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": name})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,10 +111,10 @@ func TestSelectOrderDeterministic(t *testing.T) {
 	}
 	// Churn: update two rows so their index postings are re-created (a
 	// naive newest-first posting walk would move them to the front).
-	if err := s.Update("job", ids[0], Row{"runtime": 1.5}); err != nil {
+	if err := upd(s, "job", ids[0], Row{"runtime": 1.5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Update("job", ids[2], Row{"runtime": 2.5}); err != nil {
+	if err := upd(s, "job", ids[2], Row{"runtime": 2.5}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -156,34 +161,40 @@ func TestSelectOrderDeterministic(t *testing.T) {
 
 // TestSnapshotCrossTableConsistency: a snapshot is a point in time across
 // all tables, so reading the child table before the parent table (the
-// torn-read direction) still resolves every foreign key.
+// torn-read direction) still resolves every foreign key. The writer is
+// paced by the reader — one workflow and its three jobs per snapshot round,
+// started the moment before the snapshot is taken so the two race — which
+// keeps the tables (and the full scans of them) bounded by the round count
+// whatever the machine or the race detector do to the writer's speed.
 func TestSnapshotCrossTableConsistency(t *testing.T) {
 	s := newTestStore(t)
-	stop := make(chan struct{})
+	w := s.Writer(0)
+	round := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			wf, err := s.Insert("workflow", Row{"wf_uuid": fmt.Sprintf("u%d", i), "ts": now})
+		for i := range round {
+			wf, err := w.InsertOwned("workflow", Row{"wf_uuid": fmt.Sprintf("u%d", i), "ts": now})
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			for j := 0; j < 3; j++ {
-				if _, err := s.Insert("job", Row{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%d", j)}); err != nil {
+				if _, err := w.InsertOwned("job", Row{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%d", j)}); err != nil {
 					t.Error(err)
 					return
 				}
 			}
 		}
 	}()
+	defer wg.Wait()
+	defer close(round)
 	for r := 0; r < 200; r++ {
+		select {
+		case round <- r:
+		default: // the writer is still inside the previous round: race that one
+		}
 		sn := s.Snapshot()
 		// Deliberately read children first, parents second: without a
 		// point-in-time view this is the racy order.
@@ -207,24 +218,23 @@ func TestSnapshotCrossTableConsistency(t *testing.T) {
 		}
 		sn.Close()
 	}
-	close(stop)
-	wg.Wait()
 }
 
-// TestUpdateDeleteVsSnapshotStress: concurrent snapshots racing Update and
-// Delete always observe internally consistent rows — the two columns every
-// Update writes in lockstep never diverge, and a row read twice within one
-// snapshot never changes. Run with -race.
+// TestUpdateDeleteVsSnapshotStress: concurrent snapshots racing Update
+// always observe internally consistent rows — the two columns every Update
+// writes in lockstep never diverge, and a row read twice within one
+// snapshot never changes. Run with -race. (The name predates the removal of
+// delete from the store; the update half is what remains.)
 func TestUpdateDeleteVsSnapshotStress(t *testing.T) {
 	s := newTestStore(t)
-	wf, err := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const nRows = 8
 	ids := make([]int64, nRows)
 	for i := range ids {
-		id, err := s.Insert("job", Row{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%d", i), "runtime": 0.0, "done": false})
+		id, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%d", i), "runtime": 0.0, "done": false})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,24 +251,7 @@ func TestUpdateDeleteVsSnapshotStress(t *testing.T) {
 				return
 			default:
 			}
-			id := ids[i%nRows]
-			if i%37 == 0 {
-				if err := s.Delete("job", id); err != nil {
-					t.Error(err)
-					return
-				}
-				nid, err := s.Insert("job", Row{
-					"wf_id": wf, "exec_job_id": fmt.Sprintf("j%d", i%nRows),
-					"runtime": float64(i), "done": i%2 == 0,
-				})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				ids[i%nRows] = nid
-				continue
-			}
-			if err := s.Update("job", id, Row{"runtime": float64(i), "done": i%2 == 0}); err != nil {
+			if err := upd(s, "job", ids[i%nRows], Row{"runtime": float64(i), "done": i%2 == 0}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -301,15 +294,16 @@ func TestUpdateDeleteVsSnapshotStress(t *testing.T) {
 	wg.Wait()
 }
 
-// TestVersionGC: dead versions are reclaimed once no snapshot pins them,
-// and retained — still readable — while one does.
+// TestVersionGC: the writer reclaims a row's dead versions as it rewrites
+// the row once no snapshot pins them, and retains them — still readable —
+// while one does.
 func TestVersionGC(t *testing.T) {
 	s := newTestStore(t)
-	wf, err := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := s.Insert("job", Row{"wf_id": wf, "exec_job_id": "a", "runtime": 0.0})
+	id, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "a", "runtime": 0.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +312,7 @@ func TestVersionGC(t *testing.T) {
 	// writer prunes as it goes.
 	before := mVersionReclaims.With("0").Value()
 	for i := 1; i <= 50; i++ {
-		if err := s.Update("job", id, Row{"runtime": float64(i)}); err != nil {
+		if err := upd(s, "job", id, Row{"runtime": float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -338,7 +332,7 @@ func TestVersionGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 100; i < 110; i++ {
-		if err := s.Update("job", id, Row{"runtime": float64(i)}); err != nil {
+		if err := upd(s, "job", id, Row{"runtime": float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -353,24 +347,13 @@ func TestVersionGC(t *testing.T) {
 		t.Fatalf("chain length %d while a snapshot pins history, want >= 2", n)
 	}
 
-	// Close the snapshot; the next write (or an explicit GC) reclaims.
+	// Close the snapshot; the next write to the row reclaims.
 	sn.Close()
-	if err := s.Update("job", id, Row{"runtime": 999.0}); err != nil {
+	if err := upd(s, "job", id, Row{"runtime": 999.0}); err != nil {
 		t.Fatal(err)
 	}
 	if n := chainLen(chainv); n > 2 {
 		t.Fatalf("chain length %d after snapshot close + write, want <= 2", n)
-	}
-
-	// Deleted rows disappear entirely under GC.
-	if err := s.Delete("job", id); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.GC(); n < 1 {
-		t.Fatalf("GC reclaimed %d, want >= 1", n)
-	}
-	if _, ok := s.parts[0].tables.Load().byName["job"].rows.Load(id); ok {
-		t.Fatal("deleted row's chain survived GC with no snapshot open")
 	}
 }
 
@@ -402,8 +385,8 @@ func TestSnapshotTableNames(t *testing.T) {
 }
 
 // TestSnapshotWALReplay: snapshots work identically on a store replayed
-// from its WAL — replayed history lands at epoch 1 and update/delete
-// records resolve to the final state.
+// from its WAL — replayed history lands at epoch 1 and update records
+// resolve to the final state, including the keys a row moved away from.
 func TestSnapshotWALReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := openDirStore(t, dir, 1)
@@ -413,22 +396,22 @@ func TestSnapshotWALReplay(t *testing.T) {
 	if err := s.CreateTable(jobSchema()); err != nil {
 		t.Fatal(err)
 	}
-	wf, err := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err := s.Insert("job", Row{"wf_id": wf, "exec_job_id": "a", "runtime": 1.0})
+	j1, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "a", "runtime": 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := s.Insert("job", Row{"wf_id": wf, "exec_job_id": "b"})
+	j2, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Update("job", j1, Row{"runtime": 42.0}); err != nil {
+	if err := upd(s, "job", j1, Row{"runtime": 42.0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("job", j2); err != nil {
+	if err := upd(s, "job", j2, Row{"exec_job_id": "z"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -446,11 +429,14 @@ func TestSnapshotWALReplay(t *testing.T) {
 	if rt := row["runtime"].(float64); rt != 42.0 {
 		t.Fatalf("replayed runtime = %v, want 42.0", rt)
 	}
-	if row, _ := sn.Get("job", j2); row != nil {
-		t.Fatalf("replayed snapshot resurrected deleted row %v", row)
+	if row, _ := sn.SelectOne(Query{Table: "job", Conds: []Cond{Eq("wf_id", wf), Eq("exec_job_id", "b")}}); row != nil {
+		t.Fatalf("replayed snapshot finds the renamed row under its old key: %v", row)
+	}
+	if row, _ := sn.SelectOne(Query{Table: "job", Conds: []Cond{Eq("wf_id", wf), Eq("exec_job_id", "z")}}); row == nil || row.ID() != j2 {
+		t.Fatalf("replayed snapshot lost the renamed row: %v", row)
 	}
 	rows, err := sn.Select(Query{Table: "job", Conds: []Cond{Eq("wf_id", wf)}})
-	if err != nil || len(rows) != 1 {
+	if err != nil || len(rows) != 2 {
 		t.Fatalf("replayed indexed Select = %v, %v", rows, err)
 	}
 }

@@ -12,8 +12,14 @@ import (
 // serializes its mutations, every mutation runs at a fresh per-partition
 // epoch published with one atomic store, and readers never take a lock.
 // Writers on distinct partitions commit truly in parallel — each with its
-// own WAL segment chain and group-commit fsync — which is what breaks the
-// old store-wide single-writer wall for the loader's apply shards.
+// own WAL segment chain and group-commit fsync.
+//
+// The write surface is the size of its one client, the archive, which only
+// appends rows and rewrites columns of rows it appended: CreateTable, and
+// per partition Writer.InsertOwned and Writer.Update. There is no delete,
+// no bulk load and no way to switch a check off; Flush, SetSync, Checkpoint
+// and Close manage durability. Writers prune the version chains they touch
+// (see gcAfterWrite), so history never needs a sweep.
 //
 // Cross-partition reads stay point-in-time: Snapshot pins a vector of
 // partition epochs (see pinAll), and since every commit lives in exactly
@@ -22,9 +28,6 @@ import (
 // store-wide and a row's id says nothing about which partition holds it.
 type Store struct {
 	parts []*partition
-
-	// checkFKs can be disabled for bulk replay of already-validated data.
-	checkFKs atomic.Bool
 
 	// createMu serializes CreateTable (which swaps every partition's table
 	// set) and guards allocs.
@@ -47,9 +50,7 @@ type tableSet struct {
 	order  []string
 }
 
-// NewStore returns an empty single-partition in-memory store with
-// foreign-key checking on — the drop-in equivalent of the pre-partitioning
-// store.
+// NewStore returns an empty single-partition in-memory store.
 func NewStore() *Store { return NewStoreN(1) }
 
 // NewStoreN returns an empty in-memory store with n partitions (minimum 1).
@@ -64,15 +65,11 @@ func NewStoreN(n int) *Store {
 	for i := range s.parts {
 		s.parts[i] = newPartition(i)
 	}
-	s.checkFKs.Store(true)
 	return s
 }
 
 // NumPartitions reports how many partitions the store has.
 func (s *Store) NumPartitions() int { return len(s.parts) }
-
-// SetForeignKeyChecks toggles FK enforcement (on by default).
-func (s *Store) SetForeignKeyChecks(on bool) { s.checkFKs.Store(on) }
 
 // Epoch returns the sum of all partitions' published epochs: a monotonic
 // version counter for the whole store. The tracing layer stamps it on
@@ -128,9 +125,12 @@ func (s *Store) PartitionMap() []PartitionStatus {
 	return out
 }
 
-// Writer is a handle bound to one partition. Loader apply shards hold one
-// writer each (shard i → partition i%N), so their commits serialize only
-// against writes to the same partition.
+// Writer is the write handle bound to one partition, and the store's whole
+// mutation surface: the archive only ever appends rows and rewrites columns
+// of rows it appended, so there is an insert, an update and nothing else.
+// A workflow's rows all commit through the writer of the partition its
+// uuid routes to (archive.Route), so commits serialize only against
+// writes to the same partition.
 type Writer struct {
 	s *Store
 	p *partition
@@ -144,37 +144,22 @@ func (s *Store) Writer(i int) Writer {
 // Partition reports which partition this writer commits to.
 func (w Writer) Partition() int { return w.p.idx }
 
-// Insert adds one row to the writer's partition and returns its assigned
-// primary key. The row is copied; the caller keeps ownership of row.
-func (w Writer) Insert(tableName string, row Row) (int64, error) {
-	return w.p.insert(w.s, tableName, row, false)
-}
-
-// InsertOwned is Insert for callers that hand over ownership of row: the
-// map is coerced in place and becomes the stored version, skipping the
-// defensive copy Insert makes. The caller must not read or write row after
-// the call. This is the archive's hot path — every materialised event
-// builds exactly one fresh Row literal and donates it.
+// InsertOwned adds one row to the writer's partition and returns its
+// assigned primary key. The caller hands over ownership of row and must
+// not read or write it after the call: the stored version is a fresh,
+// exactly-sized map (nil-filling a literal that holds only the present
+// columns in place would grow it through the runtime's incremental rehash),
+// but its coerced values may alias row's. This is the archive's hot path —
+// every materialised event builds exactly one fresh Row literal and donates
+// it.
 func (w Writer) InsertOwned(tableName string, row Row) (int64, error) {
-	return w.p.insert(w.s, tableName, row, true)
-}
-
-// InsertBatch adds many rows to the writer's partition under one lock
-// acquisition, one epoch, and one WAL write.
-func (w Writer) InsertBatch(tableName string, rows []Row) ([]int64, error) {
-	return w.p.insertBatch(w.s, tableName, rows)
+	return w.p.insert(w.s, tableName, row)
 }
 
 // Update rewrites the named columns of the row with primary key id, which
-// must live in this writer's partition.
+// must live in this writer's partition (rows never migrate).
 func (w Writer) Update(tableName string, id int64, changes Row) error {
 	return w.p.update(w.s, tableName, id, changes)
-}
-
-// Delete removes a row from this writer's partition; deleting an absent
-// row is a no-op.
-func (w Writer) Delete(tableName string, id int64) error {
-	return w.p.delete(w.s, tableName, id)
 }
 
 // CreateTable registers a table in every partition. Each partition gets
@@ -231,8 +216,8 @@ func (s *Store) TableNames() []string {
 
 // Count returns the number of live rows across all partitions. Each
 // partition's table keeps a live-row counter, so this is O(partitions) and
-// scan-free. A counter moves by one bulk add per mutation, after its epoch
-// publishes, so Count never includes a partially applied batch. Readers
+// scan-free. A counter moves after its insert's epoch publishes, so Count
+// never runs ahead of what a snapshot taken next can see. Readers
 // that need a count exactly consistent with other reads should use
 // Snapshot().Count, which tallies at the pinned epoch vector.
 func (s *Store) Count(tableName string) (int, error) {
@@ -245,26 +230,6 @@ func (s *Store) Count(tableName string) (int, error) {
 		total += int(t.live.Load())
 	}
 	return total, nil
-}
-
-// Insert adds one row to partition 0 and returns its assigned primary key.
-// Partition-aware callers should route through Writer instead.
-func (s *Store) Insert(tableName string, row Row) (int64, error) {
-	return s.parts[0].insert(s, tableName, row, false)
-}
-
-// InsertOwned is Writer.InsertOwned against partition 0.
-func (s *Store) InsertOwned(tableName string, row Row) (int64, error) {
-	return s.parts[0].insert(s, tableName, row, true)
-}
-
-// InsertBatch adds many rows to partition 0 under one lock acquisition,
-// one epoch, and one WAL write — the fast path the stampede loader batches
-// into. It fails atomically: on any error no row from the batch is applied.
-// Because the whole batch publishes as a single epoch, a snapshot either
-// sees all of the batch or none of it.
-func (s *Store) InsertBatch(tableName string, rows []Row) ([]int64, error) {
-	return s.parts[0].insertBatch(s, tableName, rows)
 }
 
 // pinAll pins every partition's published epoch. Every commit touches
@@ -285,9 +250,6 @@ func (s *Store) pinAll() []*epochPin {
 // routing these are append-only parent rows (workflow, host), so the probe
 // is exact in practice.
 func (s *Store) checkForeignKeys(p *partition, t *table, row Row) error {
-	if !s.checkFKs.Load() {
-		return nil
-	}
 	for _, fk := range t.schema.ForeignKeys {
 		v := row[fk.Column]
 		if v == nil {
@@ -375,97 +337,6 @@ func refExists(ref *table, col string, v any, writerView bool) bool {
 		return true
 	})
 	return found
-}
-
-// Get returns the row with the given primary key, or nil when absent. The
-// returned row is a copy; mutating it does not affect the store.
-func (s *Store) Get(tableName string, id int64) (Row, error) {
-	v, release := s.pinnedView(true)
-	defer release()
-	return v.get(tableName, id)
-}
-
-// partitionOf finds the partition holding a live-or-recent chain for id,
-// or nil. Rows never migrate between partitions, so a lock-free probe
-// suffices to locate the owner before taking its writer mutex.
-func (s *Store) partitionOf(tableName string, id int64) *partition {
-	for _, p := range s.parts {
-		if t, ok := p.tables.Load().byName[tableName]; ok {
-			if _, ok := t.rows.Load(id); ok {
-				return p
-			}
-		}
-	}
-	return nil
-}
-
-// Update rewrites the named columns of the row with primary key id,
-// wherever it lives.
-func (s *Store) Update(tableName string, id int64, changes Row) error {
-	if p := s.partitionOf(tableName, id); p != nil {
-		return p.update(s, tableName, id, changes)
-	}
-	if _, ok := s.parts[0].tables.Load().byName[tableName]; !ok {
-		return fmt.Errorf("relstore: no table %s", tableName)
-	}
-	return fmt.Errorf("relstore: %s has no row %d", tableName, id)
-}
-
-// Delete removes a row wherever it lives; deleting an absent row is a
-// no-op.
-func (s *Store) Delete(tableName string, id int64) error {
-	if p := s.partitionOf(tableName, id); p != nil {
-		return p.delete(s, tableName, id)
-	}
-	if _, ok := s.parts[0].tables.Load().byName[tableName]; !ok {
-		return fmt.Errorf("relstore: no table %s", tableName)
-	}
-	return nil
-}
-
-// GC sweeps every partition, pruning all row and posting versions that no
-// live or future snapshot can observe, and returns the number reclaimed.
-// Writers already prune the chains they touch as they go; GC is the full
-// sweep for workloads that update hot rows and then go quiet. Partitions
-// are swept one at a time, so GC never stalls more than one writer.
-func (s *Store) GC() int {
-	total := 0
-	for _, p := range s.parts {
-		total += p.gc()
-	}
-	return total
-}
-
-// gc sweeps one partition under its writer mutex.
-func (p *partition) gc() int {
-	p.writeMu.Lock()
-	defer p.writeMu.Unlock()
-	minE := p.gcHorizon(p.epoch.Load())
-	total := 0
-	ts := p.tables.Load()
-	for _, name := range ts.order {
-		t := ts.byName[name]
-		t.rows.Range(func(id int64, c *rowChain) bool {
-			total += pruneChain(c, minE)
-			if hv := c.head.Load(); hv != nil {
-				if end := hv.end.Load(); end != 0 && end <= minE {
-					t.rows.Delete(id)
-					total++
-				}
-			}
-			return true
-		})
-		for _, ix := range t.uniques {
-			total += ix.pruneAll(minE)
-		}
-		for _, ix := range t.indexes {
-			total += ix.pruneAll(minE)
-		}
-	}
-	if total > 0 {
-		p.mReclaims.Add(uint64(total))
-	}
-	return total
 }
 
 // FKError reports a foreign-key violation.

@@ -53,7 +53,7 @@ var now = time.Date(2012, 3, 13, 12, 35, 38, 0, time.UTC)
 
 func TestInsertGetRoundTrip(t *testing.T) {
 	s := newTestStore(t)
-	id, err := s.Insert("workflow", Row{"wf_uuid": "u1", "dax_label": "dart", "ts": now})
+	id, err := ins(s, "workflow", Row{"wf_uuid": "u1", "dax_label": "dart", "ts": now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,21 +89,21 @@ func TestInsertTypeErrors(t *testing.T) {
 		{"wf_uuid": "u", "ts": now, "id": int64(5)}, // id is assigned, not an error but ignored
 	}
 	for i, r := range cases[:5] {
-		if _, err := s.Insert("workflow", r); err == nil {
+		if _, err := ins(s, "workflow", r); err == nil {
 			t.Errorf("case %d: insert succeeded, want error", i)
 		}
 	}
-	if id, err := s.Insert("workflow", cases[5]); err != nil || id != 1 {
+	if id, err := ins(s, "workflow", cases[5]); err != nil || id != 1 {
 		t.Errorf("explicit id not ignored: id=%d err=%v", id, err)
 	}
 }
 
 func TestUniqueConstraint(t *testing.T) {
 	s := newTestStore(t)
-	if _, err := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now}); err != nil {
+	if _, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
+	_, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
 	var ue *UniqueError
 	if !errors.As(err, &ue) {
 		t.Fatalf("err = %v, want UniqueError", err)
@@ -115,62 +115,68 @@ func TestUniqueConstraint(t *testing.T) {
 
 func TestCompositeUniqueAcrossColumns(t *testing.T) {
 	s := newTestStore(t)
-	wf, _ := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
-	if _, err := s.Insert("job", Row{"wf_id": wf, "exec_job_id": "a"}); err != nil {
+	wf, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	if _, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Insert("job", Row{"wf_id": wf, "exec_job_id": "b"}); err != nil {
+	if _, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "b"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Insert("job", Row{"wf_id": wf, "exec_job_id": "a"}); err == nil {
+	if _, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "a"}); err == nil {
 		t.Fatal("composite duplicate accepted")
 	}
 	// Length-prefixed keys: ("a","bc") vs ("ab","c") must not collide.
-	if _, err := s.Insert("job", Row{"wf_id": wf, "exec_job_id": "x"}); err != nil {
+	if _, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "x"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestForeignKeyEnforced(t *testing.T) {
 	s := newTestStore(t)
-	_, err := s.Insert("job", Row{"wf_id": int64(7), "exec_job_id": "a"})
+	_, err := ins(s, "job", Row{"wf_id": int64(7), "exec_job_id": "a"})
 	var fe *FKError
 	if !errors.As(err, &fe) {
 		t.Fatalf("err = %v, want FKError", err)
 	}
-	s.SetForeignKeyChecks(false)
-	if _, err := s.Insert("job", Row{"wf_id": int64(7), "exec_job_id": "a"}); err != nil {
-		t.Fatalf("FK check not disabled: %v", err)
+	if n, _ := s.Count("job"); n != 0 {
+		t.Fatalf("rejected insert left %d rows", n)
+	}
+	wf, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "a"}); err != nil {
+		t.Fatalf("insert with a satisfied FK: %v", err)
 	}
 }
 
 func TestUpdate(t *testing.T) {
 	s := newTestStore(t)
-	wf, _ := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
-	jid, _ := s.Insert("job", Row{"wf_id": wf, "exec_job_id": "a"})
-	if err := s.Update("job", jid, Row{"runtime": 74.0, "done": true}); err != nil {
+	wf, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	jid, _ := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "a"})
+	if err := upd(s, "job", jid, Row{"runtime": 74.0, "done": true}); err != nil {
 		t.Fatal(err)
 	}
 	row, _ := s.Get("job", jid)
 	if row["runtime"] != 74.0 || row["done"] != true {
 		t.Fatalf("row after update = %v", row)
 	}
-	if err := s.Update("job", jid, Row{"id": int64(9)}); err == nil {
+	if err := upd(s, "job", jid, Row{"id": int64(9)}); err == nil {
 		t.Error("pk update accepted")
 	}
-	if err := s.Update("job", 999, Row{"runtime": 1.0}); err == nil {
+	if err := upd(s, "job", 999, Row{"runtime": 1.0}); err == nil {
 		t.Error("update of missing row accepted")
 	}
-	if err := s.Update("job", jid, Row{"exec_job_id": nil}); err == nil {
+	if err := upd(s, "job", jid, Row{"exec_job_id": nil}); err == nil {
 		t.Error("null into non-nullable accepted on update")
 	}
 }
 
 func TestUpdateMaintainsIndexes(t *testing.T) {
 	s := newTestStore(t)
-	id1, _ := s.Insert("workflow", Row{"wf_uuid": "u1", "submit_hostname": "h1", "ts": now})
-	id2, _ := s.Insert("workflow", Row{"wf_uuid": "u2", "submit_hostname": "h1", "ts": now})
-	if err := s.Update("workflow", id1, Row{"submit_hostname": "h2"}); err != nil {
+	id1, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "submit_hostname": "h1", "ts": now})
+	id2, _ := ins(s, "workflow", Row{"wf_uuid": "u2", "submit_hostname": "h1", "ts": now})
+	if err := upd(s, "workflow", id1, Row{"submit_hostname": "h2"}); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := s.Select(Query{Table: "workflow", Conds: []Cond{Eq("submit_hostname", "h1")}})
@@ -182,55 +188,14 @@ func TestUpdateMaintainsIndexes(t *testing.T) {
 	}
 	// Unique index must move too: reusing u1 fails, but the old slot frees
 	// after an update away from it.
-	if err := s.Update("workflow", id2, Row{"wf_uuid": "u1"}); err == nil {
+	if err := upd(s, "workflow", id2, Row{"wf_uuid": "u1"}); err == nil {
 		t.Fatal("duplicate unique value accepted after update")
 	}
-	if err := s.Update("workflow", id1, Row{"wf_uuid": "u9"}); err != nil {
+	if err := upd(s, "workflow", id1, Row{"wf_uuid": "u9"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Update("workflow", id2, Row{"wf_uuid": "u1"}); err != nil {
+	if err := upd(s, "workflow", id2, Row{"wf_uuid": "u1"}); err != nil {
 		t.Fatalf("unique slot not freed by update: %v", err)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	s := newTestStore(t)
-	id, _ := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
-	if err := s.Delete("workflow", id); err != nil {
-		t.Fatal(err)
-	}
-	if row, _ := s.Get("workflow", id); row != nil {
-		t.Fatal("row survived delete")
-	}
-	if err := s.Delete("workflow", id); err != nil {
-		t.Fatal("second delete errored")
-	}
-	// Unique slot released.
-	if _, err := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now}); err != nil {
-		t.Fatalf("unique not released by delete: %v", err)
-	}
-}
-
-func TestInsertBatchAtomic(t *testing.T) {
-	s := newTestStore(t)
-	wf, _ := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
-	rows := []Row{
-		{"wf_id": wf, "exec_job_id": "a"},
-		{"wf_id": wf, "exec_job_id": "b"},
-		{"wf_id": wf, "exec_job_id": "a"}, // dup within batch
-	}
-	if _, err := s.InsertBatch("job", rows); err == nil {
-		t.Fatal("batch with internal duplicate accepted")
-	}
-	if n, _ := s.Count("job"); n != 0 {
-		t.Fatalf("failed batch left %d rows", n)
-	}
-	ids, err := s.InsertBatch("job", rows[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
-		t.Fatalf("ids = %v", ids)
 	}
 }
 
@@ -264,7 +229,7 @@ func TestCreateTableValidation(t *testing.T) {
 
 func TestConcurrentInsertsAndReads(t *testing.T) {
 	s := newTestStore(t)
-	wf, _ := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
 	var wg sync.WaitGroup
 	const writers, per = 4, 100
 	for w := 0; w < writers; w++ {
@@ -272,7 +237,7 @@ func TestConcurrentInsertsAndReads(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				_, err := s.Insert("job", Row{
+				_, err := ins(s, "job", Row{
 					"wf_id":       wf,
 					"exec_job_id": strings.Repeat("x", w+1) + "-" + string(rune('0'+i%10)) + string(rune('0'+i/10)),
 				})
@@ -303,7 +268,7 @@ func TestConcurrentInsertsAndReads(t *testing.T) {
 
 func TestGetReturnsCopy(t *testing.T) {
 	s := newTestStore(t)
-	id, _ := s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
+	id, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
 	row, _ := s.Get("workflow", id)
 	row["wf_uuid"] = "mutated"
 	again, _ := s.Get("workflow", id)

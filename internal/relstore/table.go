@@ -97,7 +97,7 @@ type rowChain struct {
 // reader at epoch e when begin <= e and (end == 0 or end > e). row and
 // begin are written before the version is published via an atomic head
 // store and never change afterwards; end is set once, when a newer version
-// supersedes the row or a delete tombstones it. prev is atomic so version
+// supersedes the row. prev is atomic so version
 // GC can truncate the tail while readers walk the chain.
 type rowVersion struct {
 	row   Row
@@ -155,7 +155,7 @@ func pruneChain(c *rowChain, minE uint64) int {
 
 // postingIndex maps a composite key to a bucket of per-row interval
 // chains. Keeping one chain per (key, id) pair — rather than one list per
-// key — makes every writer-side operation (tombstone, prune) O(1) in the
+// key — makes every writer-side operation (close an interval, prune) O(1) in the
 // number of rows sharing the key, which is what keeps hot keys (all jobs
 // of one workflow, say) from turning every update into a full-key walk.
 //
@@ -166,7 +166,7 @@ func pruneChain(c *rowChain, minE uint64) int {
 // a lookup the compiler performs without materialising the string.
 // Readers take mu.RLock for the map access only; the writer takes
 // mu.Lock just for the two rare map mutations (first sighting of a key,
-// dropping an emptied key), so readers never wait on a batch in
+// dropping an emptied key), so readers never wait on a write in
 // progress — only on a single map write. Bucket contents stay lock-free
 // for readers as before.
 type postingIndex struct {
@@ -602,8 +602,8 @@ func pruneIntervals(c *postingChain, minE uint64) (reclaimed int, empty bool) {
 // unlink removes chain c from the bucket's reader list. A reader paused
 // on c still finishes its walk (c keeps its next pointer); readers that
 // start later skip it. The walk is O(bucket), but unlinking only happens
-// when a row's last interval for the key dies — key changes and deletes,
-// not the insert-heavy steady state. Writer-only.
+// when a row's last interval for the key dies — an update that changes the
+// key, not the insert-heavy steady state. Writer-only.
 func (b *postingBucket) unlink(c *postingChain) {
 	head := b.chains.Load()
 	if head == c {
@@ -673,49 +673,6 @@ func pruneChainIn(b *postingBucket, id int64, minE uint64) (int, bool) {
 	return n, b.ids == 0 && empty
 }
 
-// pruneAll prunes every chain in the index. Writer-only. Unlinking a
-// chain mid-walk is safe: the chain keeps its next pointer.
-func (ix *postingIndex) pruneAll(minE uint64) int {
-	n := 0
-	for key, b := range ix.m {
-		if pruneBucketAll(b, minE, &n) {
-			ix.mu.Lock()
-			delete(ix.m, key)
-			ix.mu.Unlock()
-		}
-	}
-	for v, b := range ix.mi {
-		if pruneBucketAll(b, minE, &n) {
-			ix.mu.Lock()
-			delete(ix.mi, v)
-			ix.mu.Unlock()
-		}
-	}
-	if b := ix.nilb; b != nil && pruneBucketAll(b, minE, &n) {
-		ix.mu.Lock()
-		ix.nilb = nil
-		ix.mu.Unlock()
-	}
-	return n
-}
-
-// pruneBucketAll prunes every chain of one bucket, accumulating reclaimed
-// postings into *n and reporting whether the bucket emptied. Writer-only.
-func pruneBucketAll(b *postingBucket, minE uint64, n *int) bool {
-	for c := b.chains.Load(); c != nil; c = c.next.Load() {
-		r, empty := pruneIntervals(c, minE)
-		*n += r
-		if empty {
-			b.unlink(c)
-			if b.wByID != nil {
-				delete(b.wByID, c.id)
-			}
-			b.ids--
-		}
-	}
-	return b.ids == 0
-}
-
 func newTable(s *TableSchema, alloc *atomic.Int64) *table {
 	t := &table{
 		schema:   s,
@@ -744,8 +701,7 @@ func newTable(s *TableSchema, alloc *atomic.Int64) *table {
 
 // putRow installs a brand-new row (id already assigned) as a fresh chain
 // beginning at epoch e and indexes it. Writer-only. The caller maintains
-// t.live — the Store bumps it only after the epoch publishes, so Count
-// never reports a partially applied batch.
+// t.live, bumping it only after the epoch publishes.
 func (t *table) putRow(row Row, e uint64) {
 	t.putRowKeys(row, e, t.buildUniqueKeys(row))
 }
@@ -778,7 +734,7 @@ func (t *table) putRowKeys(row Row, e uint64, ukeys [][]byte) {
 // Only keys the update actually changed are re-posted: the common archive
 // updates (exitcode, durations, host assignment) leave every indexed
 // column untouched, and comparing the encoded keys is far cheaper than
-// tombstoning and re-adding identical postings.
+// closing and re-adding identical postings.
 func (t *table) supersede(c *rowChain, old *rowVersion, row Row, e uint64) {
 	id := row.ID()
 	for i, cols := range t.schema.Unique {
@@ -822,13 +778,6 @@ func (t *table) reindexChangedInt(ix *postingIndex, oldRow, newRow Row, id int64
 	}
 	ix.endPostingInt(ov, onil, id, e)
 	t.addPostingInt(ix, nv, nnil, id, e)
-}
-
-// kill tombstones the live version at epoch e (delete). As with putRow,
-// the caller maintains t.live after publishing the epoch.
-func (t *table) kill(old *rowVersion, e uint64) {
-	t.unindexRow(old.row, e)
-	old.end.Store(e)
 }
 
 // appendKeyValue appends the canonical key encoding of one column value.
@@ -892,10 +841,10 @@ func compositeKey(row Row, cols []string) string {
 
 // normalize coerces every value in r to canonical types, checks that all
 // columns exist, and fills absent nullable columns with nil. The returned
-// row is a fresh copy owned by the table.
+// row is a fresh map owned by the table; its coerced values may alias r's.
 //
-// Both normalize variants drive the walk from the schema's column list
-// rather than ranging over r: the column's type is in hand (no colType
+// The walk is driven from the schema's column list rather than ranging
+// over r: the column's type is in hand (no colType
 // lookup per key) and presence costs one probe of the small row map, about
 // half the map traffic of the key-driven shape. Keys of r that are not
 // columns surface as a count mismatch, diagnosed after the walk.
@@ -937,18 +886,6 @@ func (t *table) normalize(r Row) (Row, error) {
 	return out, nil
 }
 
-// normalizeOwned is normalize for callers that transfer ownership of r.
-// The stored row is still a fresh map: callers typically pass a literal
-// holding only the present columns, and nil-filling the absent ones in
-// place would grow that undersized map through the runtime's incremental
-// rehash — hashing every key twice and churning allocations — which costs
-// more than one exactly-sized copy. Ownership transfer still matters for
-// the contract: the caller must not touch r afterwards, so coerced values
-// may alias it (InsertOwned documents this).
-func (t *table) normalizeOwned(r Row) (Row, error) {
-	return t.normalize(r)
-}
-
 // unknownColumn names a key of r that is not a column of t. Called only
 // when normalize's presence count proved such a key exists.
 func (t *table) unknownColumn(r Row) error {
@@ -977,23 +914,6 @@ func (t *table) checkUniqueKeys(keys [][]byte, exclude int64) error {
 		}
 	}
 	return nil
-}
-
-func (t *table) unindexRow(row Row, e uint64) {
-	id := row.ID()
-	for i, cols := range t.schema.Unique {
-		t.keyBuf = t.keyInto(t.keyBuf[:0], row, cols)
-		t.uniques[i].endPosting(t.keyBuf, id, e)
-	}
-	for i, cols := range t.schema.Indexes {
-		if ix := t.indexes[i]; ix.mi != nil {
-			v, isNil := intKeyOf(row, ix.intCol)
-			ix.endPostingInt(v, isNil, id, e)
-			continue
-		}
-		t.keyBuf = t.keyInto(t.keyBuf[:0], row, cols)
-		t.indexes[i].endPosting(t.keyBuf, id, e)
-	}
 }
 
 // pruneRowKeys prunes this row's own interval chains under each of its

@@ -56,9 +56,8 @@ var (
 // compact spelling:
 //
 //	| op 'c' | table | schema JSON |        create
-//	| op 'i' | table | n | row * n |        insert (one batch)
+//	| op 'i' | table | n | row * n |        insert (the writer logs n = 1; the decoder takes any n)
 //	| op 'u' | table | row |                update (the full new row)
-//	| op 'd' | table | id |                 delete
 //
 // where a row is the checkpoint image's row: primary key, then every column
 // in schema declaration order behind its type tag. Hash, checkpoint and WAL
@@ -69,15 +68,14 @@ const (
 	walTrailerSize   = 4     // crc32c
 	walFrameOverhead = walHeaderSize + walTrailerSize
 
-	// maxWALRecordBytes bounds one payload. An insert batch is one record,
-	// so the bound is generous; a length field above it can only be damage
+	// maxWALRecordBytes bounds one payload. An insert of any n rows is one
+	// record, so the bound is generous; a length field above it can only be damage
 	// and is never waited for or allocated.
 	maxWALRecordBytes = 1 << 30
 
 	opCreate = 'c'
 	opInsert = 'i'
 	opUpdate = 'u'
-	opDelete = 'd'
 )
 
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -86,14 +84,13 @@ var walCRC = crc32.MakeTable(crc32.Castagnoli)
 type walRecord struct {
 	op    byte
 	table string
-	rows  []Row        // insert: the batch
+	rows  []Row        // insert: the rows (one, as written by this package)
 	row   Row          // update: the full new row
-	id    int64        // delete
 	sch   *TableSchema // create
 }
 
 // encode writes the record's payload. cols is the table's column list
-// (unused by create and delete).
+// (unused by create).
 func (rec walRecord) encode(c *canonWriter, cols []Column) error {
 	c.tag(rec.op)
 	c.str(rec.table)
@@ -113,8 +110,6 @@ func (rec walRecord) encode(c *canonWriter, cols []Column) error {
 		}
 	case opUpdate:
 		return c.rowBody(rec.table, cols, rec.row)
-	case opDelete:
-		c.uint(uint64(rec.id))
 	}
 	return c.err
 }
@@ -169,13 +164,9 @@ func decodeWALRecord(payload []byte, ts *tableSet) (walRecord, error) {
 		if rec.row, err = c.rowBody(rec.table, cols); err != nil {
 			return rec, err
 		}
-	case opDelete:
-		id, err := c.uint()
-		if err != nil {
-			return rec, err
-		}
-		rec.id = int64(id)
 	default:
+		// Includes 'd', which an earlier grammar reserved for a delete
+		// record: no binary ever wrote one, and rows are never deleted.
 		return rec, fmt.Errorf("unknown WAL op %q", rec.op)
 	}
 	if len(c.b) != 0 {
@@ -307,16 +298,12 @@ func (w *walWriter) logCreate(s *TableSchema) error {
 	return w.append(walRecord{op: opCreate, table: s.Name, sch: s}, nil)
 }
 
-func (w *walWriter) logInsertBatch(t *table, rows []Row) error {
+func (w *walWriter) logInsert(t *table, rows []Row) error {
 	return w.append(walRecord{op: opInsert, table: t.schema.Name, rows: rows}, t.schema.Columns)
 }
 
 func (w *walWriter) logUpdate(t *table, full Row) error {
 	return w.append(walRecord{op: opUpdate, table: t.schema.Name, row: full}, t.schema.Columns)
-}
-
-func (w *walWriter) logDelete(t *table, id int64) error {
-	return w.append(walRecord{op: opDelete, table: t.schema.Name, id: id}, nil)
 }
 
 // flush makes every record appended before the call durable (fsynced when
@@ -586,15 +573,6 @@ func (s *Store) applyRecord(p *partition, rec walRecord) error {
 		}
 		t.putRow(row, e)
 		t.live.Add(1)
-	case opDelete:
-		if c, ok := t.rows.Load(rec.id); ok {
-			if old := c.liveVersion(); old != nil {
-				t.kill(old, e)
-				t.live.Add(-1)
-				t.rows.Delete(rec.id)
-				t.pruneRowKeys(old.row, e)
-			}
-		}
 	}
 	return nil
 }

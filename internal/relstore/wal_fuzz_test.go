@@ -59,7 +59,7 @@ func fig3Store(t testing.TB) *Store {
 	return s
 }
 
-// fig3Records is one record of each op over those tables, between them
+// fig3Records is records of each op over those tables, between them
 // carrying a null, a float, a bool and a time.
 func fig3Records() []walRecord {
 	ji := Row{"id": int64(7), "job_id": int64(3), "job_submit_seq": int64(1), "host_id": int64(2),
@@ -77,8 +77,14 @@ func fig3Records() []walRecord {
 		{op: opInsert, table: "jobstate", rows: []Row{state(1, "SUBMIT"), state(2, "EXECUTE")}},
 		{op: opUpdate, table: "job_instance", row: ji},
 		{op: opUpdate, table: "job", row: Row{"id": int64(4), "wf_id": int64(1), "exec_job_id": "j4", "runtime": nil, "done": true}},
-		{op: opDelete, table: "jobstate", id: 2},
 	}
+}
+
+// deletePayload is the payload of the 'd' record the WAL grammar once
+// reserved — | op 'd' | table | id | — built by hand, since no encoder for
+// it exists (or was ever reachable from a binary).
+func deletePayload(table string, id byte) []byte {
+	return append(append([]byte{'d', byte(len(table))}, table...), id)
 }
 
 func encodePayload(t testing.TB, ts *tableSet, rec walRecord) []byte {
@@ -108,6 +114,7 @@ func FuzzWALRecord(f *testing.F) {
 	for _, rec := range fig3Records() {
 		f.Add(encodePayload(f, ts, rec), false)
 	}
+	f.Add(deletePayload("jobstate", 2), false)
 	f.Add([]byte{opInsert, 8, 'j', 'o', 'b', 's', 't', 'a', 't', 'e', 0xff, 0xff, 0xff, 0xff, 0x0f}, false)
 
 	// One real image: the rows above, inserted and checkpointed.
@@ -126,7 +133,7 @@ func FuzzWALRecord(f *testing.F) {
 		for _, row := range rec.rows {
 			row = row.Clone()
 			delete(row, "id")
-			if _, err := ck.Insert(rec.table, row); err != nil {
+			if _, err := ins(ck, rec.table, row); err != nil {
 				f.Fatal(err)
 			}
 		}

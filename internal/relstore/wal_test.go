@@ -65,9 +65,9 @@ func requireUntouched(t *testing.T, dir string, before map[string]string) {
 }
 
 // TestOpenPersistReopen round-trips every record kind through a
-// one-partition directory: inserts, a batch, an update and a delete come
-// back from the WAL with types, indexes, constraints and the id sequence
-// intact, and a read-only LoadDir of the quiescent directory hashes the
+// one-partition directory: creates, inserts and updates (one of them moving
+// a unique key) come back from the WAL with types, indexes, constraints and
+// the id sequence intact, and a read-only LoadDir of the quiescent directory hashes the
 // same as the writable OpenDir.
 func TestOpenPersistReopen(t *testing.T) {
 	dir := t.TempDir()
@@ -78,22 +78,20 @@ func TestOpenPersistReopen(t *testing.T) {
 	if err := s.CreateTable(jobSchema()); err != nil {
 		t.Fatal(err)
 	}
-	wf, err := s.Insert("workflow", Row{"wf_uuid": "u1", "dax_label": "dart", "ts": now})
+	wf, err := ins(s, "workflow", Row{"wf_uuid": "u1", "dax_label": "dart", "ts": now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := make([]Row, 10)
-	for i := range jobs {
-		jobs[i] = Row{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%d", i), "runtime": float64(i)}
+	ids := make([]int64, 10)
+	for i := range ids {
+		if ids[i], err = ins(s, "job", Row{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%d", i), "runtime": float64(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ids, err := s.InsertBatch("job", jobs)
-	if err != nil {
+	if err := upd(s, "job", ids[3], Row{"runtime": 74.0, "done": true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Update("job", ids[3], Row{"runtime": 74.0, "done": true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("job", ids[7]); err != nil {
+	if err := upd(s, "job", ids[7], Row{"exec_job_id": "j7-renamed"}); err != nil {
 		t.Fatal(err)
 	}
 	want := storeHash(t, s)
@@ -109,8 +107,8 @@ func TestOpenPersistReopen(t *testing.T) {
 	if got := storeHash(t, re); got != want {
 		t.Fatalf("OpenDir hash %s, want the live store's %s", got, want)
 	}
-	if n, _ := re.Count("job"); n != 9 {
-		t.Fatalf("job count after reopen = %d, want 9", n)
+	if n, _ := re.Count("job"); n != 10 {
+		t.Fatalf("job count after reopen = %d, want 10", n)
 	}
 	row, err := re.Get("job", ids[3])
 	if err != nil || row == nil {
@@ -119,8 +117,11 @@ func TestOpenPersistReopen(t *testing.T) {
 	if row["runtime"] != 74.0 || row["done"] != true {
 		t.Fatalf("update lost: %v", row)
 	}
-	if gone, _ := re.Get("job", ids[7]); gone != nil {
-		t.Fatal("deleted row resurrected")
+	if old, _ := re.SelectOne(Query{Table: "job", Conds: []Cond{Eq("wf_id", wf), Eq("exec_job_id", "j7")}}); old != nil {
+		t.Fatalf("row still found under the key it was renamed away from: %v", old)
+	}
+	if _, err := ins(re, "job", Row{"wf_id": wf, "exec_job_id": "j7"}); err != nil {
+		t.Fatalf("unique slot not freed by the replayed rename: %v", err)
 	}
 	wfRow, _ := re.Get("workflow", wf)
 	if ts := wfRow["ts"].(time.Time); !ts.Equal(now) {
@@ -128,14 +129,14 @@ func TestOpenPersistReopen(t *testing.T) {
 	}
 	// Indexes rebuilt: indexed select and unique enforcement both work.
 	rows, err := re.Select(Query{Table: "job", Conds: []Cond{Eq("wf_id", wf)}})
-	if err != nil || len(rows) != 9 {
+	if err != nil || len(rows) != 11 {
 		t.Fatalf("indexed select after reopen: %d rows, %v", len(rows), err)
 	}
-	if _, err := re.Insert("workflow", Row{"wf_uuid": "u1", "ts": now}); err == nil {
+	if _, err := ins(re, "workflow", Row{"wf_uuid": "u1", "ts": now}); err == nil {
 		t.Fatal("unique constraint not rebuilt")
 	}
 	// New inserts continue the id sequence rather than reusing ids.
-	nid, err := re.Insert("job", Row{"wf_id": wf, "exec_job_id": "new"})
+	nid, err := ins(re, "job", Row{"wf_id": wf, "exec_job_id": "new"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestOpenTornFinalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := s.Writer(i%2).Insert("parent", Row{"name": fmt.Sprintf("tail%d", i)}); err != nil {
+		if _, err := insAt(s, i%2, "parent", Row{"name": fmt.Sprintf("tail%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +205,7 @@ func TestOpenTornFinalLine(t *testing.T) {
 	if tmps, _ := filepath.Glob(filepath.Join(pdir, "*.tmp")); len(tmps) != 0 {
 		t.Fatalf("OpenDir left stale temp images: %v", tmps)
 	}
-	if _, err := re.Writer(1).Insert("parent", Row{"name": "post-recovery"}); err != nil {
+	if _, err := insAt(re, 1, "parent", Row{"name": "post-recovery"}); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
 }
@@ -228,7 +229,7 @@ func TestOpenCorruptionMidFileRejected(t *testing.T) {
 	insert := func(n int) {
 		for i := 0; i < n; i++ {
 			rows++
-			if _, err := s.Insert("parent", Row{"name": fmt.Sprintf("row%d", rows)}); err != nil {
+			if _, err := ins(s, "parent", Row{"name": fmt.Sprintf("row%d", rows)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -402,7 +403,7 @@ func TestFlushMakesDataVisibleToReaderProcess(t *testing.T) {
 	s := openDirStore(t, dir, 1)
 	defer s.Close()
 	_ = s.CreateTable(wfSchema())
-	_, _ = s.Insert("workflow", Row{"wf_uuid": "u1", "ts": now})
+	_, _ = ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +415,7 @@ func TestFlushMakesDataVisibleToReaderProcess(t *testing.T) {
 		t.Fatalf("reader sees %d rows, want 1", n)
 	}
 	// The writer is unaffected by having been read.
-	if _, err := s.Insert("workflow", Row{"wf_uuid": "u2", "ts": now}); err != nil {
+	if _, err := ins(s, "workflow", Row{"wf_uuid": "u2", "ts": now}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
@@ -436,7 +437,7 @@ func TestInMemoryFlushCloseNoops(t *testing.T) {
 }
 
 // TestWALAppendAllocatesNothing pins the point of the binary codec: on a
-// warmed writer, framing an insert batch, a full-row update or a delete —
+// warmed writer, framing an insert or a full-row update —
 // nulls, floats, bools and times included — touches the heap not at all.
 func TestWALAppendAllocatesNothing(t *testing.T) {
 	s, err := OpenDir(t.TempDir(), Options{})
@@ -454,10 +455,9 @@ func TestWALAppendAllocatesNothing(t *testing.T) {
 	recs := fig3Records()
 	ji, states, job := recs[1], recs[2], recs[4]
 	for name, log := range map[string]func() error{
-		"logInsertBatch": func() error { return w.logInsertBatch(ts.byName[states.table], states.rows) },
+		"logInsert":      func() error { return w.logInsert(ts.byName[states.table], states.rows) },
 		"logUpdate":      func() error { return w.logUpdate(ts.byName[ji.table], ji.rows[0]) },
 		"logUpdate/bool": func() error { return w.logUpdate(ts.byName[job.table], job.row) },
-		"logDelete":      func() error { return w.logDelete(ts.byName[states.table], 2) },
 	} {
 		if err := log(); err != nil { // warm the frame scratch
 			t.Fatal(err)
@@ -509,7 +509,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		if i%2 == 0 {
-			err = w.logInsertBatch(jobstate, state)
+			err = w.logInsert(jobstate, state)
 		} else {
 			err = w.logUpdate(jobInstance, ji)
 		}

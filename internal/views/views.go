@@ -159,17 +159,15 @@ type Options struct {
 	// live heap the collector must mark (10k subscribers × 256 slots is
 	// ~120MB of idle channel buffer).
 	QueueCapacity int
-	// Detector is the anomaly detector fed invocation runtimes
-	// (nil = a fresh analysis.NewRuntimeDetector).
-	Detector *analysis.RuntimeDetector
-	// FanoutCoalesce adapts the flush rate to fan-out: the effective
-	// flush interval is FlushEvery × (1 + subscribers/FanoutCoalesce),
-	// so delivery work per second (one queue offer + one consumer
-	// wake-up per subscriber per flush) stays roughly constant no
-	// matter how many clients are connected. Deltas are full-state, so
-	// the stretch costs freshness only, never correctness (0 = 1000).
-	FanoutCoalesce int
 }
+
+// fanoutCoalesce adapts the flush rate to fan-out: the effective flush
+// interval is FlushEvery × (1 + subscribers/fanoutCoalesce), so delivery
+// work per second (one queue offer + one consumer wake-up per subscriber
+// per flush) stays roughly constant no matter how many clients are
+// connected. Deltas are full-state, so the stretch costs freshness only,
+// never correctness.
+const fanoutCoalesce = 1000
 
 var (
 	mUpdates = telemetry.NewCounter("stampede_views_updates_total",
@@ -291,16 +289,9 @@ func New(opts Options) *Views {
 	if opts.QueueCapacity == 0 {
 		opts.QueueCapacity = 32
 	}
-	if opts.FanoutCoalesce <= 0 {
-		opts.FanoutCoalesce = 1000
-	}
-	det := opts.Detector
-	if det == nil {
-		det = analysis.NewRuntimeDetector()
-	}
 	v := &Views{
 		opts:   opts,
-		det:    det,
+		det:    analysis.NewRuntimeDetector(),
 		bus:    mq.NewBroker(),
 		clock:  opts.Clock,
 		hosts:  make(map[hostKey]*hostView),
@@ -326,7 +317,7 @@ func (v *Views) Close() {
 
 // run drives coalesced publication. The ticker fires every FlushEvery,
 // but the flusher skips ticks until the fan-out-adapted interval
-// (FlushEvery × (1 + subscribers/FanoutCoalesce)) has elapsed: each
+// (FlushEvery × (1 + subscribers/fanoutCoalesce)) has elapsed: each
 // flush costs one queue offer and one consumer wake-up per subscriber,
 // so stretching the interval as subscribers grow bounds delivery work
 // per second. The stretch trades freshness, never correctness — deltas
@@ -342,7 +333,7 @@ func (v *Views) run() {
 			return
 		case <-t.C():
 			now := v.clock.Now()
-			every := v.opts.FlushEvery * time.Duration(1+int(v.nsubs.Load())/v.opts.FanoutCoalesce)
+			every := v.opts.FlushEvery * time.Duration(1+int(v.nsubs.Load())/fanoutCoalesce)
 			if now.Sub(last) < every {
 				continue
 			}
@@ -352,10 +343,10 @@ func (v *Views) run() {
 	}
 }
 
-// stripeFor returns the stripe for a workflow uuid; routing matches the
-// archive's lock striping so apply order per workflow is preserved.
+// stripeFor returns the lock stripe for a workflow uuid, picked with the
+// archive's router so every event of one workflow meets the same stripe.
 func (v *Views) stripeFor(uuid string) *vstripe {
-	return &v.stripes[archive.StripeFor(uuid)]
+	return &v.stripes[archive.Route(uuid, len(v.stripes))]
 }
 
 // intAttr mirrors archive.intAttr: an optional integer attribute, alloc

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/bp"
 	"repro/internal/loader"
 	"repro/internal/relstore"
+	"repro/internal/schema"
 	"repro/internal/synth"
 	"repro/internal/views"
 	"repro/internal/wfclock"
@@ -200,4 +203,148 @@ func TestViewMatchesScanAfterCheckpointRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireViewsEqual(t, live, rebuilt)
+}
+
+// rebuiltFrom scans arch into a fresh Views, the oracle the live ones are
+// held to.
+func rebuiltFrom(t *testing.T, arch *archive.Archive) *views.Views {
+	t.Helper()
+	rebuilt := views.New(views.Options{Clock: wfclock.NewManual(time.Unix(0, 0))})
+	t.Cleanup(rebuilt.Close)
+	sn := arch.Snapshot()
+	defer sn.Close()
+	if err := rebuilt.BuildFromSnapshot(sn); err != nil {
+		t.Fatal(err)
+	}
+	return rebuilt
+}
+
+func snapshotHash(t *testing.T, arch *archive.Archive) string {
+	t.Helper()
+	sn := arch.Snapshot()
+	defer sn.Close()
+	h, err := sn.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestManyWritersOnePartition covers the two ways more than one goroutine
+// can be pointed at a one-partition archive, whose single partState holds
+// every workflow's caches behind one mutex. Run under -race.
+//
+// A Shards: 4 loader routes by partition, so all of it arrives through
+// shard 0 in arrival order and three shards idle: nothing is lost
+// (read = loaded + rejected, archive applied = loaded), the store is
+// bit-identical to a width-one load, and the views equal a scan.
+//
+// ApplyBatch is also called without a loader (bench/isolated.go, the soak
+// audit's shadow archive), and its contract lets several goroutines do so
+// at once provided each workflow stays on one. That is the one
+// configuration in which the mutex is actually contended: four callers, two
+// workflows each, ApplyBatch then ObserveBatch in chunks. Every event
+// lands, the row counts are the loader's, and the views equal a scan.
+func TestManyWritersOnePartition(t *testing.T) {
+	stream := multiTrace(t, 8, 40, 7)
+
+	ref := archive.NewInMemory()
+	ld, err := loader.New(ref, loader.Options{Validate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ld.LoadReader(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func(a *archive.Archive) map[string]int {
+		m := map[string]int{}
+		for _, table := range a.Store().TableNames() {
+			n, err := a.Store().Count(table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[table] = n
+		}
+		return m
+	}
+
+	t.Run("loader", func(t *testing.T) {
+		arch := archive.NewInMemory()
+		live := views.New(views.Options{Clock: wfclock.NewManual(time.Unix(0, 0))})
+		defer live.Close()
+		ld, err := loader.New(arch, loader.Options{Shards: 4, Validate: true, Views: live})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := ld.LoadReader(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Read != want.Read || st.Loaded+st.Invalid+st.Unknown != st.Read || arch.Applied() != st.Loaded {
+			t.Fatalf("%s (archive applied %d); the width-one load: %s", st.String(), arch.Applied(), want.String())
+		}
+		if len(st.Shards) != 4 || st.Shards[0].Applied != st.Loaded {
+			t.Fatalf("shard 0 applied %d of %d loaded events; it owns the only partition", st.Shards[0].Applied, st.Loaded)
+		}
+		if got, w := snapshotHash(t, arch), snapshotHash(t, ref); got != w {
+			t.Fatalf("store hash %s, the width-one load's is %s", got, w)
+		}
+		requireViewsEqual(t, live, rebuiltFrom(t, arch))
+	})
+
+	t.Run("concurrent ApplyBatch", func(t *testing.T) {
+		const writers = 4
+		perWF := map[string][]*bp.Event{}
+		var order []string
+		for _, line := range bytes.Split(bytes.TrimSpace(stream), []byte("\n")) {
+			ev, err := bp.ParseBytes(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wf := ev.Get(schema.AttrXwfID)
+			if _, seen := perWF[wf]; !seen {
+				order = append(order, wf)
+			}
+			perWF[wf] = append(perWF[wf], ev)
+		}
+		arch := archive.NewInMemory()
+		live := views.New(views.Options{Clock: wfclock.NewManual(time.Unix(0, 0))})
+		defer live.Close()
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				// One goroutine per workflow at a time, as the archive's
+				// contract asks; the partition is shared by all four.
+				for k := w; k < len(order); k += writers {
+					evs := perWF[order[k]]
+					for len(evs) > 0 {
+						chunk := evs[:min(16, len(evs))]
+						evs = evs[len(chunk):]
+						if n, err := arch.ApplyBatch(chunk); err != nil || n != len(chunk) {
+							t.Errorf("ApplyBatch applied %d of %d: %v", n, len(chunk), err)
+							return
+						}
+						live.ObserveBatch(chunk)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if arch.Applied() != want.Loaded {
+			t.Fatalf("archive applied %d events, the loader loaded %d", arch.Applied(), want.Loaded)
+		}
+		got := counts(arch)
+		for table, n := range counts(ref) {
+			if got[table] != n {
+				t.Fatalf("table %s = %d rows, the loader's store has %d", table, got[table], n)
+			}
+		}
+		requireViewsEqual(t, live, rebuiltFrom(t, arch))
+	})
 }
