@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -222,19 +223,26 @@ func TestSnapshotCrossTableConsistency(t *testing.T) {
 
 // TestUpdateDeleteVsSnapshotStress: concurrent snapshots racing Update
 // always observe internally consistent rows — the two columns every Update
-// writes in lockstep never diverge, and a row read twice within one
-// snapshot never changes. Run with -race. (The name predates the removal of
-// delete from the store; the update half is what remains.)
+// writes in lockstep never diverge, a row read twice within one snapshot
+// never changes, and while the writer moves rows back and forth between two
+// keys of an indexed column, a Select through that index returns exactly
+// what a scan of the same snapshot returns. Run with -race. (The name
+// predates the removal of delete from the store; the update half is what
+// remains.)
 func TestUpdateDeleteVsSnapshotStress(t *testing.T) {
 	s := newTestStore(t)
-	wf, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
-	if err != nil {
-		t.Fatal(err)
+	var wfs [2]int64
+	for i := range wfs {
+		id, err := ins(s, "workflow", Row{"wf_uuid": fmt.Sprintf("u%d", i), "ts": now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wfs[i] = id
 	}
 	const nRows = 8
 	ids := make([]int64, nRows)
 	for i := range ids {
-		id, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%d", i), "runtime": 0.0, "done": false})
+		id, err := ins(s, "job", Row{"wf_id": wfs[0], "exec_job_id": fmt.Sprintf("j%d", i), "runtime": 0.0, "done": false})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +251,7 @@ func TestUpdateDeleteVsSnapshotStress(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // writer: runtime and done move in lockstep
+	go func() { // writer: runtime and done move in lockstep; every third update also flips the indexed wf_id
 		defer wg.Done()
 		for i := 1; ; i++ {
 			select {
@@ -251,7 +259,11 @@ func TestUpdateDeleteVsSnapshotStress(t *testing.T) {
 				return
 			default:
 			}
-			if err := upd(s, "job", ids[i%nRows], Row{"runtime": float64(i), "done": i%2 == 0}); err != nil {
+			changes := Row{"runtime": float64(i), "done": i%2 == 0}
+			if i%3 == 0 {
+				changes["wf_id"] = wfs[(i/3)%2]
+			}
+			if err := upd(s, "job", ids[i%nRows], changes); err != nil {
 				t.Error(err)
 				return
 			}
@@ -284,6 +296,29 @@ func TestUpdateDeleteVsSnapshotStress(t *testing.T) {
 					if again["runtime"].(float64) != row["runtime"].(float64) {
 						t.Errorf("row %d changed within one snapshot", row.ID())
 					}
+				}
+				// Index vs scan inside the same snapshot, for both keys the
+				// writer moves rows between.
+				held := 0
+				for _, wf := range wfs {
+					wf := wf
+					indexed, err := sn.Select(Query{Table: "job", Conds: []Cond{Eq("wf_id", wf)}})
+					if err != nil {
+						t.Error(err)
+						break
+					}
+					scanned, err := sn.Select(Query{Table: "job", Where: func(r Row) bool { return r["wf_id"] == wf }})
+					if err != nil {
+						t.Error(err)
+						break
+					}
+					if len(indexed)+len(scanned) > 0 && !reflect.DeepEqual(indexed, scanned) {
+						t.Errorf("wf_id=%d: index and scan disagree within one snapshot\nindex: %v\nscan:  %v", wf, indexed, scanned)
+					}
+					held += len(indexed)
+				}
+				if held != nRows {
+					t.Errorf("index holds %d of %d rows across both keys", held, nRows)
 				}
 				sn.Close()
 			}
