@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-diff bench-full bench-parallel bench-e2e bench-e2e-compare crash-matrix lint verify soak-smoke
+.PHONY: build test race fuzz bench bench-full bench-parallel bench-e2e bench-e2e-compare crash-matrix lint verify soak-smoke
 
 build:
 	$(GO) build ./...
@@ -12,14 +12,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrency suites (loader pipeline, mq churn, relstore writers)
-# are written to be meaningful under the race detector; run them with it,
-# twice over in one process — no test in them may depend on process-wide
-# state (span ring, metrics, event pool) being fresh — and with no skip
-# list. Then everything else once.
+# The concurrency suites (loader pipeline, mq churn, relstore writers) and
+# the soak harness are written to be meaningful under the race detector;
+# run them with it, twice over in one process — no test in them may depend
+# on process-wide state (span ring, watermark table, metrics, event pool)
+# being fresh — and with no skip list. Then everything else once.
 race:
-	$(GO) test -race -count=2 ./internal/mq ./internal/relstore ./internal/loader
-	$(GO) test -race $$($(GO) list ./... | grep -v -E '/internal/(mq|relstore|loader)$$')
+	$(GO) test -race -count=2 ./internal/mq ./internal/relstore ./internal/loader ./internal/soak
+	$(GO) test -race $$($(GO) list ./... | grep -v -E '/internal/(mq|relstore|loader|soak)$$')
 
 # A few seconds of coverage-guided fuzzing on the BP wire format
 # (round-trips Format→Parse on everything the fuzzer finds), on the
@@ -52,9 +52,9 @@ soak-smoke:
 
 # The loader benchmarks, including the snapshot-readers contention bench
 # and the pooled-parse micro-bench, parsed into BENCH_loader.json for
-# archiving and cross-run diffing. The loader benches also report
-# allocs/event (a MemStats delta over the timed region), the same quantity
-# production exposes as stampede_loader_allocs_per_event. The subscriber
+# archiving. The loader benches also report allocs/event (a MemStats delta
+# over the timed region), the same quantity production exposes as
+# stampede_loader_allocs_per_event. The subscriber
 # fan-out family runs at a fixed iteration count: its acceptance is a
 # ratio (10k-subscriber throughput vs 0), so the three variants need
 # enough iterations that GC and flush-burst placement average out.
@@ -64,18 +64,6 @@ bench:
 	  $(GO) test -bench 'BenchmarkMQTCP' -benchmem -run XXX ./internal/mq ; \
 	  $(GO) test -bench 'BenchmarkSubscribersUnderLoad' -benchmem -benchtime 250x -run XXX . ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_loader.json
-
-# The benchmark-regression gate: a quick subset of the loader benches
-# diffed against the committed baseline. Exits non-zero when events/s
-# drops or allocs/op rises by more than 15% — CI runs this as a
-# non-blocking step, so machine noise flags rather than fails. The
-# whole-trace loads run 3x (each op is a full load); the micro-benches
-# need a real iteration count or three ops of noise would gate.
-bench-diff:
-	{ $(GO) test -bench 'BenchmarkLoaderScale1k$$|BenchmarkLoaderScale10kEventlog$$|BenchmarkLoaderPartitioned4$$' -benchmem -benchtime 3x -run XXX . ; \
-	  $(GO) test -bench 'BenchmarkParseBytes|BenchmarkEventlogAppend' -benchmem -benchtime 200000x -run XXX . ; \
-	  $(GO) test -bench 'BenchmarkDashboardRequestsView$$' -benchmem -benchtime 2000x -run XXX . ; } \
-		| $(GO) run ./cmd/benchjson -out /tmp/bench-head.json -diff BENCH_loader.json -threshold 0.15
 
 bench-full:
 	$(GO) test -bench . -benchmem -run XXX .

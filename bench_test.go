@@ -189,7 +189,7 @@ func BenchmarkLoaderScale100k(b *testing.B) { benchLoad(b, 100000, 512) }
 // checksummed and group-flushed to a segment file on the way into the
 // parser. Its events/s against the untapped 10k bench is the measured
 // ingest cost of durable-log-as-source-of-truth; the <5% overhead claim
-// lives in BENCH_loader.json and make bench-diff guards it.
+// lives in BENCH_loader.json.
 func BenchmarkLoaderScale10kEventlog(b *testing.B) {
 	trace := experiments.TraceFor(10000)
 	var events int

@@ -7,19 +7,6 @@
 //
 // Each benchmark line becomes an object with its iteration count, ns/op,
 // and every extra "value unit" metric pair (events/s, B/op, fsyncs/op, …).
-//
-// With -diff the report is additionally compared against a committed
-// baseline: a drop in events/s or a rise in allocs/op beyond -threshold
-// (fractional, default 0.15) on any benchmark present in both reports
-// exits 1; benchmarks missing from the baseline are skipped. This is the
-// bench-diff workflow — `make bench` refreshes the committed baseline,
-// `make bench-diff` gates quick re-runs against it:
-//
-//	go test -bench 'BenchmarkLoaderScale1k$' -benchmem -benchtime 3x -run XXX . \
-//	    | benchjson -out /tmp/bench-head.json -diff BENCH_loader.json -threshold 0.15
-//
-// CI runs the gate as a non-blocking step, so a regression flags the
-// commit without failing the build on machine noise.
 package main
 
 import (
@@ -58,8 +45,6 @@ type report struct {
 
 func main() {
 	out := flag.String("out", "", "file to write the JSON report to (required)")
-	diff := flag.String("diff", "", "baseline JSON report to compare against")
-	threshold := flag.Float64("threshold", 0.15, "allowed fractional regression under -diff")
 	flag.Parse()
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -out is required")
@@ -116,65 +101,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
-
-	if *diff != "" {
-		base, err := readReport(*diff)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: baseline: %v\n", err)
-			os.Exit(1)
-		}
-		if compare(base, rep, *threshold) {
-			os.Exit(1)
-		}
-	}
-}
-
-func readReport(path string) (report, error) {
-	var r report
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	return r, json.Unmarshal(data, &r)
-}
-
-// compare checks each current benchmark against its baseline entry on the
-// two hot-path health metrics: events/s must not drop and allocs/op must
-// not rise by more than the threshold fraction. Returns true when any
-// benchmark regressed. Benchmarks without a baseline entry (or without a
-// metric) are reported and skipped, so adding a benchmark never fails the
-// gate before its baseline is committed.
-func compare(base, cur report, threshold float64) (regressed bool) {
-	byName := make(map[string]benchResult, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		byName[b.Name] = b
-	}
-	check := func(name, metric string, old, new float64, lowerIsBetter bool) {
-		delta := (new - old) / old
-		bad := delta < -threshold
-		if lowerIsBetter {
-			bad = delta > threshold
-		}
-		verdict := "ok"
-		if bad {
-			verdict = "REGRESSED"
-			regressed = true
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: %-28s %-10s %14.1f -> %14.1f (%+6.1f%%, limit ±%.0f%%) %s\n",
-			name, metric, old, new, 100*delta, 100*threshold, verdict)
-	}
-	for _, b := range cur.Benchmarks {
-		old, ok := byName[b.Name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: no baseline entry, skipping\n", b.Name)
-			continue
-		}
-		if ov := old.Metrics["events/s"]; ov > 0 {
-			check(b.Name, "events/s", ov, b.Metrics["events/s"], false)
-		}
-		if ov := old.Metrics["allocs/op"]; ov > 0 {
-			check(b.Name, "allocs/op", ov, b.Metrics["allocs/op"], true)
-		}
-	}
-	return regressed
 }

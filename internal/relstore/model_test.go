@@ -8,11 +8,15 @@ import (
 
 // Model-based test: a random sequence of inserts, updates (of a plain
 // column, and of a unique-key column) and lookups runs against both the
-// store and a plain-map reference model;
-// any divergence is a bug. The store is a one-partition directory that
-// checkpoints itself every few hundred records, so the final round trips
-// (a writable reopen and a read-only load) check that checkpoint image +
-// WAL tail restore the same contents.
+// store and a plain-map reference model; any divergence is a bug. The store
+// is a one-partition directory that checkpoints itself every few hundred
+// records, so the final round trips (a read-only load and a writable
+// reopen) check that checkpoint image + WAL tail restore the same contents.
+// The generator then runs on against the reopened store, which checks that
+// recovery restores the same constraint verdicts too: an image rebuilds
+// index entries for current keys only, replayed updates re-create stale
+// ones, and neither may change what a duplicate insert, a rename or an
+// indexed lookup answers.
 
 type modelRow struct {
 	name string
@@ -22,7 +26,7 @@ type modelRow struct {
 
 func TestStoreAgainstModel(t *testing.T) {
 	const (
-		ops  = 4000
+		ops  = 4000 // then 1000 more after recovery
 		wfs  = 5
 		seed = 99
 	)
@@ -49,100 +53,106 @@ func TestStoreAgainstModel(t *testing.T) {
 	byKey := map[string]int64{}   // wf/name -> id
 	key := func(wf int64, name string) string { return fmt.Sprintf("%d/%s", wf, name) }
 
-	for op := 0; op < ops; op++ {
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3: // insert
-			r := modelRow{
-				name: fmt.Sprintf("job%03d", rng.Intn(200)),
-				wf:   int64(rng.Intn(wfs)),
-				run:  float64(rng.Intn(100)),
-			}
-			id, err := ins(s, "m", Row{"name": r.name, "wf": r.wf, "run": r.run})
-			_, dup := byKey[key(r.wf, r.name)]
-			if dup {
-				if err == nil {
-					t.Fatalf("op %d: duplicate accepted", op)
+	// run drives n steps of the generator against s and the model; op
+	// numbers continue across calls so a failure names one step of the run.
+	op := 0
+	run := func(s *Store, n int) {
+		for end := op + n; op < end; op++ {
+			switch rng.Intn(10) {
+			case 0, 1, 2, 3: // insert
+				r := modelRow{
+					name: fmt.Sprintf("job%03d", rng.Intn(200)),
+					wf:   int64(rng.Intn(wfs)),
+					run:  float64(rng.Intn(100)),
 				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("op %d: insert: %v", op, err)
-			}
-			model[id] = r
-			byKey[key(r.wf, r.name)] = id
-		case 4, 5: // update run of a random live row
-			id := randomID(rng, model)
-			if id == 0 {
-				continue
-			}
-			newRun := float64(rng.Intn(1000))
-			if err := upd(s, "m", id, Row{"run": newRun}); err != nil {
-				t.Fatalf("op %d: update: %v", op, err)
-			}
-			r := model[id]
-			r.run = newRun
-			model[id] = r
-		case 6: // rename a random live row: its unique key moves, or collides
-			id := randomID(rng, model)
-			if id == 0 {
-				continue
-			}
-			r := model[id]
-			name := fmt.Sprintf("job%03d", rng.Intn(200))
-			err := upd(s, "m", id, Row{"name": name})
-			if other, taken := byKey[key(r.wf, name)]; taken && other != id {
-				if err == nil {
-					t.Fatalf("op %d: rename onto a live key accepted", op)
+				id, err := ins(s, "m", Row{"name": r.name, "wf": r.wf, "run": r.run})
+				_, dup := byKey[key(r.wf, r.name)]
+				if dup {
+					if err == nil {
+						t.Fatalf("op %d: duplicate accepted", op)
+					}
+					continue
 				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("op %d: rename: %v", op, err)
-			}
-			delete(byKey, key(r.wf, r.name))
-			r.name = name
-			model[id] = r
-			byKey[key(r.wf, name)] = id
-		case 7: // point lookup by pk
-			id := randomID(rng, model)
-			if id == 0 {
-				continue
-			}
-			row, err := s.Get("m", id)
-			if err != nil || row == nil {
-				t.Fatalf("op %d: get %d: %v %v", op, id, row, err)
-			}
-			want := model[id]
-			if row["name"] != want.name || row["wf"] != want.wf || row["run"] != want.run {
-				t.Fatalf("op %d: row %d = %v, want %+v", op, id, row, want)
-			}
-		case 8: // indexed query by wf
-			wf := int64(rng.Intn(wfs))
-			rows, err := s.Select(Query{Table: "m", Conds: []Cond{Eq("wf", wf)}})
-			if err != nil {
-				t.Fatalf("op %d: select: %v", op, err)
-			}
-			wantCount := 0
-			for _, r := range model {
-				if r.wf == wf {
-					wantCount++
+				if err != nil {
+					t.Fatalf("op %d: insert: %v", op, err)
 				}
-			}
-			if len(rows) != wantCount {
-				t.Fatalf("op %d: wf=%d rows=%d want=%d", op, wf, len(rows), wantCount)
-			}
-		case 9: // unique lookup
-			id := randomID(rng, model)
-			if id == 0 {
-				continue
-			}
-			r := model[id]
-			row, err := s.SelectOne(Query{Table: "m", Conds: []Cond{Eq("wf", r.wf), Eq("name", r.name)}})
-			if err != nil || row == nil || row.ID() != id {
-				t.Fatalf("op %d: unique lookup: %v %v", op, row, err)
+				model[id] = r
+				byKey[key(r.wf, r.name)] = id
+			case 4, 5: // update run of a random live row
+				id := randomID(rng, model)
+				if id == 0 {
+					continue
+				}
+				newRun := float64(rng.Intn(1000))
+				if err := upd(s, "m", id, Row{"run": newRun}); err != nil {
+					t.Fatalf("op %d: update: %v", op, err)
+				}
+				r := model[id]
+				r.run = newRun
+				model[id] = r
+			case 6: // rename a random live row: its unique key moves, or collides
+				id := randomID(rng, model)
+				if id == 0 {
+					continue
+				}
+				r := model[id]
+				name := fmt.Sprintf("job%03d", rng.Intn(200))
+				err := upd(s, "m", id, Row{"name": name})
+				if other, taken := byKey[key(r.wf, name)]; taken && other != id {
+					if err == nil {
+						t.Fatalf("op %d: rename onto a live key accepted", op)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("op %d: rename: %v", op, err)
+				}
+				delete(byKey, key(r.wf, r.name))
+				r.name = name
+				model[id] = r
+				byKey[key(r.wf, name)] = id
+			case 7: // point lookup by pk
+				id := randomID(rng, model)
+				if id == 0 {
+					continue
+				}
+				row, err := s.Get("m", id)
+				if err != nil || row == nil {
+					t.Fatalf("op %d: get %d: %v %v", op, id, row, err)
+				}
+				want := model[id]
+				if row["name"] != want.name || row["wf"] != want.wf || row["run"] != want.run {
+					t.Fatalf("op %d: row %d = %v, want %+v", op, id, row, want)
+				}
+			case 8: // indexed query by wf
+				wf := int64(rng.Intn(wfs))
+				rows, err := s.Select(Query{Table: "m", Conds: []Cond{Eq("wf", wf)}})
+				if err != nil {
+					t.Fatalf("op %d: select: %v", op, err)
+				}
+				wantCount := 0
+				for _, r := range model {
+					if r.wf == wf {
+						wantCount++
+					}
+				}
+				if len(rows) != wantCount {
+					t.Fatalf("op %d: wf=%d rows=%d want=%d", op, wf, len(rows), wantCount)
+				}
+			case 9: // unique lookup
+				id := randomID(rng, model)
+				if id == 0 {
+					continue
+				}
+				r := model[id]
+				row, err := s.SelectOne(Query{Table: "m", Conds: []Cond{Eq("wf", r.wf), Eq("name", r.name)}})
+				if err != nil || row == nil || row.ID() != id {
+					t.Fatalf("op %d: unique lookup: %v %v", op, row, err)
+				}
 			}
 		}
 	}
+	run(s, ops)
 
 	// Full-state comparison.
 	verify := func(st *Store, label string) {
@@ -178,6 +188,8 @@ func TestStoreAgainstModel(t *testing.T) {
 	}
 	defer re.Close()
 	verify(re, "reopened store")
+	run(re, 1000)
+	verify(re, "reopened store after 1000 more ops")
 }
 
 func randomID(rng *rand.Rand, model map[int64]modelRow) int64 {

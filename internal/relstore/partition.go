@@ -171,7 +171,7 @@ func (p *partition) update(s *Store, tableName string, id int64, changes Row) er
 	}
 	e := p.epoch.Load() + 1
 	t.supersede(chain, old, merged, e)
-	p.gcAfterWrite(t, chain, old.row, merged, e-1)
+	p.gcAfterWrite(chain, e-1)
 	p.epoch.Store(e)
 	if w := p.wal.Load(); w != nil {
 		if err := w.logUpdate(t, merged); err != nil {
@@ -200,15 +200,11 @@ func (p *partition) gcHorizon(published uint64) uint64 {
 	return published
 }
 
-// gcAfterWrite prunes the version chains an update just touched — the row's
-// own chain plus the posting chains for the old and new key values — so hot
-// rows do not accumulate history when no snapshot needs it.
-func (p *partition) gcAfterWrite(t *table, c *rowChain, oldRow, newRow Row, published uint64) {
-	minE := p.gcHorizon(published)
-	n := pruneChain(c, minE)
-	n += t.pruneRowKeys(oldRow, minE)
-	n += t.pruneRowKeys(newRow, minE)
-	if n > 0 {
+// gcAfterWrite prunes the version chain of the row an update just rewrote,
+// so hot rows do not accumulate history when no snapshot needs it. Indexes
+// hold no versions and are never pruned.
+func (p *partition) gcAfterWrite(c *rowChain, published uint64) {
+	if n := pruneChain(c, p.gcHorizon(published)); n > 0 {
 		p.mReclaims.Add(uint64(n))
 	}
 }

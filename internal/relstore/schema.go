@@ -68,8 +68,9 @@ func (c Column) holds(v any) bool {
 	return false
 }
 
-// ForeignKey declares that values of Column must exist in RefTable's
-// RefColumn (which must be unique or the primary key there).
+// ForeignKey declares that values of Column must name a row of RefTable by
+// its primary key: RefColumn must be "id", the only target any schema here
+// has ever declared, which makes the check one lock-free row lookup.
 type ForeignKey struct {
 	Column    string
 	RefTable  string
@@ -133,6 +134,10 @@ func (s *TableSchema) validate() error {
 	for _, fk := range s.ForeignKeys {
 		if _, ok := seen[fk.Column]; !ok {
 			return fmt.Errorf("relstore: table %s foreign key on unknown column %s", s.Name, fk.Column)
+		}
+		if fk.RefColumn != "id" {
+			return fmt.Errorf("relstore: table %s foreign key %s references %s.%s: only a primary key (id) can be referenced",
+				s.Name, fk.Column, fk.RefTable, fk.RefColumn)
 		}
 	}
 	return nil

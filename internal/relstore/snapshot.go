@@ -22,7 +22,7 @@ var (
 	mSnapshotsLive = telemetry.NewGaugeVec("stampede_relstore_snapshots_live",
 		"Snapshots currently open (pinning version history), by partition.", "partition")
 	mVersionReclaims = telemetry.NewCounterVec("stampede_relstore_version_reclaims_total",
-		"Dead row and index-posting versions reclaimed by version GC, by partition.", "partition")
+		"Dead row versions reclaimed by version GC, by partition.", "partition")
 )
 
 func init() {

@@ -18,8 +18,10 @@ import (
 // appends rows and rewrites columns of rows it appended: CreateTable, and
 // per partition Writer.InsertOwned and Writer.Update. There is no delete,
 // no bulk load and no way to switch a check off; Flush, SetSync, Checkpoint
-// and Close manage durability. Writers prune the version chains they touch
-// (see gcAfterWrite), so history never needs a sweep.
+// and Close manage durability. Writers prune the row version chains they
+// touch (see gcAfterWrite), so history never needs a sweep; indexes carry no
+// versions at all — an entry only nominates a row, whose own chain decides
+// what a reader sees (see postingIndex) — so they are never pruned either.
 //
 // Cross-partition reads stay point-in-time: Snapshot pins a vector of
 // partition epochs (see pinAll), and since every commit lives in exactly
@@ -243,12 +245,12 @@ func (s *Store) pinAll() []*epochPin {
 	return pins
 }
 
-// checkForeignKeys verifies row's FK values. The caller holds p's writeMu,
-// so a reference within the same partition is checked against a stable
-// writer view. References into other partitions are probed lock-free
-// against their newest published state; under the archive's workflow
-// routing these are append-only parent rows (workflow, host), so the probe
-// is exact in practice.
+// checkForeignKeys verifies row's FK values. A foreign key references a
+// primary key (TableSchema.validate refuses anything else), so the probe is
+// a lock-free read of the referenced row's chain — in p first, where the
+// archive's workflow routing puts nearly every parent, then in the other
+// partitions against their newest state; rows are never deleted, so a
+// parent found stays found.
 func (s *Store) checkForeignKeys(p *partition, t *table, row Row) error {
 	for _, fk := range t.schema.ForeignKeys {
 		v := row[fk.Column]
@@ -259,20 +261,7 @@ func (s *Store) checkForeignKeys(p *partition, t *table, row Row) error {
 		if !ok {
 			return fmt.Errorf("relstore: %s.%s references missing table %s", t.schema.Name, fk.Column, fk.RefTable)
 		}
-		if refExists(ref, fk.RefColumn, v, true) {
-			continue
-		}
-		found := false
-		for _, q := range s.parts {
-			if q == p {
-				continue
-			}
-			if refq, ok := q.tables.Load().byName[fk.RefTable]; ok && refExists(refq, fk.RefColumn, v, false) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !s.parentLive(p, ref, v) {
 			return &FKError{
 				Table: t.schema.Name, Column: fk.Column,
 				RefTable: fk.RefTable, RefColumn: fk.RefColumn, Value: v,
@@ -282,61 +271,25 @@ func (s *Store) checkForeignKeys(p *partition, t *table, row Row) error {
 	return nil
 }
 
-// refExists probes one table instance for a live row with col = v.
-// writerView means the caller holds that partition's writeMu and may use
-// the writer-unlocked index read path; otherwise the reader-safe locked
-// path is used. Row-chain probes (the id fast path and the scan fallback)
-// are lock-free-safe either way.
-func refExists(ref *table, col string, v any, writerView bool) bool {
-	if col == "id" {
-		id, ok := v.(int64)
-		if !ok {
-			return false
-		}
-		c, ok := ref.rows.Load(id)
-		return ok && c.liveVersion() != nil
+// parentLive reports whether v is the primary key of a live row of ref's
+// table, in ref (p's instance) or failing that in another partition's.
+func (s *Store) parentLive(p *partition, ref *table, v any) bool {
+	id, ok := v.(int64)
+	if !ok {
+		return false
 	}
-	// Try a unique constraint or index covering exactly this column.
-	probe := Row{col: v}
-	for i, cols := range ref.schema.Unique {
-		if len(cols) == 1 && cols[0] == col {
-			key := compositeKey(probe, cols)
-			if writerView {
-				_, ok := ref.uniques[i].liveID(key)
-				return ok
-			}
-			_, ok := ref.uniques[i].liveIDLocked(key)
-			return ok
-		}
-	}
-	if ixn := ref.findIndex([]string{col}); ixn >= 0 {
-		ix := ref.indexes[ixn]
-		if ix.mi != nil {
-			v, isNil := intKeyOf(probe, ix.intCol)
-			if writerView {
-				_, ok := ix.liveIDInt(v, isNil)
-				return ok
-			}
-			_, ok := ix.liveIDIntLocked(v, isNil)
-			return ok
-		}
-		key := compositeKey(probe, []string{col})
-		if writerView {
-			_, ok := ix.liveID(key)
-			return ok
-		}
-		_, ok := ix.liveIDLocked(key)
-		return ok
-	}
-	found := false
-	ref.rows.Range(func(_ int64, c *rowChain) bool {
-		if lv := c.liveVersion(); lv != nil && valueEq(lv.row[col], v) {
-			found = true
-			return false
-		}
+	if ref.liveRow(id) != nil {
 		return true
-	})
-	return found
+	}
+	for _, q := range s.parts {
+		if q == p {
+			continue
+		}
+		if refq, ok := q.tables.Load().byName[ref.schema.Name]; ok && refq.liveRow(id) != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // FKError reports a foreign-key violation.

@@ -111,6 +111,27 @@ func TestUniqueConstraint(t *testing.T) {
 	if ue.Table != "workflow" || ue.ExistingID != 1 {
 		t.Fatalf("UniqueError = %+v", ue)
 	}
+
+	// Hand-off: A renamed off u1 frees it, B takes it, and A's rename back
+	// collides with B — the current holder, not A's own stale index entry.
+	const a = 1
+	if err := upd(s, "workflow", a, Row{"dax_label": "x"}); err != nil {
+		t.Fatalf("update leaving the unique key alone collided with itself: %v", err)
+	}
+	if err := upd(s, "workflow", a, Row{"wf_uuid": "u2"}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	if err != nil {
+		t.Fatalf("insert onto a vacated key refused: %v", err)
+	}
+	err = upd(s, "workflow", a, Row{"wf_uuid": "u1"})
+	if !errors.As(err, &ue) || ue.ExistingID != b {
+		t.Fatalf("rename back onto a re-taken key: err = %v, want UniqueError naming row %d", err, b)
+	}
+	if err := upd(s, "workflow", b, Row{"dax_label": "y"}); err != nil {
+		t.Fatalf("update leaving the unique key alone collided with itself: %v", err)
+	}
 }
 
 func TestCompositeUniqueAcrossColumns(t *testing.T) {
@@ -213,6 +234,12 @@ func TestCreateTableValidation(t *testing.T) {
 		if err := s.CreateTable(sch); err == nil {
 			t.Errorf("case %d: bad schema accepted", i)
 		}
+	}
+	// A foreign key may only reference a primary key.
+	err := s.CreateTable(TableSchema{Name: "job", Columns: []Column{{Name: "wf", Type: Str}},
+		ForeignKeys: []ForeignKey{{Column: "wf", RefTable: "workflow", RefColumn: "wf_uuid"}}})
+	if want := "relstore: table job foreign key wf references workflow.wf_uuid: only a primary key (id) can be referenced"; err == nil || err.Error() != want {
+		t.Errorf("foreign key on a non-primary column: err = %v, want %q", err, want)
 	}
 	good := wfSchema()
 	if err := s.CreateTable(good); err != nil {

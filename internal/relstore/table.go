@@ -3,7 +3,7 @@ package relstore
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,11 +12,15 @@ import (
 )
 
 // table holds one TableSchema's rows as multi-version chains plus posting
-// lists for unique constraints and secondary indexes. All mutation is
-// serialized by the store-wide writer mutex; readers never lock. Every
-// structure a reader can reach is either immutable after publication or
-// published through an atomic pointer/uint store, so readers race-freely
-// observe a consistent prefix of history at their pinned epoch.
+// lists for unique constraints and secondary indexes. Visibility is a
+// property of rows only: a row's version chain decides what a reader at an
+// epoch sees, and an index entry is a hint — "row id held this key at some
+// epoch" — that is only ever added and that every reader re-checks against
+// the row (see postingIndex). All mutation is serialized by the partition's
+// writer mutex; readers never lock. Every structure a reader can reach is
+// either immutable after publication or published through an atomic
+// pointer/uint store, so readers race-freely observe a consistent prefix of
+// history at their pinned epoch.
 type table struct {
 	schema  *TableSchema
 	colType map[string]ColType
@@ -40,18 +44,17 @@ type table struct {
 	ukeys    [][]byte
 	ubuckets []*postingBucket // buckets for ukeys, resolved by buildUniqueKeys
 
-	// Version-chain nodes are slab-allocated in writer-owned chunks: the
-	// loader inserts millions of rows whose chains live forever, so paying
-	// one allocation per slabSize nodes instead of three per row is pure
-	// win. Tradeoff: the GC can only reclaim a whole slab, so a chunk in
+	// Version-chain and posting nodes are slab-allocated in writer-owned
+	// chunks: the loader inserts millions of rows whose chains live forever,
+	// so paying one allocation per slabSize nodes instead of one per node is
+	// pure win. Tradeoff: the GC can only reclaim a whole slab, so a chunk in
 	// which even one node is live pins its siblings (and, for rowVersion,
 	// their Row references). Insert-heavy archive tables keep nearly every
 	// node live anyway; workloads that churn rows should size GC
 	// expectations accordingly.
 	verSlab    []rowVersion
 	chainSlab  []rowChain
-	pchainSlab []postingChain
-	postSlab   []posting
+	nodeSlab   []postingNode
 	bucketSlab []postingBucket
 }
 
@@ -76,16 +79,6 @@ func (t *table) newChain() *rowChain {
 	c := &t.chainSlab[0]
 	t.chainSlab = t.chainSlab[1:]
 	return c
-}
-
-func (t *table) newPosting(begin uint64) *posting {
-	if len(t.postSlab) == 0 {
-		t.postSlab = make([]posting, slabSize)
-	}
-	p := &t.postSlab[0]
-	t.postSlab = t.postSlab[1:]
-	p.begin = begin
-	return p
 }
 
 // rowChain is the per-row version list, newest version first.
@@ -131,6 +124,18 @@ func (c *rowChain) liveVersion() *rowVersion {
 	return nil
 }
 
+// liveRow returns the newest version of row id — the writer's view, which
+// the unique check and foreign-key probes decide on — or nil when the table
+// holds no such row. Lock-free, so a writer may probe another partition.
+func (t *table) liveRow(id int64) Row {
+	if c, ok := t.rows.Load(id); ok {
+		if v := c.liveVersion(); v != nil {
+			return v.row
+		}
+	}
+	return nil
+}
+
 // pruneChain drops versions no reader at epoch >= minE can reach: every
 // version below the newest one whose begin <= minE. Dropped versions stay
 // internally linked, so a reader paused mid-walk finishes safely. Returns
@@ -153,22 +158,25 @@ func pruneChain(c *rowChain, minE uint64) int {
 	return n
 }
 
-// postingIndex maps a composite key to a bucket of per-row interval
-// chains. Keeping one chain per (key, id) pair — rather than one list per
-// key — makes every writer-side operation (close an interval, prune) O(1) in the
-// number of rows sharing the key, which is what keeps hot keys (all jobs
-// of one workflow, say) from turning every update into a full-key walk.
+// postingIndex maps a key to the bucket of rows that ever held it. An
+// entry carries no visibility: it is added when a row takes a key (insert,
+// or an update that changes the key's encoding) and never ended, pruned or
+// removed, because rows are never deleted and a row changes a given key at
+// most a few times. Readers collect a bucket's ids as candidates and decide
+// with the row's own version chain plus a re-check of the predicate
+// (gather), so a stale entry — the row has since moved to another key — and
+// an early one — the row took the key after the reader's epoch — both
+// filter themselves out.
 //
-// One plain map serves both sides. The writer (already serialized by
-// Store.writeMu) reads it without taking mu — it is the only goroutine
-// that ever mutates the map, so its own lookups cannot race — which lets
-// the hot insert path run a plain map[string] access with a []byte key,
-// a lookup the compiler performs without materialising the string.
-// Readers take mu.RLock for the map access only; the writer takes
-// mu.Lock just for the two rare map mutations (first sighting of a key,
-// dropping an emptied key), so readers never wait on a write in
-// progress — only on a single map write. Bucket contents stay lock-free
-// for readers as before.
+// One plain map serves both sides. The writer (already serialized by the
+// partition's writeMu) reads it without taking mu — it is the only
+// goroutine that ever mutates the map, so its own lookups cannot race —
+// which lets the hot insert path run a plain map[string] access with a
+// []byte key, a lookup the compiler performs without materialising the
+// string. Readers take mu.RLock for the map access only; the writer takes
+// mu.Lock just for the one rare map mutation (first sighting of a key), so
+// readers never wait on a write in progress — only on a single map write.
+// Bucket contents are lock-free for readers.
 type postingIndex struct {
 	mu sync.RWMutex
 	m  map[string]*postingBucket
@@ -196,8 +204,52 @@ func intKeyOf(row Row, col string) (v int64, isNil bool) {
 	return 0, true
 }
 
-// bucketInt returns the bucket for value v (or the NULL bucket).
-// Writer-only: the unlocked map read mirrors addPosting's ix.m access.
+// postingBucket is every row that ever held one key: an atomic
+// singly-linked list of row ids, newest-posted first. A row that left the
+// key and came back appears twice; readers sort and compact.
+type postingBucket struct {
+	head atomic.Pointer[postingNode]
+}
+
+// postingNode is one index entry. Both fields are written before the
+// bucket's head store publishes the node and never change afterwards.
+type postingNode struct {
+	id   int64
+	next *postingNode
+}
+
+// post records that row id holds b's key. It never looks at what the bucket
+// already holds, so posting into a bucket of ten thousand ids costs what
+// posting into an empty one does. Writer-only.
+func (t *table) post(b *postingBucket, id int64) {
+	if len(t.nodeSlab) == 0 {
+		t.nodeSlab = make([]postingNode, slabSize)
+	}
+	n := &t.nodeSlab[0]
+	t.nodeSlab = t.nodeSlab[1:]
+	n.id = id
+	n.next = b.head.Load()
+	b.head.Store(n)
+}
+
+// postKey posts row id under key, whose bucket the caller already resolved
+// (nil when the key is unseen). When the key exists — the common case for
+// secondary indexes — nothing allocates beyond an amortised share of a node
+// slab; a never-seen key costs the one interned string (the map insert must
+// materialise it) plus a share of a bucket slab. Writer-only.
+func (t *table) postKey(ix *postingIndex, key []byte, b *postingBucket, id int64) {
+	if b == nil {
+		b = t.newBucket()
+		ix.mu.Lock()
+		ix.m[string(key)] = b
+		ix.mu.Unlock()
+	}
+	t.post(b, id)
+}
+
+// bucketInt returns a specialized single-Int index's bucket for value v, or
+// its NULL bucket. The writer calls it unlocked, as it reads ix.m; readers
+// hold mu.RLock.
 func (ix *postingIndex) bucketInt(v int64, isNil bool) *postingBucket {
 	if isNil {
 		return ix.nilb
@@ -205,206 +257,20 @@ func (ix *postingIndex) bucketInt(v int64, isNil bool) *postingBucket {
 	return ix.mi[v]
 }
 
-// bucketIntLocked is bucketInt for goroutines not holding the partition's
-// writer mutex.
-func (ix *postingIndex) bucketIntLocked(v int64, isNil bool) *postingBucket {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if isNil {
-		return ix.nilb
-	}
-	return ix.mi[v]
-}
-
-// postingBucket is every row that ever matched one key. Readers walk
-// chains, an atomic singly-linked list of the rows' interval chains
-// (newest-joined first). The remaining fields are writer-owned: ids
-// counts entries so an emptied bucket can drop its key without a walk,
-// and wByID accelerates one row's chain lookup — it stays nil while the
-// bucket is small (unique keys hold one row; most index keys a handful)
-// and is built only once the chain walk would get long.
-type postingBucket struct {
-	chains atomic.Pointer[postingChain]
-	wByID  map[int64]*postingChain
-	ids    int64
-}
-
-// bucketMapThreshold is the bucket size at which wByID is materialised.
-const bucketMapThreshold = 16
-
-// chainOf returns the bucket's chain for row id, or nil. Writer-only.
-func (b *postingBucket) chainOf(id int64) *postingChain {
-	if b.wByID != nil {
-		return b.wByID[id]
-	}
-	for c := b.chains.Load(); c != nil; c = c.next.Load() {
-		if c.id == id {
-			return c
-		}
-	}
-	return nil
-}
-
-// liveID returns a row currently holding the bucket's key, if any — the
-// writer's view, used for unique checks and FK probes. Dead chains are
-// pruned on write, so a unique key's bucket stays near one entry.
-func (b *postingBucket) liveID() (int64, bool) {
-	for c := b.chains.Load(); c != nil; c = c.next.Load() {
-		if c.liveIn() {
-			return c.id, true
-		}
-	}
-	return 0, false
-}
-
-// postingChain is one row's validity intervals for one key, newest first.
-// next links the chains of all rows in the same bucket.
-type postingChain struct {
-	id   int64
-	head atomic.Pointer[posting]
-	next atomic.Pointer[postingChain]
-}
-
-// posting records that the row matched the key during the epoch range
-// [begin, end). Like rowVersion, begin is immutable after the atomic head
-// publish and end is set once.
-type posting struct {
-	begin uint64
-	end   atomic.Uint64 // 0 = still current
-	next  atomic.Pointer[posting]
-}
-
-func postingVisible(p *posting, e uint64) bool {
-	if p.begin > e {
-		return false
-	}
-	end := p.end.Load()
-	return end == 0 || end > e
-}
-
-// visibleIn reports whether some interval of chain c covers epoch e. The
-// chain is newest first and intervals are disjoint, so the first interval
-// with begin <= e decides.
-func (c *postingChain) visibleIn(e uint64) bool {
-	for p := c.head.Load(); p != nil; p = p.next.Load() {
-		if p.begin > e {
-			continue
-		}
-		return postingVisible(p, e)
-	}
-	return false
-}
-
-// liveIn reports whether the chain's newest interval is still open.
-func (c *postingChain) liveIn() bool {
-	p := c.head.Load()
-	return p != nil && p.end.Load() == 0
-}
-
-// addPosting opens a live interval for (key, id) at epoch e, drawing the
-// bucket, chain and posting nodes from t's slabs. Writer-only. When both
-// the key and the (key, id) chain already exist — the common case for
-// secondary indexes — nothing allocates; a never-seen key costs the one
-// interned string (the map insert must materialise it) plus an amortised
-// share of a bucket slab.
-func (t *table) addPosting(ix *postingIndex, key []byte, id int64, e uint64) {
-	t.addPostingIn(ix, key, ix.m[string(key)], id, e)
-}
-
-// addPostingIn is addPosting with the key's bucket already resolved (nil
-// when the key is unseen) — the insert path reuses the lookup the unique
-// check already did. Writer-only.
-func (t *table) addPostingIn(ix *postingIndex, key []byte, b *postingBucket, id int64, e uint64) {
+// postInt is postKey for a specialized single-Int index: no key encode.
+func (t *table) postInt(ix *postingIndex, v int64, isNil bool, id int64) {
+	b := ix.bucketInt(v, isNil)
 	if b == nil {
 		b = t.newBucket()
 		ix.mu.Lock()
-		ix.m[string(key)] = b
-		ix.mu.Unlock()
-	}
-	c := b.chainOf(id)
-	if c == nil {
-		c = t.attachChain(b, id)
-	}
-	t.pushPosting(c, e)
-}
-
-// addFreshPosting is addPostingIn for a row id the index has never seen —
-// every brand-new insert, since primary keys are never reused. The
-// bucket's chainOf probe is skipped: in a hot many-row bucket (all jobs
-// of one workflow under the wf_id index, say) that probe is a lookup in
-// a wByID map the size of the table, paid per insert for a chain that
-// cannot exist.
-func (t *table) addFreshPosting(ix *postingIndex, key []byte, b *postingBucket, id int64, e uint64) {
-	if b == nil {
-		b = t.newBucket()
-		ix.mu.Lock()
-		ix.m[string(key)] = b
-		ix.mu.Unlock()
-	}
-	t.pushPosting(t.attachChain(b, id), e)
-}
-
-// addPostingInt is addPostingIn for a specialized single-Int index.
-func (t *table) addPostingInt(ix *postingIndex, v int64, isNil bool, id int64, e uint64) {
-	b := ix.bucketInt(v, isNil)
-	if b == nil {
-		b = t.newIntBucket(ix, v, isNil)
-	}
-	c := b.chainOf(id)
-	if c == nil {
-		c = t.attachChain(b, id)
-	}
-	t.pushPosting(c, e)
-}
-
-// addFreshPostingInt is addFreshPosting for a specialized single-Int
-// index: no key encode, no chainOf probe.
-func (t *table) addFreshPostingInt(ix *postingIndex, v int64, isNil bool, id int64, e uint64) {
-	b := ix.bucketInt(v, isNil)
-	if b == nil {
-		b = t.newIntBucket(ix, v, isNil)
-	}
-	t.pushPosting(t.attachChain(b, id), e)
-}
-
-// newIntBucket installs an empty bucket under value v (or NULL) of a
-// specialized index.
-func (t *table) newIntBucket(ix *postingIndex, v int64, isNil bool) *postingBucket {
-	b := t.newBucket()
-	ix.mu.Lock()
-	if isNil {
-		ix.nilb = b
-	} else {
-		ix.mi[v] = b
-	}
-	ix.mu.Unlock()
-	return b
-}
-
-// attachChain creates and links a new chain for row id into bucket b,
-// maintaining the wByID acceleration map. Writer-only.
-func (t *table) attachChain(b *postingBucket, id int64) *postingChain {
-	c := t.newPChain(id)
-	c.next.Store(b.chains.Load())
-	b.chains.Store(c)
-	if b.wByID != nil {
-		b.wByID[id] = c
-	} else if b.ids >= bucketMapThreshold {
-		m := make(map[int64]*postingChain, 2*bucketMapThreshold)
-		for x := b.chains.Load(); x != nil; x = x.next.Load() {
-			m[x.id] = x
+		if isNil {
+			ix.nilb = b
+		} else {
+			ix.mi[v] = b
 		}
-		b.wByID = m
+		ix.mu.Unlock()
 	}
-	b.ids++
-	return c
-}
-
-// pushPosting opens a live interval at epoch e on chain c. Writer-only.
-func (t *table) pushPosting(c *postingChain, e uint64) {
-	p := t.newPosting(e)
-	p.next.Store(c.head.Load())
-	c.head.Store(p)
+	t.post(b, id)
 }
 
 // newBucket returns a slab-allocated, empty postingBucket.
@@ -417,83 +283,32 @@ func (t *table) newBucket() *postingBucket {
 	return b
 }
 
-// newPChain returns a slab-allocated postingChain for row id.
-func (t *table) newPChain(id int64) *postingChain {
-	if len(t.pchainSlab) == 0 {
-		t.pchainSlab = make([]postingChain, slabSize)
+// candidates returns the ids of every row that ever held probe's key over
+// cols, ascending by primary key and without repeats, so indexed Selects
+// are deterministic. The caller resolves each id at its epoch and re-checks
+// the predicate; nothing here knows about visibility. Reader-safe.
+func (ix *postingIndex) candidates(probe Row, cols []string) []int64 {
+	var b *postingBucket
+	if ix.mi != nil {
+		v, isNil := intKeyOf(probe, ix.intCol)
+		ix.mu.RLock()
+		b = ix.bucketInt(v, isNil)
+		ix.mu.RUnlock()
+	} else {
+		key := compositeKey(probe, cols)
+		ix.mu.RLock()
+		b = ix.m[key]
+		ix.mu.RUnlock()
 	}
-	c := &t.pchainSlab[0]
-	t.pchainSlab = t.pchainSlab[1:]
-	c.id = id
-	return c
-}
-
-// endPosting closes the live interval for (key, id) at epoch e.
-// Writer-only (its map read is unlocked).
-func (ix *postingIndex) endPosting(key []byte, id int64, e uint64) {
-	b, ok := ix.m[string(key)]
-	if !ok {
-		return
-	}
-	endChainPosting(b, id, e)
-}
-
-// endPostingInt is endPosting for a specialized single-Int index.
-func (ix *postingIndex) endPostingInt(v int64, isNil bool, id int64, e uint64) {
-	b := ix.bucketInt(v, isNil)
 	if b == nil {
-		return
+		return nil
 	}
-	endChainPosting(b, id, e)
-}
-
-func endChainPosting(b *postingBucket, id int64, e uint64) {
-	if c := b.chainOf(id); c != nil {
-		if p := c.head.Load(); p != nil && p.end.Load() == 0 {
-			p.end.Store(e)
-		}
+	var ids []int64
+	for n := b.head.Load(); n != nil; n = n.next {
+		ids = append(ids, n.id)
 	}
-}
-
-// liveID returns the id of a row currently holding key — the writer's
-// view, used for unique checks and FK probes. Writer-only.
-func (ix *postingIndex) liveID(key string) (int64, bool) {
-	b, ok := ix.m[key]
-	if !ok {
-		return 0, false
-	}
-	return b.liveID()
-}
-
-// liveIDLocked is liveID for goroutines that do not hold this partition's
-// writer mutex (cross-partition FK probes): the map access takes the read
-// lock; the bucket walk is the same lock-free atomic traversal readers use.
-func (ix *postingIndex) liveIDLocked(key string) (int64, bool) {
-	ix.mu.RLock()
-	b, ok := ix.m[key]
-	ix.mu.RUnlock()
-	if !ok {
-		return 0, false
-	}
-	return b.liveID()
-}
-
-// liveIDInt / liveIDIntLocked are the liveID pair for a specialized
-// single-Int index.
-func (ix *postingIndex) liveIDInt(v int64, isNil bool) (int64, bool) {
-	b := ix.bucketInt(v, isNil)
-	if b == nil {
-		return 0, false
-	}
-	return b.liveID()
-}
-
-func (ix *postingIndex) liveIDIntLocked(v int64, isNil bool) (int64, bool) {
-	b := ix.bucketIntLocked(v, isNil)
-	if b == nil {
-		return 0, false
-	}
-	return b.liveID()
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // noteID raises the shared id allocator to at least id; replay and
@@ -503,174 +318,6 @@ func (t *table) noteID(id int64) {
 	if id > t.alloc.Load() {
 		t.alloc.Store(id)
 	}
-}
-
-// idAt returns the id of the row holding key at epoch e. For unique keys
-// at most one row is visible at any epoch. Reader-safe.
-func (ix *postingIndex) idAt(key string, e uint64) (int64, bool) {
-	ix.mu.RLock()
-	b, ok := ix.m[key]
-	ix.mu.RUnlock()
-	if !ok {
-		return 0, false
-	}
-	for c := b.chains.Load(); c != nil; c = c.next.Load() {
-		if c.visibleIn(e) {
-			return c.id, true
-		}
-	}
-	return 0, false
-}
-
-// idsAt collects the ids of all rows matching key at epoch e, ascending by
-// primary key so indexed Selects are deterministic. Reader-safe.
-func (ix *postingIndex) idsAt(key string, e uint64) []int64 {
-	ix.mu.RLock()
-	b, ok := ix.m[key]
-	ix.mu.RUnlock()
-	if !ok {
-		return nil
-	}
-	var ids []int64
-	for c := b.chains.Load(); c != nil; c = c.next.Load() {
-		if c.visibleIn(e) {
-			ids = append(ids, c.id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// idsAtInt is idsAt for a specialized single-Int index.
-func (ix *postingIndex) idsAtInt(v int64, isNil bool, e uint64) []int64 {
-	b := ix.bucketIntLocked(v, isNil)
-	if b == nil {
-		return nil
-	}
-	var ids []int64
-	for c := b.chains.Load(); c != nil; c = c.next.Load() {
-		if c.visibleIn(e) {
-			ids = append(ids, c.id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func postingDead(p *posting, minE uint64) bool {
-	end := p.end.Load()
-	return end != 0 && end <= minE
-}
-
-// pruneIntervals drops intervals of c that no reader at epoch >= minE can
-// see. Unlinked postings keep their own next pointers, so a paused reader
-// finishes its walk. Reports how many were reclaimed and whether the chain
-// is now empty. Writer-only.
-func pruneIntervals(c *postingChain, minE uint64) (reclaimed int, empty bool) {
-	v := c.head.Load()
-	for v != nil && v.begin > minE {
-		v = v.next.Load()
-	}
-	if v == nil {
-		return 0, c.head.Load() == nil
-	}
-	n := 0
-	for old := v.next.Load(); old != nil; old = old.next.Load() {
-		n++
-	}
-	if n > 0 {
-		v.next.Store(nil)
-	}
-	if postingDead(v, minE) {
-		// v itself is invisible to every reader at or above the horizon;
-		// unlink it too (it is the tail after the truncation above).
-		n++
-		if c.head.Load() == v {
-			c.head.Store(nil)
-		} else {
-			for p := c.head.Load(); p != nil; p = p.next.Load() {
-				if p.next.Load() == v {
-					p.next.Store(nil)
-					break
-				}
-			}
-		}
-	}
-	return n, c.head.Load() == nil
-}
-
-// unlink removes chain c from the bucket's reader list. A reader paused
-// on c still finishes its walk (c keeps its next pointer); readers that
-// start later skip it. The walk is O(bucket), but unlinking only happens
-// when a row's last interval for the key dies — an update that changes the
-// key, not the insert-heavy steady state. Writer-only.
-func (b *postingBucket) unlink(c *postingChain) {
-	head := b.chains.Load()
-	if head == c {
-		b.chains.Store(c.next.Load())
-		return
-	}
-	for p := head; p != nil; p = p.next.Load() {
-		if p.next.Load() == c {
-			p.next.Store(c.next.Load())
-			return
-		}
-	}
-}
-
-// pruneID prunes the single interval chain for (key, id), dropping the id
-// entry — and the key's bucket when it empties — once nothing visible
-// remains. Writer-only.
-func (ix *postingIndex) pruneID(key []byte, id int64, minE uint64) int {
-	b, ok := ix.m[string(key)]
-	if !ok {
-		return 0
-	}
-	n, emptied := pruneChainIn(b, id, minE)
-	if emptied {
-		ix.mu.Lock()
-		delete(ix.m, string(key))
-		ix.mu.Unlock()
-	}
-	return n
-}
-
-// pruneIDInt is pruneID for a specialized single-Int index.
-func (ix *postingIndex) pruneIDInt(v int64, isNil bool, id int64, minE uint64) int {
-	b := ix.bucketInt(v, isNil)
-	if b == nil {
-		return 0
-	}
-	n, emptied := pruneChainIn(b, id, minE)
-	if emptied {
-		ix.mu.Lock()
-		if isNil {
-			ix.nilb = nil
-		} else {
-			delete(ix.mi, v)
-		}
-		ix.mu.Unlock()
-	}
-	return n
-}
-
-// pruneChainIn prunes bucket b's chain for row id, reporting reclaimed
-// postings and whether the bucket emptied (the caller drops its key).
-// Writer-only.
-func pruneChainIn(b *postingBucket, id int64, minE uint64) (int, bool) {
-	c := b.chainOf(id)
-	if c == nil {
-		return 0, false
-	}
-	n, empty := pruneIntervals(c, minE)
-	if empty {
-		b.unlink(c)
-		if b.wByID != nil {
-			delete(b.wByID, id)
-		}
-		b.ids--
-	}
-	return n, b.ids == 0 && empty
 }
 
 func newTable(s *TableSchema, alloc *atomic.Int64) *table {
@@ -715,37 +362,44 @@ func (t *table) putRowKeys(row Row, e uint64, ukeys [][]byte) {
 	id := row.ID()
 	t.rows.Store(id, c)
 	for i := range ukeys {
-		t.addFreshPosting(t.uniques[i], ukeys[i], t.ubuckets[i], id, e)
+		t.postKey(t.uniques[i], ukeys[i], t.ubuckets[i], id)
 	}
 	for i, cols := range t.schema.Indexes {
-		if ix := t.indexes[i]; ix.mi != nil {
+		ix := t.indexes[i]
+		if ix.mi != nil {
 			v, isNil := intKeyOf(row, ix.intCol)
-			t.addFreshPostingInt(ix, v, isNil, id, e)
+			t.postInt(ix, v, isNil, id)
 			continue
 		}
 		t.keyBuf = t.keyInto(t.keyBuf[:0], row, cols)
-		ix := t.indexes[i]
-		t.addFreshPosting(ix, t.keyBuf, ix.m[string(t.keyBuf)], id, e)
+		t.postKey(ix, t.keyBuf, ix.m[string(t.keyBuf)], id)
 	}
 }
 
 // supersede replaces the live version old of chain c with row at epoch e.
 // Readers pinned below e keep seeing old; readers at e and later see row.
-// Only keys the update actually changed are re-posted: the common archive
-// updates (exitcode, durations, host assignment) leave every indexed
-// column untouched, and comparing the encoded keys is far cheaper than
-// closing and re-adding identical postings.
+// The row is posted under a key only when the update changed that key's
+// encoding: the common archive updates (exitcode, durations) leave every
+// indexed column untouched, and comparing the keys is far cheaper than
+// posting again. The entry under the old key stays — readers pinned below e
+// still find the row through it, later ones drop it on the re-check — and
+// the new key's bucket is not probed for an entry the row may have left
+// there earlier (w → v → w): a repeat is the reader's to compact.
 func (t *table) supersede(c *rowChain, old *rowVersion, row Row, e uint64) {
 	id := row.ID()
 	for i, cols := range t.schema.Unique {
-		t.reindexChanged(t.uniques[i], old.row, row, cols, id, e)
+		t.postIfMoved(t.uniques[i], old.row, row, cols, id)
 	}
 	for i, cols := range t.schema.Indexes {
-		if ix := t.indexes[i]; ix.mi != nil {
-			t.reindexChangedInt(ix, old.row, row, id, e)
+		ix := t.indexes[i]
+		if ix.mi == nil {
+			t.postIfMoved(ix, old.row, row, cols, id)
 			continue
 		}
-		t.reindexChanged(t.indexes[i], old.row, row, cols, id, e)
+		ov, onil := intKeyOf(old.row, ix.intCol)
+		if nv, nnil := intKeyOf(row, ix.intCol); nv != ov || nnil != onil {
+			t.postInt(ix, nv, nnil, id)
+		}
 	}
 	v := t.newVersion(row, e)
 	v.prev.Store(old)
@@ -753,31 +407,14 @@ func (t *table) supersede(c *rowChain, old *rowVersion, row Row, e uint64) {
 	c.head.Store(v)
 }
 
-// reindexChanged moves (oldRow -> newRow)'s posting for one key set when
-// the encoded keys differ, and does nothing when they are equal.
-func (t *table) reindexChanged(ix *postingIndex, oldRow, newRow Row, cols []string, id int64, e uint64) {
+// postIfMoved posts row id under newRow's key over cols when its encoding
+// differs from oldRow's, and does nothing when they are equal.
+func (t *table) postIfMoved(ix *postingIndex, oldRow, newRow Row, cols []string, id int64) {
 	t.keyBuf = t.keyInto(t.keyBuf[:0], oldRow, cols)
 	t.keyBuf2 = t.keyInto(t.keyBuf2[:0], newRow, cols)
-	if bytes.Equal(t.keyBuf, t.keyBuf2) {
-		return
+	if !bytes.Equal(t.keyBuf, t.keyBuf2) {
+		t.postKey(ix, t.keyBuf2, ix.m[string(t.keyBuf2)], id)
 	}
-	ix.endPosting(t.keyBuf, id, e)
-	t.addPosting(ix, t.keyBuf2, id, e)
-}
-
-// reindexChangedInt is reindexChanged for a specialized single-Int index:
-// the old/new values compare directly, with no key encode at all on the
-// (dominant) unchanged path. The re-add goes through the chainOf-probing
-// addPostingInt — a value can flip back to one the row held before, whose
-// chain still exists.
-func (t *table) reindexChangedInt(ix *postingIndex, oldRow, newRow Row, id int64, e uint64) {
-	ov, onil := intKeyOf(oldRow, ix.intCol)
-	nv, nnil := intKeyOf(newRow, ix.intCol)
-	if ov == nv && onil == nnil {
-		return
-	}
-	ix.endPostingInt(ov, onil, id, e)
-	t.addPostingInt(ix, nv, nnil, id, e)
 }
 
 // appendKeyValue appends the canonical key encoding of one column value.
@@ -904,59 +541,48 @@ func (t *table) checkUnique(row Row, exclude int64) error {
 }
 
 // checkUniqueKeys is checkUnique over keys pre-built by buildUniqueKeys,
-// probing the buckets that build already resolved.
+// probing the buckets that build already resolved. A key collides when some
+// row ever posted under it, other than exclude, holds it now: the bucket
+// only nominates, the candidate's live version decides — so a row renamed
+// away from a key frees it, and a rename back collides with whoever took it
+// meanwhile. A never-seen key (every non-duplicate insert) has no bucket and
+// costs nothing. keys[i] lives in t.ukeys[i], so encoding a candidate into
+// t.keyBuf2 does not alias the probe.
 func (t *table) checkUniqueKeys(keys [][]byte, exclude int64) error {
-	for i := range keys {
-		if b := t.ubuckets[i]; b != nil {
-			if id, live := b.liveID(); live && id != exclude {
-				return &UniqueError{Table: t.schema.Name, Columns: t.schema.Unique[i], ExistingID: id}
+	for i, key := range keys {
+		b := t.ubuckets[i]
+		if b == nil {
+			continue
+		}
+		for n := b.head.Load(); n != nil; n = n.next {
+			if n.id == exclude {
+				continue
+			}
+			if live := t.liveRow(n.id); live != nil {
+				t.keyBuf2 = t.keyInto(t.keyBuf2[:0], live, t.schema.Unique[i])
+				if bytes.Equal(t.keyBuf2, key) {
+					return &UniqueError{Table: t.schema.Name, Columns: t.schema.Unique[i], ExistingID: n.id}
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// pruneRowKeys prunes this row's own interval chains under each of its
-// keys; writers call it for the rows they just touched so history never
-// accumulates, without ever walking the other rows sharing a key.
-func (t *table) pruneRowKeys(row Row, minE uint64) int {
-	id := row.ID()
-	n := 0
-	for i, cols := range t.schema.Unique {
-		t.keyBuf = t.keyInto(t.keyBuf[:0], row, cols)
-		n += t.uniques[i].pruneID(t.keyBuf, id, minE)
-	}
-	for i, cols := range t.schema.Indexes {
-		if ix := t.indexes[i]; ix.mi != nil {
-			v, isNil := intKeyOf(row, ix.intCol)
-			n += ix.pruneIDInt(v, isNil, id, minE)
-			continue
-		}
-		t.keyBuf = t.keyInto(t.keyBuf[:0], row, cols)
-		n += t.indexes[i].pruneID(t.keyBuf, id, minE)
-	}
-	return n
-}
-
-// findIndex returns the position of an index exactly covering cols (order
-// sensitive), or -1.
-func (t *table) findIndex(cols []string) int {
+// indexCovering returns the secondary index, or failing that the unique
+// constraint's index, declared over exactly cols (order sensitive), or nil.
+func (t *table) indexCovering(cols []string) *postingIndex {
 	for i, ix := range t.schema.Indexes {
-		if len(ix) != len(cols) {
-			continue
-		}
-		match := true
-		for j := range ix {
-			if ix[j] != cols[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return i
+		if slices.Equal(ix, cols) {
+			return t.indexes[i]
 		}
 	}
-	return -1
+	for i, u := range t.schema.Unique {
+		if slices.Equal(u, cols) {
+			return t.uniques[i]
+		}
+	}
+	return nil
 }
 
 // UniqueError reports a unique-constraint violation. The loader relies on

@@ -567,7 +567,6 @@ func (s *Store) applyRecord(p *partition, rec walRecord) error {
 				// Both versions carry epoch 1; nothing can ever read the
 				// superseded one, so drop it immediately.
 				pruneChain(c, e)
-				t.pruneRowKeys(old.row, e)
 				return nil
 			}
 		}

@@ -18,9 +18,9 @@ import (
 // same bit /readyz serves) must flip unready while firing and back to
 // ready at the end.
 //
-// The seed is unique to this test: freshness reads the process-global
-// watermark table scoped to this run's workflow uuids, so sharing a seed
-// with another soak test would let its watermarks leak into this audit.
+// Freshness reads the process-global watermark table by this run's workflow
+// uuids, which the seed fixes; Run forgets them before it publishes, so the
+// test means the same the second time it runs in a process (-count=2).
 func TestSoakSLOLifecycle(t *testing.T) {
 	sc := &synth.Scenario{
 		Name: "slo-lifecycle",

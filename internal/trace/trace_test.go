@@ -156,6 +156,14 @@ func TestWatermarkForStable(t *testing.T) {
 	if _, ok := WatermarkOf("wf-never-seen"); ok {
 		t.Fatal("WatermarkOf invented a workflow")
 	}
+	// Forgotten, the workflow starts over: absent, then a fresh zero entry.
+	ForgetWatermarks([]string{"wf-stable-test", "wf-never-seen"})
+	if _, ok := WatermarkOf("wf-stable-test"); ok {
+		t.Fatal("watermark survived ForgetWatermarks")
+	}
+	if c := WatermarkFor("wf-stable-test"); c == a || !c.Max().IsZero() {
+		t.Fatalf("after ForgetWatermarks WatermarkFor returned the old entry or a non-zero one (%v)", c.Max())
+	}
 }
 
 func TestNameTableRoundTrip(t *testing.T) {

@@ -142,6 +142,22 @@ func WatermarkFor(wf string) *Watermark {
 	return w
 }
 
+// ForgetWatermarks drops the given workflows' entries and freshness gauges,
+// so each starts again from "nothing applied". The table is process-global
+// and Advance is a max: a harness that plays the same workflow uuids twice
+// in one process (a seeded soak scenario run again) would otherwise read the
+// earlier run's final values from its first event on.
+func ForgetWatermarks(wfs []string) {
+	watermarks.mu.Lock()
+	defer watermarks.mu.Unlock()
+	for _, wf := range wfs {
+		if _, ok := watermarks.by[wf]; ok {
+			delete(watermarks.by, wf)
+			mFreshness.Delete(wf)
+		}
+	}
+}
+
 // WatermarkOf reports the workflow's watermark without creating one.
 func WatermarkOf(wf string) (time.Time, bool) {
 	watermarks.mu.RLock()
