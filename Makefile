@@ -12,14 +12,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrency suites (loader pipeline, mq churn, relstore writers) and
-# the soak harness are written to be meaningful under the race detector;
-# run them with it, twice over in one process — no test in them may depend
-# on process-wide state (span ring, watermark table, metrics, event pool)
-# being fresh — and with no skip list. Then everything else once.
+# The concurrency suites (loader pipeline, mq churn, relstore writers, the
+# views publisher and the SSE layer on top of it) and the soak harness are
+# written to be meaningful under the race detector; run them with it, twice
+# over in one process — no test in them may depend on process-wide state
+# (span ring, watermark table, metrics, event pool) being fresh — and with
+# no skip list. Then everything else once.
 race:
-	$(GO) test -race -count=2 ./internal/mq ./internal/relstore ./internal/loader ./internal/soak
-	$(GO) test -race $$($(GO) list ./... | grep -v -E '/internal/(mq|relstore|loader|soak)$$')
+	$(GO) test -race -count=2 ./internal/mq ./internal/relstore ./internal/loader ./internal/soak ./internal/views ./internal/dashboard
+	$(GO) test -race $$($(GO) list ./... | grep -v -E '/internal/(mq|relstore|loader|soak|views|dashboard)$$')
 
 # A few seconds of coverage-guided fuzzing on the BP wire format
 # (round-trips Format→Parse on everything the fuzzer finds), on the

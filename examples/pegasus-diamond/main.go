@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	st, err := core.Start(core.Config{FlushEvery: 10 * time.Millisecond})
+	st, err := core.Start(core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

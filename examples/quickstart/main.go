@@ -17,7 +17,7 @@ import (
 
 func main() {
 	// 1. Start the monitoring service: message bus + loader + archive.
-	st, err := core.Start(core.Config{FlushEvery: 10 * time.Millisecond})
+	st, err := core.Start(core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

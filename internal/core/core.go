@@ -29,6 +29,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/relstore"
 	"repro/internal/stats"
+	"repro/internal/views"
 )
 
 // Config tunes the monitoring service.
@@ -40,7 +41,9 @@ type Config struct {
 	// bound to "stampede.#", exactly the published deployment).
 	QueueName string
 	Topic     string
-	// BatchSize and FlushEvery tune the loader (see loader.Options).
+	// BatchSize and FlushEvery tune the loader (see loader.Options). Both
+	// are upper bounds: an event alone on the bus is applied and on the
+	// dashboard's streams at once, whatever they say.
 	BatchSize  int
 	FlushEvery time.Duration
 	// Shards is the loader's apply-shard count: N > 1 loads distinct
@@ -58,6 +61,7 @@ type Stampede struct {
 	broker *mq.Broker
 	arch   *archive.Archive
 	ldr    *loader.Loader
+	views  *views.Views
 	qi     *query.QI
 	queue  *mq.Queue
 
@@ -69,7 +73,7 @@ type Stampede struct {
 
 // Start brings up the service: an in-process topic broker, a durable
 // queue bound to the Stampede topic space, and a loader consuming it into
-// the archive.
+// the archive and the materialized views the dashboard streams from.
 func Start(cfg Config) (*Stampede, error) {
 	if cfg.QueueName == "" {
 		cfg.QueueName = "stampede"
@@ -87,32 +91,44 @@ func Start(cfg Config) (*Stampede, error) {
 	if err != nil {
 		return nil, err
 	}
+	vw := views.New(views.Options{})
+	fail := func(err error) (*Stampede, error) {
+		vw.Close()
+		arch.Close()
+		return nil, err
+	}
+	// A reopened archive already holds workflows; the views start from them.
+	sn := arch.Snapshot()
+	err = vw.BuildFromSnapshot(sn)
+	sn.Close()
+	if err != nil {
+		return fail(err)
+	}
 	ldr, err := loader.New(arch, loader.Options{
 		BatchSize:  cfg.BatchSize,
 		FlushEvery: cfg.FlushEvery,
 		Validate:   !cfg.SkipValidation,
 		Lenient:    cfg.Lenient,
 		Shards:     cfg.Shards,
+		Views:      vw,
 	})
 	if err != nil {
-		arch.Close()
-		return nil, err
+		return fail(err)
 	}
 	broker := mq.NewBroker()
 	q, err := broker.DeclareQueue(cfg.QueueName, mq.QueueOpts{Durable: true})
 	if err != nil {
-		arch.Close()
-		return nil, err
+		return fail(err)
 	}
 	if err := broker.Bind(cfg.QueueName, cfg.Topic); err != nil {
-		arch.Close()
-		return nil, err
+		return fail(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Stampede{
 		broker: broker,
 		arch:   arch,
 		ldr:    ldr,
+		views:  vw,
 		qi:     query.New(arch),
 		queue:  q,
 		cancel: cancel,
@@ -208,6 +224,7 @@ func (s *Stampede) Stop() (loader.Stats, error) {
 	s.cancel()
 	<-s.done
 	err := s.runErr
+	s.views.Close()
 	if cerr := s.arch.Close(); err == nil {
 		err = cerr
 	}
@@ -273,9 +290,11 @@ func (s *Stampede) Progress(wfUUID string) (map[string][]stats.ProgressPoint, er
 
 // Dashboard returns the HTTP handler of the live web dashboard, with the
 // service's bus wired in so the status page shows broker traffic and
-// drop counts alongside workflow state.
+// drop counts alongside workflow state, and its views so the listing and
+// the /api/stream endpoints are served from them.
 func (s *Stampede) Dashboard() http.Handler {
 	d := dashboard.New(s.qi)
 	d.SetBus(s.broker)
+	d.SetViews(s.views)
 	return d
 }

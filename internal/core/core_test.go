@@ -1,17 +1,21 @@
 package core
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/bp"
 	"repro/internal/mq"
+	"repro/internal/schema"
 	"repro/internal/triana"
 )
 
@@ -44,7 +48,7 @@ func demoGraph() *triana.TaskGraph {
 }
 
 func TestStartRunQueryStop(t *testing.T) {
-	st, err := Start(Config{FlushEvery: 5 * time.Millisecond})
+	st, err := Start(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +91,7 @@ func TestStartRunQueryStop(t *testing.T) {
 
 func TestPersistentArchiveAcrossRestarts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stampede-store")
-	st, err := Start(Config{DatabasePath: path, FlushEvery: 5 * time.Millisecond})
+	st, err := Start(Config{DatabasePath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +115,7 @@ func TestPersistentArchiveAcrossRestarts(t *testing.T) {
 }
 
 func TestDashboardServesLiveArchive(t *testing.T) {
-	st, err := Start(Config{FlushEvery: 5 * time.Millisecond})
+	st, err := Start(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +130,97 @@ func TestDashboardServesLiveArchive(t *testing.T) {
 	if len(resp) < 10 {
 		t.Fatalf("dashboard response too small: %q", resp)
 	}
+}
+
+// TestLoneEventReachesTheGlass: with every option at its default, an
+// invocation that ends on an otherwise quiet service is a delta frame on a
+// dashboard client's stream within 50 ms — nothing on the way waits for a
+// batch to fill or a timer to fire. (Under the 500 ms loader tick and the
+// 200 ms view tick it took at least 200 ms.) The bound is wall time, so a
+// stalled machine gets further tries; one prompt delivery proves the path.
+func TestLoneEventReachesTheGlass(t *testing.T) {
+	st, err := Start(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	srv := httptest.NewServer(st.Dashboard())
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/api/stream/workflows", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	deltas := make(chan string, 256)
+	go func() {
+		defer close(deltas)
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
+		delta := false
+		for sc.Scan() {
+			switch line := sc.Text(); {
+			case strings.HasPrefix(line, "event: "):
+				delta = line == "event: delta"
+			case delta && strings.HasPrefix(line, "data: "):
+				deltas <- line
+			}
+		}
+	}()
+
+	const wf = "0a0b0c0d-1111-4222-8333-444455556666"
+	ts := time.Date(2012, 3, 13, 12, 0, 0, 0, time.UTC)
+	mk := func(typ string) *bp.Event { return bp.New(typ, ts).Set(schema.AttrXwfID, wf) }
+	ji := func(typ string) *bp.Event {
+		return mk(typ).Set(schema.AttrJobID, "job0").SetInt(schema.AttrJobInstID, 1)
+	}
+	app := st.Appender()
+	for _, ev := range []*bp.Event{
+		mk(schema.WfPlan).Set("submit.hostname", "desktop").Set(schema.AttrRootXwf, wf),
+		mk(schema.XwfStart).SetInt("restart_count", 0),
+		mk(schema.JobInfo).Set(schema.AttrJobID, "job0").Set("type_desc", "compute").SetInt("clustered", 0).
+			SetInt("max_retries", 0).Set(schema.AttrExecutable, "/bin/x").SetInt("task_count", 1),
+		ji(schema.SubmitStart),
+		ji(schema.MainStart),
+	} {
+		_ = app.Append(ev)
+	}
+	// quiet lets two view intervals pass, so whatever is dirty has been
+	// published and the stream is idle.
+	quiet := func() {
+		time.Sleep(450 * time.Millisecond)
+		for len(deltas) > 0 {
+			<-deltas
+		}
+	}
+	var took []time.Duration
+	for inv := int64(1); inv <= 5; inv++ {
+		quiet()
+		want := fmt.Sprintf(`"invocations":%d,`, inv)
+		sent := time.Now()
+		_ = app.Append(ji(schema.InvEnd).SetInt(schema.AttrInvID, inv).
+			Set(schema.AttrStartTime, ts.Format(bp.TimeFormat)).SetFloat(schema.AttrDur, 1).
+			SetInt(schema.AttrExitcode, 0).Set(schema.AttrTransform, "x"))
+		for got := false; !got; {
+			select {
+			case d, ok := <-deltas:
+				if !ok {
+					t.Fatal("stream closed")
+				}
+				got = strings.Contains(d, want)
+			case <-time.After(5 * time.Second):
+				t.Fatalf("no delta frame with %s", want)
+			}
+		}
+		took = append(took, time.Since(sent))
+		t.Logf("inv.end %d on the glass after %v", inv, took[len(took)-1])
+		if took[len(took)-1] <= 50*time.Millisecond {
+			return
+		}
+	}
+	t.Fatalf("a lone inv.end took %v to reach the glass, want 50ms or less", took)
 }
 
 func TestUnknownWorkflowErrors(t *testing.T) {
@@ -147,7 +242,7 @@ func TestTwoEnginesOneArchive(t *testing.T) {
 	// monitoring infrastructure. Run two separate Triana graphs (standing
 	// in for separate engine processes) into the same service and check
 	// both appear.
-	st, err := Start(Config{FlushEvery: 5 * time.Millisecond})
+	st, err := Start(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +264,7 @@ func TestTwoEnginesOneArchive(t *testing.T) {
 func TestServeTCPRemoteEngine(t *testing.T) {
 	// Full remote deployment: the engine publishes over TCP to the
 	// service's bus; the loader consumes it into the archive.
-	st, err := Start(Config{FlushEvery: 5 * time.Millisecond})
+	st, err := Start(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,6 +173,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		"stampede_loader_shard_queue_depth{shard=\"0\"}",
 		"stampede_loader_shard_queue_high_water{shard=",
 		"stampede_loader_shard_applied_total{shard=",
+		"stampede_loader_commits_total{shard=\"0\",reason=\"full\"}",
+		"stampede_loader_commits_total{shard=\"0\",reason=\"idle\"}",
+		"stampede_loader_commits_total{shard=\"0\",reason=\"timer\"}",
+		"stampede_loader_commits_total{shard=\"0\",reason=\"drain\"}",
+		"stampede_loader_syncs_total{shard=\"0\"}",
 		"stampede_loader_flush_seconds_bucket{shard=\"0\",le=",
 		"stampede_loader_batch_size_bucket{le=",
 		"stampede_loader_events_read_total",

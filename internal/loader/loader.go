@@ -9,7 +9,10 @@
 // load runs as a pipeline — a parse stage, then per shard one queue and one
 // goroutine that validates, batches and applies — routing events by xwf.id
 // so per-workflow order is preserved while distinct workflows load in
-// parallel (see pipeline.go); Options.Shards is the pipeline's width.
+// parallel (see pipeline.go); Options.Shards is the pipeline's width. A
+// batch is as large as the load makes it: it is applied when full or when
+// the bus runs dry, so BatchSize and FlushEvery bound the wait (and the
+// events applied but not yet synced) and a lone event waits for neither.
 package loader
 
 import (
@@ -42,13 +45,15 @@ type ViewObserver interface {
 
 // Options configures a Loader.
 type Options struct {
-	// BatchSize is how many events are folded into the archive per batch.
-	// Zero means DefaultBatchSize; 1 disables batching. With shards, each
-	// shard keeps its own batch buffer of this size.
+	// BatchSize is the most events folded into the archive per batch, and
+	// the most a shard leaves applied but not yet synced. Zero means
+	// DefaultBatchSize; 1 disables batching. With shards, each shard keeps
+	// its own batch buffer of this size.
 	BatchSize int
-	// FlushEvery bounds how long a streamed event may sit in the batch
-	// buffer before being made visible in the archive. Zero means
-	// DefaultFlushEvery. Only Consume uses it; file loads flush at EOF.
+	// FlushEvery bounds how long an event may wait buffered before it is
+	// applied, and applied before it is synced. Zero means DefaultFlushEvery.
+	// Every load runs the ticker, file loads included; under Consume a shard
+	// applies as soon as the bus runs dry and the tick is only the bound.
 	FlushEvery time.Duration
 	// Validate runs every event through the YANG schema validator before
 	// loading (on by default in the published tooling). Invalid events
@@ -101,10 +106,10 @@ const shardQueueDepth = 256
 type ShardStats struct {
 	Shard        int           // shard index
 	Applied      uint64        // events folded by this shard
-	Batches      uint64        // batch flushes performed
+	Batches      uint64        // batches applied
 	MaxQueue     int           // apply-queue depth high-water mark
-	FlushTime    time.Duration // cumulative time inside flushes
-	MaxFlushTime time.Duration // worst single flush
+	FlushTime    time.Duration // cumulative time applying and syncing them
+	MaxFlushTime time.Duration // worst single batch
 }
 
 // Stats counts what happened during a load.
@@ -239,36 +244,63 @@ type batch struct {
 	buf   []*bp.Event
 	stats Stats
 
-	// traced gathers the sampled events' trace context out of buf before
-	// the flush releases them, so the queue/apply/commit spans can be
-	// recorded after the events are back in the pool. Reused per flush.
+	// owned lists the partitions this shard alone writes — the ones its
+	// syncs flush; unsynced counts the events applied since the last one.
+	owned    []int
+	unsynced int
+
+	// traced holds the sampled events' trace context, gathered out of buf
+	// before apply releases the events and kept until the sync that covers
+	// them, when their commit spans are recorded.
 	traced []tracedRef
 
 	// Pre-resolved telemetry children for this shard.
 	mApplied *telemetry.Counter
-	mBatches *telemetry.Counter
+	mCommits [len(commitReasons)]*telemetry.Counter
+	mSyncs   *telemetry.Counter
 	mFlush   *telemetry.Histogram
 }
 
+// Why a shard applied its batch; the values index commitReasons, the
+// reason label of stampede_loader_commits_total. The timer and a drain
+// also sync whatever is applied and unsynced.
+const (
+	commitIdle  = iota // the source had nothing more
+	commitFull         // BatchSize events buffered
+	commitTimer        // the FlushEvery tick
+	commitDrain        // end of input, or the pipeline aborted
+)
+
+var commitReasons = [...]string{"idle", "full", "timer", "drain"}
+
 // tracedRef is the part of a sampled event's trace context that must
 // outlive its release: the id, its workflow (an immutable GC-managed
-// string, safe past release), and the last stage boundary.
+// string, safe past release), the last stage boundary and, once applied,
+// the epoch at which the event became visible.
 type tracedRef struct {
-	id uint64
-	wf string
-	ns int64
+	id    uint64
+	wf    string
+	ns    int64
+	epoch uint64
 }
 
 // newBatch builds the accumulation state for one apply shard, resolving
 // its telemetry children up front.
 func (l *Loader) newBatch(shard int) *batch {
 	s := shardLabel(shard)
-	return &batch{
+	b := &batch{
 		arch: l.arch, opts: l.opts,
 		mApplied: mShardApplied.With(s),
-		mBatches: mShardBatches.With(s),
+		mSyncs:   mSyncs.With(s),
 		mFlush:   mFlushSeconds.With(s),
 	}
+	for p := shard; p < l.arch.Store().NumPartitions(); p += l.opts.Shards {
+		b.owned = append(b.owned, p)
+	}
+	for i, reason := range commitReasons {
+		b.mCommits[i] = mCommits.With(s, reason)
+	}
+	return b
 }
 
 // traceValidated records the validate span for a sampled event — parse end
@@ -320,41 +352,66 @@ func traceRead(id uint64, t0 int64, ev *bp.Event) {
 	ev.TraceID, ev.TraceNS = id, now
 }
 
-func (b *batch) flush() error {
-	if len(b.buf) == 0 {
+// commit applies the buffered events, which makes them visible to readers
+// and to the views, and syncs the shard's partitions when it is due: once
+// BatchSize events are applied and unsynced, on the timer and on a drain.
+// Visibility is cheap and waits for nothing; durability keeps the cadence
+// batching gave it, at most BatchSize events or one FlushEvery behind.
+func (b *batch) commit(reason int) error {
+	due := reason >= commitTimer || b.unsynced+len(b.buf) >= b.opts.BatchSize
+	if len(b.buf) == 0 && (b.unsynced == 0 || !due) {
 		return nil
 	}
-	mBatchSize.Observe(float64(len(b.buf)))
-	loaded0, invalid0, unknown0 := b.stats.Loaded, b.stats.Invalid, b.stats.Unknown
-	t0 := time.Now()
-	err := b.applyAndCommit()
-	b.mFlush.ObserveSince(t0)
-	b.mBatches.Inc()
-	b.mApplied.Add(b.stats.Loaded - loaded0)
-	mInvalid.Add(b.stats.Invalid - invalid0)
-	mUnknown.Add(b.stats.Unknown - unknown0)
+	if len(b.buf) > 0 {
+		mBatchSize.Observe(float64(len(b.buf)))
+		b.mCommits[reason].Inc()
+		loaded0, invalid0, unknown0 := b.stats.Loaded, b.stats.Invalid, b.stats.Unknown
+		err := b.apply()
+		b.mApplied.Add(b.stats.Loaded - loaded0)
+		mInvalid.Add(b.stats.Invalid - invalid0)
+		mUnknown.Add(b.stats.Unknown - unknown0)
+		if err != nil {
+			return err
+		}
+	}
+	if !due {
+		return nil
+	}
+	// Persistent archives pay one write and fsync per owned partition
+	// here, the cost the paper's batched inserts amortize; in-memory ones
+	// nothing.
+	err := b.arch.Store().FlushPartitions(b.owned)
+	b.unsynced = 0
+	b.mSyncs.Inc()
+	if len(b.traced) > 0 {
+		end := time.Now().UnixNano()
+		for _, tr := range b.traced {
+			trace.RecordCommit(tr.id, tr.wf, tr.ns, end, tr.epoch)
+		}
+		b.traced = b.traced[:0]
+	}
 	return err
 }
 
-// applyAndCommit folds the buffered events into the archive and makes
-// them durable.
-func (b *batch) applyAndCommit() error {
-	// Gather sampled events' trace context before the flush releases
-	// them. The queue span (validated, or parsed when validation is off, to
-	// apply start) closes here; the apply and commit spans are recorded
-	// once the batch is durable.
-	b.traced = b.traced[:0]
+// apply folds the buffered events into the archive and the views.
+func (b *batch) apply() error {
+	// Gather sampled events' trace context before they are released. The
+	// queue span (validated, or parsed when validation is off, to apply
+	// start) closes here and so does the apply span; the commit span stays
+	// open until the sync.
+	first := len(b.traced)
 	var applyStart int64
 	if trace.Enabled() {
 		for _, ev := range b.buf {
 			if ev.TraceID != 0 {
-				b.traced = append(b.traced, tracedRef{ev.TraceID, ev.Get(schema.AttrXwfID), ev.TraceNS})
+				b.traced = append(b.traced, tracedRef{id: ev.TraceID, wf: ev.Get(schema.AttrXwfID), ns: ev.TraceNS})
 			}
 		}
-		if len(b.traced) > 0 {
+		if len(b.traced) > first {
 			applyStart = time.Now().UnixNano()
 		}
 	}
+	b.unsynced += len(b.buf)
 	// The batch path aborts at the first bad event; resume past it event
 	// by event, classifying failures, until the tail is clean.
 	rest := b.buf
@@ -375,43 +432,30 @@ func (b *batch) applyAndCommit() error {
 		rest = rest[n:]
 		bad := rest[0]
 		rest = rest[1:]
-		switch {
-		case errors.Is(err, archive.ErrUnknownEvent):
+		if errors.Is(err, archive.ErrUnknownEvent) {
 			b.stats.Unknown++
-			if !b.opts.Lenient {
-				b.releaseBuf()
-				return fmt.Errorf("loader: %s: %w", bad.Type, err)
-			}
-		default:
+		} else {
 			b.stats.Invalid++
-			if !b.opts.Lenient {
-				b.releaseBuf()
-				return fmt.Errorf("loader: %s: %w", bad.Type, err)
-			}
+		}
+		if !b.opts.Lenient {
+			b.releaseBuf()
+			return fmt.Errorf("loader: %s: %w", bad.Type, err)
 		}
 	}
 	b.releaseBuf()
-	// Each batch is a transaction: committed data must reach the store's
-	// durability layer before the next batch. In-memory archives make
-	// this a no-op; persistent ones pay one write per batch, which is
-	// exactly the cost the paper's batched inserts amortize. Concurrent
-	// shard flushes group-commit inside the store, sharing fsyncs.
-	if len(b.traced) == 0 {
-		return b.arch.Flush()
+	if sampled := b.traced[first:]; len(sampled) > 0 {
+		applyEnd := time.Now().UnixNano()
+		// The epoch read after the apply is a version at which every event
+		// of this batch is visible to snapshot readers.
+		epoch := b.arch.Store().Epoch()
+		for i := range sampled {
+			tr := &sampled[i]
+			trace.Record(tr.id, trace.StageQueue, tr.wf, tr.ns, applyStart)
+			trace.Record(tr.id, trace.StageApply, tr.wf, applyStart, applyEnd)
+			tr.ns, tr.epoch = applyEnd, epoch
+		}
 	}
-	applyEnd := time.Now().UnixNano()
-	err := b.arch.Flush()
-	commitEnd := time.Now().UnixNano()
-	// The epoch read after the flush is the version at which every event
-	// of this batch is visible to snapshot readers.
-	epoch := b.arch.Store().Epoch()
-	for _, tr := range b.traced {
-		trace.Record(tr.id, trace.StageQueue, tr.wf, tr.ns, applyStart)
-		trace.Record(tr.id, trace.StageApply, tr.wf, applyStart, applyEnd)
-		trace.RecordCommit(tr.id, tr.wf, applyEnd, commitEnd, epoch)
-	}
-	b.traced = b.traced[:0]
-	return err
+	return nil
 }
 
 // releaseBuf recycles the batch's events back to the event pool once the
@@ -446,9 +490,11 @@ func (l *Loader) LoadFile(path string) (Stats, error) {
 
 // Consume drains messages from an mq delivery channel until the channel
 // closes or ctx is done, folding message bodies (BP lines) into the
-// archive. Batches are flushed by size and by the FlushEvery ticker so
-// live dashboards see events promptly; this is the realtime path the
-// paper's DART run used. Cancelling ctx only stops the reading: every
+// archive. A shard applies its batch when it is full or msgs has nothing
+// more to deliver, whichever is first, so a live dashboard sees a lone event
+// at once and a backlog in full batches; the FlushEvery ticker is only the
+// upper bound. This is the realtime path the paper's DART run used.
+// Cancelling ctx only stops the reading: every
 // message already taken off msgs is still applied (or counted as rejected)
 // and flushed before Consume returns ctx's error. A failing Tap or, in
 // strict mode, a malformed line ends the reading the same way.

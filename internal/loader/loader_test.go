@@ -244,7 +244,8 @@ func TestConsumeFlushTickerMakesDataVisible(t *testing.T) {
 	q, _ := broker.DeclareQueue("q", mq.QueueOpts{Durable: true})
 	_ = broker.Bind("q", "stampede.#")
 	a := archive.NewInMemory()
-	// Huge batch size: only the ticker can flush.
+	// Huge batch size: the event is applied because the queue has nothing
+	// more, or at the latest by the ticker; never by filling the batch.
 	l, _ := New(a, Options{BatchSize: 100000, FlushEvery: 10 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

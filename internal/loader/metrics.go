@@ -24,8 +24,11 @@ var (
 		"Events whose type the archive does not materialise.")
 	mShardApplied = telemetry.NewCounterVec("stampede_loader_shard_applied_total",
 		"Events folded into the archive, per apply shard.", "shard")
-	mShardBatches = telemetry.NewCounterVec("stampede_loader_shard_batches_total",
-		"Batch flushes performed, per apply shard.", "shard")
+	mCommits = telemetry.NewCounterVec("stampede_loader_commits_total",
+		"Batches applied (made visible), per apply shard and by what triggered it: the source ran dry, the batch filled, the FlushEvery tick, or end of input.",
+		"shard", "reason")
+	mSyncs = telemetry.NewCounterVec("stampede_loader_syncs_total",
+		"Durability syncs (WAL flush + fsync) of the shard's partitions.", "shard")
 	mShardQueueDepth = telemetry.NewGaugeVec("stampede_loader_shard_queue_depth",
 		"Apply-queue depth observed at the last dequeue, per shard.", "shard")
 	mShardQueueHighWater = telemetry.NewGaugeVec("stampede_loader_shard_queue_high_water",
@@ -33,7 +36,7 @@ var (
 	mBatchSize = telemetry.NewHistogram("stampede_loader_batch_size",
 		"Events per flushed batch.", telemetry.SizeBuckets)
 	mFlushSeconds = telemetry.NewHistogramVec("stampede_loader_flush_seconds",
-		"Latency of one batch flush (archive apply + WAL commit), per shard.",
+		"Latency of one batch commit (archive apply, plus the WAL sync when one was due), per shard.",
 		telemetry.DurationBuckets, "shard")
 )
 

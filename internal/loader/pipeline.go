@@ -32,6 +32,15 @@ import (
 // queue gives backpressure end to end: a slow archive fills it, which
 // blocks the parser.
 //
+// A shard applies its batch when it is full or when the source has nothing
+// more: the parse stage, about to block on an empty delivery channel, tells
+// the shards it fed (sourceIdle), and each drains its queue and applies —
+// the bus's rule, a writer flushes when it has nothing more to write,
+// carried to the head of the pipeline. A lone event is visible at once, a
+// backlog still forms full batches. Applying is visibility; durability is
+// the separate sync (batch.commit), due every BatchSize applied events or
+// FlushEvery tick, so both options are upper bounds and neither is a wait.
+//
 // Validation shares the apply goroutine on purpose. Per-workflow order
 // needs a worker paired with the shard anyway — a free pool could finish
 // two events of one workflow out of order — and a second paired goroutine
@@ -68,7 +77,12 @@ type pipeline struct {
 type pshard struct {
 	idx int
 	ch  chan *bp.Event
-	b   *batch
+	// idle is the parse stage's 1-slot signal that the source ran dry; fed,
+	// which only the parse stage touches, that the shard was handed an
+	// event since the last signal.
+	idle chan struct{}
+	fed  bool
+	b    *batch
 
 	invalid   uint64
 	maxQueue  int
@@ -88,6 +102,7 @@ func (l *Loader) newPipeline() *pipeline {
 		sh := &pshard{
 			idx:         i,
 			ch:          make(chan *bp.Event, l.queueDepth),
+			idle:        make(chan struct{}, 1),
 			b:           l.newBatch(i),
 			mQueueDepth: mShardQueueDepth.With(shardLabel(i)),
 			mQueueHW:    mShardQueueHighWater.With(shardLabel(i)),
@@ -131,9 +146,25 @@ func (p *pipeline) dispatch(ev *bp.Event) bool {
 	sh := p.shards[archive.Route(ev.Get(schema.AttrXwfID), p.parts)%len(p.shards)]
 	select {
 	case sh.ch <- ev:
+		sh.fed = true
 		return true
 	case <-p.ctx.Done():
 		return false
+	}
+}
+
+// sourceIdle tells every shard fed since the last call that the source has
+// nothing more for now. The signal follows the events down, so a shard that
+// sees it finds in its queue everything dispatched before it.
+func (p *pipeline) sourceIdle() {
+	for _, sh := range p.shards {
+		if sh.fed {
+			sh.fed = false
+			select {
+			case sh.idle <- struct{}{}:
+			default: // one is pending; it covers these events too
+			}
+		}
 	}
 }
 
@@ -179,6 +210,9 @@ func (p *pipeline) produceReader(r io.Reader) {
 // when msgs closes, ctx is done or the pipeline aborts.
 func (p *pipeline) produceMsgs(ctx context.Context, msgs <-chan mq.Message) {
 	for {
+		if len(msgs) == 0 {
+			p.sourceIdle() // about to block
+		}
 		select {
 		case <-ctx.Done():
 			return
@@ -242,23 +276,40 @@ func (sh *pshard) admit(p *pipeline, ev *bp.Event) {
 }
 
 // run is the shard's goroutine: it takes events off the queue, validates
-// them, and commits them in batches by size and by the flush ticker.
+// them, and commits them in batches — when one is full, when the source runs
+// dry and, as the upper bound, on the flush ticker.
 func (sh *pshard) run(p *pipeline) {
 	ticker := wfclock.NewTicker(p.l.opts.Clock, p.l.opts.FlushEvery)
 	defer ticker.Stop()
-	flush := func() error {
-		if len(sh.b.buf) == 0 {
-			return nil
+	// commit aborts the pipeline when it fails and reports whether it did not.
+	commit := func(reason int) bool {
+		n, t0 := len(sh.b.buf), time.Now()
+		err := sh.b.commit(reason)
+		if n > 0 {
+			d := time.Since(t0)
+			sh.b.mFlush.Observe(d.Seconds())
+			sh.batches++
+			sh.flushTime += d
+			sh.maxFlush = max(sh.maxFlush, d)
 		}
-		t0 := time.Now()
-		err := sh.b.flush()
-		d := time.Since(t0)
-		sh.batches++
-		sh.flushTime += d
-		if d > sh.maxFlush {
-			sh.maxFlush = d
+		p.fail(err)
+		return err == nil
+	}
+	// take handles one receive from the queue: it admits the event and
+	// commits the batch it fills, or drains at end of input. False ends the
+	// goroutine.
+	take := func(ev *bp.Event, ok bool) bool {
+		if !ok {
+			commit(commitDrain)
+			return false
 		}
-		return err
+		sh.mQueueDepth.Set(int64(len(sh.ch)))
+		if depth := len(sh.ch) + 1; depth > sh.maxQueue {
+			sh.maxQueue = depth
+			sh.mQueueHW.SetMax(int64(depth))
+		}
+		sh.admit(p, ev)
+		return len(sh.b.buf) < p.l.opts.BatchSize || commit(commitFull)
 	}
 	for {
 		select {
@@ -272,31 +323,29 @@ func (sh *pshard) run(p *pipeline) {
 			for ev := range sh.ch {
 				sh.admit(p, ev)
 			}
-			p.fail(flush())
+			commit(commitDrain)
 			return
 		case <-ticker.C():
-			if err := flush(); err != nil {
-				p.fail(err)
+			if !commit(commitTimer) {
+				return
+			}
+		case <-sh.idle:
+			for queued := true; queued; {
+				select {
+				case ev, ok := <-sh.ch:
+					if !take(ev, ok) {
+						return
+					}
+				default:
+					queued = false
+				}
+			}
+			if !commit(commitIdle) {
 				return
 			}
 		case ev, ok := <-sh.ch:
-			if !ok {
-				if err := flush(); err != nil {
-					p.fail(err)
-				}
+			if !take(ev, ok) {
 				return
-			}
-			sh.mQueueDepth.Set(int64(len(sh.ch)))
-			if depth := len(sh.ch) + 1; depth > sh.maxQueue {
-				sh.maxQueue = depth
-				sh.mQueueHW.SetMax(int64(depth))
-			}
-			sh.admit(p, ev)
-			if len(sh.b.buf) >= p.l.opts.BatchSize {
-				if err := flush(); err != nil {
-					p.fail(err)
-					return
-				}
 			}
 		}
 	}

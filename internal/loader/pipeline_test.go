@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -340,20 +341,17 @@ func TestConsumeShardedStress(t *testing.T) {
 	assertJobstateOrdering(t, a)
 }
 
-// TestManualClockFlushNoSleep proves the FlushEvery path is deflaked: with
-// a Manual clock and a one-hour flush interval, an under-filled batch
-// becomes visible as soon as the virtual clock crosses the interval — no
-// real time passes, so the test cannot be timing-dependent.
+// TestManualClockFlushNoSleep proves the FlushEvery path is deflaked: a
+// reader that delivers one line and then blocks gives the loader no way to
+// know nothing more is coming, so with a huge batch size only the tick can
+// apply the event — and with a Manual clock it does as soon as the virtual
+// clock crosses the interval. No real time passes, so the test cannot be
+// timing-dependent.
 func TestManualClockFlushNoSleep(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			clock := wfclock.NewManual(t0)
-			broker := mq.NewBroker()
-			q, _ := broker.DeclareQueue("q", mq.QueueOpts{Durable: true})
-			_ = broker.Bind("q", "stampede.#")
 			a := archive.NewInMemoryN(shards)
-			// Huge batch size and huge interval: only a virtual-clock tick
-			// can make the event visible.
 			l, err := New(a, Options{
 				BatchSize:  100000,
 				FlushEvery: time.Hour,
@@ -363,19 +361,20 @@ func TestManualClockFlushNoSleep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
+			pr, pw := io.Pipe()
 			loadDone := make(chan struct{})
 			go func() {
 				defer close(loadDone)
-				_, _ = l.ConsumeQueue(ctx, q)
+				_, _ = l.LoadReader(pr)
 			}()
 			wf := uuid.New().String()
 			ev := bp.New(schema.XwfStart, t0).Set(schema.AttrXwfID, wf).SetInt("restart_count", 0)
-			broker.Publish(ev.Type, []byte(ev.Format()))
-			// Advance virtual time until the consumer has both buffered the
+			if _, err := io.WriteString(pw, ev.Format()+"\n"); err != nil {
+				t.Fatal(err)
+			}
+			// Advance virtual time until the shard has both buffered the
 			// event and seen a tick. Yielding (not sleeping) lets the
-			// consumer goroutine run between advances.
+			// pipeline's goroutines run between advances.
 			deadline := time.Now().Add(5 * time.Second)
 			for a.Applied() == 0 {
 				if time.Now().After(deadline) {
@@ -387,7 +386,7 @@ func TestManualClockFlushNoSleep(t *testing.T) {
 			if n, _ := a.Store().Count(archive.TWorkflowState); n != 1 {
 				t.Fatalf("workflowstate rows = %d, want 1", n)
 			}
-			cancel()
+			pw.Close()
 			<-loadDone
 		})
 	}

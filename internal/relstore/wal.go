@@ -488,17 +488,34 @@ func (s *Store) Syncs() uint64 {
 // flushing partitions in parallel — each partition's group commit and
 // fsync is independent, which is the point of the parallel WAL.
 // In-memory stores return nil.
-func (s *Store) Flush() error {
-	if len(s.parts) == 1 {
-		w := s.parts[0].wal.Load()
+func (s *Store) Flush() error { return flushWALs(s.parts) }
+
+// FlushPartitions is Flush for the listed partitions only. A writer that
+// owns some partitions (a loader shard) commits with it, so that its
+// commit neither waits for nor fsyncs records other writers appended to
+// theirs.
+func (s *Store) FlushPartitions(idx []int) error {
+	if len(idx) == 1 {
+		return flushWALs(s.parts[idx[0] : idx[0]+1])
+	}
+	parts := make([]*partition, len(idx))
+	for i, p := range idx {
+		parts[i] = s.parts[p]
+	}
+	return flushWALs(parts)
+}
+
+func flushWALs(parts []*partition) error {
+	if len(parts) == 1 {
+		w := parts[0].wal.Load()
 		if w == nil {
 			return nil
 		}
 		return w.flush()
 	}
-	errs := make([]error, len(s.parts))
+	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
-	for i, p := range s.parts {
+	for i, p := range parts {
 		w := p.wal.Load()
 		if w == nil {
 			continue

@@ -50,13 +50,18 @@ const (
 	// StageValidate is YANG schema validation.
 	StageValidate
 	// StageQueue is the wait between validation and the batch starting to
-	// apply: shard channel dwell plus batch-buffer residence (bounded by
-	// the loader's FlushEvery).
+	// apply: batch-buffer residence, which ends when the batch fills or
+	// the source runs dry. Under a backlog it is the event's turn in the
+	// batch; on a quiet bus it is next to nothing.
 	StageQueue
-	// StageApply is the archive fold of the event's batch.
+	// StageApply is the archive fold of the event's batch; at its end the
+	// event is visible to snapshot readers and the views.
 	StageApply
-	// StageCommit is the batch's durability flush and epoch publish — the
-	// moment the event became visible to snapshot readers.
+	// StageCommit runs from the end of the apply to the end of the sync
+	// (WAL write + fsync) that covered the event — how long it was visible
+	// but not yet durable, at most BatchSize events or one FlushEvery. Its
+	// epoch is the one read right after the apply: a version at which the
+	// event is visible.
 	StageCommit
 	// StageDropped is a tombstone: the event's copy was discarded on a
 	// full queue. Its label is the queue name, its span the queue dwell
@@ -171,8 +176,8 @@ func Record(id uint64, st Stage, label string, start, end int64) {
 	recordSpan(id, st, label, start, end, 0)
 }
 
-// RecordCommit is Record for StageCommit with the relstore epoch at
-// which the event's batch became visible to snapshot readers.
+// RecordCommit is Record for StageCommit with a relstore epoch at which
+// the event's batch was visible to snapshot readers.
 func RecordCommit(id uint64, label string, start, end int64, epoch uint64) {
 	recordSpan(id, StageCommit, label, start, end, epoch)
 }

@@ -7,14 +7,17 @@
 //
 // Updates are batched (ObserveBatch runs once per committed loader batch,
 // holding one stripe lock across runs of same-workflow events) and
-// publication is coalesced: a wfclock ticker flushes dirty workflows as
-// JSON deltas onto an internal mq broker, so N subscribers to the same
-// workflow share one marshal. Broadcast subscribers additionally share
-// one pre-rendered message per flush tick (BatchTopic), so a tick costs
-// one queue delivery per subscriber no matter how many workflows went
-// dirty. Subscribers get bounded queues; a slow
-// consumer drops deltas (counted) and re-syncs from the view snapshot —
-// never from a store scan — because every delta carries full workflow
+// publication is coalesced: the publisher flushes dirty workflows as JSON
+// deltas onto an internal mq broker, so N subscribers to the same workflow
+// share one marshal. The first workflow to go dirty after a quiet interval
+// is published at once; whatever follows waits for the next flush, exactly
+// one fan-out-paced interval after the last, so FlushEvery bounds how
+// stale the glass may be and is not a wait every delta pays. Broadcast
+// subscribers additionally share one pre-rendered message per flush
+// (BatchTopic), so a flush costs one queue delivery per subscriber no
+// matter how many workflows went dirty. Subscribers get bounded queues; a
+// slow consumer drops deltas (counted) and re-syncs from the view snapshot
+// — never from a store scan — because every delta carries full workflow
 // state (latest wins), so a drop only costs freshness, not correctness.
 //
 // The online anomaly detectors from internal/analysis run in the same
@@ -150,7 +153,8 @@ type Stats struct {
 type Options struct {
 	// Clock drives the coalescing flush ticker (nil = wall clock).
 	Clock wfclock.Clock
-	// FlushEvery is the delta coalescing interval (0 = 200ms).
+	// FlushEvery is the delta coalescing interval, the least time between
+	// two flushes (0 = 200ms).
 	FlushEvery time.Duration
 	// QueueCapacity bounds each subscriber's delta buffer (0 = 32).
 	// A full buffer drops the delta; the subscriber re-syncs. Deep
@@ -272,7 +276,11 @@ type Views struct {
 	subSeq    atomic.Uint64
 	nsubs     atomic.Int64
 
-	flushMu  sync.Mutex
+	flushMu sync.Mutex
+	// wake is touch's 1-slot signal that a workflow went dirty. The
+	// publisher listens to it only after a quiet interval; while it does
+	// not, the slot stays full and the send in touch is a failed fast path.
+	wake     chan struct{}
 	stopCh   chan struct{}
 	doneCh   chan struct{}
 	stopOnce sync.Once
@@ -295,6 +303,7 @@ func New(opts Options) *Views {
 		bus:    mq.NewBroker(),
 		clock:  opts.Clock,
 		hosts:  make(map[hostKey]*hostView),
+		wake:   make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
 	}
@@ -315,30 +324,33 @@ func (v *Views) Close() {
 	})
 }
 
-// run drives coalesced publication. The ticker fires every FlushEvery,
-// but the flusher skips ticks until the fan-out-adapted interval
-// (FlushEvery × (1 + subscribers/fanoutCoalesce)) has elapsed: each
-// flush costs one queue offer and one consumer wake-up per subscriber,
-// so stretching the interval as subscribers grow bounds delivery work
-// per second. The stretch trades freshness, never correctness — deltas
-// carry full state and explicit FlushNow calls always publish.
+// run drives coalesced publication. After a quiet interval the first
+// workflow to go dirty is published at once; every flush re-arms the ticker,
+// so the next one comes exactly one fan-out-adapted interval
+// (FlushEvery × (1 + subscribers/fanoutCoalesce)) later and takes whatever
+// went dirty in between. Each flush costs one queue offer and one consumer
+// wake-up per subscriber, so stretching the interval as subscribers grow
+// bounds delivery work per second. The stretch trades freshness, never
+// correctness — deltas carry full state and explicit FlushNow calls always
+// publish.
 func (v *Views) run() {
 	defer close(v.doneCh)
 	t := wfclock.NewTicker(v.clock, v.opts.FlushEvery)
 	defer t.Stop()
-	last := v.clock.Now()
+	wake := v.wake // nil while the last flush is less than an interval old
 	for {
 		select {
 		case <-v.stopCh:
 			return
+		case <-wake:
 		case <-t.C():
-			now := v.clock.Now()
-			every := v.opts.FlushEvery * time.Duration(1+int(v.nsubs.Load())/fanoutCoalesce)
-			if now.Sub(last) < every {
-				continue
-			}
-			last = now
-			v.FlushNow()
+		}
+		// Re-arm before publishing: whoever sees the flush may count on
+		// the next being one interval after it.
+		t.Reset(v.opts.FlushEvery * time.Duration(1+int(v.nsubs.Load())/fanoutCoalesce))
+		wake = nil
+		if v.FlushNow() == 0 {
+			wake = v.wake // quiet: publish the next dirt as it lands
 		}
 	}
 }
@@ -449,6 +461,10 @@ func (v *Views) touch(st *vstripe, w *wfView) {
 		w.dirty = true
 		w.dirtyAt = v.clock.Now()
 		st.dirty = append(st.dirty, w)
+		select {
+		case v.wake <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -721,11 +737,12 @@ func appendFrame(b []byte, event string, body []byte) []byte {
 }
 
 // FlushNow publishes every dirty workflow's delta and queued alerts to
-// subscribers. Marshalling happens once per dirty workflow regardless of
-// subscriber count; publication happens outside the stripe locks.
-// Per-workflow topics fan out to exact-match single-workflow bindings;
-// the broadcast stream gets the whole tick as one BatchTopic message.
-func (v *Views) FlushNow() {
+// subscribers and returns how many that was. Marshalling happens once per
+// dirty workflow regardless of subscriber count; publication happens
+// outside the stripe locks. Per-workflow topics fan out to exact-match
+// single-workflow bindings; the broadcast stream gets the whole flush as
+// one BatchTopic message.
+func (v *Views) FlushNow() int {
 	v.flushMu.Lock()
 	defer v.flushMu.Unlock()
 	type out struct {
@@ -764,6 +781,7 @@ func (v *Views) FlushNow() {
 	if len(batch) > 0 {
 		v.bus.Publish(BatchTopic, batch)
 	}
+	return len(msgs)
 }
 
 // PublishFrame pushes one out-of-band SSE event to every broadcast

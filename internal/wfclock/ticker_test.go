@@ -141,3 +141,44 @@ func TestNewTickerPanicsOnBadInterval(t *testing.T) {
 	}()
 	NewTicker(Real, 0)
 }
+
+func TestManualTickerReset(t *testing.T) {
+	c := NewManual(tickEpoch)
+	tk := NewTicker(c, time.Second)
+	defer tk.Stop()
+	// A tick that fired but was not received is discarded, and the new
+	// interval counts from the Reset, not from the old schedule.
+	c.Advance(1500 * time.Millisecond)
+	tk.Reset(3 * time.Second)
+	select {
+	case <-tk.C():
+		t.Fatal("stale tick survived Reset")
+	default:
+	}
+	c.Advance(3*time.Second - time.Millisecond)
+	select {
+	case <-tk.C():
+		t.Fatal("tick before the new interval elapsed")
+	default:
+	}
+	c.Advance(time.Millisecond)
+	select {
+	case ts := <-tk.C():
+		if want := tickEpoch.Add(4500 * time.Millisecond); !ts.Equal(want) {
+			t.Fatalf("tick at %v, want %v", ts, want)
+		}
+	default:
+		t.Fatal("no tick one new interval after Reset")
+	}
+}
+
+func TestRealTickerReset(t *testing.T) {
+	tk := NewTicker(Real, time.Hour)
+	defer tk.Stop()
+	tk.Reset(5 * time.Millisecond)
+	select {
+	case <-tk.C():
+	case <-time.After(2 * time.Second):
+		t.Fatal("reset ticker never ticked")
+	}
+}

@@ -100,6 +100,11 @@ type Ticker interface {
 	// C returns the delivery channel. Ticks may be dropped when the
 	// receiver falls behind, exactly like time.Ticker.
 	C() <-chan time.Time
+	// Reset re-arms the ticker to fire every d counted from now and
+	// discards a tick that fired but was not yet received, so the next
+	// receive on C is never earlier than d from the call. Only the
+	// goroutine that receives from C may call it.
+	Reset(d time.Duration)
 	Stop()
 }
 
@@ -116,20 +121,37 @@ func NewTicker(c Clock, d time.Duration) Ticker {
 	case *Manual:
 		return cc.newTicker(d)
 	case *Scaled:
-		real := time.Duration(float64(d) / cc.Scale())
-		if real < time.Millisecond {
-			real = time.Millisecond
-		}
-		return &realTicker{t: time.NewTicker(real)}
+		r := &realTicker{scale: cc.Scale()}
+		r.t = time.NewTicker(r.real(d))
+		return r
 	default:
-		return &realTicker{t: time.NewTicker(d)}
+		return &realTicker{t: time.NewTicker(d), scale: 1}
 	}
 }
 
-type realTicker struct{ t *time.Ticker }
+// realTicker is a time.Ticker whose intervals are divided by scale.
+type realTicker struct {
+	t     *time.Ticker
+	scale float64
+}
+
+func (r *realTicker) real(d time.Duration) time.Duration {
+	if r.scale == 1 {
+		return d
+	}
+	return max(time.Duration(float64(d)/r.scale), time.Millisecond)
+}
 
 func (r *realTicker) C() <-chan time.Time { return r.t.C }
 func (r *realTicker) Stop()               { r.t.Stop() }
+
+func (r *realTicker) Reset(d time.Duration) {
+	r.t.Reset(r.real(d))
+	select {
+	case <-r.t.C:
+	default:
+	}
+}
 
 // Manual is a fully deterministic clock for tests and discrete-event style
 // trace synthesis: time only moves when Advance or Sleep is called, and
@@ -153,6 +175,16 @@ type manualTicker struct {
 }
 
 func (t *manualTicker) C() <-chan time.Time { return t.ch }
+
+func (t *manualTicker) Reset(d time.Duration) {
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	t.d, t.next = d, t.c.now.Add(d)
+	select {
+	case <-t.ch:
+	default:
+	}
+}
 
 func (t *manualTicker) Stop() {
 	t.c.mu.Lock()
