@@ -28,6 +28,7 @@ import (
 	"repro/internal/archive"
 	"repro/internal/bp"
 	"repro/internal/mq"
+	"repro/internal/relstore"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -109,7 +110,7 @@ type ShardStats struct {
 	Batches      uint64        // batches applied
 	MaxQueue     int           // apply-queue depth high-water mark
 	FlushTime    time.Duration // cumulative time applying and syncing them
-	MaxFlushTime time.Duration // worst single batch
+	MaxFlushTime time.Duration // worst single apply, sync or both
 }
 
 // Stats counts what happened during a load.
@@ -244,10 +245,12 @@ type batch struct {
 	buf   []*bp.Event
 	stats Stats
 
-	// owned lists the partitions this shard alone writes — the ones its
-	// syncs flush; unsynced counts the events applied since the last one.
-	owned    []int
+	// owned is the partitions this shard alone feeds — the ones its
+	// size-triggered syncs flush; unsynced counts the events applied since
+	// the last sync of either kind, batches the applies.
+	owned    relstore.PartitionSet
 	unsynced int
+	batches  uint64
 
 	// traced holds the sampled events' trace context, gathered out of buf
 	// before apply releases the events and kept until the sync that covers
@@ -261,9 +264,8 @@ type batch struct {
 	mFlush   *telemetry.Histogram
 }
 
-// Why a shard applied its batch; the values index commitReasons, the
-// reason label of stampede_loader_commits_total. The timer and a drain
-// also sync whatever is applied and unsynced.
+// Why a shard applied its batch: indexes into commitReasons, the reason label
+// of stampede_loader_commits_total. Timer and drain also sync the whole store.
 const (
 	commitIdle  = iota // the source had nothing more
 	commitFull         // BatchSize events buffered
@@ -294,9 +296,11 @@ func (l *Loader) newBatch(shard int) *batch {
 		mSyncs:   mSyncs.With(s),
 		mFlush:   mFlushSeconds.With(s),
 	}
+	var owned []int
 	for p := shard; p < l.arch.Store().NumPartitions(); p += l.opts.Shards {
-		b.owned = append(b.owned, p)
+		owned = append(owned, p)
 	}
+	b.owned = l.arch.Store().PartitionSet(owned...)
 	for i, reason := range commitReasons {
 		b.mCommits[i] = mCommits.With(s, reason)
 	}
@@ -353,44 +357,48 @@ func traceRead(id uint64, t0 int64, ev *bp.Event) {
 }
 
 // commit applies the buffered events, which makes them visible to readers
-// and to the views, and syncs the shard's partitions when it is due: once
-// BatchSize events are applied and unsynced, on the timer and on a drain.
-// Visibility is cheap and waits for nothing; durability keeps the cadence
-// batching gave it, at most BatchSize events or one FlushEvery behind.
-func (b *batch) commit(reason int) error {
-	due := reason >= commitTimer || b.unsynced+len(b.buf) >= b.opts.BatchSize
-	if len(b.buf) == 0 && (b.unsynced == 0 || !due) {
-		return nil
-	}
+// and to the views, and syncs when it is due: the partitions the shard owns
+// once BatchSize events are applied and unsynced, the whole store on the
+// timer and on a drain, because the archive also writes outside them (host
+// rows through partition 0's writer, a child plan's parent placeholder
+// through the parent's). A sync costs one write and fsync per partition with
+// records pending, so durability keeps the cadence batching gave it, at most
+// BatchSize events or one FlushEvery behind, and visibility waits for
+// neither. worked reports an apply, or a sync that covered this shard's events.
+func (b *batch) commit(reason int) (worked bool, err error) {
 	if len(b.buf) > 0 {
+		worked = true
+		b.batches++
 		mBatchSize.Observe(float64(len(b.buf)))
 		b.mCommits[reason].Inc()
 		loaded0, invalid0, unknown0 := b.stats.Loaded, b.stats.Invalid, b.stats.Unknown
-		err := b.apply()
+		err = b.apply()
 		b.mApplied.Add(b.stats.Loaded - loaded0)
 		mInvalid.Add(b.stats.Invalid - invalid0)
 		mUnknown.Add(b.stats.Unknown - unknown0)
 		if err != nil {
-			return err
+			return worked, err
 		}
 	}
-	if !due {
-		return nil
+	switch {
+	case reason >= commitTimer:
+		err = b.arch.Store().Flush()
+	case b.unsynced >= b.opts.BatchSize:
+		err = b.owned.Flush()
+	default:
+		return worked, nil
 	}
-	// Persistent archives pay one write and fsync per owned partition
-	// here, the cost the paper's batched inserts amortize; in-memory ones
-	// nothing.
-	err := b.arch.Store().FlushPartitions(b.owned)
-	b.unsynced = 0
-	b.mSyncs.Inc()
-	if len(b.traced) > 0 {
+	if b.unsynced > 0 { // else an idle tick: what it synced was another shard's
+		worked = true
+		b.unsynced = 0
+		b.mSyncs.Inc()
 		end := time.Now().UnixNano()
 		for _, tr := range b.traced {
 			trace.RecordCommit(tr.id, tr.wf, tr.ns, end, tr.epoch)
 		}
 		b.traced = b.traced[:0]
 	}
-	return err
+	return worked, err
 }
 
 // apply folds the buffered events into the archive and the views.

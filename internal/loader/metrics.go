@@ -28,7 +28,7 @@ var (
 		"Batches applied (made visible), per apply shard and by what triggered it: the source ran dry, the batch filled, the FlushEvery tick, or end of input.",
 		"shard", "reason")
 	mSyncs = telemetry.NewCounterVec("stampede_loader_syncs_total",
-		"Durability syncs (WAL flush + fsync) of the shard's partitions.", "shard")
+		"Durability syncs (WAL flush + fsync) that covered events this shard applied: of its own partitions when BatchSize were unsynced, of the whole store on the tick and at a drain.", "shard")
 	mShardQueueDepth = telemetry.NewGaugeVec("stampede_loader_shard_queue_depth",
 		"Apply-queue depth observed at the last dequeue, per shard.", "shard")
 	mShardQueueHighWater = telemetry.NewGaugeVec("stampede_loader_shard_queue_high_water",
@@ -36,7 +36,7 @@ var (
 	mBatchSize = telemetry.NewHistogram("stampede_loader_batch_size",
 		"Events per flushed batch.", telemetry.SizeBuckets)
 	mFlushSeconds = telemetry.NewHistogramVec("stampede_loader_flush_seconds",
-		"Latency of one batch commit (archive apply, plus the WAL sync when one was due), per shard.",
+		"Latency of one commit that applied a batch, synced applied events, or both, per shard.",
 		telemetry.DurationBuckets, "shard")
 )
 

@@ -34,12 +34,11 @@ import (
 //
 // A shard applies its batch when it is full or when the source has nothing
 // more: the parse stage, about to block on an empty delivery channel, tells
-// the shards it fed (sourceIdle), and each drains its queue and applies —
-// the bus's rule, a writer flushes when it has nothing more to write,
-// carried to the head of the pipeline. A lone event is visible at once, a
-// backlog still forms full batches. Applying is visibility; durability is
-// the separate sync (batch.commit), due every BatchSize applied events or
-// FlushEvery tick, so both options are upper bounds and neither is a wait.
+// the shards it fed (sourceIdle), and each drains its queue and applies — the
+// bus's rule, flush when there is nothing more to write, at the head of the
+// pipeline. A lone event is visible at once, a backlog still fills batches.
+// Durability is the separate sync (batch.commit), due every BatchSize applied
+// events or FlushEvery tick: both options are upper bounds, neither a wait.
 //
 // Validation shares the apply goroutine on purpose. Per-workflow order
 // needs a worker paired with the shard anyway — a free pool could finish
@@ -78,15 +77,13 @@ type pshard struct {
 	idx int
 	ch  chan *bp.Event
 	// idle is the parse stage's 1-slot signal that the source ran dry; fed,
-	// which only the parse stage touches, that the shard was handed an
-	// event since the last signal.
+	// touched only by the parse stage, that the shard got an event since.
 	idle chan struct{}
 	fed  bool
 	b    *batch
 
 	invalid   uint64
 	maxQueue  int
-	batches   uint64
 	flushTime time.Duration
 	maxFlush  time.Duration
 
@@ -283,12 +280,11 @@ func (sh *pshard) run(p *pipeline) {
 	defer ticker.Stop()
 	// commit aborts the pipeline when it fails and reports whether it did not.
 	commit := func(reason int) bool {
-		n, t0 := len(sh.b.buf), time.Now()
-		err := sh.b.commit(reason)
-		if n > 0 {
+		t0 := time.Now()
+		worked, err := sh.b.commit(reason)
+		if worked {
 			d := time.Since(t0)
 			sh.b.mFlush.Observe(d.Seconds())
-			sh.batches++
 			sh.flushTime += d
 			sh.maxFlush = max(sh.maxFlush, d)
 		}
@@ -371,7 +367,7 @@ func (p *pipeline) finish(start time.Time) (Stats, error) {
 		agg.Shards = append(agg.Shards, ShardStats{
 			Shard:        sh.idx,
 			Applied:      sh.b.stats.Loaded,
-			Batches:      sh.batches,
+			Batches:      sh.b.batches,
 			MaxQueue:     sh.maxQueue,
 			FlushTime:    sh.flushTime,
 			MaxFlushTime: sh.maxFlush,

@@ -51,6 +51,15 @@ func uuidOn(part, parts int) string {
 	}
 }
 
+func mustLoadDir(t *testing.T, dir string) *archive.Archive {
+	t.Helper()
+	a, err := archive.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func streamLines(s string) []mq.Message {
 	var out []mq.Message
 	for _, ln := range strings.Split(strings.TrimSpace(s), "\n") {
@@ -160,8 +169,9 @@ func TestBacklogAppliesFullBatches(t *testing.T) {
 
 // TestSyncCadenceIsBatchSizeOrTick pins the durability contract on a
 // syncing directory store: applying does not fsync; a shard syncs the
-// partitions it owns once BatchSize events are applied and unsynced, on the
-// FlushEvery tick, and before Consume returns — and only those partitions.
+// partitions it owns, and only those, once BatchSize events are applied and
+// unsynced; the FlushEvery tick syncs every partition with records pending,
+// and nothing is left unsynced when Consume returns.
 func TestSyncCadenceIsBatchSizeOrTick(t *testing.T) {
 	const (
 		shards    = 2
@@ -213,7 +223,7 @@ func TestSyncCadenceIsBatchSizeOrTick(t *testing.T) {
 		t.Fatalf("%d fsyncs for %d applied events per shard with BatchSize %d and no tick, want none",
 			got-start, 2*(batchSize/2-1), batchSize)
 	}
-	// The tick syncs them: one fsync per partition, each by its owner.
+	// The tick syncs them: one fsync per partition, whichever shard gets there.
 	clock.Advance(time.Minute)
 	spinUntil(t, "the tick's syncs", func() bool { return syncs() >= start+parts })
 	// The size bound, on shard 0 alone: its BatchSize-th unsynced event
@@ -245,5 +255,96 @@ func TestSyncCadenceIsBatchSizeOrTick(t *testing.T) {
 	}
 	if got, want := archiveHash(t, re), archiveHash(t, a); got != want {
 		t.Fatalf("directory hashes %s after Consume returned, the live store %s", got, want)
+	}
+}
+
+// TestTickSyncsRowsOutsideOwnedPartitions: the archive writes host rows
+// through partition 0's writer and a child plan's parent placeholder through
+// the parent's partition, whichever shard applies the event. A shard's
+// size-triggered sync covers only its own partitions; the next tick must
+// make the rest durable, although by then the shard that wrote them has
+// nothing unsynced and the shard that owns them never applied anything.
+func TestTickSyncsRowsOutsideOwnedPartitions(t *testing.T) {
+	const (
+		shards = 2
+		parts  = 4
+	)
+	dir := filepath.Join(t.TempDir(), "store")
+	a, err := archive.OpenDir(dir, relstore.Options{Partitions: parts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.Store().SetSync(true)
+	clock := wfclock.NewManual(t0)
+	seen := make(applies, 16)
+
+	// A child workflow on partition 1 (shard 1) whose parent lives on
+	// partition 2 (shard 0); its fifth event names a host (partition 0).
+	wf, parent := uuidOn(1, parts), uuidOn(2, parts)
+	mk := func(typ string) *bp.Event { return bp.New(typ, t0).Set(schema.AttrXwfID, wf) }
+	ji := func(typ string) *bp.Event {
+		return mk(typ).Set(schema.AttrJobID, "job000").SetInt(schema.AttrJobInstID, 1)
+	}
+	events := []*bp.Event{
+		mk(schema.WfPlan).Set("submit.hostname", "desktop").Set(schema.AttrRootXwf, parent).Set(schema.AttrParentXwf, parent),
+		mk(schema.XwfStart).SetInt("restart_count", 0),
+		mk(schema.JobInfo).Set(schema.AttrJobID, "job000").Set("type_desc", "compute").
+			SetInt("clustered", 0).SetInt("max_retries", 0).Set(schema.AttrExecutable, "/bin/x").SetInt("task_count", 1),
+		ji(schema.SubmitStart),
+		ji(schema.HostInfo).Set(schema.AttrSite, "local").Set(schema.AttrHostname, "node1").Set("ip", "10.0.0.1"),
+	}
+	l, err := New(a, Options{
+		BatchSize: len(events), FlushEvery: time.Minute, Shards: shards,
+		Clock: clock, Views: seen,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := make(chan mq.Message, 16)
+	done := make(chan error, 1)
+	go func() { _, err := l.Consume(context.Background(), msgs); done <- err }()
+
+	// Sync the schema's create records first, which every partition holds.
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	syncs := a.Store().Syncs
+	start := syncs()
+	for i, ev := range events {
+		if got := syncs(); got != start {
+			t.Fatalf("%d fsyncs after %d events with BatchSize %d", got-start, i, len(events))
+		}
+		msgs <- mq.Message{Body: []byte(ev.Format())}
+		seen.next(t)
+	}
+	// The size bound synced shard 1's own partition and nothing else.
+	spinUntil(t, "the size-bound sync", func() bool { return syncs() >= start+1 })
+	if n, _ := mustLoadDir(t, dir).Store().Count(archive.THost); n != 0 {
+		t.Fatalf("%d host rows on disk before the tick: the test no longer has a row outside shard 1's partitions to wait for", n)
+	}
+	clock.Advance(time.Minute)
+	spinUntil(t, "the tick's sync of partitions 0 and 2", func() bool { return syncs() >= start+3 })
+
+	re := mustLoadDir(t, dir)
+	if n, _ := re.Store().Count(archive.THost); n != 1 {
+		t.Errorf("%d host rows on disk after the tick, want 1", n)
+	}
+	if n, _ := re.Store().Count(archive.TWorkflow); n != 2 {
+		t.Errorf("%d workflow rows on disk after the tick, want the child and its parent's placeholder", n)
+	}
+	insts, err := re.Store().Select(relstore.Query{Table: archive.TJobInstance})
+	if err != nil || len(insts) != 1 || insts[0]["host_id"] == nil {
+		t.Errorf("job instances on disk: %v, %v; want one with its host_id", insts, err)
+	}
+	if got, want := archiveHash(t, re), archiveHash(t, a); got != want {
+		t.Errorf("directory hashes %s after the tick, the live store %s", got, want)
+	}
+	close(msgs)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := syncs(); got != start+3 {
+		t.Errorf("%d fsyncs in all, want 3", got-start)
 	}
 }

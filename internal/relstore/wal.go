@@ -10,7 +10,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -220,8 +219,8 @@ type walWriter struct {
 	// Group-commit state. Concurrent Flush callers elect one leader that
 	// flushes (and fsyncs) everything appended so far; the rest wait on
 	// cond and return as soon as `committed` covers the records they saw.
-	// With per-shard loader flushes this coalesces many ~200µs fsyncs
-	// into one. rotate() also rides this state to exclude a leader whose
+	// Loader shards meet here on their FlushEvery tick, when each flushes
+	// the whole store. rotate() also rides this state to exclude a leader whose
 	// fsync holds f outside mu.
 	cmu        sync.Mutex
 	cond       *sync.Cond
@@ -331,31 +330,6 @@ func (w *walWriter) flush() error {
 	}
 	w.committing = true
 	w.cmu.Unlock()
-
-	// Yield before snapshotting until appends quiesce, so runnable peers
-	// (e.g. loader shards that just finished a batch) get to append first
-	// and ride this commit instead of electing their own leader for the
-	// very next fsync. Bounded so a steady stream of un-flushed appends
-	// can't starve the commit.
-	// "Quiesced" means two consecutive yield rounds with no new appends:
-	// a peer that needs one round of compute before it can append still
-	// makes this commit instead of electing its own leader for the very
-	// next fsync.
-	stable := 0
-	for i := 0; i < 16; i++ {
-		runtime.Gosched()
-		w.mu.Lock()
-		cur := w.seq
-		w.mu.Unlock()
-		if cur == target {
-			if stable++; stable >= 2 {
-				break
-			}
-			continue
-		}
-		stable = 0
-		target = cur
-	}
 
 	w.mu.Lock()
 	upto := w.seq
@@ -490,20 +464,23 @@ func (s *Store) Syncs() uint64 {
 // In-memory stores return nil.
 func (s *Store) Flush() error { return flushWALs(s.parts) }
 
-// FlushPartitions is Flush for the listed partitions only. A writer that
-// owns some partitions (a loader shard) commits with it, so that its
-// commit neither waits for nor fsyncs records other writers appended to
-// theirs.
-func (s *Store) FlushPartitions(idx []int) error {
-	if len(idx) == 1 {
-		return flushWALs(s.parts[idx[0] : idx[0]+1])
-	}
-	parts := make([]*partition, len(idx))
+// PartitionSet is the subset of a store's partitions that one writer owns
+// (a loader shard). Its Flush is Store.Flush for those partitions only, so
+// the writer's own commits neither wait for nor fsync records other writers
+// appended to theirs.
+type PartitionSet struct{ parts []*partition }
+
+// PartitionSet resolves the listed partition indexes once, for a writer
+// that flushes them many times.
+func (s *Store) PartitionSet(idx ...int) PartitionSet {
+	ps := PartitionSet{parts: make([]*partition, len(idx))}
 	for i, p := range idx {
-		parts[i] = s.parts[p]
+		ps.parts[i] = s.parts[p]
 	}
-	return flushWALs(parts)
+	return ps
 }
+
+func (ps PartitionSet) Flush() error { return flushWALs(ps.parts) }
 
 func flushWALs(parts []*partition) error {
 	if len(parts) == 1 {

@@ -277,9 +277,8 @@ type Views struct {
 	nsubs     atomic.Int64
 
 	flushMu sync.Mutex
-	// wake is touch's 1-slot signal that a workflow went dirty. The
-	// publisher listens to it only after a quiet interval; while it does
-	// not, the slot stays full and the send in touch is a failed fast path.
+	// wake is touch's 1-slot signal that a workflow went dirty; the publisher
+	// listens only after a quiet interval, otherwise the slot stays full.
 	wake     chan struct{}
 	stopCh   chan struct{}
 	doneCh   chan struct{}
@@ -326,13 +325,12 @@ func (v *Views) Close() {
 
 // run drives coalesced publication. After a quiet interval the first
 // workflow to go dirty is published at once; every flush re-arms the ticker,
-// so the next one comes exactly one fan-out-adapted interval
-// (FlushEvery × (1 + subscribers/fanoutCoalesce)) later and takes whatever
-// went dirty in between. Each flush costs one queue offer and one consumer
-// wake-up per subscriber, so stretching the interval as subscribers grow
-// bounds delivery work per second. The stretch trades freshness, never
-// correctness — deltas carry full state and explicit FlushNow calls always
-// publish.
+// so the next comes exactly one fan-out-adapted interval (FlushEvery ×
+// (1 + subscribers/fanoutCoalesce)) later and takes whatever went dirty in
+// between. A flush costs one queue offer and one consumer wake-up per
+// subscriber, so the stretch bounds delivery work per second; it trades
+// freshness, never correctness — deltas carry full state and explicit
+// FlushNow calls always publish.
 func (v *Views) run() {
 	defer close(v.doneCh)
 	t := wfclock.NewTicker(v.clock, v.opts.FlushEvery)
