@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-full bench-parallel bench-e2e bench-e2e-compare crash-matrix lint verify soak-smoke
+.PHONY: build test race fuzz bench bench-full bench-parallel bench-e2e bench-e2e-compare profile crash-matrix lint verify soak-smoke
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,22 @@ bench-e2e:
 
 bench-e2e-compare:
 	$(GO) run ./bench -compare $(A) $(B)
+
+# Where the load path's CPU and heap go, in one command: the root test
+# binary is built once, the in-process load (10k jobs, ~120k events) and the
+# archive-only apply loop each run under -cpuprofile/-memprofile into
+# .bench_build/, and the cumulative top 40 of each CPU profile is printed.
+# Re-take it before claiming against a share someone else measured;
+# `go tool pprof -sample_index=alloc_space -top .bench_build/repro.test
+# .bench_build/LoaderScale10k.mem` reads the heap side.
+profile:
+	@mkdir -p .bench_build
+	$(GO) test -c -o .bench_build/repro.test .
+	@for b in LoaderScale10k ArchiveApply; do \
+		./.bench_build/repro.test -test.run '^$$' -test.bench "^Benchmark$$b\$$" -test.benchtime 3s -test.benchmem \
+			-test.cpuprofile .bench_build/$$b.cpu -test.memprofile .bench_build/$$b.mem || exit 1; \
+		$(GO) tool pprof -top -cum -nodecount 40 .bench_build/repro.test .bench_build/$$b.cpu 2>/dev/null | tail -n +2; \
+	done
 
 # The crash-recovery matrix under the race detector: the newest WAL segment
 # cut at every byte of its final frame and around every frame boundary,

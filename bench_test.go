@@ -884,10 +884,16 @@ func benchRelstore(b *testing.B, indexed bool) {
 	if err := s.CreateTable(ts); err != nil {
 		b.Fatal(err)
 	}
+	lay := s.Layout("jobstate")
+	instCol, _ := lay.Col("job_instance_id")
+	stateCol, _ := lay.Col("state")
 	const rows = 20000
 	w := s.Writer(0)
 	for i := 0; i < rows; i++ {
-		if _, err := w.InsertOwned("jobstate", relstore.Row{"job_instance_id": int64(i % 1000), "state": "EXECUTE"}); err != nil {
+		d := w.NewRow(lay)
+		d.SetInt(instCol, int64(i%1000))
+		d.SetStr(stateCol, "EXECUTE")
+		if _, err := w.Insert(&d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -898,8 +904,8 @@ func benchRelstore(b *testing.B, indexed bool) {
 		if indexed {
 			q = relstore.Query{Table: "jobstate", Conds: []relstore.Cond{relstore.Eq("job_instance_id", target)}}
 		} else {
-			q = relstore.Query{Table: "jobstate", Where: func(r relstore.Row) bool {
-				return r["job_instance_id"] == target
+			q = relstore.Query{Table: "jobstate", Where: func(r *relstore.Row) bool {
+				return r.Int(instCol) == target
 			}}
 		}
 		got, err := s.Select(q)

@@ -28,23 +28,27 @@ import (
 )
 
 // The ceilings are enforced upper bounds, not targets: measured values sit
-// around 1 alloc per pooled parse (the backing string) and 7.9 allocs per
-// loaded event end to end, 8.2 with views or the health engine attached
-// (the seed path measured ~44). The headroom covers GC timing and
-// map-growth jitter; a regression that re-introduces per-event boxing,
-// per-key string materialisation or per-node chain allocations blows well
-// past it.
+// at 1 alloc per pooled parse (the backing string) and 1.9 allocs per
+// loaded event end to end, 2.2 with views attached (the seed path measured
+// ~44, map-based rows 7.9). What is left per event: that backing string, on
+// average half an interned key string plus its map entry for a row that
+// takes a never-seen unique or index key, and amortised shares of the row,
+// posting-node and bucket slabs and of the archive's identity maps growing.
+// The headroom covers GC timing and map-growth jitter; a regression that
+// re-introduces per-row maps, per-event boxing or per-node chain
+// allocations blows well past it.
 //
-// Slab-allocated nodes are invisible to a count — 256 of them are one
-// malloc — so TestLoadAllocCeiling also bounds heap bytes per event. On its
-// trace the load measures 1,038–1,053 bytes/event; with the per-(key, row)
-// interval chains relstore's indexes used to keep it measured 1,158–1,173,
-// and the ceiling sits midway so that much per-row index state cannot come
-// back unnoticed.
+// Slab-allocated rows and nodes are invisible to a count — 256 of them are
+// one malloc — so TestLoadAllocCeiling also bounds heap bytes per event. On
+// its trace the load measures ≈ 567 bytes/event: ≈ 210 of backing string,
+// ≈ 185 of rows (a 56-byte header plus 8 bytes a word and 16 a string
+// slot; a job instance's four updates are four full versions), ≈ 145 of
+// index postings and key-map growth, ≈ 30 of archive caches and row pages.
+// Map-based rows measured 1,038–1,053.
 const (
 	maxAllocsPerParse = 3
-	maxAllocsPerEvent = 10
-	maxBytesPerEvent  = 1100
+	maxAllocsPerEvent = 6
+	maxBytesPerEvent  = 600
 )
 
 // TestParseBytesAllocCeiling bounds the pooled zero-copy parse: steady

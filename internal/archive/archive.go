@@ -77,7 +77,7 @@ func Route(uuid string, n int) int {
 type partState struct {
 	mu      sync.Mutex
 	w       relstore.Writer
-	jobIDs  map[jobKey]boxed       // (wf row, exec_job_id) -> job row id
+	jobIDs  map[jobKey]int64       // (wf row, exec_job_id) -> job row id
 	taskIDs map[jobKey]int64       // (wf row, abs_task_id) -> task row id
 	insts   map[instKey]*instState // (job row, submit seq) -> instance state
 
@@ -87,7 +87,7 @@ type partState struct {
 	// compare. Guarded by mu like everything else here; never invalidated,
 	// because a workflow's row id is immutable once assigned.
 	lastUUID string
-	lastWF   boxed
+	lastWF   int64
 
 	// Freshness-watermark memo for the tracing layer, same discipline as
 	// lastUUID/lastWF: one cached pointer turns the per-event watermark
@@ -96,24 +96,14 @@ type partState struct {
 	wm     *trace.Watermark
 }
 
-// boxed pairs a row id with the same value pre-converted to any. Handlers
-// put ids into Row values on every event; converting a dynamic int64 to
-// an interface heap-allocates, so the caches keep the one boxed copy made
-// when the id was first learned and reuse it for the row's lifetime.
-type boxed struct {
-	id  int64
-	box any
-}
-
 // instState is the per-job-instance hot-path state, held in one struct so
 // the lifecycle handlers resolve everything about an instance with a
-// single map lookup: the jobstate and invocation sequence counters, the
-// pre-boxed row id (see boxed), and the latest EXECUTE timestamp — kept
-// so main.end can compute local_duration without selecting (and cloning)
-// the instance's whole jobstate history per terminating job.
+// single map lookup: the row id, the jobstate and invocation sequence
+// counters, and the latest EXECUTE timestamp — kept so main.end can compute
+// local_duration without selecting the instance's whole jobstate history
+// per terminating job.
 type instState struct {
 	id       int64
-	box      any
 	stateSeq int64
 	invSeq   int64
 	execTS   time.Time // zero = no EXECUTE seen
@@ -137,9 +127,10 @@ type instState struct {
 // are shared across workflows and pin to partition 0.
 type Archive struct {
 	store *relstore.Store
+	c     *Columns // every table's layout and column handles, resolved in New
 
 	wfMu  sync.RWMutex
-	wfIDs map[string]boxed // wf_uuid -> workflow row id
+	wfIDs map[string]int64 // wf_uuid -> workflow row id
 
 	hostMu  sync.Mutex
 	hostIDs map[hostKey]int64 // (site, hostname, ip) -> host row id
@@ -177,9 +168,14 @@ func New(store *relstore.Store) (*Archive, error) {
 			return nil, err
 		}
 	}
+	c, err := ResolveColumns(store)
+	if err != nil {
+		return nil, err
+	}
 	a := &Archive{
 		store:   store,
-		wfIDs:   map[string]boxed{},
+		c:       c,
+		wfIDs:   map[string]int64{},
 		hostIDs: map[hostKey]int64{},
 		host:    store.Writer(0),
 		parts:   make([]partState, store.NumPartitions()),
@@ -187,7 +183,7 @@ func New(store *relstore.Store) (*Archive, error) {
 	for i := range a.parts {
 		st := &a.parts[i]
 		st.w = store.Writer(i)
-		st.jobIDs = map[jobKey]boxed{}
+		st.jobIDs = map[jobKey]int64{}
 		st.taskIDs = map[jobKey]int64{}
 		st.insts = map[instKey]*instState{}
 	}
@@ -265,14 +261,15 @@ func LoadDir(dir string) (*Archive, error) {
 func (a *Archive) warmCaches() error {
 	sn := a.store.Snapshot()
 	defer sn.Close()
+	c := a.c
 	wfs, err := sn.Select(relstore.Query{Table: TWorkflow})
 	if err != nil {
 		return err
 	}
 	wfUUID := make(map[int64]string, len(wfs)) // workflow row id -> uuid
 	for _, r := range wfs {
-		uuid := r["wf_uuid"].(string)
-		a.wfIDs[uuid] = boxed{r.ID(), r["id"]}
+		uuid := r.Str(c.Workflow.UUID)
+		a.wfIDs[uuid] = r.ID()
 		wfUUID[r.ID()] = uuid
 	}
 	tasks, err := sn.Select(relstore.Query{Table: TTask})
@@ -280,9 +277,9 @@ func (a *Archive) warmCaches() error {
 		return err
 	}
 	for _, r := range tasks {
-		wf := r["wf_id"].(int64)
+		wf := r.Int(c.Task.WfID)
 		st := a.partOf(wfUUID[wf])
-		st.taskIDs[jobKey{wf, r["abs_task_id"].(string)}] = r.ID()
+		st.taskIDs[jobKey{wf, r.Str(c.Task.AbsTaskID)}] = r.ID()
 	}
 	jobs, err := sn.Select(relstore.Query{Table: TJob})
 	if err != nil {
@@ -290,10 +287,10 @@ func (a *Archive) warmCaches() error {
 	}
 	jobWF := make(map[int64]int64, len(jobs)) // job row id -> workflow row id
 	for _, r := range jobs {
-		wf := r["wf_id"].(int64)
+		wf := r.Int(c.Job.WfID)
 		jobWF[r.ID()] = wf
 		st := a.partOf(wfUUID[wf])
-		st.jobIDs[jobKey{wf, r["exec_job_id"].(string)}] = boxed{r.ID(), r["id"]}
+		st.jobIDs[jobKey{wf, r.Str(c.Job.ExecJobID)}] = r.ID()
 	}
 	insts, err := sn.Select(relstore.Query{Table: TJobInstance})
 	if err != nil {
@@ -301,10 +298,10 @@ func (a *Archive) warmCaches() error {
 	}
 	instByID := make(map[int64]*instState, len(insts))
 	for _, r := range insts {
-		job := r["job_id"].(int64)
+		job := r.Int(c.JobInstance.JobID)
 		st := a.partOf(wfUUID[jobWF[job]])
-		is := &instState{id: r.ID(), box: r["id"]}
-		st.insts[instKey{job, r["job_submit_seq"].(int64)}] = is
+		is := &instState{id: r.ID()}
+		st.insts[instKey{job, r.Int(c.JobInstance.SubmitSeq)}] = is
 		instByID[r.ID()] = is
 	}
 	hosts, err := sn.Select(relstore.Query{Table: THost})
@@ -312,7 +309,7 @@ func (a *Archive) warmCaches() error {
 		return err
 	}
 	for _, r := range hosts {
-		a.hostIDs[hostKey{r["site"].(string), r["hostname"].(string), r["ip"].(string)}] = r.ID()
+		a.hostIDs[hostKey{r.Str(c.Host.Site), r.Str(c.Host.Hostname), r.Str(c.Host.IP)}] = r.ID()
 	}
 	states, err := sn.Select(relstore.Query{Table: TJobState})
 	if err != nil {
@@ -320,18 +317,18 @@ func (a *Archive) warmCaches() error {
 	}
 	execSeq := make(map[int64]int64) // job_instance row id -> seq of cached EXECUTE
 	for _, r := range states {
-		is, ok := instByID[r["job_instance_id"].(int64)]
+		is, ok := instByID[r.Int(c.JobState.JobInstanceID)]
 		if !ok {
 			continue
 		}
-		seq := r["jobstate_submit_seq"].(int64)
+		seq := r.Int(c.JobState.SubmitSeq)
 		if seq >= is.stateSeq {
 			is.stateSeq = seq + 1
 		}
-		if r["state"] == JSExecute {
+		if r.Str(c.JobState.State) == JSExecute {
 			if s, ok := execSeq[is.id]; !ok || seq >= s {
 				execSeq[is.id] = seq
-				is.execTS = r["timestamp"].(time.Time)
+				is.execTS = r.Time(c.JobState.Timestamp)
 			}
 		}
 	}
@@ -340,6 +337,10 @@ func (a *Archive) warmCaches() error {
 
 // Store exposes the underlying relational store for the query layer.
 func (a *Archive) Store() *relstore.Store { return a.store }
+
+// Columns returns the store's Figure 3 layouts and column handles, as New
+// resolved them.
+func (a *Archive) Columns() *Columns { return a.c }
 
 // Snapshot returns a point-in-time read view across every archive table.
 // Readers on the snapshot never block Apply and never observe a torn
@@ -494,11 +495,11 @@ func (a *Archive) applyLocked(st *partState, ev *bp.Event) error {
 }
 
 // lookupWF returns the cached workflow row id for uuid, if present.
-func (a *Archive) lookupWF(uuid string) (boxed, bool) {
+func (a *Archive) lookupWF(uuid string) (int64, bool) {
 	a.wfMu.RLock()
-	b, ok := a.wfIDs[uuid]
+	id, ok := a.wfIDs[uuid]
 	a.wfMu.RUnlock()
-	return b, ok
+	return id, ok
 }
 
 // ensureWF returns the row id for uuid, inserting a minimal placeholder
@@ -510,46 +511,46 @@ func (a *Archive) lookupWF(uuid string) (boxed, bool) {
 // under sharded loading, where parent and child stream through different
 // shards), and two callers racing on one uuid still produce exactly one
 // row.
-func (a *Archive) ensureWF(uuid string, ts time.Time) (boxed, error) {
+func (a *Archive) ensureWF(uuid string, ts time.Time) (int64, error) {
 	a.wfMu.Lock()
 	defer a.wfMu.Unlock()
-	if b, ok := a.wfIDs[uuid]; ok {
-		return b, nil
+	if id, ok := a.wfIDs[uuid]; ok {
+		return id, nil
 	}
-	id, err := a.partOf(uuid).w.InsertOwned(TWorkflow, relstore.Row{
-		"wf_uuid":   uuid,
-		"timestamp": ts,
-	})
+	c, w := &a.c.Workflow, a.partOf(uuid).w
+	d := w.NewRow(c.Layout)
+	d.SetStr(c.UUID, uuid)
+	d.SetTime(c.Timestamp, ts)
+	id, err := w.Insert(&d)
 	if err != nil {
-		return boxed{}, err
+		return 0, err
 	}
-	b := boxed{id, id}
-	a.wfIDs[uuid] = b
-	return b, nil
+	a.wfIDs[uuid] = id
+	return id, nil
 }
 
 // wfRow returns the workflow row id for the event's xwf.id, creating a
 // minimal placeholder when the plan event has not been seen (events can
 // race ahead of the plan on multi-producer buses). The partition's memo
 // makes the common consecutive-same-workflow case lock-free.
-func (a *Archive) wfRow(st *partState, ev *bp.Event) (boxed, error) {
+func (a *Archive) wfRow(st *partState, ev *bp.Event) (int64, error) {
 	uuid := ev.Get(schema.AttrXwfID)
 	if uuid == "" {
-		return boxed{}, errors.New("event lacks xwf.id")
+		return 0, errors.New("event lacks xwf.id")
 	}
 	if uuid == st.lastUUID {
 		return st.lastWF, nil
 	}
-	b, ok := a.lookupWF(uuid)
+	id, ok := a.lookupWF(uuid)
 	if !ok {
 		var err error
-		if b, err = a.ensureWF(uuid, ev.TS); err != nil {
-			return boxed{}, err
+		if id, err = a.ensureWF(uuid, ev.TS); err != nil {
+			return 0, err
 		}
 	}
 	st.lastUUID = uuid
-	st.lastWF = b
-	return b, nil
+	st.lastWF = id
+	return id, nil
 }
 
 func (a *Archive) applyPlan(ev *bp.Event) error {
@@ -557,28 +558,12 @@ func (a *Archive) applyPlan(ev *bp.Event) error {
 	if uuid == "" {
 		return errors.New("wf.plan lacks xwf.id")
 	}
-	var parentID any
+	var parent int64
 	if p := ev.Get(schema.AttrParentXwf); p != "" {
-		parent, err := a.ensureWF(p, ev.TS)
-		if err != nil {
+		var err error
+		if parent, err = a.ensureWF(p, ev.TS); err != nil {
 			return err
 		}
-		parentID = parent.box
-	}
-	fields := relstore.Row{
-		"wf_uuid":           uuid,
-		"timestamp":         ev.TS,
-		"submit_hostname":   ev.Get("submit.hostname"),
-		"dax_label":         ev.Get("dax.label"),
-		"dax_version":       ev.Get("dax.version"),
-		"dax_file":          ev.Get("dax.file"),
-		"dag_file_name":     ev.Get("dag.file.name"),
-		"submit_dir":        ev.Get("submit_dir"),
-		"planner_arguments": ev.Get(schema.AttrArgv),
-		"user":              ev.Get("user"),
-		"planner_version":   ev.Get("planner.version"),
-		"root_wf_uuid":      ev.Get(schema.AttrRootXwf),
-		"parent_wf_id":      parentID,
 	}
 	// Materialise (or find) the row, then write the plan metadata onto it.
 	// One path covers first plan, replan after restart, and a placeholder
@@ -587,33 +572,46 @@ func (a *Archive) applyPlan(ev *bp.Event) error {
 	if err != nil {
 		return err
 	}
-	delete(fields, "wf_uuid")
-	return a.partOf(uuid).w.Update(TWorkflow, wf.id, fields)
+	c, w := &a.c.Workflow, a.partOf(uuid).w
+	d := w.Edit(c.Layout, wf)
+	d.SetTime(c.Timestamp, ev.TS)
+	d.SetStr(c.SubmitHostname, ev.Get("submit.hostname"))
+	d.SetStr(c.DaxLabel, ev.Get("dax.label"))
+	d.SetStr(c.DaxVersion, ev.Get("dax.version"))
+	d.SetStr(c.DaxFile, ev.Get("dax.file"))
+	d.SetStr(c.DagFileName, ev.Get("dag.file.name"))
+	d.SetStr(c.SubmitDir, ev.Get("submit_dir"))
+	d.SetStr(c.PlannerArguments, ev.Get(schema.AttrArgv))
+	d.SetStr(c.User, ev.Get("user"))
+	d.SetStr(c.PlannerVersion, ev.Get("planner.version"))
+	d.SetStr(c.RootUUID, ev.Get(schema.AttrRootXwf))
+	if parent != 0 {
+		d.SetInt(c.ParentID, parent)
+	} else {
+		d.SetNull(c.ParentID)
+	}
+	return w.Update(&d)
 }
 
-// applyWorkflowState takes state as an any so call sites hand in the
-// WFState* constants pre-boxed: converting a constant string to an
-// interface uses static data, where boxing a dynamic string parameter
-// would allocate per event. insertJobState does the same with JS*.
-func (a *Archive) applyWorkflowState(st *partState, ev *bp.Event, state any) error {
+func (a *Archive) applyWorkflowState(st *partState, ev *bp.Event, state string) error {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return err
 	}
-	row := relstore.Row{
-		"wf_id":         wf.box,
-		"state":         state,
-		"timestamp":     ev.TS,
-		"restart_count": ev.IntOr("restart_count", 0),
-	}
+	c := &a.c.WorkflowState
+	d := st.w.NewRow(c.Layout)
+	d.SetInt(c.WfID, wf)
+	d.SetStr(c.State, state)
+	d.SetTime(c.Timestamp, ev.TS)
+	d.SetInt(c.RestartCount, ev.IntOr("restart_count", 0))
 	if ev.Has(schema.AttrStatus) {
-		st, err := ev.Int(schema.AttrStatus)
+		status, err := ev.Int(schema.AttrStatus)
 		if err != nil {
 			return err
 		}
-		row["status"] = st
+		d.SetInt(c.Status, status)
 	}
-	_, err = st.w.InsertOwned(TWorkflowState, row)
+	_, err = st.w.Insert(&d)
 	return err
 }
 
@@ -623,17 +621,18 @@ func (a *Archive) applyTaskInfo(st *partState, ev *bp.Event) error {
 		return err
 	}
 	taskID := ev.Get(schema.AttrTaskID)
-	id, err := st.w.InsertOwned(TTask, relstore.Row{
-		"wf_id":          wf.box,
-		"abs_task_id":    taskID,
-		"type_desc":      ev.Get("type_desc"),
-		"transformation": ev.Get(schema.AttrTransform),
-		"argv":           ev.Get(schema.AttrArgv),
-	})
+	c := &a.c.Task
+	d := st.w.NewRow(c.Layout)
+	d.SetInt(c.WfID, wf)
+	d.SetStr(c.AbsTaskID, taskID)
+	d.SetStr(c.TypeDesc, ev.Get("type_desc"))
+	d.SetStr(c.Transformation, ev.Get(schema.AttrTransform))
+	d.SetStr(c.Argv, ev.Get(schema.AttrArgv))
+	id, err := st.w.Insert(&d)
 	if err != nil {
 		return ignoreDuplicate(err)
 	}
-	st.taskIDs[jobKey{wf.id, taskID}] = id
+	st.taskIDs[jobKey{wf, taskID}] = id
 	return nil
 }
 
@@ -642,11 +641,12 @@ func (a *Archive) applyTaskEdge(st *partState, ev *bp.Event) error {
 	if err != nil {
 		return err
 	}
-	_, err = st.w.InsertOwned(TTaskEdge, relstore.Row{
-		"wf_id":              wf.box,
-		"parent_abs_task_id": ev.Get("parent.task.id"),
-		"child_abs_task_id":  ev.Get("child.task.id"),
-	})
+	c := &a.c.TaskEdge
+	d := st.w.NewRow(c.Layout)
+	d.SetInt(c.WfID, wf)
+	d.SetStr(c.Parent, ev.Get("parent.task.id"))
+	d.SetStr(c.Child, ev.Get("child.task.id"))
+	_, err = st.w.Insert(&d)
 	return ignoreDuplicate(err)
 }
 
@@ -656,20 +656,21 @@ func (a *Archive) applyJobInfo(st *partState, ev *bp.Event) error {
 		return err
 	}
 	execID := ev.Get(schema.AttrJobID)
-	id, err := st.w.InsertOwned(TJob, relstore.Row{
-		"wf_id":       wf.box,
-		"exec_job_id": execID,
-		"type_desc":   ev.Get("type_desc"),
-		"clustered":   ev.IntOr("clustered", 0) != 0,
-		"max_retries": ev.IntOr("max_retries", 0),
-		"executable":  ev.Get(schema.AttrExecutable),
-		"argv":        ev.Get(schema.AttrArgv),
-		"task_count":  ev.IntOr("task_count", 0),
-	})
+	c := &a.c.Job
+	d := st.w.NewRow(c.Layout)
+	d.SetInt(c.WfID, wf)
+	d.SetStr(c.ExecJobID, execID)
+	d.SetStr(c.TypeDesc, ev.Get("type_desc"))
+	d.SetBool(c.Clustered, ev.IntOr("clustered", 0) != 0)
+	d.SetInt(c.MaxRetries, ev.IntOr("max_retries", 0))
+	d.SetStr(c.Executable, ev.Get(schema.AttrExecutable))
+	d.SetStr(c.Argv, ev.Get(schema.AttrArgv))
+	d.SetInt(c.TaskCount, ev.IntOr("task_count", 0))
+	id, err := st.w.Insert(&d)
 	if err != nil {
 		return ignoreDuplicate(err)
 	}
-	st.jobIDs[jobKey{wf.id, execID}] = boxed{id, id}
+	st.jobIDs[jobKey{wf, execID}] = id
 	return nil
 }
 
@@ -678,11 +679,12 @@ func (a *Archive) applyJobEdge(st *partState, ev *bp.Event) error {
 	if err != nil {
 		return err
 	}
-	_, err = st.w.InsertOwned(TJobEdge, relstore.Row{
-		"wf_id":              wf.box,
-		"parent_exec_job_id": ev.Get("parent.job.id"),
-		"child_exec_job_id":  ev.Get("child.job.id"),
-	})
+	c := &a.c.JobEdge
+	d := st.w.NewRow(c.Layout)
+	d.SetInt(c.WfID, wf)
+	d.SetStr(c.Parent, ev.Get("parent.job.id"))
+	d.SetStr(c.Child, ev.Get("child.job.id"))
+	_, err = st.w.Insert(&d)
 	return ignoreDuplicate(err)
 }
 
@@ -696,14 +698,14 @@ func (a *Archive) applyMapTaskJob(st *partState, ev *bp.Event) error {
 		return err
 	}
 	taskID := ev.Get(schema.AttrTaskID)
-	task, ok := st.taskIDs[jobKey{wf.id, taskID}]
+	task, ok := st.taskIDs[jobKey{wf, taskID}]
 	if !ok {
 		// The cache misses only when task.info was dropped as a duplicate
 		// (restart replay); resolve through the unique index once and
 		// remember the row.
 		row, err := a.store.SelectOne(relstore.Query{
 			Table: TTask,
-			Conds: []relstore.Cond{relstore.Eq("wf_id", wf.id), relstore.Eq("abs_task_id", taskID)},
+			Conds: []relstore.Cond{relstore.Eq("wf_id", wf), relstore.Eq("abs_task_id", taskID)},
 		})
 		if err != nil {
 			return err
@@ -712,9 +714,11 @@ func (a *Archive) applyMapTaskJob(st *partState, ev *bp.Event) error {
 			return fmt.Errorf("map.task_job references unknown task %q", taskID)
 		}
 		task = row.ID()
-		st.taskIDs[jobKey{wf.id, taskID}] = task
+		st.taskIDs[jobKey{wf, taskID}] = task
 	}
-	return st.w.Update(TTask, task, relstore.Row{"job_id": jobRow.box})
+	d := st.w.Edit(a.c.Task.Layout, task)
+	d.SetInt(a.c.Task.JobID, jobRow)
+	return st.w.Update(&d)
 }
 
 func (a *Archive) applyMapSubwfJob(st *partState, ev *bp.Event) error {
@@ -722,26 +726,30 @@ func (a *Archive) applyMapSubwfJob(st *partState, ev *bp.Event) error {
 	if err != nil {
 		return err
 	}
-	return st.w.Update(TJobInstance, is.id, relstore.Row{"subwf_uuid": ev.Get(schema.AttrSubwfID)})
+	d := st.w.Edit(a.c.JobInstance.Layout, is.id)
+	d.SetStr(a.c.JobInstance.SubwfUUID, ev.Get(schema.AttrSubwfID))
+	return st.w.Update(&d)
 }
 
 // jobRow resolves (wf row, exec job id) to the job table row, creating a
 // placeholder when job.info has not been seen yet.
-func (a *Archive) jobRow(st *partState, wf boxed, execID string) (boxed, error) {
+func (a *Archive) jobRow(st *partState, wf int64, execID string) (int64, error) {
 	if execID == "" {
-		return boxed{}, errors.New("event lacks job.id")
+		return 0, errors.New("event lacks job.id")
 	}
-	k := jobKey{wf.id, execID}
-	if b, ok := st.jobIDs[k]; ok {
-		return b, nil
+	k := jobKey{wf, execID}
+	if id, ok := st.jobIDs[k]; ok {
+		return id, nil
 	}
-	id, err := st.w.InsertOwned(TJob, relstore.Row{"wf_id": wf.box, "exec_job_id": execID})
+	d := st.w.NewRow(a.c.Job.Layout)
+	d.SetInt(a.c.Job.WfID, wf)
+	d.SetStr(a.c.Job.ExecJobID, execID)
+	id, err := st.w.Insert(&d)
 	if err != nil {
-		return boxed{}, err
+		return 0, err
 	}
-	b := boxed{id, id}
-	st.jobIDs[k] = b
-	return b, nil
+	st.jobIDs[k] = id
+	return id, nil
 }
 
 // instRow resolves the (job, submit seq) of a job_inst.* event to the
@@ -759,23 +767,23 @@ func (a *Archive) instRow(st *partState, ev *bp.Event) (*instState, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := instKey{jobRow.id, seq}
+	k := instKey{jobRow, seq}
 	if is, ok := st.insts[k]; ok {
 		return is, nil
 	}
-	id, err := st.w.InsertOwned(TJobInstance, relstore.Row{
-		"job_id":         jobRow.box,
-		"job_submit_seq": seq,
-	})
+	d := st.w.NewRow(a.c.JobInstance.Layout)
+	d.SetInt(a.c.JobInstance.JobID, jobRow)
+	d.SetInt(a.c.JobInstance.SubmitSeq, seq)
+	id, err := st.w.Insert(&d)
 	if err != nil {
 		return nil, err
 	}
-	is := &instState{id: id, box: id}
+	is := &instState{id: id}
 	st.insts[k] = is
 	return is, nil
 }
 
-func (a *Archive) applyJobState(st *partState, ev *bp.Event, state any) error {
+func (a *Archive) applyJobState(st *partState, ev *bp.Event, state string) error {
 	is, err := a.instRow(st, ev)
 	if err != nil {
 		return err
@@ -784,22 +792,21 @@ func (a *Archive) applyJobState(st *partState, ev *bp.Event, state any) error {
 }
 
 // insertJobState is the hottest archive write: every lifecycle event of
-// every job instance lands here. state is any (not string) so the JS*
-// constants box statically at the call sites — see applyWorkflowState —
-// and the instance id goes in pre-boxed from the instState.
-func (a *Archive) insertJobState(st *partState, is *instState, state any, ev *bp.Event) error {
+// every job instance lands here.
+func (a *Archive) insertJobState(st *partState, is *instState, state string, ev *bp.Event) error {
 	seq := is.stateSeq
 	is.stateSeq = seq + 1
-	_, err := st.w.InsertOwned(TJobState, relstore.Row{
-		"job_instance_id":     is.box,
-		"state":               state,
-		"timestamp":           ev.TS,
-		"jobstate_submit_seq": seq,
-	})
+	c := &a.c.JobState
+	d := st.w.NewRow(c.Layout)
+	d.SetInt(c.JobInstanceID, is.id)
+	d.SetStr(c.State, state)
+	d.SetTime(c.Timestamp, ev.TS)
+	d.SetInt(c.SubmitSeq, seq)
+	_, err := st.w.Insert(&d)
 	return err
 }
 
-func (a *Archive) applyScriptEnd(st *partState, ev *bp.Event, okState, failState any) error {
+func (a *Archive) applyScriptEnd(st *partState, ev *bp.Event, okState, failState string) error {
 	is, err := a.instRow(st, ev)
 	if err != nil {
 		return err
@@ -816,15 +823,17 @@ func (a *Archive) applyMainStart(st *partState, ev *bp.Event) error {
 	if err != nil {
 		return err
 	}
-	changes := relstore.Row{}
-	if f := ev.Get("stdout.file"); f != "" {
-		changes["stdout_file"] = f
-	}
-	if f := ev.Get("stderr.file"); f != "" {
-		changes["stderr_file"] = f
-	}
-	if len(changes) > 0 {
-		if err := st.w.Update(TJobInstance, is.id, changes); err != nil {
+	stdout, stderr := ev.Get("stdout.file"), ev.Get("stderr.file")
+	if stdout != "" || stderr != "" {
+		c := &a.c.JobInstance
+		d := st.w.Edit(c.Layout, is.id)
+		if stdout != "" {
+			d.SetStr(c.StdoutFile, stdout)
+		}
+		if stderr != "" {
+			d.SetStr(c.StderrFile, stderr)
+		}
+		if err := st.w.Update(&d); err != nil {
 			return err
 		}
 	}
@@ -841,21 +850,23 @@ func (a *Archive) applyMainEnd(st *partState, ev *bp.Event) error {
 	if err != nil {
 		return err
 	}
-	changes := relstore.Row{"exitcode": exitcode}
+	c := &a.c.JobInstance
+	d := st.w.Edit(c.Layout, is.id)
+	d.SetInt(c.Exitcode, exitcode)
 	if s := ev.Get(schema.AttrSite); s != "" {
-		changes["site"] = s
+		d.SetStr(c.Site, s)
 	}
 	if u := ev.Get("user"); u != "" {
-		changes["user"] = u
+		d.SetStr(c.User, u)
 	}
 	if s := ev.Get(schema.AttrStdoutText); s != "" {
-		changes["stdout_text"] = s
+		d.SetStr(c.StdoutText, s)
 	}
 	if s := ev.Get(schema.AttrStderrText); s != "" {
-		changes["stderr_text"] = s
+		d.SetStr(c.StderrText, s)
 	}
 	if m, ok := intAttr(ev, "multiplier_factor"); ok {
-		changes["multiplier_factor"] = m
+		d.SetInt(c.MultiplierFactor, m)
 	}
 	// local_duration = main.end ts - the matching EXECUTE state ts, the
 	// runtime "as measured by the workflow engine" in the paper's job
@@ -864,12 +875,12 @@ func (a *Archive) applyMainEnd(st *partState, ev *bp.Event) error {
 	// this does not re-select the instance's state history for every
 	// completing job.
 	if !is.execTS.IsZero() {
-		changes["local_duration"] = ev.TS.Sub(is.execTS).Seconds()
+		d.SetFloat(c.LocalDuration, ev.TS.Sub(is.execTS).Seconds())
 	}
-	if err := st.w.Update(TJobInstance, is.id, changes); err != nil {
+	if err := st.w.Update(&d); err != nil {
 		return err
 	}
-	var state any = JSSuccess
+	state := JSSuccess
 	if exitcode != 0 {
 		state = JSFailure
 	}
@@ -888,14 +899,18 @@ func (a *Archive) applyHostInfo(st *partState, ev *bp.Event) error {
 	a.hostMu.Lock()
 	hid, ok := a.hostIDs[k]
 	if !ok {
-		row := relstore.Row{"site": k.site, "hostname": k.hostname, "ip": k.ip}
+		c := &a.c.Host
+		d := a.host.NewRow(c.Layout)
+		d.SetStr(c.Site, k.site)
+		d.SetStr(c.Hostname, k.hostname)
+		d.SetStr(c.IP, k.ip)
 		if u := ev.Get("uname"); u != "" {
-			row["uname"] = u
+			d.SetStr(c.Uname, u)
 		}
 		if m, ok := intAttr(ev, "total_memory"); ok {
-			row["total_memory"] = m
+			d.SetInt(c.TotalMemory, m)
 		}
-		hid, err = a.host.InsertOwned(THost, row)
+		hid, err = a.host.Insert(&d)
 		if err != nil {
 			a.hostMu.Unlock()
 			return err
@@ -903,10 +918,10 @@ func (a *Archive) applyHostInfo(st *partState, ev *bp.Event) error {
 		a.hostIDs[k] = hid
 	}
 	a.hostMu.Unlock()
-	return st.w.Update(TJobInstance, is.id, relstore.Row{
-		"host_id": hid,
-		"site":    k.site,
-	})
+	d := st.w.Edit(a.c.JobInstance.Layout, is.id)
+	d.SetInt(a.c.JobInstance.HostID, hid)
+	d.SetStr(a.c.JobInstance.Site, k.site)
+	return st.w.Update(&d)
 }
 
 func (a *Archive) applyInvEnd(st *partState, ev *bp.Event) error {
@@ -923,30 +938,30 @@ func (a *Archive) applyInvEnd(st *partState, ev *bp.Event) error {
 		seq = is.invSeq
 		is.invSeq = seq + 1
 	}
-	row := relstore.Row{
-		"job_instance_id": is.box,
-		"wf_id":           wf.box,
-		"task_submit_seq": seq,
-		"transformation":  ev.Get(schema.AttrTransform),
-		"executable":      ev.Get(schema.AttrExecutable),
-		"argv":            ev.Get(schema.AttrArgv),
-		"abs_task_id":     ev.Get(schema.AttrTaskID),
-	}
+	c := &a.c.Invocation
+	d := st.w.NewRow(c.Layout)
+	d.SetInt(c.JobInstanceID, is.id)
+	d.SetInt(c.WfID, wf)
+	d.SetInt(c.TaskSubmitSeq, seq)
+	d.SetStr(c.Transformation, ev.Get(schema.AttrTransform))
+	d.SetStr(c.Executable, ev.Get(schema.AttrExecutable))
+	d.SetStr(c.Argv, ev.Get(schema.AttrArgv))
+	d.SetStr(c.AbsTaskID, ev.Get(schema.AttrTaskID))
 	if ts := ev.Get(schema.AttrStartTime); ts != "" {
 		if parsed, err := bp.ParseTime(ts); err == nil {
-			row["start_time"] = parsed
+			d.SetTime(c.StartTime, parsed)
 		}
 	}
-	if d, ok := floatAttr(ev, schema.AttrDur); ok {
-		row["remote_duration"] = d
+	if dur, ok := floatAttr(ev, schema.AttrDur); ok {
+		d.SetFloat(c.RemoteDuration, dur)
 	}
-	if c, ok := floatAttr(ev, schema.AttrRemoteCPU); ok {
-		row["remote_cpu_time"] = c
+	if cpu, ok := floatAttr(ev, schema.AttrRemoteCPU); ok {
+		d.SetFloat(c.RemoteCPUTime, cpu)
 	}
 	if x, ok := intAttr(ev, schema.AttrExitcode); ok {
-		row["exitcode"] = x
+		d.SetInt(c.Exitcode, x)
 	}
-	_, err = st.w.InsertOwned(TInvocation, row)
+	_, err = st.w.Insert(&d)
 	return ignoreDuplicate(err)
 }
 

@@ -15,6 +15,30 @@ import (
 
 var t0 = time.Date(2012, 3, 13, 12, 35, 38, 0, time.UTC)
 
+// col reads one column of a stored row by name, boxed as its column type's
+// Go value, or nil for NULL — how these tests have always spelled a row.
+func col(r *relstore.Row, name string) any {
+	c, err := r.Layout().Col(name)
+	if err != nil {
+		panic(err)
+	}
+	if r.IsNull(c) {
+		return nil
+	}
+	switch c.Type() {
+	case relstore.Int:
+		return r.Int(c)
+	case relstore.Float:
+		return r.Float(c)
+	case relstore.Str:
+		return r.Str(c)
+	case relstore.Bool:
+		return r.Bool(c)
+	default:
+		return r.Time(c)
+	}
+}
+
 // emitWorkflow produces the canonical event stream for a two-job linear
 // workflow (stage -> exec) with one invocation each, mirroring what a
 // normalizer emits.
@@ -101,13 +125,13 @@ func TestApplyFullWorkflow(t *testing.T) {
 	if err != nil || wfRow == nil {
 		t.Fatalf("workflow row: %v %v", wfRow, err)
 	}
-	if wfRow["dax_label"] != "demo" || wfRow["user"] != "alice" {
+	if col(wfRow, "dax_label") != "demo" || col(wfRow, "user") != "alice" {
 		t.Errorf("plan fields lost: %v", wfRow)
 	}
 
 	// task.job_id set by the mapping event.
 	task, _ := st.SelectOne(relstore.Query{Table: TTask, Conds: []relstore.Cond{relstore.Eq("wf_id", wfRow.ID())}})
-	if task["job_id"] == nil {
+	if col(task, "job_id") == nil {
 		t.Error("wf.map.task_job did not link task to job")
 	}
 
@@ -116,14 +140,14 @@ func TestApplyFullWorkflow(t *testing.T) {
 		relstore.Eq("wf_id", wfRow.ID()), relstore.Eq("exec_job_id", "exec_j1")}})
 	inst, _ := st.SelectOne(relstore.Query{Table: TJobInstance, Conds: []relstore.Cond{
 		relstore.Eq("job_id", job.ID()), relstore.Eq("job_submit_seq", int64(1))}})
-	if inst["exitcode"] != int64(0) || inst["site"] != "local" || inst["stdout_text"] != "done" {
+	if col(inst, "exitcode") != int64(0) || col(inst, "site") != "local" || col(inst, "stdout_text") != "done" {
 		t.Errorf("job_instance fields: %v", inst)
 	}
-	if inst["host_id"] == nil {
+	if col(inst, "host_id") == nil {
 		t.Error("host not linked")
 	}
-	if ld, ok := inst["local_duration"].(float64); !ok || ld != 74 {
-		t.Errorf("local_duration = %v, want 74", inst["local_duration"])
+	if ld, ok := col(inst, "local_duration").(float64); !ok || ld != 74 {
+		t.Errorf("local_duration = %v, want 74", col(inst, "local_duration"))
 	}
 
 	// jobstate sequence for exec_j1.
@@ -131,7 +155,7 @@ func TestApplyFullWorkflow(t *testing.T) {
 		Conds: []relstore.Cond{relstore.Eq("job_instance_id", inst.ID())}, OrderBy: "jobstate_submit_seq"})
 	var names []string
 	for _, s := range states {
-		names = append(names, s["state"].(string))
+		names = append(names, col(s, "state").(string))
 	}
 	want := []string{JSSubmit, JSSubmitted, JSExecute, JSSuccess}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
@@ -141,10 +165,10 @@ func TestApplyFullWorkflow(t *testing.T) {
 	// invocation record for the exec job.
 	inv, _ := st.SelectOne(relstore.Query{Table: TInvocation, Conds: []relstore.Cond{
 		relstore.Eq("job_instance_id", inst.ID())}})
-	if inv["remote_duration"] != 74.0 || inv["remote_cpu_time"] != 73.5 || inv["abs_task_id"] != "t_exec" {
+	if col(inv, "remote_duration") != 74.0 || col(inv, "remote_cpu_time") != 73.5 || col(inv, "abs_task_id") != "t_exec" {
 		t.Errorf("invocation = %v", inv)
 	}
-	if startT := inv["start_time"].(time.Time); !startT.Equal(t0.Add(7 * time.Second)) {
+	if startT := col(inv, "start_time").(time.Time); !startT.Equal(t0.Add(7 * time.Second)) {
 		t.Errorf("invocation start_time = %v", startT)
 	}
 }
@@ -203,7 +227,7 @@ func TestApplyOutOfOrderJobInstCreatesPlaceholders(t *testing.T) {
 		t.Errorf("plan after placeholder duplicated workflow: %d rows", n)
 	}
 	row, _ := st.SelectOne(relstore.Query{Table: TWorkflow, Conds: []relstore.Cond{relstore.Eq("wf_uuid", wf)}})
-	if row["submit_hostname"] != "desktop" {
+	if col(row, "submit_hostname") != "desktop" {
 		t.Error("plan did not upgrade placeholder metadata")
 	}
 }
@@ -224,12 +248,12 @@ func TestApplyFailedJob(t *testing.T) {
 	applyAll(t, a, evs)
 	st := a.Store()
 	states, _ := st.Select(relstore.Query{Table: TJobState, OrderBy: "jobstate_submit_seq"})
-	last := states[len(states)-1]["state"]
+	last := col(states[len(states)-1], "state")
 	if last != JSFailure {
 		t.Errorf("final state = %v, want JOB_FAILURE", last)
 	}
 	insts, _ := st.Select(relstore.Query{Table: TJobInstance})
-	if insts[0]["exitcode"] != int64(1) || insts[0]["stderr_text"] != "java.lang.NullPointerException" {
+	if col(insts[0], "exitcode") != int64(1) || col(insts[0], "stderr_text") != "java.lang.NullPointerException" {
 		t.Errorf("failure details not recorded: %v", insts[0])
 	}
 }
@@ -279,15 +303,15 @@ func TestApplySubWorkflowLinkage(t *testing.T) {
 	st := a.Store()
 	childRow, _ := st.SelectOne(relstore.Query{Table: TWorkflow, Conds: []relstore.Cond{relstore.Eq("wf_uuid", child)}})
 	parentRow, _ := st.SelectOne(relstore.Query{Table: TWorkflow, Conds: []relstore.Cond{relstore.Eq("wf_uuid", parent)}})
-	if childRow["parent_wf_id"] != parentRow.ID() {
-		t.Errorf("child parent_wf_id = %v, want %d", childRow["parent_wf_id"], parentRow.ID())
+	if col(childRow, "parent_wf_id") != parentRow.ID() {
+		t.Errorf("child parent_wf_id = %v, want %d", col(childRow, "parent_wf_id"), parentRow.ID())
 	}
-	if childRow["root_wf_uuid"] != parent {
-		t.Errorf("child root = %v", childRow["root_wf_uuid"])
+	if col(childRow, "root_wf_uuid") != parent {
+		t.Errorf("child root = %v", col(childRow, "root_wf_uuid"))
 	}
 	inst, _ := st.SelectOne(relstore.Query{Table: TJobInstance})
-	if inst["subwf_uuid"] != child {
-		t.Errorf("subwf linkage = %v", inst["subwf_uuid"])
+	if col(inst, "subwf_uuid") != child {
+		t.Errorf("subwf linkage = %v", col(inst, "subwf_uuid"))
 	}
 }
 
@@ -404,7 +428,7 @@ func TestApplyMainErrorRecordsJobstate(t *testing.T) {
 	}
 	var seen []string
 	for _, row := range states {
-		seen = append(seen, row["state"].(string))
+		seen = append(seen, col(row, "state").(string))
 	}
 	want := map[string]bool{JSMainError: false, JSFailure: false}
 	for _, s := range seen {

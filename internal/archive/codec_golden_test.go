@@ -72,33 +72,59 @@ type goldenRow struct {
 	vals  vals
 }
 
-func goldenInsert(t *testing.T, w relstore.Writer, r goldenRow) {
+// set puts v's named columns into d through each column's typed setter.
+func (v vals) set(t *testing.T, d *relstore.Draft, lay *relstore.Layout) {
 	t.Helper()
-	row := relstore.Row{}
-	for k, v := range r.vals {
-		row[k] = v
+	for name, val := range v {
+		if name == "id" {
+			continue
+		}
+		c, err := lay.Col(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch x := val.(type) {
+		case nil:
+			d.SetNull(c)
+		case int64:
+			d.SetInt(c, x)
+		case float64:
+			d.SetFloat(c, x)
+		case string:
+			d.SetStr(c, x)
+		case bool:
+			d.SetBool(c, x)
+		case time.Time:
+			d.SetTime(c, x)
+		default:
+			t.Fatalf("%s.%s: no setter for a %T", lay.Table(), name, val)
+		}
 	}
-	if _, err := w.InsertOwned(r.table, row); err != nil {
+}
+
+func goldenInsert(t *testing.T, s *relstore.Store, r goldenRow) {
+	t.Helper()
+	lay := s.Layout(r.table)
+	d := s.Writer(0).NewRow(lay)
+	r.vals.set(t, &d, lay)
+	if _, err := s.Writer(0).Insert(&d); err != nil {
 		t.Fatalf("insert into %s: %v", r.table, err)
 	}
 }
 
-func goldenUpdate(t *testing.T, w relstore.Writer, r goldenRow) {
+func goldenUpdate(t *testing.T, s *relstore.Store, r goldenRow) {
 	t.Helper()
-	changes := relstore.Row{}
-	for k, v := range r.vals {
-		if k != "id" {
-			changes[k] = v
-		}
-	}
-	if err := w.Update(r.table, r.vals["id"].(int64), changes); err != nil {
+	lay := s.Layout(r.table)
+	d := s.Writer(0).Edit(lay, r.vals["id"].(int64))
+	r.vals.set(t, &d, lay)
+	if err := s.Writer(0).Update(&d); err != nil {
 		t.Fatalf("update %s: %v", r.table, err)
 	}
 }
 
 // TestRowCodecGolden pins every byte a stored row turns into. The lines of
 // testdata/row_codec.golden were written by the map-based row codec (the
-// commit before rows became slot records): the payload of each insert and
+// commit before rows became slot records, 3a124ea): the payload of each insert and
 // update frame the rows above put in the WAL (the compact spelling), the
 // body of the checkpoint image taken after them (the non-compact spelling,
 // which is also what Snapshot.Hash digests) and that hash. A row codec
@@ -110,12 +136,11 @@ func TestRowCodecGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	w := a.Store().Writer(0)
 	for _, r := range goldenRows() {
-		goldenInsert(t, w, r)
+		goldenInsert(t, a.Store(), r)
 	}
 	for _, r := range goldenUpdates() {
-		goldenUpdate(t, w, r)
+		goldenUpdate(t, a.Store(), r)
 	}
 	if err := a.Flush(); err != nil {
 		t.Fatal(err)

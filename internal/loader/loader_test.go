@@ -135,6 +135,46 @@ func TestLenientSkipsBadLinesAndEvents(t *testing.T) {
 	}
 }
 
+// TestUnrepresentableTimestampRefused: an event whose timestamp the store's
+// UnixNano time slot cannot hold (here the year 1600; the schema validator
+// has no quarrel with it) is refused by the archive — naming table.column —
+// rather than stored as some other instant. The lenient loader counts it
+// Invalid and loads the rest; the strict one aborts on it.
+func TestUnrepresentableTimestampRefused(t *testing.T) {
+	wf := uuid.New().String()
+	bad := "ts=1600-01-01T00:00:00.000000Z event=stampede.xwf.start xwf.id=" + wf + " restart_count=0\n"
+	input := workflowStream(wf, 2) + bad
+
+	a := archive.NewInMemory()
+	l, _ := New(a, Options{Validate: true, Lenient: true, BatchSize: 4})
+	clean, err := l.LoadReader(strings.NewReader(workflowStream(wf, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := archive.NewInMemory()
+	l, _ = New(b, Options{Validate: true, Lenient: true, BatchSize: 4})
+	stats, err := l.LoadReader(strings.NewReader(input))
+	if err != nil {
+		t.Fatalf("lenient load failed: %v", err)
+	}
+	if stats.Invalid != 1 || stats.Loaded != clean.Loaded || stats.Read != clean.Read+1 {
+		t.Fatalf("lenient: %s; want the clean stream's %d loaded and 1 invalid", stats.String(), clean.Loaded)
+	}
+	if got, want := archiveHash(t, b), archiveHash(t, a); got != want {
+		t.Fatalf("the refused event changed the store: hash %s, without it %s", got, want)
+	}
+
+	c := archive.NewInMemory()
+	l, _ = New(c, Options{Validate: true, BatchSize: 4})
+	stats, err = l.LoadReader(strings.NewReader(input))
+	if err == nil || !strings.Contains(err.Error(), "workflowstate.timestamp: time 1600-01-01T00:00:00Z is outside the representable range") {
+		t.Fatalf("strict: err = %v, want the archive's complaint naming workflowstate.timestamp", err)
+	}
+	if stats.Invalid != 1 {
+		t.Fatalf("strict: %s; want invalid=1", stats.String())
+	}
+}
+
 func TestLenientWithoutValidationCountsUnknown(t *testing.T) {
 	a := archive.NewInMemory()
 	l, _ := New(a, Options{Validate: false, Lenient: true, BatchSize: 4})

@@ -80,10 +80,11 @@ func assertJobstateOrdering(t *testing.T, a *archive.Archive) {
 	// Select returns rows in primary-key order = insertion order per
 	// instance, so walking them verifies both seq contiguity and ts
 	// monotonicity.
+	c := &a.Columns().JobState
 	for _, r := range states {
-		inst := r["job_instance_id"].(int64)
-		seq := r["jobstate_submit_seq"].(int64)
-		ts := r["timestamp"].(time.Time)
+		inst := r.Int(c.JobInstanceID)
+		seq := r.Int(c.SubmitSeq)
+		ts := r.Time(c.Timestamp)
 		prev, seen := byInst[inst]
 		if seen {
 			if seq != prev.seq+1 {
@@ -237,14 +238,14 @@ func TestParallelSubworkflowLinkage(t *testing.T) {
 		if len(wfs) != 2*(1+4) {
 			t.Fatalf("shards=%d: %d workflow rows, want %d", shards, len(wfs), 2*(1+4))
 		}
+		c := &a.Columns().Workflow
 		for _, wf := range wfs {
-			uuid := wf["wf_uuid"].(string)
+			uuid := wf.Str(c.UUID)
 			if roots[uuid] {
 				continue
 			}
-			if _, ok := wf["parent_wf_id"].(int64); !ok {
-				t.Errorf("shards=%d: sub-workflow %s lost its parent link (parent_wf_id=%v)",
-					shards, uuid, wf["parent_wf_id"])
+			if wf.IsNull(c.ParentID) {
+				t.Errorf("shards=%d: sub-workflow %s lost its parent link (parent_wf_id is NULL)", shards, uuid)
 			}
 		}
 	}

@@ -77,11 +77,11 @@ func TestPoolRecycleInvisibleToReaders(t *testing.T) {
 						return
 					}
 					for _, row := range rows {
-						for _, v := range row {
-							s, ok := v.(string)
-							if !ok {
+						for _, c := range row.Layout().Columns() {
+							if c.Type() != relstore.Str {
 								continue
 							}
+							s := row.Str(c)
 							sum := 0
 							for i := 0; i < len(s); i++ {
 								sum += int(s[i])

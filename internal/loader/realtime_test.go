@@ -334,7 +334,7 @@ func TestTickSyncsRowsOutsideOwnedPartitions(t *testing.T) {
 		t.Errorf("%d workflow rows on disk after the tick, want the child and its parent's placeholder", n)
 	}
 	insts, err := re.Store().Select(relstore.Query{Table: archive.TJobInstance})
-	if err != nil || len(insts) != 1 || insts[0]["host_id"] == nil {
+	if err != nil || len(insts) != 1 || insts[0].IsNull(re.Columns().JobInstance.HostID) {
 		t.Errorf("job instances on disk: %v, %v; want one with its host_id", insts, err)
 	}
 	if got, want := archiveHash(t, re), archiveHash(t, a); got != want {

@@ -19,19 +19,12 @@ import (
 // same consistent state); see Snapshot.
 type QI struct {
 	r     relstore.Reader
-	store *relstore.Store // non-nil when r is the live store; enables Snapshot
+	store *relstore.Store  // non-nil when r is the live store; enables Snapshot
+	c     *archive.Columns // the store's column handles, which rows are read through
 }
 
 // New returns a query interface over the archive.
-func New(a *archive.Archive) *QI { return NewFromStore(a.Store()) }
-
-// NewFromStore returns a query interface over a raw store (e.g. one
-// replayed from a database file by a read-only tool).
-func NewFromStore(s *relstore.Store) *QI { return &QI{r: s, store: s} }
-
-// NewFromSnapshot returns a query interface pinned to one point-in-time
-// snapshot. The caller owns the snapshot and its Close.
-func NewFromSnapshot(sn *relstore.Snapshot) *QI { return &QI{r: sn} }
+func New(a *archive.Archive) *QI { return &QI{r: a.Store(), store: a.Store(), c: a.Columns()} }
 
 // Store returns the live store backing this QI, or nil when the QI is
 // pinned to a snapshot. The dashboard uses it for store-level status
@@ -50,7 +43,7 @@ func (q *QI) Snapshot() (*QI, func()) {
 		return q, func() {}
 	}
 	sn := q.store.Snapshot()
-	return &QI{r: sn}, sn.Close
+	return &QI{r: sn, c: q.c}, sn.Close
 }
 
 // Workflow is one workflow run.
@@ -134,37 +127,26 @@ type Host struct {
 	IP       string
 }
 
-func str(r relstore.Row, k string) string {
-	s, _ := r[k].(string)
-	return s
-}
-
-func i64(r relstore.Row, k string) int64 {
-	v, _ := r[k].(int64)
-	return v
-}
-
-func f64(r relstore.Row, k string) float64 {
-	v, _ := r[k].(float64)
-	return v
-}
-
-func ts(r relstore.Row, k string) time.Time {
-	v, _ := r[k].(time.Time)
-	return v
-}
-
-func wfFromRow(r relstore.Row) Workflow {
+func (q *QI) wfFromRow(r *relstore.Row) Workflow {
+	c := &q.c.Workflow
 	return Workflow{
 		ID:         r.ID(),
-		UUID:       str(r, "wf_uuid"),
-		DaxLabel:   str(r, "dax_label"),
-		SubmitHost: str(r, "submit_hostname"),
-		User:       str(r, "user"),
-		Timestamp:  ts(r, "timestamp"),
-		RootUUID:   str(r, "root_wf_uuid"),
-		ParentID:   i64(r, "parent_wf_id"),
+		UUID:       r.Str(c.UUID),
+		DaxLabel:   r.Str(c.DaxLabel),
+		SubmitHost: r.Str(c.SubmitHostname),
+		User:       r.Str(c.User),
+		Timestamp:  r.Time(c.Timestamp),
+		RootUUID:   r.Str(c.RootUUID),
+		ParentID:   r.Int(c.ParentID),
 	}
+}
+
+func (q *QI) wfsFromRows(rows []*relstore.Row) []Workflow {
+	out := make([]Workflow, len(rows))
+	for i, r := range rows {
+		out[i] = q.wfFromRow(r)
+	}
+	return out
 }
 
 // Workflows lists every workflow in the archive in insertion order.
@@ -173,11 +155,7 @@ func (q *QI) Workflows() ([]Workflow, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Workflow, len(rows))
-	for i, r := range rows {
-		out[i] = wfFromRow(r)
-	}
-	return out, nil
+	return q.wfsFromRows(rows), nil
 }
 
 // WorkflowByUUID resolves one workflow; nil when absent.
@@ -189,7 +167,7 @@ func (q *QI) WorkflowByUUID(uuid string) (*Workflow, error) {
 	if err != nil || r == nil {
 		return nil, err
 	}
-	w := wfFromRow(r)
+	w := q.wfFromRow(r)
 	return &w, nil
 }
 
@@ -202,24 +180,22 @@ func (q *QI) Workflow(id int64) (*Workflow, error) {
 	if r == nil {
 		return nil, fmt.Errorf("query: no workflow %d", id)
 	}
-	w := wfFromRow(r)
+	w := q.wfFromRow(r)
 	return &w, nil
 }
 
-// RootWorkflows lists workflows without a parent.
+// RootWorkflows lists workflows without a parent. It scans: Eq(col, nil)
+// through the parent index would walk every row that was ever a root.
 func (q *QI) RootWorkflows() ([]Workflow, error) {
+	parent := q.c.Workflow.ParentID
 	rows, err := q.r.Select(relstore.Query{
 		Table: archive.TWorkflow,
-		Where: func(r relstore.Row) bool { return r["parent_wf_id"] == nil },
+		Where: func(r *relstore.Row) bool { return r.IsNull(parent) },
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Workflow, len(rows))
-	for i, r := range rows {
-		out[i] = wfFromRow(r)
-	}
-	return out, nil
+	return q.wfsFromRows(rows), nil
 }
 
 // SubWorkflows lists direct children of a workflow.
@@ -231,11 +207,7 @@ func (q *QI) SubWorkflows(parentID int64) ([]Workflow, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Workflow, len(rows))
-	for i, r := range rows {
-		out[i] = wfFromRow(r)
-	}
-	return out, nil
+	return q.wfsFromRows(rows), nil
 }
 
 // Descendants returns the workflow hierarchy rooted at id (excluding the
@@ -264,15 +236,14 @@ func (q *QI) Descendants(id int64) ([]Workflow, error) {
 	return out, nil
 }
 
-func statesFromRows(rows []relstore.Row) []StateRecord {
+// statesFromRows reads workflowstate or jobstate rows; status is the
+// former's status column (jobstate has none and passes nil).
+func statesFromRows(rows []*relstore.Row, state, ts relstore.Col, status *relstore.Col) []StateRecord {
 	out := make([]StateRecord, len(rows))
 	for i, r := range rows {
-		out[i] = StateRecord{
-			State:     str(r, "state"),
-			Timestamp: ts(r, "timestamp"),
-		}
-		if v, ok := r["status"].(int64); ok {
-			out[i].Status = v
+		out[i] = StateRecord{State: r.Str(state), Timestamp: r.Time(ts)}
+		if status != nil && !r.IsNull(*status) {
+			out[i].Status = r.Int(*status)
 			out[i].HasStatus = true
 		}
 	}
@@ -289,7 +260,8 @@ func (q *QI) WorkflowStates(wfID int64) ([]StateRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	return statesFromRows(rows), nil
+	c := &q.c.WorkflowState
+	return statesFromRows(rows, c.State, c.Timestamp, &c.Status), nil
 }
 
 // Walltime returns the workflow wall time: last termination minus first
@@ -327,15 +299,16 @@ func (q *QI) Tasks(wfID int64) ([]Task, error) {
 	if err != nil {
 		return nil, err
 	}
+	c := &q.c.Task
 	out := make([]Task, len(rows))
 	for i, r := range rows {
 		out[i] = Task{
 			ID:             r.ID(),
 			WfID:           wfID,
-			AbsTaskID:      str(r, "abs_task_id"),
-			TypeDesc:       str(r, "type_desc"),
-			Transformation: str(r, "transformation"),
-			JobID:          i64(r, "job_id"),
+			AbsTaskID:      r.Str(c.AbsTaskID),
+			TypeDesc:       r.Str(c.TypeDesc),
+			Transformation: r.Str(c.Transformation),
+			JobID:          r.Int(c.JobID),
 		}
 	}
 	return out, nil
@@ -353,7 +326,7 @@ func (q *QI) TaskEdges(wfID int64) ([][2]string, error) {
 	}
 	out := make([][2]string, len(rows))
 	for i, r := range rows {
-		out[i] = [2]string{str(r, "parent_abs_task_id"), str(r, "child_abs_task_id")}
+		out[i] = [2]string{r.Str(q.c.TaskEdge.Parent), r.Str(q.c.TaskEdge.Child)}
 	}
 	return out, nil
 }
@@ -367,17 +340,17 @@ func (q *QI) Jobs(wfID int64) ([]Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	c := &q.c.Job
 	out := make([]Job, len(rows))
 	for i, r := range rows {
-		clustered, _ := r["clustered"].(bool)
 		out[i] = Job{
 			ID:        r.ID(),
 			WfID:      wfID,
-			ExecJobID: str(r, "exec_job_id"),
-			TypeDesc:  str(r, "type_desc"),
-			Clustered: clustered,
-			TaskCount: i64(r, "task_count"),
-			Exec:      str(r, "executable"),
+			ExecJobID: r.Str(c.ExecJobID),
+			TypeDesc:  r.Str(c.TypeDesc),
+			Clustered: r.Bool(c.Clustered),
+			TaskCount: r.Int(c.TaskCount),
+			Exec:      r.Str(c.Executable),
 		}
 	}
 	return out, nil
@@ -394,31 +367,30 @@ func (q *QI) JobEdges(wfID int64) ([][2]string, error) {
 	}
 	out := make([][2]string, len(rows))
 	for i, r := range rows {
-		out[i] = [2]string{str(r, "parent_exec_job_id"), str(r, "child_exec_job_id")}
+		out[i] = [2]string{r.Str(q.c.JobEdge.Parent), r.Str(q.c.JobEdge.Child)}
 	}
 	return out, nil
 }
 
-func instFromRow(q *QI, r relstore.Row) JobInstance {
+func (q *QI) instFromRow(r *relstore.Row) JobInstance {
+	c := &q.c.JobInstance
 	inst := JobInstance{
 		ID:            r.ID(),
-		JobID:         i64(r, "job_id"),
-		SubmitSeq:     i64(r, "job_submit_seq"),
-		Site:          str(r, "site"),
-		SubwfUUID:     str(r, "subwf_uuid"),
-		LocalDuration: f64(r, "local_duration"),
-		StdoutText:    str(r, "stdout_text"),
-		StderrText:    str(r, "stderr_text"),
-		StdoutFile:    str(r, "stdout_file"),
-		StderrFile:    str(r, "stderr_file"),
+		JobID:         r.Int(c.JobID),
+		SubmitSeq:     r.Int(c.SubmitSeq),
+		Site:          r.Str(c.Site),
+		SubwfUUID:     r.Str(c.SubwfUUID),
+		LocalDuration: r.Float(c.LocalDuration),
+		StdoutText:    r.Str(c.StdoutText),
+		StderrText:    r.Str(c.StderrText),
+		StdoutFile:    r.Str(c.StdoutFile),
+		StderrFile:    r.Str(c.StderrFile),
+		Exitcode:      r.Int(c.Exitcode),
+		HasExitcode:   !r.IsNull(c.Exitcode),
 	}
-	if v, ok := r["exitcode"].(int64); ok {
-		inst.Exitcode = v
-		inst.HasExitcode = true
-	}
-	if hid, ok := r["host_id"].(int64); ok {
-		if h, err := q.r.Get(archive.THost, hid); err == nil && h != nil {
-			inst.Hostname = str(h, "hostname")
+	if !r.IsNull(c.HostID) {
+		if h, err := q.r.Get(archive.THost, r.Int(c.HostID)); err == nil && h != nil {
+			inst.Hostname = h.Str(q.c.Host.Hostname)
 		}
 	}
 	return inst
@@ -440,7 +412,7 @@ func (q *QI) JobInstances(jobID int64) ([]JobInstance, error) {
 	}
 	out := make([]JobInstance, len(rows))
 	for i, r := range rows {
-		out[i] = instFromRow(q, r)
+		out[i] = q.instFromRow(r)
 	}
 	return out, nil
 }
@@ -455,7 +427,7 @@ func (q *QI) JobStates(instanceID int64) ([]StateRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	return statesFromRows(rows), nil
+	return statesFromRows(rows, q.c.JobState.State, q.c.JobState.Timestamp, nil), nil
 }
 
 // Invocations lists every invocation of a workflow.
@@ -469,7 +441,7 @@ func (q *QI) Invocations(wfID int64) ([]Invocation, error) {
 	}
 	out := make([]Invocation, len(rows))
 	for i, r := range rows {
-		out[i] = invFromRow(r)
+		out[i] = q.invFromRow(r)
 	}
 	return out, nil
 }
@@ -486,28 +458,26 @@ func (q *QI) InvocationsForInstance(instanceID int64) ([]Invocation, error) {
 	}
 	out := make([]Invocation, len(rows))
 	for i, r := range rows {
-		out[i] = invFromRow(r)
+		out[i] = q.invFromRow(r)
 	}
 	return out, nil
 }
 
-func invFromRow(r relstore.Row) Invocation {
-	inv := Invocation{
+func (q *QI) invFromRow(r *relstore.Row) Invocation {
+	c := &q.c.Invocation
+	return Invocation{
 		ID:             r.ID(),
-		JobInstanceID:  i64(r, "job_instance_id"),
-		WfID:           i64(r, "wf_id"),
-		TaskSubmitSeq:  i64(r, "task_submit_seq"),
-		StartTime:      ts(r, "start_time"),
-		RemoteDuration: f64(r, "remote_duration"),
-		Exitcode:       i64(r, "exitcode"),
-		Transformation: str(r, "transformation"),
-		AbsTaskID:      str(r, "abs_task_id"),
+		JobInstanceID:  r.Int(c.JobInstanceID),
+		WfID:           r.Int(c.WfID),
+		TaskSubmitSeq:  r.Int(c.TaskSubmitSeq),
+		StartTime:      r.Time(c.StartTime),
+		RemoteDuration: r.Float(c.RemoteDuration),
+		RemoteCPUTime:  r.Float(c.RemoteCPUTime),
+		HasCPUTime:     !r.IsNull(c.RemoteCPUTime),
+		Exitcode:       r.Int(c.Exitcode),
+		Transformation: r.Str(c.Transformation),
+		AbsTaskID:      r.Str(c.AbsTaskID),
 	}
-	if v, ok := r["remote_cpu_time"].(float64); ok {
-		inv.RemoteCPUTime = v
-		inv.HasCPUTime = true
-	}
-	return inv
 }
 
 // Hosts lists every host the archive has seen.
@@ -518,7 +488,7 @@ func (q *QI) Hosts() ([]Host, error) {
 	}
 	out := make([]Host, len(rows))
 	for i, r := range rows {
-		out[i] = Host{ID: r.ID(), Site: str(r, "site"), Hostname: str(r, "hostname"), IP: str(r, "ip")}
+		out[i] = Host{ID: r.ID(), Site: r.Str(q.c.Host.Site), Hostname: r.Str(q.c.Host.Hostname), IP: r.Str(q.c.Host.IP)}
 	}
 	return out, nil
 }

@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
-	"time"
 )
 
 // Canonical binary serialization of store state, shared by Snapshot.Hash
@@ -69,59 +69,40 @@ func (c *canonWriter) tag(t byte) {
 	_, c.err = c.w.Write(c.scratch[:1])
 }
 
-// value writes one canonical type-tagged value.
-func (c *canonWriter) value(v any) error {
-	switch x := v.(type) {
-	case nil:
-		c.tag('n')
-	case int64:
-		c.tag('i')
-		c.uint(uint64(x))
-	case float64:
-		c.tag('f')
-		b := strconv.AppendFloat(c.num[:0], x, 'g', -1, 64)
-		c.uint(uint64(len(b)))
-		if c.err == nil {
-			_, c.err = c.w.Write(b)
-		}
-	case string:
-		c.tag('s')
-		c.str(x)
-	case bool:
-		c.tag('b')
-		if x {
-			c.uint(1)
-		} else {
-			c.uint(0)
-		}
-	case time.Time:
-		c.tag('t')
-		c.uint(uint64(x.UTC().UnixNano()))
-	default:
-		return fmt.Errorf("unhashable value type %T", v)
-	}
-	return c.err
-}
+// typeTags are the canonical value tags by column type; a NULL of any type
+// is tagged 'n'.
+var typeTags = [...]byte{Int: 'i', Float: 'f', Str: 's', Time: 't', Bool: 'b'}
 
 // row writes one row of a table's state: the "row" marker, then rowBody.
-func (c *canonWriter) row(tableName string, cols []Column, r Row) error {
+func (c *canonWriter) row(r *Row) error {
 	c.str("row")
-	return c.rowBody(tableName, cols, r)
+	return c.rowBody(r)
 }
 
-// rowBody writes the primary key, then every value in schema column order
-// — the one row encoding, which a WAL frame carries without the marker.
-// Error messages keep the shapes Hash has always produced, since replay
-// tests match on them.
-func (c *canonWriter) rowBody(tableName string, cols []Column, r Row) error {
-	id, ok := r["id"].(int64)
-	if !ok {
-		return fmt.Errorf("relstore: hash %s: row id %v (%T) is not int64", tableName, r["id"], r["id"])
-	}
-	c.uint(uint64(id))
-	for _, col := range cols {
-		if err := c.value(r[col.Name]); err != nil {
-			return fmt.Errorf("relstore: hash %s.%s id=%d: %w", tableName, col.Name, id, err)
+// rowBody writes the primary key, then every column in schema order as a
+// type tag and the slot behind it — the one row encoding, which a WAL frame
+// carries without the marker. An Int, Bool or Time slot is written as the
+// word it is (a Time's word is its UTC UnixNano), a Float as its shortest
+// round-tripping decimal text, a Str as its bytes.
+func (c *canonWriter) rowBody(r *Row) error {
+	c.uint(uint64(r.id))
+	for _, col := range r.slab.lay.cols {
+		if r.null&col.bit() != 0 {
+			c.tag('n')
+			continue
+		}
+		c.tag(typeTags[col.typ])
+		switch col.typ {
+		case Str:
+			c.str(r.str(col))
+		case Float:
+			b := strconv.AppendFloat(c.num[:0], math.Float64frombits(r.word(col)), 'g', -1, 64)
+			c.uint(uint64(len(b)))
+			if c.err == nil {
+				_, c.err = c.w.Write(b)
+			}
+		default:
+			c.uint(r.word(col))
 		}
 	}
 	return c.err
@@ -130,20 +111,20 @@ func (c *canonWriter) rowBody(tableName string, cols []Column, r Row) error {
 // writeTableState writes one table's visible rows at one epoch: the
 // "table" marker, name, row count, then rows in primary-key order.
 func (c *canonWriter) writeTableState(t *table, epoch uint64) error {
-	rows := make([]Row, 0, t.live.Load())
+	rows := make([]*Row, 0, t.live.Load())
 	t.rows.Range(func(_ int64, ch *rowChain) bool {
 		if ver := ch.visibleAt(epoch); ver != nil {
-			rows = append(rows, ver.row)
+			rows = append(rows, ver)
 		}
 		return true
 	})
-	sort.Slice(rows, func(i, j int) bool { return rows[i].ID() < rows[j].ID() })
+	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
 	name := t.schema.Name
 	c.str("table")
 	c.str(name)
 	c.uint(uint64(len(rows)))
 	for _, r := range rows {
-		if err := c.row(name, t.schema.Columns, r); err != nil {
+		if err := c.row(r); err != nil {
 			return err
 		}
 	}
@@ -226,58 +207,57 @@ func (c *canonReader) tag() (byte, error) {
 	return t, nil
 }
 
-// value reads one type-tagged value.
-func (c *canonReader) value() (any, error) {
-	tag, err := c.tag()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case 'n':
-		return nil, nil
-	case 'i':
-		v, err := c.uint()
-		return int64(v), err
-	case 'f':
-		b, err := c.bytes()
-		if err != nil {
-			return nil, err
-		}
-		return strconv.ParseFloat(string(b), 64)
-	case 's':
-		return c.str()
-	case 'b':
-		v, err := c.uint()
-		return v != 0, err
-	case 't':
-		v, err := c.uint()
-		return time.Unix(0, int64(v)).UTC(), err
-	default:
-		return nil, fmt.Errorf("relstore: unknown canonical value tag %q", tag)
-	}
-}
-
-// rowBody reads what canonWriter.rowBody wrote: values arrive typed, every
-// schema column is set (a null one to nil), and a value that does not fit
-// its column is an error rather than a row the indexes would choke on.
-func (c *canonReader) rowBody(tableName string, cols []Column) (Row, error) {
+// rowBody reads what canonWriter.rowBody wrote into row, a draft of the
+// table the bytes belong to: every column arrives behind its own type's tag
+// or, when it is nullable, the NULL tag, and anything else is an error
+// rather than a row the indexes would choke on.
+func (c *canonReader) rowBody(row *Row) error {
 	id, err := c.uint()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	row := make(Row, len(cols)+1)
-	row["id"] = int64(id)
-	for _, col := range cols {
-		v, err := c.value()
+	row.id = int64(id)
+	for _, col := range row.slab.lay.cols {
+		tag, err := c.tag()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if !col.holds(v) {
-			return nil, fmt.Errorf("relstore: %s.%s id=%d: stored value %v (%T) is not a %s", tableName, col.Name, int64(id), v, v, col.Type)
+		if tag == 'n' && col.nullable() {
+			continue
 		}
-		row[col.Name] = v
+		if tag != typeTags[col.typ] {
+			return fmt.Errorf("relstore: %s id=%d: a stored value tagged %q is not a %s", col.describe(), row.id, tag, col.typ)
+		}
+		row.null &^= col.bit()
+		switch col.typ {
+		case Str:
+			str, err := c.str()
+			if err != nil {
+				return err
+			}
+			row.setStr(col, str)
+		case Float:
+			b, err := c.bytes()
+			if err != nil {
+				return err
+			}
+			f, err := strconv.ParseFloat(string(b), 64)
+			if err != nil {
+				return err
+			}
+			row.setWord(col, math.Float64bits(f))
+		default:
+			w, err := c.uint()
+			if err != nil {
+				return err
+			}
+			if col.typ == Bool && w != 0 {
+				w = 1
+			}
+			row.setWord(col, w)
+		}
 	}
-	return row, nil
+	return nil
 }
 
 // expect reads a marker string and errors when it differs.

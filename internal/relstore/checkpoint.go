@@ -576,13 +576,13 @@ func (p *partition) loadCheckpoint(s *Store, path string) (uint64, error) {
 			if err := cr.expect("row"); err != nil {
 				return 0, err
 			}
-			row, err := cr.rowBody(name, t.schema.Columns)
-			if err != nil {
+			row := t.newRow()
+			if err := cr.rowBody(row); err != nil {
 				return 0, err
 			}
 			t.putRow(row, 1)
 			t.live.Add(1)
-			t.noteID(row.ID())
+			t.noteID(row.id)
 		}
 	}
 	return hdr.Seq, nil

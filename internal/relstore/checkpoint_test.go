@@ -85,7 +85,7 @@ func TestOpenDirPersistReopen(t *testing.T) {
 	if got := storeHash(t, s2); got != want {
 		t.Fatalf("recovered hash %s, want %s", got, want)
 	}
-	if _, err := insAt(s2, 3, "parent", Row{"name": "post-recovery"}); err != nil {
+	if _, err := insAt(s2, 3, "parent", vals{"name": "post-recovery"}); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
 }
@@ -124,7 +124,7 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 	// Tail writes past the checkpoint land in fresh segments.
 	for i := 0; i < 20; i++ {
 		w := s.Writer(i % 2)
-		if _, err := w.InsertOwned("parent", Row{"name": fmt.Sprintf("tail%d", i)}); err != nil {
+		if _, err := insW(w, "parent", vals{"name": fmt.Sprintf("tail%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestAutoCheckpointTriggers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		if _, err := insAt(s, i%2, "parent", Row{"name": fmt.Sprintf("auto%d", i)}); err != nil {
+		if _, err := insAt(s, i%2, "parent", vals{"name": fmt.Sprintf("auto%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +210,7 @@ func TestRecoveryFallsBackPastInvalidCheckpoint(t *testing.T) {
 	}
 	realSeq := s.CheckpointStats()[0].Seq
 	for i := 0; i < 15; i++ {
-		if _, err := ins(s, "parent", Row{"name": fmt.Sprintf("tail%d", i)}); err != nil {
+		if _, err := ins(s, "parent", vals{"name": fmt.Sprintf("tail%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +271,7 @@ func TestCrashMatrixTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < inserts; i++ {
-		if _, err := ins(s, "parent", Row{"name": fmt.Sprintf("row%04d", i)}); err != nil {
+		if _, err := ins(s, "parent", vals{"name": fmt.Sprintf("row%04d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,7 +290,7 @@ func TestCrashMatrixTornWALTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < k; i++ {
-			if _, err := ins(m, "parent", Row{"name": fmt.Sprintf("row%04d", i)}); err != nil {
+			if _, err := ins(m, "parent", vals{"name": fmt.Sprintf("row%04d", i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -382,7 +382,7 @@ func TestCrashMatrixTornWALTail(t *testing.T) {
 		}
 		// The truncating recovery must leave a segment that appends and
 		// reopens cleanly: the next insert is insert k of the history.
-		if _, err := ins(r1, "parent", Row{"name": fmt.Sprintf("row%04d", k)}); err != nil {
+		if _, err := ins(r1, "parent", vals{"name": fmt.Sprintf("row%04d", k)}); err != nil {
 			t.Fatalf("%s: append after recovery: %v", c.name, err)
 		}
 		if err := r1.Close(); err != nil {
@@ -418,7 +418,7 @@ func TestKillDuringParallelGroupCommit(t *testing.T) {
 	// One durable row per partition before imaging starts, so every crash
 	// image holds at least the schema and a first record per partition.
 	for p := 0; p < parts; p++ {
-		if _, err := insAt(s, p, "parent", Row{"name": fmt.Sprintf("seed%d", p)}); err != nil {
+		if _, err := insAt(s, p, "parent", vals{"name": fmt.Sprintf("seed%d", p)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -439,7 +439,7 @@ func TestKillDuringParallelGroupCommit(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := w.InsertOwned("parent", Row{"name": fmt.Sprintf("p%d-%d", p, i)}); err != nil {
+				if _, err := insW(w, "parent", vals{"name": fmt.Sprintf("p%d-%d", p, i)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -480,7 +480,7 @@ func TestKillDuringParallelGroupCommit(t *testing.T) {
 	}
 }
 
-func mustSelect(t *testing.T, s *Store, table string) []Row {
+func mustSelect(t *testing.T, s *Store, table string) []*Row {
 	t.Helper()
 	rows, err := s.Select(Query{Table: table})
 	if err != nil {
@@ -521,12 +521,12 @@ func TestLoadDirAgainstLiveWriter(t *testing.T) {
 			defer wwg.Done()
 			w := s.Writer(p)
 			for i := 0; i < perPart; i++ {
-				id, err := w.InsertOwned("parent", Row{"name": fmt.Sprintf("p%d-%d", p, i)})
+				id, err := insW(w, "parent", vals{"name": fmt.Sprintf("p%d-%d", p, i)})
 				if err == nil {
-					_, err = w.InsertOwned("child", Row{"parent_id": id, "n": int64(i)})
+					_, err = insW(w, "child", vals{"parent_id": id, "n": int64(i)})
 				}
 				if err == nil && i%5 == 0 {
-					err = w.Update("parent", id, Row{"name": fmt.Sprintf("p%d-%d-renamed", p, i)})
+					err = updW(w, "parent", id, vals{"name": fmt.Sprintf("p%d-%d-renamed", p, i)})
 				}
 				if err == nil && i%8 == 0 {
 					err = s.Flush()
@@ -564,8 +564,8 @@ func TestLoadDirAgainstLiveWriter(t *testing.T) {
 				}
 				loads.Add(1)
 				for _, c := range mustSelect(t, ro, "child") {
-					if parent, _ := ro.Get("parent", c["parent_id"].(int64)); parent == nil {
-						t.Errorf("loaded child %d without its parent %d", c.ID(), c["parent_id"])
+					if parent, _ := ro.Get("parent", get(c, "parent_id").(int64)); parent == nil {
+						t.Errorf("loaded child %d without its parent %d", c.ID(), get(c, "parent_id"))
 						return
 					}
 				}

@@ -52,10 +52,10 @@ func TestParentWALRecovers(t *testing.T) {
 	if err != nil || len(rows) != 2 || rows[0].ID() != 1 || rows[1].ID() != 4 {
 		t.Fatalf("host_id=7 after recovery: %v, %v; want rows 1 and 4", rows, err)
 	}
-	if _, err := s.Writer(1).InsertOwned("job_instance", Row{"job_id": int64(110), "job_submit_seq": int64(1)}); err != nil {
+	if _, err := insW(s.Writer(1), "job_instance", vals{"job_id": int64(110), "job_submit_seq": int64(1)}); err != nil {
 		t.Fatalf("the unique key row 4 was updated away from is not free: %v", err)
 	}
-	if err := s.Writer(0).Update("job_instance", 1, Row{"exitcode": int64(9)}); err != nil {
+	if err := updW(s.Writer(0), "job_instance", 1, vals{"exitcode": int64(9)}); err != nil {
 		t.Fatal(err)
 	}
 }

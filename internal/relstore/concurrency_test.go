@@ -49,7 +49,7 @@ func TestConcurrentInsertBatchAcrossTables(t *testing.T) {
 	// valid FK target.
 	parentIDs := make([]int64, writers)
 	for i := range parentIDs {
-		id, err := ins(s, "parent", Row{"name": fmt.Sprintf("p%d", i)})
+		id, err := ins(s, "parent", vals{"name": fmt.Sprintf("p%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestConcurrentInsertBatchAcrossTables(t *testing.T) {
 			defer wg.Done()
 			for b := 0; b < batches; b++ {
 				for i := 0; i < batchLen; i++ {
-					if _, err := ins(s, "child", Row{"parent_id": parentIDs[w], "n": int64(b*batchLen + i)}); err != nil {
+					if _, err := ins(s, "child", vals{"parent_id": parentIDs[w], "n": int64(b*batchLen + i)}); err != nil {
 						errs <- err
 						return
 					}
@@ -75,7 +75,7 @@ func TestConcurrentInsertBatchAcrossTables(t *testing.T) {
 		go func(w int) { // parent writer + reader
 			defer wg.Done()
 			for b := 0; b < batches; b++ {
-				if _, err := ins(s, "parent", Row{"name": fmt.Sprintf("p%d-%d", w, b)}); err != nil {
+				if _, err := ins(s, "parent", vals{"name": fmt.Sprintf("p%d-%d", w, b)}); err != nil {
 					errs <- err
 					return
 				}
@@ -110,7 +110,7 @@ func TestReadersNeverLoseRowsToGC(t *testing.T) {
 	if err := s.CreateTable(concurrencySchemas()[0]); err != nil {
 		t.Fatal(err)
 	}
-	id, err := ins(s, "parent", Row{"name": "pinned"})
+	id, err := ins(s, "parent", vals{"name": "pinned"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestReadersNeverLoseRowsToGC(t *testing.T) {
 				return
 			default:
 			}
-			if err := upd(s, "parent", id, Row{"name": fmt.Sprintf("v%d", i)}); err != nil {
+			if err := upd(s, "parent", id, vals{"name": fmt.Sprintf("v%d", i)}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -180,7 +180,7 @@ func TestConcurrentFlushGroupCommit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if _, err := ins(s, "parent", Row{"name": fmt.Sprintf("w%d-%d", w, i)}); err != nil {
+				if _, err := ins(s, "parent", vals{"name": fmt.Sprintf("w%d-%d", w, i)}); err != nil {
 					errs <- err
 					return
 				}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -59,7 +58,7 @@ func indexedEqualsScanRun(t *testing.T, seed int64) {
 		ids   []int64              // live rows, insertion order
 		keyOf = map[int64]holder{} // id -> the unique key it holds
 		owner = map[holder]int64{} // unique key -> the row holding it
-		prev  = map[int64]Row{}    // id -> the indexed values it held before its last move
+		prev  = map[int64]vals{}   // id -> the indexed values it held before its last move
 		snaps []*Snapshot
 	)
 	defer func() {
@@ -69,8 +68,8 @@ func indexedEqualsScanRun(t *testing.T, seed int64) {
 	}()
 
 	// same fails unless the indexed and the scanned result hold the same
-	// rows (every column, so the same version) in the same order.
-	same := func(step int, where string, r Reader, conds []Cond, pred func(Row) bool) {
+	// rows (the same stored version of each) in the same order.
+	same := func(step int, where string, r Reader, conds []Cond, pred func(*Row) bool) {
 		t.Helper()
 		indexed, err := r.Select(Query{Table: "e", Conds: conds})
 		if err != nil {
@@ -85,7 +84,7 @@ func indexedEqualsScanRun(t *testing.T, seed int64) {
 				seed, step, where, conds, len(indexed), len(scanned), indexed, scanned)
 		}
 		for i := range indexed {
-			if !reflect.DeepEqual(indexed[i], scanned[i]) {
+			if indexed[i] != scanned[i] {
 				t.Fatalf("seed %d step %d %s %v: row %d differs\nindex: %v\nscan:  %v",
 					seed, step, where, conds, i, indexed[i], scanned[i])
 			}
@@ -102,24 +101,24 @@ func indexedEqualsScanRun(t *testing.T, seed int64) {
 		for vi, r := range views {
 			for _, n := range epochNs {
 				n := n
-				same(step, names[vi], r, []Cond{Eq("n", n)}, func(row Row) bool { return row["n"] == n })
+				same(step, names[vi], r, []Cond{Eq("n", n)}, func(row *Row) bool { return get(row, "n") == n })
 			}
 			for _, sv := range epochSs {
 				sv := sv
-				same(step, names[vi], r, []Cond{Eq("s", sv)}, func(row Row) bool { return row["s"] == sv })
+				same(step, names[vi], r, []Cond{Eq("s", sv)}, func(row *Row) bool { return get(row, "s") == sv })
 			}
 			for _, g := range epochGs {
 				for _, h := range epochHs {
 					g, h := g, h
 					same(step, names[vi], r, []Cond{Eq("g", g), Eq("h", h)},
-						func(row Row) bool { return row["g"] == g && row["h"] == h })
+						func(row *Row) bool { return get(row, "g") == g && get(row, "h") == h })
 				}
 			}
 			for _, u1 := range epochU1s {
 				for _, u2 := range epochU2s {
 					u1, u2 := u1, u2
 					same(step, names[vi], r, []Cond{Eq("u1", u1), Eq("u2", u2)},
-						func(row Row) bool { return row["u1"] == u1 && row["u2"] == u2 })
+						func(row *Row) bool { return get(row, "u1") == u1 && get(row, "u2") == u2 })
 				}
 			}
 		}
@@ -129,7 +128,7 @@ func indexedEqualsScanRun(t *testing.T, seed int64) {
 		switch op := rng.Intn(10); {
 		case op < 3: // insert; a key some live row holds must be refused
 			k := holder{pick(epochU1s), pick(epochU2s)}
-			row := Row{"n": pick(epochNs), "s": pick(epochSs), "g": pick(epochGs), "h": pick(epochHs), "u1": k.u1, "u2": k.u2}
+			row := vals{"n": pick(epochNs), "s": pick(epochSs), "g": pick(epochGs), "h": pick(epochHs), "u1": k.u1, "u2": k.u2}
 			id, err := ins(s, "e", row)
 			if holderID, taken := owner[k]; taken {
 				var ue *UniqueError
@@ -152,20 +151,20 @@ func indexedEqualsScanRun(t *testing.T, seed int64) {
 			if err != nil || cur == nil {
 				t.Fatalf("seed %d step %d: get %d: %v, %v", seed, step, id, cur, err)
 			}
-			var changes Row
+			var changes vals
 			if back, moved := prev[id]; moved && rng.Intn(2) == 0 {
 				changes = back
 			} else {
-				changes = Row{}
+				changes = vals{}
 				for _, col := range [][]any{{"n", epochNs}, {"s", epochSs}, {"g", epochGs}, {"h", epochHs}} {
 					if rng.Intn(2) == 0 {
 						changes[col[0].(string)] = pick(col[1].([]any))
 					}
 				}
 			}
-			held := Row{}
+			held := vals{}
 			for col := range changes {
-				held[col] = cur[col]
+				held[col] = get(cur, col)
 			}
 			if err := upd(s, "e", id, changes); err != nil {
 				t.Fatalf("seed %d step %d: move %d %v: %v", seed, step, id, changes, err)
@@ -177,7 +176,7 @@ func indexedEqualsScanRun(t *testing.T, seed int64) {
 			}
 			id := ids[rng.Intn(len(ids))]
 			k := holder{pick(epochU1s), pick(epochU2s)}
-			err := upd(s, "e", id, Row{"u1": k.u1, "u2": k.u2})
+			err := upd(s, "e", id, vals{"u1": k.u1, "u2": k.u2})
 			if holderID, taken := owner[k]; taken && holderID != id {
 				var ue *UniqueError
 				if !errors.As(err, &ue) || ue.ExistingID != holderID {

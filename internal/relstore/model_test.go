@@ -65,7 +65,7 @@ func TestStoreAgainstModel(t *testing.T) {
 					wf:   int64(rng.Intn(wfs)),
 					run:  float64(rng.Intn(100)),
 				}
-				id, err := ins(s, "m", Row{"name": r.name, "wf": r.wf, "run": r.run})
+				id, err := ins(s, "m", vals{"name": r.name, "wf": r.wf, "run": r.run})
 				_, dup := byKey[key(r.wf, r.name)]
 				if dup {
 					if err == nil {
@@ -84,7 +84,7 @@ func TestStoreAgainstModel(t *testing.T) {
 					continue
 				}
 				newRun := float64(rng.Intn(1000))
-				if err := upd(s, "m", id, Row{"run": newRun}); err != nil {
+				if err := upd(s, "m", id, vals{"run": newRun}); err != nil {
 					t.Fatalf("op %d: update: %v", op, err)
 				}
 				r := model[id]
@@ -97,7 +97,7 @@ func TestStoreAgainstModel(t *testing.T) {
 				}
 				r := model[id]
 				name := fmt.Sprintf("job%03d", rng.Intn(200))
-				err := upd(s, "m", id, Row{"name": name})
+				err := upd(s, "m", id, vals{"name": name})
 				if other, taken := byKey[key(r.wf, name)]; taken && other != id {
 					if err == nil {
 						t.Fatalf("op %d: rename onto a live key accepted", op)
@@ -121,7 +121,7 @@ func TestStoreAgainstModel(t *testing.T) {
 					t.Fatalf("op %d: get %d: %v %v", op, id, row, err)
 				}
 				want := model[id]
-				if row["name"] != want.name || row["wf"] != want.wf || row["run"] != want.run {
+				if get(row, "name") != want.name || get(row, "wf") != want.wf || get(row, "run") != want.run {
 					t.Fatalf("op %d: row %d = %v, want %+v", op, id, row, want)
 				}
 			case 8: // indexed query by wf
@@ -165,7 +165,7 @@ func TestStoreAgainstModel(t *testing.T) {
 			if err != nil || row == nil {
 				t.Fatalf("%s: lost row %d", label, id)
 			}
-			if row["name"] != want.name || row["wf"] != want.wf || row["run"] != want.run {
+			if get(row, "name") != want.name || get(row, "wf") != want.wf || get(row, "run") != want.run {
 				t.Fatalf("%s: row %d = %v, want %+v", label, id, row, want)
 			}
 		}

@@ -34,7 +34,7 @@ type partition struct {
 	// oneRow is insert's batch of one for the WAL, under writeMu: a
 	// slice literal there would escape through the record, one allocation
 	// per insert.
-	oneRow [1]Row
+	oneRow [1]*Row
 
 	// snapMu guards the pin registry (open snapshots plus in-flight
 	// Store-level reads); minLive caches the oldest pinned epoch
@@ -74,43 +74,86 @@ func newPartition(idx int) *partition {
 	return p
 }
 
-// table returns the partition's instance of tableName, or an error.
-func (p *partition) table(tableName string) (*table, error) {
-	t, ok := p.tables.Load().byName[tableName]
-	if !ok {
-		return nil, fmt.Errorf("relstore: no table %s", tableName)
+// tableOf returns the partition's instance of the table lay was compiled
+// for, or an error when lay is not one of this store's layouts.
+func (p *partition) tableOf(lay *Layout) (*table, error) {
+	if lay == nil {
+		return nil, fmt.Errorf("relstore: no layout (Store.Layout of a table that does not exist)")
 	}
-	return t, nil
+	if ts := p.tables.Load(); lay.tid < len(ts.list) && ts.list[lay.tid].lay == lay {
+		return ts.list[lay.tid], nil
+	}
+	return nil, fmt.Errorf("relstore: the layout of table %s belongs to another store", lay.schema.Name)
 }
 
-// insert normalizes row, checks its unique and foreign keys, assigns the
-// primary key, links the version and publishes it at a fresh epoch.
-func (p *partition) insert(s *Store, tableName string, row Row) (int64, error) {
+// newRow hands out an empty draft of a row of lay's table, its storage
+// carved from this partition's slabs.
+func (p *partition) newRow(lay *Layout) Draft {
+	t, err := p.tableOf(lay)
+	if err != nil {
+		return Draft{err: err}
+	}
 	p.writeMu.Lock()
 	defer p.writeMu.Unlock()
-	t, err := p.table(tableName)
+	return Draft{row: t.newRow()}
+}
+
+// edit hands out a draft holding a copy of row id's newest version, which
+// must live in this partition. The copy remembers the version it was made
+// from; update refuses it if the row has moved on since.
+func (p *partition) edit(lay *Layout, id int64) Draft {
+	t, err := p.tableOf(lay)
+	if err != nil {
+		return Draft{err: err}
+	}
+	p.writeMu.Lock()
+	defer p.writeMu.Unlock()
+	old := t.liveRow(id)
+	if old == nil {
+		return Draft{err: fmt.Errorf("relstore: %s has no row %d", lay.schema.Name, id)}
+	}
+	row := t.newRow()
+	row.copySlots(old)
+	row.prev.Store(old)
+	return Draft{row: row}
+}
+
+// insert checks the draft's required columns, unique and foreign keys,
+// assigns the primary key, links the version and publishes it at a fresh
+// epoch. A draft that fails any check leaves no trace: no id, no epoch, no
+// WAL record.
+func (p *partition) insert(s *Store, d *Draft) (int64, error) {
+	if d.err != nil {
+		return 0, d.err
+	}
+	row := d.row
+	if row == nil || row.begin != 0 || row.id != 0 {
+		return 0, fmt.Errorf("relstore: Insert takes a draft from NewRow, once")
+	}
+	t, err := p.tableOf(row.slab.lay)
 	if err != nil {
 		return 0, err
 	}
-	n, err := t.normalize(row)
-	if err != nil {
+	if err := row.missingRequired(); err != nil {
 		return 0, err
 	}
+	p.writeMu.Lock()
+	defer p.writeMu.Unlock()
 	e := p.epoch.Load() + 1
-	keys := t.buildUniqueKeys(n)
-	if err := t.checkUniqueKeys(keys, 0); err != nil {
+	keys := t.buildUniqueKeys(row, nil)
+	if err := t.checkUnique(row, 0); err != nil {
 		return 0, err
 	}
-	if err := s.checkForeignKeys(p, t, n); err != nil {
+	if err := s.checkForeignKeys(p, t, row); err != nil {
 		return 0, err
 	}
 	id := t.alloc.Add(1)
-	n["id"] = id
-	t.putRowKeys(n, e, keys)
+	row.id = id
+	t.putRowKeys(row, e, keys)
 	p.epoch.Store(e)
 	t.live.Add(1)
 	if w := p.wal.Load(); w != nil {
-		p.oneRow[0] = n
+		p.oneRow[0] = row
 		if err := w.logInsert(t, p.oneRow[:]); err != nil {
 			return id, err
 		}
@@ -119,62 +162,39 @@ func (p *partition) insert(s *Store, tableName string, row Row) (int64, error) {
 	return id, nil
 }
 
-// update rewrites the named columns of the row with primary key id, which
-// must live in this partition.
-func (p *partition) update(s *Store, tableName string, id int64, changes Row) error {
-	p.writeMu.Lock()
-	defer p.writeMu.Unlock()
-	t, err := p.table(tableName)
+// update publishes an edit draft as its row's next version.
+func (p *partition) update(s *Store, d *Draft) error {
+	if d.err != nil {
+		return d.err
+	}
+	row := d.row
+	if row == nil || row.begin != 0 || row.id == 0 {
+		return fmt.Errorf("relstore: Update takes a draft from Edit, once")
+	}
+	t, err := p.tableOf(row.slab.lay)
 	if err != nil {
 		return err
 	}
-	chain, ok := t.rows.Load(id)
-	var old *rowVersion
-	if ok {
-		old = chain.liveVersion()
+	p.writeMu.Lock()
+	defer p.writeMu.Unlock()
+	chain, _ := t.rows.Load(row.id)
+	old := row.prev.Load()
+	if chain == nil || chain.liveVersion() != old {
+		return fmt.Errorf("relstore: %s row %d changed after Edit", t.schema.Name, row.id)
 	}
-	if old == nil {
-		return fmt.Errorf("relstore: %s has no row %d", tableName, id)
-	}
-	merged := old.row.Clone()
-	for k, v := range changes {
-		if k == "id" {
-			return fmt.Errorf("relstore: cannot update primary key")
-		}
-		ct, ok := t.colType[k]
-		if !ok {
-			return fmt.Errorf("relstore: table %s has no column %s", tableName, k)
-		}
-		cvv, err := coerce(tableName, k, ct, v)
-		if err != nil {
-			return err
-		}
-		if cvv == nil {
-			nullable := false
-			for _, c := range t.schema.Columns {
-				if c.Name == k {
-					nullable = c.Nullable
-					break
-				}
-			}
-			if !nullable {
-				return fmt.Errorf("relstore: table %s: column %s may not be null", tableName, k)
-			}
-		}
-		merged[k] = cvv
-	}
-	if err := t.checkUnique(merged, id); err != nil {
+	keys := t.buildUniqueKeys(row, old)
+	if err := t.checkUnique(row, row.id); err != nil {
 		return err
 	}
-	if err := s.checkForeignKeys(p, t, merged); err != nil {
+	if err := s.checkForeignKeys(p, t, row); err != nil {
 		return err
 	}
 	e := p.epoch.Load() + 1
-	t.supersede(chain, old, merged, e)
+	t.supersede(chain, old, row, e, keys)
 	p.gcAfterWrite(chain, e-1)
 	p.epoch.Store(e)
 	if w := p.wal.Load(); w != nil {
-		if err := w.logUpdate(t, merged); err != nil {
+		if err := w.logUpdate(t, row); err != nil {
 			return err
 		}
 		p.noteRecords(s, 1)

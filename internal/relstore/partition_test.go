@@ -21,7 +21,7 @@ func applyRoutedOps(t *testing.T, s *Store, rows int) {
 	parentIDs := make([]int64, rows)
 	for i := 0; i < rows; i++ {
 		w := s.Writer(i % n)
-		id, err := w.InsertOwned("parent", Row{"name": fmt.Sprintf("p%d", i)})
+		id, err := insW(w, "parent", vals{"name": fmt.Sprintf("p%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,13 +29,13 @@ func applyRoutedOps(t *testing.T, s *Store, rows int) {
 	}
 	for i := 0; i < rows; i++ {
 		w := s.Writer(i % n)
-		if _, err := w.InsertOwned("child", Row{"parent_id": parentIDs[i], "n": int64(i * i)}); err != nil {
+		if _, err := insW(w, "child", vals{"parent_id": parentIDs[i], "n": int64(i * i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < rows; i += 3 {
 		w := s.Writer(i % n)
-		if err := w.Update("parent", parentIDs[i], Row{"name": fmt.Sprintf("p%d-renamed", i)}); err != nil {
+		if err := updW(w, "parent", parentIDs[i], vals{"name": fmt.Sprintf("p%d-renamed", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func TestWriterPartitionPinning(t *testing.T) {
 	if w.Partition() != 2 {
 		t.Fatalf("Writer(2).Partition() = %d", w.Partition())
 	}
-	if _, err := w.InsertOwned("parent", Row{"name": "pinned"}); err != nil {
+	if _, err := insW(w, "parent", vals{"name": "pinned"}); err != nil {
 		t.Fatal(err)
 	}
 	after := s.Epochs()
@@ -110,7 +110,7 @@ func TestReadersNeverLoseRowsToGCPerPartition(t *testing.T) {
 	}
 	ids := make([]int64, parts)
 	for p := 0; p < parts; p++ {
-		id, err := insAt(s, p, "parent", Row{"name": fmt.Sprintf("pinned%d", p)})
+		id, err := insAt(s, p, "parent", vals{"name": fmt.Sprintf("pinned%d", p)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestReadersNeverLoseRowsToGCPerPartition(t *testing.T) {
 					return
 				default:
 				}
-				if err := w.Update("parent", ids[p], Row{"name": fmt.Sprintf("p%d-v%d", p, i)}); err != nil {
+				if err := updW(w, "parent", ids[p], vals{"name": fmt.Sprintf("p%d-v%d", p, i)}); err != nil {
 					t.Error(err)
 					return
 				}

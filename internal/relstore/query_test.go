@@ -10,7 +10,7 @@ import (
 func seedJobs(t *testing.T, s *Store, wf int64, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := ins(s, "job", Row{
+		if _, err := ins(s, "job", vals{
 			"wf_id":       wf,
 			"exec_job_id": fmt.Sprintf("job-%03d", i),
 			"runtime":     float64(i % 10),
@@ -22,8 +22,8 @@ func seedJobs(t *testing.T, s *Store, wf int64, n int) {
 
 func TestSelectByIndexedColumn(t *testing.T) {
 	s := newTestStore(t)
-	wf1, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
-	wf2, _ := ins(s, "workflow", Row{"wf_uuid": "u2", "ts": now})
+	wf1, _ := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
+	wf2, _ := ins(s, "workflow", vals{"wf_uuid": "u2", "ts": now})
 	seedJobs(t, s, wf1, 20)
 	seedJobs(t, s, wf2, 5)
 	rows, err := s.Select(Query{Table: "job", Conds: []Cond{Eq("wf_id", wf1)}})
@@ -42,7 +42,7 @@ func TestSelectByIndexedColumn(t *testing.T) {
 
 func TestSelectByUniqueColumn(t *testing.T) {
 	s := newTestStore(t)
-	_, _ = ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	_, _ = ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
 	row, err := s.SelectOne(Query{Table: "workflow", Conds: []Cond{Eq("wf_uuid", "u1")}})
 	if err != nil || row == nil {
 		t.Fatalf("SelectOne = %v, %v", row, err)
@@ -55,7 +55,7 @@ func TestSelectByUniqueColumn(t *testing.T) {
 
 func TestSelectOneAmbiguous(t *testing.T) {
 	s := newTestStore(t)
-	wf, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, _ := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
 	seedJobs(t, s, wf, 3)
 	if _, err := s.SelectOne(Query{Table: "job", Conds: []Cond{Eq("wf_id", wf)}}); err == nil {
 		t.Fatal("ambiguous SelectOne succeeded")
@@ -64,11 +64,11 @@ func TestSelectOneAmbiguous(t *testing.T) {
 
 func TestSelectScanWithWhere(t *testing.T) {
 	s := newTestStore(t)
-	wf, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, _ := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
 	seedJobs(t, s, wf, 30)
 	rows, err := s.Select(Query{
 		Table: "job",
-		Where: func(r Row) bool { return r["runtime"].(float64) >= 8 },
+		Where: func(r *Row) bool { return get(r, "runtime").(float64) >= 8 },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestSelectScanWithWhere(t *testing.T) {
 
 func TestSelectOrderByAndLimit(t *testing.T) {
 	s := newTestStore(t)
-	wf, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, _ := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
 	seedJobs(t, s, wf, 25)
 	rows, err := s.Select(Query{Table: "job", OrderBy: "runtime"})
 	if err != nil {
@@ -90,7 +90,7 @@ func TestSelectOrderByAndLimit(t *testing.T) {
 		t.Fatalf("got %d rows, want 25", len(rows))
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i]["runtime"].(float64) < rows[i-1]["runtime"].(float64) {
+		if get(rows[i], "runtime").(float64) < get(rows[i-1], "runtime").(float64) {
 			t.Fatal("ascending order violated")
 		}
 	}
@@ -103,7 +103,7 @@ func TestSelectTimeOrdering(t *testing.T) {
 	s := newTestStore(t)
 	base := now
 	for i := 4; i >= 0; i-- {
-		_, err := ins(s, "workflow", Row{"wf_uuid": fmt.Sprintf("u%d", i), "ts": base.Add(time.Duration(i) * time.Minute)})
+		_, err := ins(s, "workflow", vals{"wf_uuid": fmt.Sprintf("u%d", i), "ts": base.Add(time.Duration(i) * time.Minute)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestSelectTimeOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i]["ts"].(time.Time).Before(rows[i-1]["ts"].(time.Time)) {
+		if get(rows[i], "ts").(time.Time).Before(get(rows[i-1], "ts").(time.Time)) {
 			t.Fatal("time ordering violated")
 		}
 	}
@@ -135,14 +135,14 @@ func TestSelectIndexedEqualsScanProperty(t *testing.T) {
 	s := newTestStore(t)
 	wfIDs := make([]int64, 5)
 	for i := range wfIDs {
-		wfIDs[i], _ = ins(s, "workflow", Row{"wf_uuid": fmt.Sprintf("u%d", i), "ts": now})
+		wfIDs[i], _ = ins(s, "workflow", vals{"wf_uuid": fmt.Sprintf("u%d", i), "ts": now})
 	}
 	n := 0
 	f := func(picks []uint8) bool {
 		for _, p := range picks {
 			wf := wfIDs[int(p)%len(wfIDs)]
 			n++
-			if _, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%05d", n)}); err != nil {
+			if _, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%05d", n)}); err != nil {
 				return false
 			}
 		}
@@ -152,7 +152,7 @@ func TestSelectIndexedEqualsScanProperty(t *testing.T) {
 				return false
 			}
 			target := wf
-			scanned, err := s.Select(Query{Table: "job", Where: func(r Row) bool { return r["wf_id"] == target }})
+			scanned, err := s.Select(Query{Table: "job", Where: func(r *Row) bool { return get(r, "wf_id") == target }})
 			if err != nil {
 				return false
 			}

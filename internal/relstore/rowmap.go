@@ -5,12 +5,11 @@ import "sync/atomic"
 // rowMap maps a table's int64 primary keys to row chains. Primary keys
 // are assigned densely from 1, so a two-level page table indexed by id
 // replaces the generic hash map this used to be (a sync.Map): Load is
-// two atomic loads and some arithmetic, Store writes one slot, and
-// neither boxes the key into an interface the way an any-keyed map
-// forces — on the loader's insert path that boxing plus the map's
-// per-entry nodes were several heap allocations per row.
+// two atomic loads and some arithmetic, and a page holds the chains
+// themselves — a chain is its head pointer — so a row costs one slot and
+// a reader one hop to its newest version.
 //
-// Concurrency follows the store's single-writer discipline: Store runs
+// Concurrency follows the store's single-writer discipline: slot runs
 // under the partition's writeMu only (entries are never removed); Load and
 // Range are lock-free and safe concurrently with the writer. The directory grows copy-on-write
 // (pages never move), so a reader that loaded an old directory still
@@ -24,9 +23,10 @@ const (
 	rowPageSize  = 1 << rowPageShift // chains per page
 )
 
-type rowPage [rowPageSize]atomic.Pointer[rowChain]
+type rowPage [rowPageSize]rowChain
 
-// Load returns the chain stored under id, or (nil, false).
+// Load returns the chain of row id, or (nil, false) when no version of it
+// was ever published.
 func (m *rowMap) Load(id int64) (*rowChain, bool) {
 	if id < 0 {
 		return nil, false
@@ -43,12 +43,15 @@ func (m *rowMap) Load(id int64) (*rowChain, bool) {
 	if p == nil {
 		return nil, false
 	}
-	c := p[id&(rowPageSize-1)].Load()
-	return c, c != nil
+	if c := &p[id&(rowPageSize-1)]; c.head.Load() != nil {
+		return c, true
+	}
+	return nil, false
 }
 
-// Store publishes chain under id. Writer-only.
-func (m *rowMap) Store(id int64, c *rowChain) {
+// slot returns the chain of row id for the writer to publish a version
+// into, growing the table to hold it. Writer-only.
+func (m *rowMap) slot(id int64) *rowChain {
 	if id < 0 {
 		panic("relstore: negative row id")
 	}
@@ -76,7 +79,7 @@ func (m *rowMap) Store(id int64, c *rowChain) {
 		p = new(rowPage)
 		(*dp)[pi].Store(p)
 	}
-	p[id&(rowPageSize-1)].Store(c)
+	return &p[id&(rowPageSize-1)]
 }
 
 // Range calls f for every stored chain in ascending id order until f
@@ -93,7 +96,7 @@ func (m *rowMap) Range(f func(id int64, c *rowChain) bool) {
 			continue
 		}
 		for si := range p {
-			if c := p[si].Load(); c != nil {
+			if c := &p[si]; c.head.Load() != nil {
 				if !f(int64(pi)<<rowPageShift|int64(si), c) {
 					return
 				}

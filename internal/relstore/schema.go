@@ -9,10 +9,7 @@
 // filters for the query interface.
 package relstore
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // ColType enumerates column value types.
 type ColType int
@@ -48,26 +45,6 @@ type Column struct {
 	Nullable bool
 }
 
-// holds reports whether v is a canonical stored value for the column: the
-// column type's Go type, or nil when the column is nullable.
-func (c Column) holds(v any) bool {
-	switch v.(type) {
-	case nil:
-		return c.Nullable
-	case int64:
-		return c.Type == Int
-	case float64:
-		return c.Type == Float
-	case string:
-		return c.Type == Str
-	case time.Time:
-		return c.Type == Time
-	case bool:
-		return c.Type == Bool
-	}
-	return false
-}
-
 // ForeignKey declares that values of Column must name a row of RefTable by
 // its primary key: RefColumn must be "id", the only target any schema here
 // has ever declared, which makes the check one lock-free row lookup.
@@ -96,6 +73,9 @@ type TableSchema struct {
 func (s *TableSchema) validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("relstore: table with empty name")
+	}
+	if len(s.Columns) > maxColumns {
+		return fmt.Errorf("relstore: table %s has %d columns; a row's NULL bitmap holds %d", s.Name, len(s.Columns), maxColumns)
 	}
 	seen := map[string]ColType{}
 	for _, c := range s.Columns {
@@ -132,94 +112,17 @@ func (s *TableSchema) validate() error {
 		}
 	}
 	for _, fk := range s.ForeignKeys {
-		if _, ok := seen[fk.Column]; !ok {
+		ct, ok := seen[fk.Column]
+		if !ok {
 			return fmt.Errorf("relstore: table %s foreign key on unknown column %s", s.Name, fk.Column)
 		}
 		if fk.RefColumn != "id" {
 			return fmt.Errorf("relstore: table %s foreign key %s references %s.%s: only a primary key (id) can be referenced",
 				s.Name, fk.Column, fk.RefTable, fk.RefColumn)
 		}
+		if ct != Int {
+			return fmt.Errorf("relstore: table %s foreign key %s is a %s column: only an int can hold a primary key", s.Name, fk.Column, ct)
+		}
 	}
 	return nil
-}
-
-// Row is one record: column name to value. Values are int64, float64,
-// string, time.Time, bool, or nil. The primary key appears under "id"
-// after insert.
-type Row map[string]any
-
-// Clone returns a shallow copy of the row (values are immutable types).
-func (r Row) Clone() Row {
-	c := make(Row, len(r))
-	for k, v := range r {
-		c[k] = v
-	}
-	return c
-}
-
-// ID returns the row's primary key.
-func (r Row) ID() int64 {
-	id, _ := r["id"].(int64)
-	return id
-}
-
-// coerce normalises a dynamic value to the column's canonical Go type.
-// Numeric widening (int->int64, int64->float64 for Float columns, JSON's
-// float64 -> int64 for Int columns when integral) is permitted; anything
-// else is a type error. When the value is already canonical, the original
-// interface v is returned untouched — unwrapping to the concrete type and
-// returning that would re-box the value, one avoidable heap allocation per
-// column on the insert hot path.
-func coerce(table, col string, t ColType, v any) (any, error) {
-	if v == nil {
-		return nil, nil
-	}
-	switch t {
-	case Int:
-		switch x := v.(type) {
-		case int64:
-			return v, nil
-		case int:
-			return int64(x), nil
-		case int32:
-			return int64(x), nil
-		case float64:
-			if x == float64(int64(x)) {
-				return int64(x), nil
-			}
-		}
-	case Float:
-		switch x := v.(type) {
-		case float64:
-			return v, nil
-		case float32:
-			return float64(x), nil
-		case int64:
-			return float64(x), nil
-		case int:
-			return float64(x), nil
-		}
-	case Str:
-		if _, ok := v.(string); ok {
-			return v, nil
-		}
-	case Time:
-		switch x := v.(type) {
-		case time.Time:
-			if x.Location() == time.UTC {
-				return v, nil
-			}
-			return x.UTC(), nil
-		case string:
-			ts, err := time.Parse(time.RFC3339Nano, x)
-			if err == nil {
-				return ts.UTC(), nil
-			}
-		}
-	case Bool:
-		if _, ok := v.(bool); ok {
-			return v, nil
-		}
-	}
-	return nil, fmt.Errorf("relstore: %s.%s: value %v (%T) is not a %s", table, col, v, v, t)
 }

@@ -56,10 +56,11 @@ func oldestSnapshotAge() float64 {
 // Reader is the read-only query surface shared by the live Store and a
 // point-in-time Snapshot, so query code can run against either.
 type Reader interface {
-	Select(q Query) ([]Row, error)
-	SelectOne(q Query) (Row, error)
-	Get(tableName string, id int64) (Row, error)
+	Select(q Query) ([]*Row, error)
+	SelectOne(q Query) (*Row, error)
+	Get(tableName string, id int64) (*Row, error)
 	Count(tableName string) (int, error)
+	Layout(tableName string) *Layout
 }
 
 var (
@@ -71,9 +72,8 @@ var (
 // partition. It pins a vector of partition epochs (see Store.pinAll);
 // every commit publishes in one partition with one atomic store, so a
 // cross-table, cross-partition traversal can never observe a torn commit.
-// Reads through
-// a snapshot take no locks and return the stored (immutable) row versions
-// without copying; the caller must not mutate them. A snapshot pins
+// Reads through a snapshot take no locks and return the stored, immutable
+// row versions. A snapshot pins
 // version history on every partition: Close releases it so version GC can
 // reclaim superseded rows. Close is idempotent.
 type Snapshot struct {
@@ -98,7 +98,7 @@ func (s *Store) Snapshot() *Snapshot {
 	pins := s.pinAll()
 	sn := &Snapshot{
 		s:    s,
-		v:    makeView(s, pins, false),
+		v:    makeView(s, pins),
 		pins: pins,
 		t0:   time.Now(),
 	}
@@ -146,19 +146,21 @@ func (sn *Snapshot) Epochs() []uint64 {
 }
 
 // Select returns all rows matching the query as of the snapshot's epoch
-// vector. Unlike Store.Select, the rows are not copies — they are the
-// immutable stored versions and must not be mutated.
-func (sn *Snapshot) Select(q Query) ([]Row, error) { return sn.v.sel(q) }
+// vector.
+func (sn *Snapshot) Select(q Query) ([]*Row, error) { return sn.v.sel(q) }
 
 // SelectOne returns the single matching row, nil when none match, and an
 // error when more than one matches.
-func (sn *Snapshot) SelectOne(q Query) (Row, error) { return sn.v.selOne(q) }
+func (sn *Snapshot) SelectOne(q Query) (*Row, error) { return sn.v.selOne(q) }
 
 // Get returns the row with the given primary key as of the snapshot's
-// epoch vector, or nil when absent. The row must not be mutated.
-func (sn *Snapshot) Get(tableName string, id int64) (Row, error) {
+// epoch vector, or nil when absent.
+func (sn *Snapshot) Get(tableName string, id int64) (*Row, error) {
 	return sn.v.get(tableName, id)
 }
+
+// Layout returns the compiled layout of a table, as Store.Layout does.
+func (sn *Snapshot) Layout(tableName string) *Layout { return sn.s.Layout(tableName) }
 
 // Count returns the number of rows visible in the snapshot.
 func (sn *Snapshot) Count(tableName string) (int, error) {
@@ -190,11 +192,9 @@ func (sn *Snapshot) TableNames() []string {
 
 // view is the read-side engine: one (table set, visibility epoch) pair per
 // partition. Store reads build an ephemeral view at the newest epoch
-// vector and clone results (callers may mutate them); Snapshot pins one
-// view and returns the immutable versions directly.
+// vector; Snapshot pins one. Both return the immutable stored versions.
 type view struct {
 	parts []partView
-	clone bool
 }
 
 // partView is one partition's slice of a view. The epoch is loaded (inside
@@ -205,8 +205,8 @@ type partView struct {
 	epoch uint64
 }
 
-func makeView(s *Store, pins []*epochPin, clone bool) view {
-	v := view{parts: make([]partView, len(s.parts)), clone: clone}
+func makeView(s *Store, pins []*epochPin) view {
+	v := view{parts: make([]partView, len(s.parts))}
 	for i, p := range s.parts {
 		v.parts[i] = partView{ts: p.tables.Load(), epoch: pins[i].epoch}
 	}
@@ -218,23 +218,16 @@ func makeView(s *Store, pins []*epochPin, clone bool) view {
 // so version GC cannot reclaim history the view can still see while the
 // read is in flight; the release func must be called when the read
 // completes.
-func (s *Store) pinnedView(clone bool) (view, func()) {
+func (s *Store) pinnedView() (view, func()) {
 	pins := s.pinAll()
-	return makeView(s, pins, clone), func() {
+	return makeView(s, pins), func() {
 		for i, p := range s.parts {
 			p.unpin(pins[i])
 		}
 	}
 }
 
-func (v view) maybeClone(row Row) Row {
-	if v.clone {
-		return row.Clone()
-	}
-	return row
-}
-
-func (v view) get(tableName string, id int64) (Row, error) {
+func (v view) get(tableName string, id int64) (*Row, error) {
 	found := false
 	for _, pv := range v.parts {
 		t, ok := pv.ts.byName[tableName]
@@ -242,15 +235,11 @@ func (v view) get(tableName string, id int64) (Row, error) {
 			continue
 		}
 		found = true
-		c, ok := t.rows.Load(id)
-		if !ok {
-			continue
+		if c, ok := t.rows.Load(id); ok {
+			if row := c.visibleAt(pv.epoch); row != nil {
+				return row, nil
+			}
 		}
-		ver := c.visibleAt(pv.epoch)
-		if ver == nil {
-			continue
-		}
-		return v.maybeClone(ver.row), nil
 	}
 	if !found {
 		return nil, fmt.Errorf("relstore: no table %s", tableName)

@@ -13,15 +13,15 @@ import (
 // update that moves a row to another unique key.
 func TestSnapshotPointInTime(t *testing.T) {
 	s := newTestStore(t)
-	wf, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, err := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "a", "runtime": 1.0})
+	j1, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "a", "runtime": 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "b", "runtime": 2.0})
+	j2, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "b", "runtime": 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +30,13 @@ func TestSnapshotPointInTime(t *testing.T) {
 	defer sn.Close()
 
 	// Mutate after the snapshot: update j1, rename j2, insert j3.
-	if err := upd(s, "job", j1, Row{"runtime": 99.0}); err != nil {
+	if err := upd(s, "job", j1, vals{"runtime": 99.0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := upd(s, "job", j2, Row{"exec_job_id": "z"}); err != nil {
+	if err := upd(s, "job", j2, vals{"exec_job_id": "z"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "c"}); err != nil {
+	if _, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "c"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -45,7 +45,7 @@ func TestSnapshotPointInTime(t *testing.T) {
 	if err != nil || row == nil {
 		t.Fatalf("snapshot Get(j1) = %v, %v", row, err)
 	}
-	if rt := row["runtime"].(float64); rt != 1.0 {
+	if rt := get(row, "runtime").(float64); rt != 1.0 {
 		t.Fatalf("snapshot sees runtime %v, want pre-update 1.0", rt)
 	}
 	byOldKey := Query{Table: "job", Conds: []Cond{Eq("wf_id", wf), Eq("exec_job_id", "b")}}
@@ -68,7 +68,7 @@ func TestSnapshotPointInTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt := live["runtime"].(float64); rt != 99.0 {
+	if rt := get(live, "runtime").(float64); rt != 99.0 {
 		t.Fatalf("live store sees runtime %v, want 99.0", rt)
 	}
 	if row, _ := s.SelectOne(byOldKey); row != nil {
@@ -84,7 +84,7 @@ func TestSnapshotPointInTime(t *testing.T) {
 	if row, _ := sn2.SelectOne(byOldKey); row != nil {
 		t.Fatalf("new snapshot finds the renamed row under its old key: %v", row)
 	}
-	if row, _ := sn2.Get("job", j2); row == nil || row["exec_job_id"] != "z" {
+	if row, _ := sn2.Get("job", j2); row == nil || get(row, "exec_job_id") != "z" {
 		t.Fatalf("new snapshot Get(j2) = %v, want the renamed row", row)
 	}
 }
@@ -95,7 +95,7 @@ func TestSnapshotPointInTime(t *testing.T) {
 // between the index path and the scan path).
 func TestSelectOrderDeterministic(t *testing.T) {
 	s := newTestStore(t)
-	wf, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, err := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSelectOrderDeterministic(t *testing.T) {
 	names := []string{"z", "m", "a", "q", "b"}
 	ids := make([]int64, len(names))
 	for i, name := range names {
-		id, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": name})
+		id, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": name})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,14 +112,14 @@ func TestSelectOrderDeterministic(t *testing.T) {
 	}
 	// Churn: update two rows so their index postings are re-created (a
 	// naive newest-first posting walk would move them to the front).
-	if err := upd(s, "job", ids[0], Row{"runtime": 1.5}); err != nil {
+	if err := upd(s, "job", ids[0], vals{"runtime": 1.5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := upd(s, "job", ids[2], Row{"runtime": 2.5}); err != nil {
+	if err := upd(s, "job", ids[2], vals{"runtime": 2.5}); err != nil {
 		t.Fatal(err)
 	}
 
-	assertPKOrder := func(label string, rows []Row, wantLen int) {
+	assertPKOrder := func(label string, rows []*Row, wantLen int) {
 		t.Helper()
 		if len(rows) != wantLen {
 			t.Fatalf("%s: %d rows, want %d", label, len(rows), wantLen)
@@ -176,13 +176,13 @@ func TestSnapshotCrossTableConsistency(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := range round {
-			wf, err := w.InsertOwned("workflow", Row{"wf_uuid": fmt.Sprintf("u%d", i), "ts": now})
+			wf, err := insW(w, "workflow", vals{"wf_uuid": fmt.Sprintf("u%d", i), "ts": now})
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			for j := 0; j < 3; j++ {
-				if _, err := w.InsertOwned("job", Row{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%d", j)}); err != nil {
+				if _, err := insW(w, "job", vals{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%d", j)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -212,9 +212,9 @@ func TestSnapshotCrossTableConsistency(t *testing.T) {
 			seen[w.ID()] = true
 		}
 		for _, j := range jobs {
-			if !seen[j["wf_id"].(int64)] {
+			if !seen[get(j, "wf_id").(int64)] {
 				t.Fatalf("torn read: job %d references workflow %v missing from the same snapshot",
-					j.ID(), j["wf_id"])
+					j.ID(), get(j, "wf_id"))
 			}
 		}
 		sn.Close()
@@ -233,7 +233,7 @@ func TestUpdateDeleteVsSnapshotStress(t *testing.T) {
 	s := newTestStore(t)
 	var wfs [2]int64
 	for i := range wfs {
-		id, err := ins(s, "workflow", Row{"wf_uuid": fmt.Sprintf("u%d", i), "ts": now})
+		id, err := ins(s, "workflow", vals{"wf_uuid": fmt.Sprintf("u%d", i), "ts": now})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestUpdateDeleteVsSnapshotStress(t *testing.T) {
 	const nRows = 8
 	ids := make([]int64, nRows)
 	for i := range ids {
-		id, err := ins(s, "job", Row{"wf_id": wfs[0], "exec_job_id": fmt.Sprintf("j%d", i), "runtime": 0.0, "done": false})
+		id, err := ins(s, "job", vals{"wf_id": wfs[0], "exec_job_id": fmt.Sprintf("j%d", i), "runtime": 0.0, "done": false})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestUpdateDeleteVsSnapshotStress(t *testing.T) {
 				return
 			default:
 			}
-			changes := Row{"runtime": float64(i), "done": i%2 == 0}
+			changes := vals{"runtime": float64(i), "done": i%2 == 0}
 			if i%3 == 0 {
 				changes["wf_id"] = wfs[(i/3)%2]
 			}
@@ -283,9 +283,9 @@ func TestUpdateDeleteVsSnapshotStress(t *testing.T) {
 					return
 				}
 				for _, row := range rows {
-					i := int(row["runtime"].(float64))
-					if i != 0 && row["done"].(bool) != (i%2 == 0) {
-						t.Errorf("torn row: runtime=%d done=%v", i, row["done"])
+					i := int(get(row, "runtime").(float64))
+					if i != 0 && get(row, "done").(bool) != (i%2 == 0) {
+						t.Errorf("torn row: runtime=%d done=%v", i, get(row, "done"))
 					}
 					// Re-read within the same snapshot: must be identical.
 					again, err := sn.Get("job", row.ID())
@@ -293,7 +293,7 @@ func TestUpdateDeleteVsSnapshotStress(t *testing.T) {
 						t.Errorf("row %d vanished within its snapshot: %v, %v", row.ID(), again, err)
 						continue
 					}
-					if again["runtime"].(float64) != row["runtime"].(float64) {
+					if get(again, "runtime").(float64) != get(row, "runtime").(float64) {
 						t.Errorf("row %d changed within one snapshot", row.ID())
 					}
 				}
@@ -307,7 +307,7 @@ func TestUpdateDeleteVsSnapshotStress(t *testing.T) {
 						t.Error(err)
 						break
 					}
-					scanned, err := sn.Select(Query{Table: "job", Where: func(r Row) bool { return r["wf_id"] == wf }})
+					scanned, err := sn.Select(Query{Table: "job", Where: func(r *Row) bool { return get(r, "wf_id") == wf }})
 					if err != nil {
 						t.Error(err)
 						break
@@ -334,11 +334,11 @@ func TestUpdateDeleteVsSnapshotStress(t *testing.T) {
 // while one does.
 func TestVersionGC(t *testing.T) {
 	s := newTestStore(t)
-	wf, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, err := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "a", "runtime": 0.0})
+	id, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "a", "runtime": 0.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestVersionGC(t *testing.T) {
 	// writer prunes as it goes.
 	before := mVersionReclaims.With("0").Value()
 	for i := 1; i <= 50; i++ {
-		if err := upd(s, "job", id, Row{"runtime": float64(i)}); err != nil {
+		if err := upd(s, "job", id, vals{"runtime": float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,7 +367,7 @@ func TestVersionGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 100; i < 110; i++ {
-		if err := upd(s, "job", id, Row{"runtime": float64(i)}); err != nil {
+		if err := upd(s, "job", id, vals{"runtime": float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -375,8 +375,8 @@ func TestVersionGC(t *testing.T) {
 	if err != nil || again == nil {
 		t.Fatalf("pinned read failed: %v, %v", again, err)
 	}
-	if again["runtime"].(float64) != pinned["runtime"].(float64) {
-		t.Fatalf("pinned version changed: %v -> %v", pinned["runtime"], again["runtime"])
+	if get(again, "runtime").(float64) != get(pinned, "runtime").(float64) {
+		t.Fatalf("pinned version changed: %v -> %v", get(pinned, "runtime"), get(again, "runtime"))
 	}
 	if n := chainLen(chainv); n < 2 {
 		t.Fatalf("chain length %d while a snapshot pins history, want >= 2", n)
@@ -384,7 +384,7 @@ func TestVersionGC(t *testing.T) {
 
 	// Close the snapshot; the next write to the row reclaims.
 	sn.Close()
-	if err := upd(s, "job", id, Row{"runtime": 999.0}); err != nil {
+	if err := upd(s, "job", id, vals{"runtime": 999.0}); err != nil {
 		t.Fatal(err)
 	}
 	if n := chainLen(chainv); n > 2 {
@@ -431,22 +431,22 @@ func TestSnapshotWALReplay(t *testing.T) {
 	if err := s.CreateTable(jobSchema()); err != nil {
 		t.Fatal(err)
 	}
-	wf, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, err := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "a", "runtime": 1.0})
+	j1, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "a", "runtime": 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "b"})
+	j2, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := upd(s, "job", j1, Row{"runtime": 42.0}); err != nil {
+	if err := upd(s, "job", j1, vals{"runtime": 42.0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := upd(s, "job", j2, Row{"exec_job_id": "z"}); err != nil {
+	if err := upd(s, "job", j2, vals{"exec_job_id": "z"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -461,7 +461,7 @@ func TestSnapshotWALReplay(t *testing.T) {
 	if err != nil || row == nil {
 		t.Fatalf("replayed Get = %v, %v", row, err)
 	}
-	if rt := row["runtime"].(float64); rt != 42.0 {
+	if rt := get(row, "runtime").(float64); rt != 42.0 {
 		t.Fatalf("replayed runtime = %v, want 42.0", rt)
 	}
 	if row, _ := sn.SelectOne(Query{Table: "job", Conds: []Cond{Eq("wf_id", wf), Eq("exec_job_id", "b")}}); row != nil {

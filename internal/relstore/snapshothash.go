@@ -3,7 +3,6 @@ package relstore
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"sort"
 )
 
@@ -34,16 +33,6 @@ func (sn *Snapshot) Hash() (string, error) {
 	names := sn.TableNames()
 	sort.Strings(names)
 	for _, name := range names {
-		var t *table
-		for _, pv := range sn.v.parts {
-			if tt, ok := pv.ts.byName[name]; ok {
-				t = tt
-				break
-			}
-		}
-		if t == nil {
-			return "", fmt.Errorf("relstore: hash: no table %s", name)
-		}
 		cw.str("table")
 		cw.str(name)
 		rows, err := sn.Select(Query{Table: name})
@@ -52,7 +41,7 @@ func (sn *Snapshot) Hash() (string, error) {
 		}
 		cw.uint(uint64(len(rows)))
 		for _, row := range rows {
-			if err := cw.row(name, t.schema.Columns, row); err != nil {
+			if err := cw.row(row); err != nil {
 				return "", err
 			}
 		}

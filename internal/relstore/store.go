@@ -16,7 +16,7 @@ import (
 //
 // The write surface is the size of its one client, the archive, which only
 // appends rows and rewrites columns of rows it appended: CreateTable, and
-// per partition Writer.InsertOwned and Writer.Update. There is no delete,
+// per partition Writer.NewRow + Insert and Writer.Edit + Update. There is no delete,
 // no bulk load and no way to switch a check off; Flush, SetSync, Checkpoint
 // and Close manage durability. Writers prune the row version chains they
 // touch (see gcAfterWrite), so history never needs a sweep; indexes carry no
@@ -46,10 +46,12 @@ type Store struct {
 	ckptEvery uint64
 }
 
-// tableSet is an immutable name→table mapping plus creation order.
+// tableSet is an immutable name→table mapping plus creation order; list
+// holds the same tables by creation position (Layout.tid).
 type tableSet struct {
 	byName map[string]*table
 	order  []string
+	list   []*table
 }
 
 // NewStore returns an empty single-partition in-memory store.
@@ -146,23 +148,27 @@ func (s *Store) Writer(i int) Writer {
 // Partition reports which partition this writer commits to.
 func (w Writer) Partition() int { return w.p.idx }
 
-// InsertOwned adds one row to the writer's partition and returns its
-// assigned primary key. The caller hands over ownership of row and must
-// not read or write it after the call: the stored version is a fresh,
-// exactly-sized map (nil-filling a literal that holds only the present
-// columns in place would grow it through the runtime's incremental rehash),
-// but its coerced values may alias row's. This is the archive's hot path —
-// every materialised event builds exactly one fresh Row literal and donates
-// it.
-func (w Writer) InsertOwned(tableName string, row Row) (int64, error) {
-	return w.p.insert(w.s, tableName, row)
-}
+// NewRow hands out an empty draft of a row of lay's table (Store.Layout):
+// every column NULL until set. The draft's storage already is the stored
+// row's — the partition's slabs — so Insert copies nothing.
+func (w Writer) NewRow(lay *Layout) Draft { return w.p.newRow(lay) }
 
-// Update rewrites the named columns of the row with primary key id, which
-// must live in this writer's partition (rows never migrate).
-func (w Writer) Update(tableName string, id int64, changes Row) error {
-	return w.p.update(w.s, tableName, id, changes)
-}
+// Insert adds the draft's row to the writer's partition and returns its
+// assigned primary key. A draft whose setters failed, that leaves a
+// non-nullable column unset, or that was inserted before is refused and
+// nothing is written.
+func (w Writer) Insert(d *Draft) (int64, error) { return w.p.insert(w.s, d) }
+
+// Edit hands out a draft holding the newest version of row id of lay's
+// table, which must live in this writer's partition (rows never migrate):
+// the slots are copied once, the caller sets the columns that change and
+// passes the draft to Update.
+func (w Writer) Edit(lay *Layout, id int64) Draft { return w.p.edit(lay, id) }
+
+// Update publishes an Edit draft as the row's next version. It fails, and
+// writes nothing, when a setter failed or the row was updated by someone
+// else after the Edit.
+func (w Writer) Update(d *Draft) error { return w.p.update(w.s, d) }
 
 // CreateTable registers a table in every partition. Each partition gets
 // its own instance (disjoint rows, private indexes) sharing one schema and
@@ -181,6 +187,7 @@ func (s *Store) CreateTable(schema TableSchema) error {
 		return fmt.Errorf("relstore: table %s already exists with a different schema", schema.Name)
 	}
 	cp := schema
+	lay := compile(&cp, len(s.parts[0].tables.Load().order))
 	alloc, ok := s.allocs[schema.Name]
 	if !ok {
 		alloc = &atomic.Int64{}
@@ -189,14 +196,16 @@ func (s *Store) CreateTable(schema TableSchema) error {
 	for _, p := range s.parts {
 		p.writeMu.Lock()
 		ts := p.tables.Load()
+		t := newTable(lay, alloc)
 		next := &tableSet{
 			byName: make(map[string]*table, len(ts.byName)+1),
 			order:  append(append([]string(nil), ts.order...), schema.Name),
+			list:   append(append([]*table(nil), ts.list...), t),
 		}
 		for k, v := range ts.byName {
 			next.byName[k] = v
 		}
-		next.byName[schema.Name] = newTable(&cp, alloc)
+		next.byName[schema.Name] = t
 		p.tables.Store(next)
 		// Log the create while still holding writeMu, so no insert into the
 		// new table can precede it in this partition's WAL.
@@ -214,6 +223,16 @@ func (s *Store) CreateTable(schema TableSchema) error {
 // TableNames lists tables in creation order.
 func (s *Store) TableNames() []string {
 	return append([]string(nil), s.parts[0].tables.Load().order...)
+}
+
+// Layout returns the compiled layout of a table — what resolves its column
+// handles and what Writer.NewRow and Writer.Edit take — or nil when the
+// store has no such table.
+func (s *Store) Layout(tableName string) *Layout {
+	if t, ok := s.parts[0].tables.Load().byName[tableName]; ok {
+		return t.lay
+	}
+	return nil
 }
 
 // Count returns the number of live rows across all partitions. Each
@@ -251,33 +270,30 @@ func (s *Store) pinAll() []*epochPin {
 // archive's workflow routing puts nearly every parent, then in the other
 // partitions against their newest state; rows are never deleted, so a
 // parent found stays found.
-func (s *Store) checkForeignKeys(p *partition, t *table, row Row) error {
-	for _, fk := range t.schema.ForeignKeys {
-		v := row[fk.Column]
-		if v == nil {
+func (s *Store) checkForeignKeys(p *partition, t *table, row *Row) error {
+	for i, c := range t.lay.fks {
+		id, null := row.intAt(c)
+		if null {
 			continue // null FK means "no reference", as in SQL
 		}
+		fk := &t.schema.ForeignKeys[i]
 		ref, ok := p.tables.Load().byName[fk.RefTable]
 		if !ok {
 			return fmt.Errorf("relstore: %s.%s references missing table %s", t.schema.Name, fk.Column, fk.RefTable)
 		}
-		if !s.parentLive(p, ref, v) {
+		if !s.parentLive(p, ref, id) {
 			return &FKError{
 				Table: t.schema.Name, Column: fk.Column,
-				RefTable: fk.RefTable, RefColumn: fk.RefColumn, Value: v,
+				RefTable: fk.RefTable, RefColumn: fk.RefColumn, Value: id,
 			}
 		}
 	}
 	return nil
 }
 
-// parentLive reports whether v is the primary key of a live row of ref's
+// parentLive reports whether id is the primary key of a live row of ref's
 // table, in ref (p's instance) or failing that in another partition's.
-func (s *Store) parentLive(p *partition, ref *table, v any) bool {
-	id, ok := v.(int64)
-	if !ok {
-		return false
-	}
+func (s *Store) parentLive(p *partition, ref *table, id int64) bool {
 	if ref.liveRow(id) != nil {
 		return true
 	}
@@ -295,7 +311,7 @@ func (s *Store) parentLive(p *partition, ref *table, v any) bool {
 // FKError reports a foreign-key violation.
 type FKError struct {
 	Table, Column, RefTable, RefColumn string
-	Value                              any
+	Value                              int64
 }
 
 func (e *FKError) Error() string {

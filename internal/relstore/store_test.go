@@ -53,7 +53,7 @@ var now = time.Date(2012, 3, 13, 12, 35, 38, 0, time.UTC)
 
 func TestInsertGetRoundTrip(t *testing.T) {
 	s := newTestStore(t)
-	id, err := ins(s, "workflow", Row{"wf_uuid": "u1", "dax_label": "dart", "ts": now})
+	id, err := ins(s, "workflow", vals{"wf_uuid": "u1", "dax_label": "dart", "ts": now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +64,14 @@ func TestInsertGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row["wf_uuid"] != "u1" || row["dax_label"] != "dart" {
+	if get(row, "wf_uuid") != "u1" || get(row, "dax_label") != "dart" {
 		t.Fatalf("row = %v", row)
 	}
-	if ts := row["ts"].(time.Time); !ts.Equal(now) {
+	if ts := get(row, "ts").(time.Time); !ts.Equal(now) {
 		t.Fatalf("ts = %v", ts)
 	}
-	if row["submit_hostname"] != nil {
-		t.Fatalf("absent nullable column = %v, want nil", row["submit_hostname"])
+	if get(row, "submit_hostname") != nil {
+		t.Fatalf("absent nullable column = %v, want nil", get(row, "submit_hostname"))
 	}
 	if missing, err := s.Get("workflow", 99); err != nil || missing != nil {
 		t.Fatalf("Get(99) = %v, %v", missing, err)
@@ -80,7 +80,7 @@ func TestInsertGetRoundTrip(t *testing.T) {
 
 func TestInsertTypeErrors(t *testing.T) {
 	s := newTestStore(t)
-	cases := []Row{
+	cases := []vals{
 		{"wf_uuid": 42, "ts": now},                  // int into string
 		{"wf_uuid": "u", "ts": "not-a-time"},        // bad time string
 		{"wf_uuid": "u"},                            // missing required ts
@@ -100,10 +100,10 @@ func TestInsertTypeErrors(t *testing.T) {
 
 func TestUniqueConstraint(t *testing.T) {
 	s := newTestStore(t)
-	if _, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now}); err != nil {
+	if _, err := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	_, err := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
 	var ue *UniqueError
 	if !errors.As(err, &ue) {
 		t.Fatalf("err = %v, want UniqueError", err)
@@ -115,46 +115,46 @@ func TestUniqueConstraint(t *testing.T) {
 	// Hand-off: A renamed off u1 frees it, B takes it, and A's rename back
 	// collides with B — the current holder, not A's own stale index entry.
 	const a = 1
-	if err := upd(s, "workflow", a, Row{"dax_label": "x"}); err != nil {
+	if err := upd(s, "workflow", a, vals{"dax_label": "x"}); err != nil {
 		t.Fatalf("update leaving the unique key alone collided with itself: %v", err)
 	}
-	if err := upd(s, "workflow", a, Row{"wf_uuid": "u2"}); err != nil {
+	if err := upd(s, "workflow", a, vals{"wf_uuid": "u2"}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	b, err := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
 	if err != nil {
 		t.Fatalf("insert onto a vacated key refused: %v", err)
 	}
-	err = upd(s, "workflow", a, Row{"wf_uuid": "u1"})
+	err = upd(s, "workflow", a, vals{"wf_uuid": "u1"})
 	if !errors.As(err, &ue) || ue.ExistingID != b {
 		t.Fatalf("rename back onto a re-taken key: err = %v, want UniqueError naming row %d", err, b)
 	}
-	if err := upd(s, "workflow", b, Row{"dax_label": "y"}); err != nil {
+	if err := upd(s, "workflow", b, vals{"dax_label": "y"}); err != nil {
 		t.Fatalf("update leaving the unique key alone collided with itself: %v", err)
 	}
 }
 
 func TestCompositeUniqueAcrossColumns(t *testing.T) {
 	s := newTestStore(t)
-	wf, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
-	if _, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "a"}); err != nil {
+	wf, _ := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
+	if _, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "b"}); err != nil {
+	if _, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "b"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "a"}); err == nil {
+	if _, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "a"}); err == nil {
 		t.Fatal("composite duplicate accepted")
 	}
 	// Length-prefixed keys: ("a","bc") vs ("ab","c") must not collide.
-	if _, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "x"}); err != nil {
+	if _, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "x"}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestForeignKeyEnforced(t *testing.T) {
 	s := newTestStore(t)
-	_, err := ins(s, "job", Row{"wf_id": int64(7), "exec_job_id": "a"})
+	_, err := ins(s, "job", vals{"wf_id": int64(7), "exec_job_id": "a"})
 	var fe *FKError
 	if !errors.As(err, &fe) {
 		t.Fatalf("err = %v, want FKError", err)
@@ -162,42 +162,42 @@ func TestForeignKeyEnforced(t *testing.T) {
 	if n, _ := s.Count("job"); n != 0 {
 		t.Fatalf("rejected insert left %d rows", n)
 	}
-	wf, err := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, err := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "a"}); err != nil {
+	if _, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "a"}); err != nil {
 		t.Fatalf("insert with a satisfied FK: %v", err)
 	}
 }
 
 func TestUpdate(t *testing.T) {
 	s := newTestStore(t)
-	wf, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
-	jid, _ := ins(s, "job", Row{"wf_id": wf, "exec_job_id": "a"})
-	if err := upd(s, "job", jid, Row{"runtime": 74.0, "done": true}); err != nil {
+	wf, _ := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
+	jid, _ := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "a"})
+	if err := upd(s, "job", jid, vals{"runtime": 74.0, "done": true}); err != nil {
 		t.Fatal(err)
 	}
 	row, _ := s.Get("job", jid)
-	if row["runtime"] != 74.0 || row["done"] != true {
+	if get(row, "runtime") != 74.0 || get(row, "done") != true {
 		t.Fatalf("row after update = %v", row)
 	}
-	if err := upd(s, "job", jid, Row{"id": int64(9)}); err == nil {
+	if err := upd(s, "job", jid, vals{"id": int64(9)}); err == nil {
 		t.Error("pk update accepted")
 	}
-	if err := upd(s, "job", 999, Row{"runtime": 1.0}); err == nil {
+	if err := upd(s, "job", 999, vals{"runtime": 1.0}); err == nil {
 		t.Error("update of missing row accepted")
 	}
-	if err := upd(s, "job", jid, Row{"exec_job_id": nil}); err == nil {
+	if err := upd(s, "job", jid, vals{"exec_job_id": nil}); err == nil {
 		t.Error("null into non-nullable accepted on update")
 	}
 }
 
 func TestUpdateMaintainsIndexes(t *testing.T) {
 	s := newTestStore(t)
-	id1, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "submit_hostname": "h1", "ts": now})
-	id2, _ := ins(s, "workflow", Row{"wf_uuid": "u2", "submit_hostname": "h1", "ts": now})
-	if err := upd(s, "workflow", id1, Row{"submit_hostname": "h2"}); err != nil {
+	id1, _ := ins(s, "workflow", vals{"wf_uuid": "u1", "submit_hostname": "h1", "ts": now})
+	id2, _ := ins(s, "workflow", vals{"wf_uuid": "u2", "submit_hostname": "h1", "ts": now})
+	if err := upd(s, "workflow", id1, vals{"submit_hostname": "h2"}); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := s.Select(Query{Table: "workflow", Conds: []Cond{Eq("submit_hostname", "h1")}})
@@ -209,13 +209,13 @@ func TestUpdateMaintainsIndexes(t *testing.T) {
 	}
 	// Unique index must move too: reusing u1 fails, but the old slot frees
 	// after an update away from it.
-	if err := upd(s, "workflow", id2, Row{"wf_uuid": "u1"}); err == nil {
+	if err := upd(s, "workflow", id2, vals{"wf_uuid": "u1"}); err == nil {
 		t.Fatal("duplicate unique value accepted after update")
 	}
-	if err := upd(s, "workflow", id1, Row{"wf_uuid": "u9"}); err != nil {
+	if err := upd(s, "workflow", id1, vals{"wf_uuid": "u9"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := upd(s, "workflow", id2, Row{"wf_uuid": "u1"}); err != nil {
+	if err := upd(s, "workflow", id2, vals{"wf_uuid": "u1"}); err != nil {
 		t.Fatalf("unique slot not freed by update: %v", err)
 	}
 }
@@ -256,7 +256,7 @@ func TestCreateTableValidation(t *testing.T) {
 
 func TestConcurrentInsertsAndReads(t *testing.T) {
 	s := newTestStore(t)
-	wf, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	wf, _ := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
 	var wg sync.WaitGroup
 	const writers, per = 4, 100
 	for w := 0; w < writers; w++ {
@@ -264,7 +264,7 @@ func TestConcurrentInsertsAndReads(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				_, err := ins(s, "job", Row{
+				_, err := ins(s, "job", vals{
 					"wf_id":       wf,
 					"exec_job_id": strings.Repeat("x", w+1) + "-" + string(rune('0'+i%10)) + string(rune('0'+i/10)),
 				})
@@ -293,13 +293,20 @@ func TestConcurrentInsertsAndReads(t *testing.T) {
 	}
 }
 
+// TestGetReturnsCopy: Get hands out the stored version itself, which is safe
+// because nothing can change it — a stored row has no setters, and a Draft
+// wrapped around one refuses to write.
 func TestGetReturnsCopy(t *testing.T) {
 	s := newTestStore(t)
-	id, _ := ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	id, _ := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
 	row, _ := s.Get("workflow", id)
-	row["wf_uuid"] = "mutated"
+	d := Draft{row: row}
+	fill(&d, row.Layout(), vals{"wf_uuid": "mutated"})
+	if d.Err() == nil || !strings.Contains(d.Err().Error(), "immutable") {
+		t.Fatalf("setting a column of a stored row: %v, want it refused", d.Err())
+	}
 	again, _ := s.Get("workflow", id)
-	if again["wf_uuid"] != "u1" {
+	if get(again, "wf_uuid") != "u1" {
 		t.Fatal("Get leaked internal row reference")
 	}
 }

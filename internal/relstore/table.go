@@ -1,18 +1,17 @@
 package relstore
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// table holds one TableSchema's rows as multi-version chains plus posting
-// lists for unique constraints and secondary indexes. Visibility is a
+// table holds one partition's rows of one TableSchema as multi-version
+// chains plus posting lists for unique constraints and secondary indexes. Visibility is a
 // property of rows only: a row's version chain decides what a reader at an
 // epoch sees, and an index entry is a hint — "row id held this key at some
 // epoch" — that is only ever added and that every reader re-checks against
@@ -22,9 +21,9 @@ import (
 // pointer/uint store, so readers race-freely observe a consistent prefix of
 // history at their pinned epoch.
 type table struct {
-	schema  *TableSchema
-	colType map[string]ColType
-	rows    rowMap // id -> *rowChain, see rowmap.go
+	schema *TableSchema
+	lay    *Layout // shared by every partition's instance of the table
+	rows   rowMap  // id -> *rowChain, see rowmap.go
 	// alloc is the primary-key allocator, shared by every partition's
 	// instance of one logical table so ids are unique store-wide and —
 	// crucially — assigned in call order under sequential replay, which is
@@ -39,21 +38,20 @@ type table struct {
 	// reused so the common insert allocates no key material at all (keys
 	// are interned as strings only when a never-seen key value appears).
 	keyBuf   []byte
-	keyBuf2  []byte
 	valBuf   []byte
 	ukeys    [][]byte
 	ubuckets []*postingBucket // buckets for ukeys, resolved by buildUniqueKeys
 
-	// Version-chain and posting nodes are slab-allocated in writer-owned
-	// chunks: the loader inserts millions of rows whose chains live forever,
-	// so paying one allocation per slabSize nodes instead of one per node is
-	// pure win. Tradeoff: the GC can only reclaim a whole slab, so a chunk in
-	// which even one node is live pins its siblings (and, for rowVersion,
-	// their Row references). Insert-heavy archive tables keep nearly every
-	// node live anyway; workloads that churn rows should size GC
-	// expectations accordingly.
-	verSlab    []rowVersion
-	chainSlab  []rowChain
+	// Rows (with their slots, see rowSlab) and posting nodes are
+	// slab-allocated in writer-owned chunks: the loader inserts millions of
+	// rows whose chains live forever, so paying one allocation per chunk
+	// instead of one per node is pure win. Tradeoff: the GC can only reclaim
+	// a whole slab, so a chunk in which even one node is live pins its
+	// siblings. Insert-heavy archive tables keep nearly every node live
+	// anyway; workloads that churn rows should size GC expectations
+	// accordingly.
+	slab       *rowSlab // the chunk newRow carves from
+	slabUsed   int      // rows of slab handed out
 	nodeSlab   []postingNode
 	bucketSlab []postingBucket
 }
@@ -61,49 +59,43 @@ type table struct {
 // slabSize is the node-slab chunk length (see the slab fields above).
 const slabSize = 256
 
-func (t *table) newVersion(row Row, begin uint64) *rowVersion {
-	if len(t.verSlab) == 0 {
-		t.verSlab = make([]rowVersion, slabSize)
+// newRow carves an unpublished row with every column NULL out of the
+// table's row slab. A table's first slab holds a few rows and each next one
+// twice as many, up to slabSize, so the tables that stay tiny (workflow,
+// host) do not each pin a full chunk in every partition. Writer-only.
+func (t *table) newRow() *Row {
+	if t.slab == nil || t.slabUsed == len(t.slab.rows) {
+		n := 8
+		if t.slab != nil {
+			n = min(2*len(t.slab.rows), slabSize)
+		}
+		t.slab = &rowSlab{
+			lay:   t.lay,
+			rows:  make([]Row, n),
+			words: make([]uint64, n*t.lay.nWords),
+			strs:  make([]string, n*t.lay.nStrs),
+		}
+		t.slabUsed = 0
 	}
-	v := &t.verSlab[0]
-	t.verSlab = t.verSlab[1:]
-	v.row = row
-	v.begin = begin
-	return v
+	r := &t.slab.rows[t.slabUsed]
+	r.slab = t.slab
+	r.w0, r.s0 = uint32(t.slabUsed*t.lay.nWords), uint32(t.slabUsed*t.lay.nStrs)
+	r.null = t.lay.all
+	t.slabUsed++
+	return r
 }
 
-func (t *table) newChain() *rowChain {
-	if len(t.chainSlab) == 0 {
-		t.chainSlab = make([]rowChain, slabSize)
-	}
-	c := &t.chainSlab[0]
-	t.chainSlab = t.chainSlab[1:]
-	return c
-}
-
-// rowChain is the per-row version list, newest version first.
+// rowChain is the per-row version list, newest version first (see Row for
+// what makes a version visible).
 type rowChain struct {
-	head atomic.Pointer[rowVersion]
-}
-
-// rowVersion is one immutable version of a row. A version is visible to a
-// reader at epoch e when begin <= e and (end == 0 or end > e). row and
-// begin are written before the version is published via an atomic head
-// store and never change afterwards; end is set once, when a newer version
-// supersedes the row. prev is atomic so version
-// GC can truncate the tail while readers walk the chain.
-type rowVersion struct {
-	row   Row
-	begin uint64
-	end   atomic.Uint64 // 0 = still current
-	prev  atomic.Pointer[rowVersion]
+	head atomic.Pointer[Row]
 }
 
 // visibleAt returns the version of this chain visible at epoch e, or nil.
 // The chain is ordered newest first, so the first version with begin <= e
 // decides: either it is visible at e or the row does not exist at e (any
 // older version ended no later than this one began).
-func (c *rowChain) visibleAt(e uint64) *rowVersion {
+func (c *rowChain) visibleAt(e uint64) *Row {
 	for v := c.head.Load(); v != nil; v = v.prev.Load() {
 		if v.begin > e {
 			continue
@@ -117,7 +109,7 @@ func (c *rowChain) visibleAt(e uint64) *rowVersion {
 }
 
 // liveVersion returns the newest un-ended version — the writer's view.
-func (c *rowChain) liveVersion() *rowVersion {
+func (c *rowChain) liveVersion() *Row {
 	if v := c.head.Load(); v != nil && v.end.Load() == 0 {
 		return v
 	}
@@ -127,11 +119,9 @@ func (c *rowChain) liveVersion() *rowVersion {
 // liveRow returns the newest version of row id — the writer's view, which
 // the unique check and foreign-key probes decide on — or nil when the table
 // holds no such row. Lock-free, so a writer may probe another partition.
-func (t *table) liveRow(id int64) Row {
+func (t *table) liveRow(id int64) *Row {
 	if c, ok := t.rows.Load(id); ok {
-		if v := c.liveVersion(); v != nil {
-			return v.row
-		}
+		return c.liveVersion()
 	}
 	return nil
 }
@@ -190,18 +180,8 @@ type postingIndex struct {
 	// indexed column is NULL (the "\x00nil" key of the string form).
 	// Locking is identical to m: the writer reads unlocked, map/nilb
 	// mutations and reader lookups synchronise on mu.
-	mi     map[int64]*postingBucket
-	nilb   *postingBucket
-	intCol string // the indexed column when mi is non-nil
-}
-
-// intKeyOf extracts row's value for a specialized index column. normalize
-// guarantees an Int column holds int64 or nil, so anything else is nil.
-func intKeyOf(row Row, col string) (v int64, isNil bool) {
-	if x, ok := row[col].(int64); ok {
-		return x, false
-	}
-	return 0, true
+	mi   map[int64]*postingBucket
+	nilb *postingBucket
 }
 
 // postingBucket is every row that ever held one key: an atomic
@@ -283,21 +263,24 @@ func (t *table) newBucket() *postingBucket {
 	return b
 }
 
-// candidates returns the ids of every row that ever held probe's key over
-// cols, ascending by primary key and without repeats, so indexed Selects
-// are deterministic. The caller resolves each id at its epoch and re-checks
-// the predicate; nothing here knows about visibility. Reader-safe.
-func (ix *postingIndex) candidates(probe Row, cols []string) []int64 {
+// candidates returns the ids of every row that ever held the key conds
+// spell (one condition per indexed column, in index order), ascending by
+// primary key and without repeats, so indexed Selects are deterministic.
+// The caller resolves each id at its epoch and re-checks the predicate;
+// nothing here knows about visibility. Reader-safe.
+func (ix *postingIndex) candidates(conds []slotCond) []int64 {
 	var b *postingBucket
 	if ix.mi != nil {
-		v, isNil := intKeyOf(probe, ix.intCol)
 		ix.mu.RLock()
-		b = ix.bucketInt(v, isNil)
+		b = ix.bucketInt(int64(conds[0].word), conds[0].null)
 		ix.mu.RUnlock()
 	} else {
-		key := compositeKey(probe, cols)
+		var key, val []byte
+		for i := range conds {
+			key, val = appendKeyPart(key, val, conds[i].col.typ, conds[i].null, conds[i].word, conds[i].str)
+		}
 		ix.mu.RLock()
-		b = ix.m[key]
+		b = ix.m[string(key)]
 		ix.mu.RUnlock()
 	}
 	if b == nil {
@@ -320,26 +303,21 @@ func (t *table) noteID(id int64) {
 	}
 }
 
-func newTable(s *TableSchema, alloc *atomic.Int64) *table {
+func newTable(lay *Layout, alloc *atomic.Int64) *table {
 	t := &table{
-		schema:   s,
-		colType:  make(map[string]ColType, len(s.Columns)+1),
+		schema:   lay.schema,
+		lay:      lay,
 		alloc:    alloc,
-		ukeys:    make([][]byte, len(s.Unique)),
-		ubuckets: make([]*postingBucket, len(s.Unique)),
+		ukeys:    make([][]byte, len(lay.unique)),
+		ubuckets: make([]*postingBucket, len(lay.unique)),
 	}
-	t.colType["id"] = Int
-	for _, c := range s.Columns {
-		t.colType[c.Name] = c.Type
-	}
-	for range s.Unique {
+	for range lay.unique {
 		t.uniques = append(t.uniques, &postingIndex{m: map[string]*postingBucket{}})
 	}
-	for _, cols := range s.Indexes {
+	for _, cols := range lay.indexes {
 		ix := &postingIndex{m: map[string]*postingBucket{}}
-		if len(cols) == 1 && t.colType[cols[0]] == Int {
+		if len(cols) == 1 && cols[0].typ == Int {
 			ix.mi = map[int64]*postingBucket{}
-			ix.intCol = cols[0]
 		}
 		t.indexes = append(t.indexes, ix)
 	}
@@ -349,102 +327,94 @@ func newTable(s *TableSchema, alloc *atomic.Int64) *table {
 // putRow installs a brand-new row (id already assigned) as a fresh chain
 // beginning at epoch e and indexes it. Writer-only. The caller maintains
 // t.live, bumping it only after the epoch publishes.
-func (t *table) putRow(row Row, e uint64) {
-	t.putRowKeys(row, e, t.buildUniqueKeys(row))
+func (t *table) putRow(row *Row, e uint64) {
+	t.putRowKeys(row, e, t.buildUniqueKeys(row, nil))
 }
 
 // putRowKeys is putRow with the row's unique keys already built (the
 // insert path computes them once and shares them between the unique check
 // and indexing).
-func (t *table) putRowKeys(row Row, e uint64, ukeys [][]byte) {
-	c := t.newChain()
-	c.head.Store(t.newVersion(row, e))
-	id := row.ID()
-	t.rows.Store(id, c)
-	for i := range ukeys {
-		t.postKey(t.uniques[i], ukeys[i], t.ubuckets[i], id)
-	}
-	for i, cols := range t.schema.Indexes {
-		ix := t.indexes[i]
-		if ix.mi != nil {
-			v, isNil := intKeyOf(row, ix.intCol)
-			t.postInt(ix, v, isNil, id)
-			continue
-		}
-		t.keyBuf = t.keyInto(t.keyBuf[:0], row, cols)
-		t.postKey(ix, t.keyBuf, ix.m[string(t.keyBuf)], id)
+func (t *table) putRowKeys(row *Row, e uint64, ukeys [][]byte) {
+	row.begin = e
+	t.rows.slot(row.id).head.Store(row)
+	t.postUniqueKeys(ukeys, row.id)
+	for i, cols := range t.lay.indexes {
+		t.postIndex(t.indexes[i], row, cols)
 	}
 }
 
-// supersede replaces the live version old of chain c with row at epoch e.
-// Readers pinned below e keep seeing old; readers at e and later see row.
-// The row is posted under a key only when the update changed that key's
-// encoding: the common archive updates (exitcode, durations) leave every
-// indexed column untouched, and comparing the keys is far cheaper than
-// posting again. The entry under the old key stays — readers pinned below e
-// still find the row through it, later ones drop it on the re-check — and
-// the new key's bucket is not probed for an entry the row may have left
-// there earlier (w → v → w): a repeat is the reader's to compact.
-func (t *table) supersede(c *rowChain, old *rowVersion, row Row, e uint64) {
-	id := row.ID()
-	for i, cols := range t.schema.Unique {
-		t.postIfMoved(t.uniques[i], old.row, row, cols, id)
-	}
-	for i, cols := range t.schema.Indexes {
-		ix := t.indexes[i]
-		if ix.mi == nil {
-			t.postIfMoved(ix, old.row, row, cols, id)
-			continue
-		}
-		ov, onil := intKeyOf(old.row, ix.intCol)
-		if nv, nnil := intKeyOf(row, ix.intCol); nv != ov || nnil != onil {
-			t.postInt(ix, nv, nnil, id)
+// supersede replaces the live version old of chain c with row at epoch e;
+// ukeys is buildUniqueKeys(row, old). Readers pinned below e keep seeing
+// old; readers at e and later see row. The row is posted under a key only
+// when the update moved one of that key's columns: the common archive
+// updates (exitcode, durations) leave every indexed column untouched, and
+// comparing slots is far cheaper than posting again. The entry under the
+// old key stays — readers pinned below e still find the row through it,
+// later ones drop it on the re-check — and the new key's bucket is not
+// probed for an entry the row may have left there earlier (w → v → w): a
+// repeat is the reader's to compact.
+func (t *table) supersede(c *rowChain, old, row *Row, e uint64, ukeys [][]byte) {
+	t.postUniqueKeys(ukeys, row.id)
+	for i, cols := range t.lay.indexes {
+		if !sameSlots(old, row, cols) {
+			t.postIndex(t.indexes[i], row, cols)
 		}
 	}
-	v := t.newVersion(row, e)
-	v.prev.Store(old)
+	row.begin = e
+	row.prev.Store(old)
 	old.end.Store(e)
-	c.head.Store(v)
+	c.head.Store(row)
 }
 
-// postIfMoved posts row id under newRow's key over cols when its encoding
-// differs from oldRow's, and does nothing when they are equal.
-func (t *table) postIfMoved(ix *postingIndex, oldRow, newRow Row, cols []string, id int64) {
-	t.keyBuf = t.keyInto(t.keyBuf[:0], oldRow, cols)
-	t.keyBuf2 = t.keyInto(t.keyBuf2[:0], newRow, cols)
-	if !bytes.Equal(t.keyBuf, t.keyBuf2) {
-		t.postKey(ix, t.keyBuf2, ix.m[string(t.keyBuf2)], id)
+// postUniqueKeys posts row id under every key buildUniqueKeys built, in the
+// bucket it resolved.
+func (t *table) postUniqueKeys(ukeys [][]byte, id int64) {
+	for i, key := range ukeys {
+		if len(key) > 0 {
+			t.postKey(t.uniques[i], key, t.ubuckets[i], id)
+		}
 	}
 }
 
-// appendKeyValue appends the canonical key encoding of one column value.
-func appendKeyValue(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(b, "\x00nil"...)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case float64:
-		return strconv.AppendFloat(b, x, 'g', -1, 64)
-	case string:
-		return append(b, x...)
-	case bool:
-		return strconv.AppendBool(b, x)
-	case time.Time:
-		return x.UTC().AppendFormat(b, time.RFC3339Nano)
-	default:
-		return fmt.Append(b, x)
+// postIndex posts row under its key in the secondary index ix over cols.
+func (t *table) postIndex(ix *postingIndex, row *Row, cols []Col) {
+	if ix.mi != nil {
+		v, isNil := row.intAt(cols[0])
+		t.postInt(ix, v, isNil, row.id)
+		return
 	}
+	t.keyBuf = t.keyInto(t.keyBuf[:0], row, cols)
+	t.postKey(ix, t.keyBuf, ix.m[string(t.keyBuf)], row.id)
+}
+
+// appendKeyPart appends one column value to a composite key as
+// <length>:<value>, val being scratch for the value's text. The length
+// prefix keeps ("a","bc") distinct from ("ab","c"). Keys live in memory
+// only; what matters is that a stored row (keyInto) and a probe
+// (postingIndex.candidates) spell equal values alike.
+func appendKeyPart(key, val []byte, t ColType, null bool, word uint64, str string) (k, v []byte) {
+	val = val[:0]
+	switch {
+	case null:
+		val = append(val, "\x00nil"...)
+	case t == Str:
+		val = append(val, str...)
+	case t == Float:
+		val = strconv.AppendFloat(val, math.Float64frombits(word), 'g', -1, 64)
+	default: // Int, Bool and Time words
+		val = strconv.AppendInt(val, int64(word), 10)
+	}
+	key = strconv.AppendInt(key, int64(len(val)), 10)
+	key = append(key, ':')
+	return append(key, val...), val
 }
 
 // keyInto builds the composite key for cols of row into dst and returns
-// it. Writer-only (it shares t.valBuf); reader paths use compositeKey.
-func (t *table) keyInto(dst []byte, row Row, cols []string) []byte {
+// it. Writer-only (it shares t.valBuf).
+func (t *table) keyInto(dst []byte, row *Row, cols []Col) []byte {
 	for _, c := range cols {
-		t.valBuf = appendKeyValue(t.valBuf[:0], row[c])
-		dst = strconv.AppendInt(dst, int64(len(t.valBuf)), 10)
-		dst = append(dst, ':')
-		dst = append(dst, t.valBuf...)
+		null, word, str := row.slotAt(c)
+		dst, t.valBuf = appendKeyPart(dst, t.valBuf, c.typ, null, word, str)
 	}
 	return dst
 }
@@ -453,104 +423,31 @@ func (t *table) keyInto(dst []byte, row Row, cols []string) []byte {
 // returns it; the slice and its buffers are scratch, valid until the
 // next build. Each key's bucket is resolved into t.ubuckets as a side
 // effect, so the unique check and the posting insert that follow pay for
-// one map lookup per constraint between them. Writer-only.
-func (t *table) buildUniqueKeys(row Row) [][]byte {
-	for i, cols := range t.schema.Unique {
-		t.ukeys[i] = t.keyInto(t.ukeys[i][:0], row, cols)
-		t.ubuckets[i] = t.uniques[i].m[string(t.ukeys[i])]
+// one map lookup per constraint between them. For an update, old is the
+// version row replaces, and a constraint whose columns the update left
+// alone gets an empty key: there is nothing to check or post for it.
+// Writer-only.
+func (t *table) buildUniqueKeys(row, old *Row) [][]byte {
+	for i, cols := range t.lay.unique {
+		t.ukeys[i], t.ubuckets[i] = t.ukeys[i][:0], nil
+		if old == nil || !sameSlots(old, row, cols) {
+			t.ukeys[i] = t.keyInto(t.ukeys[i], row, cols)
+			t.ubuckets[i] = t.uniques[i].m[string(t.ukeys[i])]
+		}
 	}
 	return t.ukeys
 }
 
-// compositeKey encodes the values of cols from row into one string key.
-// A length-prefixed encoding keeps ("a","bc") distinct from ("ab","c").
-// It must encode identically to keyInto; both delegate to appendKeyValue.
-func compositeKey(row Row, cols []string) string {
-	var b, val []byte
-	for _, c := range cols {
-		val = appendKeyValue(val[:0], row[c])
-		b = strconv.AppendInt(b, int64(len(val)), 10)
-		b = append(b, ':')
-		b = append(b, val...)
-	}
-	return string(b)
-}
-
-// normalize coerces every value in r to canonical types, checks that all
-// columns exist, and fills absent nullable columns with nil. The returned
-// row is a fresh map owned by the table; its coerced values may alias r's.
-//
-// The walk is driven from the schema's column list rather than ranging
-// over r: the column's type is in hand (no colType
-// lookup per key) and presence costs one probe of the small row map, about
-// half the map traffic of the key-driven shape. Keys of r that are not
-// columns surface as a count mismatch, diagnosed after the walk.
-func (t *table) normalize(r Row) (Row, error) {
-	out := make(Row, len(t.schema.Columns)+1)
-	n := len(r)
-	if _, ok := r["id"]; ok {
-		n-- // assigned by the table
-	}
-	found := 0
-	for _, c := range t.schema.Columns {
-		v, present := r[c.Name]
-		if present {
-			found++
-		}
-		if !present {
-			if !c.Nullable {
-				return nil, fmt.Errorf("relstore: table %s: column %s is required", t.schema.Name, c.Name)
-			}
-			out[c.Name] = nil
-			continue
-		}
-		if v == nil {
-			if !c.Nullable {
-				return nil, fmt.Errorf("relstore: table %s: column %s may not be null", t.schema.Name, c.Name)
-			}
-			out[c.Name] = nil
-			continue
-		}
-		cv, err := coerce(t.schema.Name, c.Name, c.Type, v)
-		if err != nil {
-			return nil, err
-		}
-		out[c.Name] = cv
-	}
-	if found != n {
-		return nil, t.unknownColumn(r)
-	}
-	return out, nil
-}
-
-// unknownColumn names a key of r that is not a column of t. Called only
-// when normalize's presence count proved such a key exists.
-func (t *table) unknownColumn(r Row) error {
-	for k := range r {
-		if _, ok := t.colType[k]; !ok {
-			return fmt.Errorf("relstore: table %s has no column %s", t.schema.Name, k)
-		}
-	}
-	return fmt.Errorf("relstore: table %s: row has an unknown column", t.schema.Name)
-}
-
-// checkUnique verifies unique constraints for row (excluding the row with
-// id exclude, for updates) against the writer's view.
-func (t *table) checkUnique(row Row, exclude int64) error {
-	return t.checkUniqueKeys(t.buildUniqueKeys(row), exclude)
-}
-
-// checkUniqueKeys is checkUnique over keys pre-built by buildUniqueKeys,
-// probing the buckets that build already resolved. A key collides when some
-// row ever posted under it, other than exclude, holds it now: the bucket
-// only nominates, the candidate's live version decides — so a row renamed
-// away from a key frees it, and a rename back collides with whoever took it
-// meanwhile. A never-seen key (every non-duplicate insert) has no bucket and
-// costs nothing. keys[i] lives in t.ukeys[i], so encoding a candidate into
-// t.keyBuf2 does not alias the probe.
-func (t *table) checkUniqueKeys(keys [][]byte, exclude int64) error {
-	for i, key := range keys {
-		b := t.ubuckets[i]
+// checkUnique verifies row's unique constraints against the writer's view,
+// probing the buckets buildUniqueKeys resolved for it (exclude is row's own
+// id, for updates). A key collides when some row ever posted under it,
+// other than exclude, holds it now: the bucket only nominates, the
+// candidate's live version decides — so a row renamed away from a key frees
+// it, and a rename back collides with whoever took it meanwhile. A
+// never-seen key (every non-duplicate insert) has no bucket and costs
+// nothing.
+func (t *table) checkUnique(row *Row, exclude int64) error {
+	for i, b := range t.ubuckets {
 		if b == nil {
 			continue
 		}
@@ -558,11 +455,8 @@ func (t *table) checkUniqueKeys(keys [][]byte, exclude int64) error {
 			if n.id == exclude {
 				continue
 			}
-			if live := t.liveRow(n.id); live != nil {
-				t.keyBuf2 = t.keyInto(t.keyBuf2[:0], live, t.schema.Unique[i])
-				if bytes.Equal(t.keyBuf2, key) {
-					return &UniqueError{Table: t.schema.Name, Columns: t.schema.Unique[i], ExistingID: n.id}
-				}
+			if live := t.liveRow(n.id); live != nil && sameSlots(live, row, t.lay.unique[i]) {
+				return &UniqueError{Table: t.schema.Name, Columns: t.schema.Unique[i], ExistingID: n.id}
 			}
 		}
 	}
@@ -570,15 +464,27 @@ func (t *table) checkUniqueKeys(keys [][]byte, exclude int64) error {
 }
 
 // indexCovering returns the secondary index, or failing that the unique
-// constraint's index, declared over exactly cols (order sensitive), or nil.
-func (t *table) indexCovering(cols []string) *postingIndex {
-	for i, ix := range t.schema.Indexes {
-		if slices.Equal(ix, cols) {
+// constraint's index, declared over exactly the columns of conds (order
+// sensitive), or nil.
+func (t *table) indexCovering(conds []slotCond) *postingIndex {
+	covers := func(cols []Col) bool {
+		if len(cols) != len(conds) {
+			return false
+		}
+		for i, c := range cols {
+			if c != conds[i].col {
+				return false
+			}
+		}
+		return true
+	}
+	for i, cols := range t.lay.indexes {
+		if covers(cols) {
 			return t.indexes[i]
 		}
 	}
-	for i, u := range t.schema.Unique {
-		if slices.Equal(u, cols) {
+	for i, cols := range t.lay.unique {
+		if covers(cols) {
 			return t.uniques[i]
 		}
 	}

@@ -83,14 +83,13 @@ var walCRC = crc32.MakeTable(crc32.Castagnoli)
 type walRecord struct {
 	op    byte
 	table string
-	rows  []Row        // insert: the rows (one, as written by this package)
-	row   Row          // update: the full new row
+	rows  []*Row       // insert: the rows (one, as written by this package)
+	row   *Row         // update: the full new row
 	sch   *TableSchema // create
 }
 
-// encode writes the record's payload. cols is the table's column list
-// (unused by create).
-func (rec walRecord) encode(c *canonWriter, cols []Column) error {
+// encode writes the record's payload.
+func (rec walRecord) encode(c *canonWriter) error {
 	c.tag(rec.op)
 	c.str(rec.table)
 	switch rec.op {
@@ -103,18 +102,18 @@ func (rec walRecord) encode(c *canonWriter, cols []Column) error {
 	case opInsert:
 		c.uint(uint64(len(rec.rows)))
 		for _, r := range rec.rows {
-			if err := c.rowBody(rec.table, cols, r); err != nil {
+			if err := c.rowBody(r); err != nil {
 				return err
 			}
 		}
 	case opUpdate:
-		return c.rowBody(rec.table, cols, rec.row)
+		return c.rowBody(rec.row)
 	}
 	return c.err
 }
 
 // decodeWALRecord parses one frame payload. Row records are decoded
-// against their table's columns in ts.
+// against their table's layout in ts, into rows from that table's slabs.
 func decodeWALRecord(payload []byte, ts *tableSet) (walRecord, error) {
 	c := canonReader{b: payload, compact: true}
 	var rec walRecord
@@ -125,13 +124,12 @@ func decodeWALRecord(payload []byte, ts *tableSet) (walRecord, error) {
 	if rec.table, err = c.str(); err != nil {
 		return rec, err
 	}
-	var cols []Column
+	var t *table
 	if rec.op != opCreate {
-		t, ok := ts.byName[rec.table]
-		if !ok {
+		var ok bool
+		if t, ok = ts.byName[rec.table]; !ok {
 			return rec, fmt.Errorf("record %q for unknown table %s", rec.op, rec.table)
 		}
-		cols = t.schema.Columns
 	}
 	switch rec.op {
 	case opCreate:
@@ -153,14 +151,16 @@ func decodeWALRecord(payload []byte, ts *tableSet) (walRecord, error) {
 		if n > uint64(len(c.b)) {
 			return rec, fmt.Errorf("insert record for %s claims %d rows in %d bytes", rec.table, n, len(c.b))
 		}
-		rec.rows = make([]Row, n)
+		rec.rows = make([]*Row, n)
 		for i := range rec.rows {
-			if rec.rows[i], err = c.rowBody(rec.table, cols); err != nil {
+			rec.rows[i] = t.newRow()
+			if err := c.rowBody(rec.rows[i]); err != nil {
 				return rec, err
 			}
 		}
 	case opUpdate:
-		if rec.row, err = c.rowBody(rec.table, cols); err != nil {
+		rec.row = t.newRow()
+		if err := c.rowBody(rec.row); err != nil {
 			return rec, err
 		}
 	default:
@@ -260,14 +260,14 @@ func newWalWriter(f *os.File, part int, dir string, seq, fileStart uint64) *walW
 
 // append frames rec as the partition's next record. Nothing reaches the
 // segment unless the whole record encoded.
-func (w *walWriter) append(rec walRecord, cols []Column) error {
+func (w *walWriter) append(rec walRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var fixed [walHeaderSize]byte // the header's place first, the checksum's bytes last
 	w.frame.Reset()
 	w.frame.Write(fixed[:])
 	w.enc.err = nil
-	if err := rec.encode(&w.enc, cols); err != nil {
+	if err := rec.encode(&w.enc); err != nil {
 		return err
 	}
 	n := w.frame.Len() - walHeaderSize
@@ -294,15 +294,15 @@ func (w *walWriter) setSync(on bool) {
 }
 
 func (w *walWriter) logCreate(s *TableSchema) error {
-	return w.append(walRecord{op: opCreate, table: s.Name, sch: s}, nil)
+	return w.append(walRecord{op: opCreate, table: s.Name, sch: s})
 }
 
-func (w *walWriter) logInsert(t *table, rows []Row) error {
-	return w.append(walRecord{op: opInsert, table: t.schema.Name, rows: rows}, t.schema.Columns)
+func (w *walWriter) logInsert(t *table, rows []*Row) error {
+	return w.append(walRecord{op: opInsert, table: t.schema.Name, rows: rows})
 }
 
-func (w *walWriter) logUpdate(t *table, full Row) error {
-	return w.append(walRecord{op: opUpdate, table: t.schema.Name, row: full}, t.schema.Columns)
+func (w *walWriter) logUpdate(t *table, full *Row) error {
+	return w.append(walRecord{op: opUpdate, table: t.schema.Name, row: full})
 }
 
 // flush makes every record appended before the call durable (fsynced when
@@ -545,7 +545,7 @@ func (s *Store) applyRecord(p *partition, rec walRecord) error {
 	switch rec.op {
 	case opInsert:
 		for _, row := range rec.rows {
-			id := row.ID()
+			id := row.id
 			if id == 0 {
 				return fmt.Errorf("insert record without id in %s", rec.table)
 			}
@@ -555,9 +555,9 @@ func (s *Store) applyRecord(p *partition, rec walRecord) error {
 		}
 	case opUpdate:
 		row := rec.row
-		if c, ok := t.rows.Load(row.ID()); ok {
+		if c, ok := t.rows.Load(row.id); ok {
 			if old := c.liveVersion(); old != nil {
-				t.supersede(c, old, row, e)
+				t.supersede(c, old, row, e, t.buildUniqueKeys(row, old))
 				// Both versions carry epoch 1; nothing can ever read the
 				// superseded one, so drop it immediately.
 				pruneChain(c, e)

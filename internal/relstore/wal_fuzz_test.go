@@ -59,24 +59,24 @@ func fig3Store(t testing.TB) *Store {
 	return s
 }
 
-// fig3Records is records of each op over those tables, between them
-// carrying a null, a float, a bool and a time.
-func fig3Records() []walRecord {
-	ji := Row{"id": int64(7), "job_id": int64(3), "job_submit_seq": int64(1), "host_id": int64(2),
+// fig3Records is records of each op over those tables (s's, a fig3Store),
+// between them carrying a null, a float, a bool and a time.
+func fig3Records(t testing.TB, s *Store) []walRecord {
+	ji := mkRow(t, s, "job_instance", vals{"id": int64(7), "job_id": int64(3), "job_submit_seq": int64(1), "host_id": int64(2),
 		"site": "local", "user": nil, "subwf_uuid": nil, "stdout_file": "j3.out", "stdout_text": nil,
 		"stderr_file": nil, "stderr_text": nil, "multiplier_factor": int64(1), "exitcode": int64(-1),
-		"local_duration": 74.25}
-	state := func(id int64, st string) Row {
-		return Row{"id": id, "job_instance_id": int64(7), "state": st,
-			"timestamp": time.Date(2012, 11, 10, 0, 1, 2, 3000, time.UTC), "jobstate_submit_seq": id}
+		"local_duration": 74.25})
+	state := func(id int64, st string) *Row {
+		return mkRow(t, s, "jobstate", vals{"id": id, "job_instance_id": int64(7), "state": st,
+			"timestamp": time.Date(2012, 11, 10, 0, 1, 2, 3000, time.UTC), "jobstate_submit_seq": id})
 	}
 	sch := fig3Schemas()[1]
 	return []walRecord{
 		{op: opCreate, table: sch.Name, sch: &sch},
-		{op: opInsert, table: "job_instance", rows: []Row{ji}},
-		{op: opInsert, table: "jobstate", rows: []Row{state(1, "SUBMIT"), state(2, "EXECUTE")}},
+		{op: opInsert, table: "job_instance", rows: []*Row{ji}},
+		{op: opInsert, table: "jobstate", rows: []*Row{state(1, "SUBMIT"), state(2, "EXECUTE")}},
 		{op: opUpdate, table: "job_instance", row: ji},
-		{op: opUpdate, table: "job", row: Row{"id": int64(4), "wf_id": int64(1), "exec_job_id": "j4", "runtime": nil, "done": true}},
+		{op: opUpdate, table: "job", row: mkRow(t, s, "job", vals{"id": int64(4), "wf_id": int64(1), "exec_job_id": "j4", "runtime": nil, "done": true})},
 	}
 }
 
@@ -87,14 +87,10 @@ func deletePayload(table string, id byte) []byte {
 	return append(append([]byte{'d', byte(len(table))}, table...), id)
 }
 
-func encodePayload(t testing.TB, ts *tableSet, rec walRecord) []byte {
+func encodePayload(t testing.TB, rec walRecord) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	var cols []Column
-	if tbl, ok := ts.byName[rec.table]; ok {
-		cols = tbl.schema.Columns
-	}
-	if err := rec.encode(&canonWriter{w: &buf, compact: true}, cols); err != nil {
+	if err := rec.encode(&canonWriter{w: &buf, compact: true}); err != nil {
 		t.Fatalf("encoding a %q record: %v", rec.op, err)
 	}
 	return buf.Bytes()
@@ -111,8 +107,9 @@ func encodePayload(t testing.TB, ts *tableSet, rec walRecord) []byte {
 func FuzzWALRecord(f *testing.F) {
 	seedStore := fig3Store(f)
 	ts := seedStore.parts[0].tables.Load()
-	for _, rec := range fig3Records() {
-		f.Add(encodePayload(f, ts, rec), false)
+	recs := fig3Records(f, seedStore)
+	for _, rec := range recs {
+		f.Add(encodePayload(f, rec), false)
 	}
 	f.Add(deletePayload("jobstate", 2), false)
 	f.Add([]byte{opInsert, 8, 'j', 'o', 'b', 's', 't', 'a', 't', 'e', 0xff, 0xff, 0xff, 0xff, 0x0f}, false)
@@ -128,12 +125,13 @@ func FuzzWALRecord(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	recs := fig3Records()
-	for _, rec := range []walRecord{recs[1], recs[2], {table: "job", rows: []Row{recs[4].row}}} {
+	for _, rec := range []walRecord{recs[1], recs[2], {table: "job", rows: []*Row{recs[4].row}}} {
 		for _, row := range rec.rows {
-			row = row.Clone()
-			delete(row, "id")
-			if _, err := ins(ck, rec.table, row); err != nil {
+			v := vals{}
+			for _, c := range row.Layout().Columns() {
+				v[c.Name()] = get(row, c.Name())
+			}
+			if _, err := ins(ck, rec.table, v); err != nil {
 				f.Fatal(err)
 			}
 		}
@@ -165,20 +163,21 @@ func FuzzWALRecord(f *testing.F) {
 		_, _, _ = readFrame(data, 1)
 		rec, err := decodeWALRecord(data, ts)
 		runtime.ReadMemStats(&after)
-		// A row is a map of every column: ~1 KiB for job_instance's 13, and
-		// costs the input at least one byte per column.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+256*len(data)); got > limit {
+		// A row is carved from its table's slabs — at worst one fresh chunk
+		// of each, ~70 KiB for job_instance's 13 columns, whatever the input
+		// says — and costs the input at least one byte per column.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(128<<10+256*len(data)); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, over %d", len(data), got, limit)
 		}
 		if err != nil {
 			return
 		}
-		e1 := encodePayload(t, ts, rec)
+		e1 := encodePayload(t, rec)
 		rec2, err := decodeWALRecord(e1, ts)
 		if err != nil {
 			t.Fatalf("re-encoded %q record does not decode: %v", rec.op, err)
 		}
-		if e2 := encodePayload(t, ts, rec2); !bytes.Equal(e1, e2) {
+		if e2 := encodePayload(t, rec2); !bytes.Equal(e1, e2) {
 			t.Fatalf("encode → decode → encode changed the bytes:\n%x\n%x", e1, e2)
 		}
 		s := fig3Store(t)

@@ -78,20 +78,20 @@ func TestOpenPersistReopen(t *testing.T) {
 	if err := s.CreateTable(jobSchema()); err != nil {
 		t.Fatal(err)
 	}
-	wf, err := ins(s, "workflow", Row{"wf_uuid": "u1", "dax_label": "dart", "ts": now})
+	wf, err := ins(s, "workflow", vals{"wf_uuid": "u1", "dax_label": "dart", "ts": now})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := make([]int64, 10)
 	for i := range ids {
-		if ids[i], err = ins(s, "job", Row{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%d", i), "runtime": float64(i)}); err != nil {
+		if ids[i], err = ins(s, "job", vals{"wf_id": wf, "exec_job_id": fmt.Sprintf("j%d", i), "runtime": float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := upd(s, "job", ids[3], Row{"runtime": 74.0, "done": true}); err != nil {
+	if err := upd(s, "job", ids[3], vals{"runtime": 74.0, "done": true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := upd(s, "job", ids[7], Row{"exec_job_id": "j7-renamed"}); err != nil {
+	if err := upd(s, "job", ids[7], vals{"exec_job_id": "j7-renamed"}); err != nil {
 		t.Fatal(err)
 	}
 	want := storeHash(t, s)
@@ -114,17 +114,17 @@ func TestOpenPersistReopen(t *testing.T) {
 	if err != nil || row == nil {
 		t.Fatalf("Get after reopen: %v, %v", row, err)
 	}
-	if row["runtime"] != 74.0 || row["done"] != true {
+	if get(row, "runtime") != 74.0 || get(row, "done") != true {
 		t.Fatalf("update lost: %v", row)
 	}
 	if old, _ := re.SelectOne(Query{Table: "job", Conds: []Cond{Eq("wf_id", wf), Eq("exec_job_id", "j7")}}); old != nil {
 		t.Fatalf("row still found under the key it was renamed away from: %v", old)
 	}
-	if _, err := ins(re, "job", Row{"wf_id": wf, "exec_job_id": "j7"}); err != nil {
+	if _, err := ins(re, "job", vals{"wf_id": wf, "exec_job_id": "j7"}); err != nil {
 		t.Fatalf("unique slot not freed by the replayed rename: %v", err)
 	}
 	wfRow, _ := re.Get("workflow", wf)
-	if ts := wfRow["ts"].(time.Time); !ts.Equal(now) {
+	if ts := get(wfRow, "ts").(time.Time); !ts.Equal(now) {
 		t.Fatalf("time corrupted across reopen: %v", ts)
 	}
 	// Indexes rebuilt: indexed select and unique enforcement both work.
@@ -132,11 +132,11 @@ func TestOpenPersistReopen(t *testing.T) {
 	if err != nil || len(rows) != 11 {
 		t.Fatalf("indexed select after reopen: %d rows, %v", len(rows), err)
 	}
-	if _, err := ins(re, "workflow", Row{"wf_uuid": "u1", "ts": now}); err == nil {
+	if _, err := ins(re, "workflow", vals{"wf_uuid": "u1", "ts": now}); err == nil {
 		t.Fatal("unique constraint not rebuilt")
 	}
 	// New inserts continue the id sequence rather than reusing ids.
-	nid, err := ins(re, "job", Row{"wf_id": wf, "exec_job_id": "new"})
+	nid, err := ins(re, "job", vals{"wf_id": wf, "exec_job_id": "new"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestOpenTornFinalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := insAt(s, i%2, "parent", Row{"name": fmt.Sprintf("tail%d", i)}); err != nil {
+		if _, err := insAt(s, i%2, "parent", vals{"name": fmt.Sprintf("tail%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,7 +205,7 @@ func TestOpenTornFinalLine(t *testing.T) {
 	if tmps, _ := filepath.Glob(filepath.Join(pdir, "*.tmp")); len(tmps) != 0 {
 		t.Fatalf("OpenDir left stale temp images: %v", tmps)
 	}
-	if _, err := insAt(re, 1, "parent", Row{"name": "post-recovery"}); err != nil {
+	if _, err := insAt(re, 1, "parent", vals{"name": "post-recovery"}); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
 }
@@ -229,7 +229,7 @@ func TestOpenCorruptionMidFileRejected(t *testing.T) {
 	insert := func(n int) {
 		for i := 0; i < n; i++ {
 			rows++
-			if _, err := ins(s, "parent", Row{"name": fmt.Sprintf("row%d", rows)}); err != nil {
+			if _, err := ins(s, "parent", vals{"name": fmt.Sprintf("row%d", rows)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -403,7 +403,7 @@ func TestFlushMakesDataVisibleToReaderProcess(t *testing.T) {
 	s := openDirStore(t, dir, 1)
 	defer s.Close()
 	_ = s.CreateTable(wfSchema())
-	_, _ = ins(s, "workflow", Row{"wf_uuid": "u1", "ts": now})
+	_, _ = ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestFlushMakesDataVisibleToReaderProcess(t *testing.T) {
 		t.Fatalf("reader sees %d rows, want 1", n)
 	}
 	// The writer is unaffected by having been read.
-	if _, err := ins(s, "workflow", Row{"wf_uuid": "u2", "ts": now}); err != nil {
+	if _, err := ins(s, "workflow", vals{"wf_uuid": "u2", "ts": now}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
@@ -452,7 +452,7 @@ func TestWALAppendAllocatesNothing(t *testing.T) {
 	}
 	w := s.parts[0].wal.Load()
 	ts := s.parts[0].tables.Load()
-	recs := fig3Records()
+	recs := fig3Records(t, s)
 	ji, states, job := recs[1], recs[2], recs[4]
 	for name, log := range map[string]func() error{
 		"logInsert":      func() error { return w.logInsert(ts.byName[states.table], states.rows) },
@@ -490,7 +490,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 	w := s.parts[0].wal.Load()
 	ts := s.parts[0].tables.Load()
-	recs := fig3Records()
+	recs := fig3Records(b, s)
 	jobstate, state := ts.byName["jobstate"], recs[2].rows[:1]
 	jobInstance, ji := ts.byName["job_instance"], recs[1].rows[0]
 	segment := func() int64 {

@@ -2,7 +2,6 @@ package views
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/archive"
 	"repro/internal/relstore"
@@ -40,10 +39,10 @@ func (v *Views) BuildFromSnapshot(sn *relstore.Snapshot) error {
 		}
 	}()
 
-	str := func(r relstore.Row, k string) string { s, _ := r[k].(string); return s }
-	i64 := func(r relstore.Row, k string) int64 { n, _ := r[k].(int64); return n }
-	f64 := func(r relstore.Row, k string) (float64, bool) { f, ok := r[k].(float64); return f, ok }
-	tsOf := func(r relstore.Row, k string) time.Time { t, _ := r[k].(time.Time); return t }
+	c, err := archive.ResolveColumns(sn)
+	if err != nil {
+		return err
+	}
 
 	// Workflows, in pk order = creation order.
 	wfRows, err := sn.Select(relstore.Query{Table: archive.TWorkflow})
@@ -52,15 +51,13 @@ func (v *Views) BuildFromSnapshot(sn *relstore.Snapshot) error {
 	}
 	wfByID := make(map[int64]*wfView, len(wfRows))
 	for _, r := range wfRows {
-		uuid := str(r, "wf_uuid")
+		uuid := r.Str(c.Workflow.UUID)
 		st := v.stripeFor(uuid)
-		w := v.wfFor(st, uuid, tsOf(r, "timestamp"))
-		w.label = str(r, "dax_label")
-		w.submitHost = str(r, "submit_hostname")
-		w.planned = tsOf(r, "timestamp")
-		// The plan writer stores the key with a nil value for roots, so
-		// presence alone doesn't mean a parent — a typed id does.
-		if _, isID := r["parent_wf_id"].(int64); isID {
+		w := v.wfFor(st, uuid, r.Time(c.Workflow.Timestamp))
+		w.label = r.Str(c.Workflow.DaxLabel)
+		w.submitHost = r.Str(c.Workflow.SubmitHostname)
+		w.planned = r.Time(c.Workflow.Timestamp)
+		if !r.IsNull(c.Workflow.ParentID) {
 			w.hasParent = true
 		}
 		wfByID[r.ID()] = w
@@ -73,17 +70,17 @@ func (v *Views) BuildFromSnapshot(sn *relstore.Snapshot) error {
 		return err
 	}
 	for _, r := range stRows {
-		w := wfByID[i64(r, "wf_id")]
+		w := wfByID[r.Int(c.WorkflowState.WfID)]
 		if w == nil {
 			continue
 		}
-		ts := tsOf(r, "timestamp")
-		switch str(r, "state") {
+		ts := r.Time(c.WorkflowState.Timestamp)
+		switch r.Str(c.WorkflowState.State) {
 		case archive.WFStateStarted:
 			w.noteState(wfRunning, ts)
 		case archive.WFStateTerminated:
 			state := uint8(wfSuccess)
-			if n, ok := r["status"].(int64); ok && n != 0 {
+			if r.Int(c.WorkflowState.Status) != 0 {
 				state = wfFailure
 			}
 			w.noteState(state, ts)
@@ -98,8 +95,8 @@ func (v *Views) BuildFromSnapshot(sn *relstore.Snapshot) error {
 	jobWF := make(map[int64]*wfView, len(jobRows))
 	jobName := make(map[int64]string, len(jobRows))
 	for _, r := range jobRows {
-		jobWF[r.ID()] = wfByID[i64(r, "wf_id")]
-		jobName[r.ID()] = str(r, "exec_job_id")
+		jobWF[r.ID()] = wfByID[r.Int(c.Job.WfID)]
+		jobName[r.ID()] = r.Str(c.Job.ExecJobID)
 	}
 
 	// Hosts, in pk order = creation order.
@@ -109,7 +106,7 @@ func (v *Views) BuildFromSnapshot(sn *relstore.Snapshot) error {
 	}
 	hostByID := make(map[int64]*hostView, len(hostRows))
 	for _, r := range hostRows {
-		hostByID[r.ID()] = v.hostFor(str(r, "site"), str(r, "hostname"), str(r, "ip"))
+		hostByID[r.ID()] = v.hostFor(r.Str(c.Host.Site), r.Str(c.Host.Hostname), r.Str(c.Host.IP))
 	}
 
 	// Job instances: host attribution comes straight from the stored
@@ -121,18 +118,18 @@ func (v *Views) BuildFromSnapshot(sn *relstore.Snapshot) error {
 	instByID := make(map[int64]*vinst, len(instRows))
 	instWF := make(map[int64]*wfView, len(instRows))
 	for _, r := range instRows {
-		jid := i64(r, "job_id")
+		jid := r.Int(c.JobInstance.JobID)
 		w := jobWF[jid]
 		if w == nil {
 			continue
 		}
 		st := v.stripeFor(w.uuid)
-		is := v.instFor(st, w, jobName[jid], i64(r, "job_submit_seq"))
-		if d, ok := f64(r, "local_duration"); ok {
-			is.dur, is.hasDur = d, true
+		is := v.instFor(st, w, jobName[jid], r.Int(c.JobInstance.SubmitSeq))
+		if !r.IsNull(c.JobInstance.LocalDuration) {
+			is.dur, is.hasDur = r.Float(c.JobInstance.LocalDuration), true
 		}
-		if hid, isID := r["host_id"].(int64); isID {
-			if h := hostByID[hid]; h != nil {
+		if !r.IsNull(c.JobInstance.HostID) {
+			if h := hostByID[r.Int(c.JobInstance.HostID)]; h != nil {
 				is.host = h
 				dur := 0.0
 				if is.hasDur {
@@ -153,12 +150,12 @@ func (v *Views) BuildFromSnapshot(sn *relstore.Snapshot) error {
 	}
 	execSeq := make(map[*vinst]int64)
 	for _, r := range jsRows {
-		id := i64(r, "job_instance_id")
+		id := r.Int(c.JobState.JobInstanceID)
 		w := instWF[id]
 		if w == nil {
 			continue
 		}
-		state := str(r, "state")
+		state := r.Str(c.JobState.State)
 		idx, ok := jsIndexByName[state]
 		if !ok {
 			return fmt.Errorf("views: unknown jobstate %q in rebuild", state)
@@ -166,10 +163,10 @@ func (v *Views) BuildFromSnapshot(sn *relstore.Snapshot) error {
 		w.js[idx]++
 		if state == archive.JSExecute {
 			is := instByID[id]
-			seq := i64(r, "jobstate_submit_seq")
+			seq := r.Int(c.JobState.SubmitSeq)
 			if s, seen := execSeq[is]; !seen || seq >= s {
 				execSeq[is] = seq
-				is.execTS = tsOf(r, "timestamp")
+				is.execTS = r.Time(c.JobState.Timestamp)
 			}
 		}
 	}
@@ -181,7 +178,7 @@ func (v *Views) BuildFromSnapshot(sn *relstore.Snapshot) error {
 		return err
 	}
 	for _, r := range invRows {
-		id := i64(r, "job_instance_id")
+		id := r.Int(c.Invocation.JobInstanceID)
 		w := instWF[id]
 		if w == nil {
 			continue
@@ -190,13 +187,14 @@ func (v *Views) BuildFromSnapshot(sn *relstore.Snapshot) error {
 		if is.invSeen == nil {
 			is.invSeen = make(map[int64]struct{}, 4)
 		}
-		is.invSeen[i64(r, "task_submit_seq")] = struct{}{}
+		is.invSeen[r.Int(c.Invocation.TaskSubmitSeq)] = struct{}{}
 		w.invs++
-		if d, ok := f64(r, "remote_duration"); ok {
+		if !r.IsNull(c.Invocation.RemoteDuration) {
+			d := r.Float(c.Invocation.RemoteDuration)
 			w.q50.Observe(d)
 			w.q95.Observe(d)
 			w.q99.Observe(d)
-			if tr := str(r, "transformation"); tr != "" {
+			if tr := r.Str(c.Invocation.Transformation); tr != "" {
 				v.det.Observe(tr, d) // warm baseline; alerts suppressed
 			}
 		}
