@@ -29,13 +29,16 @@ race:
 # relstore WAL frame + row decoder shared with the checkpoint image reader
 # (never panics, bounded allocation, encode→decode→encode is stable), and
 # on the mq wire decoder, alone and behind Server.handle and the Subscribe
-# reader (never panics or hangs, an accepted header re-encodes identically).
+# reader (never panics or hangs, an accepted header re-encodes identically),
+# and on the views delta encoder against encoding/json (byte-identical
+# wherever encoding/json accepts the view, valid JSON where it does not).
 fuzz:
 	$(GO) test ./internal/bp -run FuzzParse -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/synth -run FuzzScenarioConfig -fuzz FuzzScenarioConfig -fuzztime 10s
 	$(GO) test ./internal/eventlog -run FuzzRecordRoundTrip -fuzz FuzzRecordRoundTrip -fuzztime 10s
 	$(GO) test ./internal/relstore -run FuzzWALRecord -fuzz FuzzWALRecord -fuzztime 10s
 	$(GO) test ./internal/mq -run FuzzMQWire -fuzz FuzzMQWire -fuzztime 10s
+	$(GO) test ./internal/views -run FuzzDeltaEncoding -fuzz FuzzDeltaEncoding -fuzztime 10s
 
 # A 30-second fault-plan soak through the whole pipeline
 # (mq → loader → archive), paced in real time, with ingest teed into an
@@ -87,16 +90,18 @@ bench-e2e-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
 # Where the load path's CPU and heap go, in one command: the root test
-# binary is built once, the in-process load (10k jobs, ~120k events) and the
-# archive-only apply loop each run under -cpuprofile/-memprofile into
-# .bench_build/, and the cumulative top 40 of each CPU profile is printed.
+# binary is built once, the in-process load (10k jobs, ~120k events), the
+# archive-only apply loop and the load under 100 live SSE subscribers (the
+# views publisher's share: look for views.(*Views).run) each run under
+# -cpuprofile/-memprofile into .bench_build/, and the cumulative top 40 of
+# each CPU profile is printed.
 # Re-take it before claiming against a share someone else measured;
 # `go tool pprof -sample_index=alloc_space -top .bench_build/repro.test
 # .bench_build/LoaderScale10k.mem` reads the heap side.
 profile:
 	@mkdir -p .bench_build
 	$(GO) test -c -o .bench_build/repro.test .
-	@for b in LoaderScale10k ArchiveApply; do \
+	@for b in LoaderScale10k ArchiveApply SubscribersUnderLoad100; do \
 		./.bench_build/repro.test -test.run '^$$' -test.bench "^Benchmark$$b\$$" -test.benchtime 3s -test.benchmem \
 			-test.cpuprofile .bench_build/$$b.cpu -test.memprofile .bench_build/$$b.mem || exit 1; \
 		$(GO) tool pprof -top -cum -nodecount 40 .bench_build/repro.test .bench_build/$$b.cpu 2>/dev/null | tail -n +2; \

@@ -523,8 +523,9 @@ func benchReadersUnderLoad(b *testing.B, readers int) {
 // dashboard stream handler in-process (ServeHTTP onto a counting sink,
 // no sockets). View maintenance costs the same per event no matter how
 // many subscribers exist; each flush is rendered once and delivered as
-// a single batch message per subscriber; and the flush rate adapts to
-// fan-out — so even 10k subscribers should cost the loader <5% of its
+// a single batch message per subscriber; and the publisher rests longer
+// the more broadcast subscribers a flush reaches (views.restAfter) — so
+// even 10k subscribers should cost the loader <5% of its
 // zero-subscriber throughput (BENCH_loader.json records both sides).
 // Declaration order is run order: the 100-subscriber variant goes first
 // so the 0 and 10k variants — the pair whose ratio is the acceptance

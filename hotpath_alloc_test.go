@@ -331,3 +331,58 @@ func TestUnsampledTraceAllocFree(t *testing.T) {
 		t.Errorf("unsampled Sample() allocates %.2f/line, want 0", avg)
 	}
 }
+
+// TestFlushAllocCeiling bounds the views publisher: in steady state a flush
+// of 1,000 dirty workflows with a broadcast subscriber attached allocates at
+// most a tenth of an object per dirty workflow — the shared frame, its
+// message and the queue's bookkeeping, nothing per workflow. The reflected
+// marshal of a per-workflow struct and map this replaced cost about twenty.
+func TestFlushAllocCeiling(t *testing.T) {
+	const workflows = 1000
+	v := views.New(views.Options{Clock: wfclock.NewManual(time.Unix(0, 0)), FlushEvery: time.Hour})
+	defer v.Close()
+	sub, err := v.Subscribe("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	ts := time.Date(2012, 3, 13, 12, 35, 38, 0, time.UTC)
+	// One batch touches every workflow: a job state, and an invocation with
+	// a duration, so each delta carries a job_states object and, from the
+	// fifth round on, quantile estimates past their exact phase.
+	batch := make([]*bp.Event, 0, 2*workflows)
+	for i := 0; i < workflows; i++ {
+		id := uuid.New().String()
+		batch = append(batch,
+			bp.New(schema.SubmitStart, ts).Set(schema.AttrXwfID, id).Set(schema.AttrJobID, "j").SetInt(schema.AttrJobInstID, 1),
+			bp.New(schema.InvEnd, ts).Set(schema.AttrXwfID, id).Set(schema.AttrJobID, "j").SetInt(schema.AttrJobInstID, 1).
+				SetFloat(schema.AttrDur, 1.5+float64(i)/7))
+	}
+	// round dirties every workflow and returns what flushing them allocated.
+	round := func() (mallocs uint64, flushed int) {
+		v.ObserveBatch(batch)
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		flushed = v.FlushNow()
+		runtime.ReadMemStats(&ms1)
+		for len(sub.C()) > 0 {
+			<-sub.C()
+		}
+		return ms1.Mallocs - ms0.Mallocs, flushed
+	}
+	for i := 0; i < 6; i++ { // warm: views created, frame size learnt
+		round()
+	}
+	for i := 0; i < 10; i++ {
+		mallocs, flushed := round()
+		if flushed != workflows {
+			t.Fatalf("round %d flushed %d deltas, want %d", i, flushed, workflows)
+		}
+		if i == 0 {
+			t.Logf("FlushNow: %d allocations for %d dirty workflows (ceiling 0.1 each)", mallocs, flushed)
+		}
+		if float64(mallocs) > 0.1*workflows {
+			t.Errorf("round %d: FlushNow allocated %d objects for %d dirty workflows, ceiling 0.1 each", i, mallocs, flushed)
+		}
+	}
+}

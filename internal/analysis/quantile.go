@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // P2Quantile is the P² (P-squared) algorithm of Jain & Chlamtac: an
@@ -39,7 +39,7 @@ func (q *P2Quantile) Observe(x float64) {
 	if q.n <= 5 {
 		q.initial = append(q.initial, x)
 		if q.n == 5 {
-			sort.Float64s(q.initial)
+			slices.Sort(q.initial)
 			copy(q.heights[:], q.initial)
 		}
 		return
@@ -106,8 +106,11 @@ func (q *P2Quantile) Value() float64 {
 		return 0
 	}
 	if q.n < 5 {
-		tmp := append([]float64(nil), q.initial...)
-		sort.Float64s(tmp)
+		// Sorted on the stack: the views publisher reads three estimates
+		// per dirty workflow and may not allocate for them.
+		var buf [4]float64
+		tmp := buf[:copy(buf[:], q.initial)]
+		slices.Sort(tmp)
 		idx := int(q.p * float64(len(tmp)))
 		if idx >= len(tmp) {
 			idx = len(tmp) - 1

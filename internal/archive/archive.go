@@ -3,6 +3,7 @@ package archive
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -34,7 +35,9 @@ func floatAttr(ev *bp.Event, key string) (float64, bool) {
 		return 0, false
 	}
 	f, err := strconv.ParseFloat(v, 64)
-	return f, err == nil
+	// "NaN" and "Inf" parse; no decimal column holds one (the validator
+	// refuses them as well, but validation is optional).
+	return f, err == nil && !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
 // Archive telemetry.

@@ -200,28 +200,16 @@ func (s *Server) resolve(sq *query.QI, w http.ResponseWriter, r *http.Request) (
 	return wf, true
 }
 
-// statusFromDelta converts a materialized view row to the listing shape
-// the scan produces; the equality of the two paths is property-tested.
-func statusFromDelta(d views.WorkflowDelta) WorkflowStatus {
-	return WorkflowStatus{
-		UUID:       d.UUID,
-		Label:      d.Label,
-		SubmitHost: d.SubmitHost,
-		State:      d.State,
-		Planned:    d.Planned,
-		WallSecs:   d.WallSecs,
-		IsRoot:     d.IsRoot,
-	}
-}
-
 // listWorkflows produces the workflow listing: O(delta) from the view
-// when one is attached, otherwise the classic snapshot scan.
+// when one is attached — a summary row has exactly the listing's fields,
+// and that the two paths agree is property-tested — otherwise the classic
+// snapshot scan.
 func (s *Server) listWorkflows(sq *query.QI) ([]WorkflowStatus, error) {
 	if v := s.views; v != nil {
-		ds := v.Workflows()
-		out := make([]WorkflowStatus, 0, len(ds))
-		for _, d := range ds {
-			out = append(out, statusFromDelta(d))
+		sums := v.Summaries()
+		out := make([]WorkflowStatus, len(sums))
+		for i, sum := range sums {
+			out[i] = WorkflowStatus(sum)
 		}
 		return out, nil
 	}

@@ -210,6 +210,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"stampede_alerts_transitions_total{state=\"firing\"}",
 		"stampede_alerts_transitions_total{state=\"resolved\"}",
 		"stampede_views_anomaly_alerts_total",
+		"stampede_views_flushes_total",
+		"stampede_views_flush_busy_seconds_total",
 	} {
 		if !strings.Contains(body, name) {
 			t.Errorf("exposition missing %s", name)

@@ -1,7 +1,6 @@
 package dashboard
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -80,7 +79,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, uuid string) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
-	writeSSE(w, "snapshot", s.snapshotPayload(uuid))
+	writeSSE(w, "snapshot", v.AppendSnapshot(nil, uuid))
 	fl.Flush()
 
 	ctx := r.Context()
@@ -128,26 +127,9 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, uuid string) {
 				// deltas are gone. Deltas carry full state, so one fresh
 				// view snapshot makes the client whole again.
 				views.NoteResync()
-				writeSSE(w, "resync", s.snapshotPayload(uuid))
+				writeSSE(w, "resync", v.AppendSnapshot(nil, uuid))
 			}
 			fl.Flush()
 		}
 	}
-}
-
-// snapshotPayload marshals the view state a (re)connecting client needs:
-// the full listing for the all-workflows stream, the single row for a
-// per-workflow stream (null when that workflow is not yet known).
-func (s *Server) snapshotPayload(uuid string) []byte {
-	var v any
-	if uuid == "" {
-		v = s.views.Workflows()
-	} else if d, ok := s.views.Workflow(uuid); ok {
-		v = d
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return []byte("null")
-	}
-	return b
 }

@@ -3,9 +3,11 @@ package loader
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +18,8 @@ import (
 	"repro/internal/relstore"
 	"repro/internal/schema"
 	"repro/internal/uuid"
+	"repro/internal/views"
+	"repro/internal/wfclock"
 )
 
 var t0 = time.Date(2012, 3, 13, 12, 35, 38, 0, time.UTC)
@@ -358,5 +362,114 @@ func TestRelstoreIntegrationPersists(t *testing.T) {
 	}
 	if n, _ := re.Store().Count(archive.TJob); n != 4 {
 		t.Fatalf("persisted jobs = %d", n)
+	}
+}
+
+// TestNonFiniteDecimalRefused: "NaN" and "Inf" parse as floats and are no
+// decimal64. The validator refuses the event naming the attribute — lenient
+// counts it Invalid and the store hashes as if the line never came, strict
+// aborts — and one such line costs the glass nothing: every workflow,
+// the one the line named included, is in the next flush and in the snapshot
+// a client connects to, which one NaN in a quantile estimator used to blank.
+func TestNonFiniteDecimalRefused(t *testing.T) {
+	wfA, wfB := uuid.New().String(), uuid.New().String()
+	inv := func(attr, val string) string {
+		return bp.New(schema.InvEnd, t0).Set(schema.AttrXwfID, wfA).
+			Set(schema.AttrJobID, "job000").SetInt(schema.AttrJobInstID, 1).SetInt(schema.AttrInvID, 9).
+			Set(schema.AttrStartTime, t0.Format(bp.TimeFormat)).SetFloat(schema.AttrDur, 1).
+			SetInt(schema.AttrExitcode, 0).Set(schema.AttrTransform, "x").
+			Set(attr, val).Format() + "\n"
+	}
+	clean := workflowStream(wfA, 2) + workflowStream(wfB, 2)
+	bad := []string{inv(schema.AttrDur, "NaN"), inv(schema.AttrRemoteCPU, "Inf"), inv(schema.AttrDur, "-inf")}
+	input := workflowStream(wfA, 2) + strings.Join(bad, "") + workflowStream(wfB, 2)
+
+	a := archive.NewInMemory()
+	l, _ := New(a, Options{Validate: true, Lenient: true, BatchSize: 4})
+	want, err := l.LoadReader(strings.NewReader(clean))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// glass attaches views with a broadcast subscriber to a load and returns
+	// what that subscriber was last sent for each workflow and what a client
+	// connecting afterwards gets.
+	glass := func(arch *archive.Archive, opts Options, in string) (Stats, map[string]views.WorkflowDelta, []views.WorkflowDelta) {
+		t.Helper()
+		v := views.New(views.Options{Clock: wfclock.NewManual(t0), QueueCapacity: 1024})
+		defer v.Close()
+		sub, err := v.Subscribe("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		opts.Views = v
+		l, _ := New(arch, opts)
+		stats, err := l.LoadReader(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("load failed: %v", err)
+		}
+		v.FlushNow() // whatever the publisher, resting on a still clock, has not taken
+		sent := map[string]views.WorkflowDelta{}
+		for len(sub.C()) > 0 {
+			for _, frame := range strings.Split(string((<-sub.C()).Body), "\n\n") {
+				if body, ok := strings.CutPrefix(frame, "event: delta\ndata: "); ok {
+					var d views.WorkflowDelta
+					if err := json.Unmarshal([]byte(body), &d); err != nil {
+						t.Fatalf("delta %q: %v", body, err)
+					}
+					sent[d.UUID] = d
+				}
+			}
+		}
+		var snapshot []views.WorkflowDelta
+		if err := json.Unmarshal(v.AppendSnapshot(nil, ""), &snapshot); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		return stats, sent, snapshot
+	}
+
+	b := archive.NewInMemory()
+	stats, sent, snapshot := glass(b, Options{Validate: true, Lenient: true, BatchSize: 4}, input)
+	if stats.Invalid != uint64(len(bad)) || stats.Loaded != want.Loaded {
+		t.Fatalf("lenient: %s; want the clean stream's %d loaded and %d invalid", stats.String(), want.Loaded, len(bad))
+	}
+	if got, w := archiveHash(t, b), archiveHash(t, a); got != w {
+		t.Fatalf("the refused events changed the store: hash %s, without them %s", got, w)
+	}
+	if len(sent) != 2 || len(snapshot) != 2 {
+		t.Fatalf("%d workflows flushed, %d in the snapshot; want both in both", len(sent), len(snapshot))
+	}
+	for _, d := range snapshot {
+		if d.Invocations != 2 || d.P99 != 1 || !reflect.DeepEqual(sent[d.UUID], d) {
+			t.Errorf("workflow %s: snapshot %+v, last delta %+v; want 2 invocations and a p99 of 1 in both", d.UUID, d, sent[d.UUID])
+		}
+	}
+
+	// Without validation the archive and the views each refuse the value and
+	// keep the event: the invocation counts, its duration does not, and the
+	// workflow it named is flushed with the other.
+	_, sent, snapshot = glass(archive.NewInMemory(), Options{BatchSize: 4}, input)
+	if len(sent) != 2 || len(snapshot) != 2 {
+		t.Fatalf("unvalidated: %d workflows flushed, %d in the snapshot; want both in both", len(sent), len(snapshot))
+	}
+	for _, d := range snapshot {
+		invs := int64(2)
+		if d.UUID == wfA {
+			invs = 3 // the three share one invocation id: one row, one count
+		}
+		if d.Invocations != invs || d.P99 != 1 || !reflect.DeepEqual(sent[d.UUID], d) {
+			t.Errorf("unvalidated: workflow %s: snapshot %+v, last delta %+v; want %d invocations and a p99 of 1 in both", d.UUID, d, sent[d.UUID], invs)
+		}
+	}
+
+	d := archive.NewInMemory()
+	l, _ = New(d, Options{Validate: true, BatchSize: 4})
+	stats, err = l.LoadReader(strings.NewReader(input))
+	if err == nil || !strings.Contains(err.Error(), `attribute "dur": "NaN" is not a decimal64`) {
+		t.Fatalf("strict: err = %v, want the validator's complaint naming dur", err)
+	}
+	if stats.Invalid == 0 {
+		t.Fatalf("strict: %s; want the line counted invalid", stats.String())
 	}
 }

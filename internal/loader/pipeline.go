@@ -33,10 +33,11 @@ import (
 // blocks the parser.
 //
 // A shard applies its batch when it is full or when the source has nothing
-// more: the parse stage, about to block on an empty delivery channel, tells
-// the shards it fed (sourceIdle), and each drains its queue and applies — the
-// bus's rule, flush when there is nothing more to write, at the head of the
-// pipeline. A lone event is visible at once, a backlog still fills batches.
+// more: the parse stage, about to block on an empty delivery channel or on a
+// reader it has drained (dryReader), tells the shards it fed (sourceIdle),
+// and each drains its queue and applies — the bus's rule, flush when there
+// is nothing more to write, at the head of the pipeline. A lone event is
+// visible at once, a backlog still fills batches.
 // Durability is the separate sync (batch.commit), due every BatchSize applied
 // events or FlushEvery tick: both options are upper bounds, neither a wait.
 //
@@ -165,9 +166,30 @@ func (p *pipeline) sourceIdle() {
 	}
 }
 
+// dryReader is the io.Reader form of produceMsgs's empty-channel check. The
+// line scanner reads only when it holds no complete line, and a read that
+// came back with less than it had room for took all the source had: the
+// next one may block, so the fed shards are told first. A file fills every
+// read but its last and so never trips this while it has lines left; a pipe
+// or socket trips it whenever the writer pauses.
+type dryReader struct {
+	r     io.Reader
+	p     *pipeline
+	short bool // the last read did not fill its buffer
+}
+
+func (d *dryReader) Read(b []byte) (int, error) {
+	if d.short {
+		d.p.sourceIdle()
+	}
+	n, err := d.r.Read(b)
+	d.short = n < len(b)
+	return n, err
+}
+
 // produceReader is the parse stage over an io.Reader source.
 func (p *pipeline) produceReader(r io.Reader) {
-	br := bp.NewReader(r)
+	br := bp.NewReader(&dryReader{r: r, p: p})
 	br.SetLenient(p.l.opts.Lenient)
 	// Pooled events flow down the pipeline with ownership: parser → shard,
 	// which releases them when it rejects them or after its batch commits.

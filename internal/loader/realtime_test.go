@@ -3,6 +3,7 @@ package loader
 import (
 	"context"
 	"fmt"
+	"io"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -346,5 +347,83 @@ func TestTickSyncsRowsOutsideOwnedPartitions(t *testing.T) {
 	}
 	if got := syncs(); got != start+3 {
 		t.Errorf("%d fsyncs in all, want 3", got-start)
+	}
+}
+
+// TestPipeEventAppliedWithoutTick is TestLoneEventAppliedWithoutTick for a
+// LoadReader over a pipe: a line written to a pipe that stays open is applied
+// and observed with the batch nowhere near full and the clock still. A read
+// that came back short took all the pipe had, so the parse stage tells the
+// shards before it blocks in the next one.
+func TestPipeEventAppliedWithoutTick(t *testing.T) {
+	seen := make(applies, 16)
+	a := archive.NewInMemoryN(2)
+	l, err := New(a, Options{
+		BatchSize: 100000, FlushEvery: time.Hour, Shards: 2,
+		Clock: wfclock.NewManual(t0), Views: seen, Validate: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() { _, err := l.LoadReader(pr); done <- err }()
+
+	lines := strings.SplitAfter(workflowStream(uuidOn(1, 2), 1), "\n")
+	lines = lines[:len(lines)-1]
+	for i, line := range lines {
+		if _, err := io.WriteString(pw, line); err != nil {
+			t.Fatal(err)
+		}
+		if n := seen.next(t); n != 1 {
+			t.Fatalf("line %d: applied in a batch of %d, want 1", i, n)
+		}
+		if got := a.Applied(); got != uint64(i+1) {
+			t.Fatalf("line %d observed with %d applied", i, got)
+		}
+	}
+	pw.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFileLoadFormsFullBatches: a reader that fills every read but its last
+// — a file, a byte slice — never looks dry while it has lines left, so a
+// file load batches as it did before the parse stage watched for short
+// reads: full batches and one remainder per shard.
+func TestFileLoadFormsFullBatches(t *testing.T) {
+	const batchSize = 64
+	var streams []string
+	for sh := 0; sh < 2; sh++ {
+		streams = append(streams, workflowStream(uuidOn(sh, 2), 400))
+	}
+	in := interleavedStream(streams)
+	if len(in) < 4*64*1024 {
+		t.Fatalf("the stream is %d bytes; it must span several of the scanner's 64 KiB reads", len(in))
+	}
+	seen := make(applies, 1+len(in)/batchSize)
+	l, err := New(archive.NewInMemoryN(2), Options{
+		BatchSize: batchSize, FlushEvery: time.Hour, Shards: 2,
+		Clock: wfclock.NewManual(t0), Views: seen, Validate: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := l.LoadReader(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(seen)
+	short := 0
+	for n := range seen {
+		if n != batchSize {
+			short++
+		}
+	}
+	// The last read is short, so the shards are told once before the EOF:
+	// at most one remainder each then and one more at the drain.
+	if short > 4 {
+		t.Errorf("%d applies short of a full batch of %d across %d events, want at most 4: the file looked dry mid-load", short, batchSize, st.Loaded)
 	}
 }

@@ -1,0 +1,10 @@
+package views
+
+// The pacing rule and its constants, for publish_test.go's table.
+const (
+	RestFloor         = restFloor
+	RestPerCost       = restPerCost
+	RestPerSubscriber = restPerSubscriber
+)
+
+var RestAfter = restAfter

@@ -19,6 +19,7 @@ type Message = mq.Message
 // when to serve a resync snapshot.
 type Sub struct {
 	v    *Views
+	uuid string // "" for the broadcast stream
 	q    *mq.Queue
 	ch   <-chan mq.Message
 	mu   sync.Mutex
@@ -31,7 +32,11 @@ type Sub struct {
 // per flush tick); a non-empty uuid streams exactly that workflow. All
 // bindings are literal, so the broker routes every publish through its
 // exact-match index — 10k subscribers cost 10k queue offers per flush,
-// never a per-delta wildcard scan.
+// never a per-delta wildcard scan. The subscription is counted where the
+// publisher looks: broadcast ones stretch its rest (restAfter), a
+// per-workflow one makes flushes publish that workflow on its own topic.
+// It is counted once bound and before Subscribe returns, so a state the
+// subscriber was not sent is in any snapshot it takes afterwards.
 func (v *Views) Subscribe(uuid string) (*Sub, error) {
 	name := fmt.Sprintf("views-sub-%d", v.subSeq.Add(1))
 	q, err := v.bus.DeclareQueue(name, mq.QueueOpts{Capacity: v.opts.QueueCapacity})
@@ -50,10 +55,27 @@ func (v *Views) Subscribe(uuid string) (*Sub, error) {
 			return nil, err
 		}
 	}
-	s := &Sub{v: v, q: q, ch: q.Consume()}
-	v.nsubs.Add(1)
-	mSubscribers.Inc()
+	s := &Sub{v: v, uuid: uuid, q: q, ch: q.Consume()}
+	s.count(1)
 	return s, nil
+}
+
+// count adds the subscription to (or, with -1, takes it from) the
+// publisher's accounting.
+func (s *Sub) count(d int) {
+	v := s.v
+	v.nsubs.Add(int64(d))
+	mSubscribers.Add(int64(d))
+	if s.uuid == "" {
+		v.nbcast.Add(int64(d))
+		return
+	}
+	st := v.stripeFor(s.uuid)
+	st.mu.Lock()
+	if st.subs[s.uuid] += d; st.subs[s.uuid] == 0 {
+		delete(st.subs, s.uuid)
+	}
+	st.mu.Unlock()
 }
 
 // C is the delivery channel; closed when the subscription is closed.
@@ -80,8 +102,7 @@ func (s *Sub) Close() {
 	s.once.Do(func() {
 		s.TakeDropped()
 		s.q.Cancel() // transient queue: last cancel deletes it
-		s.v.nsubs.Add(-1)
-		mSubscribers.Dec()
+		s.count(-1)
 	})
 }
 

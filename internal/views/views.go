@@ -7,18 +7,22 @@
 //
 // Updates are batched (ObserveBatch runs once per committed loader batch,
 // holding one stripe lock across runs of same-workflow events) and
-// publication is coalesced: the publisher flushes dirty workflows as JSON
-// deltas onto an internal mq broker, so N subscribers to the same workflow
-// share one marshal. The first workflow to go dirty after a quiet interval
-// is published at once; whatever follows waits for the next flush, exactly
-// one fan-out-paced interval after the last, so FlushEvery bounds how
-// stale the glass may be and is not a wait every delta pays. Broadcast
-// subscribers additionally share one pre-rendered message per flush
-// (BatchTopic), so a flush costs one queue delivery per subscriber no
-// matter how many workflows went dirty. Subscribers get bounded queues; a
-// slow consumer drops deltas (counted) and re-syncs from the view snapshot
-// — never from a store scan — because every delta carries full workflow
-// state (latest wins), so a drop only costs freshness, not correctness.
+// publication is coalesced: the publisher writes every dirty workflow's
+// delta once, with appendDelta, into one frame shared by all broadcast
+// subscribers (BatchTopic), so a flush costs one queue delivery per
+// subscriber no matter how many workflows went dirty, and a workflow's
+// delta is published on its own only while somebody is subscribed to that
+// workflow. The publisher paces itself by what publishing costs (restAfter):
+// the first workflow to go dirty after a rest is on the wire at once, and
+// after a flush that took d it rests max(restFloor, restPerCost·d,
+// broadcast subscribers × restPerSubscriber), never longer than FlushEvery.
+// What went dirty meanwhile rides the next flush, so staleness is bounded
+// by one rest and the publisher's share of a core by 1/(1+restPerCost) —
+// at any load and any fan-out, with no knob. Subscribers get bounded
+// queues; a slow consumer drops deltas (counted) and re-syncs from the view
+// snapshot — never from a store scan — because every delta carries full
+// workflow state (latest wins), so a drop only costs freshness, not
+// correctness.
 //
 // The online anomaly detectors from internal/analysis run in the same
 // apply-time path: invocation runtimes feed a per-transformation 3σ
@@ -26,8 +30,10 @@
 package views
 
 import (
+	"cmp"
 	"encoding/json"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -151,10 +157,11 @@ type Stats struct {
 
 // Options tunes a Views instance.
 type Options struct {
-	// Clock drives the coalescing flush ticker (nil = wall clock).
+	// Clock times the publisher's flushes and rests (nil = wall clock).
 	Clock wfclock.Clock
-	// FlushEvery is the delta coalescing interval, the least time between
-	// two flushes (0 = 200ms).
+	// FlushEvery is the longest the publisher rests between two flushes,
+	// and so the bound on how stale the glass may be (0 = 200ms). It is a
+	// ceiling, not a wait: see restAfter for what a rest usually is.
 	FlushEvery time.Duration
 	// QueueCapacity bounds each subscriber's delta buffer (0 = 32).
 	// A full buffer drops the delta; the subscriber re-syncs. Deep
@@ -165,13 +172,38 @@ type Options struct {
 	QueueCapacity int
 }
 
-// fanoutCoalesce adapts the flush rate to fan-out: the effective flush
-// interval is FlushEvery × (1 + subscribers/fanoutCoalesce), so delivery
-// work per second (one queue offer + one consumer wake-up per subscriber
-// per flush) stays roughly constant no matter how many clients are
-// connected. Deltas are full-state, so the stretch costs freshness only,
-// never correctness.
-const fanoutCoalesce = 1000
+// The publisher's pacing. After a flush that published something it rests;
+// what goes dirty during the rest rides the next flush. The three constants
+// are measured, not tuned per deployment (CHANGES.md, PR 23):
+//
+//   - restFloor is a frame time: no screen shows two states 10 ms apart, so
+//     flushing oftener only multiplies frames. At an eighth of capacity a
+//     flush costs well under a millisecond and this is the term that holds,
+//     glass p99 ≈ 12 ms.
+//   - restPerCost makes a flush that took d be followed by a rest of at
+//     least 10·d, which caps the publisher at 1/11 of one core however many
+//     workflows are dirty: a flush dear enough to matter stretches its own
+//     rest. With appendDelta a flush is cheap enough that the floor holds
+//     even flat out (saturate_memory: 0.77 ms a flush, 5.5% of a core).
+//   - restPerSubscriber charges each broadcast subscriber's share of a
+//     flush — a queue offer here, a goroutine wake-up and a socket write on
+//     the consumer's side, ≈ 2 µs together — at 20 µs, so delivery stays
+//     near a tenth of a core too: 1,000 subscribers are flushed every 20 ms,
+//     10,000 every 200 ms. Per-workflow subscribers are not counted: a flush
+//     reaches one only when its workflow is dirty.
+const (
+	restFloor         = 10 * time.Millisecond
+	restPerCost       = 10
+	restPerSubscriber = 20 * time.Microsecond
+)
+
+// restAfter is the pacing rule: how long the publisher rests after a flush
+// that took cost and went to subs broadcast subscribers, given the ceiling
+// (Options.FlushEvery).
+func restAfter(cost time.Duration, subs int, ceiling time.Duration) time.Duration {
+	rest := max(restFloor, restPerCost*cost, time.Duration(subs)*restPerSubscriber)
+	return min(rest, ceiling)
+}
 
 var (
 	mUpdates = telemetry.NewCounter("stampede_views_updates_total",
@@ -187,7 +219,18 @@ var (
 	mFlushSeconds = telemetry.NewHistogram("stampede_views_flush_seconds",
 		"Latency from a workflow first going dirty to its delta being published.",
 		telemetry.DurationBuckets)
+	mFlushes = telemetry.NewCounter("stampede_views_flushes_total",
+		"Publisher flushes that put at least one delta or alert on the wire.")
+	// flushBusyNS is the time the publisher spent in those flushes; its rate
+	// is the publisher's duty cycle, the quantity restAfter bounds.
+	flushBusyNS atomic.Int64
 )
+
+func init() {
+	telemetry.NewCounterFunc("stampede_views_flush_busy_seconds_total",
+		"Time the publisher spent flushing (rate = its share of one core).",
+		func() float64 { return float64(flushBusyNS.Load()) / 1e9 })
+}
 
 // NoteResync counts a slow-consumer resync (called by the SSE layer when
 // it serves a snapshot after TakeDropped reported drops).
@@ -230,6 +273,7 @@ type vinstKey struct {
 }
 
 type wfView struct {
+	st         *vstripe // whose mu guards everything below createSeq
 	uuid       string
 	createSeq  uint64
 	label      string
@@ -257,6 +301,10 @@ type vstripe struct {
 	lastWF   *wfView
 	dirty    []*wfView
 	alerts   []Alert
+	// subs counts the per-workflow subscriptions by uuid (known workflow or
+	// not), so a flush publishes a workflow on its own only when somebody
+	// is bound to it.
+	subs map[string]int
 }
 
 // Views is the materialized-view layer. One instance serves one archive.
@@ -274,11 +322,18 @@ type Views struct {
 
 	createSeq atomic.Uint64
 	subSeq    atomic.Uint64
-	nsubs     atomic.Int64
+	nsubs     atomic.Int64 // every subscription
+	nbcast    atomic.Int64 // the broadcast ones, which every flush reaches
 
 	flushMu sync.Mutex
+	// ndirty counts the workflows gone dirty since the last flush and
+	// deltaBytes (guarded by flushMu) is what one took in that flush's
+	// frame: together they size the next frame in one allocation, however
+	// the two flushes differ in size.
+	ndirty     atomic.Int64
+	deltaBytes int
 	// wake is touch's 1-slot signal that a workflow went dirty; the publisher
-	// listens only after a quiet interval, otherwise the slot stays full.
+	// listens only when it is not resting, otherwise the slot stays full.
 	wake     chan struct{}
 	stopCh   chan struct{}
 	doneCh   chan struct{}
@@ -297,18 +352,20 @@ func New(opts Options) *Views {
 		opts.QueueCapacity = 32
 	}
 	v := &Views{
-		opts:   opts,
-		det:    analysis.NewRuntimeDetector(),
-		bus:    mq.NewBroker(),
-		clock:  opts.Clock,
-		hosts:  make(map[hostKey]*hostView),
-		wake:   make(chan struct{}, 1),
-		stopCh: make(chan struct{}),
-		doneCh: make(chan struct{}),
+		opts:       opts,
+		deltaBytes: 512,
+		det:        analysis.NewRuntimeDetector(),
+		bus:        mq.NewBroker(),
+		clock:      opts.Clock,
+		hosts:      make(map[hostKey]*hostView),
+		wake:       make(chan struct{}, 1),
+		stopCh:     make(chan struct{}),
+		doneCh:     make(chan struct{}),
 	}
 	for i := range v.stripes {
 		v.stripes[i].wfs = make(map[string]*wfView)
 		v.stripes[i].insts = make(map[vinstKey]*vinst)
+		v.stripes[i].subs = make(map[string]int)
 	}
 	go v.run()
 	return v
@@ -323,19 +380,20 @@ func (v *Views) Close() {
 	})
 }
 
-// run drives coalesced publication. After a quiet interval the first
-// workflow to go dirty is published at once; every flush re-arms the ticker,
-// so the next comes exactly one fan-out-adapted interval (FlushEvery ×
-// (1 + subscribers/fanoutCoalesce)) later and takes whatever went dirty in
-// between. A flush costs one queue offer and one consumer wake-up per
-// subscriber, so the stretch bounds delivery work per second; it trades
+// run is the publisher. Not resting, it listens for the first workflow to go
+// dirty and publishes it at once; after a flush that published something it
+// rests restAfter(what the flush took, broadcast subscribers) and then takes
+// whatever went dirty meanwhile — nothing, and it listens again, the ticker
+// left at FlushEvery as the bound no delta should ever need. The rest is
+// armed before the flush is counted, so whoever has seen the count move may
+// rely on the next flush being exactly one rest away. Pacing trades
 // freshness, never correctness — deltas carry full state and explicit
 // FlushNow calls always publish.
 func (v *Views) run() {
 	defer close(v.doneCh)
 	t := wfclock.NewTicker(v.clock, v.opts.FlushEvery)
 	defer t.Stop()
-	wake := v.wake // nil while the last flush is less than an interval old
+	wake := v.wake // nil while resting
 	for {
 		select {
 		case <-v.stopCh:
@@ -343,13 +401,17 @@ func (v *Views) run() {
 		case <-wake:
 		case <-t.C():
 		}
-		// Re-arm before publishing: whoever sees the flush may count on
-		// the next being one interval after it.
-		t.Reset(v.opts.FlushEvery * time.Duration(1+int(v.nsubs.Load())/fanoutCoalesce))
-		wake = nil
+		start := v.clock.Now()
 		if v.FlushNow() == 0 {
-			wake = v.wake // quiet: publish the next dirt as it lands
+			wake = v.wake
+			t.Reset(v.opts.FlushEvery)
+			continue
 		}
+		cost := v.clock.Since(start)
+		t.Reset(restAfter(cost, int(v.nbcast.Load()), v.opts.FlushEvery))
+		wake = nil
+		flushBusyNS.Add(int64(cost))
+		mFlushes.Inc()
 	}
 }
 
@@ -376,7 +438,10 @@ func floatAttr(ev *bp.Event, key string) (float64, bool) {
 		return 0, false
 	}
 	f, err := strconv.ParseFloat(s, 64)
-	return f, err == nil
+	// NaN and the infinities parse; they would poison a quantile estimate
+	// for good, so they count as malformed (the validator refuses them too,
+	// but validation is optional).
+	return f, err == nil && !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
 // ObserveBatch folds one committed loader batch into the views. Called
@@ -442,7 +507,7 @@ func (v *Views) wfFor(st *vstripe, uuid string, ts time.Time) *wfView {
 	}
 	w := st.wfs[uuid]
 	if w == nil {
-		w = &wfView{uuid: uuid, createSeq: v.createSeq.Add(1), planned: ts}
+		w = &wfView{st: st, uuid: uuid, createSeq: v.createSeq.Add(1), planned: ts}
 		w.q50, _ = analysis.NewP2Quantile(0.50)
 		w.q95, _ = analysis.NewP2Quantile(0.95)
 		w.q99, _ = analysis.NewP2Quantile(0.99)
@@ -459,6 +524,7 @@ func (v *Views) touch(st *vstripe, w *wfView) {
 		w.dirty = true
 		w.dirtyAt = v.clock.Now()
 		st.dirty = append(st.dirty, w)
+		v.ndirty.Add(1)
 		select {
 		case v.wake <- struct{}{}:
 		default:
@@ -680,7 +746,25 @@ func jsForEvent(ev *bp.Event) (int, bool) {
 	return 0, false
 }
 
-// delta materializes the full-state delta for a workflow. Caller holds
+// wallSeconds is the span from the first start to the latest state change.
+func (w *wfView) wallSeconds() float64 {
+	if !w.firstStart.IsZero() && w.lastStateTS.After(w.firstStart) {
+		return w.lastStateTS.Sub(w.firstStart).Seconds()
+	}
+	return 0
+}
+
+// quantiles reads the three latency estimates, zero before any invocation.
+func (w *wfView) quantiles() (p50, p95, p99 float64) {
+	if w.q50.N() == 0 {
+		return 0, 0, 0
+	}
+	return w.q50.Value(), w.q95.Value(), w.q99.Value()
+}
+
+// delta materializes the full state of a workflow as a struct, for callers
+// that want fields (Workflows). The wire never sees it: frames are written
+// by appendDelta, which the tests hold to this function's JSON. Caller holds
 // the stripe lock.
 func (w *wfView) delta() WorkflowDelta {
 	d := WorkflowDelta{
@@ -689,29 +773,21 @@ func (w *wfView) delta() WorkflowDelta {
 		SubmitHost:  w.submitHost,
 		State:       stateNames[w.state],
 		Planned:     w.planned,
+		WallSecs:    w.wallSeconds(),
 		IsRoot:      !w.hasParent,
 		Invocations: w.invs,
 		Failures:    w.js[jsFailure],
 		Seq:         w.seq,
 	}
-	if !w.firstStart.IsZero() && w.lastStateTS.After(w.firstStart) {
-		d.WallSecs = w.lastStateTS.Sub(w.firstStart).Seconds()
-	}
-	var jm map[string]int64
 	for i, n := range w.js {
 		if n != 0 {
-			if jm == nil {
-				jm = make(map[string]int64, 8)
+			if d.JobStates == nil {
+				d.JobStates = make(map[string]int64, 8)
 			}
-			jm[jsNames[i]] = n
+			d.JobStates[jsNames[i]] = n
 		}
 	}
-	d.JobStates = jm
-	if w.q50.N() > 0 {
-		d.P50 = w.q50.Value()
-		d.P95 = w.q95.Value()
-		d.P99 = w.q99.Value()
-	}
+	d.P50, d.P95, d.P99 = w.quantiles()
 	return d
 }
 
@@ -735,11 +811,10 @@ func appendFrame(b []byte, event string, body []byte) []byte {
 }
 
 // FlushNow publishes every dirty workflow's delta and queued alerts to
-// subscribers and returns how many that was. Marshalling happens once per
-// dirty workflow regardless of subscriber count; publication happens
-// outside the stripe locks. Per-workflow topics fan out to exact-match
-// single-workflow bindings; the broadcast stream gets the whole flush as
-// one BatchTopic message.
+// subscribers and returns how many that was. Each delta is written once,
+// into the frame the broadcast stream gets as one BatchTopic message, and
+// copied out to its per-workflow topic only if a subscription is bound
+// there; publication happens outside the stripe locks.
 func (v *Views) FlushNow() int {
 	v.flushMu.Lock()
 	defer v.flushMu.Unlock()
@@ -749,25 +824,36 @@ func (v *Views) FlushNow() int {
 	}
 	var msgs []out
 	var batch []byte
+	if dirty := int(v.ndirty.Swap(0)); dirty > 0 {
+		batch = make([]byte, 0, (dirty+dirty/8+1)*v.deltaBytes)
+	}
+	n := 0
 	now := v.clock.Now()
 	for i := range v.stripes {
 		st := &v.stripes[i]
 		st.mu.Lock()
 		for _, w := range st.dirty {
-			body, err := json.Marshal(w.delta())
-			if err == nil {
-				msgs = append(msgs, out{key: "views.wf." + w.uuid, body: body})
-				batch = appendFrame(batch, "delta", body)
+			batch = append(batch, "event: delta\ndata: "...)
+			body := len(batch)
+			batch = appendDelta(batch, w)
+			if st.subs[w.uuid] > 0 {
+				msgs = append(msgs, out{key: "views.wf." + w.uuid, body: append([]byte(nil), batch[body:]...)})
 			}
+			batch = append(batch, "\n\n"...)
 			mFlushSeconds.Observe(now.Sub(w.dirtyAt).Seconds())
 			w.dirty = false
 		}
+		n += len(st.dirty)
 		st.dirty = st.dirty[:0]
 		for _, a := range st.alerts {
-			body, err := json.Marshal(a)
-			if err == nil {
+			body, err := json.Marshal(a) // alerts are rare
+			if err != nil {
+				continue
+			}
+			n++
+			batch = appendFrame(batch, "alert", body)
+			if st.subs[a.UUID] > 0 {
 				msgs = append(msgs, out{key: "views.alert." + a.UUID, body: body})
-				batch = appendFrame(batch, "alert", body)
 			}
 		}
 		st.alerts = st.alerts[:0]
@@ -776,10 +862,11 @@ func (v *Views) FlushNow() int {
 	for _, m := range msgs {
 		v.bus.Publish(m.key, m.body)
 	}
-	if len(batch) > 0 {
+	if n > 0 {
+		v.deltaBytes = len(batch)/n + 1
 		v.bus.Publish(BatchTopic, batch)
 	}
-	return len(msgs)
+	return n
 }
 
 // PublishFrame pushes one out-of-band SSE event to every broadcast
@@ -790,41 +877,96 @@ func (v *Views) PublishFrame(event string, body []byte) {
 	v.bus.Publish(BatchTopic, appendFrame(nil, event, body))
 }
 
-// Workflows returns a point-in-time snapshot of every workflow view, in
-// view-creation order (under single-shard loading this equals the
-// archive's primary-key scan order).
-func (v *Views) Workflows() []WorkflowDelta {
-	type entry struct {
-		cs uint64
-		d  WorkflowDelta
-	}
-	var all []entry
+// ordered returns every workflow view in view-creation order (under
+// single-shard loading this equals the archive's primary-key scan order).
+// The views are live: read one under its stripe's lock (w.st.mu).
+func (v *Views) ordered() []*wfView {
+	var all []*wfView
 	for i := range v.stripes {
 		st := &v.stripes[i]
 		st.mu.Lock()
 		for _, w := range st.wfs {
-			all = append(all, entry{cs: w.createSeq, d: w.delta()})
+			all = append(all, w)
 		}
 		st.mu.Unlock()
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].cs < all[j].cs })
+	slices.SortFunc(all, func(a, b *wfView) int { return cmp.Compare(a.createSeq, b.createSeq) })
+	return all
+}
+
+// Workflows returns a point-in-time snapshot of every workflow view, in
+// view-creation order.
+func (v *Views) Workflows() []WorkflowDelta {
+	all := v.ordered()
 	out := make([]WorkflowDelta, len(all))
-	for i := range all {
-		out[i] = all[i].d
+	for i, w := range all {
+		w.st.mu.Lock()
+		out[i] = w.delta()
+		w.st.mu.Unlock()
 	}
 	return out
 }
 
-// Workflow returns the view for one workflow.
-func (v *Views) Workflow(uuid string) (WorkflowDelta, bool) {
-	st := v.stripeFor(uuid)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	w := st.wfs[uuid]
-	if w == nil {
-		return WorkflowDelta{}, false
+// WorkflowSummary is a workflow's row in the listing: what GET
+// /api/workflows serialises and nothing that costs to derive (no job-state
+// map, no quantile reads).
+type WorkflowSummary struct {
+	UUID       string
+	Label      string
+	SubmitHost string
+	State      string
+	Planned    time.Time
+	WallSecs   float64
+	IsRoot     bool
+}
+
+// Summaries returns the listing row of every workflow, in view-creation
+// order.
+func (v *Views) Summaries() []WorkflowSummary {
+	all := v.ordered()
+	out := make([]WorkflowSummary, len(all))
+	for i, w := range all {
+		w.st.mu.Lock()
+		out[i] = WorkflowSummary{
+			UUID:       w.uuid,
+			Label:      w.label,
+			SubmitHost: w.submitHost,
+			State:      stateNames[w.state],
+			Planned:    w.planned,
+			WallSecs:   w.wallSeconds(),
+			IsRoot:     !w.hasParent,
+		}
+		w.st.mu.Unlock()
 	}
-	return w.delta(), true
+	return out
+}
+
+// AppendSnapshot appends the JSON a connecting or lagging stream client is
+// made whole with, in the encoding of the deltas that follow it: for uuid ""
+// the array of every workflow's state in view-creation order, otherwise
+// that workflow's state, or null while it is unknown.
+func (v *Views) AppendSnapshot(dst []byte, uuid string) []byte {
+	if uuid != "" {
+		st := v.stripeFor(uuid)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if w := st.wfs[uuid]; w != nil {
+			return appendDelta(dst, w)
+		}
+		return append(dst, "null"...)
+	}
+	all := v.ordered()
+	dst = slices.Grow(dst, 512*len(all)) // a delta runs to some 450 bytes
+	dst = append(dst, '[')
+	for i, w := range all {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		w.st.mu.Lock()
+		dst = appendDelta(dst, w)
+		w.st.mu.Unlock()
+	}
+	return append(dst, ']')
 }
 
 // Hosts returns the per-host utilization aggregates in creation order.

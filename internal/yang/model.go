@@ -2,6 +2,7 @@ package yang
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -267,8 +268,13 @@ func (l *Leaf) CheckValue(v string) error {
 			return fmt.Errorf("%q is not an int64: %v", v, err)
 		}
 	case TypeDecimal:
-		if _, err := strconv.ParseFloat(v, 64); err != nil {
+		// ParseFloat reads "NaN" and "Inf"; a decimal64 has no such value.
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil {
 			return fmt.Errorf("%q is not a decimal64: %v", v, err)
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("%q is not a decimal64: not a finite number", v)
 		}
 	case TypeUUID:
 		if err := checkUUID(v); err != nil {
