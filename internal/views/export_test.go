@@ -5,6 +5,10 @@ const (
 	RestFloor         = restFloor
 	RestPerCost       = restPerCost
 	RestPerSubscriber = restPerSubscriber
+	CostSmoothing     = costSmoothing
 )
 
-var RestAfter = restAfter
+var (
+	RestAfter  = restAfter
+	SmoothCost = smoothCost
+)

@@ -19,7 +19,8 @@ import (
 // next flush still carrying the workflow it would have taken. A Manual
 // clock does not move inside a flush, so every flush here costs nothing and
 // the rest that follows it is restAfter(0, subscribers); what a flush that
-// does cost is followed by is TestRestAfter's table.
+// does cost is followed by is TestRestAfter's table, and what one stalled
+// flush among cheap ones is followed by is TestSmoothCost.
 
 var pubEpoch = time.Date(2012, 3, 13, 12, 0, 0, 0, time.UTC)
 
@@ -291,5 +292,57 @@ func TestRestAfter(t *testing.T) {
 	}
 	if got := views.RestAfter(time.Second, 1<<20, time.Millisecond); got != time.Millisecond {
 		t.Errorf("a ceiling under the floor: rest %v, want the ceiling", got)
+	}
+}
+
+// TestSmoothCost: what the rule is fed is the running mean of what a flush
+// costs. One flush that stalled (descheduled, a collection) among cheap ones
+// must not be answered with ten times the stall as a single rest — that one
+// rest was a saturated run's whole glass p99, different every run — while a
+// cost that really rose is followed within a few flushes, so the share of a
+// core stays bounded.
+func TestSmoothCost(t *testing.T) {
+	const (
+		ceiling = 200 * time.Millisecond
+		cheap   = 400 * time.Microsecond
+		stall   = 10 * time.Millisecond
+	)
+	if got := views.SmoothCost(0, stall); got != stall {
+		t.Errorf("the first flush timed is the mean: got %v, want %v", got, stall)
+	}
+	if got := views.SmoothCost(cheap, cheap); got != cheap {
+		t.Errorf("a steady cost is its own mean: got %v, want %v", got, cheap)
+	}
+
+	mean := time.Duration(0)
+	for i := 0; i < 20; i++ {
+		mean = views.SmoothCost(mean, cheap)
+	}
+	mean = views.SmoothCost(mean, stall)
+	if rest := views.RestAfter(mean, 1, ceiling); rest > 2*views.RestFloor {
+		t.Errorf("one %v flush among %v ones is followed by a rest of %v, want at most %v (unsmoothed: %v)",
+			stall, cheap, rest, 2*views.RestFloor, views.RestAfter(stall, 1, ceiling))
+	}
+	// The stall is still paid for, spread over the flushes that follow: the
+	// means it leaves behind add up to (nearly) the stall itself.
+	var extra time.Duration
+	for i := 0; i < 8*views.CostSmoothing; i++ {
+		extra += mean - cheap
+		mean = views.SmoothCost(mean, cheap)
+	}
+	if extra < (stall-cheap)*9/10 || extra > stall-cheap {
+		t.Errorf("the stall is charged %v over the flushes that follow, want nearly all of %v", extra, stall-cheap)
+	}
+
+	// A cost that rose for good is what the rule sees within 3×CostSmoothing
+	// flushes, to within 5%.
+	for i := 0; i < 3*views.CostSmoothing; i++ {
+		mean = views.SmoothCost(mean, stall)
+	}
+	if mean < stall*95/100 || mean > stall {
+		t.Errorf("after %d flushes at %v the mean is %v", 3*views.CostSmoothing, stall, mean)
+	}
+	if rest := views.RestAfter(mean, 1, ceiling); rest < views.RestPerCost*stall*95/100 {
+		t.Errorf("a flush that costs %v every time is followed by %v, want about %v", stall, rest, views.RestPerCost*stall)
 	}
 }

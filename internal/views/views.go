@@ -14,8 +14,9 @@
 // delta is published on its own only while somebody is subscribed to that
 // workflow. The publisher paces itself by what publishing costs (restAfter):
 // the first workflow to go dirty after a rest is on the wire at once, and
-// after a flush that took d it rests max(restFloor, restPerCost·d,
-// broadcast subscribers × restPerSubscriber), never longer than FlushEvery.
+// after a flush it rests max(restFloor, restPerCost·d, broadcast subscribers
+// × restPerSubscriber), never longer than FlushEvery, d being the running
+// mean of what a flush takes.
 // What went dirty meanwhile rides the next flush, so staleness is bounded
 // by one rest and the publisher's share of a core by 1/(1+restPerCost) —
 // at any load and any fan-out, with no knob. Subscribers get bounded
@@ -173,8 +174,15 @@ type Options struct {
 }
 
 // The publisher's pacing. After a flush that published something it rests;
-// what goes dirty during the rest rides the next flush. The three constants
-// are measured, not tuned per deployment (CHANGES.md, PR 23):
+// what goes dirty during the rest rides the next flush. What a flush costs
+// is a running mean over the last few (smoothCost), not the last one alone:
+// on a busy host one flush in a hundred is descheduled or meets a collection
+// and reads ten or twenty times its cost, and ten times *that* as a single
+// rest was the whole of a saturated run's glass p99, a different number every
+// run. The mean charges the same total rest for it, spread over the flushes
+// that follow, so the share of a core is bounded as before and no one delta
+// waits for a stall it did not cause. The three constants are measured, not
+// tuned per deployment (CHANGES.md, PR 23):
 //
 //   - restFloor is a frame time: no screen shows two states 10 ms apart, so
 //     flushing oftener only multiplies frames. At an eighth of capacity a
@@ -195,7 +203,18 @@ const (
 	restFloor         = 10 * time.Millisecond
 	restPerCost       = 10
 	restPerSubscriber = 20 * time.Microsecond
+	// costSmoothing is the weight of the mean's past against one new flush.
+	costSmoothing = 8
 )
+
+// smoothCost folds what the last flush took into the running mean of what a
+// flush costs (mean 0: no flush has been timed yet).
+func smoothCost(mean, cost time.Duration) time.Duration {
+	if mean == 0 {
+		return cost
+	}
+	return mean + (cost-mean)/costSmoothing
+}
 
 // restAfter is the pacing rule: how long the publisher rests after a flush
 // that took cost and went to subs broadcast subscribers, given the ceiling
@@ -394,6 +413,7 @@ func (v *Views) run() {
 	t := wfclock.NewTicker(v.clock, v.opts.FlushEvery)
 	defer t.Stop()
 	wake := v.wake // nil while resting
+	var mean time.Duration
 	for {
 		select {
 		case <-v.stopCh:
@@ -408,7 +428,8 @@ func (v *Views) run() {
 			continue
 		}
 		cost := v.clock.Since(start)
-		t.Reset(restAfter(cost, int(v.nbcast.Load()), v.opts.FlushEvery))
+		mean = smoothCost(mean, cost)
+		t.Reset(restAfter(mean, int(v.nbcast.Load()), v.opts.FlushEvery))
 		wake = nil
 		flushBusyNS.Add(int64(cost))
 		mFlushes.Inc()
