@@ -129,7 +129,7 @@ func main() {
 	}
 }
 
-func buildAppenders(logPath, brokerAddr string) (pegasus.Appender, func(), error) {
+func buildAppenders(logPath, brokerAddr string) (bp.Appender, func(), error) {
 	var multi triana.MultiAppender
 	var closers []func()
 	if logPath != "" {

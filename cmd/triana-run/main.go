@@ -79,7 +79,7 @@ func main() {
 	}
 }
 
-func buildAppenders(logPath, brokerAddr string) (triana.Appender, func(), error) {
+func buildAppenders(logPath, brokerAddr string) (bp.Appender, func(), error) {
 	var multi triana.MultiAppender
 	var closers []func()
 	if logPath != "" {
@@ -115,7 +115,7 @@ func buildAppenders(logPath, brokerAddr string) (triana.Appender, func(), error)
 	}, nil
 }
 
-func runDART(app triana.Appender, clk wfclock.Clock, nNodes, perBundle, conc int, simulateOnly bool) {
+func runDART(app bp.Appender, clk wfclock.Clock, nNodes, perBundle, conc int, simulateOnly bool) {
 	workers := make([]*trianacloud.Node, nNodes)
 	for i := range workers {
 		workers[i] = &trianacloud.Node{
@@ -156,7 +156,7 @@ func runDART(app triana.Appender, clk wfclock.Clock, nNodes, perBundle, conc int
 		result.RootUUID, len(result.Bundles), clk.Since(start).Round(time.Second))
 }
 
-func runDemo(app triana.Appender, clk wfclock.Clock) {
+func runDemo(app bp.Appender, clk wfclock.Clock) {
 	g := triana.NewTaskGraph("demo")
 	read := g.MustAddTask("read", &triana.WorkUnit{UnitName: "read-input", Desc: "file", Duration: time.Second, Clock: clk})
 	work := g.MustAddTask("work", &triana.WorkUnit{UnitName: "analyze", Desc: "processing", Duration: 30 * time.Second, Clock: clk})

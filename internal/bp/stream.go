@@ -150,6 +150,16 @@ func (r *Reader) ReadAll() ([]*Event, error) {
 	}
 }
 
+// Appender receives the Stampede events an engine's log normalizer
+// produces (triana.StampedeLog, pegasus.Monitord) and delivers them
+// somewhere: a BP log file for later loading, or the message bus for
+// real-time processing — the two paths of the paper's Figure 5 ("recorded
+// to either a file for later evaluation, or posted directly to an AMQP
+// queue").
+type Appender interface {
+	Append(ev *Event) error
+}
+
 // Writer encodes events as BP lines to an io.Writer. It is safe for use by
 // multiple goroutines: engines log from many worker threads into one file,
 // exactly as Triana's LOG4J appenders do.

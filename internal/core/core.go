@@ -12,12 +12,14 @@
 //	... run workflows; events stream through the bus into the archive ...
 //	st.WaitLoaded(ctx, log.Appended())          // real-time, not post-mortem
 //	summary, _ := st.Statistics(log.WorkflowUUID(), true)
+//
+// Start is the one assembly of the live pipeline; `nl-load -listen` runs
+// it as a process, with Serve for remote engines and Dashboard on -http.
 package core
 
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"time"
 
 	"repro/internal/analyzer"
@@ -28,7 +30,9 @@ import (
 	"repro/internal/mq"
 	"repro/internal/query"
 	"repro/internal/relstore"
+	"repro/internal/schema"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/views"
 )
 
@@ -37,10 +41,6 @@ type Config struct {
 	// DatabasePath persists the archive to a store directory (created
 	// with one partition per loader shard); empty keeps it in memory.
 	DatabasePath string
-	// QueueName and Topic configure the bus binding (defaults: "stampede"
-	// bound to "stampede.#", exactly the published deployment).
-	QueueName string
-	Topic     string
 	// BatchSize and FlushEvery tune the loader (see loader.Options). Both
 	// are upper bounds: an event alone on the bus is applied and on the
 	// dashboard's streams at once, whatever they say.
@@ -55,6 +55,13 @@ type Config struct {
 	// Lenient makes malformed or invalid events non-fatal.
 	Lenient bool
 }
+
+// The bus binding of the published deployment: one durable queue the loader
+// consumes, bound to every Stampede event type.
+const (
+	queueName = "stampede"
+	topic     = "stampede.#"
+)
 
 // Stampede is a running monitoring service.
 type Stampede struct {
@@ -75,12 +82,6 @@ type Stampede struct {
 // queue bound to the Stampede topic space, and a loader consuming it into
 // the archive and the materialized views the dashboard streams from.
 func Start(cfg Config) (*Stampede, error) {
-	if cfg.QueueName == "" {
-		cfg.QueueName = "stampede"
-	}
-	if cfg.Topic == "" {
-		cfg.Topic = "stampede.#"
-	}
 	var arch *archive.Archive
 	var err error
 	if cfg.DatabasePath != "" {
@@ -116,11 +117,11 @@ func Start(cfg Config) (*Stampede, error) {
 		return fail(err)
 	}
 	broker := mq.NewBroker()
-	q, err := broker.DeclareQueue(cfg.QueueName, mq.QueueOpts{Durable: true})
+	q, err := broker.DeclareQueue(queueName, mq.QueueOpts{Durable: true})
 	if err != nil {
 		return fail(err)
 	}
-	if err := broker.Bind(cfg.QueueName, cfg.Topic); err != nil {
+	if err := broker.Bind(queueName, topic); err != nil {
 		return fail(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -159,15 +160,21 @@ func (s *Stampede) Query() *query.QI { return s.qi }
 // it to a triana.StampedeLog or pegasus.Monitord.
 func (s *Stampede) Appender() BusAppender { return BusAppender{broker: s.broker} }
 
-// BusAppender publishes BP events to the service's broker. It satisfies
-// both engines' Appender interfaces.
+// BusAppender publishes BP events to the service's broker, routing on the
+// event type — the paper's AMQP appender, minus the network hop. It is a
+// bp.Appender.
 type BusAppender struct {
 	broker *mq.Broker
 }
 
-// Append implements the Appender contract.
+// Append implements bp.Appender. The emission span (the event's own ts up
+// to this bus handoff) is recorded engine-side: the loader's route span
+// picks up from the broker enqueue time, so the two compose without wire
+// context.
 func (a BusAppender) Append(ev *bp.Event) error {
-	a.broker.Publish(ev.Type, []byte(ev.Format()))
+	body := []byte(ev.Format())
+	trace.Emit(body, ev.TS, ev.Get(schema.AttrXwfID))
+	a.broker.Publish(ev.Type, body)
 	return nil
 }
 
@@ -288,11 +295,11 @@ func (s *Stampede) Progress(wfUUID string) (map[string][]stats.ProgressPoint, er
 	return stats.ProgressSeries(s.qi, id)
 }
 
-// Dashboard returns the HTTP handler of the live web dashboard, with the
-// service's bus wired in so the status page shows broker traffic and
-// drop counts alongside workflow state, and its views so the listing and
-// the /api/stream endpoints are served from them.
-func (s *Stampede) Dashboard() http.Handler {
+// Dashboard returns the live web dashboard, with the service's bus wired
+// in so the status page shows broker traffic and drop counts alongside
+// workflow state, and its views so the listing and the /api/stream
+// endpoints are served from them.
+func (s *Stampede) Dashboard() *dashboard.Server {
 	d := dashboard.New(s.qi)
 	d.SetBus(s.broker)
 	d.SetViews(s.views)

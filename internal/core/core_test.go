@@ -16,7 +16,9 @@ import (
 	"repro/internal/bp"
 	"repro/internal/mq"
 	"repro/internal/schema"
+	"repro/internal/trace"
 	"repro/internal/triana"
+	"repro/internal/uuid"
 )
 
 func runGraph(t *testing.T, st *Stampede, g *triana.TaskGraph) *triana.StampedeLog {
@@ -221,6 +223,41 @@ func TestLoneEventReachesTheGlass(t *testing.T) {
 		}
 	}
 	t.Fatalf("a lone inv.end took %v to reach the glass, want 50ms or less", took)
+}
+
+// TestAppendRecordsEmissionSpan: an event appended to a Start pipeline
+// leaves its emission span in the process-wide ring, so its trace begins
+// at the engine rather than at the bus. The event is one the default
+// sampling traces, with a body unique to the run.
+func TestAppendRecordsEmissionSpan(t *testing.T) {
+	st, err := Start(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	var ev *bp.Event
+	var id uint64
+	for i := 0; id == 0; i++ {
+		if i == 1<<16 {
+			t.Fatalf("no sampled event in %d tries at 1 in %d", i, trace.SampleEvery())
+		}
+		wf := uuid.New().String()
+		ev = bp.New(schema.WfPlan, time.Now().UTC()).Set(schema.AttrXwfID, wf).
+			Set("submit.hostname", "desktop").Set(schema.AttrRootXwf, wf)
+		id = trace.Sample([]byte(ev.Format()))
+	}
+	if err := st.Appender().Append(ev); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range trace.Default().Spans() {
+		if sp.ID == id && sp.Stage == trace.StageEmit {
+			if want := ev.Get(schema.AttrXwfID); sp.Label != want {
+				t.Fatalf("emission span labelled %q, want the workflow %s", sp.Label, want)
+			}
+			return
+		}
+	}
+	t.Fatalf("no %s span for trace %x in the ring", trace.StageEmit, id)
 }
 
 func TestUnknownWorkflowErrors(t *testing.T) {

@@ -113,15 +113,27 @@ func (s *Server) SetTraceRing(r *trace.Ring) { s.ring = r }
 // /healthz, /readyz, the alert lifecycle at /api/alerts, /api/buildinfo,
 // and on-demand diagnostics bundles at /debug/bundle — so the main
 // serving port answers the same questions as the -debug-addr listener.
-// When the dashboard also has views attached, alert transitions are
-// additionally pushed to every broadcast SSE subscriber as "health"
-// events on the stream clients already watch.
+// It does not route alert transitions anywhere: build the engine with
+// PublishAlert as its health.Config.OnAlert for that.
 func (s *Server) SetHealth(e *health.Engine) {
 	s.mux.Handle("GET /healthz", e.HealthzHandler())
 	s.mux.Handle("GET /readyz", e.ReadyzHandler())
 	s.mux.Handle("GET /api/alerts", e.AlertsHandler())
 	s.mux.Handle("GET /api/buildinfo", e.BuildinfoHandler())
 	s.mux.Handle("GET /debug/bundle", e.BundleHandler())
+}
+
+// PublishAlert pushes one alert transition to every broadcast SSE
+// subscriber as a "health" event on the stream clients already watch; pass
+// it as a health engine's health.Config.OnAlert. Without views attached
+// there is no stream, and the transition stays in /api/alerts only.
+func (s *Server) PublishAlert(a health.Alert) {
+	if s.views == nil {
+		return
+	}
+	if js, err := json.Marshal(a); err == nil {
+		s.views.PublishFrame("health", js)
+	}
 }
 
 // ServeHTTP implements http.Handler.

@@ -18,7 +18,7 @@ import (
 )
 
 // TestReadersOverLoadDirOfLiveWriter runs what stampede-statistics,
-// stampede-analyzer and a -follow dashboard do with a directory — LoadDir,
+// stampede-analyzer and stampede-dashboard do with a directory — LoadDir,
 // then queries, statistics, analysis, views and HTTP over the result —
 // while a 4-shard loader is writing hierarchical workflows into it and
 // checkpointing every 64 records. A load is a prefix of each partition,

@@ -44,7 +44,8 @@ func writeMsg(w http.ResponseWriter, m views.Message) {
 
 // streamWorkflows streams every workflow's deltas and alerts. Protocol:
 // one "snapshot" event (the full view listing) on connect, then "delta"
-// and "alert" events as the loader commits and the flush ticker fires.
+// and "alert" events as the loader commits and the flush ticker fires, and
+// "health" events as SLO alerts change state (PublishAlert).
 // If this client falls behind and its bounded buffer drops deltas, it
 // gets a "resync" event carrying a fresh full listing — served from the
 // view, never from a store scan — after which deltas resume.

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/health"
 	"repro/internal/loader"
 	"repro/internal/query"
 	"repro/internal/synth"
@@ -376,4 +377,54 @@ func TestWorkflowListingFromViewMatchesScan(t *testing.T) {
 			t.Errorf("row %d diverges:\n scan %s\n view %s", i, sj, vj)
 		}
 	}
+}
+
+// TestAlertTransitionIsAHealthFrame: a health engine given the dashboard's
+// PublishAlert as its OnAlert puts each alert transition on the broadcast
+// stream as a "health" event.
+func TestAlertTransitionIsAHealthFrame(t *testing.T) {
+	v := views.New(views.Options{})
+	defer v.Close()
+	srv := New(query.New(archive.NewInMemory()))
+	srv.SetViews(v)
+	eng := health.New(health.Config{OnAlert: srv.PublishAlert})
+	defer eng.Close()
+	eng.Register("test.breach", func() (float64, bool) { return 1, true })
+	if err := eng.AddObjective(health.Objective{Name: "test-slo", Signal: "test.breach", Threshold: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	srv.SetHealth(eng)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/api/stream/workflows", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	var event string
+	for sc.Scan() {
+		line := sc.Text()
+		if ev, ok := strings.CutPrefix(line, "event: "); ok {
+			event = ev
+			continue
+		}
+		data, ok := strings.CutPrefix(line, "data: ")
+		switch {
+		case !ok:
+		case event == "snapshot":
+			eng.Tick() // subscribed: the breach is a transition now
+		case event == "health":
+			var a health.Alert
+			if err := json.Unmarshal([]byte(data), &a); err != nil || a.SLO != "test-slo" || a.State == "" {
+				t.Fatalf("health frame %q: %+v, %v", data, a, err)
+			}
+			return
+		}
+	}
+	t.Fatalf("stream ended without a health frame: %v", sc.Err())
 }

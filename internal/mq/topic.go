@@ -7,8 +7,9 @@
 // start event one level down.
 //
 // The Broker is in-process; Server/Client add a line-oriented TCP
-// transport so engines, loaders and dashboards can run as separate
-// processes, mirroring the nl_load --amqp-host deployments in the paper.
+// transport so engines run as processes apart from the node that loads
+// and serves their events (nl-load -listen), as the paper's engines
+// publish to a RabbitMQ host the loader consumes from.
 package mq
 
 import "strings"

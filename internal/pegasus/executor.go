@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bp"
 	"repro/internal/condor"
 	"repro/internal/uuid"
 	"repro/internal/wfclock"
@@ -20,7 +21,7 @@ type ExecConfig struct {
 	// Clock drives timestamps; use the same clock as the pool.
 	Clock wfclock.Clock
 	// Appender receives the normalized Stampede events via monitord.
-	Appender Appender
+	Appender bp.Appender
 	// SubmitHost names the machine running the engine.
 	SubmitHost string
 	// FailureRate injects per-instance failures (exit code 1) with this

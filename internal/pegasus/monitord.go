@@ -8,19 +8,12 @@ import (
 	"repro/internal/schema"
 )
 
-// Appender receives normalized Stampede events. The triana package's
-// appenders (file, bus, collect) satisfy it structurally, so both engines
-// share delivery machinery without depending on each other.
-type Appender interface {
-	Append(ev *bp.Event) error
-}
-
 // Monitord is the Pegasus log normalizer: the component that, in the real
 // system, tails the DAGMan and kickstart logs and emits NetLogger events
 // conforming to the Stampede schema. Here the engine feeds it directly;
 // the output is the same normalized BP stream.
 type Monitord struct {
-	appender Appender
+	appender bp.Appender
 	wfUUID   string
 	hostname string
 	// ParentUUID and RootUUID place this run in a workflow hierarchy;
@@ -34,7 +27,7 @@ type Monitord struct {
 }
 
 // NewMonitord builds a normalizer for one workflow run.
-func NewMonitord(appender Appender, wfUUID, submitHost string) *Monitord {
+func NewMonitord(appender bp.Appender, wfUUID, submitHost string) *Monitord {
 	return &Monitord{appender: appender, wfUUID: wfUUID, hostname: submitHost}
 }
 

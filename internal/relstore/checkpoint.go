@@ -100,6 +100,38 @@ const manifestVersion = 2
 // answers it by starting over from a fresh listing.
 var errDirChanged = errors.New("relstore: store directory changed during load")
 
+// errRowID marks a decoded primary key that no directory could hold. A
+// table's ids are allocated 1, 2, 3, … only once an insert has passed every
+// check (partition.insert), and rows are never deleted, so a table holding
+// id N holds N rows, each occupying at least one byte of some checkpoint
+// image or WAL segment. An id above the bytes recovery reads is corruption;
+// trusting it would size the row map from it.
+var errRowID = errors.New("row id beyond the bytes that hold the store")
+
+// checkRowID refuses id unless 1 <= id <= limit.
+func checkRowID(id, limit int64) error {
+	if id < 1 || id > limit {
+		return fmt.Errorf("%w: id %d, %d bytes", errRowID, id, limit)
+	}
+	return nil
+}
+
+// dirBytes is the size of every file in dir's partition directories: the
+// row-id bound for recovering dir (see errRowID).
+func dirBytes(dir string, parts int) int64 {
+	var n int64
+	for i := 0; i < parts; i++ {
+		// A directory that cannot be listed fails that partition's recovery.
+		ents, _ := os.ReadDir(filepath.Join(dir, partDirName(i)))
+		for _, e := range ents {
+			if info, err := e.Info(); err == nil && info.Mode().IsRegular() {
+				n += info.Size()
+			}
+		}
+	}
+	return n
+}
+
 // rejectFile fails when path names a regular file: the one-file database
 // layout is gone, and such a file is rebuilt as a directory from its event
 // log.
@@ -201,8 +233,9 @@ const loadDirAttempts = 3
 // stays on disk), and partitions are read one after another, so the result
 // is a prefix of every partition's history rather than one cut across
 // them. A load that loses a race with the writer's checkpoint (a listed
-// file vanished, or the WAL no longer continues from the image it loaded)
-// starts over from a fresh listing, at most loadDirAttempts times. Writes
+// file vanished, the WAL no longer continues from the image it loaded, or a
+// row id outgrew the bytes listed) starts over from a fresh listing, at
+// most loadDirAttempts times. Writes
 // to the returned store stay in memory.
 func LoadDir(dir string) (*Store, error) {
 	if err := rejectFile(dir); err != nil {
@@ -232,11 +265,13 @@ func LoadDir(dir string) (*Store, error) {
 func (s *Store) recoverAll(dir string, repair bool) (seqs, starts []uint64, err error) {
 	seqs = make([]uint64, len(s.parts))
 	starts = make([]uint64, len(s.parts))
+	idLimit := dirBytes(dir, len(s.parts))
 	for i, p := range s.parts {
 		pdir := filepath.Join(dir, partDirName(i))
-		seqs[i], starts[i], err = p.recover(s, pdir, repair)
-		if !repair && errors.Is(err, os.ErrNotExist) {
-			// Listed a moment ago: a live writer's checkpoint dropped it.
+		seqs[i], starts[i], err = p.recover(s, pdir, repair, idLimit)
+		if !repair && (errors.Is(err, os.ErrNotExist) || errors.Is(err, errRowID)) {
+			// Listed a moment ago: a live writer's checkpoint dropped it,
+			// or its appends since then hold ids past the bytes listed.
 			err = fmt.Errorf("%w: %v", errDirChanged, err)
 		}
 		if err != nil {
@@ -254,15 +289,15 @@ func (s *Store) recoverAll(dir string, repair bool) (seqs, starts []uint64, err 
 // and the start of the segment new appends should continue in (0 when a
 // fresh segment must be created). With repair set it also clears what a
 // crash left behind — a torn final record, segments a checkpoint already
-// covers, stale temp images.
-func (p *partition) recover(s *Store, pdir string, repair bool) (seq, fileStart uint64, err error) {
+// covers, stale temp images. A row id above idLimit is refused (errRowID).
+func (p *partition) recover(s *Store, pdir string, repair bool, idLimit int64) (seq, fileStart uint64, err error) {
 	ckpts, err := listNumbered(pdir, "checkpoint-", ".ck")
 	if err != nil {
 		return 0, 0, err
 	}
 	var base uint64
 	for i := len(ckpts) - 1; i >= 0; i-- { // newest first
-		got, lerr := p.loadCheckpoint(s, ckpts[i].path)
+		got, lerr := p.loadCheckpoint(s, ckpts[i].path, idLimit)
 		if lerr == nil {
 			base = got
 			p.lastCkptSeq.Store(got)
@@ -303,7 +338,7 @@ func (p *partition) recover(s *Store, pdir string, repair bool) (seq, fileStart 
 			return 0, 0, err
 		}
 		newest := idx == len(files)-1
-		n, rerr := p.replaySegment(s, wf, newest, repair)
+		n, rerr := p.replaySegment(s, wf, newest, repair, idLimit)
 		if rerr != nil {
 			return 0, 0, rerr
 		}
@@ -327,7 +362,7 @@ func (p *partition) recover(s *Store, pdir string, repair bool) (seq, fileStart 
 // stops there, and with repair set the segment is truncated back to the
 // last good frame so it is clean for appending. Anywhere else it is
 // corruption and fails recovery.
-func (p *partition) replaySegment(s *Store, wf numbered, newest, repair bool) (uint64, error) {
+func (p *partition) replaySegment(s *Store, wf numbered, newest, repair bool, idLimit int64) (uint64, error) {
 	data, err := os.ReadFile(wf.path)
 	if err != nil {
 		return 0, err
@@ -348,7 +383,7 @@ func (p *partition) replaySegment(s *Store, wf numbered, newest, repair bool) (u
 		}
 		rec, err := decodeWALRecord(payload, p.tables.Load())
 		if err == nil {
-			err = s.applyRecord(p, rec)
+			err = s.applyRecord(p, rec, idLimit)
 		}
 		if err != nil {
 			return records, fmt.Errorf("%s: record at offset %d: %w", wf.path, off, err)
@@ -520,8 +555,9 @@ func (p *partition) cleanupAfterCheckpoint(S uint64) {
 // loadCheckpoint verifies and applies one checkpoint image, returning the
 // WAL seq it covers. The SHA-256 footer is checked over the whole image
 // before anything is applied; verification failures return errInvalidCkpt
-// so recovery can fall back to an older image.
-func (p *partition) loadCheckpoint(s *Store, path string) (uint64, error) {
+// so recovery can fall back to an older image. A row id above idLimit —
+// for an image on its own, the image's length — is refused (errRowID).
+func (p *partition) loadCheckpoint(s *Store, path string, idLimit int64) (uint64, error) {
 	b, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, err // a read-only load wants to know (recoverAll)
@@ -573,12 +609,16 @@ func (p *partition) loadCheckpoint(s *Store, path string) (uint64, error) {
 			return 0, err
 		}
 		for i := uint64(0); i < count; i++ {
+			off := len(body) - len(cr.b)
 			if err := cr.expect("row"); err != nil {
 				return 0, err
 			}
 			row := t.newRow()
 			if err := cr.rowBody(row); err != nil {
 				return 0, err
+			}
+			if err := checkRowID(row.id, idLimit); err != nil {
+				return 0, fmt.Errorf("relstore: checkpoint %s: %s row at offset %d: %w", path, name, off, err)
 			}
 			t.putRow(row, 1)
 			t.live.Add(1)

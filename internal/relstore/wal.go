@@ -535,8 +535,9 @@ func (s *Store) Close() error {
 
 // applyRecord applies one decoded WAL record into partition p at epoch 1.
 // Create records go through CreateTable (idempotent, installs the table in
-// every partition); row records touch only p's table instances.
-func (s *Store) applyRecord(p *partition, rec walRecord) error {
+// every partition); row records touch only p's table instances, and a row
+// id above idLimit is refused (errRowID).
+func (s *Store) applyRecord(p *partition, rec walRecord, idLimit int64) error {
 	const e = 1 // all replayed history lands in one epoch
 	if rec.op == opCreate {
 		return s.CreateTable(*rec.sch)
@@ -545,16 +546,18 @@ func (s *Store) applyRecord(p *partition, rec walRecord) error {
 	switch rec.op {
 	case opInsert:
 		for _, row := range rec.rows {
-			id := row.id
-			if id == 0 {
-				return fmt.Errorf("insert record without id in %s", rec.table)
+			if err := checkRowID(row.id, idLimit); err != nil {
+				return fmt.Errorf("insert into %s: %w", rec.table, err)
 			}
 			t.putRow(row, e)
 			t.live.Add(1)
-			t.noteID(id)
+			t.noteID(row.id)
 		}
 	case opUpdate:
 		row := rec.row
+		if err := checkRowID(row.id, idLimit); err != nil {
+			return fmt.Errorf("update of %s: %w", rec.table, err)
+		}
 		if c, ok := t.rows.Load(row.id); ok {
 			if old := c.liveVersion(); old != nil {
 				t.supersede(c, old, row, e, t.buildUniqueKeys(row, old))

@@ -3,9 +3,14 @@ package relstore
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -104,6 +109,10 @@ func encodePayload(t testing.TB, rec walRecord) []byte {
 // identically, then apply. With image set the bytes are a checkpoint image
 // short of its SHA-256 footer, which the target appends so mutations reach
 // the reader behind the verification: loadCheckpoint must not panic either.
+// Both appliers are bounded as recovery bounds them, by the bytes in front
+// of them, so a hostile row id is refused before it sizes the row map
+// (testdata/fuzz/FuzzWALRecord/checkpoint-row-id-0x1000000001700 once
+// asked for 4 TiB).
 func FuzzWALRecord(f *testing.F) {
 	seedStore := fig3Store(f)
 	ts := seedStore.parts[0].tables.Load()
@@ -154,7 +163,7 @@ func FuzzWALRecord(f *testing.F) {
 				t.Fatal(err)
 			}
 			s := NewStore()
-			_, _ = s.parts[0].loadCheckpoint(s, path)
+			_, _ = s.parts[0].loadCheckpoint(s, path, int64(len(data)+sha256.Size))
 			return
 		}
 
@@ -181,6 +190,93 @@ func FuzzWALRecord(f *testing.F) {
 			t.Fatalf("encode → decode → encode changed the bytes:\n%x\n%x", e1, e2)
 		}
 		s := fig3Store(t)
-		_ = s.applyRecord(s.parts[0], rec)
+		_ = s.applyRecord(s.parts[0], rec, int64(len(data)))
+	})
+}
+
+// TestRowIDBeyondStoreBytesRefused: a primary key no directory could hold —
+// the fuzzer's 0x1000000001700 — is refused in a checkpoint image and in a
+// WAL frame, by both openers, naming the file and the offset, instead of
+// sizing a row map from it.
+func TestRowIDBeyondStoreBytesRefused(t *testing.T) {
+	const hostile = 0x1000000001700
+	dir := t.TempDir()
+	s := openDirStore(t, dir, 1)
+	if err := s.CreateTable(concurrencySchemas()[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if i == 3 {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ins(s, "parent", vals{"name": fmt.Sprintf("row%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pdir := filepath.Join(dir, partDirName(0))
+	ckpts, _ := listNumbered(pdir, "checkpoint-", ".ck")
+	segs, _ := listNumbered(pdir, "wal-", ".log")
+	if len(ckpts) != 1 || len(segs) != 1 {
+		t.Fatalf("want one image and the one-frame segment after it, got %d and %d", len(ckpts), len(segs))
+	}
+
+	bothRefuse := func(t *testing.T, img, file string, off int) {
+		t.Helper()
+		_, lerr := LoadDir(img)
+		_, oerr := OpenDir(img, Options{})
+		for opener, err := range map[string]error{"LoadDir": lerr, "OpenDir": oerr} {
+			if err == nil {
+				t.Fatalf("%s accepted row id %#x", opener, hostile)
+			}
+			for _, want := range []string{file, fmt.Sprintf("offset %d", off), fmt.Sprint(int64(hostile))} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s error %q does not name %q", opener, err, want)
+				}
+			}
+		}
+		if !errors.Is(oerr, errRowID) {
+			t.Fatalf("OpenDir error %v is not errRowID", oerr)
+		}
+	}
+	image := func(t *testing.T, src string, edit func([]byte) []byte) (img, file string) {
+		img = filepath.Join(t.TempDir(), "img")
+		copyDir(t, dir, img)
+		file = filepath.Join(img, partDirName(0), filepath.Base(src))
+		b, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(file, edit(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return img, file
+	}
+
+	t.Run("checkpoint image", func(t *testing.T) {
+		marker := append(binary.LittleEndian.AppendUint64(nil, 3), "row"...)
+		var off int
+		img, file := image(t, ckpts[0].path, func(b []byte) []byte {
+			body := b[:len(b)-sha256.Size]
+			off = bytes.Index(body, marker)
+			binary.LittleEndian.PutUint64(body[off+len(marker):], hostile)
+			sum := sha256.Sum256(body)
+			return append(body, sum[:]...)
+		})
+		bothRefuse(t, img, file, off)
+	})
+	t.Run("WAL frame", func(t *testing.T) {
+		img, file := image(t, segs[0].path, func(b []byte) []byte {
+			row := mkRow(t, s, "parent", vals{"id": int64(hostile), "name": "row3"})
+			payload := encodePayload(t, walRecord{op: opInsert, table: "parent", rows: []*Row{row}})
+			frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+			frame = append(append(frame, b[4:walHeaderSize]...), payload...)
+			return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame, walCRC))
+		})
+		bothRefuse(t, img, file, 0)
 	})
 }

@@ -9,39 +9,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Appender receives the Stampede events the StampedeLog produces and
-// delivers them somewhere: a BP log file for later loading, or the
-// message bus for real-time processing — the two paths of the paper's
-// Figure 5 ("recorded to either a file for later evaluation, or posted
-// directly to an AMQP queue").
-type Appender interface {
-	Append(ev *bp.Event) error
-}
-
 // WriterAppender writes events as BP lines through a bp.Writer.
 type WriterAppender struct {
 	W *bp.Writer
 }
 
-// Append implements Appender.
+// Append implements bp.Appender.
 func (a *WriterAppender) Append(ev *bp.Event) error { return a.W.Write(ev) }
-
-// BusAppender publishes events to an in-process broker, routing on the
-// event type — the RabbitMQ appender of the paper, minus the network hop.
-type BusAppender struct {
-	Broker *mq.Broker
-}
-
-// Append implements Appender.
-func (a *BusAppender) Append(ev *bp.Event) error {
-	body := []byte(ev.Format())
-	// The emission span (the event's own ts up to this bus handoff) is
-	// recorded engine-side: the loader's route span picks up from the
-	// broker enqueue time, so the two compose without wire context.
-	trace.Emit(body, ev.TS, ev.Get(schema.AttrXwfID))
-	a.Broker.Publish(ev.Type, body)
-	return nil
-}
 
 // ClientAppender publishes events over a TCP connection to a broker
 // server: the full remote-AMQP deployment. It uses the fire-and-forget
@@ -50,7 +24,7 @@ type ClientAppender struct {
 	Client *mq.Client
 }
 
-// Append implements Appender.
+// Append implements bp.Appender.
 func (a *ClientAppender) Append(ev *bp.Event) error {
 	body := []byte(ev.Format())
 	trace.Emit(body, ev.TS, ev.Get(schema.AttrXwfID))
@@ -60,9 +34,9 @@ func (a *ClientAppender) Append(ev *bp.Event) error {
 // MultiAppender fans one event out to several appenders (the DART run
 // kept the plain-text log AND fed the queue). The first error wins but
 // every appender still sees the event.
-type MultiAppender []Appender
+type MultiAppender []bp.Appender
 
-// Append implements Appender.
+// Append implements bp.Appender.
 func (m MultiAppender) Append(ev *bp.Event) error {
 	var first error
 	for _, a := range m {
@@ -80,7 +54,7 @@ type CollectAppender struct {
 	events []*bp.Event
 }
 
-// Append implements Appender.
+// Append implements bp.Appender.
 func (c *CollectAppender) Append(ev *bp.Event) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

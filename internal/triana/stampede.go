@@ -28,7 +28,7 @@ import (
 // StampedeLog itself fabricates the schema-compliance events (mappings,
 // job descriptions) that have no direct Triana counterpart.
 type StampedeLog struct {
-	appender Appender
+	appender bp.Appender
 
 	// ParentUUID and RootUUID wire sub-workflows into the hierarchy. Both
 	// empty for a top-level workflow (root becomes the run itself).
@@ -49,7 +49,7 @@ type StampedeLog struct {
 
 // NewStampedeLog builds the listener. Register it on the scheduler with
 // AddListener (or via Options.Listeners).
-func NewStampedeLog(appender Appender) *StampedeLog {
+func NewStampedeLog(appender bp.Appender) *StampedeLog {
 	return &StampedeLog{
 		appender: appender,
 		Site:     "local",

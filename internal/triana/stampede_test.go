@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/bp"
+	"repro/internal/core"
 	"repro/internal/loader"
-	"repro/internal/mq"
 	"repro/internal/query"
 	"repro/internal/schema"
 	"repro/internal/stats"
@@ -430,47 +430,32 @@ func TestScaledClockCompressesDurations(t *testing.T) {
 }
 
 func TestBusAppenderRealtimePipeline(t *testing.T) {
-	// Engine -> broker -> loader, all live; the loader consumes while the
-	// workflow runs.
-	broker := mq.NewBroker()
-	qq, _ := broker.DeclareQueue("stampede", mq.QueueOpts{Durable: true})
-	_ = broker.Bind("stampede", "stampede.#")
-	a := archive.NewInMemory()
-	l, _ := loader.New(a, loader.Options{Validate: true, FlushEvery: 5 * time.Millisecond})
-	ctx, cancel := context.WithCancel(context.Background())
-	loaderDone := make(chan loader.Stats)
-	go func() {
-		st, _ := l.ConsumeQueue(ctx, qq)
-		loaderDone <- st
-	}()
-
+	// Engine -> bus -> loader, all live in the pipeline core.Start
+	// assembles; the loader consumes while the workflow runs.
+	st, err := core.Start(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := simpleGraph()
-	app := &BusAppender{Broker: broker}
-	log := NewStampedeLog(app)
+	log := NewStampedeLog(st.Appender())
 	s := NewScheduler(g, Options{Mode: SingleStep, Listeners: []Listener{log}})
 	if _, err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the loader to drain, then stop it.
-	deadline := time.After(5 * time.Second)
-	for {
-		if n, _ := a.Store().Count(archive.TWorkflowState); n >= 2 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("loader never saw the workflow finish")
-		case <-time.After(5 * time.Millisecond):
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := st.WaitLoaded(ctx, uint64(log.Appended())); err != nil {
+		t.Fatalf("loader never caught up with the workflow: %v", err)
 	}
-	cancel()
-	st := <-loaderDone
-	if st.Loaded == 0 || st.Invalid > 0 {
-		t.Fatalf("loader stats = %+v", st)
+	if n, _ := st.Archive().Store().Count(archive.TWorkflowState); n < 2 {
+		t.Fatalf("loader saw %d workflow states, want start and end", n)
 	}
-	q := query.New(a)
-	wf, _ := q.WorkflowByUUID(log.WorkflowUUID())
+	wf, _ := st.Query().WorkflowByUUID(log.WorkflowUUID())
 	if wf == nil {
 		t.Fatal("workflow missing from archive")
+	}
+	loaded, err := st.Stop()
+	if err != nil || loaded.Loaded != uint64(log.Appended()) || loaded.Invalid > 0 {
+		t.Fatalf("loader stats = %+v, %v; appended %d", loaded, err, log.Appended())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/bp"
 	"repro/internal/wfclock"
 )
 
@@ -24,7 +25,7 @@ type SubWorkflowUnit struct {
 	ParentLog *StampedeLog
 	// Appender receives the child's Stampede events (usually the same
 	// appender as the parent's).
-	Appender Appender
+	Appender bp.Appender
 	// Opts configures the child scheduler (mode, clock, hostname).
 	Opts Options
 }

@@ -24,7 +24,7 @@ type Node struct {
 	Hostname string
 	Site     string
 	Clock    wfclock.Clock
-	Appender triana.Appender
+	Appender bp.Appender
 }
 
 // BundleResult reports one finished bundle.
