@@ -522,9 +522,9 @@ func benchReadersUnderLoad(b *testing.B, readers int) {
 // O(delta) serving claim under load. Each subscriber drives the real
 // dashboard stream handler in-process (ServeHTTP onto a counting sink,
 // no sockets). View maintenance costs the same per event no matter how
-// many subscribers exist; each flush is rendered once and delivered as
-// a single batch message per subscriber; and the publisher rests longer
-// the more broadcast subscribers a flush reaches (views.restAfter) — so
+// many subscribers exist; each flush is rendered once into the views'
+// frame log, which every subscriber reads; and the publisher rests longer
+// the more a flush's delivery measurably costs (views.restAfter) — so
 // even 10k subscribers should cost the loader <5% of its
 // zero-subscriber throughput (BENCH_loader.json records both sides).
 // Declaration order is run order: the 100-subscriber variant goes first
@@ -602,7 +602,7 @@ func benchSubscribersUnderLoad(b *testing.B, subs int) {
 	// growth, branch warming — without this the variant that happens to
 	// run first measures several percent slow), and a forced collection
 	// resets GC pacing: the live set differs by orders of magnitude
-	// (10k subscriber queues and goroutine stacks), and carrying a stale
+	// (10k subscriber goroutine stacks), and carrying a stale
 	// pacing target into the timed region would skew the comparison more
 	// than the push layer itself does.
 	for i := 0; i < 15; i++ {

@@ -1,8 +1,8 @@
 // Package cmd_test builds the deployment's binaries and drives them as an
 // operator would: one loader writing a store directory, the report tools
 // and a dashboard reading it, a replay materializing a second one from the
-// event log — and the live node, fed by both engines over TCP and watched
-// over SSE, the doctor and the schema validator.
+// event log — the live node, fed by both engines over TCP and watched over
+// SSE, the doctor and the schema validator, and the soak harness.
 package cmd_test
 
 import (
@@ -42,7 +42,7 @@ func TestMain(m *testing.M) {
 	binDir = dir
 	args := []string{"build", "-o", binDir + string(filepath.Separator)}
 	for _, name := range []string{"nl-load", "stampede-statistics", "stampede-analyzer", "stampede-dashboard",
-		"stampede-replay", "triana-run", "pegasus-run", "stampede-doctor", "stampede-schema"} {
+		"stampede-replay", "triana-run", "pegasus-run", "stampede-doctor", "stampede-schema", "stampede-soak"} {
 		args = append(args, "repro/cmd/"+name)
 	}
 	code := 1
@@ -466,5 +466,29 @@ func TestBinariesLiveNode(t *testing.T) {
 		if out := run(t, tool("stampede-schema"), "-validate", log); !strings.Contains(out, want) {
 			t.Fatalf("stampede-schema -validate %s:\n%s", filepath.Base(log), out)
 		}
+	}
+}
+
+var reportCheck = regexp.MustCompile(`^\s*\[([^\]]*)\]`)
+
+// TestBinariesSoak replays the steady scenario through stampede-soak,
+// unpaced: it exits 0 and every check of its report is ok.
+func TestBinariesSoak(t *testing.T) {
+	scenario, err := filepath.Abs(filepath.Join("..", "examples", "scenarios", "steady.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := run(t, tool("stampede-soak"), "-scenario", scenario, "-duration", "2s", "-speedup", "0")
+	checks := 0
+	for _, line := range strings.Split(out, "\n") {
+		if m := reportCheck.FindStringSubmatch(line); m != nil {
+			checks++
+			if strings.TrimSpace(m[1]) != "ok" {
+				t.Errorf("soak check not ok: %s", line)
+			}
+		}
+	}
+	if checks == 0 || !strings.Contains(out, "PASS") {
+		t.Fatalf("stampede-soak printed %d checks:\n%s", checks, out)
 	}
 }

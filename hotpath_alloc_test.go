@@ -9,7 +9,10 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -333,19 +336,47 @@ func TestUnsampledTraceAllocFree(t *testing.T) {
 }
 
 // TestFlushAllocCeiling bounds the views publisher: in steady state a flush
-// of 1,000 dirty workflows with a broadcast subscriber attached allocates at
-// most a tenth of an object per dirty workflow — the shared frame, its
-// message and the queue's bookkeeping, nothing per workflow. The reflected
-// marshal of a per-workflow struct and map this replaced cost about twenty.
+// of 1,000 dirty workflows allocates at most a tenth of an object per dirty
+// workflow — the shared frame and the log's next wake channel, nothing per
+// workflow (the reflected marshal of a per-workflow struct and map this
+// replaced cost about twenty) — and nothing per subscriber: with 1,000
+// broadcast subscribers parked in Wait and reading every frame, a flush
+// allocates what it does with one, within two objects.
 func TestFlushAllocCeiling(t *testing.T) {
+	one, thousand := flushAllocs(t, 1), flushAllocs(t, 1000)
+	t.Logf("FlushNow: %d allocations with 1 subscriber, %d with 1,000", one, thousand)
+	if thousand > one+2 {
+		t.Errorf("FlushNow allocates %d objects for 1,000 subscribers and %d for one: the fan-out costs the flush", thousand, one)
+	}
+}
+
+// frameCounter counts the frames a subscriber writes: one Write each.
+type frameCounter struct{ n *atomic.Int64 }
+
+func (c frameCounter) Write(p []byte) (int, error) { c.n.Add(1); return len(p), nil }
+
+// flushAllocs returns the most FlushNow allocated in ten steady rounds of
+// 1,000 dirty workflows, with subs broadcast subscribers each reading every
+// frame and caught up before the next round starts.
+func flushAllocs(t *testing.T, subs int) uint64 {
 	const workflows = 1000
 	v := views.New(views.Options{Clock: wfclock.NewManual(time.Unix(0, 0)), FlushEvery: time.Hour})
 	defer v.Close()
-	sub, err := v.Subscribe("")
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer func() { cancel(); wg.Wait() }()
+	var written atomic.Int64
+	for i := 0; i < subs; i++ {
+		sub := v.Subscribe("")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer sub.Close()
+			for sub.Wait(ctx) {
+				sub.WriteTo(frameCounter{&written})
+			}
+		}()
 	}
-	defer sub.Close()
 	ts := time.Date(2012, 3, 13, 12, 35, 38, 0, time.UTC)
 	// One batch touches every workflow: a job state, and an invocation with
 	// a duration, so each delta carries a job_states object and, from the
@@ -358,31 +389,38 @@ func TestFlushAllocCeiling(t *testing.T) {
 			bp.New(schema.InvEnd, ts).Set(schema.AttrXwfID, id).Set(schema.AttrJobID, "j").SetInt(schema.AttrJobInstID, 1).
 				SetFloat(schema.AttrDur, 1.5+float64(i)/7))
 	}
-	// round dirties every workflow and returns what flushing them allocated.
+	// round dirties every workflow, returns what flushing them allocated and
+	// waits for every subscriber to have written the frame. The first
+	// round's dirt may be taken by the publisher, which then rests for good
+	// on the still clock: one frame a round either way.
+	rounds := int64(0)
 	round := func() (mallocs uint64, flushed int) {
 		v.ObserveBatch(batch)
 		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
 		flushed = v.FlushNow()
 		runtime.ReadMemStats(&ms1)
-		for len(sub.C()) > 0 {
-			<-sub.C()
+		rounds++
+		for deadline := time.Now().Add(10 * time.Second); written.Load() < rounds*int64(subs); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d subscribers wrote %d frames in %d rounds", subs, written.Load(), rounds)
+			}
 		}
 		return ms1.Mallocs - ms0.Mallocs, flushed
 	}
 	for i := 0; i < 6; i++ { // warm: views created, frame size learnt
 		round()
 	}
+	most := uint64(0)
 	for i := 0; i < 10; i++ {
 		mallocs, flushed := round()
 		if flushed != workflows {
 			t.Fatalf("round %d flushed %d deltas, want %d", i, flushed, workflows)
 		}
-		if i == 0 {
-			t.Logf("FlushNow: %d allocations for %d dirty workflows (ceiling 0.1 each)", mallocs, flushed)
-		}
 		if float64(mallocs) > 0.1*workflows {
-			t.Errorf("round %d: FlushNow allocated %d objects for %d dirty workflows, ceiling 0.1 each", i, mallocs, flushed)
+			t.Errorf("round %d, %d subscribers: FlushNow allocated %d objects for %d dirty workflows, ceiling 0.1 each", i, subs, mallocs, flushed)
 		}
+		most = max(most, mallocs)
 	}
+	return most
 }

@@ -18,11 +18,15 @@ import (
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/bp"
 	"repro/internal/health"
 	"repro/internal/loader"
 	"repro/internal/query"
+	"repro/internal/schema"
 	"repro/internal/synth"
+	"repro/internal/telemetry"
 	"repro/internal/views"
+	"repro/internal/wfclock"
 )
 
 // sseClient consumes one SSE stream and applies the protocol the way a
@@ -152,9 +156,9 @@ func TestSSEChurnUnderLoad(t *testing.T) {
 
 	arch := archive.NewInMemoryN(4)
 	defer arch.Close()
-	// Tiny flush interval and buffer so the test exercises coalescing,
-	// drops, and resync, not just the happy path.
-	v := views.New(views.Options{FlushEvery: 2 * time.Millisecond, QueueCapacity: 8})
+	// Tiny flush interval so the test exercises coalescing, not just the
+	// happy path.
+	v := views.New(views.Options{FlushEvery: 2 * time.Millisecond})
 	defer v.Close()
 	s := New(query.New(arch))
 	s.SetViews(v)
@@ -427,4 +431,126 @@ func TestAlertTransitionIsAHealthFrame(t *testing.T) {
 		}
 	}
 	t.Fatalf("stream ended without a health frame: %v", sc.Err())
+}
+
+// stallSink is an SSE client on a full socket: it takes the snapshot, and
+// every later Write blocks until release is closed.
+type stallSink struct {
+	hdr     http.Header
+	release chan struct{}
+	mu      sync.Mutex
+	writes  int
+	body    bytes.Buffer
+}
+
+func (s *stallSink) Header() http.Header { return s.hdr }
+func (s *stallSink) WriteHeader(int)     {}
+func (s *stallSink) Flush()              {}
+
+func (s *stallSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	s.writes++
+	s.body.Write(p)
+	first := s.writes == 1
+	s.mu.Unlock()
+	if !first {
+		<-s.release
+	}
+	return len(p), nil
+}
+
+func (s *stallSink) state() (int, string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.writes, s.body.String()
+}
+
+// mqSeries is every stampede_mq_* sample line of the process's exposition.
+func mqSeries(t *testing.T) []string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := telemetry.Default().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "stampede_mq_") {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestStalledSubscriberResyncsOffTheBus: an SSE client that stops reading
+// while a hundred flushes go out is, once its socket drains, resynced from
+// the view, and the frames it missed are counted in the views' own
+// dropped-deltas counter. The fan-out is not the ingest bus's business:
+// every stampede_mq_* series — routed, dropped, per-queue depth — and the
+// health engine's bus drop rate are what they were before it.
+func TestStalledSubscriberResyncsOffTheBus(t *testing.T) {
+	clk := wfclock.NewManual(time.Date(2012, 3, 13, 12, 0, 0, 0, time.UTC))
+	eng := health.New(health.Config{Clock: clk})
+	defer eng.Close()
+	eng.RegisterStandard(health.Sources{Clock: clk})
+	eng.Tick()
+	mqBefore := mqSeries(t)
+
+	v := views.New(views.Options{FlushEvery: time.Hour})
+	defer v.Close()
+	srv := New(query.New(archive.NewInMemory()))
+	srv.SetViews(v)
+	ctx, cancel := context.WithCancel(context.Background())
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "/api/stream/workflows", nil)
+	sink := &stallSink{hdr: make(http.Header), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.ServeHTTP(sink, req)
+	}()
+	dropped0, resyncs0 := v.Stats().Dropped, v.Stats().Resyncs
+
+	// The first flush after the snapshot is the Write the client stalls in;
+	// a hundred more go out while it does.
+	ts := time.Date(2012, 3, 13, 12, 0, 1, 0, time.UTC)
+	flush := func(i int) {
+		v.ObserveBatch([]*bp.Event{bp.New(schema.InvEnd, ts).Set(schema.AttrXwfID, "stalled-"+strconv.Itoa(i)).
+			Set(schema.AttrJobID, "j").SetInt(schema.AttrJobInstID, 1).SetInt(schema.AttrInvID, 1).SetFloat(schema.AttrDur, 1)})
+		v.FlushNow()
+	}
+	waitFor := func(what string, cond func(writes int, body string) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(sink.state()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				_, body := sink.state()
+				t.Fatalf("%s: the client was sent %q", what, body)
+			}
+		}
+	}
+	waitFor("snapshot", func(writes int, _ string) bool { return writes == 1 })
+	flush(0)
+	waitFor("stall", func(writes int, _ string) bool { return writes == 2 })
+	for i := 1; i <= 100; i++ {
+		flush(i)
+	}
+	close(sink.release)
+	waitFor("resync", func(_ int, body string) bool { return strings.Contains(body, "event: resync\n") })
+	cancel()
+	<-served
+
+	if _, body := sink.state(); !strings.Contains(body, `"uuid":"stalled-100"`) {
+		t.Errorf("the resync does not carry the last workflow flushed: %q", body)
+	}
+	st := v.Stats()
+	if st.Resyncs-resyncs0 != 1 || st.Dropped-dropped0 < 64 {
+		t.Errorf("%d resyncs and %d dropped frames counted by the views, want 1 and at least the 64 the log keeps",
+			st.Resyncs-resyncs0, st.Dropped-dropped0)
+	}
+	if mqAfter := mqSeries(t); strings.Join(mqAfter, "\n") != strings.Join(mqBefore, "\n") {
+		t.Errorf("SSE fan-out moved the bus's metrics:\n before %q\n after  %q", mqBefore, mqAfter)
+	}
+	clk.Advance(time.Minute)
+	eng.Tick()
+	if rate, ok := eng.Signal(health.SigMQDropRate); !ok || rate != 0 {
+		t.Errorf("bus drop rate %v (ok %v) after an SSE client was resynced, want 0", rate, ok)
+	}
 }

@@ -396,12 +396,9 @@ func TestNonFiniteDecimalRefused(t *testing.T) {
 	// connecting afterwards gets.
 	glass := func(arch *archive.Archive, opts Options, in string) (Stats, map[string]views.WorkflowDelta, []views.WorkflowDelta) {
 		t.Helper()
-		v := views.New(views.Options{Clock: wfclock.NewManual(t0), QueueCapacity: 1024})
+		v := views.New(views.Options{Clock: wfclock.NewManual(t0)})
 		defer v.Close()
-		sub, err := v.Subscribe("")
-		if err != nil {
-			t.Fatal(err)
-		}
+		sub := v.Subscribe("")
 		defer sub.Close()
 		opts.Views = v
 		l, _ := New(arch, opts)
@@ -411,15 +408,15 @@ func TestNonFiniteDecimalRefused(t *testing.T) {
 		}
 		v.FlushNow() // whatever the publisher, resting on a still clock, has not taken
 		sent := map[string]views.WorkflowDelta{}
-		for len(sub.C()) > 0 {
-			for _, frame := range strings.Split(string((<-sub.C()).Body), "\n\n") {
-				if body, ok := strings.CutPrefix(frame, "event: delta\ndata: "); ok {
-					var d views.WorkflowDelta
-					if err := json.Unmarshal([]byte(body), &d); err != nil {
-						t.Fatalf("delta %q: %v", body, err)
-					}
-					sent[d.UUID] = d
+		var frames strings.Builder
+		sub.WriteTo(&frames)
+		for _, frame := range strings.Split(frames.String(), "\n\n") {
+			if body, ok := strings.CutPrefix(frame, "event: delta\ndata: "); ok {
+				var d views.WorkflowDelta
+				if err := json.Unmarshal([]byte(body), &d); err != nil {
+					t.Fatalf("delta %q: %v", body, err)
 				}
+				sent[d.UUID] = d
 			}
 		}
 		var snapshot []views.WorkflowDelta

@@ -37,7 +37,7 @@ type Scenario struct {
 
 	// Subscribers attaches this many live SSE clients to the soak run's
 	// dashboard stream endpoint, exercising the materialized-view push
-	// path (delta coalescing, bounded buffers, slow-consumer resync)
+	// path (delta coalescing, the shared frame log, slow-consumer resync)
 	// end to end under ingest load. 0 = no push serving.
 	Subscribers int `json:"subscribers,omitempty"`
 }

@@ -88,6 +88,37 @@ func TestSampleSelectivity(t *testing.T) {
 	}
 }
 
+// TestSampleDependsOnEveryByte: lines that differ only away from the
+// offsets the 8-byte fold lands on (0, 8, 16, …) must not share one
+// sampling decision. Among 4,096 lines that differ only in bytes 12 and 13,
+// between 1/128 and 1/32 are sampled at rate 1/64, and the 256 values of
+// byte 13 alone are neither all sampled nor all passed over.
+func TestSampleDependsOnEveryByte(t *testing.T) {
+	defer SetSampleEvery(DefaultSampleEvery)
+	SetSampleEvery(64)
+	line := []byte("ts=2012-03-20T17:44:31Z event=stampede.job.mainjob.start job.id=j1")
+	sampled := 0
+	for i := 0; i < 4096; i++ {
+		line[12], line[13] = byte(i>>6), byte(i&63)
+		if Sample(line) != 0 {
+			sampled++
+		}
+	}
+	if sampled < 4096/128 || sampled > 4096/32 {
+		t.Errorf("sampled %d of 4096 lines differing in bytes 12-13 at rate 1/64; want 32..128", sampled)
+	}
+	line[12], sampled = '0', 0
+	for b := 0; b < 256; b++ {
+		line[13] = byte(b)
+		if Sample(line) != 0 {
+			sampled++
+		}
+	}
+	if sampled == 0 || sampled == 256 {
+		t.Errorf("the 256 values of byte 13 share one decision (%d sampled)", sampled)
+	}
+}
+
 func TestStageString(t *testing.T) {
 	want := map[Stage]string{
 		StageEmit: "emit", StageRoute: "route", StageParse: "parse",

@@ -43,15 +43,9 @@ func TestAnomalyDetectorDeterministic(t *testing.T) {
 	v := views.New(views.Options{Clock: clk, FlushEvery: time.Hour}) // manual flushes only
 	defer v.Close()
 
-	sub, err := v.Subscribe(uuid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := v.Subscribe(uuid)
 	defer sub.Close()
-	broadcast, err := v.Subscribe("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	broadcast := v.Subscribe("")
 	defer broadcast.Close()
 
 	alertsBefore, _ := telemetry.Default().SumValue("stampede_views_anomaly_alerts_total")
@@ -117,41 +111,36 @@ func TestAnomalyDetectorDeterministic(t *testing.T) {
 	}
 }
 
-// drainAlerts collects the alert messages queued for a per-workflow
-// subscriber and asserts their count.
+// drainAlerts collects the alert frames written for a per-workflow
+// subscriber since the last call and asserts their count. FlushNow has
+// returned before it is called, so everything is in the subscriber's log.
 func drainAlerts(t *testing.T, sub *views.Sub, want int) []views.Alert {
 	t.Helper()
 	var out []views.Alert
-	for {
-		select {
-		case m := <-sub.C():
-			if !strings.HasPrefix(m.Key, "views.alert.") {
-				continue // delta for the same workflow
-			}
-			var a views.Alert
-			if err := json.Unmarshal(m.Body, &a); err != nil {
-				t.Fatalf("bad alert payload %q: %v", m.Body, err)
-			}
-			out = append(out, a)
-		case <-time.After(50 * time.Millisecond):
-			if len(out) != want {
-				t.Fatalf("got %d alerts, want %d: %+v", len(out), want, out)
-			}
-			return out
+	for _, frame := range strings.Split(drainBatch(t, sub), "\n\n") {
+		body, ok := strings.CutPrefix(frame, "event: alert\ndata: ")
+		if !ok {
+			continue // a delta for the same workflow
 		}
+		var a views.Alert
+		if err := json.Unmarshal([]byte(body), &a); err != nil {
+			t.Fatalf("bad alert payload %q: %v", body, err)
+		}
+		out = append(out, a)
 	}
+	if len(out) != want {
+		t.Fatalf("got %d alerts, want %d: %+v", len(out), want, out)
+	}
+	return out
 }
 
-// drainBatch returns the concatenated broadcast frames currently queued.
+// drainBatch returns the frames written for a subscriber since the last
+// call.
 func drainBatch(t *testing.T, sub *views.Sub) string {
 	t.Helper()
 	var b strings.Builder
-	for {
-		select {
-		case m := <-sub.C():
-			b.Write(m.Body)
-		case <-time.After(50 * time.Millisecond):
-			return b.String()
-		}
+	if _, err := sub.WriteTo(&b); err != nil {
+		t.Fatal(err)
 	}
+	return b.String()
 }

@@ -1,7 +1,9 @@
 package views_test
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,13 +16,14 @@ import (
 )
 
 // The publisher's pacing, on a Manual clock and without a sleep: a flush
-// that must happen is waited for on the broadcast subscription (one
-// message is one flush), one that must not have happened is shown by the
-// next flush still carrying the workflow it would have taken. A Manual
-// clock does not move inside a flush, so every flush here costs nothing and
-// the rest that follows it is restAfter(0, subscribers); what a flush that
-// does cost is followed by is TestRestAfter's table, and what one stalled
-// flush among cheap ones is followed by is TestSmoothCost.
+// that must happen is waited for on the broadcast subscription (one frame
+// is one flush), one that must not have happened is shown by the next flush
+// still carrying the workflow it would have taken. A Manual clock does not
+// move inside a flush or a delivery, so every flush here costs nothing and
+// the rest that follows it is the floor, unless a test records what
+// delivery costs (NoteDelivery); what a flush that does cost is followed by
+// is TestRestAfter's table, and what one stalled flush among cheap ones is
+// followed by is TestSmoothCost.
 
 var pubEpoch = time.Date(2012, 3, 13, 12, 0, 0, 0, time.UTC)
 
@@ -41,12 +44,9 @@ func flushesTotal() float64 {
 
 func newPublisher(t *testing.T, every time.Duration) *publisher {
 	clk := wfclock.NewManual(pubEpoch)
-	v := views.New(views.Options{Clock: clk, FlushEvery: every, QueueCapacity: 64})
+	v := views.New(views.Options{Clock: clk, FlushEvery: every})
 	t.Cleanup(v.Close)
-	sub, err := v.Subscribe("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := v.Subscribe("")
 	t.Cleanup(sub.Close)
 	return &publisher{t: t, clk: clk, v: v, sub: sub, flushes: flushesTotal()}
 }
@@ -71,19 +71,21 @@ func (p *publisher) flush(want ...string) {
 			}
 		}
 	}()
-	select {
-	case m := <-p.sub.C():
-		frame := string(m.Body)
-		if n := strings.Count(frame, "event: delta"); n != len(want) {
-			p.t.Fatalf("flush carries %d deltas, want %v: %q", n, want, frame)
-		}
-		for _, uuid := range want {
-			if !strings.Contains(frame, `"uuid":"`+uuid+`"`) {
-				p.t.Fatalf("flush lacks %s — it was published earlier than its bound: %q", uuid, frame)
-			}
-		}
-	case <-time.After(10 * time.Second):
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if !p.sub.Wait(ctx) {
 		p.t.Fatalf("no flush carrying %v", want)
+	}
+	var b strings.Builder
+	p.sub.WriteTo(&b)
+	frame := b.String()
+	if n := strings.Count(frame, "event: delta"); n != len(want) {
+		p.t.Fatalf("flush carries %d deltas, want %v: %q", n, want, frame)
+	}
+	for _, uuid := range want {
+		if !strings.Contains(frame, `"uuid":"`+uuid+`"`) {
+			p.t.Fatalf("flush lacks %s — it was published earlier than its bound: %q", uuid, frame)
+		}
 	}
 }
 
@@ -95,8 +97,10 @@ func (p *publisher) quiet() {
 	for i := 0; i < 100; i++ {
 		runtime.Gosched()
 	}
-	if n := len(p.sub.C()); n != 0 {
-		p.t.Fatalf("%d flushes before the rest was over", n)
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if p.sub.Wait(done) {
+		p.t.Fatal("a flush before the rest was over")
 	}
 }
 
@@ -158,25 +162,30 @@ func TestRestNeverExceedsFlushEvery(t *testing.T) {
 
 // subscribe adds n subscriptions to uuid ("" = broadcast) that nobody reads.
 func (p *publisher) subscribe(n int, uuid string) {
-	p.t.Helper()
 	for i := 0; i < n; i++ {
-		sub, err := p.v.Subscribe(uuid)
-		if err != nil {
-			p.t.Fatal(err)
-		}
-		p.t.Cleanup(sub.Close)
+		p.t.Cleanup(p.v.Subscribe(uuid).Close)
 	}
 }
 
-// TestFanOutStretchesSpacing: every flush reaches every broadcast
-// subscriber, so 2,000 of them (and the harness's own) stretch the rest to
-// 2,001 × RestPerSubscriber; 2,000 subscribers to one workflow that is never
-// dirty cost a flush nothing and leave the rest at the floor.
+// deliver records what the last CostSamples deliveries each cost.
+func (p *publisher) deliver(each time.Duration) {
+	for i := 0; i < views.CostSamples; i++ {
+		p.v.NoteDelivery(each)
+	}
+}
+
+// TestFanOutStretchesSpacing: a flush reaches every broadcast subscriber,
+// so with delivery measured at 2 µs a subscriber, 2,000 of them (and the
+// harness's own) stretch the rest to RestPerCost × 2,001 × 2 µs; 2,000
+// subscribers to one workflow that is never dirty are never reached and
+// leave the rest at the floor.
 func TestFanOutStretchesSpacing(t *testing.T) {
+	const each = 2 * time.Microsecond
 	t.Run("broadcast", func(t *testing.T) {
 		p := newPublisher(t, time.Hour)
 		p.subscribe(2000, "")
-		rest := 2001 * views.RestPerSubscriber
+		p.deliver(each)
+		rest := views.RestPerCost * 2001 * each
 		p.dirty("wf-a")
 		p.flush("wf-a")
 		p.dirty("wf-b")
@@ -189,9 +198,12 @@ func TestFanOutStretchesSpacing(t *testing.T) {
 	t.Run("per-workflow", func(t *testing.T) {
 		p := newPublisher(t, time.Hour)
 		p.subscribe(2000, "nobody")
+		p.deliver(each)
 		p.dirty("wf-a")
 		p.flush("wf-a")
 		p.dirty("wf-b")
+		// Only the harness's own subscriber is reached: RestPerCost × 2 µs,
+		// under the floor.
 		p.clk.Advance(views.RestFloor - time.Nanosecond)
 		p.quiet()
 		p.clk.Advance(time.Nanosecond)
@@ -200,15 +212,17 @@ func TestFanOutStretchesSpacing(t *testing.T) {
 }
 
 // TestTenThousandSubscribers: at the fan-out the benchmark family goes to,
-// the rest is 10,000 × RestPerSubscriber — the default FlushEvery, which is
-// where the rule meets its ceiling — and the publisher, measured on the wall
-// clock through its own two counters, stays under its share of a core.
+// delivery measured at 1 µs a subscriber makes the rest 100 ms, half the
+// default FlushEvery; and the publisher, measured on the wall clock through
+// its own two counters, stays under its share of a core, however many
+// subscribers there are, because a flush wakes them all with one broadcast.
 func TestTenThousandSubscribers(t *testing.T) {
 	const subs = 10000
 	t.Run("rest", func(t *testing.T) {
 		p := newPublisher(t, time.Hour)
 		p.subscribe(subs-1, "")
-		rest := subs * views.RestPerSubscriber
+		p.deliver(time.Microsecond)
+		rest := views.RestPerCost * subs * time.Microsecond
 		p.dirty("wf-a")
 		p.flush("wf-a")
 		p.dirty("wf-b")
@@ -222,19 +236,17 @@ func TestTenThousandSubscribers(t *testing.T) {
 			s, _ := telemetry.Default().SumValue("stampede_views_flush_busy_seconds_total")
 			return time.Duration(s * float64(time.Second))
 		}
-		// FlushEvery is out of the way: under the race detector a flush to
-		// 10,000 queues can cost more than a tenth of the default.
+		// FlushEvery is out of the way: under the race detector a flush can
+		// cost more than a tenth of the default.
 		v := views.New(views.Options{FlushEvery: time.Hour})
 		defer v.Close()
 		for i := 0; i < subs; i++ {
-			sub, err := v.Subscribe("")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sub.Close()
+			defer v.Subscribe("").Close()
 		}
-		// Dirt as fast as it can be made until five flushes have gone out,
-		// timed from the first to the last being counted.
+		// Dirt as fast as it can be made until twenty flushes have gone out,
+		// timed from the first to the last being counted, once the running
+		// mean of what a flush costs has had 3×CostSmoothing flushes to learn
+		// it (before that the rests undercharge the flushes).
 		inv := int64(0)
 		dirtyUntil := func(n float64) {
 			for deadline := time.Now().Add(time.Minute); flushesTotal() < n; inv++ {
@@ -244,14 +256,14 @@ func TestTenThousandSubscribers(t *testing.T) {
 				v.ObserveBatch([]*bp.Event{invEnd(fmt.Sprintf("wf-%d", inv%64), pubEpoch, inv, 1)})
 			}
 		}
-		const flushes = 5
-		f0 := flushesTotal()
-		dirtyUntil(f0 + 1)
+		const flushes = 20
+		f0 := flushesTotal() + 3*views.CostSmoothing
+		dirtyUntil(f0)
 		t0, b0 := time.Now(), busy()
-		dirtyUntil(f0 + 1 + flushes)
+		dirtyUntil(f0 + flushes)
 		elapsed, spent := time.Since(t0), busy()-b0
-		if least := flushes * subs * views.RestPerSubscriber; elapsed < least {
-			t.Errorf("%d flushes to %d subscribers in %v: each rest is at least %v", flushes, subs, elapsed, least/flushes)
+		if least := flushes * views.RestFloor; elapsed < least {
+			t.Errorf("%d flushes in %v: each rest is at least %v", flushes, elapsed, views.RestFloor)
 		}
 		// Every flush is followed by a rest of RestPerCost times what it
 		// took, so the share is 1/(1+RestPerCost) when flushes cost the same
@@ -265,32 +277,77 @@ func TestTenThousandSubscribers(t *testing.T) {
 	})
 }
 
-// TestRestAfter is the rule itself, a pure function of what the flush cost
-// and how many broadcast subscribers it went to, under the FlushEvery
-// ceiling.
+// TestStalledSubscriberIsOneSubscriber: 999 subscribers each take 1 µs from
+// wake-up to written and one blocks for a second on its socket. What a
+// flush is charged for delivering to the thousand stays within 2× of what
+// the 999 alone cost — not the second a mean would charge — and so does the
+// rest that follows it. Deliveries are timed on the Manual clock through
+// Wait and WriteTo, as the SSE handler makes them.
+func TestStalledSubscriberIsOneSubscriber(t *testing.T) {
+	const ceiling = 200 * time.Millisecond
+	delivery := func(stall bool) time.Duration {
+		clk := wfclock.NewManual(pubEpoch)
+		v := views.New(views.Options{Clock: clk, FlushEvery: time.Hour})
+		defer v.Close()
+		n := 999
+		if stall {
+			n++
+		}
+		subs := make([]*views.Sub, n)
+		for i := range subs {
+			subs[i] = v.Subscribe("")
+			defer subs[i].Close()
+		}
+		v.PublishFrame("ping", []byte("{}"))
+		for i, s := range subs {
+			if !s.Wait(context.Background()) {
+				t.Fatal("no frame to deliver")
+			}
+			if stall && i == n-1 {
+				clk.Advance(time.Second) // the last sample: it is in the window
+			} else {
+				clk.Advance(time.Microsecond)
+			}
+			if _, err := s.WriteTo(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Duration(n) * v.PerSubscriber()
+	}
+	alone, stalled := delivery(false), delivery(true)
+	t.Logf("delivery: 999 subscribers %v, with a stalled one %v", alone, stalled)
+	if alone != 999*time.Microsecond {
+		t.Errorf("999 deliveries of 1 µs are charged %v", alone)
+	}
+	if stalled > 2*alone {
+		t.Errorf("a stalled subscriber made delivery %v, the 999 alone cost %v", stalled, alone)
+	}
+	if ra, rs := views.RestAfter(alone, ceiling), views.RestAfter(stalled, ceiling); rs > 2*ra {
+		t.Errorf("a stalled subscriber stretched the rest to %v, the 999 alone rest %v", rs, ra)
+	}
+}
+
+// TestRestAfter is the rule itself, a pure function of what the flush and
+// its delivery cost, under the FlushEvery ceiling.
 func TestRestAfter(t *testing.T) {
 	const ceiling = 200 * time.Millisecond
 	for _, c := range []struct {
 		name string
 		cost time.Duration
-		subs int
 		want time.Duration
 	}{
-		{"a free flush rests the floor", 0, 0, views.RestFloor},
-		{"the floor wins for a cheap flush", 300 * time.Microsecond, 1, views.RestFloor},
-		{"cost wins for a dear one", 4 * time.Millisecond, 1, 40 * time.Millisecond},
-		{"cost at the floor exactly", time.Millisecond, 0, views.RestFloor},
-		{"fan-out wins over a cheap flush", 500 * time.Microsecond, 2000, 40 * time.Millisecond},
-		{"cost wins over fan-out", 9 * time.Millisecond, 2000, 90 * time.Millisecond},
-		{"the ceiling caps cost", 50 * time.Millisecond, 0, ceiling},
-		{"the ceiling caps fan-out", 0, 50000, ceiling},
-		{"10,000 subscribers meet the default ceiling", 0, 10000, ceiling},
+		{"a free flush rests the floor", 0, views.RestFloor},
+		{"the floor wins for a cheap flush", 300 * time.Microsecond, views.RestFloor},
+		{"cost wins for a dear one", 4 * time.Millisecond, 40 * time.Millisecond},
+		{"cost at the floor exactly", time.Millisecond, views.RestFloor},
+		{"1,001 subscribers at 1 µs beside a 500 µs flush", 500*time.Microsecond + 1001*time.Microsecond, 15010 * time.Microsecond},
+		{"the ceiling caps cost", 50 * time.Millisecond, ceiling},
 	} {
-		if got := views.RestAfter(c.cost, c.subs, ceiling); got != c.want {
-			t.Errorf("%s: restAfter(%v, %d) = %v, want %v", c.name, c.cost, c.subs, got, c.want)
+		if got := views.RestAfter(c.cost, ceiling); got != c.want {
+			t.Errorf("%s: restAfter(%v) = %v, want %v", c.name, c.cost, got, c.want)
 		}
 	}
-	if got := views.RestAfter(time.Second, 1<<20, time.Millisecond); got != time.Millisecond {
+	if got := views.RestAfter(time.Second, time.Millisecond); got != time.Millisecond {
 		t.Errorf("a ceiling under the floor: rest %v, want the ceiling", got)
 	}
 }
@@ -319,9 +376,9 @@ func TestSmoothCost(t *testing.T) {
 		mean = views.SmoothCost(mean, cheap)
 	}
 	mean = views.SmoothCost(mean, stall)
-	if rest := views.RestAfter(mean, 1, ceiling); rest > 2*views.RestFloor {
+	if rest := views.RestAfter(mean, ceiling); rest > 2*views.RestFloor {
 		t.Errorf("one %v flush among %v ones is followed by a rest of %v, want at most %v (unsmoothed: %v)",
-			stall, cheap, rest, 2*views.RestFloor, views.RestAfter(stall, 1, ceiling))
+			stall, cheap, rest, 2*views.RestFloor, views.RestAfter(stall, ceiling))
 	}
 	// The stall is still paid for, spread over the flushes that follow: the
 	// means it leaves behind add up to (nearly) the stall itself.
@@ -342,7 +399,7 @@ func TestSmoothCost(t *testing.T) {
 	if mean < stall*95/100 || mean > stall {
 		t.Errorf("after %d flushes at %v the mean is %v", 3*views.CostSmoothing, stall, mean)
 	}
-	if rest := views.RestAfter(mean, 1, ceiling); rest < views.RestPerCost*stall*95/100 {
+	if rest := views.RestAfter(mean, ceiling); rest < views.RestPerCost*stall*95/100 {
 		t.Errorf("a flush that costs %v every time is followed by %v, want about %v", stall, rest, views.RestPerCost*stall)
 	}
 }

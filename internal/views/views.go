@@ -7,23 +7,22 @@
 //
 // Updates are batched (ObserveBatch runs once per committed loader batch,
 // holding one stripe lock across runs of same-workflow events) and
-// publication is coalesced: the publisher writes every dirty workflow's
-// delta once, with appendDelta, into one frame shared by all broadcast
-// subscribers (BatchTopic), so a flush costs one queue delivery per
-// subscriber no matter how many workflows went dirty, and a workflow's
-// delta is published on its own only while somebody is subscribed to that
-// workflow. The publisher paces itself by what publishing costs (restAfter):
-// the first workflow to go dirty after a rest is on the wire at once, and
-// after a flush it rests max(restFloor, restPerCost·d, broadcast subscribers
-// × restPerSubscriber), never longer than FlushEvery, d being the running
-// mean of what a flush takes.
+// publication is coalesced: a flush writes every dirty workflow's delta
+// once, with appendDelta, into one SSE frame appended to a frame log
+// (sub.go) that every broadcast subscriber reads verbatim, so a flush costs
+// one append and one wake-up broadcast however many subscribe; a workflow
+// subscribed to on its own gets its slices of that frame in a log of its
+// own. The publisher paces itself by what publishing and delivery cost
+// (restAfter): the first workflow to go dirty after a rest is on the wire
+// at once, and after a flush it rests max(restFloor, restPerCost·d), never
+// longer than FlushEvery, d being the running mean of what a flush and its
+// measured delivery took.
 // What went dirty meanwhile rides the next flush, so staleness is bounded
-// by one rest and the publisher's share of a core by 1/(1+restPerCost) —
-// at any load and any fan-out, with no knob. Subscribers get bounded
-// queues; a slow consumer drops deltas (counted) and re-syncs from the view
-// snapshot — never from a store scan — because every delta carries full
-// workflow state (latest wins), so a drop only costs freshness, not
-// correctness.
+// by one rest and publishing's share of a core by 1/(1+restPerCost) — at
+// any load and any fan-out, with no knob. A subscriber more than a ring of
+// frames behind re-syncs from the view snapshot — never from a store scan —
+// because every delta carries full workflow state (latest wins), so a
+// skipped frame only costs freshness, not correctness.
 //
 // The online anomaly detectors from internal/analysis run in the same
 // apply-time path: invocation runtimes feed a per-transformation 3σ
@@ -43,7 +42,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/archive"
 	"repro/internal/bp"
-	"repro/internal/mq"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
 	"repro/internal/wfclock"
@@ -164,45 +162,37 @@ type Options struct {
 	// and so the bound on how stale the glass may be (0 = 200ms). It is a
 	// ceiling, not a wait: see restAfter for what a rest usually is.
 	FlushEvery time.Duration
-	// QueueCapacity bounds each subscriber's delta buffer (0 = 32).
-	// A full buffer drops the delta; the subscriber re-syncs. Deep
-	// buffers buy nothing here — deltas are full-state and a resync is
-	// one view marshal — they only add staleness and, at high fan-out,
-	// live heap the collector must mark (10k subscribers × 256 slots is
-	// ~120MB of idle channel buffer).
-	QueueCapacity int
 }
 
 // The publisher's pacing. After a flush that published something it rests;
 // what goes dirty during the rest rides the next flush. What a flush costs
-// is a running mean over the last few (smoothCost), not the last one alone:
-// on a busy host one flush in a hundred is descheduled or meets a collection
-// and reads ten or twenty times its cost, and ten times *that* as a single
-// rest was the whole of a saturated run's glass p99, a different number every
-// run. The mean charges the same total rest for it, spread over the flushes
-// that follow, so the share of a core is bounded as before and no one delta
-// waits for a stall it did not cause. The three constants are measured, not
-// tuned per deployment (CHANGES.md, PR 23):
+// is what the publisher spent on it plus what delivering it is estimated to
+// cost the subscribers it reached, as a running mean over the last few
+// (smoothCost), not the last one alone: on a busy host one flush in a
+// hundred is descheduled or meets a collection and reads ten or twenty
+// times its cost, and ten times *that* as a single rest was the whole of a
+// saturated run's glass p99, a different number every run. The mean charges
+// the same total rest for it, spread over the flushes that follow, so the
+// share of a core is bounded as before and no one delta waits for a stall
+// it did not cause. The constants are measured, not tuned per deployment
+// (CHANGES.md):
 //
 //   - restFloor is a frame time: no screen shows two states 10 ms apart, so
 //     flushing oftener only multiplies frames. At an eighth of capacity a
 //     flush costs well under a millisecond and this is the term that holds,
 //     glass p99 ≈ 12 ms.
-//   - restPerCost makes a flush that took d be followed by a rest of at
-//     least 10·d, which caps the publisher at 1/11 of one core however many
-//     workflows are dirty: a flush dear enough to matter stretches its own
-//     rest. With appendDelta a flush is cheap enough that the floor holds
-//     even flat out (saturate_memory: 0.77 ms a flush, 5.5% of a core).
-//   - restPerSubscriber charges each broadcast subscriber's share of a
-//     flush — a queue offer here, a goroutine wake-up and a socket write on
-//     the consumer's side, ≈ 2 µs together — at 20 µs, so delivery stays
-//     near a tenth of a core too: 1,000 subscribers are flushed every 20 ms,
-//     10,000 every 200 ms. Per-workflow subscribers are not counted: a flush
-//     reaches one only when its workflow is dirty.
+//   - restPerCost makes a flush that cost d be followed by a rest of at
+//     least 10·d, which caps publishing and delivery together at 1/11 of one
+//     core however many workflows are dirty and however many subscribe: a
+//     flush dear enough to matter stretches its own rest. Delivery is the
+//     median of the last costSamples subscribers' wake-to-written times
+//     (Sub.WriteTo) times the subscribers the flush reached, so a client
+//     stalled on a full socket counts as one subscriber, not as a stall.
+//     Measured at 0.2–1 µs a subscriber, 1,000 subscribers add 2–10 ms to a
+//     rest, and 10,000 stretch it to 20–100 ms.
 const (
-	restFloor         = 10 * time.Millisecond
-	restPerCost       = 10
-	restPerSubscriber = 20 * time.Microsecond
+	restFloor   = 10 * time.Millisecond
+	restPerCost = 10
 	// costSmoothing is the weight of the mean's past against one new flush.
 	costSmoothing = 8
 )
@@ -217,11 +207,9 @@ func smoothCost(mean, cost time.Duration) time.Duration {
 }
 
 // restAfter is the pacing rule: how long the publisher rests after a flush
-// that took cost and went to subs broadcast subscribers, given the ceiling
-// (Options.FlushEvery).
-func restAfter(cost time.Duration, subs int, ceiling time.Duration) time.Duration {
-	rest := max(restFloor, restPerCost*cost, time.Duration(subs)*restPerSubscriber)
-	return min(rest, ceiling)
+// whose publishing and delivery cost, given the ceiling (Options.FlushEvery).
+func restAfter(cost, ceiling time.Duration) time.Duration {
+	return min(max(restFloor, restPerCost*cost), ceiling)
 }
 
 var (
@@ -230,7 +218,7 @@ var (
 	mSubscribers = telemetry.NewGauge("stampede_views_subscribers",
 		"Live SSE/delta subscribers across all Views instances.")
 	mDroppedDeltas = telemetry.NewCounter("stampede_views_dropped_deltas_total",
-		"Deltas dropped on full subscriber buffers (each triggers a resync).")
+		"Frames a subscriber fell too far behind to be sent (each gap is one resync).")
 	mResyncs = telemetry.NewCounter("stampede_views_resyncs_total",
 		"Slow-consumer resyncs served from the view snapshot.")
 	mAnomalyAlerts = telemetry.NewCounter("stampede_views_anomaly_alerts_total",
@@ -250,10 +238,6 @@ func init() {
 		"Time the publisher spent flushing (rate = its share of one core).",
 		func() float64 { return float64(flushBusyNS.Load()) / 1e9 })
 }
-
-// NoteResync counts a slow-consumer resync (called by the SSE layer when
-// it serves a snapshot after TakeDropped reported drops).
-func NoteResync() { mResyncs.Inc() }
 
 // hostKey matches the archive's host identity (site, hostname, ip) so a
 // rebuild from the store produces the same host set.
@@ -320,18 +304,20 @@ type vstripe struct {
 	lastWF   *wfView
 	dirty    []*wfView
 	alerts   []Alert
-	// subs counts the per-workflow subscriptions by uuid (known workflow or
-	// not), so a flush publishes a workflow on its own only when somebody
-	// is bound to it.
-	subs map[string]int
+	// subs holds the frame log of every workflow (known or not) somebody
+	// subscribed to on its own, while somebody is, so a flush hands a
+	// workflow's frames to its own log only when it has a reader.
+	subs map[string]*frameLog
 }
 
 // Views is the materialized-view layer. One instance serves one archive.
 type Views struct {
 	opts  Options
 	det   *analysis.RuntimeDetector
-	bus   *mq.Broker
+	log   *frameLog // the broadcast stream
 	clock wfclock.Clock
+	// deliveries is what the subscribers' recent wake-ups cost them.
+	deliveries deliveryCosts
 
 	stripes [64]vstripe
 
@@ -340,9 +326,7 @@ type Views struct {
 	hostList []*hostView
 
 	createSeq atomic.Uint64
-	subSeq    atomic.Uint64
 	nsubs     atomic.Int64 // every subscription
-	nbcast    atomic.Int64 // the broadcast ones, which every flush reaches
 
 	flushMu sync.Mutex
 	// ndirty counts the workflows gone dirty since the last flush and
@@ -367,14 +351,11 @@ func New(opts Options) *Views {
 	if opts.FlushEvery == 0 {
 		opts.FlushEvery = 200 * time.Millisecond
 	}
-	if opts.QueueCapacity == 0 {
-		opts.QueueCapacity = 32
-	}
 	v := &Views{
 		opts:       opts,
 		deltaBytes: 512,
 		det:        analysis.NewRuntimeDetector(),
-		bus:        mq.NewBroker(),
+		log:        newFrameLog(),
 		clock:      opts.Clock,
 		hosts:      make(map[hostKey]*hostView),
 		wake:       make(chan struct{}, 1),
@@ -384,7 +365,7 @@ func New(opts Options) *Views {
 	for i := range v.stripes {
 		v.stripes[i].wfs = make(map[string]*wfView)
 		v.stripes[i].insts = make(map[vinstKey]*vinst)
-		v.stripes[i].subs = make(map[string]int)
+		v.stripes[i].subs = make(map[string]*frameLog)
 	}
 	go v.run()
 	return v
@@ -401,7 +382,7 @@ func (v *Views) Close() {
 
 // run is the publisher. Not resting, it listens for the first workflow to go
 // dirty and publishes it at once; after a flush that published something it
-// rests restAfter(what the flush took, broadcast subscribers) and then takes
+// rests restAfter(what the flush and its delivery cost) and then takes
 // whatever went dirty meanwhile — nothing, and it listens again, the ticker
 // left at FlushEvery as the bound no delta should ever need. The rest is
 // armed before the flush is counted, so whoever has seen the count move may
@@ -422,14 +403,15 @@ func (v *Views) run() {
 		case <-t.C():
 		}
 		start := v.clock.Now()
-		if v.FlushNow() == 0 {
+		n, reached := v.flush()
+		if n == 0 {
 			wake = v.wake
 			t.Reset(v.opts.FlushEvery)
 			continue
 		}
 		cost := v.clock.Since(start)
-		mean = smoothCost(mean, cost)
-		t.Reset(restAfter(mean, int(v.nbcast.Load()), v.opts.FlushEvery))
+		mean = smoothCost(mean, cost+time.Duration(reached)*v.deliveries.perSubscriber())
+		t.Reset(restAfter(mean, v.opts.FlushEvery))
 		wake = nil
 		flushBusyNS.Add(int64(cost))
 		mFlushes.Inc()
@@ -812,16 +794,8 @@ func (w *wfView) delta() WorkflowDelta {
 	return d
 }
 
-// BatchTopic is the broadcast channel: one message per flush tick
-// carrying the whole tick's deltas and alerts pre-framed as SSE wire
-// bytes. All-workflows subscribers bind this single literal key, so a
-// flush costs one queue delivery and one consumer wake-up per subscriber
-// — not one per dirty workflow. The render is shared by every
-// subscriber; the SSE layer writes the body verbatim.
-const BatchTopic = "views.batch"
-
 // appendFrame appends one SSE-framed event ("event: <name>\ndata:
-// <body>\n\n") to the shared batch render.
+// <body>\n\n") to a frame.
 func appendFrame(b []byte, event string, body []byte) []byte {
 	b = append(b, "event: "...)
 	b = append(b, event...)
@@ -832,35 +806,36 @@ func appendFrame(b []byte, event string, body []byte) []byte {
 }
 
 // FlushNow publishes every dirty workflow's delta and queued alerts to
-// subscribers and returns how many that was. Each delta is written once,
-// into the frame the broadcast stream gets as one BatchTopic message, and
-// copied out to its per-workflow topic only if a subscription is bound
-// there; publication happens outside the stripe locks.
+// subscribers and returns how many that was.
 func (v *Views) FlushNow() int {
+	n, _ := v.flush()
+	return n
+}
+
+// flush seals every dirty workflow's delta and queued alert into one frame,
+// appends it to the broadcast log, and returns how many deltas and alerts
+// it carried and how many subscribers it reached. A workflow subscribed to
+// on its own gets, in its own log, the slices of that frame that are its
+// delta and alerts: nothing is copied.
+func (v *Views) flush() (n, reached int) {
 	v.flushMu.Lock()
 	defer v.flushMu.Unlock()
-	type out struct {
-		key  string
-		body []byte
-	}
-	var msgs []out
 	var batch []byte
 	if dirty := int(v.ndirty.Swap(0)); dirty > 0 {
 		batch = make([]byte, 0, (dirty+dirty/8+1)*v.deltaBytes)
 	}
-	n := 0
 	now := v.clock.Now()
 	for i := range v.stripes {
 		st := &v.stripes[i]
 		st.mu.Lock()
 		for _, w := range st.dirty {
+			start := len(batch)
 			batch = append(batch, "event: delta\ndata: "...)
-			body := len(batch)
 			batch = appendDelta(batch, w)
-			if st.subs[w.uuid] > 0 {
-				msgs = append(msgs, out{key: "views.wf." + w.uuid, body: append([]byte(nil), batch[body:]...)})
-			}
 			batch = append(batch, "\n\n"...)
+			if l := st.subs[w.uuid]; l != nil {
+				reached += l.append(batch[start:len(batch):len(batch)])
+			}
 			mFlushSeconds.Observe(now.Sub(w.dirtyAt).Seconds())
 			w.dirty = false
 		}
@@ -872,30 +847,28 @@ func (v *Views) FlushNow() int {
 				continue
 			}
 			n++
+			start := len(batch)
 			batch = appendFrame(batch, "alert", body)
-			if st.subs[a.UUID] > 0 {
-				msgs = append(msgs, out{key: "views.alert." + a.UUID, body: body})
+			if l := st.subs[a.UUID]; l != nil {
+				reached += l.append(batch[start:len(batch):len(batch)])
 			}
 		}
 		st.alerts = st.alerts[:0]
 		st.mu.Unlock()
 	}
-	for _, m := range msgs {
-		v.bus.Publish(m.key, m.body)
-	}
 	if n > 0 {
 		v.deltaBytes = len(batch)/n + 1
-		v.bus.Publish(BatchTopic, batch)
+		reached += v.log.append(batch)
 	}
-	return n
+	return n, reached
 }
 
-// PublishFrame pushes one out-of-band SSE event to every broadcast
-// subscriber, pre-framed exactly like a flush batch so the SSE layer
-// writes it verbatim. The health engine uses this to put alert lifecycle
-// transitions on the same stream clients already watch.
+// PublishFrame appends one out-of-band SSE event to the broadcast stream,
+// framed like a flush, so every broadcast subscriber writes it verbatim.
+// The health engine uses this to put alert lifecycle transitions on the
+// same stream clients already watch.
 func (v *Views) PublishFrame(event string, body []byte) {
-	v.bus.Publish(BatchTopic, appendFrame(nil, event, body))
+	v.log.append(appendFrame(nil, event, body))
 }
 
 // ordered returns every workflow view in view-creation order (under
