@@ -8,8 +8,8 @@
 // With -listen it is instead the live monitoring node: engines publish to
 // its bus over TCP (triana-run / pegasus-run -broker ADDR), its loader
 // folds every event into the store and the materialized views as it
-// arrives, and -http serves the dashboard, its SSE streams and the health
-// endpoints from those views. SIGINT drains the bus and stops it.
+// arrives, and -http serves the dashboard, its SSE streams and the node's
+// health endpoints. SIGINT drains the bus and stops it.
 //
 //	nl-load -db live.db -shards 4 -listen :7000 -http :8080
 package main
@@ -38,7 +38,7 @@ const drainTimeout = 30 * time.Second
 
 func main() {
 	var (
-		dbPath     = flag.String("db", "stampede.db", "archive store directory (created with one partition per shard if absent)")
+		dbPath     = flag.String("db", "stampede.db", "archive store directory (created with one partition per shard if absent); -listen fsyncs its WAL on every loader sync, a file load never fsyncs")
 		listen     = flag.String("listen", "", "run as the live node: accept engines' events on this bus address instead of reading files")
 		httpAddr   = flag.String("http", "", "with -listen: serve the dashboard, its SSE streams and health on this address")
 		batchSize  = flag.Int("batch", loader.DefaultBatchSize, "insert batch size")
@@ -46,7 +46,7 @@ func main() {
 		noValidate = flag.Bool("no-validate", false, "skip schema validation")
 		lenient    = flag.Bool("lenient", false, "skip malformed/invalid events instead of failing")
 		verbose    = flag.Bool("v", false, "print per-source statistics")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/pprof, /healthz and /readyz on this address (empty = off)")
+		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/pprof and the health endpoints (/healthz, /readyz, /api/alerts, /api/buildinfo, /debug/bundle) on this address (empty = off)")
 		bundleDir  = flag.String("bundle-dir", ".", "firing alerts write diagnostics bundles here (empty = off)")
 	)
 	flag.Parse()
@@ -66,7 +66,8 @@ func main() {
 			Shards:         *shards,
 			SkipValidation: *noValidate,
 			Lenient:        *lenient,
-		}, *listen, *httpAddr, *bundleDir, *debugAddr)
+			BundleDir:      *bundleDir,
+		}, *listen, *httpAddr, *debugAddr)
 	} else {
 		total = loadFiles(*dbPath, loader.Options{
 			BatchSize: *batchSize,
@@ -88,8 +89,9 @@ func loadFiles(dbPath string, opts loader.Options, files []string, bundleDir, de
 		fatal("open archive: %v", err)
 	}
 	defer arch.Close()
-	_, stopHealth := startHealth(bundleDir, debugAddr, health.Sources{Store: arch.Store()}, nil)
-	defer stopHealth()
+	eng := health.Standard(health.Config{BundleDir: bundleDir}, health.Sources{Store: arch.Store()})
+	defer eng.Close()
+	defer serveDebug(debugAddr, eng)()
 	l, err := loader.New(arch, opts)
 	if err != nil {
 		fatal("%v", err)
@@ -109,7 +111,7 @@ func loadFiles(dbPath string, opts loader.Options, files []string, bundleDir, de
 // runNode runs the live pipeline core.Start assembles until SIGINT, then
 // closes the bus listener, lets the loader fold in what the bus already
 // holds and stops.
-func runNode(cfg core.Config, listen, httpAddr, bundleDir, debugAddr string) loader.Stats {
+func runNode(cfg core.Config, listen, httpAddr, debugAddr string) loader.Stats {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	st, err := core.Start(cfg)
 	if err != nil {
@@ -120,16 +122,13 @@ func runNode(cfg core.Config, listen, httpAddr, bundleDir, debugAddr string) loa
 		st.Stop()
 		fatal("%v", err)
 	}
-	dash := st.Dashboard()
-	eng, stopHealth := startHealth(bundleDir, debugAddr, health.Sources{Store: st.Archive().Store(), Broker: st.Broker()}, dash.PublishAlert)
-	defer stopHealth()
-	dash.SetHealth(eng)
+	defer serveDebug(debugAddr, st.Health())()
 	if httpAddr != "" {
 		ln, err := net.Listen("tcp", httpAddr)
 		if err != nil {
 			fatal("%v", err)
 		}
-		hs := &http.Server{Handler: dash}
+		hs := &http.Server{Handler: st.Dashboard()}
 		go func() {
 			if err := hs.Serve(ln); err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "nl-load: dashboard: %v\n", err)
@@ -158,35 +157,18 @@ func runNode(cfg core.Config, listen, httpAddr, bundleDir, debugAddr string) loa
 	return total
 }
 
-// startHealth runs the SLO engine over the process's pipeline — the loader
-// is where durability SLOs live (WAL fsync latency, checkpoint age,
-// apply/commit p99), and a node adds the bus's — and, with debugAddr set,
-// serves it there beside /metrics and pprof. onAlert, if set, receives
-// every alert transition. stop shuts down both.
-func startHealth(bundleDir, debugAddr string, src health.Sources, onAlert func(health.Alert)) (eng *health.Engine, stop func()) {
-	eng = health.New(health.Config{
-		BundleDir:  bundleDir,
-		Partitions: health.PartitionsOf(src.Store),
-		OnAlert:    onAlert,
-	})
-	eng.RegisterStandard(src)
-	if _, err := eng.AddObjectives(health.DefaultObjectives()...); err != nil {
-		fatal("objectives: %v", err)
+// serveDebug serves /metrics, pprof and eng's health endpoints on addr
+// (nothing when addr is empty) and returns the function that stops it.
+func serveDebug(addr string, eng *health.Engine) (stop func() error) {
+	if addr == "" {
+		return func() error { return nil }
 	}
-	eng.Start()
-	eng.AttachDebug()
-	if debugAddr == "" {
-		return eng, eng.Close
-	}
-	addr, stopDebug, err := telemetry.StartDebugServer(debugAddr)
+	bound, stop, err := telemetry.StartDebugServer(addr, eng.Mount)
 	if err != nil {
 		fatal("debug server: %v", err)
 	}
-	fmt.Printf("metrics, pprof and health on http://%s\n", addr)
-	return eng, func() {
-		stopDebug()
-		eng.Close()
-	}
+	fmt.Printf("metrics, pprof and health on http://%s\n", bound)
+	return stop
 }
 
 func fatal(format string, args ...any) {

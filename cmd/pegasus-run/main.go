@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/bp"
 	"repro/internal/condor"
-	"repro/internal/health"
 	"repro/internal/mq"
 	"repro/internal/pegasus"
 	"repro/internal/telemetry"
@@ -45,22 +44,13 @@ func main() {
 	flag.Parse()
 	trace.SetSampleEvery(*traceSample)
 
-	he := health.New(health.Config{BundleDir: "."})
-	defer he.Close()
-	he.RegisterStandard(health.Sources{})
-	if _, err := he.AddObjectives(health.DefaultObjectives()...); err != nil {
-		fatal("objectives: %v", err)
-	}
-	he.Start()
-	he.AttachDebug()
-
 	if *debug != "" {
 		addr, stopDebug, err := telemetry.StartDebugServer(*debug)
 		if err != nil {
 			fatal("debug server: %v", err)
 		}
 		defer stopDebug()
-		fmt.Fprintf(os.Stderr, "metrics, pprof and health on http://%s\n", addr)
+		fmt.Fprintf(os.Stderr, "metrics and pprof on http://%s\n", addr)
 	}
 
 	var dax *pegasus.DAX

@@ -233,7 +233,7 @@ func TestBinariesOverOneStoreDirectory(t *testing.T) {
 	// once, serves both.
 	run(t, tool("nl-load"), "-db", store, "-shards", "4", "-bundle-dir", "", log2)
 	addr := freeAddr(t)
-	daemon(t, tool("stampede-dashboard"), "-db", store, "-listen", addr, "-bundle-dir", "")
+	daemon(t, tool("stampede-dashboard"), "-db", store, "-listen", addr)
 	base := "http://" + addr
 	waitFor(t, "the dashboard to list both runs", func() bool { return len(listed(base)) == 2*(1+3) })
 
@@ -382,19 +382,23 @@ func countLines(t *testing.T, path string) int {
 
 // TestBinariesLiveNode runs the deployment as one node: `nl-load -listen`
 // takes both engines' events over TCP, an SSE client sees the DART run
-// succeed as it happens, the doctor reads the node's bundle, and after
-// SIGINT the node has loaded every line the engines logged into a store
-// that reports exactly as a file load of those logs does.
+// succeed as it happens, both of the node's listeners serve its one health
+// engine and the doctor reads its bundle from either, and after SIGINT the
+// node has loaded every line the engines logged into a store that reports
+// exactly as a file load of those logs does.
 func TestBinariesLiveNode(t *testing.T) {
 	tmp := t.TempDir()
 	nodeDB := filepath.Join(tmp, "node")
 	node, out := daemon(t, tool("nl-load"), "-db", nodeDB, "-shards", "4",
-		"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0", "-bundle-dir", "")
-	var busAddr, httpAddr string
-	for busAddr == "" || httpAddr == "" {
+		"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-bundle-dir", "")
+	var busAddr, httpAddr, debugAddr string
+	for busAddr == "" || httpAddr == "" || debugAddr == "" {
 		line := nextLine(t, out)
 		if a, ok := strings.CutPrefix(line, "dashboard on http://"); ok {
 			httpAddr = a
+		}
+		if a, ok := strings.CutPrefix(line, "metrics, pprof and health on http://"); ok {
+			debugAddr = a
 		}
 		if f := strings.Fields(line); len(f) > 2 && f[0] == "bus" && f[1] == "on" {
 			busAddr = f[2]
@@ -434,9 +438,25 @@ func TestBinariesLiveNode(t *testing.T) {
 		return false
 	})
 
-	if doc := run(t, tool("stampede-doctor"), "-addr", httpAddr); !strings.Contains(doc, "== diagnostics bundle ==") || !strings.Contains(doc, "4 partition(s)") {
-		t.Fatalf("stampede-doctor -addr on the node:\n%s", doc)
+	// -http and -debug-addr serve one engine: the same objectives, and the
+	// bundle of one four-partition node; -debug-addr adds pprof.
+	var objectives [2]string
+	for i, addr := range []string{httpAddr, debugAddr} {
+		base := "http://" + addr
+		getOK(t, base+"/healthz", nil)
+		getOK(t, base+"/readyz", nil)
+		var alerts struct{ Objectives []struct{ Name string } }
+		getOK(t, base+"/api/alerts", &alerts)
+		objectives[i] = fmt.Sprint(alerts.Objectives)
+		if doc := run(t, tool("stampede-doctor"), "-addr", addr); !strings.Contains(doc, "== diagnostics bundle ==") || !strings.Contains(doc, "4 partition(s)") {
+			t.Fatalf("stampede-doctor -addr %s on the node:\n%s", addr, doc)
+		}
 	}
+	if objectives[0] == "[]" || objectives[0] != objectives[1] {
+		t.Fatalf("objectives on -http %s, on -debug-addr %s", objectives[0], objectives[1])
+	}
+	getOK(t, "http://"+debugAddr+"/metrics", nil)
+	getOK(t, "http://"+debugAddr+"/debug/pprof/", nil)
 
 	// Interrupted, the node drains the bus and reports every event.
 	if err := node.Process.Signal(os.Interrupt); err != nil {
@@ -465,6 +485,25 @@ func TestBinariesLiveNode(t *testing.T) {
 		want := fmt.Sprintf("%d events checked, 0 invalid, 0 malformed lines", countLines(t, log))
 		if out := run(t, tool("stampede-schema"), "-validate", log); !strings.Contains(out, want) {
 			t.Fatalf("stampede-schema -validate %s:\n%s", filepath.Base(log), out)
+		}
+	}
+}
+
+// getOK fails the test unless a GET of url answers 200, and decodes the
+// JSON body into v when v is not nil.
+func getOK(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %s", url, resp.Status)
+	}
+	if v != nil {
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("GET %s: %v", url, err)
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/dashboard"
-	"repro/internal/health"
 	"repro/internal/query"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -30,7 +29,6 @@ func main() {
 		listen      = flag.String("listen", ":8080", "address to serve on")
 		debugAddr   = flag.String("debug-addr", "", "serve /debug/pprof (and a second /metrics) on this address (empty = off)")
 		traceSample = flag.Int("trace-sample", trace.DefaultSampleEvery, "trace 1 in N events end to end (0 disables tracing)")
-		bundleDir   = flag.String("bundle-dir", ".", "firing alerts write diagnostics bundles here (empty = off)")
 	)
 	flag.Parse()
 	trace.SetSampleEvery(*traceSample)
@@ -52,16 +50,6 @@ func main() {
 	srv := dashboard.New(query.New(arch))
 	srv.SetViews(v)
 
-	eng := health.New(health.Config{BundleDir: *bundleDir, OnAlert: srv.PublishAlert})
-	defer eng.Close()
-	eng.RegisterStandard(health.Sources{})
-	if _, err := eng.AddObjectives(health.DefaultObjectives()...); err != nil {
-		fatal("objectives: %v", err)
-	}
-	eng.Start()
-	eng.AttachDebug()
-	srv.SetHealth(eng)
-
 	// /metrics is always part of the dashboard mux itself; -debug-addr adds
 	// pprof on a separate listener that can stay firewalled off.
 	if *debugAddr != "" {
@@ -70,7 +58,7 @@ func main() {
 			fatal("debug server: %v", err)
 		}
 		defer stopDebug()
-		fmt.Printf("pprof and health on http://%s\n", addr)
+		fmt.Printf("metrics and pprof on http://%s\n", addr)
 	}
 
 	fmt.Printf("dashboard on http://%s (db %s)\n", *listen, *dbPath)

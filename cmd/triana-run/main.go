@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/bp"
 	"repro/internal/dart"
-	"repro/internal/health"
 	"repro/internal/mq"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -42,22 +41,13 @@ func main() {
 	flag.Parse()
 	trace.SetSampleEvery(*traceSample)
 
-	he := health.New(health.Config{BundleDir: "."})
-	defer he.Close()
-	he.RegisterStandard(health.Sources{})
-	if _, err := he.AddObjectives(health.DefaultObjectives()...); err != nil {
-		fatal("objectives: %v", err)
-	}
-	he.Start()
-	he.AttachDebug()
-
 	if *debug != "" {
 		addr, stopDebug, err := telemetry.StartDebugServer(*debug)
 		if err != nil {
 			fatal("debug server: %v", err)
 		}
 		defer stopDebug()
-		fmt.Fprintf(os.Stderr, "metrics, pprof and health on http://%s\n", addr)
+		fmt.Fprintf(os.Stderr, "metrics and pprof on http://%s\n", addr)
 	}
 
 	appenders, closeAll, err := buildAppenders(*logPath, *broker)

@@ -276,16 +276,8 @@ func TestLoadAllocCeilingHealth(t *testing.T) {
 		v := views.New(views.Options{Clock: wfclock.NewManual(time.Unix(0, 0))})
 		defer v.Close()
 		a := archive.NewInMemory()
-		eng := health.New(health.Config{
-			Every:      10 * time.Millisecond,
-			Partitions: health.PartitionsOf(a.Store()),
-		})
+		eng := health.Standard(health.Config{Every: 10 * time.Millisecond}, health.Sources{Store: a.Store()})
 		defer eng.Close()
-		eng.RegisterStandard(health.Sources{Store: a.Store()})
-		if _, err := eng.AddObjectives(health.DefaultObjectives()...); err != nil {
-			t.Fatal(err)
-		}
-		eng.Start()
 		l, err := loader.New(a, loader.Options{BatchSize: 512, Validate: true, Views: v})
 		if err != nil {
 			t.Fatal(err)
@@ -360,6 +352,9 @@ func (c frameCounter) Write(p []byte) (int, error) { c.n.Add(1); return len(p), 
 // frame and caught up before the next round starts.
 func flushAllocs(t *testing.T, subs int) uint64 {
 	const workflows = 1000
+	// On one P the subscribers a flush wakes run after it, so MemStats
+	// counts FlushNow's allocations, not the runtime's on other Ps.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	v := views.New(views.Options{Clock: wfclock.NewManual(time.Unix(0, 0)), FlushEvery: time.Hour})
 	defer v.Close()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -13,8 +13,9 @@
 //	st.WaitLoaded(ctx, log.Appended())          // real-time, not post-mortem
 //	summary, _ := st.Statistics(log.WorkflowUUID(), true)
 //
-// Start is the one assembly of the live pipeline; `nl-load -listen` runs
-// it as a process, with Serve for remote engines and Dashboard on -http.
+// Start is the one assembly of the live pipeline and its health engine;
+// `nl-load -listen` runs it as a process, with Serve for remote engines
+// and Dashboard on -http.
 package core
 
 import (
@@ -26,6 +27,7 @@ import (
 	"repro/internal/archive"
 	"repro/internal/bp"
 	"repro/internal/dashboard"
+	"repro/internal/health"
 	"repro/internal/loader"
 	"repro/internal/mq"
 	"repro/internal/query"
@@ -39,7 +41,8 @@ import (
 // Config tunes the monitoring service.
 type Config struct {
 	// DatabasePath persists the archive to a store directory (created
-	// with one partition per loader shard); empty keeps it in memory.
+	// with one partition per loader shard) whose WAL is fsynced on every
+	// loader sync; empty keeps it in memory, one partition per shard too.
 	DatabasePath string
 	// BatchSize and FlushEvery tune the loader (see loader.Options). Both
 	// are upper bounds: an event alone on the bus is applied and on the
@@ -54,6 +57,9 @@ type Config struct {
 	SkipValidation bool
 	// Lenient makes malformed or invalid events non-fatal.
 	Lenient bool
+	// BundleDir is where firing alerts write diagnostics bundles; empty
+	// writes none (/debug/bundle still builds one on demand).
+	BundleDir string
 }
 
 // The bus binding of the published deployment: one durable queue the loader
@@ -71,6 +77,8 @@ type Stampede struct {
 	views  *views.Views
 	qi     *query.QI
 	queue  *mq.Queue
+	dash   *dashboard.Server
+	health *health.Engine
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -79,18 +87,19 @@ type Stampede struct {
 }
 
 // Start brings up the service: an in-process topic broker, a durable
-// queue bound to the Stampede topic space, and a loader consuming it into
-// the archive and the materialized views the dashboard streams from.
+// queue bound to the Stampede topic space, a loader consuming it into the
+// archive and the views the dashboard streams from, and the health engine.
 func Start(cfg Config) (*Stampede, error) {
 	var arch *archive.Archive
 	var err error
 	if cfg.DatabasePath != "" {
 		arch, err = archive.OpenDir(cfg.DatabasePath, relstore.Options{Partitions: cfg.Shards})
+		if err != nil {
+			return nil, err
+		}
+		arch.Store().SetSync(true)
 	} else {
-		arch = archive.NewInMemory()
-	}
-	if err != nil {
-		return nil, err
+		arch = archive.NewInMemoryN(cfg.Shards)
 	}
 	vw := views.New(views.Options{})
 	fail := func(err error) (*Stampede, error) {
@@ -124,14 +133,23 @@ func Start(cfg Config) (*Stampede, error) {
 	if err := broker.Bind(queueName, topic); err != nil {
 		return fail(err)
 	}
+	qi := query.New(arch)
+	dash := dashboard.New(qi)
+	dash.SetBus(broker)
+	dash.SetViews(vw)
+	eng := health.Standard(health.Config{BundleDir: cfg.BundleDir, OnAlert: dash.PublishAlert},
+		health.Sources{Store: arch.Store(), Broker: broker})
+	dash.SetHealth(eng)
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Stampede{
 		broker: broker,
 		arch:   arch,
 		ldr:    ldr,
 		views:  vw,
-		qi:     query.New(arch),
+		qi:     qi,
 		queue:  q,
+		dash:   dash,
+		health: eng,
 		cancel: cancel,
 		done:   make(chan struct{}),
 	}
@@ -152,6 +170,9 @@ func (s *Stampede) Broker() *mq.Broker { return s.broker }
 
 // Archive exposes the relational archive.
 func (s *Stampede) Archive() *archive.Archive { return s.arch }
+
+// Health returns the node's health engine, to mount on another listener.
+func (s *Stampede) Health() *health.Engine { return s.health }
 
 // Query returns the query interface over the live archive.
 func (s *Stampede) Query() *query.QI { return s.qi }
@@ -207,27 +228,29 @@ func (s *Stampede) Serve(addr string) (string, func() error, error) {
 }
 
 // WaitQuiesced blocks until every event published to the bus so far has
-// been folded into the archive: the queue is drained and the loader's
-// batch buffer flushed. Use it after a workflow engine finishes to make
-// "the archive is caught up" explicit without counting events by hand.
+// settled — applied, refused by the loader (lenient mode) or dropped by
+// the full queue. Use it after a workflow engine finishes to make "the
+// archive is caught up" explicit without counting events by hand.
 func (s *Stampede) WaitQuiesced(ctx context.Context) error {
 	for {
 		published := s.broker.Stats().Published
-		if s.queue.Len() == 0 && s.arch.Applied() >= published {
+		settled := s.arch.Applied() + s.ldr.Rejected() + s.queue.Dropped()
+		if s.queue.Len() == 0 && settled >= published {
 			return nil
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("core: archive at %d/%d events: %w",
-				s.arch.Applied(), published, ctx.Err())
+			return fmt.Errorf("core: %d of %d published events settled: %w",
+				settled, published, ctx.Err())
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
 }
 
-// Stop shuts down the loader and closes the archive, returning the load
-// statistics.
+// Stop shuts down the health engine and the loader and closes the
+// archive, returning the load statistics.
 func (s *Stampede) Stop() (loader.Stats, error) {
+	s.health.Close()
 	s.cancel()
 	<-s.done
 	err := s.runErr
@@ -297,11 +320,7 @@ func (s *Stampede) Progress(wfUUID string) (map[string][]stats.ProgressPoint, er
 
 // Dashboard returns the live web dashboard, with the service's bus wired
 // in so the status page shows broker traffic and drop counts alongside
-// workflow state, and its views so the listing and the /api/stream
-// endpoints are served from them.
-func (s *Stampede) Dashboard() *dashboard.Server {
-	d := dashboard.New(s.qi)
-	d.SetBus(s.broker)
-	d.SetViews(s.views)
-	return d
-}
+// workflow state, its views so the listing and the /api/stream endpoints
+// are served from them, and its health engine, whose alert transitions
+// reach those streams as "health" frames.
+func (s *Stampede) Dashboard() *dashboard.Server { return s.dash }

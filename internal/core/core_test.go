@@ -91,6 +91,8 @@ func TestStartRunQueryStop(t *testing.T) {
 	}
 }
 
+// TestPersistentArchiveAcrossRestarts: a node over a store directory
+// fsyncs what its loader syncs, and a restart finds it.
 func TestPersistentArchiveAcrossRestarts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stampede-store")
 	st, err := Start(Config{DatabasePath: path})
@@ -98,6 +100,12 @@ func TestPersistentArchiveAcrossRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := runGraph(t, st, demoGraph())
+	// The loader syncs within one FlushEvery of the last apply.
+	for deadline := time.Now().Add(5 * time.Second); st.Archive().Store().Syncs() == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the durable node made no WAL fsync")
+		}
+	}
 	if _, err := st.Stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +139,15 @@ func TestDashboardServesLiveArchive(t *testing.T) {
 	}
 	if len(resp) < 10 {
 		t.Fatalf("dashboard response too small: %q", resp)
+	}
+
+	// The node's health engine is mounted on its dashboard, with the
+	// default objectives the store and the bus feed; nothing on the node
+	// supplies an ingest freshness lag, so not ingest-freshness.
+	alerts, err := httptestGet(srv.URL + "/api/alerts")
+	if err != nil || !strings.Contains(alerts, `"mq-drop-rate"`) || !strings.Contains(alerts, `"checkpoint-age"`) ||
+		strings.Contains(alerts, `"ingest-freshness"`) {
+		t.Fatalf("/api/alerts on the node: %v\n%s", err, alerts)
 	}
 }
 
@@ -338,6 +355,66 @@ func TestServeTCPRemoteEngine(t *testing.T) {
 	}
 	if summary.Jobs.Succeeded != 2 {
 		t.Fatalf("summary over TCP = %+v", summary.Jobs)
+	}
+}
+
+// TestWaitQuiescedSettlesRejects: a lenient node that refused a malformed
+// line and an event of an unknown type is quiesced once its valid events
+// are applied; waiting for the two refused would take the whole deadline.
+func TestWaitQuiescedSettlesRejects(t *testing.T) {
+	st, err := Start(Config{Lenient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	st.Broker().Publish("stampede.xwf.start", []byte("not a bp line"))
+	unknown := bp.New("stampede.no.such.event", time.Now()).Set(schema.AttrXwfID, uuid.New().String())
+	st.Broker().Publish(unknown.Type, []byte(unknown.Format()))
+	log := triana.NewStampedeLog(st.Appender())
+	sched := triana.NewScheduler(demoGraph(), triana.Options{Mode: triana.SingleStep, Listeners: []triana.Listener{log}})
+	if _, err := sched.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := st.WaitQuiesced(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.Archive().Applied(), uint64(log.Appended()); got != want {
+		t.Errorf("quiesced with %d of %d valid events applied", got, want)
+	}
+	if got := st.ldr.Rejected(); got != 2 {
+		t.Errorf("loader rejected %d events, want 2", got)
+	}
+}
+
+// TestInMemoryNodeHonoursShards: an in-memory node has one partition per
+// shard, so its workflows spread over every shard instead of all feeding
+// shard 0 through a single partition.
+func TestInMemoryNodeHonoursShards(t *testing.T) {
+	st, err := Start(Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		runGraph(t, st, demoGraph())
+	}
+	if n := st.Archive().Store().NumPartitions(); n != 4 {
+		t.Errorf("in-memory node with 4 shards has %d partitions", n)
+	}
+	stats, err := st.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := 0
+	for _, sh := range stats.Shards {
+		if sh.Applied > 0 {
+			busy++
+		}
+	}
+	if busy < 2 {
+		t.Errorf("16 workflows applied by %d of 4 shards: %+v", busy, stats.Shards)
 	}
 }
 

@@ -98,9 +98,6 @@ func (s *Server) handle(pattern string, h func(http.ResponseWriter, *http.Reques
 // accepting SSE subscribers. Attach the same instance the loader updates.
 func (s *Server) SetViews(v *views.Views) { s.views = v }
 
-// Views returns the attached view layer (nil when serving by scan).
-func (s *Server) Views() *views.Views { return s.views }
-
 // SetBus adds broker traffic counters (published/routed/dropped) to the
 // HTML status page, the unified view the drops satellite asks for.
 func (s *Server) SetBus(b *mq.Broker) { s.bus = b.Stats }
@@ -109,19 +106,12 @@ func (s *Server) SetBus(b *mq.Broker) { s.bus = b.Stats }
 // the process-wide default; tests inject a hand-built ring here.
 func (s *Server) SetTraceRing(r *trace.Ring) { s.ring = r }
 
-// SetHealth mounts a health engine's endpoints on the dashboard itself —
-// /healthz, /readyz, the alert lifecycle at /api/alerts, /api/buildinfo,
-// and on-demand diagnostics bundles at /debug/bundle — so the main
-// serving port answers the same questions as the -debug-addr listener.
-// It does not route alert transitions anywhere: build the engine with
-// PublishAlert as its health.Config.OnAlert for that.
-func (s *Server) SetHealth(e *health.Engine) {
-	s.mux.Handle("GET /healthz", e.HealthzHandler())
-	s.mux.Handle("GET /readyz", e.ReadyzHandler())
-	s.mux.Handle("GET /api/alerts", e.AlertsHandler())
-	s.mux.Handle("GET /api/buildinfo", e.BuildinfoHandler())
-	s.mux.Handle("GET /debug/bundle", e.BundleHandler())
-}
+// SetHealth mounts a health engine's endpoints (Engine.Mount) on the
+// dashboard itself, so the main serving port answers the same questions
+// as the -debug-addr listener. It does not route alert transitions
+// anywhere: build the engine with PublishAlert as its
+// health.Config.OnAlert for that.
+func (s *Server) SetHealth(e *health.Engine) { e.Mount(s.mux) }
 
 // PublishAlert pushes one alert transition to every broadcast SSE
 // subscriber as a "health" event on the stream clients already watch; pass

@@ -112,7 +112,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	eng := health.New(health.Config{Clock: clk, Every: time.Second})
 	defer eng.Close()
 	eng.RegisterStandard(health.Sources{
-		Clock: clk, Store: arch.Store(), Broker: broker,
+		Store: arch.Store(), Broker: broker,
 		FreshnessLag: func() (float64, bool) { return 0, true },
 	})
 	if _, err := eng.AddObjectives(health.DefaultObjectives()...); err != nil {

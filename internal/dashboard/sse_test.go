@@ -491,7 +491,7 @@ func TestStalledSubscriberResyncsOffTheBus(t *testing.T) {
 	clk := wfclock.NewManual(time.Date(2012, 3, 13, 12, 0, 0, 0, time.UTC))
 	eng := health.New(health.Config{Clock: clk})
 	defer eng.Close()
-	eng.RegisterStandard(health.Sources{Clock: clk})
+	eng.RegisterStandard(health.Sources{})
 	eng.Tick()
 	mqBefore := mqSeries(t)
 

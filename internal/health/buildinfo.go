@@ -46,18 +46,12 @@ var readBuild = sync.OnceValue(func() BuildInfo {
 	return b
 })
 
-// BuildInfo returns the process build identity plus this engine's node
-// shape (partition count) and uptime.
-func (e *Engine) BuildInfo() BuildInfo {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.buildInfoLocked()
-}
-
+// buildInfoLocked returns the process build identity plus this engine's
+// node shape (partition count) and uptime.
 func (e *Engine) buildInfoLocked() BuildInfo {
 	b := readBuild()
-	if e.cfg.Partitions != nil {
-		b.Partitions = len(e.cfg.Partitions())
+	if e.store != nil {
+		b.Partitions = e.store.NumPartitions()
 	}
 	b.UptimeSeconds = time.Since(processStart).Seconds()
 	return b

@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/relstore"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wfclock"
@@ -128,16 +129,9 @@ type Alert struct {
 	BundleID  string    `json:"bundle_id,omitempty"`
 }
 
-// Partition mirrors one store partition for the diagnostics bundle: the
-// current visibility epoch and checkpoint high-water seq.
-type Partition struct {
-	Partition            int     `json:"partition"`
-	Epoch                uint64  `json:"epoch"`
-	CheckpointTaken      bool    `json:"checkpoint_taken"`
-	CheckpointSeq        uint64  `json:"checkpoint_seq"`
-	CheckpointBytes      int64   `json:"checkpoint_bytes,omitempty"`
-	CheckpointAgeSeconds float64 `json:"checkpoint_age_seconds,omitempty"`
-}
+// Partition is one store partition in the diagnostics bundle: the current
+// visibility epoch and checkpoint high-water seq.
+type Partition = relstore.PartitionStatus
 
 // Config wires an Engine. The zero value of every field is usable.
 type Config struct {
@@ -145,28 +139,24 @@ type Config struct {
 	Clock wfclock.Clock
 	// Every is the evaluation interval; 0 means 1s.
 	Every time.Duration
-	// Registry is where signals read metrics from and what the bundle
-	// dumps; nil means telemetry.Default(). Engine metrics always
-	// register on the Default registry regardless.
-	Registry *telemetry.Registry
 	// Ring supplies recent spans for the bundle; nil means
 	// trace.Default().
 	Ring *trace.Ring
 	// BundleDir is where firing transitions write bundle-<id>.tar.gz;
 	// empty disables automatic bundle files (/debug/bundle still works).
 	BundleDir string
-	// Partitions supplies the partition map for the bundle (see
-	// PartitionsOf); nil means none.
-	Partitions func() []Partition
-	// RetainAlerts bounds the transition ring (0 = 256); RecorderNotes
-	// bounds the flight-recorder note ring (0 = 512).
-	RetainAlerts  int
-	RecorderNotes int
 	// OnAlert, if set, observes every transition after it is recorded
 	// (bundle ID already attached on firing). Called outside the engine
 	// lock from the tick goroutine; must not block for long.
 	OnAlert func(Alert)
 }
+
+// The transition ring keeps the last retainAlerts transitions, the
+// flight recorder the last recorderNotes notes.
+const (
+	retainAlerts  = 256
+	recorderNotes = 512
+)
 
 // Engine metrics live on the Default registry like every other
 // subsystem's. Gauges are adjusted by delta so concurrent engines (tests)
@@ -258,17 +248,13 @@ func (s *objState) frac(now time.Time, w time.Duration) float64 {
 
 // Engine evaluates objectives on a tick and owns the alert lifecycle.
 type Engine struct {
-	cfg   Config
-	clock wfclock.Clock
-	every time.Duration
-	reg   *telemetry.Registry
-	ring  *trace.Ring
-	rec   *Recorder
-	start time.Time
+	cfg Config // defaults filled in by New
+	rec *Recorder
 
 	readyBit atomic.Bool // mirrors readiness for lock-free handlers
 
 	mu       sync.Mutex
+	store    *relstore.Store // Sources.Store: the partition map of buildinfo and bundles
 	signals  map[string]*signalState
 	sigOrder []string
 	objs     []*objState
@@ -294,30 +280,16 @@ func New(cfg Config) *Engine {
 	if cfg.Every <= 0 {
 		cfg.Every = time.Second
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.Default()
-	}
 	if cfg.Ring == nil {
 		cfg.Ring = trace.Default()
 	}
-	if cfg.RetainAlerts <= 0 {
-		cfg.RetainAlerts = 256
-	}
-	if cfg.RecorderNotes <= 0 {
-		cfg.RecorderNotes = 512
-	}
 	e := &Engine{
 		cfg:     cfg,
-		clock:   cfg.Clock,
-		every:   cfg.Every,
-		reg:     cfg.Registry,
-		ring:    cfg.Ring,
-		start:   cfg.Clock.Now(),
 		signals: make(map[string]*signalState),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	e.rec = newRecorder(cfg.Clock, cfg.RecorderNotes)
+	e.rec = newRecorder(cfg.Clock, recorderNotes)
 	e.readyBit.Store(true)
 	return e
 }
@@ -380,11 +352,11 @@ func (e *Engine) AddObjective(o Objective) error {
 			return fmt.Errorf("health: duplicate objective %q", o.Name)
 		}
 	}
-	capacity := int(o.Slow/e.every) + 2
+	capacity := int(o.Slow/e.cfg.Every) + 2
 	if capacity < 8 {
 		capacity = 8
 	}
-	st := &objState{o: o, samples: make([]sample, capacity), clearSince: e.clock.Now()}
+	st := &objState{o: o, samples: make([]sample, capacity), clearSince: e.cfg.Clock.Now()}
 	e.objs = append(e.objs, st)
 	mBurn.SetFunc(func() float64 { return math.Float64frombits(st.fastBits.Load()) }, o.Name, "fast")
 	mBurn.SetFunc(func() float64 { return math.Float64frombits(st.slowBits.Load()) }, o.Name, "slow")
@@ -392,8 +364,8 @@ func (e *Engine) AddObjective(o Objective) error {
 }
 
 // AddObjectives installs every objective whose signal is registered here
-// and skips the rest (a dashboard node has no WAL; its WAL objective
-// simply doesn't apply). Invalid objectives still error.
+// and skips the rest (a node supplies no freshness lag, so its freshness
+// objective doesn't apply). Invalid objectives still error.
 func (e *Engine) AddObjectives(objs ...Objective) (int, error) {
 	added := 0
 	for _, o := range objs {
@@ -416,7 +388,7 @@ func (e *Engine) Start() {
 	e.startOnce.Do(func() {
 		go func() {
 			defer close(e.done)
-			tk := wfclock.NewTicker(e.clock, e.every)
+			tk := wfclock.NewTicker(e.cfg.Clock, e.cfg.Every)
 			defer tk.Stop()
 			for {
 				select {
@@ -461,7 +433,7 @@ func (e *Engine) Tick() {
 		e.mu.Unlock()
 		return
 	}
-	now := e.clock.Now()
+	now := e.cfg.Clock.Now()
 	mEvals.Inc()
 
 	// One evaluation per signal per tick; objectives read the cache.
@@ -574,7 +546,7 @@ func (e *Engine) Tick() {
 // record appends one transition to the bounded retention ring.
 func (e *Engine) record(a Alert, notify *[]Alert) {
 	e.recent = append(e.recent, a)
-	if over := len(e.recent) - e.cfg.RetainAlerts; over > 0 {
+	if over := len(e.recent) - retainAlerts; over > 0 {
 		e.recent = append(e.recent[:0], e.recent[over:]...)
 	}
 	mTransitions.With(a.State).Inc()

@@ -18,7 +18,7 @@ var testEpoch = time.Date(2012, 3, 13, 12, 0, 0, 0, time.UTC)
 func tickUntil(t *testing.T, clk *wfclock.Manual, e *Engine, max int, what string, pred func() bool) int {
 	t.Helper()
 	for i := 1; i <= max; i++ {
-		clk.Advance(e.every)
+		clk.Advance(e.cfg.Every)
 		e.Tick()
 		if pred() {
 			return i
@@ -324,7 +324,7 @@ func TestRegisterStandardAndDefaults(t *testing.T) {
 	clk := wfclock.NewManual(testEpoch)
 	e := New(Config{Clock: clk, Every: time.Second})
 	defer e.Close()
-	e.RegisterStandard(Sources{Clock: clk})
+	e.RegisterStandard(Sources{})
 
 	for _, sig := range []string{SigApplyP99, SigCommitP99, SigMQDropRate, SigWALFsyncP99, SigViewsFlushP99, SigSSEResyncRate} {
 		if _, ok := e.signals[sig]; !ok {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -19,84 +17,75 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(append(b, '\n'))
 }
 
-// HealthzHandler reports liveness: the process is up and the engine
-// exists. Always 200 — readiness is /readyz's job.
-func (e *Engine) HealthzHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":         "ok",
-			"uptime_seconds": time.Since(processStart).Seconds(),
-		})
+// Mount serves the engine on mux: liveness at /healthz, readiness at
+// /readyz, the alert lifecycle at /api/alerts, the build and node shape at
+// /api/buildinfo, and an on-demand diagnostics bundle at /debug/bundle.
+// The dashboard (SetHealth) and a -debug-addr listener both mount it.
+func (e *Engine) Mount(mux *http.ServeMux) {
+	mux.HandleFunc("GET /healthz", e.serveHealthz)
+	mux.HandleFunc("GET /readyz", e.serveReadyz)
+	mux.HandleFunc("GET /api/alerts", e.serveAlerts)
+	mux.HandleFunc("GET /api/buildinfo", func(w http.ResponseWriter, r *http.Request) {
+		e.mu.Lock()
+		b := e.buildInfoLocked()
+		e.mu.Unlock()
+		writeJSON(w, http.StatusOK, b)
+	})
+	mux.HandleFunc("GET /debug/bundle", e.serveBundle)
+}
+
+// serveHealthz reports liveness: the process is up and the engine exists.
+// Always 200 — readiness is /readyz's job.
+func (e *Engine) serveHealthz(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{
+		"status":         "ok",
+		"uptime_seconds": time.Since(processStart).Seconds(),
 	})
 }
 
-// ReadyzHandler reports readiness: 200 while no ready-gating objective
+// serveReadyz reports readiness: 200 while no ready-gating objective
 // fires, 503 (with the firing set) otherwise — the signal a federation
 // router or load balancer keys on. Lock-free on the happy path.
-func (e *Engine) ReadyzHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if e.Ready() {
-			writeJSON(w, http.StatusOK, map[string]any{"ready": true})
-			return
+func (e *Engine) serveReadyz(w http.ResponseWriter, r *http.Request) {
+	if e.Ready() {
+		writeJSON(w, http.StatusOK, map[string]any{"ready": true})
+		return
+	}
+	var firing []Alert
+	for _, a := range e.Active() {
+		if a.State == "firing" {
+			firing = append(firing, a)
 		}
-		var firing []Alert
-		for _, a := range e.Active() {
-			if a.State == "firing" {
-				firing = append(firing, a)
-			}
-		}
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"ready":  false,
-			"firing": firing,
-		})
+	}
+	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		"ready":  false,
+		"firing": firing,
 	})
 }
 
-// AlertsHandler serves the alert lifecycle state: currently active
-// alerts, the retained transition ring, and the installed objectives.
-func (e *Engine) AlertsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"active":     e.Active(),
-			"recent":     e.Recent(),
-			"objectives": e.Objectives(),
-		})
+// serveAlerts serves the alert lifecycle state: currently active alerts,
+// the retained transition ring, and the installed objectives.
+func (e *Engine) serveAlerts(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{
+		"active":     e.Active(),
+		"recent":     e.Recent(),
+		"objectives": e.Objectives(),
 	})
 }
 
-// BuildinfoHandler serves BuildInfo.
-func (e *Engine) BuildinfoHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, e.BuildInfo())
-	})
-}
-
-// BundleHandler builds a fresh diagnostics bundle on demand and serves
-// it as a tar.gz download — `stampede-doctor -addr` fetches this.
-func (e *Engine) BundleHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		e.mu.Lock()
-		data, id, err := e.bundleLocked(nil)
-		e.mu.Unlock()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/gzip")
-		w.Header().Set("Content-Disposition",
-			fmt.Sprintf("attachment; filename=bundle-%s.tar.gz", id))
-		w.Header().Set("X-Bundle-ID", id)
-		w.Write(data)
-	})
-}
-
-// AttachDebug mounts the engine's endpoints on every debug mux
-// (telemetry.HandleDebug): /healthz, /readyz, /api/alerts,
-// /api/buildinfo, /debug/bundle. Call before StartDebugServer.
-func (e *Engine) AttachDebug() {
-	telemetry.HandleDebug("/healthz", e.HealthzHandler())
-	telemetry.HandleDebug("/readyz", e.ReadyzHandler())
-	telemetry.HandleDebug("/api/alerts", e.AlertsHandler())
-	telemetry.HandleDebug("/api/buildinfo", e.BuildinfoHandler())
-	telemetry.HandleDebug("/debug/bundle", e.BundleHandler())
+// serveBundle builds a fresh diagnostics bundle on demand and serves it as
+// a tar.gz download — `stampede-doctor -addr` fetches this.
+func (e *Engine) serveBundle(w http.ResponseWriter, r *http.Request) {
+	e.mu.Lock()
+	data, id, err := e.bundleLocked(nil)
+	e.mu.Unlock()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/gzip")
+	w.Header().Set("Content-Disposition",
+		fmt.Sprintf("attachment; filename=bundle-%s.tar.gz", id))
+	w.Header().Set("X-Bundle-ID", id)
+	w.Write(data)
 }

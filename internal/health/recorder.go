@@ -8,7 +8,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -16,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/wfclock"
 )
 
@@ -124,38 +124,14 @@ type bundleEntry struct {
 	data []byte
 }
 
-// BundleTo builds a diagnostics bundle and writes the tar.gz to w,
-// returning its content-addressed ID (truncated sha256 of the archive
-// bytes). trigger, when non-nil, is recorded in meta.json as the alert
-// that caused the capture.
-func (e *Engine) BundleTo(w io.Writer, trigger *Alert) (string, error) {
-	e.mu.Lock()
-	data, id, err := e.bundleLocked(trigger)
-	e.mu.Unlock()
-	if err != nil {
-		return "", err
-	}
-	_, err = w.Write(data)
-	return id, err
-}
-
-// WriteBundle builds a bundle and writes bundle-<id>.tar.gz into the
-// configured BundleDir (the working directory when unset).
-func (e *Engine) WriteBundle(trigger *Alert) (id, path string, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.writeBundleLocked(trigger)
-}
-
+// writeBundleLocked builds a bundle and writes bundle-<id>.tar.gz into
+// the configured BundleDir.
 func (e *Engine) writeBundleLocked(trigger *Alert) (id, path string, err error) {
 	data, id, err := e.bundleLocked(trigger)
 	if err != nil {
 		return "", "", err
 	}
 	dir := e.cfg.BundleDir
-	if dir == "" {
-		dir = "."
-	}
 	path = filepath.Join(dir, "bundle-"+id+".tar.gz")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", "", err
@@ -175,7 +151,7 @@ func (e *Engine) writeBundleLocked(trigger *Alert) (id, path string, err error) 
 // back into the engine lock it already holds, which is what makes the
 // capture atomic with the firing transition that requested it.
 func (e *Engine) bundleLocked(trigger *Alert) (data []byte, id string, err error) {
-	now := e.clock.Now()
+	now := e.cfg.Clock.Now()
 	entries := make([]bundleEntry, 0, 9)
 	addJSON := func(name string, v any) {
 		b, jerr := json.MarshalIndent(v, "", "  ")
@@ -190,12 +166,12 @@ func (e *Engine) bundleLocked(trigger *Alert) (data []byte, id string, err error
 	addJSON("signals.json", e.signalsDumpLocked())
 	addJSON("notes.json", e.rec.Notes())
 	addJSON("spans.json", e.spanRecords())
-	if e.cfg.Partitions != nil {
-		addJSON("partitions.json", e.cfg.Partitions())
+	if e.store != nil {
+		addJSON("partitions.json", e.store.PartitionMap())
 	}
 
 	var prom bytes.Buffer
-	_ = e.reg.WritePrometheus(&prom)
+	_ = telemetry.Default().WritePrometheus(&prom)
 	entries = append(entries, bundleEntry{"metrics.prom", prom.Bytes()})
 
 	var goroutines bytes.Buffer
@@ -257,7 +233,7 @@ func (e *Engine) signalsDumpLocked() SignalsDump {
 }
 
 func (e *Engine) spanRecords() []SpanRecord {
-	spans := e.ring.Spans()
+	spans := e.cfg.Ring.Spans()
 	out := make([]SpanRecord, 0, len(spans))
 	for _, sp := range spans {
 		out = append(out, SpanRecord{

@@ -2,14 +2,18 @@ package health
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/telemetry"
+	"repro/internal/relstore"
 	"repro/internal/trace"
 	"repro/internal/wfclock"
 )
@@ -38,14 +42,11 @@ func TestBundleRoundtrip(t *testing.T) {
 	ring.Record(1, trace.StageApply, "wf-1", 100, 200)
 	ring.Record(2, trace.StageCommit, "wf-1", 200, 300)
 
-	e := New(Config{
-		Clock: clk, Every: time.Second, Ring: ring,
-		BundleDir: t.TempDir(),
-		Partitions: func() []Partition {
-			return []Partition{{Partition: 0, Epoch: 42, CheckpointTaken: true, CheckpointSeq: 7}}
-		},
-	})
+	dir := t.TempDir()
+	e := New(Config{Clock: clk, Every: time.Second, Ring: ring, BundleDir: dir})
 	defer e.Close()
+	// The partition map comes from the store the standard signals watch.
+	e.RegisterStandard(Sources{Store: relstore.NewStoreN(2)})
 
 	val := 5.0
 	e.Register("sig", func() (float64, bool) { return val, true })
@@ -59,21 +60,21 @@ func TestBundleRoundtrip(t *testing.T) {
 	e.Recorder().Note("loader", "restart for test")
 	tickUntil(t, clk, e, 20, "firing", func() bool { return e.FiringCount() == 1 })
 
-	id, path, err := e.WriteBundle(&e.Recent()[len(e.Recent())-1])
+	// The firing transition wrote its bundle into BundleDir.
+	id := e.Recent()[len(e.Recent())-1].BundleID
+	if id == "" {
+		t.Fatal("firing transition carries no bundle id")
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "bundle-"+id+".tar.gz"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	b, err := ReadBundle(f)
+	b, err := ReadBundle(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if b.Meta.Build.GoVersion == "" || b.Meta.Build.Partitions != 1 {
+	if b.Meta.Build.GoVersion == "" || b.Meta.Build.Partitions != 2 {
 		t.Fatalf("meta build = %+v", b.Meta.Build)
 	}
 	if b.Meta.Trigger == nil || b.Meta.Trigger.SLO != "rt-slo" {
@@ -113,7 +114,7 @@ func TestBundleRoundtrip(t *testing.T) {
 	if !stages["apply"] || !stages["commit"] {
 		t.Fatalf("span stages = %v", stages)
 	}
-	if len(b.Partitions) != 1 || b.Partitions[0].Epoch != 42 {
+	if len(b.Partitions) != 2 || b.Partitions[1].Partition != 1 {
 		t.Fatalf("partitions = %+v", b.Partitions)
 	}
 	if _, ok := b.MetricValue("stampede_health_evals_total"); !ok {
@@ -129,9 +130,10 @@ func TestBundleRoundtrip(t *testing.T) {
 		}
 	}
 
-	// Content addressing: the filename embeds the archive hash.
-	if !strings.Contains(path, id) {
-		t.Fatalf("path %q does not embed id %q", path, id)
+	// Content addressing: the id, which names the file, is the archive's
+	// truncated hash.
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:8]) != id {
+		t.Fatalf("bundle id %q is not the hash of its archive", id)
 	}
 }
 
@@ -141,7 +143,7 @@ func TestReadBundleRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestHTTPEndpoints covers the five debug-mux endpoints end to end,
+// TestHTTPEndpoints covers the five endpoints Mount serves end to end,
 // including the readyz flip while an alert fires.
 func TestHTTPEndpoints(t *testing.T) {
 	clk := wfclock.NewManual(testEpoch)
@@ -156,8 +158,9 @@ func TestHTTPEndpoints(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	e.AttachDebug()
-	srv := httptest.NewServer(telemetry.NewDebugMux())
+	mux := http.NewServeMux()
+	e.Mount(mux)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	get := func(path string) (int, string) {

@@ -150,33 +150,41 @@ func WatermarkLagSignal(published, applied func() (time.Time, bool)) SignalFunc 
 // Sources names what a node has for RegisterStandard to wire. Nil fields
 // simply skip the signals that need them.
 type Sources struct {
-	Clock    wfclock.Clock       // nil: wfclock.Real
-	Registry *telemetry.Registry // nil: telemetry.Default()
-	Store    *relstore.Store
-	Broker   *mq.Broker
+	// Store also supplies the partition map of /api/buildinfo and of
+	// every diagnostics bundle.
+	Store  *relstore.Store
+	Broker *mq.Broker
 	// FreshnessLag supplies the node's event-time ingest lag (see
 	// WatermarkLagSignal); nil skips the freshness signal.
 	FreshnessLag SignalFunc
 }
 
+// Standard returns a started engine over s: the standard signals and
+// every DefaultObjectives entry they can feed. It is the engine a node
+// runs, and what a file load runs.
+func Standard(cfg Config, s Sources) *Engine {
+	e := New(cfg)
+	e.RegisterStandard(s)
+	if _, err := e.AddObjectives(DefaultObjectives()...); err != nil {
+		// Static objectives failing to install is a build defect.
+		panic(err)
+	}
+	e.Start()
+	return e
+}
+
 // RegisterStandard registers the standard signal set — every per-stage
-// latency, drop-rate, durability and serving signal the ISSUE's SLOs
-// need — reading only metrics and stats the pipeline already maintains.
+// latency, drop-rate, durability and serving signal DefaultObjectives
+// reads — from metrics and stats the pipeline already maintains, on the
+// Default registry and the engine's clock.
 func (e *Engine) RegisterStandard(s Sources) {
-	clock := s.Clock
-	if clock == nil {
-		clock = wfclock.Real
-	}
-	reg := s.Registry
-	if reg == nil {
-		reg = telemetry.Default()
-	}
+	reg := telemetry.Default()
 	if s.FreshnessLag != nil {
 		e.Register(SigFreshnessLag, s.FreshnessLag)
 	}
 	e.Register(SigApplyP99, HistQuantileSignal(reg, "stampede_trace_stage_seconds", 0.99, "apply"))
 	e.Register(SigCommitP99, HistQuantileSignal(reg, "stampede_trace_stage_seconds", 0.99, "commit"))
-	e.Register(SigMQDropRate, CounterRateSignal(clock, reg, "stampede_mq_dropped_total"))
+	e.Register(SigMQDropRate, CounterRateSignal(e.cfg.Clock, reg, "stampede_mq_dropped_total"))
 	if s.Broker != nil {
 		b := s.Broker
 		e.Register(SigMQBacklog, func() (float64, bool) { return float64(b.Backlog()), true })
@@ -184,6 +192,9 @@ func (e *Engine) RegisterStandard(s Sources) {
 	e.Register(SigWALFsyncP99, HistQuantileSignal(reg, "stampede_relstore_wal_fsync_seconds", 0.99))
 	if s.Store != nil {
 		st := s.Store
+		e.mu.Lock()
+		e.store = st
+		e.mu.Unlock()
 		e.Register(SigCheckpointAge, func() (float64, bool) {
 			maxAge, any := 0.0, false
 			for _, cs := range st.CheckpointStats() {
@@ -199,26 +210,7 @@ func (e *Engine) RegisterStandard(s Sources) {
 		})
 	}
 	e.Register(SigViewsFlushP99, HistQuantileSignal(reg, "stampede_views_flush_seconds", 0.99))
-	e.Register(SigSSEResyncRate, CounterRateSignal(clock, reg, "stampede_views_resyncs_total"))
-}
-
-// PartitionsOf adapts a store's partition map for Config.Partitions.
-func PartitionsOf(st *relstore.Store) func() []Partition {
-	return func() []Partition {
-		pm := st.PartitionMap()
-		out := make([]Partition, len(pm))
-		for i, p := range pm {
-			out[i] = Partition{
-				Partition:            p.Partition,
-				Epoch:                p.Epoch,
-				CheckpointTaken:      p.CheckpointTaken,
-				CheckpointSeq:        p.CheckpointSeq,
-				CheckpointBytes:      p.CheckpointBytes,
-				CheckpointAgeSeconds: p.CheckpointAgeSeconds,
-			}
-		}
-		return out
-	}
+	e.Register(SigSSEResyncRate, CounterRateSignal(e.cfg.Clock, reg, "stampede_views_resyncs_total"))
 }
 
 // DefaultObjectives is the stock SLO set. Thresholds are deliberately

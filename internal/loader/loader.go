@@ -23,6 +23,7 @@ import (
 	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/archive"
@@ -185,6 +186,8 @@ type Loader struct {
 
 	mu    sync.Mutex
 	total Stats
+	// rejected counts refused events as each is refused (see Rejected).
+	rejected atomic.Uint64
 }
 
 // New returns a loader over arch.
@@ -226,6 +229,13 @@ func (l *Loader) TotalStats() Stats {
 	return l.total
 }
 
+// Rejected reports how many events this loader has refused so far —
+// malformed, invalid or of a type the archive does not materialise —
+// counted as each is refused, while a call is still running. With the
+// archive's Applied count it tells a live caller whether an event still
+// in flight can yet be applied.
+func (l *Loader) Rejected() uint64 { return l.rejected.Load() }
+
 func (l *Loader) account(s Stats) {
 	l.mu.Lock()
 	l.total.Read += s.Read
@@ -240,10 +250,11 @@ func (l *Loader) account(s Stats) {
 // batch is one apply shard's accumulation state; the events it buffers
 // have passed validation (see pshard.admit).
 type batch struct {
-	arch  *archive.Archive
-	opts  Options
-	buf   []*bp.Event
-	stats Stats
+	arch     *archive.Archive
+	opts     Options
+	buf      []*bp.Event
+	stats    Stats
+	rejected *atomic.Uint64 // the loader's live count (Loader.Rejected)
 
 	// owned is the partitions this shard alone feeds — the ones its
 	// size-triggered syncs flush; unsynced counts the events applied since
@@ -291,7 +302,7 @@ type tracedRef struct {
 func (l *Loader) newBatch(shard int) *batch {
 	s := shardLabel(shard)
 	b := &batch{
-		arch: l.arch, opts: l.opts,
+		arch: l.arch, opts: l.opts, rejected: &l.rejected,
 		mApplied: mShardApplied.With(s),
 		mSyncs:   mSyncs.With(s),
 		mFlush:   mFlushSeconds.With(s),
@@ -440,6 +451,7 @@ func (b *batch) apply() error {
 		rest = rest[n:]
 		bad := rest[0]
 		rest = rest[1:]
+		b.rejected.Add(1)
 		if errors.Is(err, archive.ErrUnknownEvent) {
 			b.stats.Unknown++
 		} else {

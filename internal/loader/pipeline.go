@@ -223,6 +223,7 @@ func (p *pipeline) produceReader(r io.Reader) {
 	}
 	p.malformed = uint64(br.Skipped())
 	mMalformed.Add(p.malformed)
+	p.l.rejected.Add(p.malformed)
 }
 
 // produceMsgs is the parse stage over an mq delivery channel; it returns
@@ -258,6 +259,7 @@ func (p *pipeline) produceMsgs(ctx context.Context, msgs <-chan mq.Message) {
 			if err != nil {
 				p.malformed++
 				mMalformed.Inc()
+				p.l.rejected.Add(1)
 				if p.l.opts.Lenient {
 					continue
 				}
@@ -283,6 +285,7 @@ func (sh *pshard) admit(p *pipeline, ev *bp.Event) {
 		if err := p.l.val.Validate(ev); err != nil {
 			sh.invalid++
 			mInvalid.Inc()
+			p.l.rejected.Add(1)
 			bp.ReleaseEvent(ev)
 			if !p.l.opts.Lenient {
 				p.fail(err)

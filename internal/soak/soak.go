@@ -208,9 +208,8 @@ func Run(sc *synth.Scenario, durationSeconds float64, opts Options) (*Result, er
 			every = 50 * time.Millisecond
 		}
 		eng = health.New(health.Config{
-			Every:      every,
-			BundleDir:  opts.SLO.BundleDir,
-			Partitions: health.PartitionsOf(arch.Store()),
+			Every:     every,
+			BundleDir: opts.SLO.BundleDir,
 			OnAlert: func(a health.Alert) {
 				if a.State == "firing" && !eng.Ready() {
 					wentUnready.Store(true)

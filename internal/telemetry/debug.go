@@ -4,32 +4,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
-
-// debugExtras holds handlers other subsystems hang off every debug mux
-// (the health engine's /healthz, /readyz, /api/alerts, /api/buildinfo,
-// /debug/bundle). Registration replaces: tests create engines freely and
-// the most recent owner of a pattern wins. Resolution happens at request
-// time so a handler registered after the server started still serves.
-var (
-	debugMu     sync.RWMutex
-	debugExtras = make(map[string]http.Handler)
-)
-
-// HandleDebug registers (or replaces) a handler served on every debug mux
-// at the given pattern. A nil handler unregisters. Patterns registered
-// before NewDebugMux/StartDebugServer are mounted on the resulting mux;
-// handlers may be swapped afterwards without re-mounting.
-func HandleDebug(pattern string, h http.Handler) {
-	debugMu.Lock()
-	defer debugMu.Unlock()
-	if h == nil {
-		delete(debugExtras, pattern)
-		return
-	}
-	debugExtras[pattern] = h
-}
 
 // NewDebugMux returns a mux exposing the Default registry at /metrics and
 // the net/http/pprof profiles under /debug/pprof/. The long-running cmds
@@ -43,36 +18,23 @@ func NewDebugMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	debugMu.RLock()
-	patterns := make([]string, 0, len(debugExtras))
-	for p := range debugExtras {
-		patterns = append(patterns, p)
-	}
-	debugMu.RUnlock()
-	for _, p := range patterns {
-		p := p
-		mux.HandleFunc(p, func(w http.ResponseWriter, r *http.Request) {
-			debugMu.RLock()
-			h := debugExtras[p]
-			debugMu.RUnlock()
-			if h == nil {
-				http.NotFound(w, r)
-				return
-			}
-			h.ServeHTTP(w, r)
-		})
-	}
 	return mux
 }
 
-// StartDebugServer serves NewDebugMux on addr in a background goroutine.
-// It returns the bound address (useful with ":0") and a stop function.
-func StartDebugServer(addr string) (string, func() error, error) {
+// StartDebugServer serves NewDebugMux on addr in a background goroutine,
+// after each mount has added its own handlers to the mux (a health
+// engine's Mount, say). It returns the bound address (useful with ":0")
+// and a stop function.
+func StartDebugServer(addr string, mounts ...func(*http.ServeMux)) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: NewDebugMux()}
+	mux := NewDebugMux()
+	for _, mount := range mounts {
+		mount(mux)
+	}
+	srv := &http.Server{Handler: mux}
 	go func() {
 		// ErrServerClosed after stop; anything else has no one to tell.
 		_ = srv.Serve(ln)

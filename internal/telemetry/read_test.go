@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"testing"
 )
 
@@ -65,34 +64,24 @@ func TestSumBuckets(t *testing.T) {
 	}
 }
 
-func TestHandleDebugExtras(t *testing.T) {
-	HandleDebug("/test-extra", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusTeapot)
-	}))
-	defer HandleDebug("/test-extra", nil)
-
-	srv := httptest.NewServer(NewDebugMux())
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/test-extra")
+// TestStartDebugServerMounts: the debug listener serves /metrics and pprof,
+// plus exactly what its caller mounts on it.
+func TestStartDebugServerMounts(t *testing.T) {
+	addr, stop, err := StartDebugServer("127.0.0.1:0", func(mux *http.ServeMux) {
+		mux.HandleFunc("GET /extra", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusTeapot) })
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTeapot {
-		t.Fatalf("extra handler status = %d", resp.StatusCode)
-	}
-
-	// Replacing after the mux was built takes effect on the next request.
-	HandleDebug("/test-extra", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusAccepted)
-	}))
-	resp, err = http.Get(srv.URL + "/test-extra")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("replaced handler status = %d", resp.StatusCode)
+	defer stop()
+	for path, want := range map[string]int{"/extra": http.StatusTeapot, "/metrics": 200, "/debug/pprof/": 200, "/healthz": 404} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
