@@ -23,7 +23,10 @@ race:
 	$(GO) test -race $$($(GO) list ./... | grep -v -E '/internal/(mq|relstore|loader|soak|views|dashboard)$$')
 
 # A few seconds of coverage-guided fuzzing on the BP wire format
-# (round-trips Format→Parse on everything the fuzzer finds), on the
+# (round-trips Format→Parse on everything the fuzzer finds), on the BP
+# encoder from the event side (AppendFormat extends any prefix by exactly
+# Format's line, stamps time.Time.AppendFormat's timestamp at any instant,
+# and ParseBytes reads every line back), on the
 # scenario-config parser (must reject, never panic), on the event-log
 # record framing (corruption never panics, is always detected), and on the
 # relstore WAL frame + row decoder shared with the checkpoint image reader
@@ -34,6 +37,7 @@ race:
 # wherever encoding/json accepts the view, valid JSON where it does not).
 fuzz:
 	$(GO) test ./internal/bp -run FuzzParse -fuzz FuzzParse -fuzztime 10s
+	$(GO) test ./internal/bp -run FuzzAppendFormat -fuzz FuzzAppendFormat -fuzztime 10s
 	$(GO) test ./internal/synth -run FuzzScenarioConfig -fuzz FuzzScenarioConfig -fuzztime 10s
 	$(GO) test ./internal/eventlog -run FuzzRecordRoundTrip -fuzz FuzzRecordRoundTrip -fuzztime 10s
 	$(GO) test ./internal/relstore -run FuzzWALRecord -fuzz FuzzWALRecord -fuzztime 10s

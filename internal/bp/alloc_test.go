@@ -3,6 +3,7 @@
 package bp_test
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/bp"
@@ -44,17 +45,52 @@ func TestParseBytesAllocCeiling(t *testing.T) {
 }
 
 // TestFormatAllocCeiling keeps the encode side honest too: Format over a
-// sorted Attrs slice needs exactly one builder growth.
+// sorted Attrs slice encodes into a stack buffer, so the returned string
+// is its only allocation.
 func TestFormatAllocCeiling(t *testing.T) {
-	ev, err := bp.Parse(`ts=2012-03-13T12:35:38.123456Z event=stampede.xwf.start level=Info ` +
-		`xwf.id=ea17e8ac-02ac-4909-b5e3-16e367392556 restart_count=0`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := formatProbe(t)
 	avg := testing.AllocsPerRun(1000, func() {
 		_ = ev.Format()
 	})
-	if avg > 2 {
-		t.Errorf("Format allocates %.1f/op, want <= 2 (no per-call key sort)", avg)
+	if avg > 1 {
+		t.Errorf("Format allocates %.1f/op, want <= 1 (no per-call key sort, no builder)", avg)
 	}
+}
+
+// TestAppendFormatAllocCeiling pins the one encoder every emitter uses:
+// into a dst with room for the line it allocates nothing.
+func TestAppendFormatAllocCeiling(t *testing.T) {
+	ev := formatProbe(t)
+	dst := make([]byte, 0, 512)
+	avg := testing.AllocsPerRun(1000, func() {
+		dst = ev.AppendFormat(dst[:0])
+	})
+	if avg != 0 {
+		t.Errorf("AppendFormat allocates %.1f/op into a pre-sized dst, want 0", avg)
+	}
+}
+
+// TestWriterAllocCeiling: a log writer encodes into scratch it keeps, so
+// a steady stream of events costs no allocation.
+func TestWriterAllocCeiling(t *testing.T) {
+	ev := formatProbe(t)
+	w := bp.NewWriter(io.Discard)
+	avg := testing.AllocsPerRun(1000, func() {
+		if err := w.Write(ev); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("Writer.Write allocates %.1f/event, want 0", avg)
+	}
+}
+
+func formatProbe(t *testing.T) *bp.Event {
+	t.Helper()
+	ev, err := bp.Parse(`ts=2012-03-13T12:35:38.123456Z event=stampede.xwf.start level=Info ` +
+		`xwf.id=ea17e8ac-02ac-4909-b5e3-16e367392556 restart_count=0 dax.label="a label"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
 }

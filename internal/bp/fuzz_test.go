@@ -1,7 +1,9 @@
 package bp_test
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bp"
 	"repro/internal/synth"
@@ -90,4 +92,62 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("timestamp drifts after canonicalisation: %v -> %v", ev2.TS, ev3.TS)
 		}
 	})
+}
+
+// FuzzAppendFormat drives the encoder from the event side: an arbitrary
+// type, two attributes whose values may hold quotes, backslashes, CR, LF
+// and '=', and an arbitrary instant (Unix seconds plus nanoseconds, so
+// years outside 0001–9999 reach the fallback too). AppendFormat must
+// extend any prefix by exactly Format's line, its timestamp must be
+// time.Time.AppendFormat's, and ParseBytes must read the line back.
+func FuzzAppendFormat(f *testing.F) {
+	f.Add("stampede.xwf.start", "xwf.id", "ea17e8ac", "dax.label", `a "quoted" = label`, int64(0), int64(1331642138123456789))
+	f.Add("spaced type", "k", "line\nbreak\r", "j", `back\slash`, int64(-62135596800), int64(0))
+	f.Add("x", "a", "", "b", "=", int64(253402300799), int64(999999999))
+	f.Add("x", "a", "1", "b", "2", int64(253402300800), int64(0))
+	f.Add("x", "a", "1", "b", "2", int64(-62135596801), int64(-1))
+	f.Fuzz(func(t *testing.T, typ, k1, v1, k2, v2 string, sec, nsec int64) {
+		if typ == "" {
+			return // an empty type is not an event Parse accepts
+		}
+		ts := time.Unix(sec, nsec)
+		ev := &bp.Event{TS: ts, Type: typ}
+		for _, kv := range [][2]string{{k1, v1}, {k2, v2}} {
+			if validKey(kv[0]) {
+				ev.Set(kv[0], kv[1])
+			}
+		}
+		line := ev.Format()
+		prefix := []byte("prefix ")
+		if got := ev.AppendFormat(prefix); string(got) != string(prefix)+line {
+			t.Fatalf("AppendFormat(prefix) = %q, want prefix + %q", got, line)
+		}
+		stamp := "ts=" + string(ts.UTC().AppendFormat(nil, bp.TimeFormat)) + " event="
+		if !strings.HasPrefix(line, stamp) {
+			t.Fatalf("line %q does not start %q, time.Time.AppendFormat's timestamp", line, stamp)
+		}
+		if year := ts.UTC().Year(); year < 1 || year > 9999 {
+			return // no BP timestamp layout reads a year outside 0001–9999 back
+		}
+		back, err := bp.ParseBytes([]byte(line))
+		if err != nil {
+			t.Fatalf("ParseBytes(%q): %v", line, err)
+		}
+		defer bp.ReleaseEvent(back)
+		if back.Type != ev.Type || !back.TS.Equal(ts.Truncate(time.Microsecond)) || len(back.Attrs) != len(ev.Attrs) {
+			t.Fatalf("round trip of %q: got %v at %v, want %v at %v", line, back, back.TS, ev, ts)
+		}
+		for i := range ev.Attrs {
+			if back.Attrs[i] != ev.Attrs[i] {
+				t.Fatalf("round trip of %q: attr %d = %v, want %v", line, i, back.Attrs[i], ev.Attrs[i])
+			}
+		}
+	})
+}
+
+// validKey reports whether k can be written as a BP key: keys are never
+// quoted, so they cannot hold a separator, a quote or a line break, and
+// "ts" and "event" are the dedicated fields.
+func validKey(k string) bool {
+	return k != "" && k != bp.KeyTS && k != bp.KeyEvent && !strings.ContainsAny(k, " \t=\"\n\r")
 }

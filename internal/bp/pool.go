@@ -80,3 +80,27 @@ func PoolStats() (hits, misses, returns uint64) {
 	}
 	return g - m, m, p
 }
+
+// linePool holds the scratch lines WithLine encodes into.
+var linePool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
+// lineKeepCap bounds the scratch a pathological wide event may carry back
+// into the pool, as attrsKeepCap does for Attrs.
+const lineKeepCap = 64 << 10
+
+// WithLine encodes e into pooled scratch and calls fn with the line (no
+// trailing newline). The slice is valid only for the call: fn must copy
+// whatever it keeps. An emitter whose sink copies the bytes (a buffered
+// frame writer) publishes through it without allocating.
+func (e *Event) WithLine(fn func(line []byte) error) error {
+	p := linePool.Get().(*[]byte)
+	*p = e.AppendFormat((*p)[:0])
+	err := fn(*p)
+	if cap(*p) <= lineKeepCap {
+		linePool.Put(p)
+	}
+	return err
+}

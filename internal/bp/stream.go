@@ -164,9 +164,10 @@ type Appender interface {
 // multiple goroutines: engines log from many worker threads into one file,
 // exactly as Triana's LOG4J appenders do.
 type Writer struct {
-	mu sync.Mutex
-	w  *bufio.Writer
-	n  int
+	mu  sync.Mutex
+	w   *bufio.Writer
+	n   int
+	buf []byte // the line being encoded; reused under mu
 }
 
 // NewWriter wraps w for BP encoding.
@@ -174,14 +175,13 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: bufio.NewWriterSize(w, 64*1024)}
 }
 
-// Write appends one event as a line.
+// Write appends one event as a line. The line is encoded into scratch the
+// writer keeps, so a steady stream of events allocates nothing.
 func (w *Writer) Write(e *Event) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, err := w.w.WriteString(e.Format()); err != nil {
-		return err
-	}
-	if err := w.w.WriteByte('\n'); err != nil {
+	w.buf = append(e.AppendFormat(w.buf[:0]), '\n')
+	if _, err := w.w.Write(w.buf); err != nil {
 		return err
 	}
 	w.n++

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"time"
@@ -191,12 +192,15 @@ type BusAppender struct {
 // Append implements bp.Appender. The emission span (the event's own ts up
 // to this bus handoff) is recorded engine-side: the loader's route span
 // picks up from the broker enqueue time, so the two compose without wire
-// context.
+// context. The broker retains the body, so each event costs exactly one
+// allocation: the copy out of the pooled encoding scratch.
 func (a BusAppender) Append(ev *bp.Event) error {
-	body := []byte(ev.Format())
-	trace.Emit(body, ev.TS, ev.Get(schema.AttrXwfID))
-	a.broker.Publish(ev.Type, body)
-	return nil
+	return ev.WithLine(func(line []byte) error {
+		body := bytes.Clone(line)
+		trace.Emit(body, ev.TS, ev.Get(schema.AttrXwfID))
+		a.broker.Publish(ev.Type, body)
+		return nil
+	})
 }
 
 // WaitLoaded blocks until the loader has folded at least n events into

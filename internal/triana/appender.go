@@ -19,16 +19,19 @@ func (a *WriterAppender) Append(ev *bp.Event) error { return a.W.Write(ev) }
 
 // ClientAppender publishes events over a TCP connection to a broker
 // server: the full remote-AMQP deployment. It uses the fire-and-forget
-// path so logging never blocks the engine on a bus round trip.
+// path so logging never blocks the engine on a bus round trip. The line is
+// encoded into pooled scratch: PublishAsync copies it into the client's
+// buffered frame writer, so an event costs no allocation.
 type ClientAppender struct {
 	Client *mq.Client
 }
 
 // Append implements bp.Appender.
 func (a *ClientAppender) Append(ev *bp.Event) error {
-	body := []byte(ev.Format())
-	trace.Emit(body, ev.TS, ev.Get(schema.AttrXwfID))
-	return a.Client.PublishAsync(ev.Type, body)
+	return ev.WithLine(func(line []byte) error {
+		trace.Emit(line, ev.TS, ev.Get(schema.AttrXwfID))
+		return a.Client.PublishAsync(ev.Type, line)
+	})
 }
 
 // MultiAppender fans one event out to several appenders (the DART run
