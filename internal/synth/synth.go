@@ -15,7 +15,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/bp"
@@ -252,7 +252,7 @@ func Generate(cfg Config) *Trace {
 }
 
 func sortEvents(evs []*bp.Event) {
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS.Before(evs[j].TS) })
+	slices.SortStableFunc(evs, func(a, b *bp.Event) int { return a.TS.Compare(b.TS) })
 }
 
 // gen carries generation state across one trace.
