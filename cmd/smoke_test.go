@@ -2,7 +2,8 @@
 // operator would: one loader writing a store directory, the report tools
 // and a dashboard reading it, a replay materializing a second one from the
 // event log — the live node, fed by both engines over TCP and watched over
-// SSE, the doctor and the schema validator, and the soak harness.
+// SSE, the doctor and the schema validator, the soak harness, and the
+// paper's evaluation tables.
 package cmd_test
 
 import (
@@ -42,7 +43,8 @@ func TestMain(m *testing.M) {
 	binDir = dir
 	args := []string{"build", "-o", binDir + string(filepath.Separator)}
 	for _, name := range []string{"nl-load", "stampede-statistics", "stampede-analyzer", "stampede-dashboard",
-		"stampede-replay", "triana-run", "pegasus-run", "stampede-doctor", "stampede-schema", "stampede-soak"} {
+		"stampede-replay", "triana-run", "pegasus-run", "stampede-doctor", "stampede-schema", "stampede-soak",
+		"experiments"} {
 		args = append(args, "repro/cmd/"+name)
 	}
 	code := 1
@@ -529,5 +531,26 @@ func TestBinariesSoak(t *testing.T) {
 	}
 	if checks == 0 || !strings.Contains(out, "PASS") {
 		t.Fatalf("stampede-soak printed %d checks:\n%s", checks, out)
+	}
+}
+
+// TestBinariesExperiments regenerates Table I and the cross-engine table:
+// the DART run's tasks all succeed, none retried, and both engines' rows
+// are printed.
+func TestBinariesExperiments(t *testing.T) {
+	out := run(t, tool("experiments"), "-run", "table1,crossengine")
+	var header, tasks, engines bool
+	for _, line := range strings.Split(out, "\n") {
+		switch f := strings.Join(strings.Fields(line), " "); f {
+		case "Type Succeeded Failed Incomplete Total Retries":
+			header = true
+		case "Tasks 367 0 0 367 0":
+			tasks = true
+		case "Pegasus Triana":
+			engines = true
+		}
+	}
+	if !header || !tasks || !engines || !strings.Contains(out, "Cross-engine demonstration") {
+		t.Fatalf("Table I header %v, Tasks 367/0/0/367/0 %v, cross-engine table %v:\n%s", header, tasks, engines, out)
 	}
 }
