@@ -16,8 +16,8 @@ test:
 # views publisher and the SSE layer on top of it) and the soak harness are
 # written to be meaningful under the race detector; run them with it, twice
 # over in one process — no test in them may depend on process-wide state
-# (span ring, watermark table, metrics, event pool) being fresh — and with
-# no skip list. Then everything else once.
+# (span ring, metrics, event pool) being fresh — and with no skip list.
+# Then everything else once.
 race:
 	$(GO) test -race -count=2 ./internal/mq ./internal/relstore ./internal/loader ./internal/soak ./internal/views ./internal/dashboard
 	$(GO) test -race $$($(GO) list ./... | grep -v -E '/internal/(mq|relstore|loader|soak|views|dashboard)$$')
@@ -50,7 +50,7 @@ fuzz:
 # deterministic) instead of re-synthesizing the stream. Four apply shards
 # map 1:1 onto four store partitions, so the soak drives the multi-writer
 # partitioned layout end to end. The binary exits non-zero unless every
-# accounting, watermark and replay check passes; the JSON report lands in
+# accounting, archive-watermark and replay check passes; the JSON report lands in
 # soak-report.json for the CI artifact.
 # -bundle-dir attaches the SLO health engine: the run fails if any alert
 # is still firing at the end, and a firing alert drops a diagnostics

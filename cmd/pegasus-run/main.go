@@ -18,31 +18,28 @@ import (
 	"repro/internal/mq"
 	"repro/internal/pegasus"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/triana"
 	"repro/internal/wfclock"
 )
 
 func main() {
 	var (
-		daxName     = flag.String("dax", "diamond", "abstract workflow: diamond or sweep")
-		tasks       = flag.Int("tasks", 50, "sweep: number of parallel worker tasks")
-		runtime     = flag.Float64("runtime", 30, "modeled task runtime in seconds")
-		cluster     = flag.Int("cluster", 0, "horizontal clustering factor (0 = none)")
-		retries     = flag.Int("retries", 2, "max retries per job")
-		failure     = flag.Float64("failure", 0, "per-instance failure probability")
-		rescue      = flag.Int("rescue", 0, "restart failed workflows up to this many times (rescue DAGs)")
-		seed        = flag.Int64("seed", 1, "failure-injection seed")
-		hosts       = flag.Int("hosts", 4, "execution hosts on the site")
-		slots       = flag.Int("slots", 2, "slots per host")
-		scale       = flag.Float64("scale", 1000, "virtual-clock speed-up")
-		logPath     = flag.String("log", "", "write BP events to this file")
-		brokerTo    = flag.String("broker", "", "publish events to this TCP broker")
-		debug       = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (empty = off)")
-		traceSample = flag.Int("trace-sample", trace.DefaultSampleEvery, "trace 1 in N events end to end (0 disables tracing)")
+		daxName  = flag.String("dax", "diamond", "abstract workflow: diamond or sweep")
+		tasks    = flag.Int("tasks", 50, "sweep: number of parallel worker tasks")
+		runtime  = flag.Float64("runtime", 30, "modeled task runtime in seconds")
+		cluster  = flag.Int("cluster", 0, "horizontal clustering factor (0 = none)")
+		retries  = flag.Int("retries", 2, "max retries per job")
+		failure  = flag.Float64("failure", 0, "per-instance failure probability")
+		rescue   = flag.Int("rescue", 0, "restart failed workflows up to this many times (rescue DAGs)")
+		seed     = flag.Int64("seed", 1, "failure-injection seed")
+		hosts    = flag.Int("hosts", 4, "execution hosts on the site")
+		slots    = flag.Int("slots", 2, "slots per host")
+		scale    = flag.Float64("scale", 1000, "virtual-clock speed-up")
+		logPath  = flag.String("log", "", "write BP events to this file")
+		brokerTo = flag.String("broker", "", "publish events to this TCP broker")
+		debug    = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (empty = off)")
 	)
 	flag.Parse()
-	trace.SetSampleEvery(*traceSample)
 
 	if *debug != "" {
 		addr, stopDebug, err := telemetry.StartDebugServer(*debug)

@@ -19,19 +19,16 @@ import (
 	"repro/internal/dashboard"
 	"repro/internal/query"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/views"
 )
 
 func main() {
 	var (
-		dbPath      = flag.String("db", "stampede.db", "archive store directory")
-		listen      = flag.String("listen", ":8080", "address to serve on")
-		debugAddr   = flag.String("debug-addr", "", "serve /debug/pprof (and a second /metrics) on this address (empty = off)")
-		traceSample = flag.Int("trace-sample", trace.DefaultSampleEvery, "trace 1 in N events end to end (0 disables tracing)")
+		dbPath    = flag.String("db", "stampede.db", "archive store directory")
+		listen    = flag.String("listen", ":8080", "address to serve on")
+		debugAddr = flag.String("debug-addr", "", "serve /debug/pprof (and a second /metrics) on this address (empty = off)")
 	)
 	flag.Parse()
-	trace.SetSampleEvery(*traceSample)
 
 	// A read-only load: a loader may be writing this directory.
 	arch, err := archive.LoadDir(*dbPath)

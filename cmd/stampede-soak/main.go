@@ -1,7 +1,7 @@
 // stampede-soak runs a declarative workload scenario end to end through
 // the monitoring pipeline (broker -> loader -> archive) and audits the
 // run against the stream's own annotations: exact event accounting,
-// freshness watermarks, snapshot row counts, and — for ramping schedules
+// the archive's freshness watermark, snapshot row counts, and — for ramping schedules
 // — the measured throughput knee. Exit status 0 means every check passed.
 //
 //	stampede-soak -scenario examples/scenarios/fault-soak.json -duration 30s

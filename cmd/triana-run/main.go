@@ -19,7 +19,6 @@ import (
 	"repro/internal/dart"
 	"repro/internal/mq"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/triana"
 	"repro/internal/trianacloud"
 	"repro/internal/wfclock"
@@ -27,19 +26,17 @@ import (
 
 func main() {
 	var (
-		workflow    = flag.String("workflow", "dart", "workflow to run: dart or demo")
-		logPath     = flag.String("log", "", "write BP events to this file")
-		broker      = flag.String("broker", "", "also publish events to this TCP broker")
-		scale       = flag.Float64("scale", 1000, "virtual-clock speed-up factor")
-		nodes       = flag.Int("nodes", 8, "dart: TrianaCloud worker nodes")
-		perBun      = flag.Int("bundle", 16, "dart: executions per bundle")
-		conc        = flag.Int("concurrent", 4, "dart: concurrent tasks per node")
-		realWork    = flag.Bool("real-shs", false, "dart: run the real SHS computation in every exec task")
-		debug       = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (empty = off)")
-		traceSample = flag.Int("trace-sample", trace.DefaultSampleEvery, "trace 1 in N events end to end (0 disables tracing)")
+		workflow = flag.String("workflow", "dart", "workflow to run: dart or demo")
+		logPath  = flag.String("log", "", "write BP events to this file")
+		broker   = flag.String("broker", "", "also publish events to this TCP broker")
+		scale    = flag.Float64("scale", 1000, "virtual-clock speed-up factor")
+		nodes    = flag.Int("nodes", 8, "dart: TrianaCloud worker nodes")
+		perBun   = flag.Int("bundle", 16, "dart: executions per bundle")
+		conc     = flag.Int("concurrent", 4, "dart: concurrent tasks per node")
+		realWork = flag.Bool("real-shs", false, "dart: run the real SHS computation in every exec task")
+		debug    = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address (empty = off)")
 	)
 	flag.Parse()
-	trace.SetSampleEvery(*traceSample)
 
 	if *debug != "" {
 		addr, stopDebug, err := telemetry.StartDebugServer(*debug)

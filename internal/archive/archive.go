@@ -3,7 +3,6 @@ package archive
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -13,32 +12,7 @@ import (
 	"repro/internal/relstore"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
-
-// intAttr and floatAttr read optional numeric attributes. They exist
-// because bp.Event.Int/Float build an error value when the attribute is
-// absent, and "absent" is the common case for optional columns — on the
-// apply hot path that error is a pointless heap allocation per event.
-func intAttr(ev *bp.Event, key string) (int64, bool) {
-	v, ok := ev.Lookup(key)
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	return n, err == nil
-}
-
-func floatAttr(ev *bp.Event, key string) (float64, bool) {
-	v, ok := ev.Lookup(key)
-	if !ok {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	// "NaN" and "Inf" parse; no decimal column holds one (the validator
-	// refuses them as well, but validation is optional).
-	return f, err == nil && !math.IsNaN(f) && !math.IsInf(f, 0)
-}
 
 // Archive telemetry.
 var (
@@ -46,6 +20,9 @@ var (
 		"Events folded into archive tables.")
 	mRows = telemetry.NewGaugeVec("stampede_archive_rows",
 		"Rows per archive table (sampled at scrape time).", "table")
+	mFreshness = telemetry.NewGaugeVec("stampede_archive_freshness_seconds",
+		"Now minus the newest event timestamp applied in the partition (computed at scrape time; "+
+			"negative under scaled virtual engine clocks, 0 before the first apply).", "partition")
 )
 
 // routeSlots is the width of the space Route folds a workflow uuid into
@@ -92,11 +69,11 @@ type partState struct {
 	lastUUID string
 	lastWF   int64
 
-	// Freshness-watermark memo for the tracing layer, same discipline as
-	// lastUUID/lastWF: one cached pointer turns the per-event watermark
-	// advance into a string compare plus a max-CAS.
-	wmUUID string
-	wm     *trace.Watermark
+	// newest is the partition's freshness watermark: the newest event
+	// timestamp applied here, Unix nanoseconds, 0 before the first. Only
+	// this partition's apply path writes it, under mu, so raising it is a
+	// plain compare; the atomic is for readers that hold no lock.
+	newest atomic.Int64
 }
 
 // instState is the per-job-instance hot-path state, held in one struct so
@@ -202,6 +179,16 @@ func New(store *relstore.Store) (*Archive, error) {
 			}
 			return float64(n)
 		}, table)
+	}
+	for i := range a.parts {
+		st := &a.parts[i]
+		mFreshness.SetFunc(func() float64 {
+			ns := st.newest.Load()
+			if ns == 0 {
+				return 0
+			}
+			return float64(time.Now().UnixNano()-ns) / 1e9
+		}, strconv.Itoa(i))
 	}
 	return a, nil
 }
@@ -353,6 +340,23 @@ func (a *Archive) Snapshot() *relstore.Snapshot { return a.store.Snapshot() }
 // Applied reports how many events have been folded in.
 func (a *Archive) Applied() uint64 { return a.applied.Load() }
 
+// Watermark returns the archive's freshness watermark, the newest event
+// timestamp applied in any partition, and false while nothing has been
+// applied. Events that name no workflow do not count. Out-of-order applies
+// (restart replays, multi-producer buses) never move it back.
+func (a *Archive) Watermark() (time.Time, bool) {
+	var max int64
+	for i := range a.parts {
+		if ns := a.parts[i].newest.Load(); ns > max {
+			max = ns
+		}
+	}
+	if max == 0 {
+		return time.Time{}, false
+	}
+	return time.Unix(0, max).UTC(), true
+}
+
 // Flush persists buffered writes (no-op for in-memory stores).
 func (a *Archive) Flush() error { return a.store.Flush() }
 
@@ -368,32 +372,25 @@ var ErrUnknownEvent = errors.New("archive: event type not materialised")
 // static events (workflow restarts re-emit task/job descriptions) are
 // tolerated and skipped.
 func (a *Archive) Apply(ev *bp.Event) error {
-	st := a.partOf(ev.Get(schema.AttrXwfID))
+	uuid := ev.Get(schema.AttrXwfID)
+	st := a.partOf(uuid)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if err := a.applyLocked(st, ev); err != nil {
 		return fmt.Errorf("archive: %s at %s: %w", ev.Type, ev.TS.Format("15:04:05.000"), err)
 	}
-	advanceWatermark(st, ev)
+	st.advance(uuid, ev.TS)
 	a.applied.Add(1)
 	mApplied.Inc()
 	return nil
 }
 
-// advanceWatermark publishes ev.TS into its workflow's freshness
-// watermark (internal/trace) after a successful apply; the dashboard
-// exposes now − max as stampede_trace_freshness_seconds. Called under
-// the partition state's lock so the memo fields need no further
-// synchronisation.
-func advanceWatermark(st *partState, ev *bp.Event) {
-	uuid := ev.Get(schema.AttrXwfID)
-	if uuid == "" {
-		return
+// advance raises the partition's watermark to ts after a successful apply
+// of an event of workflow uuid. Called under st.mu.
+func (st *partState) advance(uuid string, ts time.Time) {
+	if ns := ts.UnixNano(); uuid != "" && ns > st.newest.Load() {
+		st.newest.Store(ns)
 	}
-	if uuid != st.wmUUID {
-		st.wmUUID, st.wm = uuid, trace.WatermarkFor(uuid)
-	}
-	st.wm.Advance(ev.TS.UnixNano())
 }
 
 // ApplyBatch folds a slice of events, holding each partition state's lock
@@ -412,7 +409,8 @@ func (a *Archive) ApplyBatch(evs []*bp.Event) (n int, err error) {
 	// are measurable at loader rates and the totals only need to be
 	// eventually exact, which the error path below preserves.
 	for i, ev := range evs {
-		st := a.partOf(ev.Get(schema.AttrXwfID))
+		uuid := ev.Get(schema.AttrXwfID)
+		st := a.partOf(uuid)
 		if st != cur {
 			if cur != nil {
 				cur.mu.Unlock()
@@ -427,7 +425,7 @@ func (a *Archive) ApplyBatch(evs []*bp.Event) (n int, err error) {
 			}
 			return i, fmt.Errorf("archive: %s: %w", ev.Type, err)
 		}
-		advanceWatermark(st, ev)
+		st.advance(uuid, ev.TS)
 	}
 	if len(evs) > 0 {
 		a.applied.Add(uint64(len(evs)))
@@ -606,9 +604,10 @@ func (a *Archive) applyWorkflowState(st *partState, ev *bp.Event, state string) 
 	d.SetInt(c.WfID, wf)
 	d.SetStr(c.State, state)
 	d.SetTime(c.Timestamp, ev.TS)
-	d.SetInt(c.RestartCount, ev.IntOr("restart_count", 0))
+	restarts, _ := ev.Int("restart_count")
+	d.SetInt(c.RestartCount, restarts)
 	if ev.Has(schema.AttrStatus) {
-		status, err := ev.Int(schema.AttrStatus)
+		status, err := needInt(ev, schema.AttrStatus)
 		if err != nil {
 			return err
 		}
@@ -664,11 +663,14 @@ func (a *Archive) applyJobInfo(st *partState, ev *bp.Event) error {
 	d.SetInt(c.WfID, wf)
 	d.SetStr(c.ExecJobID, execID)
 	d.SetStr(c.TypeDesc, ev.Get("type_desc"))
-	d.SetBool(c.Clustered, ev.IntOr("clustered", 0) != 0)
-	d.SetInt(c.MaxRetries, ev.IntOr("max_retries", 0))
+	clustered, _ := ev.Int("clustered")
+	retries, _ := ev.Int("max_retries")
+	tasks, _ := ev.Int("task_count")
+	d.SetBool(c.Clustered, clustered != 0)
+	d.SetInt(c.MaxRetries, retries)
 	d.SetStr(c.Executable, ev.Get(schema.AttrExecutable))
 	d.SetStr(c.Argv, ev.Get(schema.AttrArgv))
-	d.SetInt(c.TaskCount, ev.IntOr("task_count", 0))
+	d.SetInt(c.TaskCount, tasks)
 	id, err := st.w.Insert(&d)
 	if err != nil {
 		return ignoreDuplicate(err)
@@ -766,7 +768,7 @@ func (a *Archive) instRow(st *partState, ev *bp.Event) (*instState, error) {
 	if err != nil {
 		return nil, err
 	}
-	seq, err := ev.Int(schema.AttrJobInstID)
+	seq, err := needInt(ev, schema.AttrJobInstID)
 	if err != nil {
 		return nil, err
 	}
@@ -815,7 +817,7 @@ func (a *Archive) applyScriptEnd(st *partState, ev *bp.Event, okState, failState
 		return err
 	}
 	state := okState
-	if code, ok := intAttr(ev, schema.AttrExitcode); ok && code != 0 {
+	if code, ok := ev.Int(schema.AttrExitcode); ok && code != 0 {
 		state = failState
 	}
 	return a.insertJobState(st, is, state, ev)
@@ -849,7 +851,7 @@ func (a *Archive) applyMainEnd(st *partState, ev *bp.Event) error {
 	if err != nil {
 		return err
 	}
-	exitcode, err := ev.Int(schema.AttrExitcode)
+	exitcode, err := needInt(ev, schema.AttrExitcode)
 	if err != nil {
 		return err
 	}
@@ -868,7 +870,7 @@ func (a *Archive) applyMainEnd(st *partState, ev *bp.Event) error {
 	if s := ev.Get(schema.AttrStderrText); s != "" {
 		d.SetStr(c.StderrText, s)
 	}
-	if m, ok := intAttr(ev, "multiplier_factor"); ok {
+	if m, ok := ev.Int("multiplier_factor"); ok {
 		d.SetInt(c.MultiplierFactor, m)
 	}
 	// local_duration = main.end ts - the matching EXECUTE state ts, the
@@ -910,7 +912,7 @@ func (a *Archive) applyHostInfo(st *partState, ev *bp.Event) error {
 		if u := ev.Get("uname"); u != "" {
 			d.SetStr(c.Uname, u)
 		}
-		if m, ok := intAttr(ev, "total_memory"); ok {
+		if m, ok := ev.Int("total_memory"); ok {
 			d.SetInt(c.TotalMemory, m)
 		}
 		hid, err = a.host.Insert(&d)
@@ -936,7 +938,7 @@ func (a *Archive) applyInvEnd(st *partState, ev *bp.Event) error {
 	if err != nil {
 		return err
 	}
-	seq, ok := intAttr(ev, schema.AttrInvID)
+	seq, ok := ev.Int(schema.AttrInvID)
 	if !ok {
 		seq = is.invSeq
 		is.invSeq = seq + 1
@@ -955,17 +957,26 @@ func (a *Archive) applyInvEnd(st *partState, ev *bp.Event) error {
 			d.SetTime(c.StartTime, parsed)
 		}
 	}
-	if dur, ok := floatAttr(ev, schema.AttrDur); ok {
+	if dur, ok := ev.Float(schema.AttrDur); ok {
 		d.SetFloat(c.RemoteDuration, dur)
 	}
-	if cpu, ok := floatAttr(ev, schema.AttrRemoteCPU); ok {
+	if cpu, ok := ev.Float(schema.AttrRemoteCPU); ok {
 		d.SetFloat(c.RemoteCPUTime, cpu)
 	}
-	if x, ok := intAttr(ev, schema.AttrExitcode); ok {
+	if x, ok := ev.Int(schema.AttrExitcode); ok {
 		d.SetInt(c.Exitcode, x)
 	}
 	_, err = st.w.Insert(&d)
 	return ignoreDuplicate(err)
+}
+
+// needInt reads an integer attribute the event cannot be applied without.
+func needInt(ev *bp.Event, key string) (int64, error) {
+	n, ok := ev.Int(key)
+	if !ok {
+		return 0, fmt.Errorf("%s is missing or not an integer: %q", key, ev.Get(key))
+	}
+	return n, nil
 }
 
 // ignoreDuplicate treats a unique-constraint violation as success: static

@@ -23,6 +23,7 @@ package bp
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -97,37 +98,36 @@ func (e *Event) Lookup(key string) (string, bool) { return e.Attrs.Lookup(key) }
 // Has reports whether the attribute is present.
 func (e *Event) Has(key string) bool { return e.Attrs.Has(key) }
 
-// Int parses the attribute as a base-10 integer.
-func (e *Event) Int(key string) (int64, error) {
+// Int reads the attribute as a base-10 integer. ok is false, and the value
+// 0, when the attribute is absent or is not an integer that fits in int64.
+// An absent attribute costs no allocation, so the apply path reads optional
+// columns through it.
+func (e *Event) Int(key string) (int64, bool) {
 	v, ok := e.Attrs.Lookup(key)
 	if !ok {
-		return 0, fmt.Errorf("bp: attribute %q missing on %s", key, e.Type)
-	}
-	return strconv.ParseInt(v, 10, 64)
-}
-
-// IntOr parses the attribute as a base-10 integer, returning def when the
-// attribute is absent or malformed. Unlike Int it allocates nothing on
-// the miss path, so hot callers that discard the error use it.
-func (e *Event) IntOr(key string, def int64) int64 {
-	v, ok := e.Attrs.Lookup(key)
-	if !ok {
-		return def
+		return 0, false
 	}
 	n, err := strconv.ParseInt(v, 10, 64)
 	if err != nil {
-		return def
+		return 0, false
 	}
-	return n
+	return n, true
 }
 
-// Float parses the attribute as a float64.
-func (e *Event) Float(key string) (float64, error) {
+// Float reads the attribute as a finite float64, with Int's (value, ok)
+// contract. "NaN" and "±Inf" parse but count as malformed: no decimal
+// column holds one, and one would poison a quantile estimate for good (the
+// validator refuses them too, but validation is optional).
+func (e *Event) Float(key string) (float64, bool) {
 	v, ok := e.Attrs.Lookup(key)
 	if !ok {
-		return 0, fmt.Errorf("bp: attribute %q missing on %s", key, e.Type)
+		return 0, false
 	}
-	return strconv.ParseFloat(v, 64)
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, false
+	}
+	return f, true
 }
 
 // Clone returns a deep copy of the event. For a pooled event this is the

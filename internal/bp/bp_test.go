@@ -1,6 +1,7 @@
 package bp
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -38,8 +39,8 @@ func TestParsePaperExample(t *testing.T) {
 	if got := e.Get("xwf.id"); got != "ea17e8ac-02ac-4909-b5e3-16e367392556" {
 		t.Errorf("xwf.id = %q", got)
 	}
-	if n, err := e.Int("restart_count"); err != nil || n != 0 {
-		t.Errorf("restart_count = %d, %v", n, err)
+	if n, ok := e.Int("restart_count"); !ok || n != 0 {
+		t.Errorf("restart_count = %d, %v", n, ok)
 	}
 }
 
@@ -149,22 +150,62 @@ func TestSetPanicsOnReservedKeys(t *testing.T) {
 	}
 }
 
+// TestIntFloatAccessors pins the numeric attribute readers the archive
+// and the views share: a miss of any kind is (0, false), never a partial
+// value, and a float must be finite.
 func TestIntFloatAccessors(t *testing.T) {
-	e := New("x", ts0).SetInt("i", -42).SetFloat("f", 74.5)
-	if v, err := e.Int("i"); err != nil || v != -42 {
-		t.Errorf("Int = %d, %v", v, err)
+	type want struct {
+		i   int64
+		iOK bool
+		f   float64
+		fOK bool
 	}
-	if v, err := e.Float("f"); err != nil || v != 74.5 {
-		t.Errorf("Float = %v, %v", v, err)
+	for _, tc := range []struct {
+		name, val string // val "" = attribute absent
+		want
+	}{
+		{"absent", "", want{}},
+		{"int", "-42", want{-42, true, -42, true}},
+		{"float", "74.5", want{0, false, 74.5, true}},
+		{"exponent", "1e3", want{0, false, 1000, true}},
+		{"malformed", "12abc", want{}},
+		{"empty value", `""`, want{}},
+		{"int64 max", "9223372036854775807", want{math.MaxInt64, true, 9223372036854775807, true}},
+		{"int overflow", "9223372036854775808", want{0, false, 9223372036854775808, true}},
+		{"int underflow", "-9223372036854775809", want{0, false, -9223372036854775809, true}},
+		{"float overflow", "1e400", want{}},
+		{"NaN", "NaN", want{}},
+		{"+Inf", "+Inf", want{}},
+		{"-Inf", "-Inf", want{}},
+		{"Infinity", "infinity", want{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			line := "ts=2012-03-13T12:35:38.000000Z event=x"
+			if tc.val != "" {
+				line += " v=" + tc.val
+			}
+			e, err := Parse(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i, ok := e.Int("v"); i != tc.i || ok != tc.iOK {
+				t.Errorf("Int = %d, %v; want %d, %v", i, ok, tc.i, tc.iOK)
+			}
+			if f, ok := e.Float("v"); f != tc.f || ok != tc.fOK {
+				t.Errorf("Float = %v, %v; want %v, %v", f, ok, tc.f, tc.fOK)
+			}
+		})
 	}
-	if _, err := e.Int("absent"); err == nil {
-		t.Error("Int(absent) succeeded")
-	}
-	if _, err := e.Float("absent"); err == nil {
-		t.Error("Float(absent) succeeded")
-	}
-	if _, err := e.Int("f"); err == nil {
-		t.Error("Int of float value succeeded")
+
+	// Optional columns are usually absent: that read must not allocate.
+	e := New("x", ts0).SetInt("i", 7)
+	if n := testing.AllocsPerRun(100, func() {
+		e.Int("absent")
+		e.Float("absent")
+		e.Int("i")
+		e.Float("i")
+	}); n != 0 {
+		t.Errorf("absent and well-formed reads allocate %v times, want 0", n)
 	}
 }
 

@@ -195,7 +195,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"stampede_loader_event_pool_returns_total",
 		"stampede_trace_stage_seconds_bucket{stage=\"commit\",le=",
 		"stampede_trace_spans_total",
-		"stampede_trace_freshness_seconds{workflow=",
+		"stampede_archive_freshness_seconds{partition=",
 		"stampede_http_requests_total{route=\"/api/workflows\"}",
 		"stampede_http_request_seconds_bucket{route=\"/api/workflows\",le=",
 		"stampede_health_evals_total",

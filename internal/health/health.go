@@ -9,7 +9,7 @@
 //
 // Everything here runs at tick time (default 1s), off the hot path.
 // Signals are pure reads of state the ingest pipeline already maintains
-// — telemetry atomics, trace watermarks, checkpoint stats — so attaching
+// — telemetry atomics, archive watermarks, checkpoint stats — so attaching
 // an engine adds zero allocations per event (the root
 // hotpath_alloc_test.go enforces this with an engine running).
 //

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/bp"
 	"repro/internal/mq"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -84,7 +85,7 @@ func checkPipelineTrace(t *testing.T, id uint64, stages []trace.Stage) {
 
 // TestFileLoadTracesEndToEnd traces every event of a sequential file
 // load and checks a sampled line's full emit-to-commit journey plus the
-// workflow freshness watermark.
+// archive's freshness watermark.
 func TestFileLoadTracesEndToEnd(t *testing.T) {
 	defer trace.SetSampleEvery(trace.DefaultSampleEvery)
 	trace.SetSampleEvery(1)
@@ -110,15 +111,21 @@ func TestFileLoadTracesEndToEnd(t *testing.T) {
 		trace.StageQueue, trace.StageApply, trace.StageCommit,
 	})
 
-	// The archive advanced this workflow's freshness watermark to its
-	// newest applied event timestamp.
-	wfUUID := wfOfLine(t, lines[0])
-	wm, ok := trace.WatermarkOf(wfUUID)
-	if !ok {
-		t.Fatalf("no watermark for workflow %s", wfUUID)
+	// The archive's freshness watermark is the stream's newest event
+	// timestamp.
+	var newest time.Time
+	for _, l := range lines {
+		ev, err := bp.ParseBytes(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.TS.After(newest) {
+			newest = ev.TS
+		}
+		bp.ReleaseEvent(ev)
 	}
-	if wm.IsZero() {
-		t.Fatal("watermark never advanced")
+	if wm, ok := arch.Watermark(); !ok || !wm.Equal(newest) {
+		t.Fatalf("archive watermark = %v, %v; want %v", wm, ok, newest)
 	}
 }
 
@@ -187,16 +194,4 @@ func TestBusConsumeTracesRouteSpan(t *testing.T) {
 		trace.StageRoute, trace.StageParse, trace.StageValidate,
 		trace.StageQueue, trace.StageApply, trace.StageCommit,
 	})
-}
-
-// wfOfLine extracts the xwf.id attribute from a raw BP line.
-func wfOfLine(t *testing.T, line []byte) string {
-	t.Helper()
-	for _, f := range bytes.Fields(line) {
-		if v, ok := bytes.CutPrefix(f, []byte("xwf.id=")); ok {
-			return string(v)
-		}
-	}
-	t.Fatalf("no xwf.id in %q", line)
-	return ""
 }

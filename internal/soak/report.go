@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 
 	"repro/internal/archive"
 	"repro/internal/bp"
 	"repro/internal/eventlog"
 	"repro/internal/schema"
-	"repro/internal/trace"
 )
 
 // Check is one audited invariant of a soak run.
@@ -92,11 +92,7 @@ func (r *Report) check(name string, ok bool, format string, args ...any) {
 	}
 }
 
-// BuildReport audits a run. Order matters: watermark checks read the
-// process-global freshness watermarks and run BEFORE the shadow apply,
-// which replays the same events through a fresh archive (advancing the
-// same per-workflow watermarks to the same values, but only proving the
-// real run advanced them if it is checked first).
+// BuildReport audits a run.
 func BuildReport(res *Result) *Report {
 	s := res.Stream
 	sc := s.Scenario
@@ -158,7 +154,7 @@ func BuildReport(res *Result) *Report {
 			"read %d, events %d, injected drops %d",
 			res.Stats.Read, s.Acct.Events, s.Acct.InjectedDrops)
 
-		checkWatermarks(r, res)
+		checkWatermark(r, res)
 		if res.Eventlog != nil {
 			replayAudit(r, res)
 		} else {
@@ -238,36 +234,28 @@ func BuildReport(res *Result) *Report {
 	return r
 }
 
-// checkWatermarks verifies trace freshness: for every workflow untouched
-// by the drop fault, the per-workflow watermark must have reached the
-// timestamp of its final event — the loader really did carry each
-// workflow's stream to its end.
-func checkWatermarks(r *Report, res *Result) {
-	s := res.Stream
-	checked, lagging, missing := 0, 0, 0
-	detail := ""
-	for wf, last := range s.WFLastTS {
-		if s.DroppedWFs[wf] {
+// checkWatermark verifies freshness: the archive's watermark must reach
+// the newest final timestamp among the workflows the drop fault left
+// whole. Which workflows got there is shadowAudit's job (replayAudit's
+// with an event log): its loaded and per-table row counts fail whenever a
+// line that reached the broker was not applied.
+func checkWatermark(r *Report, res *Result) {
+	var want time.Time
+	whole := 0
+	for wf, last := range res.Stream.WFLastTS {
+		if res.Stream.DroppedWFs[wf] {
 			continue
 		}
-		got, ok := trace.WatermarkOf(wf)
-		if !ok {
-			// The watermark registry caps how many workflows it tracks;
-			// past the cap absence proves nothing.
-			missing++
-			continue
-		}
-		checked++
-		if got.Before(last) {
-			lagging++
-			if detail == "" {
-				detail = fmt.Sprintf("; e.g. %s at %s, want %s", wf, got.Format("15:04:05.000"), last.Format("15:04:05.000"))
-			}
+		whole++
+		if last.After(want) {
+			want = last
 		}
 	}
-	r.check("freshness watermarks reached final event",
-		lagging == 0,
-		"%d workflows checked, %d lagging, %d unregistered%s", checked, lagging, missing, detail)
+	got, _ := res.Arch.Watermark()
+	r.check("archive watermark reached final event",
+		!got.Before(want),
+		"watermark %s, newest final event %s across %d whole workflows",
+		got.Format("15:04:05.000"), want.Format("15:04:05.000"), whole)
 }
 
 // shadowAudit replays every line that reached the broker through a fresh

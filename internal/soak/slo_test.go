@@ -18,9 +18,8 @@ import (
 // same bit /readyz serves) must flip unready while firing and back to
 // ready at the end.
 //
-// Freshness reads the process-global watermark table by this run's workflow
-// uuids, which the seed fixes; Run forgets them before it publishes, so the
-// test means the same the second time it runs in a process (-count=2).
+// Freshness reads the run's own archive, so the test means the same the
+// second time it runs in a process (-count=2).
 func TestSoakSLOLifecycle(t *testing.T) {
 	sc := &synth.Scenario{
 		Name: "slo-lifecycle",

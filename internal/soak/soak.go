@@ -27,7 +27,6 @@ import (
 	"repro/internal/mq"
 	"repro/internal/query"
 	"repro/internal/synth"
-	"repro/internal/trace"
 	"repro/internal/views"
 )
 
@@ -56,8 +55,8 @@ type Options struct {
 }
 
 // SLOOptions tunes the run's health engine. Ingest freshness is measured
-// in event time — published watermark minus the applied watermark over
-// this run's own workflows — so it is meaningful at any Speedup.
+// in event time — published watermark minus the run archive's applied
+// watermark — so it is meaningful at any Speedup.
 type SLOOptions struct {
 	// Every is the evaluation tick (0 = 50ms wall).
 	Every time.Duration
@@ -182,22 +181,9 @@ func Run(sc *synth.Scenario, durationSeconds float64, opts Options) (*Result, er
 	arch := archive.NewInMemoryN(opts.Shards)
 	res := &Result{Stream: stream, Arch: arch, LoaderRuns: 1}
 
-	// The freshness signal below and the audit's watermark check read the
-	// process-global watermark table by workflow uuid, and the scenario seed
-	// fixes the uuids: start from watermarks this run owns, or a second run
-	// of one scenario in a process begins with every workflow already at its
-	// final timestamp — zero lag, and a check that cannot fail.
-	wfs := make([]string, 0, len(stream.WFLastTS))
-	for wf := range stream.WFLastTS {
-		wfs = append(wfs, wf)
-	}
-	trace.ForgetWatermarks(wfs)
-
 	// Health engine: evaluates the run's SLOs on a wall-clock ticker while
 	// the stream plays. Freshness is event time — the max TS handed to the
-	// broker versus the max TS the archive applied for this run's own
-	// workflows (the watermark table is process-global; scoping the read
-	// keeps other tests' workflows out of the audit).
+	// broker versus this run's archive watermark.
 	var eng *health.Engine
 	var pubWM atomic.Int64  // max published event TS, unix nanos
 	var sloDone atomic.Bool // run over: freshness is moot, signal goes absent
@@ -232,11 +218,9 @@ func Run(sc *synth.Scenario, durationSeconds float64, opts Options) (*Result, er
 					return time.Unix(0, ns).UTC(), true
 				},
 				func() (time.Time, bool) {
-					if ts, ok := trace.WatermarkMax(wfs); ok {
-						return ts, true
-					}
 					// Published but nothing applied yet: maximal lag.
-					return time.Time{}, true
+					ts, _ := arch.Watermark()
+					return ts, true
 				},
 			),
 		})

@@ -296,8 +296,8 @@ func TestBuildStreamCausallyValid(t *testing.T) {
 				case schema.MainEnd:
 					get(ev).mainEnd = at
 				case schema.InvEnd:
-					if d, derr := ev.Float(schema.AttrDur); derr != nil || d < 0 {
-						t.Fatalf("invocation with negative/missing dur: %v %v", d, derr)
+					if d, ok := ev.Float(schema.AttrDur); !ok || d < 0 {
+						t.Fatalf("invocation with negative/missing dur: %v %v", d, ok)
 					}
 				}
 			}

@@ -17,13 +17,11 @@
 // hot-path budget in hotpath_alloc_test.go holds with tracing at the
 // default rate.
 //
-// Freshness watermarks are independent of span sampling: the archive
-// advances a per-workflow high-water mark of applied event timestamps on
-// every event, exposed as stampede_trace_freshness_seconds (now − max
-// applied ts). Under scaled virtual clocks (pegasus-run/triana-run
-// -scale) event timestamps run ahead of the wall clock, so freshness —
-// like emit spans — can be negative; values are recorded truthfully and
-// the caveat is documented in DESIGN.md.
+// Under scaled virtual clocks (pegasus-run/triana-run -scale) event
+// timestamps run ahead of the wall clock, so emit spans can be negative;
+// they are recorded truthfully and the caveat is documented in DESIGN.md.
+// Freshness is not this package's: each archive partition keeps the
+// newest event timestamp it has applied (archive.Archive.Watermark).
 package trace
 
 import (
@@ -93,7 +91,10 @@ func init() {
 }
 
 // SetSampleEvery sets the sampling rate to one event in n. n == 1 traces
-// everything; n == 0 disables tracing; negative n is treated as 0.
+// everything; n == 0 disables tracing; negative n is treated as 0. No
+// binary sets it: every process samples at DefaultSampleEvery, which is
+// what makes the engines', the broker's and the loader's spans of one line
+// agree. It is the hook tests use to trace every event.
 func SetSampleEvery(n int) {
 	if n < 0 {
 		n = 0

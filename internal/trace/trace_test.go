@@ -152,51 +152,6 @@ func TestEmitClampsFutureTimestamps(t *testing.T) {
 	t.Fatal("emit span not recorded")
 }
 
-func TestWatermarkAdvance(t *testing.T) {
-	var w Watermark
-	if !w.Max().IsZero() {
-		t.Fatal("fresh watermark not zero")
-	}
-	t1 := time.Date(2012, 3, 20, 17, 44, 31, 0, time.UTC)
-	w.Advance(t1.UnixNano())
-	if !w.Max().Equal(t1) {
-		t.Fatalf("Max() = %v, want %v", w.Max(), t1)
-	}
-	// Out-of-order applies must not regress the high-water mark.
-	w.Advance(t1.Add(-time.Minute).UnixNano())
-	if !w.Max().Equal(t1) {
-		t.Fatalf("watermark regressed to %v", w.Max())
-	}
-	t2 := t1.Add(time.Second)
-	w.Advance(t2.UnixNano())
-	if !w.Max().Equal(t2) {
-		t.Fatalf("Max() = %v, want %v", w.Max(), t2)
-	}
-}
-
-func TestWatermarkForStable(t *testing.T) {
-	a := WatermarkFor("wf-stable-test")
-	b := WatermarkFor("wf-stable-test")
-	if a != b {
-		t.Fatal("WatermarkFor returned different pointers for one workflow")
-	}
-	a.Advance(time.Now().UnixNano())
-	if ts, ok := WatermarkOf("wf-stable-test"); !ok || ts.IsZero() {
-		t.Fatalf("WatermarkOf = %v, %v", ts, ok)
-	}
-	if _, ok := WatermarkOf("wf-never-seen"); ok {
-		t.Fatal("WatermarkOf invented a workflow")
-	}
-	// Forgotten, the workflow starts over: absent, then a fresh zero entry.
-	ForgetWatermarks([]string{"wf-stable-test", "wf-never-seen"})
-	if _, ok := WatermarkOf("wf-stable-test"); ok {
-		t.Fatal("watermark survived ForgetWatermarks")
-	}
-	if c := WatermarkFor("wf-stable-test"); c == a || !c.Max().IsZero() {
-		t.Fatalf("after ForgetWatermarks WatermarkFor returned the old entry or a non-zero one (%v)", c.Max())
-	}
-}
-
 func TestNameTableRoundTrip(t *testing.T) {
 	idx := nameIdx("some-workflow-uuid")
 	if idx == 0 {
@@ -213,71 +168,11 @@ func TestNameTableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWatermarkRegistryScales: registering a workflow is O(1) — 4,000 first
-// sightings allocate a few hundred bytes each, where copying the registry
-// per sighting needed hundreds of megabytes — and at the cap an unseen
-// workflow is handed the shared overflow entry from the read side: no
-// allocation, and no write lock for concurrent apply shards to queue on.
-func TestWatermarkRegistryScales(t *testing.T) {
-	// The registry is process-global: run on an empty one, restore after.
-	watermarks.mu.Lock()
-	saved := watermarks.by
-	watermarks.by = map[string]*Watermark{}
-	watermarks.mu.Unlock()
-	t.Cleanup(func() {
-		watermarks.mu.Lock()
-		watermarks.by = saved
-		watermarks.mu.Unlock()
-	})
-
-	wfs := make([]string, maxWatermarks)
-	for i := range wfs {
-		wfs[i] = fmt.Sprintf("wf-scale-%04d", i)
-	}
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	for _, wf := range wfs[:4000] {
-		WatermarkFor(wf).Advance(1)
-	}
-	runtime.ReadMemStats(&ms1)
-	if got := ms1.TotalAlloc - ms0.TotalAlloc; got > 2<<20 {
-		t.Fatalf("registering 4,000 workflows allocated %d bytes, want under 2 MiB", got)
-	}
-	for _, wf := range wfs[4000:] {
-		WatermarkFor(wf)
-	}
-	if w := WatermarkFor(wfs[17]); w == &watermarks.of || w.Max().IsZero() {
-		t.Fatal("a registered workflow lost its watermark at the cap")
-	}
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				if WatermarkFor(fmt.Sprintf("wf-over-%d-%d", g, i)) != &watermarks.of {
-					t.Errorf("an unseen workflow at the cap got its own watermark")
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if n := testing.AllocsPerRun(1000, func() { WatermarkFor("wf-over-the-cap") }); n != 0 {
-		t.Fatalf("an over-cap lookup allocates %v times, want 0", n)
-	}
-	if _, ok := WatermarkOf("wf-over-the-cap"); ok {
-		t.Fatal("an over-cap workflow was registered")
-	}
-}
-
-// TestNameTableScales pins the span-label table the way
-// TestWatermarkRegistryScales pins the watermark registry: a new label
-// costs O(1) (the copy-on-write table this replaces copied every earlier
-// label, ~190 MB for these 4,000), a hit allocates nothing, a label and
-// its index round-trip while other goroutines insert, and once the table
-// is full a lookup needs the read lock only.
+// TestNameTableScales pins the span-label table: a new label costs O(1)
+// (the copy-on-write table this replaces copied every earlier label,
+// ~190 MB for these 4,000), a hit allocates nothing, a label and its index
+// round-trip while other goroutines insert, and once the table is full a
+// lookup needs the read lock only.
 func TestNameTableScales(t *testing.T) {
 	// The table is process-global: run on an empty one, restore after.
 	names.mu.Lock()

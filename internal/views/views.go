@@ -32,9 +32,7 @@ package views
 import (
 	"cmp"
 	"encoding/json"
-	"math"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -424,29 +422,6 @@ func (v *Views) stripeFor(uuid string) *vstripe {
 	return &v.stripes[archive.Route(uuid, len(v.stripes))]
 }
 
-// intAttr mirrors archive.intAttr: an optional integer attribute, alloc
-// free, ok only when present and well-formed.
-func intAttr(ev *bp.Event, key string) (int64, bool) {
-	s, ok := ev.Lookup(key)
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	return n, err == nil
-}
-
-func floatAttr(ev *bp.Event, key string) (float64, bool) {
-	s, ok := ev.Lookup(key)
-	if !ok {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	// NaN and the infinities parse; they would poison a quantile estimate
-	// for good, so they count as malformed (the validator refuses them too,
-	// but validation is optional).
-	return f, err == nil && !math.IsNaN(f) && !math.IsInf(f, 0)
-}
-
 // ObserveBatch folds one committed loader batch into the views. Called
 // from the loader's apply path after ApplyBatch succeeds for these events
 // and before they are recycled; events for the same workflow arrive here
@@ -596,7 +571,7 @@ func (v *Views) observeLocked(st *vstripe, uuid string, ev *bp.Event) {
 	case schema.XwfEnd:
 		w := v.wfFor(st, uuid, ev.TS)
 		state := uint8(wfSuccess)
-		if s, ok := intAttr(ev, schema.AttrStatus); ok && s != 0 {
+		if s, ok := ev.Int(schema.AttrStatus); ok && s != 0 {
 			state = wfFailure
 		}
 		w.noteState(state, ev.TS)
@@ -610,7 +585,7 @@ func (v *Views) observeLocked(st *vstripe, uuid string, ev *bp.Event) {
 	case schema.MainStart:
 		w := v.wfFor(st, uuid, ev.TS)
 		job := ev.Get(schema.AttrJobID)
-		seq, _ := intAttr(ev, schema.AttrJobInstID)
+		seq, _ := ev.Int(schema.AttrJobInstID)
 		is := v.instFor(st, w, job, seq)
 		is.execTS = ev.TS
 		w.js[jsExecute]++
@@ -619,7 +594,7 @@ func (v *Views) observeLocked(st *vstripe, uuid string, ev *bp.Event) {
 	case schema.MainEnd:
 		w := v.wfFor(st, uuid, ev.TS)
 		job := ev.Get(schema.AttrJobID)
-		seq, _ := intAttr(ev, schema.AttrJobInstID)
+		seq, _ := ev.Int(schema.AttrJobInstID)
 		is := v.instFor(st, w, job, seq)
 		if !is.execTS.IsZero() {
 			d := ev.TS.Sub(is.execTS).Seconds()
@@ -634,7 +609,7 @@ func (v *Views) observeLocked(st *vstripe, uuid string, ev *bp.Event) {
 			}
 			is.dur, is.hasDur = d, true
 		}
-		if ec, ok := intAttr(ev, schema.AttrExitcode); ok && ec != 0 {
+		if ec, ok := ev.Int(schema.AttrExitcode); ok && ec != 0 {
 			w.js[jsFailure]++
 		} else {
 			w.js[jsSuccess]++
@@ -645,7 +620,7 @@ func (v *Views) observeLocked(st *vstripe, uuid string, ev *bp.Event) {
 		w := v.wfFor(st, uuid, ev.TS)
 		h := v.hostFor(ev.Get(schema.AttrSite), ev.Get(schema.AttrHostname), ev.Get("ip"))
 		job := ev.Get(schema.AttrJobID)
-		seq, _ := intAttr(ev, schema.AttrJobInstID)
+		seq, _ := ev.Int(schema.AttrJobInstID)
 		is := v.instFor(st, w, job, seq)
 		if is.host != h {
 			dur := 0.0
@@ -663,9 +638,9 @@ func (v *Views) observeLocked(st *vstripe, uuid string, ev *bp.Event) {
 	case schema.InvEnd:
 		w := v.wfFor(st, uuid, ev.TS)
 		job := ev.Get(schema.AttrJobID)
-		seq, _ := intAttr(ev, schema.AttrJobInstID)
+		seq, _ := ev.Int(schema.AttrJobInstID)
 		is := v.instFor(st, w, job, seq)
-		invSeq, ok := intAttr(ev, schema.AttrInvID)
+		invSeq, ok := ev.Int(schema.AttrInvID)
 		if !ok {
 			// Mirrors applyInvEnd's auto-numbering: first unnumbered
 			// invocation gets 0. Note the archive resets this counter on
@@ -684,7 +659,7 @@ func (v *Views) observeLocked(st *vstripe, uuid string, ev *bp.Event) {
 		}
 		is.invSeen[invSeq] = struct{}{}
 		w.invs++
-		if d, ok := floatAttr(ev, schema.AttrDur); ok {
+		if d, ok := ev.Float(schema.AttrDur); ok {
 			w.q50.Observe(d)
 			w.q95.Observe(d)
 			w.q99.Observe(d)
@@ -720,7 +695,7 @@ func jsForEvent(ev *bp.Event) (int, bool) {
 	case schema.JobInstPre:
 		return jsPreStarted, true
 	case schema.JobInstPreEnd:
-		if ec, ok := intAttr(ev, schema.AttrExitcode); ok && ec != 0 {
+		if ec, ok := ev.Int(schema.AttrExitcode); ok && ec != 0 {
 			return jsPreFailure, true
 		}
 		return jsPreSuccess, true
@@ -741,7 +716,7 @@ func jsForEvent(ev *bp.Event) (int, bool) {
 	case schema.PostStart:
 		return jsPostStarted, true
 	case schema.PostEnd:
-		if ec, ok := intAttr(ev, schema.AttrExitcode); ok && ec != 0 {
+		if ec, ok := ev.Int(schema.AttrExitcode); ok && ec != 0 {
 			return jsPostFailure, true
 		}
 		return jsPostSuccess, true
