@@ -33,8 +33,9 @@ race:
 # (never panics, bounded allocation, encode→decode→encode is stable), and
 # on the mq wire decoder, alone and behind Server.handle and the Subscribe
 # reader (never panics or hangs, an accepted header re-encodes identically),
-# and on the views delta encoder against encoding/json (byte-identical
-# wherever encoding/json accepts the view, valid JSON where it does not).
+# and on the views delta and listing encoders against encoding/json
+# (byte-identical wherever encoding/json accepts the view, valid JSON where
+# it does not; a listing row re-encoded whenever its workflow changed).
 fuzz:
 	$(GO) test ./internal/bp -run FuzzParse -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/bp -run FuzzAppendFormat -fuzz FuzzAppendFormat -fuzztime 10s
@@ -43,6 +44,7 @@ fuzz:
 	$(GO) test ./internal/relstore -run FuzzWALRecord -fuzz FuzzWALRecord -fuzztime 10s
 	$(GO) test ./internal/mq -run FuzzMQWire -fuzz FuzzMQWire -fuzztime 10s
 	$(GO) test ./internal/views -run FuzzDeltaEncoding -fuzz FuzzDeltaEncoding -fuzztime 10s
+	$(GO) test ./internal/views -run FuzzListingEncoding -fuzz FuzzListingEncoding -fuzztime 10s
 
 # A 30-second fault-plan soak through the whole pipeline
 # (mq → loader → archive), paced in real time, with ingest teed into an

@@ -648,8 +648,9 @@ func benchSubscribersUnderLoad(b *testing.B, subs int) {
 // BenchmarkDashboardRequests times GET /api/workflows over a 32-workflow
 // archive: the classic per-request snapshot scan (state re-derived from
 // every workflowstate row, per workflow, per request) against the
-// materialized-view path (marshal what the apply path already keeps
-// current). The gap is the O(rows × clients) → O(delta) refactor.
+// materialized-view path (copy the listing rows the views keep encoded,
+// re-encoding only a row whose workflow changed since the last listing).
+// The gap is the O(rows × clients) → O(delta) refactor.
 func BenchmarkDashboardRequestsScan(b *testing.B) { benchDashboardRequests(b, false) }
 func BenchmarkDashboardRequestsView(b *testing.B) { benchDashboardRequests(b, true) }
 

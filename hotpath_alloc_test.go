@@ -12,6 +12,8 @@ import (
 	"context"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,11 +22,13 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/bp"
+	"repro/internal/dashboard"
 	"repro/internal/eventlog"
 	"repro/internal/experiments"
 	"repro/internal/health"
 	"repro/internal/loader"
 	"repro/internal/mq"
+	"repro/internal/query"
 	"repro/internal/relstore"
 	"repro/internal/schema"
 	"repro/internal/trace"
@@ -468,4 +472,65 @@ func flushAllocs(t *testing.T, subs int) uint64 {
 		most = max(most, mallocs)
 	}
 	return most
+}
+
+// TestListRequestAllocCeiling is the O(1) ceiling on the view-backed
+// listing: a GET /api/workflows handler call copies each row the views
+// keep encoded into a pooled buffer, so it allocates the same few objects
+// (the request's snapshot pin, its Content-Type header) over 1,000
+// workflows as over 32.
+func TestListRequestAllocCeiling(t *testing.T) {
+	small, large := listRequestAllocs(t, 32), listRequestAllocs(t, 1000)
+	t.Logf("GET /api/workflows: %.0f allocations over 32 workflows, %.0f over 1,000 (ceiling %d)", small, large, maxAllocsPerList)
+	if large != small {
+		t.Errorf("GET /api/workflows allocates %.0f objects over 1,000 workflows and %.0f over 32: the listing allocates per row", large, small)
+	}
+	if large > maxAllocsPerList {
+		t.Errorf("GET /api/workflows allocates %.0f objects, ceiling %d", large, maxAllocsPerList)
+	}
+}
+
+// maxAllocsPerList is TestListRequestAllocCeiling's ceiling.
+const maxAllocsPerList = 10
+
+// discardResponse is a ResponseWriter that keeps nothing of the body and
+// reuses its header map, so every allocation counted is the handler's.
+type discardResponse struct {
+	h    http.Header
+	code int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(code int)        { d.code = code }
+
+// listRequestAllocs returns what one view-backed GET /api/workflows
+// allocates, on average, once every row has been encoded, over views of
+// the given number of running workflows.
+func listRequestAllocs(t *testing.T, workflows int) float64 {
+	v := views.New(views.Options{Clock: wfclock.NewManual(time.Unix(0, 0)), FlushEvery: time.Hour})
+	defer v.Close()
+	ts := time.Date(2012, 3, 13, 12, 35, 38, 0, time.UTC)
+	batch := make([]*bp.Event, 0, 2*workflows)
+	for i := 0; i < workflows; i++ {
+		id := uuid.New().String()
+		batch = append(batch,
+			bp.New(schema.WfPlan, ts).Set(schema.AttrXwfID, id).Set("dax.label", "alloc").Set("submit.hostname", "submit-host"),
+			bp.New(schema.XwfStart, ts.Add(time.Second)).Set(schema.AttrXwfID, id))
+	}
+	v.ObserveBatch(batch)
+	v.FlushNow() // so the publisher has nothing left to allocate for
+	a := archive.NewInMemory()
+	defer a.Close()
+	srv := dashboard.New(query.New(a))
+	srv.SetViews(v)
+	req := httptest.NewRequest(http.MethodGet, "/api/workflows", nil)
+	w := &discardResponse{h: make(http.Header)}
+	return testing.AllocsPerRun(200, func() {
+		w.code = http.StatusOK
+		srv.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			t.Fatalf("GET /api/workflows: status %d", w.code)
+		}
+	})
 }

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/analyzer"
@@ -202,10 +203,9 @@ func (s *Server) resolve(sq *query.QI, w http.ResponseWriter, r *http.Request) (
 	return wf, true
 }
 
-// listWorkflows produces the workflow listing: O(delta) from the view
-// when one is attached — a summary row has exactly the listing's fields,
-// and that the two paths agree is property-tested — otherwise the classic
-// snapshot scan.
+// listWorkflows produces the workflow listing the status page renders:
+// from the view when one is attached — a summary row has exactly the
+// listing's fields — otherwise the classic snapshot scan.
 func (s *Server) listWorkflows(sq *query.QI) ([]WorkflowStatus, error) {
 	if v := s.views; v != nil {
 		sums := v.Summaries()
@@ -230,7 +230,23 @@ func (s *Server) listWorkflows(sq *query.QI) ([]WorkflowStatus, error) {
 	return out, nil
 }
 
+// listingBufs holds the buffers view-backed listings are written into, so
+// a request allocates nothing that grows with the workflows listed.
+var listingBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// handleWorkflows serves the workflow listing. With views attached it is
+// the views' own encoding, byte for byte what writeJSON makes of the scan's
+// rows (the golden test holds both paths to one file), with each row
+// re-encoded only when its workflow has changed.
 func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request, sq *query.QI) {
+	if v := s.views; v != nil {
+		buf := listingBufs.Get().(*[]byte)
+		*buf = v.AppendListing((*buf)[:0])
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(*buf) // a failed write is a client gone; nothing to report
+		listingBufs.Put(buf)
+		return
+	}
 	out, err := s.listWorkflows(sq)
 	if err != nil {
 		s.httpError(w, http.StatusInternalServerError, "%v", err)

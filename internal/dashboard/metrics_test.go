@@ -21,6 +21,7 @@ import (
 	"repro/internal/relstore"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
+	"repro/internal/views"
 	"repro/internal/wfclock"
 )
 
@@ -219,22 +220,35 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestWorkflowsGolden pins the /api/workflows JSON shape. The synthetic
-// workload is fully deterministic (fixed seed, fixed default start time,
-// sequential loader), so the response bytes are too.
+// TestWorkflowsGolden pins the /api/workflows JSON bytes, on both paths:
+// the snapshot scan and, with views attached, the views' own encoding. The
+// synthetic workload is fully deterministic (fixed seed, fixed default
+// start time, sequential loader), so the response bytes are too.
 func TestWorkflowsGolden(t *testing.T) {
-	arch := archive.NewInMemory()
-	defer arch.Close()
-	loadSynth(t, arch, loader.Options{Validate: true},
-		synth.Config{Seed: 42, Jobs: 12, SubWorkflows: 2, Hosts: 2, SlotsPerHost: 2})
+	for _, withViews := range []bool{false, true} {
+		arch := archive.NewInMemory()
+		defer arch.Close()
+		opts := loader.Options{Validate: true}
+		var v *views.Views
+		if withViews {
+			v = views.New(views.Options{})
+			defer v.Close()
+			opts.Views = v
+		}
+		loadSynth(t, arch, opts,
+			synth.Config{Seed: 42, Jobs: 12, SubWorkflows: 2, Hosts: 2, SlotsPerHost: 2})
 
-	srv := New(query.New(arch))
-	rec := get(t, srv, "/api/workflows")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /api/workflows = %d", rec.Code)
+		srv := New(query.New(arch))
+		if withViews {
+			srv.SetViews(v)
+		}
+		rec := get(t, srv, "/api/workflows")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("views %v: GET /api/workflows = %d", withViews, rec.Code)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("views %v: Content-Type = %q", withViews, ct)
+		}
+		golden(t, "workflows.golden", rec.Body.String())
 	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	golden(t, "workflows.golden", rec.Body.String())
 }

@@ -15,7 +15,9 @@ import (
 // WorkflowDelta that delta() builds (the property test and FuzzDeltaEncoding
 // hold it to that), so a client cannot tell which one produced a frame. It
 // has no error path: a non-finite float, which encoding/json refuses, is
-// written as null.
+// written as null. appendRow writes a workflow's row of GET /api/workflows
+// with the same pieces, indented as the dashboard's encoder indents it
+// (FuzzListingEncoding).
 
 // jsEncoded lists the job states in the order encoding/json writes a map's
 // keys — sorted — each with its key already quoted.
@@ -79,6 +81,28 @@ func appendDelta(dst []byte, w *wfView) []byte {
 	dst = append(dst, `,"seq":`...)
 	dst = strconv.AppendUint(dst, w.seq, 10)
 	return append(dst, '}')
+}
+
+// appendRow appends w's row of the workflow listing as an Encoder with
+// SetIndent("", "  ") lays out one element of the listing array: the
+// newline and indent before the object included, the comma between two
+// elements not. Caller holds w's stripe lock.
+func appendRow(dst []byte, w *wfView) []byte {
+	dst = append(dst, "\n  {\n    \"uuid\": "...)
+	dst = appendString(dst, w.uuid)
+	dst = append(dst, ",\n    \"label\": "...)
+	dst = appendString(dst, w.label)
+	dst = append(dst, ",\n    \"submit_host\": "...)
+	dst = appendString(dst, w.submitHost)
+	dst = append(dst, ",\n    \"state\": "...)
+	dst = appendString(dst, stateNames[w.state])
+	dst = append(dst, ",\n    \"planned\": \""...)
+	dst = w.planned.AppendFormat(dst, time.RFC3339Nano)
+	dst = append(dst, "\",\n    \"wall_seconds\": "...)
+	dst = appendFloat(dst, w.wallSeconds())
+	dst = append(dst, ",\n    \"is_root\": "...)
+	dst = strconv.AppendBool(dst, !w.hasParent)
+	return append(dst, "\n  }"...)
 }
 
 // appendFloat writes f as encoding/json does: the shortest decimal that

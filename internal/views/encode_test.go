@@ -227,3 +227,70 @@ func TestSnapshotEncoding(t *testing.T) {
 		t.Fatalf("one workflow's snapshot = %s, want x%s", got, one)
 	}
 }
+
+// checkListing holds AppendListing, appending to a buffer that already has
+// bytes in it, to the listing encoding/json writes for the same rows.
+func checkListing(t *testing.T, v *Views) {
+	t.Helper()
+	const prefix = "HTTP"
+	got := v.AppendListing([]byte(prefix))
+	if !bytes.HasPrefix(got, []byte(prefix)) {
+		t.Fatalf("AppendListing overwrote what the buffer held: %q", got)
+	}
+	got = got[len(prefix):]
+	want, err := ListingJSON(v)
+	if err != nil {
+		// encoding/json refuses a planned time past year 9999 or a zone
+		// offset of a day or more, which no ingested event carries; the
+		// listing is still JSON.
+		if !json.Valid(got) {
+			t.Fatalf("encoding/json refuses the rows (%v) and AppendListing wrote what is not JSON: %s", err, got)
+		}
+		return
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("AppendListing differs from encoding/json with SetIndent:\n got  %s\n want %s", got, want)
+	}
+}
+
+// FuzzListingEncoding lets the fuzzer pick two listed workflows' strings,
+// planned time, state, wall seconds and parent flag, and then a change to
+// the first: each listing — the empty one, the first, and the one after the
+// change, whose changed row is cached from the first — is what
+// encoding/json with SetIndent writes for the same rows.
+func FuzzListingEncoding(f *testing.F) {
+	f.Add("wf", "label", "host", uint8(1), int64(1331642138), int64(0), 0, int64(time.Minute), false, "label2", "host2", uint8(2), int64(90*time.Second), true)
+	f.Add("a\"b", "<&>\u2028", "\xff\xfe", uint8(3), int64(-62135596800), int64(999999999), 19800, int64(1), true, "\u2029\x00", "\xc3", uint8(0), int64(-1), false)
+	f.Add("", "", "", uint8(0), int64(253402300799), int64(1), -86399, int64(0), false, "", "", uint8(7), int64(math.MaxInt64), true)
+	for i, s := range nastyStrings {
+		f.Add(s, s, nastyStrings[(i+1)%len(nastyStrings)], uint8(i), nastyTimes[i%len(nastyTimes)].Unix(),
+			int64(nastyTimes[i%len(nastyTimes)].Nanosecond()), -3600*i, int64(i)*int64(time.Second)/3, i%2 == 0,
+			nastyStrings[(i+2)%len(nastyStrings)], s, uint8(i+1), int64(i)*1234567, i%3 == 0)
+	}
+	f.Fuzz(func(t *testing.T, uuid, label, host string, state uint8, sec, nsec int64, zone int, wall int64,
+		hasParent bool, label2, host2 string, state2 uint8, wall2 int64, hasParent2 bool) {
+		v := New(Options{FlushEvery: time.Hour})
+		defer v.Close()
+		if got := string(v.AppendListing(nil)); got != "[]\n" {
+			t.Fatalf("empty listing = %q, want %q", got, "[]\n")
+		}
+		checkListing(t, v)
+		planned := time.Unix(sec%(1<<38), nsec%1e9).In(time.FixedZone("", zone%(24*3600)))
+		set := func(uuid, label, host string, state uint8, wall int64, hasParent bool) {
+			v.ensure(uuid, planned)
+			st := v.stripeFor(uuid)
+			st.mu.Lock()
+			w := st.wfs[uuid]
+			w.label, w.submitHost, w.state, w.hasParent = label, host, state%uint8(len(stateNames)), hasParent
+			w.firstStart = time.Unix(1331642138, 0).UTC()
+			w.lastStateTS = w.firstStart.Add(time.Duration(wall))
+			v.touch(st, w)
+			st.mu.Unlock()
+		}
+		set(uuid+"/a", label, host, state, wall, hasParent)
+		set(uuid+"/b", label2, host2, state2, wall2, hasParent2)
+		checkListing(t, v)
+		set(uuid+"/a", label2, host2, state2, wall2, hasParent2)
+		checkListing(t, v)
+	})
+}

@@ -1,6 +1,8 @@
 package views
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -31,4 +33,32 @@ func SetRingLen(t testing.TB, n int) {
 	old := ringLen
 	ringLen = n
 	t.Cleanup(func() { ringLen = old })
+}
+
+// listingRow has the fields and JSON names of the dashboard's
+// WorkflowStatus, the row GET /api/workflows serialises.
+type listingRow struct {
+	UUID       string    `json:"uuid"`
+	Label      string    `json:"label"`
+	SubmitHost string    `json:"submit_host"`
+	State      string    `json:"state"`
+	Planned    time.Time `json:"planned"`
+	WallSecs   float64   `json:"wall_seconds"`
+	IsRoot     bool      `json:"is_root"`
+}
+
+// ListingJSON is the oracle AppendListing is held to: the listing encoded
+// afresh from Summaries, by an Encoder with SetIndent("", "  "), as the
+// dashboard's scan path writes its rows.
+func ListingJSON(v *Views) ([]byte, error) {
+	sums := v.Summaries()
+	rows := make([]listingRow, len(sums))
+	for i, s := range sums {
+		rows[i] = listingRow(s)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(rows)
+	return buf.Bytes(), err
 }

@@ -202,9 +202,13 @@ func (v *Views) BuildFromSnapshot(sn *relstore.Snapshot) error {
 
 	// The rebuild is the baseline, not a change to stream: nothing above
 	// called touch(), so no deltas are queued — but clear the stripe
-	// memos wfFor left behind so the first live batch starts clean.
+	// memos wfFor left behind so the first live batch starts clean, and,
+	// seq not having moved, any listing row encoded before the rebuild.
 	for i := range v.stripes {
 		v.stripes[i].lastUUID, v.stripes[i].lastWF = "", nil
+	}
+	for _, w := range v.ordered() {
+		w.row = nil
 	}
 	return nil
 }

@@ -30,7 +30,6 @@
 package views
 
 import (
-	"cmp"
 	"encoding/json"
 	"slices"
 	"sync"
@@ -274,9 +273,8 @@ type vinstKey struct {
 }
 
 type wfView struct {
-	st         *vstripe // whose mu guards everything below createSeq
+	st         *vstripe // whose mu guards everything below uuid
 	uuid       string
-	createSeq  uint64
 	label      string
 	submitHost string
 	planned    time.Time
@@ -292,6 +290,13 @@ type wfView struct {
 	seq     uint64 // bumped on every change; carried in deltas
 	dirty   bool
 	dirtyAt time.Time
+
+	// row is the workflow's listing row as a listing last encoded it, at
+	// seq rowSeq: encoded when a listing reads it, never at apply or flush,
+	// and only again once seq has moved. nil until then, and after a
+	// rebuild, which writes the view without touch.
+	row    []byte
+	rowSeq uint64
 }
 
 type vstripe struct {
@@ -323,8 +328,13 @@ type Views struct {
 	hosts    map[hostKey]*hostView
 	hostList []*hostView
 
-	createSeq atomic.Uint64
-	nsubs     atomic.Int64 // every subscription
+	// all holds every workflow view in creation order, appended under
+	// listMu by wfFor and never reordered or shortened, so a prefix read
+	// under listMu stays valid once it is released.
+	listMu sync.Mutex
+	all    []*wfView
+
+	nsubs atomic.Int64 // every subscription
 
 	flushMu sync.Mutex
 	// ndirty counts the workflows gone dirty since the last flush and
@@ -485,11 +495,14 @@ func (v *Views) wfFor(st *vstripe, uuid string, ts time.Time) *wfView {
 	}
 	w := st.wfs[uuid]
 	if w == nil {
-		w = &wfView{st: st, uuid: uuid, createSeq: v.createSeq.Add(1), planned: ts}
+		w = &wfView{st: st, uuid: uuid, planned: ts}
 		w.q50, _ = analysis.NewP2Quantile(0.50)
 		w.q95, _ = analysis.NewP2Quantile(0.95)
 		w.q99, _ = analysis.NewP2Quantile(0.99)
 		st.wfs[uuid] = w
+		v.listMu.Lock()
+		v.all = append(v.all, w)
+		v.listMu.Unlock()
 	}
 	st.lastUUID, st.lastWF = uuid, w
 	return w
@@ -849,18 +862,12 @@ func (v *Views) PublishFrame(event string, body []byte) {
 // ordered returns every workflow view in view-creation order (under
 // single-shard loading this equals the archive's primary-key scan order).
 // The views are live: read one under its stripe's lock (w.st.mu).
+// It is a capped prefix of the creation list, so nothing is copied and an
+// append by the caller cannot reach the list.
 func (v *Views) ordered() []*wfView {
-	var all []*wfView
-	for i := range v.stripes {
-		st := &v.stripes[i]
-		st.mu.Lock()
-		for _, w := range st.wfs {
-			all = append(all, w)
-		}
-		st.mu.Unlock()
-	}
-	slices.SortFunc(all, func(a, b *wfView) int { return cmp.Compare(a.createSeq, b.createSeq) })
-	return all
+	v.listMu.Lock()
+	defer v.listMu.Unlock()
+	return v.all[:len(v.all):len(v.all)]
 }
 
 // Workflows returns a point-in-time snapshot of every workflow view, in
@@ -938,6 +945,31 @@ func (v *Views) AppendSnapshot(dst []byte, uuid string) []byte {
 	return append(dst, ']')
 }
 
+// AppendListing appends what GET /api/workflows serves: every workflow's
+// listing row in view-creation order, laid out as encoding/json's Encoder
+// with SetIndent("", "  ") writes the dashboard's []WorkflowStatus,
+// trailing newline included. A row is re-encoded only when its workflow
+// has changed since the last listing; otherwise the listing copies it.
+func (v *Views) AppendListing(dst []byte) []byte {
+	all := v.ordered()
+	if len(all) == 0 {
+		return append(dst, "[]\n"...)
+	}
+	dst = append(dst, '[')
+	for i, w := range all {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		w.st.mu.Lock()
+		if w.row == nil || w.rowSeq != w.seq {
+			w.row, w.rowSeq = appendRow(w.row[:0], w), w.seq
+		}
+		dst = append(dst, w.row...)
+		w.st.mu.Unlock()
+	}
+	return append(dst, "\n]\n"...)
+}
+
 // Hosts returns the per-host utilization aggregates in creation order.
 func (v *Views) Hosts() []HostUtilization {
 	v.hostMu.Lock()
@@ -961,18 +993,11 @@ func (v *Views) SubscriberCount() int { return int(v.nsubs.Load()) }
 
 // Stats summarizes the instance for the status page.
 func (v *Views) Stats() Stats {
-	n := 0
-	for i := range v.stripes {
-		st := &v.stripes[i]
-		st.mu.Lock()
-		n += len(st.wfs)
-		st.mu.Unlock()
-	}
 	v.hostMu.Lock()
 	nh := len(v.hostList)
 	v.hostMu.Unlock()
 	return Stats{
-		Workflows:   n,
+		Workflows:   len(v.ordered()),
 		Hosts:       nh,
 		Subscribers: v.SubscriberCount(),
 		Updates:     mUpdates.Value(),

@@ -348,3 +348,112 @@ func TestManyWritersOnePartition(t *testing.T) {
 		requireViewsEqual(t, live, rebuiltFrom(t, arch))
 	})
 }
+
+// listingEachBatch is a loader's view observer that, after folding each
+// batch into its views, holds their listing to an uncached encode.
+type listingEachBatch struct {
+	t       *testing.T
+	v       *views.Views
+	batches int
+}
+
+func (o *listingEachBatch) ObserveBatch(evs []*bp.Event) {
+	o.v.ObserveBatch(evs)
+	o.batches++
+	requireListingFresh(o.t, o.v)
+}
+
+// requireListingFresh holds v's listing, rows served from its cache where
+// the workflow has not changed, to the listing encoded afresh by
+// encoding/json from the same views.
+func requireListingFresh(t *testing.T, v *views.Views) {
+	t.Helper()
+	got := v.AppendListing(nil)
+	want, err := views.ListingJSON(v)
+	if err != nil {
+		t.Errorf("encoding/json: %v", err)
+	} else if !bytes.Equal(got, want) {
+		t.Errorf("listing differs from an uncached encode of the same views:\n got  %s\n want %s", got, want)
+	}
+}
+
+// TestListingNeverStale takes a listing after every loader batch of a
+// trace, after the views are rebuilt from the store halfway through, and
+// after every batch of the rest on the rebuilt views: a cached row must
+// never outlive a change to its workflow. One apply shard, so no batch
+// lands between a listing and its oracle.
+func TestListingNeverStale(t *testing.T) {
+	stream := multiTrace(t, 6, 20, 7)
+	half := bytes.LastIndexByte(stream[:len(stream)/2], '\n') + 1
+	arch := archive.NewInMemory()
+	defer arch.Close()
+	load := func(v *views.Views, part []byte) int {
+		t.Helper()
+		obs := &listingEachBatch{t: t, v: v}
+		ld, err := loader.New(arch, loader.Options{BatchSize: 16, Views: obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ld.LoadReader(bytes.NewReader(part)); err != nil {
+			t.Fatal(err)
+		}
+		return obs.batches
+	}
+
+	live := views.New(views.Options{Clock: wfclock.NewManual(time.Unix(0, 0))})
+	defer live.Close()
+	first := load(live, stream[:half])
+
+	rebuilt := rebuiltFrom(t, arch)
+	requireListingFresh(t, rebuilt)
+	rest := load(rebuilt, stream[half:])
+	if first < 10 || rest < 10 {
+		t.Fatalf("only %d and %d batches: the listing was barely exercised", first, rest)
+	}
+	if !bytes.Equal(rebuilt.AppendListing(nil), rebuiltFrom(t, arch).AppendListing(nil)) {
+		t.Error("the listing of views rebuilt and then maintained differs from a fresh rebuild's")
+	}
+}
+
+// TestListingUnderConcurrentLoad lists from several goroutines while a
+// sharded loader applies: every listing is JSON, and once the load is in,
+// the rows the readers left cached are the views' current state.
+func TestListingUnderConcurrentLoad(t *testing.T) {
+	stream := multiTrace(t, 8, 20, 5)
+	arch := archive.NewInMemoryN(4)
+	defer arch.Close()
+	v := views.New(views.Options{Clock: wfclock.NewManual(time.Unix(0, 0))})
+	defer v.Close()
+	ld, err := loader.New(arch, loader.Options{Shards: 4, BatchSize: 32, Views: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				buf = v.AppendListing(buf[:0])
+				if !json.Valid(buf) {
+					t.Errorf("listing under load is not JSON: %s", buf)
+					return
+				}
+			}
+		}()
+	}
+	_, err = ld.LoadReader(bytes.NewReader(stream))
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireListingFresh(t, v)
+}
