@@ -63,8 +63,7 @@ soak-smoke:
 # The loader benchmarks, including the snapshot-readers contention bench
 # and the pooled-parse micro-bench, parsed into BENCH_loader.json for
 # archiving. The loader benches also report allocs/event (a MemStats delta
-# over the timed region), the same quantity production exposes as
-# stampede_loader_allocs_per_event. The subscriber
+# over the timed region). The subscriber
 # fan-out family runs at a fixed iteration count: its acceptance is a
 # ratio (10k-subscriber throughput vs 0), so the three variants need
 # enough iterations that GC and flush-burst placement average out.

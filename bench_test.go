@@ -120,11 +120,9 @@ func benchLoad(b *testing.B, jobs, batch int) {
 	trace := experiments.TraceFor(jobs)
 	var events int
 	// allocs/event is measured as the MemStats mallocs delta over the timed
-	// region, the same quantity production publishes on the
-	// stampede_loader_allocs_per_event gauge (fed below, so a scrape of the
-	// bench process reads a real value). It differs from -benchmem's
-	// allocs/op only in units: allocs/op covers the whole iteration,
-	// allocs/event divides by events loaded.
+	// region. It differs from -benchmem's allocs/op only in units:
+	// allocs/op covers the whole iteration, allocs/event divides by events
+	// loaded.
 	var ms0, ms1 runtime.MemStats
 	var allocs uint64
 	// One untimed warmup load so every scale measures steady state. The
@@ -170,9 +168,7 @@ func benchLoad(b *testing.B, jobs, batch int) {
 	}
 	b.StopTimer()
 	if total := float64(events) * float64(b.N); total > 0 {
-		perEvent := float64(allocs) / total
-		loader.RecordAllocsPerEvent(perEvent)
-		b.ReportMetric(perEvent, "allocs/event")
+		b.ReportMetric(float64(allocs)/total, "allocs/event")
 	}
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
@@ -941,10 +937,13 @@ func BenchmarkSHSDetect(b *testing.B) {
 // the archive, event by event.
 func BenchmarkArchiveApply(b *testing.B) {
 	trace := experiments.TraceFor(100)
-	r := bp.NewReader(bytes.NewReader(trace))
-	events, err := r.ReadAll()
-	if err != nil {
-		b.Fatal(err)
+	var events []*bp.Event
+	for _, line := range bytes.Split(bytes.TrimSpace(trace), []byte("\n")) {
+		ev, err := bp.ParseBytes(line)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = append(events, ev)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -13,16 +13,18 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/bp"
 	"repro/internal/condor"
-	"repro/internal/mq"
 	"repro/internal/pegasus"
 	"repro/internal/telemetry"
 	"repro/internal/triana"
 	"repro/internal/wfclock"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run returns the exit status: 2 when the workflow failed, 1 on any other
+// error, including one the event sinks report when they are closed.
+func run() (code int) {
 	var (
 		daxName  = flag.String("dax", "diamond", "abstract workflow: diamond or sweep")
 		tasks    = flag.Int("tasks", 50, "sweep: number of parallel worker tasks")
@@ -44,7 +46,7 @@ func main() {
 	if *debug != "" {
 		addr, stopDebug, err := telemetry.StartDebugServer(*debug)
 		if err != nil {
-			fatal("debug server: %v", err)
+			return fail("debug server: %v", err)
 		}
 		defer stopDebug()
 		fmt.Fprintf(os.Stderr, "metrics and pprof on http://%s\n", addr)
@@ -57,7 +59,7 @@ func main() {
 	case "sweep":
 		dax = pegasus.Sweep("sweep", *tasks, *runtime)
 	default:
-		fatal("unknown dax %q", *daxName)
+		return fail("unknown dax %q", *daxName)
 	}
 	ew, err := pegasus.Plan(dax, pegasus.PlanConfig{
 		Site:        "cluster",
@@ -67,15 +69,19 @@ func main() {
 		MaxRetries:  *retries,
 	})
 	if err != nil {
-		fatal("plan: %v", err)
+		return fail("plan: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "planned %s: %d tasks -> %d jobs\n", dax.Label, len(dax.Tasks), len(ew.Jobs))
 
-	app, closeAll, err := buildAppenders(*logPath, *brokerTo)
+	app, closeAppenders, err := triana.OpenAppenders(*logPath, *brokerTo)
 	if err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
-	defer closeAll()
+	defer func() {
+		if err := closeAppenders(); err != nil {
+			code = max(code, fail("events not all delivered: %v", err))
+		}
+	}()
 
 	clk := wfclock.NewScaled(time.Now().UTC().Truncate(time.Second), *scale)
 	hostSpecs := make([]condor.HostSpec, *hosts)
@@ -88,7 +94,7 @@ func main() {
 	}
 	pool, err := condor.NewPool(clk, 2*time.Second, []condor.Site{{Name: "cluster", Hosts: hostSpecs}}, nil)
 	if err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
 	defer pool.Close()
 
@@ -97,7 +103,7 @@ func main() {
 		SubmitHost: "submit-host", FailureRate: *failure, Seed: *seed,
 	})
 	if err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
 	var report *pegasus.RunReport
 	if *rescue > 0 {
@@ -106,52 +112,18 @@ func main() {
 		report, err = eng.Run(context.Background(), ew)
 	}
 	if err != nil {
-		fatal("run: %v", err)
+		return fail("run: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "workflow %s: %d succeeded, %d failed, %d retries, %d restarts, %s virtual\n",
 		report.WfUUID, report.Succeeded, report.Failed, report.Retries, report.Restarts,
 		report.Elapsed.Round(time.Second))
 	if report.Status != 0 {
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
-func buildAppenders(logPath, brokerAddr string) (bp.Appender, func(), error) {
-	var multi triana.MultiAppender
-	var closers []func()
-	if logPath != "" {
-		f, err := os.Create(logPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		w := bp.NewWriter(f)
-		multi = append(multi, &triana.WriterAppender{W: w})
-		closers = append(closers, func() {
-			w.Flush()
-			f.Close()
-		})
-	}
-	if brokerAddr != "" {
-		client, err := mq.Dial(brokerAddr)
-		if err != nil {
-			return nil, nil, err
-		}
-		multi = append(multi, &triana.ClientAppender{Client: client})
-		closers = append(closers, func() { client.Close() })
-	}
-	if len(multi) == 0 {
-		w := bp.NewWriter(os.Stdout)
-		multi = append(multi, &triana.WriterAppender{W: w})
-		closers = append(closers, func() { w.Flush() })
-	}
-	return multi, func() {
-		for _, c := range closers {
-			c()
-		}
-	}, nil
-}
-
-func fatal(format string, args ...any) {
+func fail(format string, args ...any) int {
 	fmt.Fprintf(os.Stderr, "pegasus-run: "+format+"\n", args...)
-	os.Exit(1)
+	return 1
 }

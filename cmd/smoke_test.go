@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -26,8 +27,10 @@ import (
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/bp"
 	"repro/internal/eventlog"
 	"repro/internal/relstore"
+	"repro/internal/schema"
 	"repro/internal/synth"
 )
 
@@ -489,6 +492,65 @@ func TestBinariesLiveNode(t *testing.T) {
 			t.Fatalf("stampede-schema -validate %s:\n%s", filepath.Base(log), out)
 		}
 	}
+}
+
+// TestBinariesFailedRunKeepsItsLog: an engine whose workflow fails still
+// flushes every event it logged before exiting with the failure status,
+// so the log is valid, ends with the root workflow's end event, and loads
+// into a store on which the analyzer names the job that failed.
+func TestBinariesFailedRunKeepsItsLog(t *testing.T) {
+	tmp := t.TempDir()
+	failLog := filepath.Join(tmp, "fail.bp.log")
+	out, code := runStatus(t, tool("pegasus-run"), "-dax", "sweep", "-tasks", "20", "-failure", "0.9", "-retries", "0", "-log", failLog)
+	if code != 2 {
+		t.Fatalf("pegasus-run on a failing workflow exited %d, want 2:\n%s", code, out)
+	}
+	root := workflowUUID(t, out)
+	n := countLines(t, failLog)
+	if want := fmt.Sprintf("%d events checked, 0 invalid, 0 malformed lines", n); n == 0 || !strings.Contains(run(t, tool("stampede-schema"), "-validate", failLog), want) {
+		t.Fatalf("stampede-schema -validate on the failed run's %d-line log does not report %q", n, want)
+	}
+	b, err := os.ReadFile(failLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *bp.Event
+	failed := ""
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		if last, err = bp.Parse(line); err != nil {
+			t.Fatal(err)
+		}
+		if last.Type == schema.MainEnd && last.Get(schema.AttrStatus) == "-1" {
+			failed = last.Get(schema.AttrJobID)
+		}
+	}
+	if last.Type != schema.XwfEnd || last.Get(schema.AttrXwfID) != root {
+		t.Fatalf("the failed run's log ends with %s, want the root workflow's %s", last.Format(), schema.XwfEnd)
+	}
+	if failed == "" {
+		t.Fatal("the failed run's log records no failed job")
+	}
+
+	store := filepath.Join(tmp, "store")
+	run(t, tool("nl-load"), "-db", store, "-bundle-dir", "", failLog)
+	if out, code := runStatus(t, tool("stampede-analyzer"), "-db", store); code == 0 || !strings.Contains(out, "failed job "+failed+" ") {
+		t.Fatalf("stampede-analyzer exited %d and does not name failed job %s:\n%s", code, failed, out)
+	}
+}
+
+// runStatus is run for a binary whose exit status the test checks: it
+// returns the combined output and the status, failing only when the
+// binary could not be run.
+func runStatus(t *testing.T, bin string, args ...string) (string, int) {
+	t.Helper()
+	c := exec.Command(bin, args...)
+	c.Dir = t.TempDir()
+	out, err := c.CombinedOutput()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("%s %s: %v", filepath.Base(bin), strings.Join(args, " "), err)
+	}
+	return string(out), c.ProcessState.ExitCode()
 }
 
 // getOK fails the test unless a GET of url answers 200, and decodes the

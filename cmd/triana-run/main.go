@@ -17,14 +17,17 @@ import (
 
 	"repro/internal/bp"
 	"repro/internal/dart"
-	"repro/internal/mq"
 	"repro/internal/telemetry"
 	"repro/internal/triana"
 	"repro/internal/trianacloud"
 	"repro/internal/wfclock"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run returns the exit status: 1 when the workflow or its monitoring
+// failed, including an error the event sinks report when they are closed.
+func run() (code int) {
 	var (
 		workflow = flag.String("workflow", "dart", "workflow to run: dart or demo")
 		logPath  = flag.String("log", "", "write BP events to this file")
@@ -41,68 +44,40 @@ func main() {
 	if *debug != "" {
 		addr, stopDebug, err := telemetry.StartDebugServer(*debug)
 		if err != nil {
-			fatal("debug server: %v", err)
+			return fail("debug server: %v", err)
 		}
 		defer stopDebug()
 		fmt.Fprintf(os.Stderr, "metrics and pprof on http://%s\n", addr)
 	}
 
-	appenders, closeAll, err := buildAppenders(*logPath, *broker)
+	appenders, closeAppenders, err := triana.OpenAppenders(*logPath, *broker)
 	if err != nil {
-		fatal("%v", err)
+		return fail("%v", err)
 	}
-	defer closeAll()
+	defer func() {
+		if err := closeAppenders(); err != nil {
+			code = max(code, fail("events not all delivered: %v", err))
+		}
+	}()
 
 	epoch := time.Now().UTC().Truncate(time.Second)
 	clk := wfclock.NewScaled(epoch, *scale)
 
 	switch *workflow {
 	case "dart":
-		runDART(appenders, clk, *nodes, *perBun, *conc, !*realWork)
+		err = runDART(appenders, clk, *nodes, *perBun, *conc, !*realWork)
 	case "demo":
-		runDemo(appenders, clk)
+		err = runDemo(appenders, clk)
 	default:
-		fatal("unknown workflow %q (want dart or demo)", *workflow)
+		err = fmt.Errorf("unknown workflow %q (want dart or demo)", *workflow)
 	}
+	if err != nil {
+		return fail("%v", err)
+	}
+	return 0
 }
 
-func buildAppenders(logPath, brokerAddr string) (bp.Appender, func(), error) {
-	var multi triana.MultiAppender
-	var closers []func()
-	if logPath != "" {
-		f, err := os.Create(logPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		w := bp.NewWriter(f)
-		multi = append(multi, &triana.WriterAppender{W: w})
-		closers = append(closers, func() {
-			w.Flush()
-			f.Close()
-		})
-	}
-	if brokerAddr != "" {
-		client, err := mq.Dial(brokerAddr)
-		if err != nil {
-			return nil, nil, err
-		}
-		multi = append(multi, &triana.ClientAppender{Client: client})
-		closers = append(closers, func() { client.Close() })
-	}
-	if len(multi) == 0 {
-		f := os.Stdout
-		w := bp.NewWriter(f)
-		multi = append(multi, &triana.WriterAppender{W: w})
-		closers = append(closers, func() { w.Flush() })
-	}
-	return multi, func() {
-		for _, c := range closers {
-			c()
-		}
-	}, nil
-}
-
-func runDART(app bp.Appender, clk wfclock.Clock, nNodes, perBundle, conc int, simulateOnly bool) {
+func runDART(app bp.Appender, clk wfclock.Clock, nNodes, perBundle, conc int, simulateOnly bool) error {
 	workers := make([]*trianacloud.Node, nNodes)
 	for i := range workers {
 		workers[i] = &trianacloud.Node{
@@ -114,7 +89,7 @@ func runDART(app bp.Appender, clk wfclock.Clock, nNodes, perBundle, conc int, si
 	}
 	cloud, err := trianacloud.NewBroker("127.0.0.1:0", workers)
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
 	defer cloud.Close()
 
@@ -137,13 +112,14 @@ func runDART(app bp.Appender, clk wfclock.Clock, nNodes, perBundle, conc int, si
 	start := clk.Now()
 	result, err := trianacloud.RunDART(ctx, cfg, cloud)
 	if err != nil {
-		fatal("dart run: %v", err)
+		return fmt.Errorf("dart run: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "workflow %s: %d bundles finished in %s virtual\n",
 		result.RootUUID, len(result.Bundles), clk.Since(start).Round(time.Second))
+	return nil
 }
 
-func runDemo(app bp.Appender, clk wfclock.Clock) {
+func runDemo(app bp.Appender, clk wfclock.Clock) error {
 	g := triana.NewTaskGraph("demo")
 	read := g.MustAddTask("read", &triana.WorkUnit{UnitName: "read-input", Desc: "file", Duration: time.Second, Clock: clk})
 	work := g.MustAddTask("work", &triana.WorkUnit{UnitName: "analyze", Desc: "processing", Duration: 30 * time.Second, Clock: clk})
@@ -154,13 +130,14 @@ func runDemo(app bp.Appender, clk wfclock.Clock) {
 	sched := triana.NewScheduler(g, triana.Options{Mode: triana.SingleStep, Clock: clk, Listeners: []triana.Listener{log}})
 	report, err := sched.Run(context.Background())
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "workflow %s: %d tasks completed, %d events\n",
 		report.RunUUID, report.Completed, log.Appended())
+	return nil
 }
 
-func fatal(format string, args ...any) {
+func fail(format string, args ...any) int {
 	fmt.Fprintf(os.Stderr, "triana-run: "+format+"\n", args...)
-	os.Exit(1)
+	return 1
 }

@@ -20,23 +20,11 @@ type Welford struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Observe folds one sample in.
 func (w *Welford) Observe(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
@@ -58,10 +46,6 @@ func (w *Welford) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min and Max return the observed extremes.
-func (w *Welford) Min() float64 { return w.min }
-func (w *Welford) Max() float64 { return w.max }
 
 // Anomaly is one flagged observation.
 type Anomaly struct {
@@ -126,17 +110,6 @@ func (d *RuntimeDetector) Observe(group string, runtime float64) (Anomaly, bool)
 	}
 	w.Observe(runtime)
 	return Anomaly{}, false
-}
-
-// GroupStats returns a copy of a group's accumulator (zero value when the
-// group is unknown).
-func (d *RuntimeDetector) GroupStats(group string) Welford {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if w, ok := d.groups[group]; ok {
-		return *w
-	}
-	return Welford{}
 }
 
 // HostReport compares per-host runtime means for one transformation and

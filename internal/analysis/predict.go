@@ -41,9 +41,6 @@ func (nb *NaiveBayes) Train(features []float64, label bool) error {
 	return nil
 }
 
-// Trained reports whether both classes have at least one example.
-func (nb *NaiveBayes) Trained() bool { return nb.count[0] > 0 && nb.count[1] > 0 }
-
 // Predict returns P(label=true | features). With an untrained class it
 // returns the prior of the trained data.
 func (nb *NaiveBayes) Predict(features []float64) (float64, error) {
@@ -77,70 +74,4 @@ func (nb *NaiveBayes) Predict(features []float64) (float64, error) {
 	p0 := math.Exp(logp[0] - m)
 	p1 := math.Exp(logp[1] - m)
 	return p1 / (p0 + p1), nil
-}
-
-// LinReg is simple least-squares linear regression y = a + b*x, used for
-// runtime prediction (e.g. workflow makespan vs job count, for the
-// provisioning estimates the paper motivates).
-type LinReg struct {
-	n        int
-	sx, sy   float64
-	sxx, sxy float64
-}
-
-// Observe folds in one (x, y) sample.
-func (r *LinReg) Observe(x, y float64) {
-	r.n++
-	r.sx += x
-	r.sy += y
-	r.sxx += x * x
-	r.sxy += x * y
-}
-
-// N returns the sample count.
-func (r *LinReg) N() int { return r.n }
-
-// Coeffs returns intercept a and slope b. With fewer than 2 samples or a
-// degenerate x spread it returns the mean of y as intercept and zero
-// slope.
-func (r *LinReg) Coeffs() (a, b float64) {
-	if r.n == 0 {
-		return 0, 0
-	}
-	nf := float64(r.n)
-	denom := nf*r.sxx - r.sx*r.sx
-	if r.n < 2 || math.Abs(denom) < 1e-12 {
-		return r.sy / nf, 0
-	}
-	b = (nf*r.sxy - r.sx*r.sy) / denom
-	a = (r.sy - b*r.sx) / nf
-	return a, b
-}
-
-// Predict evaluates the fitted line at x.
-func (r *LinReg) Predict(x float64) float64 {
-	a, b := r.Coeffs()
-	return a + b*x
-}
-
-// ETAEstimator predicts workflow completion from progress: given the
-// fraction of total work completed and the elapsed wall time, it
-// extrapolates the remaining time assuming steady throughput — the
-// "performance prediction of runtime" view the dashboard shows for
-// running workflows.
-type ETAEstimator struct {
-	TotalWork float64 // planned total (e.g. cumulative expected runtime or job count)
-}
-
-// Remaining estimates seconds left given completed work and elapsed
-// seconds. It returns +Inf before any progress exists.
-func (e ETAEstimator) Remaining(completed, elapsed float64) float64 {
-	if completed <= 0 || elapsed <= 0 {
-		return math.Inf(1)
-	}
-	if completed >= e.TotalWork {
-		return 0
-	}
-	rate := completed / elapsed
-	return (e.TotalWork - completed) / rate
 }

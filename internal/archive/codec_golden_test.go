@@ -97,7 +97,7 @@ func (v vals) set(t *testing.T, d *relstore.Draft, lay *relstore.Layout) {
 		case time.Time:
 			d.SetTime(c, x)
 		default:
-			t.Fatalf("%s.%s: no setter for a %T", lay.Table(), name, val)
+			t.Fatalf("%s: no setter for a %T", name, val)
 		}
 	}
 }

@@ -17,9 +17,6 @@ type Pair struct {
 	Key, Val string
 }
 
-// Len reports the number of attributes.
-func (a Attrs) Len() int { return len(a) }
-
 // Get returns the value for key, or "" when absent.
 func (a Attrs) Get(key string) string {
 	for i := range a {

@@ -13,8 +13,8 @@ func TestAttrsSetSortedAndLastWins(t *testing.T) {
 	a.Set("z", "3")
 	a.Set("m", "4") // replace, not append
 	a.Set("b", "5")
-	if a.Len() != 4 {
-		t.Fatalf("Len = %d, want 4: %v", a.Len(), a)
+	if len(a) != 4 {
+		t.Fatalf("Len = %d, want 4: %v", len(a), a)
 	}
 	want := []bp.Pair{{"a", "2"}, {"b", "5"}, {"m", "4"}, {"z", "3"}}
 	for i, p := range want {
@@ -56,8 +56,8 @@ func TestDuplicateKeysLastWins(t *testing.T) {
 	if got := ev.Get("a"); got != "3" {
 		t.Fatalf("duplicate key: Get(a) = %q, want 3", got)
 	}
-	if ev.Attrs.Len() != 2 {
-		t.Fatalf("attr count = %d, want 2: %v", ev.Attrs.Len(), ev.Attrs)
+	if len(ev.Attrs) != 2 {
+		t.Fatalf("attr count = %d, want 2: %v", len(ev.Attrs), ev.Attrs)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestPoolRoundTrip(t *testing.T) {
 	}
 	// A fresh get must hand back an empty event even if it recycled ev.
 	ev2 := bp.GetEvent()
-	if ev2.Type != "" || ev2.Attrs.Len() != 0 || !ev2.TS.IsZero() {
+	if ev2.Type != "" || len(ev2.Attrs) != 0 || !ev2.TS.IsZero() {
 		t.Fatalf("pooled event not reset: %v", ev2)
 	}
 	bp.ReleaseEvent(ev2)

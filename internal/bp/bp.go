@@ -92,9 +92,6 @@ func (e *Event) SetFloat(key string, v float64) *Event {
 // Get returns the attribute value, or "" when absent.
 func (e *Event) Get(key string) string { return e.Attrs.Get(key) }
 
-// Lookup returns the attribute value and whether it is present.
-func (e *Event) Lookup(key string) (string, bool) { return e.Attrs.Lookup(key) }
-
 // Has reports whether the attribute is present.
 func (e *Event) Has(key string) bool { return e.Attrs.Has(key) }
 

@@ -3,7 +3,6 @@ package bp
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -133,22 +132,6 @@ func (r *Reader) LastSample() (id uint64, t0 int64) { return r.sampleID, r.sampl
 // valid for the duration of the call. A tap error fails the Read even in
 // lenient mode: lenient tolerates bad data, not a broken log.
 func (r *Reader) SetTap(fn func(line []byte) error) { r.tap = fn }
-
-// ReadAll drains the stream into a slice. It stops at the first error in
-// strict mode.
-func (r *Reader) ReadAll() ([]*Event, error) {
-	var out []*Event
-	for {
-		ev, err := r.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, ev)
-	}
-}
 
 // Appender receives the Stampede events an engine's log normalizer
 // produces (triana.StampedeLog, pegasus.Monitord) and delivers them

@@ -135,3 +135,19 @@ func TestReaderLongLine(t *testing.T) {
 		t.Fatal("long line mangled")
 	}
 }
+
+// ReadAll drains the stream into a slice. It stops at the first error in
+// strict mode.
+func (r *Reader) ReadAll() ([]*Event, error) {
+	var out []*Event
+	for {
+		ev, err := r.Read()
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, ev)
+	}
+}

@@ -205,14 +205,3 @@ func (p *Pool) slotWorker(st *siteState, host HostSpec) {
 		qj.done <- term
 	}
 }
-
-// Sites lists the configured site names.
-func (p *Pool) Sites() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.sites))
-	for name := range p.sites {
-		out = append(out, name)
-	}
-	return out
-}

@@ -158,7 +158,7 @@ func TestErrors(t *testing.T) {
 	if _, err := pool.Submit(JobSpec{ID: "x", Site: "cluster"}); err == nil {
 		t.Error("submit after close accepted")
 	}
-	if got := len(pool.Sites()); got != 1 {
+	if got := len(pool.sites); got != 1 {
 		t.Errorf("sites = %d", got)
 	}
 }

@@ -169,14 +169,8 @@ func Start(cfg Config) (*Stampede, error) {
 // anomaly detectors) or for a TCP server front-end.
 func (s *Stampede) Broker() *mq.Broker { return s.broker }
 
-// Archive exposes the relational archive.
-func (s *Stampede) Archive() *archive.Archive { return s.arch }
-
 // Health returns the node's health engine, to mount on another listener.
 func (s *Stampede) Health() *health.Engine { return s.health }
-
-// Query returns the query interface over the live archive.
-func (s *Stampede) Query() *query.QI { return s.qi }
 
 // Appender returns an appender that publishes events onto the bus; hand
 // it to a triana.StampedeLog or pegasus.Monitord.
@@ -311,15 +305,6 @@ func (s *Stampede) Analyze(wfUUID string) (*analyzer.Report, error) {
 		return nil, err
 	}
 	return analyzer.Analyze(s.qi, id, true)
-}
-
-// Progress computes the Figure 7 progress series for a workflow.
-func (s *Stampede) Progress(wfUUID string) (map[string][]stats.ProgressPoint, error) {
-	id, err := s.workflowID(wfUUID)
-	if err != nil {
-		return nil, err
-	}
-	return stats.ProgressSeries(s.qi, id)
 }
 
 // Dashboard returns the live web dashboard, with the service's bus wired

@@ -15,6 +15,7 @@ import (
 	"repro/internal/archive"
 	"repro/internal/bp"
 	"repro/internal/mq"
+	"repro/internal/query"
 	"repro/internal/schema"
 	"repro/internal/trace"
 	"repro/internal/triana"
@@ -74,10 +75,6 @@ func TestStartRunQueryStop(t *testing.T) {
 	rep, err := st.Analyze(log.WorkflowUUID())
 	if err != nil || !rep.Healthy() {
 		t.Errorf("analyze: %+v, %v", rep, err)
-	}
-	prog, err := st.Progress(log.WorkflowUUID())
-	if err != nil || len(prog) != 1 {
-		t.Errorf("progress: %d series, %v", len(prog), err)
 	}
 	loadStats, err := st.Stop()
 	if err != nil {
@@ -447,3 +444,9 @@ func httptestGet(url string) (string, error) {
 	}
 	return string(body), nil
 }
+
+// Archive exposes the relational archive.
+func (s *Stampede) Archive() *archive.Archive { return s.arch }
+
+// Query returns the query interface over the live archive.
+func (s *Stampede) Query() *query.QI { return s.qi }

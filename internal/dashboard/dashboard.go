@@ -103,10 +103,6 @@ func (s *Server) SetViews(v *views.Views) { s.views = v }
 // HTML status page, the unified view the drops satellite asks for.
 func (s *Server) SetBus(b *mq.Broker) { s.bus = b.Stats }
 
-// SetTraceRing points the trace endpoints at a specific ring instead of
-// the process-wide default; tests inject a hand-built ring here.
-func (s *Server) SetTraceRing(r *trace.Ring) { s.ring = r }
-
 // SetHealth mounts a health engine's endpoints (Engine.Mount) on the
 // dashboard itself, so the main serving port answers the same questions
 // as the -debug-addr listener. It does not route alert transitions

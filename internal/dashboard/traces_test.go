@@ -131,3 +131,7 @@ func TestWaterfallPage(t *testing.T) {
 		t.Error("waterfall bars have no geometry")
 	}
 }
+
+// SetTraceRing points the trace endpoints at a specific ring instead of
+// the process-wide default; tests inject a hand-built ring here.
+func (s *Server) SetTraceRing(r *trace.Ring) { s.ring = r }

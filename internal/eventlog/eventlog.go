@@ -483,22 +483,6 @@ func (l *Log) flushAttachedLocked() error {
 	return l.flushLocked()
 }
 
-// Sync flushes and fsyncs the active segment regardless of Options.Sync.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.flushAttachedLocked(); err != nil {
-		return err
-	}
-	if l.f != nil {
-		return l.f.Sync()
-	}
-	return nil
-}
-
 // Close flushes pending records and closes the active segment. The log
 // rejects further appends; open cursors keep reading.
 func (l *Log) Close() error {
@@ -515,13 +499,6 @@ func (l *Log) Close() error {
 	return l.closeActiveLocked()
 }
 
-// NextSeq returns the seq the next appended record will carry.
-func (l *Log) NextSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}
-
 // Appends returns how many records this Log instance appended.
 func (l *Log) Appends() uint64 {
 	l.mu.Lock()
@@ -534,21 +511,6 @@ func (l *Log) AppendedBytes() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.bytes
-}
-
-// TruncatedBytes reports the torn-tail bytes Open dropped (or, for a
-// read-only log, detected) during recovery.
-func (l *Log) TruncatedBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.truncated
-}
-
-// Segments returns the number of segment files.
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segs)
 }
 
 // SegmentInfo describes one segment for inspection.

@@ -415,3 +415,25 @@ func TestCursorPointInTime(t *testing.T) {
 		t.Fatalf("point-in-time cursor got %d records, want 50", len(recs))
 	}
 }
+
+// NextSeq returns the seq the next appended record will carry.
+func (l *Log) NextSeq() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.next
+}
+
+// TruncatedBytes reports the torn-tail bytes Open dropped (or, for a
+// read-only log, detected) during recovery.
+func (l *Log) TruncatedBytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.truncated
+}
+
+// Segments returns the number of segment files.
+func (l *Log) Segments() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.segs)
+}

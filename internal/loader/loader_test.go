@@ -208,9 +208,11 @@ func TestBatchSizesProduceIdenticalArchives(t *testing.T) {
 			t.Fatalf("batch size %d: %v", bs, err)
 		}
 		m := map[string]int{}
-		for _, table := range a.Store().TableNames() {
+		sn := a.Snapshot()
+		for _, table := range sn.TableNames() {
 			m[table], _ = a.Store().Count(table)
 		}
+		sn.Close()
 		counts = append(counts, m)
 	}
 	for i := 1; i < len(counts); i++ {

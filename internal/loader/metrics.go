@@ -1,9 +1,7 @@
 package loader
 
 import (
-	"math"
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/bp"
 	"repro/internal/telemetry"
@@ -42,21 +40,7 @@ var (
 
 func shardLabel(i int) string { return strconv.Itoa(i) }
 
-// allocsPerEventBits holds the most recent allocations-per-event
-// measurement as float64 bits; gauges are int64 so the fractional value
-// is exposed through a GaugeFunc instead.
-var allocsPerEventBits atomic.Uint64
-
-// RecordAllocsPerEvent publishes a heap-allocations-per-loaded-event
-// measurement on the stampede_loader_allocs_per_event gauge. The loader
-// benchmarks compute it from runtime.MemStats deltas across a load; the
-// gauge holds the last recorded value.
-func RecordAllocsPerEvent(v float64) { allocsPerEventBits.Store(math.Float64bits(v)) }
-
 func init() {
-	telemetry.NewGaugeFunc("stampede_loader_allocs_per_event",
-		"Heap allocations per loaded event, as last measured from MemStats deltas.",
-		func() float64 { return math.Float64frombits(allocsPerEventBits.Load()) })
 	// The pool stats are cumulative totals, so they expose as counters
 	// (scrape-time funcs over the bp atomics), not gauges.
 	telemetry.NewCounterFunc("stampede_loader_event_pool_hits_total",

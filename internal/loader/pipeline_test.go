@@ -51,7 +51,9 @@ func interleavedStream(streams []string) string {
 func tableCounts(t *testing.T, a *archive.Archive) map[string]int {
 	t.Helper()
 	m := map[string]int{}
-	for _, table := range a.Store().TableNames() {
+	sn := a.Snapshot()
+	defer sn.Close()
+	for _, table := range sn.TableNames() {
 		n, err := a.Store().Count(table)
 		if err != nil {
 			t.Fatal(err)

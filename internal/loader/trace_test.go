@@ -162,8 +162,11 @@ func TestBusConsumeTracesRouteSpan(t *testing.T) {
 
 	_, lines := synthLines(t, synth.Config{Seed: freshSeed(17), Jobs: 3})
 	broker := mq.NewBroker()
-	q, err := broker.Subscribe("#")
+	q, err := broker.DeclareQueue("trace-test", mq.QueueOpts{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := broker.Bind("trace-test", "#"); err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range lines {

@@ -130,7 +130,6 @@ type Broker struct {
 	published   atomic.Uint64
 	routed      atomic.Uint64
 	droppedGone atomic.Uint64 // drops inherited from deleted queues
-	subSeq      atomic.Uint64
 }
 
 // wildBind is one queue's wildcard bindings, patterns pre-split.
@@ -389,20 +388,4 @@ func (b *Broker) Backlog() int {
 		depth += q.Len()
 	}
 	return depth
-}
-
-// Subscribe is the convenience path for a single consumer: it declares a
-// transient uniquely-suffixed queue, binds it to the pattern, and returns
-// the queue. Callers use q.Consume() for the channel and q.Cancel() when
-// done.
-func (b *Broker) Subscribe(pattern string) (*Queue, error) {
-	name := fmt.Sprintf("sub-%d", b.subSeq.Add(1))
-	q, err := b.DeclareQueue(name, QueueOpts{})
-	if err != nil {
-		return nil, err
-	}
-	if err := b.Bind(name, pattern); err != nil {
-		return nil, err
-	}
-	return q, nil
 }

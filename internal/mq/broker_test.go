@@ -3,6 +3,7 @@ package mq
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -192,4 +193,22 @@ func TestDeleteQueueIdempotent(t *testing.T) {
 	b.DeleteQueue("q")
 	b.DeleteQueue("q") // second delete must not panic
 	b.DeleteQueue("never-existed")
+}
+
+var subSeq atomic.Uint64
+
+// Subscribe is the convenience path for a single consumer: it declares a
+// transient uniquely-suffixed queue, binds it to the pattern, and returns
+// the queue. Callers use q.Consume() for the channel and q.Cancel() when
+// done.
+func (b *Broker) Subscribe(pattern string) (*Queue, error) {
+	name := fmt.Sprintf("sub-%d", subSeq.Add(1))
+	q, err := b.DeclareQueue(name, QueueOpts{})
+	if err != nil {
+		return nil, err
+	}
+	if err := b.Bind(name, pattern); err != nil {
+		return nil, err
+	}
+	return q, nil
 }

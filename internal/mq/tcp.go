@@ -487,14 +487,6 @@ func checkFrame(key string, body []byte) error {
 	return nil
 }
 
-// Publish sends one message.
-func (c *Client) Publish(key string, body []byte) error {
-	if err := checkFrame(key, body); err != nil {
-		return err
-	}
-	return c.roundTrip(func() error { return c.w.writeFrame("PUB", key, body) })
-}
-
 // PublishAsync sends one message without waiting for acknowledgement:
 // the non-blocking producer path workflow engines log through. The frame
 // is buffered and the client's flusher sends it; transport errors surface

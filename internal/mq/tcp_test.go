@@ -227,3 +227,11 @@ func TestTCPBinaryBody(t *testing.T) {
 		t.Fatal("timeout")
 	}
 }
+
+// Publish sends one message.
+func (c *Client) Publish(key string, body []byte) error {
+	if err := checkFrame(key, body); err != nil {
+		return err
+	}
+	return c.roundTrip(func() error { return c.w.writeFrame("PUB", key, body) })
+}

@@ -14,12 +14,6 @@ package mq
 
 import "strings"
 
-// MatchTopic reports whether the routing key matches the binding pattern
-// under AMQP topic-exchange rules.
-func MatchTopic(pattern, key string) bool {
-	return matchWords(splitTopic(pattern), splitTopic(key))
-}
-
 func splitTopic(s string) []string {
 	if s == "" {
 		return nil

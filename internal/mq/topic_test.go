@@ -79,3 +79,9 @@ func TestMatchTopicPropertyPrefixHash(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// MatchTopic reports whether the routing key matches the binding pattern
+// under AMQP topic-exchange rules.
+func MatchTopic(pattern, key string) bool {
+	return matchWords(splitTopic(pattern), splitTopic(key))
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"strings"
 	"sync"
 	"time"
 
@@ -416,19 +415,4 @@ func (e *Engine) emitInvocations(ew *EW, j *Job, seq int64, execStart time.Time,
 		})
 		cursor = cursor.Add(wfclock.DurationSeconds(dur))
 	}
-}
-
-// DagmanLogLine renders a condor event in classic DAGMan log style; the
-// cross-checking tests use it to assert the normalizer agrees with the
-// raw engine log.
-func DagmanLogLine(ev condor.Event) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (%s) %s", ev.Time.UTC().Format("01/02/06 15:04:05"), ev.JobID, ev.Type)
-	if ev.Type == condor.EventExecute {
-		fmt.Fprintf(&b, " host=%s", ev.Hostname)
-	}
-	if ev.Type == condor.EventTerminate {
-		fmt.Fprintf(&b, " exit=%d", ev.ExitCode)
-	}
-	return b.String()
 }

@@ -21,9 +21,7 @@ type Monitord struct {
 	ParentUUID string
 	RootUUID   string
 
-	mu       sync.Mutex
-	appErr   error
-	appended int
+	mu sync.Mutex // orders appends from concurrent job goroutines
 }
 
 // NewMonitord builds a normalizer for one workflow run.
@@ -31,30 +29,12 @@ func NewMonitord(appender bp.Appender, wfUUID, submitHost string) *Monitord {
 	return &Monitord{appender: appender, wfUUID: wfUUID, hostname: submitHost}
 }
 
-// Err returns the first appender failure.
-func (m *Monitord) Err() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.appErr
-}
-
-// Appended counts delivered events.
-func (m *Monitord) Appended() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.appended
-}
-
 func (m *Monitord) append(ev *bp.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.appender.Append(ev); err != nil {
-		if m.appErr == nil {
-			m.appErr = err
-		}
-		return
-	}
-	m.appended++
+	// A failed append is the appender's to report: the engine binaries'
+	// appender (triana.OpenAppenders) fails the run when it is closed.
+	_ = m.appender.Append(ev)
 }
 
 func (m *Monitord) ev(typ string, ts time.Time) *bp.Event {

@@ -2,7 +2,6 @@ package pegasus
 
 import (
 	"context"
-	"strings"
 	"testing"
 	"time"
 
@@ -335,22 +334,3 @@ func TestFailurePropagationSkipsDescendants(t *testing.T) {
 		t.Errorf("final wf state = %+v", last)
 	}
 }
-
-func TestDagmanLogLine(t *testing.T) {
-	ev := condor.Event{
-		Type: condor.EventTerminate, JobID: "analyze+1",
-		Time: epoch, ExitCode: 1, Hostname: "node1",
-	}
-	line := DagmanLogLine(ev)
-	for _, want := range []string{"analyze+1", "JOB_TERMINATED", "exit=1"} {
-		if !contains(line, want) {
-			t.Errorf("log line %q missing %q", line, want)
-		}
-	}
-	exec := DagmanLogLine(condor.Event{Type: condor.EventExecute, JobID: "j", Time: epoch, Hostname: "node2"})
-	if !contains(exec, "host=node2") {
-		t.Errorf("exec line %q", exec)
-	}
-}
-
-func contains(s, sub string) bool { return strings.Contains(s, sub) }

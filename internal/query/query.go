@@ -119,14 +119,6 @@ type Task struct {
 	JobID          int64 // 0 when unmapped
 }
 
-// Host is one execution host.
-type Host struct {
-	ID       int64
-	Site     string
-	Hostname string
-	IP       string
-}
-
 func (q *QI) wfFromRow(r *relstore.Row) Workflow {
 	c := &q.c.Workflow
 	return Workflow{
@@ -314,23 +306,6 @@ func (q *QI) Tasks(wfID int64) ([]Task, error) {
 	return out, nil
 }
 
-// TaskEdges returns the abstract dependency edges of a workflow as
-// (parent, child) pairs.
-func (q *QI) TaskEdges(wfID int64) ([][2]string, error) {
-	rows, err := q.r.Select(relstore.Query{
-		Table: archive.TTaskEdge,
-		Conds: []relstore.Cond{relstore.Eq("wf_id", wfID)},
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][2]string, len(rows))
-	for i, r := range rows {
-		out[i] = [2]string{r.Str(q.c.TaskEdge.Parent), r.Str(q.c.TaskEdge.Child)}
-	}
-	return out, nil
-}
-
 // Jobs lists a workflow's executable jobs.
 func (q *QI) Jobs(wfID int64) ([]Job, error) {
 	rows, err := q.r.Select(relstore.Query{
@@ -352,22 +327,6 @@ func (q *QI) Jobs(wfID int64) ([]Job, error) {
 			TaskCount: r.Int(c.TaskCount),
 			Exec:      r.Str(c.Executable),
 		}
-	}
-	return out, nil
-}
-
-// JobEdges returns the executable dependency edges of a workflow.
-func (q *QI) JobEdges(wfID int64) ([][2]string, error) {
-	rows, err := q.r.Select(relstore.Query{
-		Table: archive.TJobEdge,
-		Conds: []relstore.Cond{relstore.Eq("wf_id", wfID)},
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][2]string, len(rows))
-	for i, r := range rows {
-		out[i] = [2]string{r.Str(q.c.JobEdge.Parent), r.Str(q.c.JobEdge.Child)}
 	}
 	return out, nil
 }
@@ -478,19 +437,6 @@ func (q *QI) invFromRow(r *relstore.Row) Invocation {
 		Transformation: r.Str(c.Transformation),
 		AbsTaskID:      r.Str(c.AbsTaskID),
 	}
-}
-
-// Hosts lists every host the archive has seen.
-func (q *QI) Hosts() ([]Host, error) {
-	rows, err := q.r.Select(relstore.Query{Table: archive.THost})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Host, len(rows))
-	for i, r := range rows {
-		out[i] = Host{ID: r.ID(), Site: r.Str(q.c.Host.Site), Hostname: r.Str(q.c.Host.Hostname), IP: r.Str(q.c.Host.IP)}
-	}
-	return out, nil
 }
 
 // Delays decomposes where a job instance spent its time, the per-job

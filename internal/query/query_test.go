@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/loader"
+	"repro/internal/relstore"
 	"repro/internal/synth"
 )
 
@@ -132,14 +133,23 @@ func TestJobsTasksEdges(t *testing.T) {
 	if mapped != 24 {
 		t.Errorf("mapped tasks = %d, want 24", mapped)
 	}
-	jedges, err := q.JobEdges(wf.ID)
-	if err != nil || len(jedges) != 8 { // 12 jobs, width 4 -> 8 edges
-		t.Fatalf("job edges = %d, %v", len(jedges), err)
+	// 12 jobs, width 4 -> 8 edges.
+	if n := countRows(t, q, archive.TJobEdge, relstore.Eq("wf_id", wf.ID)); n != 8 {
+		t.Fatalf("job edges = %d", n)
 	}
-	tedges, err := q.TaskEdges(wf.ID)
-	if err != nil || len(tedges) != 8 {
-		t.Fatalf("task edges = %d, %v", len(tedges), err)
+	if n := countRows(t, q, archive.TTaskEdge, relstore.Eq("wf_id", wf.ID)); n != 8 {
+		t.Fatalf("task edges = %d", n)
 	}
+}
+
+// countRows counts a table's rows matching every condition.
+func countRows(t *testing.T, q *QI, table string, conds ...relstore.Cond) int {
+	t.Helper()
+	rows, err := q.r.Select(relstore.Query{Table: table, Conds: conds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(rows)
 }
 
 func TestInstancesInvocationsHosts(t *testing.T) {
@@ -180,9 +190,8 @@ func TestInstancesInvocationsHosts(t *testing.T) {
 	if err != nil || len(allInvs) != totalInsts {
 		t.Fatalf("workflow invocations = %d, want %d, %v", len(allInvs), totalInsts, err)
 	}
-	hosts, err := q.Hosts()
-	if err != nil || len(hosts) != 3 {
-		t.Fatalf("hosts = %d, %v", len(hosts), err)
+	if n := countRows(t, q, archive.THost); n != 3 {
+		t.Fatalf("hosts = %d", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -150,4 +151,65 @@ func get(r *Row, name string) any {
 	default:
 		return r.Time(c)
 	}
+}
+
+// Epoch reports the sum of the snapshot's pinned partition epochs — the
+// same monotonic store version Store.Epoch reports.
+func (sn *Snapshot) Epoch() uint64 {
+	var sum uint64
+	for _, pv := range sn.v.parts {
+		sum += pv.epoch
+	}
+	return sum
+}
+
+// Epochs reports the pinned per-partition epoch vector.
+func (sn *Snapshot) Epochs() []uint64 {
+	out := make([]uint64, len(sn.v.parts))
+	for i, pv := range sn.v.parts {
+		out[i] = pv.epoch
+	}
+	return out
+}
+
+// Count returns the number of rows visible in the snapshot.
+func (sn *Snapshot) Count(tableName string) (int, error) {
+	total := 0
+	found := false
+	for _, pv := range sn.v.parts {
+		t, ok := pv.ts.byName[tableName]
+		if !ok {
+			continue
+		}
+		found = true
+		t.rows.Range(func(_ int64, c *rowChain) bool {
+			if c.visibleAt(pv.epoch) != nil {
+				total++
+			}
+			return true
+		})
+	}
+	if !found {
+		return 0, fmt.Errorf("relstore: no table %s", tableName)
+	}
+	return total, nil
+}
+
+// Epochs returns the current per-partition epoch vector. It is a
+// convenience for diagnostics; unlike Snapshot it makes no atomicity
+// claim across partitions.
+func (s *Store) Epochs() []uint64 {
+	out := make([]uint64, len(s.parts))
+	for i, p := range s.parts {
+		out[i] = p.epoch.Load()
+	}
+	return out
+}
+
+// Partition reports which partition this writer commits to.
+func (w Writer) Partition() int { return w.p.idx }
+
+// TableNames lists tables in creation order.
+func (s *Store) TableNames() []string {
+	return append([]string(nil), s.parts[0].tables.Load().order...)
 }

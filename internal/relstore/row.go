@@ -109,9 +109,6 @@ func compile(s *TableSchema, tid int) *Layout {
 	return l
 }
 
-// Table returns the name of the table the layout describes.
-func (l *Layout) Table() string { return l.schema.Name }
-
 // Col resolves a column by name; "id" is the primary key.
 func (l *Layout) Col(name string) (Col, error) {
 	c, ok := l.byName[name]

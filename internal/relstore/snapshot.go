@@ -59,7 +59,6 @@ type Reader interface {
 	Select(q Query) ([]*Row, error)
 	SelectOne(q Query) (*Row, error)
 	Get(tableName string, id int64) (*Row, error)
-	Count(tableName string) (int, error)
 	Layout(tableName string) *Layout
 }
 
@@ -126,25 +125,6 @@ func (sn *Snapshot) Close() {
 	snapAgeMu.Unlock()
 }
 
-// Epoch reports the sum of the snapshot's pinned partition epochs — the
-// same monotonic store version Store.Epoch reports.
-func (sn *Snapshot) Epoch() uint64 {
-	var sum uint64
-	for _, pv := range sn.v.parts {
-		sum += pv.epoch
-	}
-	return sum
-}
-
-// Epochs reports the pinned per-partition epoch vector.
-func (sn *Snapshot) Epochs() []uint64 {
-	out := make([]uint64, len(sn.v.parts))
-	for i, pv := range sn.v.parts {
-		out[i] = pv.epoch
-	}
-	return out
-}
-
 // Select returns all rows matching the query as of the snapshot's epoch
 // vector.
 func (sn *Snapshot) Select(q Query) ([]*Row, error) { return sn.v.sel(q) }
@@ -161,29 +141,6 @@ func (sn *Snapshot) Get(tableName string, id int64) (*Row, error) {
 
 // Layout returns the compiled layout of a table, as Store.Layout does.
 func (sn *Snapshot) Layout(tableName string) *Layout { return sn.s.Layout(tableName) }
-
-// Count returns the number of rows visible in the snapshot.
-func (sn *Snapshot) Count(tableName string) (int, error) {
-	total := 0
-	found := false
-	for _, pv := range sn.v.parts {
-		t, ok := pv.ts.byName[tableName]
-		if !ok {
-			continue
-		}
-		found = true
-		t.rows.Range(func(_ int64, c *rowChain) bool {
-			if c.visibleAt(pv.epoch) != nil {
-				total++
-			}
-			return true
-		})
-	}
-	if !found {
-		return 0, fmt.Errorf("relstore: no table %s", tableName)
-	}
-	return total, nil
-}
 
 // TableNames lists the snapshot's tables in creation order.
 func (sn *Snapshot) TableNames() []string {

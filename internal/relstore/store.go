@@ -86,17 +86,6 @@ func (s *Store) Epoch() uint64 {
 	return sum
 }
 
-// Epochs returns the current per-partition epoch vector. It is a
-// convenience for diagnostics; unlike Snapshot it makes no atomicity
-// claim across partitions.
-func (s *Store) Epochs() []uint64 {
-	out := make([]uint64, len(s.parts))
-	for i, p := range s.parts {
-		out[i] = p.epoch.Load()
-	}
-	return out
-}
-
 // PartitionStatus describes one live partition for operator tooling: its
 // current visibility epoch and last-checkpoint high-water state (the
 // on-disk counterpart is PartitionInfo / InspectDir). The health engine's
@@ -144,9 +133,6 @@ type Writer struct {
 func (s *Store) Writer(i int) Writer {
 	return Writer{s: s, p: s.parts[i]}
 }
-
-// Partition reports which partition this writer commits to.
-func (w Writer) Partition() int { return w.p.idx }
 
 // NewRow hands out an empty draft of a row of lay's table (Store.Layout):
 // every column NULL until set. The draft's storage already is the stored
@@ -218,11 +204,6 @@ func (s *Store) CreateTable(schema TableSchema) error {
 		p.writeMu.Unlock()
 	}
 	return nil
-}
-
-// TableNames lists tables in creation order.
-func (s *Store) TableNames() []string {
-	return append([]string(nil), s.parts[0].tables.Load().order...)
 }
 
 // Layout returns the compiled layout of a table — what resolves its column

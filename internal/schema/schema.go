@@ -128,16 +128,6 @@ func Model() (*yang.Model, error) {
 	return model, mErr
 }
 
-// MustModel is Model for initialisation paths where the embedded schema
-// being unparseable should stop the program.
-func MustModel() *yang.Model {
-	m, err := Model()
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Validator checks BP events against the Stampede model.
 type Validator struct {
 	model *yang.Model
@@ -206,12 +196,3 @@ func (v *Validator) Validate(ev *bp.Event) error {
 	}
 	return nil
 }
-
-// Known reports whether the event type exists in the model.
-func (v *Validator) Known(eventType string) bool {
-	_, ok := v.model.Containers[eventType]
-	return ok
-}
-
-// EventTypes returns all event type names in schema order.
-func (v *Validator) EventTypes() []string { return v.model.ContainerNames() }

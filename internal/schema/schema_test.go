@@ -103,11 +103,11 @@ func TestValidateUnknownEvent(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown event type") {
 		t.Fatalf("err = %v", err)
 	}
-	if v.Known("stampede.nope") {
-		t.Error("Known(nope) = true")
+	if _, ok := v.model.Containers["stampede.nope"]; ok {
+		t.Error("model knows stampede.nope")
 	}
-	if !v.Known(InvEnd) {
-		t.Error("Known(InvEnd) = false")
+	if _, ok := v.model.Containers[InvEnd]; !ok {
+		t.Error("model lacks InvEnd")
 	}
 }
 
@@ -225,7 +225,7 @@ func TestValidateAfterBPRoundTrip(t *testing.T) {
 
 func TestEventTypesList(t *testing.T) {
 	v := newValidator(t)
-	types := v.EventTypes()
+	types := v.model.ContainerNames()
 	if len(types) < 25 {
 		t.Fatalf("only %d event types in schema", len(types))
 	}

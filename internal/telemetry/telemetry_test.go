@@ -235,3 +235,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		})
 	})
 }
+
+// Count returns the number of observations.
+func (h *Histogram) Count() uint64 { return h.count.Load() }

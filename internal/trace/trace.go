@@ -228,6 +228,3 @@ func Drop(queue string, body []byte, enqueued time.Time) {
 	}
 	Record(id, StageDropped, queue, enqueued.UnixNano(), time.Now().UnixNano())
 }
-
-// nowNS is a convenience for instrumentation sites.
-func nowNS() int64 { return time.Now().UnixNano() }

@@ -63,9 +63,6 @@ type Task struct {
 
 	mu    sync.Mutex
 	state State
-	// Params are free-form key/value settings (the GUI's parameter panel);
-	// units read them via ctx.Task.Param.
-	params map[string]string
 }
 
 // State returns the task's current state.
@@ -82,27 +79,6 @@ func (t *Task) setState(s State) State {
 	t.mu.Unlock()
 	return old
 }
-
-// SetParam sets a parameter on the task.
-func (t *Task) SetParam(key, value string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.params == nil {
-		t.params = map[string]string{}
-	}
-	t.params[key] = value
-}
-
-// Param reads a parameter ("" when unset).
-func (t *Task) Param(key string) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.params[key]
-}
-
-// InDegree and OutDegree report cable counts.
-func (t *Task) InDegree() int  { return len(t.inputs) }
-func (t *Task) OutDegree() int { return len(t.outputs) }
 
 // TaskGraph is a workflow: tasks plus cables. A TaskGraph can contain a
 // task whose unit runs another TaskGraph (a sub-workflow); Triana's model
@@ -184,20 +160,6 @@ func (g *TaskGraph) Cables() []*Cable {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return append([]*Cable(nil), g.cables...)
-}
-
-// Task returns a task by name, nil when absent.
-func (g *TaskGraph) Task(name string) *Task {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.byName[name]
-}
-
-// State returns the graph's lifecycle state.
-func (g *TaskGraph) State() State {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.state
 }
 
 func (g *TaskGraph) setState(s State) State {

@@ -39,19 +39,18 @@ type Options struct {
 	Hostname string
 }
 
-// Scheduler controls the start/stop/reset lifecycle of one task graph and
+// Scheduler controls the start/stop lifecycle of one task graph and
 // owns the runnable instances that execute its tasks.
 type Scheduler struct {
 	graph *TaskGraph
 	opts  Options
 	clock wfclock.Clock
 
-	mu        sync.Mutex
-	listeners []Listener
-	pauseCh   chan struct{} // closed = running; replaced when paused
-	paused    bool
-	stop      context.CancelFunc
-	running   bool
+	listeners []Listener // fixed at NewScheduler
+
+	mu      sync.Mutex
+	stop    context.CancelFunc
+	running bool
 }
 
 // NewScheduler builds a scheduler for the graph.
@@ -62,33 +61,16 @@ func NewScheduler(g *TaskGraph, opts Options) *Scheduler {
 	if opts.Hostname == "" {
 		opts.Hostname = "localhost"
 	}
-	open := make(chan struct{})
-	close(open)
 	return &Scheduler{
 		graph:     g,
 		opts:      opts,
 		clock:     opts.Clock,
 		listeners: append([]Listener(nil), opts.Listeners...),
-		pauseCh:   open,
 	}
 }
 
-// AddListener registers an additional execution-event listener. Must be
-// called before Run.
-func (s *Scheduler) AddListener(l Listener) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.listeners = append(s.listeners, l)
-}
-
-// Clock returns the scheduler's clock (units simulating work use it).
-func (s *Scheduler) Clock() wfclock.Clock { return s.clock }
-
 func (s *Scheduler) emit(ev ExecutionEvent) {
-	s.mu.Lock()
-	ls := s.listeners
-	s.mu.Unlock()
-	for _, l := range ls {
+	for _, l := range s.listeners {
 		l.OnEvent(ev)
 	}
 }
@@ -111,29 +93,6 @@ func (s *Scheduler) graphTransition(to State) {
 	s.emit(ExecutionEvent{Graph: s.graph, Old: old, New: to, Time: s.clock.Now()})
 }
 
-// Pause holds every component before its next invocation; the GUI's pause
-// control. Running invocations finish first.
-func (s *Scheduler) Pause() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.paused {
-		return
-	}
-	s.paused = true
-	s.pauseCh = make(chan struct{})
-}
-
-// Resume releases a Pause.
-func (s *Scheduler) Resume() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.paused {
-		return
-	}
-	s.paused = false
-	close(s.pauseCh)
-}
-
 // Stop aborts the run; the GUI's stop button. In-flight invocations are
 // interrupted at their next blocking point.
 func (s *Scheduler) Stop() {
@@ -143,63 +102,6 @@ func (s *Scheduler) Stop() {
 	if stop != nil {
 		stop()
 	}
-}
-
-func (s *Scheduler) gate() chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pauseCh
-}
-
-// waitGate blocks while the scheduler is paused. It returns false when the
-// context died while waiting. The task emits Paused/resume transitions
-// around the wait so the Stampede held.start/held.end mapping fires.
-func (s *Scheduler) waitGate(ctx context.Context, t *Task) bool {
-	g := s.gate()
-	select {
-	case <-g:
-		return true
-	default:
-	}
-	// Blocked: announce the pause.
-	prev := t.State()
-	s.taskTransition(t, Paused, 0, nil)
-	select {
-	case <-g:
-		s.taskTransition(t, prev, 0, nil)
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// Reset returns a finished (or never-started) task graph to its initial
-// state, emitting the RESETTING/RESET lifecycle transitions the paper's
-// event vocabulary includes. Resetting a running graph is an error; Stop
-// it first.
-func (s *Scheduler) Reset() error {
-	s.mu.Lock()
-	if s.running {
-		s.mu.Unlock()
-		return fmt.Errorf("triana: cannot reset a running task graph")
-	}
-	s.mu.Unlock()
-	s.graphTransition(Resetting)
-	for _, t := range s.graph.Tasks() {
-		if t.State() != NotInitialized {
-			s.taskTransition(t, Resetting, 0, nil)
-			s.taskTransition(t, Reset, 0, nil)
-		}
-	}
-	for _, c := range s.graph.Cables() {
-		c.ch = make(chan any, cableCapacity)
-	}
-	for _, t := range s.graph.Tasks() {
-		t.setState(NotInitialized)
-	}
-	s.graphTransition(Reset)
-	s.graph.setState(NotInitialized)
-	return nil
 }
 
 // RunReport summarises one run.
@@ -361,10 +263,6 @@ func (s *Scheduler) runTask(ctx context.Context, t *Task) int {
 
 	invocations := 0
 	for {
-		if !s.waitGate(ctx, t) {
-			s.taskTransitionT(t, Suspended, 0, nil, true)
-			return invocations
-		}
 		var inputs []any
 		if len(t.inputs) > 0 {
 			vals, ok := receiveInputs(ctx, t)

@@ -234,76 +234,6 @@ func TestStopInterruptsContinuousRun(t *testing.T) {
 	}
 }
 
-func TestPauseAndResume(t *testing.T) {
-	g := NewTaskGraph("pausable")
-	count := 0
-	var mu sync.Mutex
-	src := g.MustAddTask("gen", &FuncUnit{UnitName: "gen", Fn: func(*ProcessContext) ([]any, error) {
-		mu.Lock()
-		count++
-		c := count
-		mu.Unlock()
-		if c >= 100 {
-			return nil, ErrStopIteration
-		}
-		return []any{c}, nil
-	}})
-	sink := g.MustAddTask("sink", &FuncUnit{UnitName: "sink", Fn: func(*ProcessContext) ([]any, error) {
-		return nil, nil
-	}})
-	_, _ = g.Connect(src, sink)
-
-	var events []ExecutionEvent
-	var evMu sync.Mutex
-	s := NewScheduler(g, Options{Mode: Continuous, Listeners: []Listener{
-		ListenerFunc(func(ev ExecutionEvent) {
-			evMu.Lock()
-			events = append(events, ev)
-			evMu.Unlock()
-		}),
-	}})
-	s.Pause() // pause before start: tasks block at the gate immediately
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := s.Run(context.Background()); err != nil {
-			t.Errorf("run: %v", err)
-		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	mu.Lock()
-	atPause := count
-	mu.Unlock()
-	if atPause != 0 {
-		t.Fatalf("work ran while paused: %d", atPause)
-	}
-	s.Resume()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("run did not finish after resume")
-	}
-	mu.Lock()
-	if count < 100 {
-		t.Fatalf("count = %d", count)
-	}
-	mu.Unlock()
-	evMu.Lock()
-	defer evMu.Unlock()
-	sawPaused, sawRelease := false, false
-	for _, ev := range events {
-		if ev.Task != nil && ev.New == Paused {
-			sawPaused = true
-		}
-		if ev.Task != nil && ev.Old == Paused {
-			sawRelease = true
-		}
-	}
-	if !sawPaused || !sawRelease {
-		t.Errorf("pause events: paused=%v released=%v", sawPaused, sawRelease)
-	}
-}
-
 func TestRerunIsNewWorkflow(t *testing.T) {
 	g := NewTaskGraph("rerun")
 	g.MustAddTask("only", &FuncUnit{UnitName: "only", Fn: func(*ProcessContext) ([]any, error) {
@@ -427,16 +357,51 @@ func TestGraphValidation(t *testing.T) {
 	}
 }
 
-func TestTaskParams(t *testing.T) {
-	g := NewTaskGraph("params")
-	tk := g.MustAddTask("t", &FuncUnit{UnitName: "t", Fn: func(ctx *ProcessContext) ([]any, error) {
-		return []any{ctx.Task.Param("factor")}, nil
-	}})
-	tk.SetParam("factor", "16")
-	if tk.Param("factor") != "16" {
-		t.Fatal("param not stored")
+// Reset returns a finished (or never-started) task graph to its initial
+// state, emitting the RESETTING/RESET lifecycle transitions the paper's
+// event vocabulary includes. Resetting a running graph is an error; Stop
+// it first.
+func (s *Scheduler) Reset() error {
+	s.mu.Lock()
+	if s.running {
+		s.mu.Unlock()
+		return fmt.Errorf("triana: cannot reset a running task graph")
 	}
-	if tk.Param("missing") != "" {
-		t.Fatal("missing param non-empty")
+	s.mu.Unlock()
+	s.graphTransition(Resetting)
+	for _, t := range s.graph.Tasks() {
+		if t.State() != NotInitialized {
+			s.taskTransition(t, Resetting, 0, nil)
+			s.taskTransition(t, Reset, 0, nil)
+		}
 	}
+	for _, c := range s.graph.Cables() {
+		c.ch = make(chan any, cableCapacity)
+	}
+	for _, t := range s.graph.Tasks() {
+		t.setState(NotInitialized)
+	}
+	s.graphTransition(Reset)
+	s.graph.setState(NotInitialized)
+	return nil
 }
+
+// Task returns a task by name, nil when absent.
+func (g *TaskGraph) Task(name string) *Task {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.byName[name]
+}
+
+// State returns the graph's lifecycle state.
+func (g *TaskGraph) State() State {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.state
+}
+
+// ListenerFunc adapts a function to the Listener interface.
+type ListenerFunc func(ExecutionEvent)
+
+// OnEvent implements Listener.
+func (f ListenerFunc) OnEvent(ev ExecutionEvent) { f(ev) }

@@ -16,8 +16,7 @@ import (
 //     1:1 task-to-job mappings), xwf.start
 //   - task WOKEN           -> job_inst.submit.start / submit.end
 //   - task RUNNING         -> job_inst.main.start + host.info (first time),
-//     inv.start (every invocation); after PAUSED -> job_inst.held.end
-//   - task PAUSED          -> job_inst.held.start
+//     inv.start (every invocation)
 //   - task COMPLETE (inv)  -> inv.end exit 0
 //   - task ERROR (inv)     -> inv.end exit -1
 //   - task terminal        -> job_inst.main.term + main.end (exit 0 or -1)
@@ -43,12 +42,11 @@ type StampedeLog struct {
 	started  map[string]time.Time // task -> main.start time
 	invStart map[string]time.Time // task#inv -> inv.start time
 	ended    map[string]bool      // task -> main.end emitted
-	appErr   error
 	appended int
 }
 
-// NewStampedeLog builds the listener. Register it on the scheduler with
-// AddListener (or via Options.Listeners).
+// NewStampedeLog builds the listener. Register it on the scheduler through
+// Options.Listeners.
 func NewStampedeLog(appender bp.Appender) *StampedeLog {
 	return &StampedeLog{
 		appender: appender,
@@ -58,13 +56,6 @@ func NewStampedeLog(appender bp.Appender) *StampedeLog {
 		invStart: map[string]time.Time{},
 		ended:    map[string]bool{},
 	}
-}
-
-// Err returns the first appender error encountered, if any.
-func (l *StampedeLog) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appErr
 }
 
 // Appended returns the number of events successfully handed to the
@@ -83,14 +74,13 @@ func (l *StampedeLog) WorkflowUUID() string {
 	return l.wfUUID
 }
 
+// append hands ev to the appender, counting it when accepted. A failed
+// append is the appender's to report: the engine binaries' appender
+// (OpenAppenders) fails the run when it is closed.
 func (l *StampedeLog) append(ev *bp.Event) {
-	if err := l.appender.Append(ev); err != nil {
-		if l.appErr == nil {
-			l.appErr = err
-		}
-		return
+	if l.appender.Append(ev) == nil {
+		l.appended++
 	}
-	l.appended++
 }
 
 func (l *StampedeLog) newEvent(typ string, ts time.Time) *bp.Event {
@@ -187,13 +177,6 @@ func invKey(task string, inv int) string { return fmt.Sprintf("%s#%d", task, inv
 
 func (l *StampedeLog) onTaskEvent(ev ExecutionEvent) {
 	name := ev.Task.Name
-	// A transition out of PAUSED is a hold release regardless of target.
-	if ev.Old == Paused {
-		l.append(l.jiEvent(schema.HeldEnd, ev.Time, name).SetInt(schema.AttrStatus, 0))
-		if ev.New != Running {
-			return
-		}
-	}
 	switch ev.New {
 	case Woken:
 		// Only the first WOKEN is a submission; continuous-mode tasks
@@ -205,8 +188,6 @@ func (l *StampedeLog) onTaskEvent(ev ExecutionEvent) {
 				l.append(l.jiEvent(schema.SubmitEnd, ev.Time, name).SetInt(schema.AttrStatus, 0))
 			}
 		}
-	case Paused:
-		l.append(l.jiEvent(schema.HeldStart, ev.Time, name))
 	case Running:
 		if ev.Invocation <= 0 {
 			return

@@ -47,14 +47,7 @@ func (s State) String() string {
 	return "UNKNOWN"
 }
 
-// Terminal reports whether the state ends a task's lifecycle.
-func (s State) Terminal() bool {
-	return s == Complete || s == Error || s == Suspended || s == NotExecutable
-}
-
-// ExecutionEvent is one state transition, carrying the previous state for
-// the context-dependent Stampede mappings (e.g. RUNNING after PAUSED is a
-// held.end, RUNNING after SCHEDULED is a main.start).
+// ExecutionEvent is one state transition, with the state it left.
 type ExecutionEvent struct {
 	Task     *Task // nil for task-graph-level events
 	Graph    *TaskGraph
@@ -76,9 +69,3 @@ type ExecutionEvent struct {
 type Listener interface {
 	OnEvent(ExecutionEvent)
 }
-
-// ListenerFunc adapts a function to the Listener interface.
-type ListenerFunc func(ExecutionEvent)
-
-// OnEvent implements Listener.
-func (f ListenerFunc) OnEvent(ev ExecutionEvent) { f(ev) }

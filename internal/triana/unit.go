@@ -29,35 +29,6 @@ func (u *FuncUnit) TypeDesc() string {
 // Process implements Unit.
 func (u *FuncUnit) Process(ctx *ProcessContext) ([]any, error) { return u.Fn(ctx) }
 
-// SliceSource emits the elements of a slice one per invocation in
-// continuous mode, then stops — the streaming "chunks of data from
-// previous tasks" source. In single-step mode it emits the whole slice as
-// one value.
-type SliceSource struct {
-	UnitName string
-	Items    []any
-	// Streaming selects per-item emission (continuous mode).
-	Streaming bool
-}
-
-// Name implements Unit.
-func (u *SliceSource) Name() string { return u.UnitName }
-
-// TypeDesc implements the TypeDesc extension.
-func (u *SliceSource) TypeDesc() string { return "source" }
-
-// Process implements Unit.
-func (u *SliceSource) Process(ctx *ProcessContext) ([]any, error) {
-	if !u.Streaming {
-		return []any{u.Items}, nil
-	}
-	i := ctx.Invocation - 1
-	if i >= len(u.Items) {
-		return nil, ErrStopIteration
-	}
-	return []any{u.Items[i]}, nil
-}
-
 // WorkUnit simulates a computation of fixed duration on the scheduler's
 // clock and passes its input through. Workloads with a calibrated cost
 // model (the DART sweep) use it so virtual-clock runs reproduce the
@@ -99,23 +70,4 @@ func (u *WorkUnit) Process(ctx *ProcessContext) ([]any, error) {
 		out = []any{nil}
 	}
 	return out, nil
-}
-
-// GatherUnit collects all its inputs into one slice output — the pattern
-// of the DART Zipper task that collates results.
-type GatherUnit struct {
-	UnitName string
-}
-
-// Name implements Unit.
-func (u *GatherUnit) Name() string { return u.UnitName }
-
-// TypeDesc implements the TypeDesc extension.
-func (u *GatherUnit) TypeDesc() string { return "file" }
-
-// Process implements Unit.
-func (u *GatherUnit) Process(ctx *ProcessContext) ([]any, error) {
-	gathered := make([]any, len(ctx.Inputs))
-	copy(gathered, ctx.Inputs)
-	return []any{gathered}, nil
 }

@@ -8,43 +8,6 @@ import (
 	"repro/internal/wfclock"
 )
 
-func TestGatherUnitCollectsAllInputs(t *testing.T) {
-	g := NewTaskGraph("gather")
-	mk := func(name string, v int) *Task {
-		return g.MustAddTask(name, &FuncUnit{UnitName: name, Fn: func(*ProcessContext) ([]any, error) {
-			return []any{v}, nil
-		}})
-	}
-	a := mk("a", 1)
-	b := mk("b", 2)
-	c := mk("c", 3)
-	gather := g.MustAddTask("gather", &GatherUnit{UnitName: "gather"})
-	var got []any
-	sink := g.MustAddTask("sink", &FuncUnit{UnitName: "sink", Fn: func(ctx *ProcessContext) ([]any, error) {
-		got, _ = ctx.Inputs[0].([]any)
-		return nil, nil
-	}})
-	for _, src := range []*Task{a, b, c} {
-		if _, err := g.Connect(src, gather); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := g.Connect(gather, sink); err != nil {
-		t.Fatal(err)
-	}
-	s := NewScheduler(g, Options{Mode: SingleStep})
-	report, err := s.Run(context.Background())
-	if err != nil || report.Err != nil {
-		t.Fatalf("run: %v %v", err, report)
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("gathered = %v", got)
-	}
-	if (&GatherUnit{}).TypeDesc() != "file" {
-		t.Error("type desc changed")
-	}
-}
-
 func TestSliceSourceSingleStepEmitsWholeSlice(t *testing.T) {
 	g := NewTaskGraph("batch")
 	src := g.MustAddTask("src", &SliceSource{UnitName: "src", Items: []any{1, 2, 3}})
@@ -99,4 +62,33 @@ func TestFuncUnitTypeDescDefault(t *testing.T) {
 	if (&FuncUnit{Desc: "source"}).TypeDesc() != "source" {
 		t.Error("FuncUnit explicit type desc ignored")
 	}
+}
+
+// SliceSource emits the elements of a slice one per invocation in
+// continuous mode, then stops — the streaming "chunks of data from
+// previous tasks" source. In single-step mode it emits the whole slice as
+// one value.
+type SliceSource struct {
+	UnitName string
+	Items    []any
+	// Streaming selects per-item emission (continuous mode).
+	Streaming bool
+}
+
+// Name implements Unit.
+func (u *SliceSource) Name() string { return u.UnitName }
+
+// TypeDesc implements the TypeDesc extension.
+func (u *SliceSource) TypeDesc() string { return "source" }
+
+// Process implements Unit.
+func (u *SliceSource) Process(ctx *ProcessContext) ([]any, error) {
+	if !u.Streaming {
+		return []any{u.Items}, nil
+	}
+	i := ctx.Invocation - 1
+	if i >= len(u.Items) {
+		return nil, ErrStopIteration
+	}
+	return []any{u.Items[i]}, nil
 }

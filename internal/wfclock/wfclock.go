@@ -249,22 +249,5 @@ func (c *Manual) Advance(d time.Duration) {
 	c.fireDueLocked()
 }
 
-// Set positions the clock at t. Moving backwards is allowed; synthesis
-// code uses it to emit several independent timelines from one clock.
-// Tickers reschedule relative to the new position when moving backwards.
-func (c *Manual) Set(t time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	back := t.Before(c.now)
-	c.now = t
-	if back {
-		for _, tk := range c.tickers {
-			tk.next = t.Add(tk.d)
-		}
-		return
-	}
-	c.fireDueLocked()
-}
-
 // Since returns the clock time elapsed since t.
 func (c *Manual) Since(t time.Time) time.Duration { return c.Now().Sub(t) }

@@ -104,3 +104,19 @@ func TestManualConcurrentAdvance(t *testing.T) {
 		t.Fatalf("after 50 concurrent advances, now = %v", got)
 	}
 }
+
+// Set positions the clock at t. Moving backwards is allowed; tickers
+// reschedule relative to the new position when moving backwards.
+func (c *Manual) Set(t time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	back := t.Before(c.now)
+	c.now = t
+	if back {
+		for _, tk := range c.tickers {
+			tk.next = t.Add(tk.d)
+		}
+		return
+	}
+	c.fireDueLocked()
+}

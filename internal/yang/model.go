@@ -73,15 +73,6 @@ func (c *Container) LeafNames() []string { return append([]string(nil), c.order.
 // allocations and no map lookups.
 func (c *Container) OrderedLeaves() []*Leaf { return c.leaves }
 
-// EachLeaf visits the leaves in declaration order.
-func (c *Container) EachLeaf(fn func(*Leaf) bool) {
-	for _, l := range c.leaves {
-		if !fn(l) {
-			return
-		}
-	}
-}
-
 // Model is a resolved YANG module: every container (event definition)
 // indexed by name.
 type Model struct {
