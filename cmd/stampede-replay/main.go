@@ -10,7 +10,7 @@
 //
 //	stampede-replay -dir soak-eventlog                 # replay all, print stats + snapshot hash
 //	stampede-replay -dir soak-eventlog -upto 5000      # point-in-time: records [1, 5000)
-//	stampede-replay -dir soak-eventlog -verify         # replay twice, fail on hash mismatch
+//	stampede-replay -dir soak-eventlog -verify         # replay twice, fail on hash mismatch or integrity violation
 //	stampede-replay -dir soak-eventlog -out pitr       # materialize into a durable store directory
 //	stampede-replay -dir soak-eventlog -out st -parts 4  # ... with 4 partitions
 //	stampede-replay -dir soak-eventlog -info           # segment map, seq range, torn-tail bytes
@@ -33,7 +33,7 @@ func main() {
 	var (
 		dir      = flag.String("dir", "", "event log directory (required unless -store -info)")
 		upto     = flag.Uint64("upto", 0, "replay records [1, upto); 0 = whole log")
-		verify   = flag.Bool("verify", false, "replay twice and require identical snapshot hashes")
+		verify   = flag.Bool("verify", false, "replay twice and require identical snapshot hashes and an archive that passes its integrity check")
 		out      = flag.String("out", "", "materialize into a durable store directory at this path instead of in memory")
 		parts    = flag.Int("parts", 1, "with -out: partition count of a newly created store directory")
 		storeDir = flag.String("store", "", "with -info: inspect a partitioned store directory instead of the event log")
@@ -62,24 +62,25 @@ func main() {
 		return
 	}
 
-	hash1, stats := replay(lg, *upto, *out, *parts)
+	hash1, stats := replay(lg, *upto, *out, *parts, *verify)
 	fmt.Printf("replayed %s\n", stats.String())
 	fmt.Printf("snapshot hash %s\n", hash1)
 
 	if *verify {
-		hash2, _ := replay(lg, *upto, "", 0)
+		hash2, _ := replay(lg, *upto, "", 0, false)
 		if hash2 != hash1 {
 			fmt.Fprintf(os.Stderr, "stampede-replay: NONDETERMINISTIC REPLAY: %s != %s\n", hash1, hash2)
 			os.Exit(1)
 		}
-		fmt.Println("verify ok: second replay hashed identically")
+		fmt.Println("verify ok: second replay hashed identically, integrity holds")
 	}
 }
 
 // replay rebuilds [1, upto) and returns the resulting snapshot hash. An
 // empty out path means in memory; otherwise the store is a durable
-// directory at out, created with parts partitions.
-func replay(lg *eventlog.Log, upto uint64, out string, parts int) (string, loader.Stats) {
+// directory at out, created with parts partitions. With check set, a store
+// that fails archive.CheckIntegrity is fatal.
+func replay(lg *eventlog.Log, upto uint64, out string, parts int, check bool) (string, loader.Stats) {
 	var (
 		arch  *archive.Archive
 		stats loader.Stats
@@ -99,6 +100,11 @@ func replay(lg *eventlog.Log, upto uint64, out string, parts int) (string, loade
 	}
 	sn := arch.Snapshot()
 	defer sn.Close()
+	if check {
+		if err := archive.CheckIntegrity(sn); err != nil {
+			fatal(err)
+		}
+	}
 	hash, err := sn.Hash()
 	if err != nil {
 		fatal(err)

@@ -39,23 +39,25 @@ import (
 )
 
 // The ceilings are enforced upper bounds, not targets: measured values sit
-// at 1 alloc per pooled parse (the backing string) and 1.9 allocs per
-// loaded event end to end, 2.2 with views attached (the seed path measured
-// ~44, map-based rows 7.9). What is left per event: that backing string, on
-// average half an interned key string plus its map entry for a row that
-// takes a never-seen unique or index key, and amortised shares of the row,
-// posting-node and bucket slabs and of the archive's identity maps growing.
+// at 1 alloc per pooled parse (the backing string) and 1.15 allocs per
+// loaded event end to end, 1.4 with views attached (the seed path measured
+// ~44, map-based rows 7.9, relstore's unique keys 1.9). What is left per
+// event: that backing string, the interned key string plus its map entry
+// for a row that takes a never-seen index key, and amortised shares of the
+// row, posting-node and bucket slabs and of the archive's identity maps
+// growing.
 // The headroom covers GC timing and map-growth jitter; a regression that
 // re-introduces per-row maps, per-event boxing or per-node chain
 // allocations blows well past it.
 //
 // Slab-allocated rows and nodes are invisible to a count — 256 of them are
 // one malloc — so TestLoadAllocCeiling also bounds heap bytes per event. On
-// its trace the load measures ≈ 567 bytes/event: ≈ 210 of backing string,
+// its trace the load measures ≈ 509 bytes/event: ≈ 210 of backing string,
 // ≈ 185 of rows (a 56-byte header plus 8 bytes a word and 16 a string
-// slot; a job instance's four updates are four full versions), ≈ 145 of
-// index postings and key-map growth, ≈ 30 of archive caches and row pages.
-// Map-based rows measured 1,038–1,053.
+// slot; a job instance's four updates are four full versions), the rest
+// index postings, key-map growth, the archive's identity maps and row
+// pages. Map-based rows measured 1,038–1,053, relstore's unique keys and
+// five more indexes ≈ 565.
 const (
 	maxAllocsPerParse = 3
 	maxAllocsPerEvent = 6

@@ -23,6 +23,8 @@ var (
 	mFreshness = telemetry.NewGaugeVec("stampede_archive_freshness_seconds",
 		"Now minus the newest event timestamp applied in the partition (computed at scrape time; "+
 			"negative under scaled virtual engine clocks, 0 before the first apply).", "partition")
+	mDuplicates = telemetry.NewCounterVec("stampede_archive_duplicates_total",
+		"Description events skipped because the row they describe exists (workflow restarts re-emit them), by table.", "table")
 )
 
 // routeSlots is the width of the space Route folds a workflow uuid into
@@ -49,17 +51,21 @@ func Route(uuid string, n int) int {
 }
 
 // partState is everything the archive keeps per store partition: the
-// partition's writer and the identity caches of the workflows that route to
-// it (jobs, tasks, job instances and their sequence counters), under one
-// mutex. The loader enters a partition from one apply shard only, so under
-// it the mutex is never contended; it is what keeps Apply and ApplyBatch
-// safe for callers that make no such promise.
+// partition's writer and the identities of the rows of the workflows that
+// route to it (jobs, tasks, edges, job instances and their sequence
+// counters, invocations), under one mutex. The store keeps no keys: these
+// maps are what decides whether an event describes a new row or one that
+// exists. The loader enters a partition from one apply shard only, so
+// under it the mutex is never contended; it is what keeps Apply and
+// ApplyBatch safe for callers that make no such promise.
 type partState struct {
 	mu      sync.Mutex
 	w       relstore.Writer
 	jobIDs  map[jobKey]int64       // (wf row, exec_job_id) -> job row id
 	taskIDs map[jobKey]int64       // (wf row, abs_task_id) -> task row id
-	insts   map[instKey]*instState // (job row, submit seq) -> instance state
+	insts   map[instKey]*instState // (job row, job_submit_seq) -> instance state
+	edges   map[edgeKey]struct{}   // every task edge and job edge
+	invs    map[instKey]struct{}   // (job instance row, task_submit_seq)
 
 	// Last workflow resolved in this partition. Events arrive in
 	// per-workflow runs, so this single-entry memo turns the per-event uuid
@@ -89,11 +95,13 @@ type instState struct {
 	execTS   time.Time // zero = no EXECUTE seen
 }
 
-// Archive folds Stampede events into the relational store. It keeps small
-// identity caches (workflow uuid -> row id, job key -> row id, instance
-// key -> row id) so the per-event hot path costs O(1) map lookups instead
-// of index queries, which is what lets the loader keep up with large
-// workflows in real time.
+// Archive folds Stampede events into the relational store, and it alone
+// decides the identity of every row it writes: maps keyed by the model's
+// identities (workflow uuid, host triple, and per partition jobs, tasks,
+// edges, instances and invocations; see identities) say whether an event
+// describes a new row or one that exists, at the cost of one map lookup.
+// The store below checks no keys and no references; CheckIntegrity
+// checks a whole store for both.
 //
 // Concurrency contract: Apply and ApplyBatch may be called from many
 // goroutines, provided all events of one workflow (one xwf.id) are applied
@@ -126,9 +134,17 @@ type jobKey struct {
 	jobID string
 }
 
+// instKey is a row and a sequence number under it.
 type instKey struct {
-	jobRow int64
-	seq    int64
+	row, seq int64
+}
+
+// edgeKey is a task edge (parent and child abs_task_id) or, with job set,
+// a job edge (exec_job_ids) of one workflow row.
+type edgeKey struct {
+	wfID          int64
+	job           bool
+	parent, child string
 }
 
 type hostKey struct {
@@ -166,6 +182,8 @@ func New(store *relstore.Store) (*Archive, error) {
 		st.jobIDs = map[jobKey]int64{}
 		st.taskIDs = map[jobKey]int64{}
 		st.insts = map[instKey]*instState{}
+		st.edges = map[edgeKey]struct{}{}
+		st.invs = map[instKey]struct{}{}
 	}
 	if err := a.warmCaches(); err != nil {
 		return nil, err
@@ -243,78 +261,75 @@ func LoadDir(dir string) (*Archive, error) {
 	return New(store)
 }
 
-// warmCaches rebuilds the identity caches from an existing store so that
+// warmCaches rebuilds the identity maps from an existing store so that
 // appending to a reopened database works. Per-workflow entries go to the
 // partition their workflow uuid routes to; warmCaches runs before the
-// archive is shared, so no locks are needed. All five table reads come
-// from one snapshot, so the caches describe a single point in history.
+// archive is shared, so no locks are needed. Every table read comes from
+// one snapshot, so the caches describe a single point in history.
 func (a *Archive) warmCaches() error {
 	sn := a.store.Snapshot()
 	defer sn.Close()
 	c := a.c
-	wfs, err := sn.Select(relstore.Query{Table: TWorkflow})
-	if err != nil {
-		return err
+	var err error
+	// sel reads a whole table; after a failed read it reads nothing more,
+	// and warmCaches returns the error.
+	sel := func(table string) []*relstore.Row {
+		var rows []*relstore.Row
+		if err == nil {
+			rows, err = sn.Select(relstore.Query{Table: table})
+		}
+		return rows
 	}
-	wfUUID := make(map[int64]string, len(wfs)) // workflow row id -> uuid
-	for _, r := range wfs {
+	wfUUID := map[int64]string{} // workflow row id -> uuid
+	for _, r := range sel(TWorkflow) {
 		uuid := r.Str(c.Workflow.UUID)
 		a.wfIDs[uuid] = r.ID()
 		wfUUID[r.ID()] = uuid
 	}
-	tasks, err := sn.Select(relstore.Query{Table: TTask})
-	if err != nil {
-		return err
-	}
-	for _, r := range tasks {
+	part := func(wf int64) *partState { return a.partOf(wfUUID[wf]) }
+	for _, r := range sel(TTask) {
 		wf := r.Int(c.Task.WfID)
-		st := a.partOf(wfUUID[wf])
-		st.taskIDs[jobKey{wf, r.Str(c.Task.AbsTaskID)}] = r.ID()
+		part(wf).taskIDs[jobKey{wf, r.Str(c.Task.AbsTaskID)}] = r.ID()
 	}
-	jobs, err := sn.Select(relstore.Query{Table: TJob})
-	if err != nil {
-		return err
+	for _, r := range sel(TTaskEdge) {
+		wf := r.Int(c.TaskEdge.WfID)
+		part(wf).edges[edgeKey{wf, false, r.Str(c.TaskEdge.Parent), r.Str(c.TaskEdge.Child)}] = struct{}{}
 	}
-	jobWF := make(map[int64]int64, len(jobs)) // job row id -> workflow row id
-	for _, r := range jobs {
+	for _, r := range sel(TJobEdge) {
+		wf := r.Int(c.JobEdge.WfID)
+		part(wf).edges[edgeKey{wf, true, r.Str(c.JobEdge.Parent), r.Str(c.JobEdge.Child)}] = struct{}{}
+	}
+	jobWF := map[int64]int64{} // job row id -> workflow row id
+	for _, r := range sel(TJob) {
 		wf := r.Int(c.Job.WfID)
 		jobWF[r.ID()] = wf
-		st := a.partOf(wfUUID[wf])
-		st.jobIDs[jobKey{wf, r.Str(c.Job.ExecJobID)}] = r.ID()
+		part(wf).jobIDs[jobKey{wf, r.Str(c.Job.ExecJobID)}] = r.ID()
 	}
-	insts, err := sn.Select(relstore.Query{Table: TJobInstance})
-	if err != nil {
-		return err
-	}
-	instByID := make(map[int64]*instState, len(insts))
-	for _, r := range insts {
+	instByID := map[int64]*instState{}
+	for _, r := range sel(TJobInstance) {
 		job := r.Int(c.JobInstance.JobID)
-		st := a.partOf(wfUUID[jobWF[job]])
 		is := &instState{id: r.ID()}
-		st.insts[instKey{job, r.Int(c.JobInstance.SubmitSeq)}] = is
+		part(jobWF[job]).insts[instKey{job, r.Int(c.JobInstance.SubmitSeq)}] = is
 		instByID[r.ID()] = is
 	}
-	hosts, err := sn.Select(relstore.Query{Table: THost})
-	if err != nil {
-		return err
+	for _, r := range sel(TInvocation) {
+		inst, seq := r.Int(c.Invocation.JobInstanceID), r.Int(c.Invocation.TaskSubmitSeq)
+		part(r.Int(c.Invocation.WfID)).invs[instKey{inst, seq}] = struct{}{}
+		if is := instByID[inst]; is != nil {
+			is.invSeq = max(is.invSeq, seq+1)
+		}
 	}
-	for _, r := range hosts {
+	for _, r := range sel(THost) {
 		a.hostIDs[hostKey{r.Str(c.Host.Site), r.Str(c.Host.Hostname), r.Str(c.Host.IP)}] = r.ID()
 	}
-	states, err := sn.Select(relstore.Query{Table: TJobState})
-	if err != nil {
-		return err
-	}
 	execSeq := make(map[int64]int64) // job_instance row id -> seq of cached EXECUTE
-	for _, r := range states {
+	for _, r := range sel(TJobState) {
 		is, ok := instByID[r.Int(c.JobState.JobInstanceID)]
 		if !ok {
 			continue
 		}
 		seq := r.Int(c.JobState.SubmitSeq)
-		if seq >= is.stateSeq {
-			is.stateSeq = seq + 1
-		}
+		is.stateSeq = max(is.stateSeq, seq+1)
 		if r.Str(c.JobState.State) == JSExecute {
 			if s, ok := execSeq[is.id]; !ok || seq >= s {
 				execSeq[is.id] = seq
@@ -322,7 +337,7 @@ func (a *Archive) warmCaches() error {
 			}
 		}
 	}
-	return nil
+	return err
 }
 
 // Store exposes the underlying relational store for the query layer.
@@ -447,11 +462,11 @@ func (a *Archive) applyLocked(st *partState, ev *bp.Event) error {
 	case schema.TaskInfo:
 		return a.applyTaskInfo(st, ev)
 	case schema.TaskEdge:
-		return a.applyTaskEdge(st, ev)
+		return a.applyEdge(st, ev, false)
 	case schema.JobInfo:
 		return a.applyJobInfo(st, ev)
 	case schema.JobEdge:
-		return a.applyJobEdge(st, ev)
+		return a.applyEdge(st, ev, true)
 	case schema.MapTaskJob:
 		return a.applyMapTaskJob(st, ev)
 	case schema.MapSubwfJob:
@@ -622,34 +637,51 @@ func (a *Archive) applyTaskInfo(st *partState, ev *bp.Event) error {
 	if err != nil {
 		return err
 	}
-	taskID := ev.Get(schema.AttrTaskID)
+	k := jobKey{wf, ev.Get(schema.AttrTaskID)}
+	if _, dup := st.taskIDs[k]; dup {
+		mDuplicates.With(TTask).Inc()
+		return nil
+	}
 	c := &a.c.Task
 	d := st.w.NewRow(c.Layout)
 	d.SetInt(c.WfID, wf)
-	d.SetStr(c.AbsTaskID, taskID)
+	d.SetStr(c.AbsTaskID, k.jobID)
 	d.SetStr(c.TypeDesc, ev.Get("type_desc"))
 	d.SetStr(c.Transformation, ev.Get(schema.AttrTransform))
 	d.SetStr(c.Argv, ev.Get(schema.AttrArgv))
 	id, err := st.w.Insert(&d)
 	if err != nil {
-		return ignoreDuplicate(err)
+		return err
 	}
-	st.taskIDs[jobKey{wf, taskID}] = id
+	st.taskIDs[k] = id
 	return nil
 }
 
-func (a *Archive) applyTaskEdge(st *partState, ev *bp.Event) error {
+// applyEdge inserts a task edge, or a job edge when job is set, unless
+// the workflow has it already: a restart re-emits its description.
+func (a *Archive) applyEdge(st *partState, ev *bp.Event, job bool) error {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return err
 	}
-	c := &a.c.TaskEdge
+	c, table, parent, child := &a.c.TaskEdge, TTaskEdge, "parent.task.id", "child.task.id"
+	if job {
+		c, table, parent, child = &a.c.JobEdge, TJobEdge, "parent.job.id", "child.job.id"
+	}
+	k := edgeKey{wf, job, ev.Get(parent), ev.Get(child)}
+	if _, dup := st.edges[k]; dup {
+		mDuplicates.With(table).Inc()
+		return nil
+	}
 	d := st.w.NewRow(c.Layout)
 	d.SetInt(c.WfID, wf)
-	d.SetStr(c.Parent, ev.Get("parent.task.id"))
-	d.SetStr(c.Child, ev.Get("child.task.id"))
-	_, err = st.w.Insert(&d)
-	return ignoreDuplicate(err)
+	d.SetStr(c.Parent, k.parent)
+	d.SetStr(c.Child, k.child)
+	if _, err := st.w.Insert(&d); err != nil {
+		return err
+	}
+	st.edges[k] = struct{}{}
+	return nil
 }
 
 func (a *Archive) applyJobInfo(st *partState, ev *bp.Event) error {
@@ -657,11 +689,18 @@ func (a *Archive) applyJobInfo(st *partState, ev *bp.Event) error {
 	if err != nil {
 		return err
 	}
-	execID := ev.Get(schema.AttrJobID)
+	// A job.info for a job that has a row — a restart's re-emitted
+	// description, or one arriving after an earlier job_inst.* event made a
+	// placeholder — is skipped: what the row holds stays as it is.
+	k := jobKey{wf, ev.Get(schema.AttrJobID)}
+	if _, dup := st.jobIDs[k]; dup {
+		mDuplicates.With(TJob).Inc()
+		return nil
+	}
 	c := &a.c.Job
 	d := st.w.NewRow(c.Layout)
 	d.SetInt(c.WfID, wf)
-	d.SetStr(c.ExecJobID, execID)
+	d.SetStr(c.ExecJobID, k.jobID)
 	d.SetStr(c.TypeDesc, ev.Get("type_desc"))
 	clustered, _ := ev.Int("clustered")
 	retries, _ := ev.Int("max_retries")
@@ -673,24 +712,10 @@ func (a *Archive) applyJobInfo(st *partState, ev *bp.Event) error {
 	d.SetInt(c.TaskCount, tasks)
 	id, err := st.w.Insert(&d)
 	if err != nil {
-		return ignoreDuplicate(err)
-	}
-	st.jobIDs[jobKey{wf, execID}] = id
-	return nil
-}
-
-func (a *Archive) applyJobEdge(st *partState, ev *bp.Event) error {
-	wf, err := a.wfRow(st, ev)
-	if err != nil {
 		return err
 	}
-	c := &a.c.JobEdge
-	d := st.w.NewRow(c.Layout)
-	d.SetInt(c.WfID, wf)
-	d.SetStr(c.Parent, ev.Get("parent.job.id"))
-	d.SetStr(c.Child, ev.Get("child.job.id"))
-	_, err = st.w.Insert(&d)
-	return ignoreDuplicate(err)
+	st.jobIDs[k] = id
+	return nil
 }
 
 func (a *Archive) applyMapTaskJob(st *partState, ev *bp.Event) error {
@@ -705,21 +730,7 @@ func (a *Archive) applyMapTaskJob(st *partState, ev *bp.Event) error {
 	taskID := ev.Get(schema.AttrTaskID)
 	task, ok := st.taskIDs[jobKey{wf, taskID}]
 	if !ok {
-		// The cache misses only when task.info was dropped as a duplicate
-		// (restart replay); resolve through the unique index once and
-		// remember the row.
-		row, err := a.store.SelectOne(relstore.Query{
-			Table: TTask,
-			Conds: []relstore.Cond{relstore.Eq("wf_id", wf), relstore.Eq("abs_task_id", taskID)},
-		})
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			return fmt.Errorf("map.task_job references unknown task %q", taskID)
-		}
-		task = row.ID()
-		st.taskIDs[jobKey{wf, taskID}] = task
+		return fmt.Errorf("map.task_job references unknown task %q", taskID)
 	}
 	d := st.w.Edit(a.c.Task.Layout, task)
 	d.SetInt(a.c.Task.JobID, jobRow)
@@ -899,8 +910,8 @@ func (a *Archive) applyHostInfo(st *partState, ev *bp.Event) error {
 	}
 	k := hostKey{ev.Get(schema.AttrSite), ev.Get(schema.AttrHostname), ev.Get("ip")}
 	// Hosts are shared across workflows, so the lookup-or-insert must be
-	// atomic under its own lock to keep concurrent partitions from racing
-	// the unique constraint.
+	// atomic under its own lock: nothing else keeps two partitions from
+	// inserting one host twice.
 	a.hostMu.Lock()
 	hid, ok := a.hostIDs[k]
 	if !ok {
@@ -943,6 +954,11 @@ func (a *Archive) applyInvEnd(st *partState, ev *bp.Event) error {
 		seq = is.invSeq
 		is.invSeq = seq + 1
 	}
+	k := instKey{is.id, seq}
+	if _, dup := st.invs[k]; dup {
+		mDuplicates.With(TInvocation).Inc()
+		return nil
+	}
 	c := &a.c.Invocation
 	d := st.w.NewRow(c.Layout)
 	d.SetInt(c.JobInstanceID, is.id)
@@ -966,8 +982,11 @@ func (a *Archive) applyInvEnd(st *partState, ev *bp.Event) error {
 	if x, ok := ev.Int(schema.AttrExitcode); ok {
 		d.SetInt(c.Exitcode, x)
 	}
-	_, err = st.w.Insert(&d)
-	return ignoreDuplicate(err)
+	if _, err := st.w.Insert(&d); err != nil {
+		return err
+	}
+	st.invs[k] = struct{}{}
+	return nil
 }
 
 // needInt reads an integer attribute the event cannot be applied without.
@@ -977,14 +996,4 @@ func needInt(ev *bp.Event, key string) (int64, error) {
 		return 0, fmt.Errorf("%s is missing or not an integer: %q", key, ev.Get(key))
 	}
 	return n, nil
-}
-
-// ignoreDuplicate treats a unique-constraint violation as success: static
-// description events are re-emitted verbatim on workflow restarts.
-func ignoreDuplicate(err error) error {
-	var ue *relstore.UniqueError
-	if errors.As(err, &ue) {
-		return nil
-	}
-	return err
 }

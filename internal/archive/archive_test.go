@@ -349,6 +349,7 @@ func TestArchivePersistAndReopen(t *testing.T) {
 	if n, _ := ro.Store().Count(TInvocation); n != 2 {
 		t.Fatalf("invocations in a read-only load = %d", n)
 	}
+	integrity(t, ro, "read-only load")
 	re, err := OpenDir(dir, relstore.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -369,6 +370,7 @@ func TestArchivePersistAndReopen(t *testing.T) {
 	if n, _ := re.Store().Count(TJobInstance); n != 3 {
 		t.Fatalf("instances = %d, want 3", n)
 	}
+	integrity(t, re, "reopened store")
 }
 
 func TestApplyBatchMatchesSequential(t *testing.T) {

@@ -70,9 +70,7 @@ func Schemas() []relstore.TableSchema {
 				{Name: "root_wf_uuid", Type: relstore.Str, Nullable: true},
 				{Name: "parent_wf_id", Type: relstore.Int, Nullable: true},
 			},
-			Unique:      [][]string{{"wf_uuid"}},
-			Indexes:     [][]string{{"parent_wf_id"}, {"root_wf_uuid"}},
-			ForeignKeys: []relstore.ForeignKey{{Column: "parent_wf_id", RefTable: TWorkflow, RefColumn: "id"}},
+			Indexes: [][]string{{"wf_uuid"}, {"parent_wf_id"}},
 		},
 		{
 			Name: TWorkflowState,
@@ -83,8 +81,7 @@ func Schemas() []relstore.TableSchema {
 				{Name: "restart_count", Type: relstore.Int},
 				{Name: "status", Type: relstore.Int, Nullable: true},
 			},
-			Indexes:     [][]string{{"wf_id"}},
-			ForeignKeys: []relstore.ForeignKey{{Column: "wf_id", RefTable: TWorkflow, RefColumn: "id"}},
+			Indexes: [][]string{{"wf_id"}},
 		},
 		{
 			Name: THost,
@@ -95,7 +92,6 @@ func Schemas() []relstore.TableSchema {
 				{Name: "uname", Type: relstore.Str, Nullable: true},
 				{Name: "total_memory", Type: relstore.Int, Nullable: true},
 			},
-			Unique: [][]string{{"site", "hostname", "ip"}},
 		},
 		{
 			Name: TTask,
@@ -107,12 +103,7 @@ func Schemas() []relstore.TableSchema {
 				{Name: "argv", Type: relstore.Str, Nullable: true},
 				{Name: "job_id", Type: relstore.Int, Nullable: true}, // set by wf.map.task_job
 			},
-			Unique:  [][]string{{"wf_id", "abs_task_id"}},
-			Indexes: [][]string{{"wf_id"}, {"job_id"}},
-			ForeignKeys: []relstore.ForeignKey{
-				{Column: "wf_id", RefTable: TWorkflow, RefColumn: "id"},
-				{Column: "job_id", RefTable: TJob, RefColumn: "id"},
-			},
+			Indexes: [][]string{{"wf_id"}},
 		},
 		{
 			Name: TTaskEdge,
@@ -121,9 +112,6 @@ func Schemas() []relstore.TableSchema {
 				{Name: "parent_abs_task_id", Type: relstore.Str},
 				{Name: "child_abs_task_id", Type: relstore.Str},
 			},
-			Unique:      [][]string{{"wf_id", "parent_abs_task_id", "child_abs_task_id"}},
-			Indexes:     [][]string{{"wf_id"}},
-			ForeignKeys: []relstore.ForeignKey{{Column: "wf_id", RefTable: TWorkflow, RefColumn: "id"}},
 		},
 		{
 			Name: TJob,
@@ -137,9 +125,7 @@ func Schemas() []relstore.TableSchema {
 				{Name: "argv", Type: relstore.Str, Nullable: true},
 				{Name: "task_count", Type: relstore.Int, Nullable: true},
 			},
-			Unique:      [][]string{{"wf_id", "exec_job_id"}},
-			Indexes:     [][]string{{"wf_id"}},
-			ForeignKeys: []relstore.ForeignKey{{Column: "wf_id", RefTable: TWorkflow, RefColumn: "id"}},
+			Indexes: [][]string{{"wf_id"}},
 		},
 		{
 			Name: TJobEdge,
@@ -148,9 +134,6 @@ func Schemas() []relstore.TableSchema {
 				{Name: "parent_exec_job_id", Type: relstore.Str},
 				{Name: "child_exec_job_id", Type: relstore.Str},
 			},
-			Unique:      [][]string{{"wf_id", "parent_exec_job_id", "child_exec_job_id"}},
-			Indexes:     [][]string{{"wf_id"}},
-			ForeignKeys: []relstore.ForeignKey{{Column: "wf_id", RefTable: TWorkflow, RefColumn: "id"}},
 		},
 		{
 			Name: TJobInstance,
@@ -169,12 +152,7 @@ func Schemas() []relstore.TableSchema {
 				{Name: "exitcode", Type: relstore.Int, Nullable: true},
 				{Name: "local_duration", Type: relstore.Float, Nullable: true},
 			},
-			Unique:  [][]string{{"job_id", "job_submit_seq"}},
-			Indexes: [][]string{{"job_id"}, {"host_id"}},
-			ForeignKeys: []relstore.ForeignKey{
-				{Column: "job_id", RefTable: TJob, RefColumn: "id"},
-				{Column: "host_id", RefTable: THost, RefColumn: "id"},
-			},
+			Indexes: [][]string{{"job_id"}},
 		},
 		{
 			Name: TJobState,
@@ -184,8 +162,7 @@ func Schemas() []relstore.TableSchema {
 				{Name: "timestamp", Type: relstore.Time},
 				{Name: "jobstate_submit_seq", Type: relstore.Int},
 			},
-			Indexes:     [][]string{{"job_instance_id"}},
-			ForeignKeys: []relstore.ForeignKey{{Column: "job_instance_id", RefTable: TJobInstance, RefColumn: "id"}},
+			Indexes: [][]string{{"job_instance_id"}},
 		},
 		{
 			Name: TInvocation,
@@ -202,12 +179,46 @@ func Schemas() []relstore.TableSchema {
 				{Name: "argv", Type: relstore.Str, Nullable: true},
 				{Name: "abs_task_id", Type: relstore.Str, Nullable: true},
 			},
-			Unique:  [][]string{{"job_instance_id", "task_submit_seq"}},
 			Indexes: [][]string{{"wf_id"}, {"job_instance_id"}},
-			ForeignKeys: []relstore.ForeignKey{
-				{Column: "job_instance_id", RefTable: TJobInstance, RefColumn: "id"},
-				{Column: "wf_id", RefTable: TWorkflow, RefColumn: "id"},
-			},
 		},
 	}
+}
+
+// A reference is a column whose value, unless NULL, is the id of a row of
+// table to. CheckIntegrity proves every one names a live row.
+type reference struct{ table, column, to string }
+
+var references = []reference{
+	{TWorkflow, "parent_wf_id", TWorkflow},
+	{TWorkflowState, "wf_id", TWorkflow},
+	{TTask, "wf_id", TWorkflow},
+	{TTask, "job_id", TJob},
+	{TTaskEdge, "wf_id", TWorkflow},
+	{TJob, "wf_id", TWorkflow},
+	{TJobEdge, "wf_id", TWorkflow},
+	{TJobInstance, "job_id", TJob},
+	{TJobInstance, "host_id", THost},
+	{TJobState, "job_instance_id", TJobInstance},
+	{TInvocation, "job_instance_id", TJobInstance},
+	{TInvocation, "wf_id", TWorkflow},
+}
+
+// An identity is the columns that name one entity of the model (§IV-D).
+// The archive resolves every event to its row by these keys (wfIDs,
+// hostIDs, each partState's maps), so a re-emitted description finds the
+// row it describes and is skipped; CheckIntegrity proves no key repeats.
+type identity struct {
+	table   string
+	columns []string
+}
+
+var identities = []identity{
+	{TWorkflow, []string{"wf_uuid"}},
+	{THost, []string{"site", "hostname", "ip"}},
+	{TTask, []string{"wf_id", "abs_task_id"}},
+	{TTaskEdge, []string{"wf_id", "parent_abs_task_id", "child_abs_task_id"}},
+	{TJob, []string{"wf_id", "exec_job_id"}},
+	{TJobEdge, []string{"wf_id", "parent_exec_job_id", "child_exec_job_id"}},
+	{TJobInstance, []string{"job_id", "job_submit_seq"}},
+	{TInvocation, []string{"job_instance_id", "task_submit_seq"}},
 }

@@ -94,6 +94,7 @@ func TestDurablePartitionedRecoveryMatchesRebuild(t *testing.T) {
 		}
 		sn := reopened.Snapshot()
 		got, err := sn.Hash()
+		ierr := archive.CheckIntegrity(sn)
 		sn.Close()
 		reopened.Close()
 		if err != nil {
@@ -101,6 +102,9 @@ func TestDurablePartitionedRecoveryMatchesRebuild(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("upTo %d: checkpoint+WAL-tail recovery hash %s, want %s", upTo, got, want)
+		}
+		if ierr != nil {
+			t.Fatalf("upTo %d: recovered store: %v", upTo, ierr)
 		}
 	}
 }

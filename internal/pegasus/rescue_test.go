@@ -2,10 +2,10 @@ package pegasus
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/archive"
-	"repro/internal/relstore"
 	"repro/internal/triana"
 )
 
@@ -115,15 +115,28 @@ func runRescueWorkflow(t *testing.T, ew *EW, failureRate float64, maxRestarts in
 	return app, report
 }
 
-// Sanity: the relstore unique machinery the dedup relies on is what the
-// archive actually uses (guards against schema drift).
+// Sanity: the identity keys the dedup relies on still cover the task and
+// job tables (guards against schema drift): two task rows, or two job rows,
+// naming one id in one workflow fail the archive's integrity check.
 func TestStaticDedupKeysExist(t *testing.T) {
-	for _, ts := range archive.Schemas() {
-		if ts.Name == archive.TTask || ts.Name == archive.TJob {
-			if len(ts.Unique) == 0 {
-				t.Errorf("table %s lost its unique constraint", ts.Name)
+	for table, idCol := range map[string]string{archive.TTask: "abs_task_id", archive.TJob: "exec_job_id"} {
+		a := archive.NewInMemory()
+		w, lay := a.Store().Writer(0), a.Store().Layout(table)
+		wf, _ := lay.Col("wf_id")
+		id, _ := lay.Col(idCol)
+		for i := 0; i < 2; i++ {
+			d := w.NewRow(lay)
+			d.SetInt(wf, 1)
+			d.SetStr(id, "x")
+			if _, err := w.Insert(&d); err != nil {
+				t.Fatal(err)
 			}
 		}
+		sn := a.Snapshot()
+		err := archive.CheckIntegrity(sn)
+		sn.Close()
+		if err == nil || !strings.Contains(err.Error(), table+" rows 1 and 2 share the key") {
+			t.Errorf("table %s lost its identity key: integrity check says %v", table, err)
+		}
 	}
-	_ = relstore.TableSchema{}
 }

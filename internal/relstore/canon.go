@@ -119,7 +119,7 @@ func (c *canonWriter) writeTableState(t *table, epoch uint64) error {
 		return true
 	})
 	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
-	name := t.schema.Name
+	name := t.lay.schema.Name
 	c.str("table")
 	c.str(name)
 	c.uint(uint64(len(rows)))

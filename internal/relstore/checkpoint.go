@@ -493,7 +493,10 @@ func (p *partition) writeCheckpointImage(ts *tableSet, epoch, S uint64) (int64, 
 	mw := io.MultiWriter(bw, h)
 	schemas := make([]TableSchema, 0, len(ts.order))
 	for _, name := range ts.order {
-		schemas = append(schemas, *ts.byName[name].schema)
+		t := ts.byName[name]
+		sc := *t.lay.schema
+		sc.Indexes = t.ixs.Load().decl
+		schemas = append(schemas, sc)
 	}
 	hb, err := json.Marshal(ckptHeader{Version: 1, Partition: p.idx, Seq: S, Tables: schemas})
 	if err != nil {

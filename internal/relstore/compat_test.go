@@ -23,6 +23,8 @@ const parentStoreHash = "80397be776df4cac242754bd9d445ea7308b35600ad3ae9d05a12cf
 // records that survive it. The directory the parent commit wrote — create,
 // insert and update frames and one checkpoint image — loads read-only and
 // opens writable to the hash the parent recorded, and takes new writes.
+// Its schemas still carry the unique keys relstore no longer keeps;
+// decoding ignores them.
 func TestParentWALRecovers(t *testing.T) {
 	src := filepath.Join("testdata", "parent-store")
 	before := dirImage(t, src)
@@ -51,9 +53,6 @@ func TestParentWALRecovers(t *testing.T) {
 	rows, err := s.Select(Query{Table: "job_instance", Conds: []Cond{Eq("host_id", int64(7))}})
 	if err != nil || len(rows) != 2 || rows[0].ID() != 1 || rows[1].ID() != 4 {
 		t.Fatalf("host_id=7 after recovery: %v, %v; want rows 1 and 4", rows, err)
-	}
-	if _, err := insW(s.Writer(1), "job_instance", vals{"job_id": int64(110), "job_submit_seq": int64(1)}); err != nil {
-		t.Fatalf("the unique key row 4 was updated away from is not free: %v", err)
 	}
 	if err := updW(s.Writer(0), "job_instance", 1, vals{"exitcode": int64(9)}); err != nil {
 		t.Fatal(err)

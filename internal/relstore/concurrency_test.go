@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// concurrencySchemas is a minimal parent/child pair exercising the
-// per-table locking plus FK read-locks.
+// concurrencySchemas is a minimal parent/child pair: two tables behind one
+// partition's writer.
 func concurrencySchemas() []TableSchema {
 	return []TableSchema{
 		{
@@ -15,7 +15,6 @@ func concurrencySchemas() []TableSchema {
 			Columns: []Column{
 				{Name: "name", Type: Str},
 			},
-			Unique: [][]string{{"name"}},
 		},
 		{
 			Name: "child",
@@ -23,14 +22,13 @@ func concurrencySchemas() []TableSchema {
 				{Name: "parent_id", Type: Int},
 				{Name: "n", Type: Int},
 			},
-			ForeignKeys: []ForeignKey{{Column: "parent_id", RefTable: "parent", RefColumn: "id"}},
-			Indexes:     [][]string{{"parent_id"}},
+			Indexes: [][]string{{"parent_id"}},
 		},
 	}
 }
 
 // TestConcurrentInsertBatchAcrossTables runs concurrent writers on two
-// tables (with an FK between them) plus concurrent readers, all through one
+// tables (child rows naming parent rows) plus concurrent readers, all through one
 // partition's writer; run under -race this checks the writer-mutex and
 // lock-free-reader discipline end to end. (The name predates the removal of
 // InsertBatch: the child writers insert their runs row by row.)
@@ -46,7 +44,7 @@ func TestConcurrentInsertBatchAcrossTables(t *testing.T) {
 	const batchLen = 8
 
 	// Pre-create one parent per writer so child inserts always have a
-	// valid FK target.
+	// parent to name.
 	parentIDs := make([]int64, writers)
 	for i := range parentIDs {
 		id, err := ins(s, "parent", vals{"name": fmt.Sprintf("p%d", i)})

@@ -108,7 +108,10 @@ func (p *partition) edit(lay *Layout, id int64) Draft {
 	}
 	p.writeMu.Lock()
 	defer p.writeMu.Unlock()
-	old := t.liveRow(id)
+	var old *Row
+	if c, ok := t.rows.Load(id); ok {
+		old = c.liveVersion()
+	}
 	if old == nil {
 		return Draft{err: fmt.Errorf("relstore: %s has no row %d", lay.schema.Name, id)}
 	}
@@ -118,10 +121,9 @@ func (p *partition) edit(lay *Layout, id int64) Draft {
 	return Draft{row: row}
 }
 
-// insert checks the draft's required columns, unique and foreign keys,
-// assigns the primary key, links the version and publishes it at a fresh
-// epoch. A draft that fails any check leaves no trace: no id, no epoch, no
-// WAL record.
+// insert checks the draft's required columns, assigns the primary key,
+// links the version and publishes it at a fresh epoch. A draft that fails
+// the check leaves no trace: no id, no epoch, no WAL record.
 func (p *partition) insert(s *Store, d *Draft) (int64, error) {
 	if d.err != nil {
 		return 0, d.err
@@ -140,16 +142,9 @@ func (p *partition) insert(s *Store, d *Draft) (int64, error) {
 	p.writeMu.Lock()
 	defer p.writeMu.Unlock()
 	e := p.epoch.Load() + 1
-	keys := t.buildUniqueKeys(row, nil)
-	if err := t.checkUnique(row, 0); err != nil {
-		return 0, err
-	}
-	if err := s.checkForeignKeys(p, t, row); err != nil {
-		return 0, err
-	}
 	id := t.alloc.Add(1)
 	row.id = id
-	t.putRowKeys(row, e, keys)
+	t.putRow(row, e)
 	p.epoch.Store(e)
 	t.live.Add(1)
 	if w := p.wal.Load(); w != nil {
@@ -180,17 +175,10 @@ func (p *partition) update(s *Store, d *Draft) error {
 	chain, _ := t.rows.Load(row.id)
 	old := row.prev.Load()
 	if chain == nil || chain.liveVersion() != old {
-		return fmt.Errorf("relstore: %s row %d changed after Edit", t.schema.Name, row.id)
-	}
-	keys := t.buildUniqueKeys(row, old)
-	if err := t.checkUnique(row, row.id); err != nil {
-		return err
-	}
-	if err := s.checkForeignKeys(p, t, row); err != nil {
-		return err
+		return fmt.Errorf("relstore: %s row %d changed after Edit", t.lay.schema.Name, row.id)
 	}
 	e := p.epoch.Load() + 1
-	t.supersede(chain, old, row, e, keys)
+	t.supersede(chain, old, row, e)
 	p.gcAfterWrite(chain, e-1)
 	p.epoch.Store(e)
 	if w := p.wal.Load(); w != nil {

@@ -127,7 +127,7 @@ type Query struct {
 // Select returns all rows matching the query, as of the newest published
 // epoch vector — the stored, immutable versions, as a Snapshot returns
 // them. Rows come back in OrderBy order when set,
-// otherwise in primary-key order — on the indexed, unique, and scan paths
+// otherwise in primary-key order — on the indexed and scan paths
 // alike, across partitions — so results are deterministic either way.
 func (s *Store) Select(q Query) ([]*Row, error) {
 	v, release := s.pinnedView()
@@ -212,11 +212,11 @@ func (v view) sel(q Query) ([]*Row, error) {
 }
 
 // gather collects one partition's matching rows at one epoch, in
-// primary-key order. Candidate rows come from an index bucket, a
-// unique-constraint bucket, or a full scan; all three yield primary-key
-// order. A bucket holds every row that ever had the key, so each candidate
-// is resolved at the epoch and re-checked against the conditions — the one
-// and only visibility filter an indexed read has.
+// primary-key order. Candidate rows come from an index bucket or a full
+// scan; both yield primary-key order. A bucket holds every row that ever
+// had the key, so each candidate is resolved at the epoch and re-checked
+// against the conditions — the one and only visibility filter an indexed
+// read has.
 func gather(t *table, epoch uint64, conds []slotCond) []*Row {
 	var out []*Row
 	if len(conds) > 0 {

@@ -29,9 +29,6 @@ type Layout struct {
 	nStrs    int
 	all      uint64 // a bit per column: the NULL bitmap of a row with nothing set
 	required uint64 // the bits of the columns that may not be NULL
-	unique   [][]Col
-	indexes  [][]Col
-	fks      []Col // ForeignKeys[i].Column
 }
 
 // idOrd is the primary key's ordinal: it has no NULL bit and no slot.
@@ -89,22 +86,6 @@ func compile(s *TableSchema, tid int) *Layout {
 		}
 		l.cols = append(l.cols, c)
 		l.byName[sc.Name] = c
-	}
-	resolve := func(names []string) []Col {
-		cols := make([]Col, len(names))
-		for i, n := range names {
-			cols[i] = l.byName[n]
-		}
-		return cols
-	}
-	for _, u := range s.Unique {
-		l.unique = append(l.unique, resolve(u))
-	}
-	for _, ix := range s.Indexes {
-		l.indexes = append(l.indexes, resolve(ix))
-	}
-	for _, fk := range s.ForeignKeys {
-		l.fks = append(l.fks, l.byName[fk.Column])
 	}
 	return l
 }

@@ -306,7 +306,7 @@ func TestCondsCompileOncePerSelect(t *testing.T) {
 		{"job", []Cond{Eq("runtime", true)}, "relstore: job.runtime: value true (bool) is not a float"},                     // scan
 		{"job", []Cond{Eq("wf_id", wf), Eq("runtime", "x")}, "relstore: job.runtime: value x (string) is not a float"},      // scan, second cond
 		{"workflow", []Cond{Eq("ts", "yesterday")}, "relstore: workflow.ts: value yesterday (string) is not a time"},        // scan
-		{"workflow", []Cond{Eq("wf_uuid", int64(1))}, "relstore: workflow.wf_uuid: value 1 (int64) is not a string"},        // unique index
+		{"workflow", []Cond{Eq("wf_uuid", int64(1))}, "relstore: workflow.wf_uuid: value 1 (int64) is not a string"},        // index
 		{"workflow", []Cond{Eq("submit_hostname", 3)}, "relstore: workflow.submit_hostname: value 3 (int) is not a string"}, // index
 	} {
 		if _, err := s.Select(Query{Table: tc.table, Conds: tc.conds}); err == nil || err.Error() != tc.wantErr {

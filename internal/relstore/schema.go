@@ -1,12 +1,13 @@
-// Package relstore is an embedded, in-process relational store: typed
-// tables with auto-increment primary keys, unique and secondary indexes,
-// foreign-key checks, predicate queries, and write-ahead-log persistence.
+// Package relstore is an embedded, in-process row store: typed tables of
+// versioned rows with auto-increment primary keys, secondary indexes,
+// predicate queries, and write-ahead-log persistence.
 //
 // The published Stampede loader writes to SQLite/MySQL/PostgreSQL through
-// SQLAlchemy; this repository is stdlib-only, so relstore supplies the
-// relational semantics the archive layer (the paper's Figure 3 schema)
-// needs: indexed point lookups for the high-rate load path and scans with
-// filters for the query interface.
+// SQLAlchemy; this repository is stdlib-only, so relstore supplies what the
+// archive layer (the paper's Figure 3 schema) needs from a database:
+// snapshot reads, indexed lookups for the query interface and durability.
+// It enforces no keys and no references: the archive decides the identity
+// of every row it writes, and archive.CheckIntegrity checks a whole store.
 package relstore
 
 import "fmt"
@@ -45,29 +46,18 @@ type Column struct {
 	Nullable bool
 }
 
-// ForeignKey declares that values of Column must name a row of RefTable by
-// its primary key: RefColumn must be "id", the only target any schema here
-// has ever declared, which makes the check one lock-free row lookup.
-type ForeignKey struct {
-	Column    string
-	RefTable  string
-	RefColumn string
-}
-
 // TableSchema describes a table. Every table gets an implicit integer
 // primary-key column named "id" that auto-increments; declaring a column
-// named "id" explicitly is an error.
+// named "id" explicitly is an error. A table's identity is its name and
+// columns; Indexes can change between opens (see Store.CreateTable).
+// Schemas recorded by older versions also carried unique and foreign keys;
+// decoding ignores them.
 type TableSchema struct {
 	Name    string
 	Columns []Column
-	// Unique constraints; each entry is a list of column names whose
-	// combined value must be unique across rows (nulls compare equal,
-	// intentionally stricter than SQL).
-	Unique [][]string
-	// Indexes are non-unique secondary indexes for fast equality lookup.
+	// Indexes are secondary indexes for fast equality lookup, each a list of
+	// column names.
 	Indexes [][]string
-	// ForeignKeys are checked on insert and update.
-	ForeignKeys []ForeignKey
 }
 
 func (s *TableSchema) validate() error {
@@ -90,38 +80,14 @@ func (s *TableSchema) validate() error {
 		}
 		seen[c.Name] = c.Type
 	}
-	check := func(kind string, cols []string) error {
-		if len(cols) == 0 {
-			return fmt.Errorf("relstore: table %s has an empty %s", s.Name, kind)
-		}
-		for _, c := range cols {
-			if _, ok := seen[c]; !ok && c != "id" {
-				return fmt.Errorf("relstore: table %s %s references unknown column %s", s.Name, kind, c)
-			}
-		}
-		return nil
-	}
-	for _, u := range s.Unique {
-		if err := check("unique constraint", u); err != nil {
-			return err
-		}
-	}
 	for _, ix := range s.Indexes {
-		if err := check("index", ix); err != nil {
-			return err
+		if len(ix) == 0 {
+			return fmt.Errorf("relstore: table %s has an empty index", s.Name)
 		}
-	}
-	for _, fk := range s.ForeignKeys {
-		ct, ok := seen[fk.Column]
-		if !ok {
-			return fmt.Errorf("relstore: table %s foreign key on unknown column %s", s.Name, fk.Column)
-		}
-		if fk.RefColumn != "id" {
-			return fmt.Errorf("relstore: table %s foreign key %s references %s.%s: only a primary key (id) can be referenced",
-				s.Name, fk.Column, fk.RefTable, fk.RefColumn)
-		}
-		if ct != Int {
-			return fmt.Errorf("relstore: table %s foreign key %s is a %s column: only an int can hold a primary key", s.Name, fk.Column, ct)
+		for _, c := range ix {
+			if _, ok := seen[c]; !ok && c != "id" {
+				return fmt.Errorf("relstore: table %s index references unknown column %s", s.Name, c)
+			}
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -16,9 +17,10 @@ import (
 //
 // The write surface is the size of its one client, the archive, which only
 // appends rows and rewrites columns of rows it appended: CreateTable, and
-// per partition Writer.NewRow + Insert and Writer.Edit + Update. There is no delete,
-// no bulk load and no way to switch a check off; Flush, SetSync, Checkpoint
-// and Close manage durability. Writers prune the row version chains they
+// per partition Writer.NewRow + Insert and Writer.Edit + Update. There is no
+// delete and no bulk load; a row is checked against its own columns only, as
+// the archive decides which rows exist and what they name. Flush, SetSync,
+// Checkpoint and Close manage durability. Writers prune the row version chains they
 // touch (see gcAfterWrite), so history never needs a sweep; indexes carry no
 // versions at all — an entry only nominates a row, whose own chain decides
 // what a reader sees (see postingIndex) — so they are never pruned either.
@@ -32,11 +34,8 @@ type Store struct {
 	parts []*partition
 
 	// createMu serializes CreateTable (which swaps every partition's table
-	// set) and guards allocs.
+	// set).
 	createMu sync.Mutex
-	// allocs holds the shared per-logical-table primary-key allocators;
-	// every partition's instance of one table points at the same counter.
-	allocs map[string]*atomic.Int64
 
 	// dir is the backing directory of a durable store (see OpenDir); empty
 	// for in-memory stores.
@@ -63,8 +62,7 @@ func NewStoreN(n int) *Store {
 		n = 1
 	}
 	s := &Store{
-		parts:  make([]*partition, n),
-		allocs: make(map[string]*atomic.Int64),
+		parts: make([]*partition, n),
 	}
 	for i := range s.parts {
 		s.parts[i] = newPartition(i)
@@ -157,44 +155,52 @@ func (w Writer) Edit(lay *Layout, id int64) Draft { return w.p.edit(lay, id) }
 func (w Writer) Update(d *Draft) error { return w.p.update(w.s, d) }
 
 // CreateTable registers a table in every partition. Each partition gets
-// its own instance (disjoint rows, private indexes) sharing one schema and
-// one primary-key allocator. Creating a table that already exists with an
-// identical schema is a no-op, so archive initialisation is idempotent.
+// its own instance (disjoint rows, private indexes) sharing one layout and
+// one primary-key allocator. A table is its name and columns: creating one
+// that exists with the same columns is a no-op when the index lists match,
+// so archive initialisation is idempotent; otherwise the caller's list
+// replaces the table's, every row is posted into the new indexes once and
+// the schema is logged again, so a store written with other indexes opens.
 func (s *Store) CreateTable(schema TableSchema) error {
 	if err := schema.validate(); err != nil {
 		return err
 	}
 	s.createMu.Lock()
 	defer s.createMu.Unlock()
-	if existing, ok := s.parts[0].tables.Load().byName[schema.Name]; ok {
-		if fmt.Sprintf("%+v", *existing.schema) == fmt.Sprintf("%+v", schema) {
+	cp := schema
+	existing, exists := s.parts[0].tables.Load().byName[schema.Name]
+	var lay *Layout
+	var alloc *atomic.Int64 // shared by every partition's instance
+	if exists {
+		if !slices.Equal(existing.lay.schema.Columns, schema.Columns) {
+			return fmt.Errorf("relstore: table %s already exists with different columns", schema.Name)
+		}
+		if slices.EqualFunc(existing.ixs.Load().decl, schema.Indexes, slices.Equal[[]string]) {
 			return nil
 		}
-		return fmt.Errorf("relstore: table %s already exists with a different schema", schema.Name)
-	}
-	cp := schema
-	lay := compile(&cp, len(s.parts[0].tables.Load().order))
-	alloc, ok := s.allocs[schema.Name]
-	if !ok {
-		alloc = &atomic.Int64{}
-		s.allocs[schema.Name] = alloc
+	} else {
+		lay, alloc = compile(&cp, len(s.parts[0].tables.Load().order)), &atomic.Int64{}
 	}
 	for _, p := range s.parts {
 		p.writeMu.Lock()
 		ts := p.tables.Load()
-		t := newTable(lay, alloc)
-		next := &tableSet{
-			byName: make(map[string]*table, len(ts.byName)+1),
-			order:  append(append([]string(nil), ts.order...), schema.Name),
-			list:   append(append([]*table(nil), ts.list...), t),
+		if exists {
+			ts.byName[schema.Name].reindex(cp.Indexes)
+		} else {
+			t := newTable(lay, cp.Indexes, alloc)
+			next := &tableSet{
+				byName: make(map[string]*table, len(ts.byName)+1),
+				order:  append(append([]string(nil), ts.order...), schema.Name),
+				list:   append(append([]*table(nil), ts.list...), t),
+			}
+			for k, v := range ts.byName {
+				next.byName[k] = v
+			}
+			next.byName[schema.Name] = t
+			p.tables.Store(next)
 		}
-		for k, v := range ts.byName {
-			next.byName[k] = v
-		}
-		next.byName[schema.Name] = t
-		p.tables.Store(next)
-		// Log the create while still holding writeMu, so no insert into the
-		// new table can precede it in this partition's WAL.
+		// Log the schema while still holding writeMu, so no insert into the
+		// table can precede it in this partition's WAL.
 		if w := p.wal.Load(); w != nil {
 			if err := w.logCreate(&cp); err != nil {
 				p.writeMu.Unlock()
@@ -243,59 +249,4 @@ func (s *Store) pinAll() []*epochPin {
 		pins[i] = p.pin()
 	}
 	return pins
-}
-
-// checkForeignKeys verifies row's FK values. A foreign key references a
-// primary key (TableSchema.validate refuses anything else), so the probe is
-// a lock-free read of the referenced row's chain — in p first, where the
-// archive's workflow routing puts nearly every parent, then in the other
-// partitions against their newest state; rows are never deleted, so a
-// parent found stays found.
-func (s *Store) checkForeignKeys(p *partition, t *table, row *Row) error {
-	for i, c := range t.lay.fks {
-		id, null := row.intAt(c)
-		if null {
-			continue // null FK means "no reference", as in SQL
-		}
-		fk := &t.schema.ForeignKeys[i]
-		ref, ok := p.tables.Load().byName[fk.RefTable]
-		if !ok {
-			return fmt.Errorf("relstore: %s.%s references missing table %s", t.schema.Name, fk.Column, fk.RefTable)
-		}
-		if !s.parentLive(p, ref, id) {
-			return &FKError{
-				Table: t.schema.Name, Column: fk.Column,
-				RefTable: fk.RefTable, RefColumn: fk.RefColumn, Value: id,
-			}
-		}
-	}
-	return nil
-}
-
-// parentLive reports whether id is the primary key of a live row of ref's
-// table, in ref (p's instance) or failing that in another partition's.
-func (s *Store) parentLive(p *partition, ref *table, id int64) bool {
-	if ref.liveRow(id) != nil {
-		return true
-	}
-	for _, q := range s.parts {
-		if q == p {
-			continue
-		}
-		if refq, ok := q.tables.Load().byName[ref.schema.Name]; ok && refq.liveRow(id) != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// FKError reports a foreign-key violation.
-type FKError struct {
-	Table, Column, RefTable, RefColumn string
-	Value                              int64
-}
-
-func (e *FKError) Error() string {
-	return fmt.Sprintf("relstore: %s.%s=%v has no match in %s.%s",
-		e.Table, e.Column, e.Value, e.RefTable, e.RefColumn)
 }

@@ -1,7 +1,7 @@
 package relstore
 
 import (
-	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -17,8 +17,7 @@ func wfSchema() TableSchema {
 			{Name: "submit_hostname", Type: Str, Nullable: true},
 			{Name: "ts", Type: Time},
 		},
-		Unique:  [][]string{{"wf_uuid"}},
-		Indexes: [][]string{{"submit_hostname"}},
+		Indexes: [][]string{{"wf_uuid"}, {"submit_hostname"}},
 	}
 }
 
@@ -31,9 +30,7 @@ func jobSchema() TableSchema {
 			{Name: "runtime", Type: Float, Nullable: true},
 			{Name: "done", Type: Bool, Nullable: true},
 		},
-		Unique:      [][]string{{"wf_id", "exec_job_id"}},
-		Indexes:     [][]string{{"wf_id"}},
-		ForeignKeys: []ForeignKey{{Column: "wf_id", RefTable: "workflow", RefColumn: "id"}},
+		Indexes: [][]string{{"wf_id"}},
 	}
 }
 
@@ -98,79 +95,6 @@ func TestInsertTypeErrors(t *testing.T) {
 	}
 }
 
-func TestUniqueConstraint(t *testing.T) {
-	s := newTestStore(t)
-	if _, err := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
-	var ue *UniqueError
-	if !errors.As(err, &ue) {
-		t.Fatalf("err = %v, want UniqueError", err)
-	}
-	if ue.Table != "workflow" || ue.ExistingID != 1 {
-		t.Fatalf("UniqueError = %+v", ue)
-	}
-
-	// Hand-off: A renamed off u1 frees it, B takes it, and A's rename back
-	// collides with B — the current holder, not A's own stale index entry.
-	const a = 1
-	if err := upd(s, "workflow", a, vals{"dax_label": "x"}); err != nil {
-		t.Fatalf("update leaving the unique key alone collided with itself: %v", err)
-	}
-	if err := upd(s, "workflow", a, vals{"wf_uuid": "u2"}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
-	if err != nil {
-		t.Fatalf("insert onto a vacated key refused: %v", err)
-	}
-	err = upd(s, "workflow", a, vals{"wf_uuid": "u1"})
-	if !errors.As(err, &ue) || ue.ExistingID != b {
-		t.Fatalf("rename back onto a re-taken key: err = %v, want UniqueError naming row %d", err, b)
-	}
-	if err := upd(s, "workflow", b, vals{"dax_label": "y"}); err != nil {
-		t.Fatalf("update leaving the unique key alone collided with itself: %v", err)
-	}
-}
-
-func TestCompositeUniqueAcrossColumns(t *testing.T) {
-	s := newTestStore(t)
-	wf, _ := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
-	if _, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "b"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "a"}); err == nil {
-		t.Fatal("composite duplicate accepted")
-	}
-	// Length-prefixed keys: ("a","bc") vs ("ab","c") must not collide.
-	if _, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "x"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestForeignKeyEnforced(t *testing.T) {
-	s := newTestStore(t)
-	_, err := ins(s, "job", vals{"wf_id": int64(7), "exec_job_id": "a"})
-	var fe *FKError
-	if !errors.As(err, &fe) {
-		t.Fatalf("err = %v, want FKError", err)
-	}
-	if n, _ := s.Count("job"); n != 0 {
-		t.Fatalf("rejected insert left %d rows", n)
-	}
-	wf, err := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ins(s, "job", vals{"wf_id": wf, "exec_job_id": "a"}); err != nil {
-		t.Fatalf("insert with a satisfied FK: %v", err)
-	}
-}
-
 func TestUpdate(t *testing.T) {
 	s := newTestStore(t)
 	wf, _ := ins(s, "workflow", vals{"wf_uuid": "u1", "ts": now})
@@ -207,16 +131,17 @@ func TestUpdateMaintainsIndexes(t *testing.T) {
 	if len(rows) != 1 || rows[0].ID() != id2 {
 		t.Fatalf("index stale after update: %v", rows)
 	}
-	// Unique index must move too: reusing u1 fails, but the old slot frees
-	// after an update away from it.
-	if err := upd(s, "workflow", id2, vals{"wf_uuid": "u1"}); err == nil {
-		t.Fatal("duplicate unique value accepted after update")
-	}
+	// The wf_uuid index moves too: after u1 is renamed away and another
+	// row takes it, the index names that row alone.
 	if err := upd(s, "workflow", id1, vals{"wf_uuid": "u9"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := upd(s, "workflow", id2, vals{"wf_uuid": "u1"}); err != nil {
-		t.Fatalf("unique slot not freed by update: %v", err)
+		t.Fatal(err)
+	}
+	row, err := s.SelectOne(Query{Table: "workflow", Conds: []Cond{Eq("wf_uuid", "u1")}})
+	if err != nil || row == nil || row.ID() != id2 {
+		t.Fatalf("wf_uuid=u1 after the hand-off: %v, %v; want row %d", row, err, id2)
 	}
 }
 
@@ -226,20 +151,13 @@ func TestCreateTableValidation(t *testing.T) {
 		{Name: ""},
 		{Name: "t", Columns: []Column{{Name: "id", Type: Int}}},
 		{Name: "t", Columns: []Column{{Name: "a", Type: Int}, {Name: "a", Type: Str}}},
-		{Name: "t", Columns: []Column{{Name: "a", Type: Int}}, Unique: [][]string{{"ghost"}}},
+		{Name: "t", Columns: []Column{{Name: "a", Type: Int}}, Indexes: [][]string{{"ghost"}}},
 		{Name: "t", Columns: []Column{{Name: "a", Type: Int}}, Indexes: [][]string{{}}},
-		{Name: "t", Columns: []Column{{Name: "a", Type: Int}}, ForeignKeys: []ForeignKey{{Column: "ghost"}}},
 	}
 	for i, sch := range bad {
 		if err := s.CreateTable(sch); err == nil {
 			t.Errorf("case %d: bad schema accepted", i)
 		}
-	}
-	// A foreign key may only reference a primary key.
-	err := s.CreateTable(TableSchema{Name: "job", Columns: []Column{{Name: "wf", Type: Str}},
-		ForeignKeys: []ForeignKey{{Column: "wf", RefTable: "workflow", RefColumn: "wf_uuid"}}})
-	if want := "relstore: table job foreign key wf references workflow.wf_uuid: only a primary key (id) can be referenced"; err == nil || err.Error() != want {
-		t.Errorf("foreign key on a non-primary column: err = %v, want %q", err, want)
 	}
 	good := wfSchema()
 	if err := s.CreateTable(good); err != nil {
@@ -248,9 +166,78 @@ func TestCreateTableValidation(t *testing.T) {
 	if err := s.CreateTable(good); err != nil {
 		t.Errorf("idempotent re-create failed: %v", err)
 	}
+	good.Columns = good.Columns[1:]
 	good.Indexes = nil
-	if err := s.CreateTable(good); err == nil || !strings.Contains(err.Error(), "different schema") {
+	if err := s.CreateTable(good); err == nil || !strings.Contains(err.Error(), "different columns") {
 		t.Errorf("conflicting re-create: %v", err)
+	}
+}
+
+// TestCreateTableReindexes: a table is its name and columns, so creating it
+// again with another index list replaces its indexes. Every row, and every
+// version a snapshot still reads, is found through the new indexes; the
+// new list is what the directory records, so a reopen needs no re-create.
+func TestCreateTableReindexes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDir(dir, Options{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := jobSchema()
+	if err := s.CreateTable(sch); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := insW(s.Writer(i%2), "job", vals{"wf_id": int64(i % 3), "exec_job_id": fmt.Sprint("j", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := s.Snapshot()
+	defer old.Close()
+	if err := updW(s.Writer(0), "job", 1, vals{"exec_job_id": "moved"}); err != nil {
+		t.Fatal(err)
+	}
+	sch.Indexes = [][]string{{"exec_job_id"}, {"wf_id", "exec_job_id"}}
+	if err := s.CreateTable(sch); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Reader{s, old} {
+		for _, conds := range [][]Cond{
+			{Eq("exec_job_id", "j0")}, {Eq("exec_job_id", "moved")},
+			{Eq("wf_id", int64(0)), Eq("exec_job_id", "j3")}, {Eq("wf_id", int64(1))},
+		} {
+			indexed, err := r.Select(Query{Table: "job", Conds: conds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			scanned, err := r.Select(Query{Table: "job", Where: func(row *Row) bool {
+				for _, c := range conds {
+					if get(row, c.Column) != c.Value {
+						return false
+					}
+				}
+				return true
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(indexed) != fmt.Sprint(scanned) {
+				t.Errorf("%v: indexed %v, scanned %v", conds, indexed, scanned)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDir(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, p := range re.parts {
+		if got := p.tables.Load().byName["job"].ixs.Load().decl; fmt.Sprint(got) != fmt.Sprint(sch.Indexes) {
+			t.Fatalf("partition %d reopened with indexes %v, want %v", p.idx, got, sch.Indexes)
+		}
 	}
 }
 

@@ -1,17 +1,15 @@
 package relstore
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // table holds one partition's rows of one TableSchema as multi-version
-// chains plus posting lists for unique constraints and secondary indexes. Visibility is a
+// chains plus posting lists for its secondary indexes. Visibility is a
 // property of rows only: a row's version chain decides what a reader at an
 // epoch sees, and an index entry is a hint — "row id held this key at some
 // epoch" — that is only ever added and that every reader re-checks against
@@ -21,26 +19,25 @@ import (
 // pointer/uint store, so readers race-freely observe a consistent prefix of
 // history at their pinned epoch.
 type table struct {
-	schema *TableSchema
-	lay    *Layout // shared by every partition's instance of the table
-	rows   rowMap  // id -> *rowChain, see rowmap.go
+	lay  *Layout // shared by every partition's instance of the table
+	rows rowMap  // id -> *rowChain, see rowmap.go
 	// alloc is the primary-key allocator, shared by every partition's
 	// instance of one logical table so ids are unique store-wide and —
 	// crucially — assigned in call order under sequential replay, which is
 	// what keeps Snapshot.Hash independent of the partition count.
-	alloc   *atomic.Int64
-	live    atomic.Int64 // rows visible at the newest epoch (O(1) Store.Count)
-	uniques []*postingIndex
-	indexes []*postingIndex
+	alloc *atomic.Int64
+	live  atomic.Int64 // rows visible at the newest epoch (O(1) Store.Count)
+	// ixs is the table's secondary indexes. CreateTable swaps in a new set
+	// when a caller declares another list (see reindex); the writer and
+	// every reader load it once per operation.
+	ixs atomic.Pointer[indexSet]
 
 	// Writer-owned scratch, valid only between two writes under writeMu:
-	// composite-key build buffers and the per-insert unique-key slice,
-	// reused so the common insert allocates no key material at all (keys
-	// are interned as strings only when a never-seen key value appears).
-	keyBuf   []byte
-	valBuf   []byte
-	ukeys    [][]byte
-	ubuckets []*postingBucket // buckets for ukeys, resolved by buildUniqueKeys
+	// composite-key build buffers, reused so the common insert allocates no
+	// key material at all (keys are interned as strings only when a
+	// never-seen key value appears).
+	keyBuf []byte
+	valBuf []byte
 
 	// Rows (with their slots, see rowSlab) and posting nodes are
 	// slab-allocated in writer-owned chunks: the loader inserts millions of
@@ -112,16 +109,6 @@ func (c *rowChain) visibleAt(e uint64) *Row {
 func (c *rowChain) liveVersion() *Row {
 	if v := c.head.Load(); v != nil && v.end.Load() == 0 {
 		return v
-	}
-	return nil
-}
-
-// liveRow returns the newest version of row id — the writer's view, which
-// the unique check and foreign-key probes decide on — or nil when the table
-// holds no such row. Lock-free, so a writer may probe another partition.
-func (t *table) liveRow(id int64) *Row {
-	if c, ok := t.rows.Load(id); ok {
-		return c.liveVersion()
 	}
 	return nil
 }
@@ -212,21 +199,6 @@ func (t *table) post(b *postingBucket, id int64) {
 	b.head.Store(n)
 }
 
-// postKey posts row id under key, whose bucket the caller already resolved
-// (nil when the key is unseen). When the key exists — the common case for
-// secondary indexes — nothing allocates beyond an amortised share of a node
-// slab; a never-seen key costs the one interned string (the map insert must
-// materialise it) plus a share of a bucket slab. Writer-only.
-func (t *table) postKey(ix *postingIndex, key []byte, b *postingBucket, id int64) {
-	if b == nil {
-		b = t.newBucket()
-		ix.mu.Lock()
-		ix.m[string(key)] = b
-		ix.mu.Unlock()
-	}
-	t.post(b, id)
-}
-
 // bucketInt returns a specialized single-Int index's bucket for value v, or
 // its NULL bucket. The writer calls it unlocked, as it reads ix.m; readers
 // hold mu.RLock.
@@ -237,7 +209,7 @@ func (ix *postingIndex) bucketInt(v int64, isNil bool) *postingBucket {
 	return ix.mi[v]
 }
 
-// postInt is postKey for a specialized single-Int index: no key encode.
+// postInt is postIndex for a specialized single-Int index: no key encode.
 func (t *table) postInt(ix *postingIndex, v int64, isNil bool, id int64) {
 	b := ix.bucketInt(v, isNil)
 	if b == nil {
@@ -303,61 +275,81 @@ func (t *table) noteID(id int64) {
 	}
 }
 
-func newTable(lay *Layout, alloc *atomic.Int64) *table {
-	t := &table{
-		schema:   lay.schema,
-		lay:      lay,
-		alloc:    alloc,
-		ukeys:    make([][]byte, len(lay.unique)),
-		ubuckets: make([]*postingBucket, len(lay.unique)),
-	}
-	for range lay.unique {
-		t.uniques = append(t.uniques, &postingIndex{m: map[string]*postingBucket{}})
-	}
-	for _, cols := range lay.indexes {
+func newTable(lay *Layout, indexes [][]string, alloc *atomic.Int64) *table {
+	t := &table{lay: lay, alloc: alloc}
+	t.ixs.Store(newIndexSet(lay, indexes))
+	return t
+}
+
+// indexSet is a table's secondary indexes: the column lists as declared
+// (TableSchema.Indexes), resolved against the layout, and a posting index
+// for each. It is immutable once published; the postings inside are not.
+type indexSet struct {
+	decl [][]string
+	cols [][]Col
+	ix   []*postingIndex
+}
+
+func newIndexSet(lay *Layout, decl [][]string) *indexSet {
+	s := &indexSet{decl: decl}
+	for _, names := range decl {
+		cols := make([]Col, len(names))
+		for i, n := range names {
+			cols[i] = lay.byName[n]
+		}
 		ix := &postingIndex{m: map[string]*postingBucket{}}
 		if len(cols) == 1 && cols[0].typ == Int {
 			ix.mi = map[int64]*postingBucket{}
 		}
-		t.indexes = append(t.indexes, ix)
+		s.cols = append(s.cols, cols)
+		s.ix = append(s.ix, ix)
 	}
-	return t
+	return s
+}
+
+// reindex replaces the table's secondary indexes with a set built from
+// decl and posts every version of every row into it, so a reader pinned
+// at any epoch finds through the new set what it found through the old
+// one. Writer-only.
+func (t *table) reindex(decl [][]string) {
+	ixs := newIndexSet(t.lay, decl)
+	t.rows.Range(func(_ int64, c *rowChain) bool {
+		for v := c.head.Load(); v != nil; v = v.prev.Load() {
+			for i, cols := range ixs.cols {
+				t.postIndex(ixs.ix[i], v, cols)
+			}
+		}
+		return true
+	})
+	t.ixs.Store(ixs)
 }
 
 // putRow installs a brand-new row (id already assigned) as a fresh chain
 // beginning at epoch e and indexes it. Writer-only. The caller maintains
 // t.live, bumping it only after the epoch publishes.
 func (t *table) putRow(row *Row, e uint64) {
-	t.putRowKeys(row, e, t.buildUniqueKeys(row, nil))
-}
-
-// putRowKeys is putRow with the row's unique keys already built (the
-// insert path computes them once and shares them between the unique check
-// and indexing).
-func (t *table) putRowKeys(row *Row, e uint64, ukeys [][]byte) {
 	row.begin = e
 	t.rows.slot(row.id).head.Store(row)
-	t.postUniqueKeys(ukeys, row.id)
-	for i, cols := range t.lay.indexes {
-		t.postIndex(t.indexes[i], row, cols)
+	ixs := t.ixs.Load()
+	for i, cols := range ixs.cols {
+		t.postIndex(ixs.ix[i], row, cols)
 	}
 }
 
-// supersede replaces the live version old of chain c with row at epoch e;
-// ukeys is buildUniqueKeys(row, old). Readers pinned below e keep seeing
-// old; readers at e and later see row. The row is posted under a key only
-// when the update moved one of that key's columns: the common archive
-// updates (exitcode, durations) leave every indexed column untouched, and
-// comparing slots is far cheaper than posting again. The entry under the
-// old key stays — readers pinned below e still find the row through it,
-// later ones drop it on the re-check — and the new key's bucket is not
-// probed for an entry the row may have left there earlier (w → v → w): a
-// repeat is the reader's to compact.
-func (t *table) supersede(c *rowChain, old, row *Row, e uint64, ukeys [][]byte) {
-	t.postUniqueKeys(ukeys, row.id)
-	for i, cols := range t.lay.indexes {
+// supersede replaces the live version old of chain c with row at epoch e.
+// Readers pinned below e keep seeing old; readers at e and later see row.
+// The row is posted under a key only when the update moved one of that
+// key's columns: the common archive updates (exitcode, durations) leave
+// every indexed column untouched, and comparing slots is far cheaper than
+// posting again. The entry under the old key stays — readers pinned below
+// e still find the row through it, later ones drop it on the re-check —
+// and the new key's bucket is not probed for an entry the row may have
+// left there earlier (w → v → w): a repeat is the reader's to compact.
+func (t *table) supersede(c *rowChain, old, row *Row, e uint64) {
+	ixs := t.ixs.Load()
+	for i, cols := range ixs.cols {
 		if !sameSlots(old, row, cols) {
-			t.postIndex(t.indexes[i], row, cols)
+			t.postIndex(ixs.ix[i], row, cols)
 		}
 	}
 	row.begin = e
@@ -366,17 +358,11 @@ func (t *table) supersede(c *rowChain, old, row *Row, e uint64, ukeys [][]byte) 
 	c.head.Store(row)
 }
 
-// postUniqueKeys posts row id under every key buildUniqueKeys built, in the
-// bucket it resolved.
-func (t *table) postUniqueKeys(ukeys [][]byte, id int64) {
-	for i, key := range ukeys {
-		if len(key) > 0 {
-			t.postKey(t.uniques[i], key, t.ubuckets[i], id)
-		}
-	}
-}
-
 // postIndex posts row under its key in the secondary index ix over cols.
+// When the key exists — the common case — nothing allocates beyond an
+// amortised share of a node slab; a never-seen key costs the one interned
+// string (the map insert must materialise it) plus a share of a bucket
+// slab. Writer-only.
 func (t *table) postIndex(ix *postingIndex, row *Row, cols []Col) {
 	if ix.mi != nil {
 		v, isNil := row.intAt(cols[0])
@@ -384,7 +370,14 @@ func (t *table) postIndex(ix *postingIndex, row *Row, cols []Col) {
 		return
 	}
 	t.keyBuf = t.keyInto(t.keyBuf[:0], row, cols)
-	t.postKey(ix, t.keyBuf, ix.m[string(t.keyBuf)], row.id)
+	b := ix.m[string(t.keyBuf)]
+	if b == nil {
+		b = t.newBucket()
+		ix.mu.Lock()
+		ix.m[string(t.keyBuf)] = b
+		ix.mu.Unlock()
+	}
+	t.post(b, row.id)
 }
 
 // appendKeyPart appends one column value to a composite key as
@@ -419,88 +412,21 @@ func (t *table) keyInto(dst []byte, row *Row, cols []Col) []byte {
 	return dst
 }
 
-// buildUniqueKeys fills t.ukeys with row's unique-constraint keys and
-// returns it; the slice and its buffers are scratch, valid until the
-// next build. Each key's bucket is resolved into t.ubuckets as a side
-// effect, so the unique check and the posting insert that follow pay for
-// one map lookup per constraint between them. For an update, old is the
-// version row replaces, and a constraint whose columns the update left
-// alone gets an empty key: there is nothing to check or post for it.
-// Writer-only.
-func (t *table) buildUniqueKeys(row, old *Row) [][]byte {
-	for i, cols := range t.lay.unique {
-		t.ukeys[i], t.ubuckets[i] = t.ukeys[i][:0], nil
-		if old == nil || !sameSlots(old, row, cols) {
-			t.ukeys[i] = t.keyInto(t.ukeys[i], row, cols)
-			t.ubuckets[i] = t.uniques[i].m[string(t.ukeys[i])]
-		}
-	}
-	return t.ukeys
-}
-
-// checkUnique verifies row's unique constraints against the writer's view,
-// probing the buckets buildUniqueKeys resolved for it (exclude is row's own
-// id, for updates). A key collides when some row ever posted under it,
-// other than exclude, holds it now: the bucket only nominates, the
-// candidate's live version decides — so a row renamed away from a key frees
-// it, and a rename back collides with whoever took it meanwhile. A
-// never-seen key (every non-duplicate insert) has no bucket and costs
-// nothing.
-func (t *table) checkUnique(row *Row, exclude int64) error {
-	for i, b := range t.ubuckets {
-		if b == nil {
+// indexCovering returns the secondary index declared over exactly the
+// columns of conds (order sensitive), or nil.
+func (t *table) indexCovering(conds []slotCond) *postingIndex {
+	ixs := t.ixs.Load()
+next:
+	for i, cols := range ixs.cols {
+		if len(cols) != len(conds) {
 			continue
 		}
-		for n := b.head.Load(); n != nil; n = n.next {
-			if n.id == exclude {
-				continue
-			}
-			if live := t.liveRow(n.id); live != nil && sameSlots(live, row, t.lay.unique[i]) {
-				return &UniqueError{Table: t.schema.Name, Columns: t.schema.Unique[i], ExistingID: n.id}
+		for j, c := range cols {
+			if c != conds[j].col {
+				continue next
 			}
 		}
+		return ixs.ix[i]
 	}
 	return nil
-}
-
-// indexCovering returns the secondary index, or failing that the unique
-// constraint's index, declared over exactly the columns of conds (order
-// sensitive), or nil.
-func (t *table) indexCovering(conds []slotCond) *postingIndex {
-	covers := func(cols []Col) bool {
-		if len(cols) != len(conds) {
-			return false
-		}
-		for i, c := range cols {
-			if c != conds[i].col {
-				return false
-			}
-		}
-		return true
-	}
-	for i, cols := range t.lay.indexes {
-		if covers(cols) {
-			return t.indexes[i]
-		}
-	}
-	for i, cols := range t.lay.unique {
-		if covers(cols) {
-			return t.uniques[i]
-		}
-	}
-	return nil
-}
-
-// UniqueError reports a unique-constraint violation. The loader relies on
-// it to implement idempotent replay (duplicate static events on workflow
-// restart are skipped, not fatal).
-type UniqueError struct {
-	Table      string
-	Columns    []string
-	ExistingID int64
-}
-
-func (e *UniqueError) Error() string {
-	return fmt.Sprintf("relstore: unique constraint on %s(%s) violated (existing row %d)",
-		e.Table, strings.Join(e.Columns, ","), e.ExistingID)
 }

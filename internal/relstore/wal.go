@@ -298,11 +298,11 @@ func (w *walWriter) logCreate(s *TableSchema) error {
 }
 
 func (w *walWriter) logInsert(t *table, rows []*Row) error {
-	return w.append(walRecord{op: opInsert, table: t.schema.Name, rows: rows})
+	return w.append(walRecord{op: opInsert, table: t.lay.schema.Name, rows: rows})
 }
 
 func (w *walWriter) logUpdate(t *table, full *Row) error {
-	return w.append(walRecord{op: opUpdate, table: t.schema.Name, row: full})
+	return w.append(walRecord{op: opUpdate, table: t.lay.schema.Name, row: full})
 }
 
 // flush makes every record appended before the call durable (fsynced when
@@ -560,7 +560,7 @@ func (s *Store) applyRecord(p *partition, rec walRecord, idLimit int64) error {
 		}
 		if c, ok := t.rows.Load(row.id); ok {
 			if old := c.liveVersion(); old != nil {
-				t.supersede(c, old, row, e, t.buildUniqueKeys(row, old))
+				t.supersede(c, old, row, e)
 				// Both versions carry epoch 1; nothing can ever read the
 				// superseded one, so drop it immediately.
 				pruneChain(c, e)

@@ -36,7 +36,6 @@ func fig3Schemas() []TableSchema {
 				{Name: "exitcode", Type: Int, Nullable: true},
 				{Name: "local_duration", Type: Float, Nullable: true},
 			},
-			Unique:  [][]string{{"job_id", "job_submit_seq"}},
 			Indexes: [][]string{{"job_id"}, {"host_id"}},
 		},
 		{

@@ -321,6 +321,22 @@ func shadowAudit(r *Report, res *Result) {
 	r.check("archive row counts match shadow replay",
 		mismatch == "",
 		"%d tables compared%s", len(names), mismatch)
+	integrityCheck(r, "run", res.Arch)
+	integrityCheck(r, "shadow replay", shadow)
+}
+
+// integrityCheck runs archive.CheckIntegrity over what arch holds now:
+// relstore keeps no keys or references, so this is where a fold that lost
+// a referenced row or doubled an entity shows.
+func integrityCheck(r *Report, what string, arch *archive.Archive) {
+	sn := arch.Snapshot()
+	defer sn.Close()
+	detail := "every reference names a live row, no identity key repeats"
+	err := archive.CheckIntegrity(sn)
+	if err != nil {
+		detail = err.Error()
+	}
+	r.check(what+" archive integrity", err == nil, "%s", detail)
 }
 
 // replayAudit is the eventlog-mode exactness oracle: instead of
@@ -364,6 +380,8 @@ func replayAudit(r *Report, res *Result) {
 	r.check("archive row counts match eventlog replay",
 		mismatch == "",
 		"%d tables compared%s", len(names), mismatch)
+	integrityCheck(r, "run", res.Arch)
+	integrityCheck(r, "eventlog replay", arch1)
 
 	hash1 := snapshotHash(r, arch1)
 	arch2, _, err := eventlog.Rebuild(res.Eventlog, 0)

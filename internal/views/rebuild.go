@@ -19,8 +19,8 @@ import (
 // original apply order — which makes even the order-sensitive P² quantile
 // estimators land in the same state as live maintenance. Mirroring the
 // archive's own reopen behaviour (warmCaches), the per-instance auto
-// invocation counter is *not* restored; invSeen is, so replayed
-// duplicates are still rejected.
+// invocation counter resumes above the largest stored sequence number,
+// and invSeen is restored, so replayed duplicates are still rejected.
 //
 // The anomaly detector is warmed with the recovered durations but alerts
 // are suppressed: they were already published (or deliberately dropped)
@@ -187,7 +187,9 @@ func (v *Views) BuildFromSnapshot(sn *relstore.Snapshot) error {
 		if is.invSeen == nil {
 			is.invSeen = make(map[int64]struct{}, 4)
 		}
-		is.invSeen[r.Int(c.Invocation.TaskSubmitSeq)] = struct{}{}
+		seq := r.Int(c.Invocation.TaskSubmitSeq)
+		is.invSeen[seq] = struct{}{}
+		is.invSeq = max(is.invSeq, seq+1)
 		w.invs++
 		if !r.IsNull(c.Invocation.RemoteDuration) {
 			d := r.Float(c.Invocation.RemoteDuration)

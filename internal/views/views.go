@@ -656,9 +656,8 @@ func (v *Views) observeLocked(st *vstripe, uuid string, ev *bp.Event) {
 		invSeq, ok := ev.Int(schema.AttrInvID)
 		if !ok {
 			// Mirrors applyInvEnd's auto-numbering: first unnumbered
-			// invocation gets 0. Note the archive resets this counter on
-			// reopen (warmCaches does not restore it); BuildFromSnapshot
-			// leaves it 0 for the same reason.
+			// invocation gets 0, and after a reopen (warmCaches,
+			// BuildFromSnapshot) one above the largest stored.
 			invSeq = is.invSeq
 			is.invSeq = invSeq + 1
 		}

@@ -30,7 +30,6 @@ var unreachableAllowed = map[string]string{
 	"trace.Ring.RecordCommit": "test seam: dashboard's /api/traces golden test serves a hand-built ring",
 	"health.Engine.Signal":    "test seam: dashboard's TestStalledSubscriberResyncsOffTheBus reads the bus drop rate back",
 	"relstore.Row.Layout":     "test seam: the archive and loader tests read a stored row column by column",
-	"relstore.Col.Type":       "test seam: the archive and loader tests read a stored row column by column",
 }
 
 // TestNothingUnreachable type-checks the module's non-test code and walks
