@@ -64,7 +64,8 @@ soak-smoke:
 # The loader benchmarks, including the snapshot-readers contention bench
 # and the pooled-parse micro-bench, parsed into BENCH_loader.json for
 # archiving. The loader benches also report allocs/event (a MemStats delta
-# over the timed region). The subscriber
+# over the timed region), and the build of the benchmark's 900k-line
+# scenario stream reports ns/line, allocs/line and B/line. The subscriber
 # fan-out family runs at a fixed iteration count: its acceptance is a
 # ratio (10k-subscriber throughput vs 0), so the three variants need
 # enough iterations that GC and flush-burst placement average out.
@@ -72,6 +73,7 @@ bench:
 	{ $(GO) test -bench 'BenchmarkLoader|BenchmarkReadersUnderLoad|BenchmarkParseBytes|BenchmarkEventlog|BenchmarkDashboardRequests' -benchmem -run XXX . ; \
 	  $(GO) test -bench 'BenchmarkWALAppend' -benchmem -run XXX ./internal/relstore ; \
 	  $(GO) test -bench 'BenchmarkMQTCP' -benchmem -run XXX ./internal/mq ; \
+	  $(GO) test -bench 'BenchmarkBuildStream' -benchmem -benchtime 3x -run XXX ./internal/synth ; \
 	  $(GO) test -bench 'BenchmarkSubscribersUnderLoad' -benchmem -benchtime 250x -run XXX . ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_loader.json
 

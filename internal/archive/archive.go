@@ -952,8 +952,11 @@ func (a *Archive) applyInvEnd(st *partState, ev *bp.Event) error {
 	seq, ok := ev.Int(schema.AttrInvID)
 	if !ok {
 		seq = is.invSeq
-		is.invSeq = seq + 1
 	}
+	// Every invocation, numbered or not, puts the next unnumbered one past
+	// itself, the rule warmCaches restores on reopen: numbering does not
+	// depend on whether the store was reopened in between.
+	is.invSeq = max(is.invSeq, seq+1)
 	k := instKey{is.id, seq}
 	if _, dup := st.invs[k]; dup {
 		mDuplicates.With(TInvocation).Inc()

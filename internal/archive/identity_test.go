@@ -141,6 +141,67 @@ func TestInvocationsWithoutIDAcrossReopen(t *testing.T) {
 	integrity(t, a, "after two sessions")
 }
 
+// TestInvocationNumberingIgnoresReopen: an inv.end without inv.id is
+// numbered one above every invocation its instance already has, numbered
+// or not, so a numbered invocation then an unnumbered one store the same
+// rows in one session as across a close and reopen. With inv.id=0 first,
+// the unnumbered one is not taken for its duplicate.
+func TestInvocationNumberingIgnoresReopen(t *testing.T) {
+	wf := uuid.New().String()
+	inv := func(sec int) *bp.Event {
+		return bp.New(schema.InvEnd, t0.Add(time.Duration(sec)*time.Second)).Set(schema.AttrXwfID, wf).
+			Set(schema.AttrJobID, "j").SetInt(schema.AttrJobInstID, 1).SetFloat(schema.AttrDur, 1)
+	}
+	for _, tc := range []struct {
+		first int64
+		want  string
+	}{{1, "[1 2]"}, {0, "[0 1]"}} {
+		evs := []*bp.Event{inv(0).SetInt(schema.AttrInvID, tc.first), inv(1)}
+		// load applies evs[i] in session sessions[i], each session a fresh
+		// OpenDir of dir, and returns the store as LoadDir reads it.
+		load := func(sessions []int) *Archive {
+			dir := filepath.Join(t.TempDir(), "archive")
+			for s := 0; s <= sessions[len(sessions)-1]; s++ {
+				a, err := OpenDir(dir, relstore.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, ev := range evs {
+					if sessions[i] == s {
+						applyAll(t, a, []*bp.Event{ev})
+					}
+				}
+				if err := a.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, err := LoadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+		one, two := load([]int{0, 0}), load([]int{0, 1})
+		for _, a := range []*Archive{one, two} {
+			rows, err := a.Store().Select(relstore.Query{Table: TInvocation, OrderBy: "task_submit_seq"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seqs []any
+			for _, r := range rows {
+				seqs = append(seqs, col(r, "task_submit_seq"))
+			}
+			if fmt.Sprint(seqs) != tc.want {
+				t.Errorf("inv.id=%d first: task_submit_seqs %v, want %s", tc.first, seqs, tc.want)
+			}
+			integrity(t, a, fmt.Sprintf("inv.id=%d first", tc.first))
+		}
+		if h1, h2 := storeHash(t, one), storeHash(t, two); h1 != h2 {
+			t.Errorf("inv.id=%d first: one session hashes %s, a reopen between the events %s", tc.first, h1, h2)
+		}
+	}
+}
+
 // copyRow inserts a copy of r through w, with the columns in set replaced.
 func copyRow(t *testing.T, w relstore.Writer, r *relstore.Row, set map[string]int64) {
 	t.Helper()

@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -61,11 +60,11 @@ type Stream struct {
 // garbageLines are the injected-malformed variants; each is rejected by
 // bp.Parse for a different reason (no pairs, missing event, bad
 // timestamp, unterminated quote).
-var garbageLines = []string{
-	"this line has no key value structure at all %%",
-	"ts=2012-03-13T12:00:00.000000Z",
-	"ts=@@not-a-time event=stampede.xwf.start",
-	`ts=2012-03-13T12:00:00.000000Z event=stampede.xwf.start k="unterminated`,
+var garbageLines = [][]byte{
+	[]byte("this line has no key value structure at all %%"),
+	[]byte("ts=2012-03-13T12:00:00.000000Z"),
+	[]byte("ts=@@not-a-time event=stampede.xwf.start"),
+	[]byte(`ts=2012-03-13T12:00:00.000000Z event=stampede.xwf.start k="unterminated`),
 }
 
 // BuildStream turns a validated scenario into a deterministic annotated
@@ -74,10 +73,12 @@ var garbageLines = []string{
 // stream — the soak report leans on that to predict the run exactly.
 //
 // The build runs on every core (runtime.GOMAXPROCS): a worker pool
-// generates and renders the workflows, while everything that depends on
+// generates and renders the workflows, and the lines are laid out in
+// publish order in parallel ranges, while everything that depends on
 // order (which workflows exist, the publish order, the fault draws, the
 // ledger) is decided by one goroutine in a fixed order, so the stream
-// does not depend on the core count.
+// does not depend on the core count. The stream is complete when it
+// returns, and no goroutine it started is still running.
 func BuildStream(sc *Scenario, durationSeconds float64) (*Stream, error) {
 	scale := 0.0
 	natural := 0.0
@@ -125,10 +126,12 @@ type workflow struct {
 // generate builds workflows until the population covers the offered
 // events. Workflow k is a pure function of the scenario and k, so a pool
 // of workers generates and renders them in parallel, each claiming the
-// next k; this goroutine takes them strictly in order of k, so which
-// workflows make up the stream and everything summed over them is the
-// same on any number of cores. It stops the pool the moment the
-// population is complete: no worker starts a workflow after that.
+// next k and generating it into a slab of its own, which it reuses once
+// the workflow is rendered; this goroutine takes them strictly in order of
+// k, so which workflows make up the stream and everything summed over them
+// is the same on any number of cores. It stops the pool the moment the
+// population is complete: no worker starts a workflow after that, and
+// every worker has exited when it returns.
 func (s *Stream) generate(total, maxEvents int) ([]workflow, error) {
 	sc := s.Scenario
 	// Weighted round-robin over tenants, deterministic in the arrival
@@ -149,9 +152,10 @@ func (s *Stream) generate(total, maxEvents int) ([]workflow, error) {
 	}
 
 	type generated struct {
-		k  int
-		tr *Trace // Events dropped once rendered
-		w  workflow
+		k    int
+		tr   *Trace // Events dropped once rendered
+		last []time.Time
+		w    workflow
 	}
 	workers := runtime.GOMAXPROCS(0)
 	results := make(chan generated, workers)
@@ -162,12 +166,14 @@ func (s *Stream) generate(total, maxEvents int) ([]workflow, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sl slab
 			var arena []byte
 			for !stop.Load() {
 				k := int(next.Add(1) - 1)
-				tr := Generate(pick(k).config(sc, k))
+				tr := sl.generate(pick(k).config(sc, k))
 				g := generated{k: k, tr: tr, w: workflow{span: tr.MakespanSeconds}}
 				g.w.lines, g.w.offs, arena = render(tr.Events, arena)
+				g.last = lastTS(tr, g.w.lines)
 				tr.Events = nil
 				results <- g
 			}
@@ -203,9 +209,9 @@ func (s *Stream) generate(total, maxEvents int) ([]workflow, error) {
 		s.FailedJobs += g.tr.FailedJobs
 		s.TotalRetries += g.tr.TotalRetries
 		s.Workflows++
-		s.WFLastTS[g.tr.RootUUID] = time.Time{}
-		for _, u := range g.tr.SubUUIDs {
-			s.WFLastTS[u] = time.Time{}
+		s.WFLastTS[g.tr.RootUUID] = g.last[0]
+		for i, u := range g.tr.SubUUIDs {
+			s.WFLastTS[u] = g.last[1+i]
 		}
 	}
 	s.Acct.Events = built
@@ -242,21 +248,30 @@ func render(evs []*bp.Event, arena []byte) ([]Line, []float64, []byte) {
 	return lines, offs, arena
 }
 
-// carve copies b to the end of block, starting a new block when b does
-// not fit, and returns the copy and the block. The copy is capped at its
-// own length, so appending to one line can never write into the next.
-func carve(block, b []byte) ([]byte, []byte) {
-	if cap(block)-len(block) < len(b) {
-		block = make([]byte, 0, max(arenaSize, len(b)))
+// lastTS returns the TS of the final line of each of the trace's
+// workflows, the root first and then its sub-workflows in order; zero for
+// one with no line. TS is at the microsecond precision the loader sees
+// after the round trip.
+func lastTS(tr *Trace, lines []Line) []time.Time {
+	last := make([]time.Time, 1+len(tr.SubUUIDs))
+	for i := range lines {
+		ln := &lines[i]
+		j := 0
+		if ln.WF != tr.RootUUID {
+			if j = slices.Index(tr.SubUUIDs, ln.WF); j < 0 {
+				continue
+			}
+			j++
+		}
+		if ln.TS.After(last[j]) {
+			last[j] = ln.TS
+		}
 	}
-	n := len(block)
-	block = append(block, b...)
-	return block[n:len(block):len(block)], block
+	return last
 }
 
 // entry is one event's place in the publish order.
 type entry struct {
-	sortT float64
 	wfIdx int32
 	evIdx int32
 }
@@ -265,9 +280,13 @@ type entry struct {
 // workflow j enters at the wall offset its first event is due under the
 // schedule, and its simulated timeline is compressed so late arrivals
 // interleave with earlier long-running workflows. Ties break on
-// (workflow, event) index, which is the order the entries are listed in,
-// so each workflow's events keep their causal order and the result is
-// the one a stable sort on sortT gives.
+// (workflow, event) index, so each workflow's events keep their causal
+// order and the result is the one a stable sort on the due time gives.
+//
+// A workflow's events are sorted by time, so their due times never fall:
+// each workflow is a sorted run, and the order is a k-way merge of the
+// runs through a heap of each workflow's next event, keyed on (due time,
+// workflow).
 func mergeOrder(plan *SchedulePlan, wfs []workflow) []entry {
 	maxMakespan := 0.0
 	n := 0
@@ -279,22 +298,82 @@ func mergeOrder(plan *SchedulePlan, wfs []workflow) []entry {
 	if maxMakespan > 0 {
 		compress = plan.DurationSeconds() / (maxMakespan + plan.DurationSeconds())
 	}
-	entries := make([]entry, 0, n)
+	due := func(j, i int32) float64 { return wfs[j].arrival + wfs[j].offs[i]*compress }
+
+	h := runHeap{next: make([]int32, len(wfs))}
 	for j, w := range wfs {
-		for i, off := range w.offs {
-			entries = append(entries, entry{sortT: w.arrival + off*compress, wfIdx: int32(j), evIdx: int32(i)})
+		if len(w.offs) > 0 {
+			h.push(head{due(int32(j), 0), int32(j)})
 		}
 	}
-	slices.SortFunc(entries, func(a, b entry) int {
-		if c := cmp.Compare(a.sortT, b.sortT); c != 0 {
-			return c
+	order := make([]entry, 0, n)
+	for len(order) < n {
+		j := h.heads[0].wf
+		i := h.next[j]
+		order = append(order, entry{wfIdx: j, evIdx: i})
+		if i++; int(i) < len(wfs[j].offs) {
+			h.next[j] = i
+			h.heads[0].t = due(j, i)
+			h.down(0)
+		} else {
+			h.pop()
 		}
-		if c := cmp.Compare(a.wfIdx, b.wfIdx); c != 0 {
-			return c
+	}
+	return order
+}
+
+// head is the next unmerged event of one workflow and its due time.
+type head struct {
+	t  float64
+	wf int32
+}
+
+// runHeap is mergeOrder's min-heap of workflow heads, ordered on (due
+// time, workflow); next is each workflow's next unmerged event.
+type runHeap struct {
+	heads []head
+	next  []int32
+}
+
+func (h *runHeap) less(a, b head) bool {
+	return a.t < b.t || a.t == b.t && a.wf < b.wf
+}
+
+func (h *runHeap) push(x head) {
+	h.heads = append(h.heads, x)
+	for i := len(h.heads) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(h.heads[i], h.heads[p]) {
+			break
 		}
-		return cmp.Compare(a.evIdx, b.evIdx)
-	})
-	return entries
+		h.heads[i], h.heads[p] = h.heads[p], h.heads[i]
+		i = p
+	}
+}
+
+func (h *runHeap) pop() {
+	last := len(h.heads) - 1
+	h.heads[0] = h.heads[last]
+	h.heads = h.heads[:last]
+	h.down(0)
+}
+
+// down restores the heap order below i after heads[i] grew.
+func (h *runHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h.heads) {
+			return
+		}
+		if c+1 < len(h.heads) && h.less(h.heads[c+1], h.heads[c]) {
+			c++
+		}
+		if !h.less(h.heads[c], h.heads[i]) {
+			return
+		}
+		h.heads[i], h.heads[c] = h.heads[c], h.heads[i]
+		i = c
+	}
 }
 
 // assemble lays the rendered lines out in publish order, giving each its
@@ -302,45 +381,96 @@ func mergeOrder(plan *SchedulePlan, wfs []workflow) []entry {
 // inserted before an event, or an event marked Drop. The fault rng is
 // separate from the generator rngs so tweaking a fault knob never
 // reshapes the workflows themselves — only which lines get mangled or
-// dropped. Bodies are copied out of the workers' blocks into blocks of
-// their own in publish order, so that a consumer reading the stream front
-// to back, as every run does, reads its bodies front to back too.
-func (s *Stream) assemble(entries []entry, wfs []workflow) {
+// dropped.
+//
+// Only the draws are sequential. The lines are then written on every core
+// (runtime.GOMAXPROCS), each goroutine taking one contiguous range of the
+// publish order; all have exited when it returns.
+func (s *Stream) assemble(order []entry, wfs []workflow) {
 	frng := rand.New(rand.NewSource(s.Scenario.Seed ^ 0x5eedfa07))
 	f := &s.Scenario.Faults
-	s.Lines = make([]Line, 0, len(entries)+len(entries)/16)
-	var block []byte
-	for i, en := range entries {
-		at := s.Plan.TimeAt(i)
+	var garbage, drops []int32 // positions in order, ascending
+	for i, en := range order {
 		if f.MalformedRate > 0 && frng.Float64() < f.MalformedRate {
-			g := garbageLines[s.Acct.InjectedMalformed%len(garbageLines)]
-			s.Lines = append(s.Lines, Line{
-				At:        at,
-				Key:       "stampede.injected.garbage",
-				Body:      slices.Clip([]byte(g)),
-				Malformed: true,
-			})
-			s.Acct.InjectedMalformed++
+			garbage = append(garbage, int32(i))
 		}
-		ln := wfs[en.wfIdx].lines[en.evIdx]
-		ln.At = at
-		ln.Body, block = carve(block, ln.Body)
 		if f.BrokerDropRate > 0 && frng.Float64() < f.BrokerDropRate {
-			ln.Drop = true
-			s.Acct.InjectedDrops++
-			if ln.WF != "" {
-				s.DroppedWFs[ln.WF] = true
-			}
-		}
-		s.Lines = append(s.Lines, ln)
-		if ln.WF != "" {
-			// Rendered BP timestamps carry microseconds; TS is at the same
-			// precision the loader will see after the round trip.
-			if last, ok := s.WFLastTS[ln.WF]; !ok || ln.TS.After(last) {
-				s.WFLastTS[ln.WF] = ln.TS
+			drops = append(drops, int32(i))
+			if wf := wfs[en.wfIdx].lines[en.evIdx].WF; wf != "" {
+				s.DroppedWFs[wf] = true
 			}
 		}
 	}
+	s.Lines = make([]Line, len(order)+len(garbage))
+	s.Acct.InjectedMalformed = len(garbage)
+	s.Acct.InjectedDrops = len(drops)
 	s.Acct.Emitted = len(s.Lines)
 	s.Acct.ToPublish = s.Acct.Emitted - s.Acct.InjectedDrops
+
+	workers := runtime.GOMAXPROCS(0)
+	per := (len(order) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(order); lo += per {
+		hi := min(lo+per, len(order))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.layOut(order, wfs, lo, hi, garbage, drops)
+		}()
+	}
+	wg.Wait()
+}
+
+// layOut writes the lines of publish positions lo..hi-1, and the garbage
+// lines before them, where they land in s.Lines. It copies every body out
+// of the workers' blocks (or the shared garbage lines) into blocks of its
+// own, in publish order, so that a consumer reading the stream front to
+// back, as every run does, reads its bodies front to back too. The last
+// block is sized to what is left, and each copy is capped at its own
+// length, so appending to one line can never write into the next.
+func (s *Stream) layOut(order []entry, wfs []workflow, lo, hi int, garbage, drops []int32) {
+	g, _ := slices.BinarySearch(garbage, int32(lo))
+	gEnd, _ := slices.BinarySearch(garbage, int32(hi))
+	d, _ := slices.BinarySearch(drops, int32(lo))
+	rest := 0
+	for _, en := range order[lo:hi] {
+		rest += len(wfs[en.wfIdx].lines[en.evIdx].Body)
+	}
+	for k := g; k < gEnd; k++ {
+		rest += len(garbageLines[k%len(garbageLines)])
+	}
+	var block []byte
+	carve := func(b []byte) []byte {
+		if cap(block)-len(block) < len(b) {
+			block = make([]byte, 0, min(max(arenaSize, len(b)), rest))
+		}
+		rest -= len(b)
+		n := len(block)
+		block = append(block, b...)
+		return block[n:len(block):len(block)]
+	}
+	out := lo + g
+	for i := lo; i < hi; i++ {
+		at := s.Plan.TimeAt(i)
+		if g < gEnd && int(garbage[g]) == i {
+			s.Lines[out] = Line{
+				At:        at,
+				Key:       "stampede.injected.garbage",
+				Body:      carve(garbageLines[g%len(garbageLines)]),
+				Malformed: true,
+			}
+			g++
+			out++
+		}
+		en := order[i]
+		ln := &s.Lines[out]
+		*ln = wfs[en.wfIdx].lines[en.evIdx]
+		ln.At = at
+		ln.Body = carve(ln.Body)
+		if d < len(drops) && int(drops[d]) == i {
+			ln.Drop = true
+			d++
+		}
+		out++
+	}
 }

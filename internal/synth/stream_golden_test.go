@@ -106,7 +106,8 @@ func hashTime(h hash.Hash, t time.Time) {
 // report and the benchmark predict a run from it, so no change to how the
 // stream is built may change what it holds. fault-soak.json covers the
 // malformed-line and broker-drop draws, steady.json the plain stream. The
-// digests must not depend on how many cores build it.
+// digests must not depend on how many cores build it: three cores split
+// the publish order into uneven ranges.
 func TestBuildStreamGolden(t *testing.T) {
 	cases := []struct {
 		file    string
@@ -117,7 +118,7 @@ func TestBuildStreamGolden(t *testing.T) {
 		{"steady.json", 5, 10013, "8bc9297a308c6e1c10af94c1fcdc9263d15c6e04ed771628125123997dc348b3"},
 		{"fault-soak.json", 6, 11171, "9fb392ac3e0470ba0b700223a4eca7a3904e8b46ac7ccc6ea637070fb8a7bf1d"},
 	}
-	for _, procs := range []int{1, 4} {
+	for _, procs := range []int{1, 3, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, tc := range cases {
 			s, err := BuildStream(loadScenarioFile(t, tc.file), tc.seconds)
@@ -133,6 +134,30 @@ func TestBuildStreamGolden(t *testing.T) {
 			}
 		}
 		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestBuildStreamLeavesNothingRunning: the stream is complete when
+// BuildStream returns, so none of the goroutines it starts outlives it. A
+// goroutine past its WaitGroup Done is still counted until it returns, so
+// the count gets a moment to settle; a leaked worker never would.
+func TestBuildStreamLeavesNothingRunning(t *testing.T) {
+	sc := loadScenarioFile(t, "fault-soak.json")
+	before := runtime.NumGoroutine()
+	for _, procs := range []int{1, 3} {
+		prev := runtime.GOMAXPROCS(procs)
+		_, err := BuildStream(sc, 2)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > before {
+			t.Fatalf("GOMAXPROCS=%d: %d goroutines after BuildStream returned, %d before", procs, n, before)
+		}
 	}
 }
 

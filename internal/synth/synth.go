@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/bp"
@@ -211,44 +212,104 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 // Generate builds the trace. The same Config (including Seed) always
 // produces the identical event stream.
 func Generate(cfg Config) *Trace {
+	return new(slab).generate(cfg)
+}
+
+// slab holds what generating a trace would otherwise allocate per event or
+// per trace: the events, their attribute pairs, the event list and the
+// rng. Generate uses a fresh slab for each trace. A BuildStream worker
+// keeps one and generates every workflow it claims into it, so a trace it
+// returns is valid only until its next generate; by then the worker has
+// rendered the trace's events, and they are garbage.
+type slab struct {
+	rng    *rand.Rand
+	events []*bp.Event  // the trace's event list, reused
+	evs    [][]bp.Event // chunks of eventChunk events
+	nev    int          // events handed out of evs
+	pairs  [][]bp.Pair  // chunks of pairChunk attribute pairs
+	npc    int          // chunks of pairs in use
+	free   []bp.Pair    // the unused rest of the chunk in use
+	buf    []byte       // scratch for building ids
+}
+
+const (
+	eventChunk = 256
+	pairChunk  = 2048
+	// attrWindow is the room an event's attributes get in a pair chunk,
+	// more than any generated event carries. One that outgrew it would
+	// still be correct: append moves it out of the chunk.
+	attrWindow = 16
+)
+
+// generate builds the trace for cfg into the slab, reusing whatever the
+// slab's previous trace held.
+func (s *slab) generate(cfg Config) *Trace {
 	cfg.fill()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	tr := &Trace{}
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		s.rng.Seed(cfg.Seed) // the same state rand.NewSource(cfg.Seed) starts in
+	}
+	s.nev, s.npc, s.free = 0, 0, nil
+	tr := &Trace{Events: s.events[:0]}
+	g := &gen{cfg: &cfg, rng: s.rng, tr: tr, slab: s}
 
 	hostNames := make([]string, cfg.Hosts)
 	for i := range hostNames {
-		hostNames[i] = fmt.Sprintf("worker%d", i+1)
+		hostNames[i] = "worker" + strconv.Itoa(i+1)
 	}
 	tr.Hostnames = hostNames
+	tr.RootUUID = g.uuidFor("root", -1)
 
-	rootUUID := uuid.NewV5(uuid.NamespaceStampede, fmt.Sprintf("%s-%d-root", cfg.Label, cfg.Seed)).String()
-	tr.RootUUID = rootUUID
-
-	nSub := cfg.SubWorkflows
-	if nSub <= 1 {
-		g := newGen(&cfg, rng, tr)
-		g.emitWorkflow(rootUUID, rootUUID, "", cfg.Jobs, 0, newSlots(hostNames, cfg.SlotsPerHost))
-		tr.MakespanSeconds = g.makespan
-		sortEvents(tr.Events)
-		return tr
-	}
-
-	// Meta-workflow: root has one submission job per sub-workflow; each
-	// sub-workflow carries its share of the exec jobs.
-	g := newGen(&cfg, rng, tr)
-	per := cfg.Jobs / nSub
-	extra := cfg.Jobs % nSub
-	subJobs := make([]int, nSub)
-	for i := range subJobs {
-		subJobs[i] = per
-		if i < extra {
-			subJobs[i]++
+	if nSub := cfg.SubWorkflows; nSub <= 1 {
+		g.emitWorkflow(tr.RootUUID, tr.RootUUID, "", cfg.Jobs, 0, newSlots(hostNames, cfg.SlotsPerHost))
+	} else {
+		// Meta-workflow: root has one submission job per sub-workflow; each
+		// sub-workflow carries its share of the exec jobs.
+		per := cfg.Jobs / nSub
+		extra := cfg.Jobs % nSub
+		subJobs := make([]int, nSub)
+		for i := range subJobs {
+			subJobs[i] = per
+			if i < extra {
+				subJobs[i]++
+			}
 		}
+		g.emitMetaRoot(tr.RootUUID, subJobs, cfg.Start, hostNames)
 	}
-	g.emitMetaRoot(rootUUID, subJobs, cfg.Start, hostNames)
-	tr.MakespanSeconds = g.makespan
 	sortEvents(tr.Events)
+	// The simulated wall time runs to the latest event, now the last.
+	tr.MakespanSeconds = max(0, tr.Events[len(tr.Events)-1].TS.Sub(cfg.Start).Seconds())
+	s.events = tr.Events
 	return tr
+}
+
+// event starts an event with no attributes, its pairs in the slab; finish
+// must complete it before the next one starts.
+func (s *slab) event(typ string, ts time.Time) *bp.Event {
+	if s.nev == len(s.evs)*eventChunk {
+		s.evs = append(s.evs, make([]bp.Event, eventChunk))
+	}
+	ev := &s.evs[s.nev/eventChunk][s.nev%eventChunk]
+	s.nev++
+	if len(s.free) < attrWindow {
+		if s.npc == len(s.pairs) {
+			s.pairs = append(s.pairs, make([]bp.Pair, pairChunk))
+		}
+		s.free = s.pairs[s.npc]
+		s.npc++
+	}
+	*ev = bp.Event{TS: ts, Type: typ, Attrs: s.free[:0:attrWindow]}
+	return ev
+}
+
+// finish caps ev's attributes at their length, so that setting one more
+// on a generated event moves its pairs rather than writing into the next
+// event's, and hands the rest of the window to the next event.
+func (s *slab) finish(ev *bp.Event) {
+	n := len(ev.Attrs)
+	ev.Attrs = ev.Attrs[:n:n]
+	s.free = s.free[min(n, attrWindow):]
 }
 
 func sortEvents(evs []*bp.Event) {
@@ -257,22 +318,63 @@ func sortEvents(evs []*bp.Event) {
 
 // gen carries generation state across one trace.
 type gen struct {
-	cfg *Config
-	rng *rand.Rand
-	tr  *Trace
-	// makespan tracks the latest event time relative to Start, seconds.
-	makespan float64
+	cfg  *Config
+	rng  *rand.Rand
+	tr   *Trace
+	slab *slab
 }
 
-func newGen(cfg *Config, rng *rand.Rand, tr *Trace) *gen {
-	return &gen{cfg: cfg, rng: rng, tr: tr}
-}
-
-func (g *gen) emit(ev *bp.Event) {
-	g.tr.Events = append(g.tr.Events, ev)
-	if d := ev.TS.Sub(g.cfg.Start).Seconds(); d > g.makespan {
-		g.makespan = d
+// emit completes ev as an event of workflow wf at the given level and
+// appends it to the trace. Every emitter sets its own attributes, never
+// level or xwf.id, in key order, so each of its Sets appends. emit keeps
+// the attributes sorted as bp.Attrs requires: level goes in before the
+// keys that sort after it, xwf.id, the greatest key, at the end.
+func (g *gen) emit(ev *bp.Event, wf, level string) {
+	a := ev.Attrs
+	i := len(a)
+	for i > 0 && a[i-1].Key > schema.AttrLevel {
+		i--
 	}
+	a = append(a, bp.Pair{})
+	copy(a[i+1:], a[i:])
+	a[i] = bp.Pair{Key: schema.AttrLevel, Val: level}
+	ev.Attrs = append(a, bp.Pair{Key: schema.AttrXwfID, Val: wf})
+	g.slab.finish(ev)
+	g.tr.Events = append(g.tr.Events, ev)
+}
+
+// uuidFor derives a workflow's uuid from the label and seed: the root's when
+// sub is negative, else sub-workflow sub's.
+func (g *gen) uuidFor(kind string, sub int) string {
+	b := append(g.slab.buf[:0], g.cfg.Label...)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, g.cfg.Seed, 10)
+	b = append(b, '-')
+	b = append(b, kind...)
+	if sub >= 0 {
+		b = strconv.AppendInt(b, int64(sub), 10)
+	}
+	g.slab.buf = b
+	return uuid.NewV5(uuid.NamespaceStampede, string(b)).String()
+}
+
+// id returns prefix, n zero-padded to width digits, then suffix; a
+// negative suffix is left out. It is fmt's "%s%0*d" and "_%d", for the
+// non-negative n the generator numbers jobs and tasks with.
+func (g *gen) id(prefix string, n, width, suffix int) string {
+	b := append(g.slab.buf[:0], prefix...)
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(n), 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	b = append(b, digits...)
+	if suffix >= 0 {
+		b = append(b, '_')
+		b = strconv.AppendInt(b, int64(suffix), 10)
+	}
+	g.slab.buf = b
+	return string(b)
 }
 
 func (g *gen) pickType(i int) JobType {
@@ -349,19 +451,15 @@ func (g *gen) emitWorkflow(wfUUID, rootUUID, parentUUID string, n int, startSec 
 	at := func(sec float64) time.Time {
 		return cfg.Start.Add(time.Duration(sec * float64(time.Second)))
 	}
-	base := func(typ string, sec float64) *bp.Event {
-		return bp.New(typ, at(startSec+sec)).Set(schema.AttrXwfID, wfUUID).Set(schema.AttrLevel, bp.LevelInfo)
-	}
+	base := func(typ string, sec float64) *bp.Event { return g.slab.event(typ, at(startSec+sec)) }
+	put := func(ev *bp.Event) { g.emit(ev, wfUUID, bp.LevelInfo) }
 
-	plan := base(schema.WfPlan, 0).
-		Set("submit.hostname", "submit-host").
-		Set("dax.label", cfg.Label).
-		Set(schema.AttrRootXwf, rootUUID)
+	plan := base(schema.WfPlan, 0).Set("dax.label", cfg.Label)
 	if parentUUID != "" {
 		plan.Set(schema.AttrParentXwf, parentUUID)
 	}
-	g.emit(plan)
-	g.emit(base(schema.StaticStart, 0))
+	put(plan.Set(schema.AttrRootXwf, rootUUID).Set("submit.hostname", "submit-host"))
+	put(base(schema.StaticStart, 0))
 
 	type jobSpec struct {
 		id      string
@@ -372,26 +470,34 @@ func (g *gen) emitWorkflow(wfUUID, rootUUID, parentUUID string, n int, startSec 
 	// emitStruct writes the static description (task.info, job.info and the
 	// task→job maps) for job i of type jt and returns its spec.
 	emitStruct := func(i int, jt JobType) jobSpec {
-		js := jobSpec{id: fmt.Sprintf("%s_j%04d", jt.Name, i), jt: jt}
-		for t := 0; t < cfg.TasksPerJob; t++ {
-			taskID := fmt.Sprintf("t_%s_%04d_%d", jt.Name, i, t)
-			js.tasks = append(js.tasks, taskID)
-			g.emit(base(schema.TaskInfo, 0).
-				Set(schema.AttrTaskID, taskID).
-				Set("type_desc", jt.Name).
-				Set(schema.AttrTransform, jt.Name))
+		js := jobSpec{id: g.id(jt.Name+"_j", i, 4, -1), jt: jt, tasks: make([]string, cfg.TasksPerJob)}
+		for t := range js.tasks {
+			js.tasks[t] = g.id("t_"+jt.Name+"_", i, 4, t)
+			put(base(schema.TaskInfo, 0).
+				Set(schema.AttrTaskID, js.tasks[t]).
+				Set(schema.AttrTransform, jt.Name).
+				Set("type_desc", jt.Name))
 		}
-		g.emit(base(schema.JobInfo, 0).
-			Set(schema.AttrJobID, js.id).
-			Set("type_desc", jt.Name).
+		put(base(schema.JobInfo, 0).
 			SetInt("clustered", boolInt(cfg.TasksPerJob > 1)).
-			SetInt("max_retries", int64(cfg.MaxRetries)).
 			Set(schema.AttrExecutable, "/opt/"+jt.Name).
-			SetInt("task_count", int64(cfg.TasksPerJob)))
+			Set(schema.AttrJobID, js.id).
+			SetInt("max_retries", int64(cfg.MaxRetries)).
+			SetInt("task_count", int64(cfg.TasksPerJob)).
+			Set("type_desc", jt.Name))
 		for _, taskID := range js.tasks {
-			g.emit(base(schema.MapTaskJob, 0).Set(schema.AttrTaskID, taskID).Set(schema.AttrJobID, js.id))
+			put(base(schema.MapTaskJob, 0).Set(schema.AttrJobID, js.id).Set(schema.AttrTaskID, taskID))
 		}
 		return js
+	}
+	// emitEdge writes the job and task edges from parent to child.
+	emitEdge := func(parent, child *jobSpec) {
+		put(base(schema.JobEdge, 0).
+			Set("child.job.id", child.id).
+			Set("parent.job.id", parent.id))
+		put(base(schema.TaskEdge, 0).
+			Set("child.task.id", child.tasks[0]).
+			Set("parent.task.id", parent.tasks[0]))
 	}
 	var jobs []jobSpec
 	if len(cfg.Stages) > 0 {
@@ -417,12 +523,7 @@ func (g *gen) emitWorkflow(wfUUID, rootUUID, parentUUID string, n int, startSec 
 						}
 						p := parents[j%len(parents)]
 						js.parents = append(js.parents, p)
-						g.emit(base(schema.JobEdge, 0).
-							Set("parent.job.id", jobs[p].id).
-							Set("child.job.id", js.id))
-						g.emit(base(schema.TaskEdge, 0).
-							Set("parent.task.id", jobs[p].tasks[0]).
-							Set("child.task.id", js.tasks[0]))
+						emitEdge(&jobs[p], &js)
 						break
 					}
 				}
@@ -438,24 +539,16 @@ func (g *gen) emitWorkflow(wfUUID, rootUUID, parentUUID string, n int, startSec 
 		// DAG edges: layered by Width.
 		if cfg.Width > 0 {
 			for i := cfg.Width; i < n; i++ {
-				parent := jobs[i-cfg.Width]
-				g.emit(base(schema.JobEdge, 0).
-					Set("parent.job.id", parent.id).
-					Set("child.job.id", jobs[i].id))
-				g.emit(base(schema.TaskEdge, 0).
-					Set("parent.task.id", parent.tasks[0]).
-					Set("child.task.id", jobs[i].tasks[0]))
+				emitEdge(&jobs[i-cfg.Width], &jobs[i])
 			}
 		}
 	}
-	g.emit(base(schema.StaticEnd, 0))
-	g.emit(base(schema.XwfStart, 0.5).SetInt("restart_count", 0))
+	put(base(schema.StaticEnd, 0))
+	put(base(schema.XwfStart, 0.5).SetInt("restart_count", 0))
 
 	// Execution events are timestamped in global seconds because the slot
 	// pool (possibly shared with sibling sub-workflows) is global.
-	gbase := func(typ string, gsec float64) *bp.Event {
-		return bp.New(typ, at(gsec)).Set(schema.AttrXwfID, wfUUID).Set(schema.AttrLevel, bp.LevelInfo)
-	}
+	gbase := func(typ string, gsec float64) *bp.Event { return g.slab.event(typ, at(gsec)) }
 	wfEnd := startSec + 0.5
 	anyFailed := false
 	jobEnds := make([]float64, len(jobs))
@@ -481,16 +574,18 @@ func (g *gen) emitWorkflow(wfUUID, rootUUID, parentUUID string, n int, startSec 
 			endT := execStart + dur
 			slots.book(host, slot, endT)
 
-			ji := func(typ string, gsec float64) *bp.Event {
-				return gbase(typ, gsec).Set(schema.AttrJobID, js.id).SetInt(schema.AttrJobInstID, seq)
+			// ji starts an event of this job instance, up to its job.id and
+			// job_inst.id; the keys sorting before them are the caller's.
+			ji := func(ev *bp.Event) *bp.Event {
+				return ev.Set(schema.AttrJobID, js.id).SetInt(schema.AttrJobInstID, seq)
 			}
-			g.emit(ji(schema.SubmitStart, ready))
-			g.emit(ji(schema.SubmitEnd, ready+0.01).SetInt(schema.AttrStatus, 0))
-			g.emit(ji(schema.MainStart, execStart))
-			g.emit(ji(schema.HostInfo, execStart).
-				Set(schema.AttrSite, "cloud").
+			put(ji(gbase(schema.SubmitStart, ready)))
+			put(ji(gbase(schema.SubmitEnd, ready+0.01)).SetInt(schema.AttrStatus, 0))
+			put(ji(gbase(schema.MainStart, execStart)))
+			put(ji(gbase(schema.HostInfo, execStart).
 				Set(schema.AttrHostname, hosts[host]).
-				Set("ip", fmt.Sprintf("10.0.0.%d", host+1)))
+				Set("ip", "10.0.0."+strconv.Itoa(host+1))).
+				Set(schema.AttrSite, "cloud"))
 			exit := int64(0)
 			if fails {
 				exit = 1
@@ -498,36 +593,33 @@ func (g *gen) emitWorkflow(wfUUID, rootUUID, parentUUID string, n int, startSec 
 			for ti, taskID := range js.tasks {
 				share := dur / float64(len(js.tasks))
 				invStart := execStart + float64(ti)*share
-				g.emit(ji(schema.InvStart, invStart).SetInt(schema.AttrInvID, int64(ti+1)))
-				g.emit(ji(schema.InvEnd, invStart+share).
-					SetInt(schema.AttrInvID, int64(ti+1)).
-					Set(schema.AttrStartTime, at(invStart).Format(bp.TimeFormat)).
+				put(ji(gbase(schema.InvStart, invStart).SetInt(schema.AttrInvID, int64(ti+1))))
+				put(ji(gbase(schema.InvEnd, invStart+share).
 					SetFloat(schema.AttrDur, round2(share)).
-					SetFloat(schema.AttrRemoteCPU, round2(share*0.97)).
 					SetInt(schema.AttrExitcode, exit).
-					Set(schema.AttrTransform, js.jt.Name).
-					Set(schema.AttrTaskID, taskID).
 					Set(schema.AttrHostname, hosts[host]).
-					Set(schema.AttrSite, "cloud"))
+					SetInt(schema.AttrInvID, int64(ti+1))).
+					SetFloat(schema.AttrRemoteCPU, round2(share*0.97)).
+					Set(schema.AttrSite, "cloud").
+					Set(schema.AttrStartTime, at(invStart).Format(bp.TimeFormat)).
+					Set(schema.AttrTaskID, taskID).
+					Set(schema.AttrTransform, js.jt.Name))
 			}
 			if fails {
 				// The paper's monitord announces each failed invocation with
 				// a dedicated error event before the terminal main.end; the
 				// archive materialises it as a MAIN_ERROR jobstate.
-				g.emit(ji(schema.MainError, endT).
-					Set(schema.AttrLevel, bp.LevelError).
+				g.emit(ji(gbase(schema.MainError, endT).SetInt(schema.AttrExitcode, exit)).
 					SetInt(schema.AttrStatus, -1).
-					SetInt(schema.AttrExitcode, exit).
-					Set(schema.AttrStderrText, "synthetic failure injected"))
+					Set(schema.AttrStderrText, "synthetic failure injected"), wfUUID, bp.LevelError)
 			}
-			mainEnd := ji(schema.MainEnd, endT).
-				SetInt(schema.AttrStatus, int64(exitStatus(exit))).
-				SetInt(schema.AttrExitcode, exit).
-				Set(schema.AttrSite, "cloud")
+			mainEnd := ji(gbase(schema.MainEnd, endT).SetInt(schema.AttrExitcode, exit)).
+				Set(schema.AttrSite, "cloud").
+				SetInt(schema.AttrStatus, int64(exitStatus(exit)))
 			if exit != 0 {
 				mainEnd.Set(schema.AttrStderrText, "synthetic failure injected")
 			}
-			g.emit(mainEnd)
+			put(mainEnd)
 			jobEnds[jidx] = endT
 			if endT > wfEnd {
 				wfEnd = endT
@@ -549,7 +641,7 @@ func (g *gen) emitWorkflow(wfUUID, rootUUID, parentUUID string, n int, startSec 
 	if anyFailed {
 		status = -1
 	}
-	g.emit(gbase(schema.XwfEnd, wfEnd+0.5).SetInt("restart_count", 0).SetInt(schema.AttrStatus, status))
+	put(gbase(schema.XwfEnd, wfEnd+0.5).SetInt("restart_count", 0).SetInt(schema.AttrStatus, status))
 	return wfEnd + 0.5
 }
 
@@ -560,58 +652,52 @@ func (g *gen) emitWorkflow(wfUUID, rootUUID, parentUUID string, n int, startSec 
 func (g *gen) emitMetaRoot(rootUUID string, subJobs []int, start time.Time, hosts []string) {
 	cfg := g.cfg
 	at := func(sec float64) time.Time { return start.Add(time.Duration(sec * float64(time.Second))) }
-	base := func(typ string, sec float64) *bp.Event {
-		return bp.New(typ, at(sec)).Set(schema.AttrXwfID, rootUUID).Set(schema.AttrLevel, bp.LevelInfo)
-	}
+	base := func(typ string, sec float64) *bp.Event { return g.slab.event(typ, at(sec)) }
+	put := func(ev *bp.Event) { g.emit(ev, rootUUID, bp.LevelInfo) }
 	slots := newSlots(hosts, cfg.SlotsPerHost)
-	g.emit(base(schema.WfPlan, 0).
-		Set("submit.hostname", "desktop").
+	put(base(schema.WfPlan, 0).
 		Set("dax.label", cfg.Label+"-meta").
-		Set(schema.AttrRootXwf, rootUUID))
-	g.emit(base(schema.StaticStart, 0))
+		Set(schema.AttrRootXwf, rootUUID).
+		Set("submit.hostname", "desktop"))
+	put(base(schema.StaticStart, 0))
 	subUUIDs := make([]string, len(subJobs))
+	jobIDs := make([]string, len(subJobs))
 	for i := range subJobs {
-		jobID := fmt.Sprintf("subwf_j%03d", i)
-		subUUIDs[i] = uuid.NewV5(uuid.NamespaceStampede,
-			fmt.Sprintf("%s-%d-sub%d", cfg.Label, cfg.Seed, i)).String()
-		g.emit(base(schema.JobInfo, 0).
-			Set(schema.AttrJobID, jobID).
-			Set("type_desc", "sub-workflow").
+		jobIDs[i] = g.id("subwf_j", i, 3, -1)
+		subUUIDs[i] = g.uuidFor("sub", i)
+		put(base(schema.JobInfo, 0).
 			SetInt("clustered", 0).
-			SetInt("max_retries", 0).
 			Set(schema.AttrExecutable, "triana-bundle").
-			SetInt("task_count", 0))
+			Set(schema.AttrJobID, jobIDs[i]).
+			SetInt("max_retries", 0).
+			SetInt("task_count", 0).
+			Set("type_desc", "sub-workflow"))
 	}
-	g.emit(base(schema.StaticEnd, 0))
-	g.emit(base(schema.XwfStart, 0.2).SetInt("restart_count", 0))
+	put(base(schema.StaticEnd, 0))
+	put(base(schema.XwfStart, 0.2).SetInt("restart_count", 0))
 	g.tr.SubUUIDs = subUUIDs
 
 	wfEnd := 0.2
 	for i, n := range subJobs {
-		jobID := fmt.Sprintf("subwf_j%03d", i)
-		ji := func(typ string, sec float64) *bp.Event {
-			return base(typ, sec).Set(schema.AttrJobID, jobID).SetInt(schema.AttrJobInstID, 1)
+		ji := func(ev *bp.Event) *bp.Event {
+			return ev.Set(schema.AttrJobID, jobIDs[i]).SetInt(schema.AttrJobInstID, 1)
 		}
 		subStart := 0.3 + 0.05*float64(i) // staggered HTTP POSTs
-		g.emit(ji(schema.SubmitStart, subStart))
-		g.emit(ji(schema.SubmitEnd, subStart+0.02).SetInt(schema.AttrStatus, 0))
-		g.emit(base(schema.MapSubwfJob, subStart+0.02).
-			Set(schema.AttrSubwfID, subUUIDs[i]).
-			Set(schema.AttrJobID, jobID).
-			SetInt(schema.AttrJobInstID, 1))
-		g.emit(ji(schema.MainStart, subStart+0.05))
+		put(ji(base(schema.SubmitStart, subStart)))
+		put(ji(base(schema.SubmitEnd, subStart+0.02)).SetInt(schema.AttrStatus, 0))
+		put(ji(base(schema.MapSubwfJob, subStart+0.02)).Set(schema.AttrSubwfID, subUUIDs[i]))
+		put(ji(base(schema.MainStart, subStart+0.05)))
 
 		subEnd := g.emitWorkflow(subUUIDs[i], rootUUID, rootUUID, n, subStart+0.1, slots)
 
-		g.emit(ji(schema.MainEnd, subEnd+0.05).
-			SetInt(schema.AttrStatus, 0).
-			SetInt(schema.AttrExitcode, 0).
-			Set(schema.AttrSite, "cloud"))
+		put(ji(base(schema.MainEnd, subEnd+0.05).SetInt(schema.AttrExitcode, 0)).
+			Set(schema.AttrSite, "cloud").
+			SetInt(schema.AttrStatus, 0))
 		if subEnd+0.05 > wfEnd {
 			wfEnd = subEnd + 0.05
 		}
 	}
-	g.emit(base(schema.XwfEnd, wfEnd+0.2).SetInt("restart_count", 0).SetInt(schema.AttrStatus, 0))
+	put(base(schema.XwfEnd, wfEnd+0.2).SetInt("restart_count", 0).SetInt(schema.AttrStatus, 0))
 }
 
 func boolInt(b bool) int64 {

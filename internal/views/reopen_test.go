@@ -70,3 +70,66 @@ func TestIDlessInvocationsAcrossReopen(t *testing.T) {
 	}
 	requireViewsEqual(t, live, rebuiltFrom(t, arch))
 }
+
+// TestInvocationNumberingIgnoresReopen: a numbered inv.end then an
+// unnumbered one on the same instance count twice in the live views, in one
+// session and across a reopen alike, and the live views equal views rebuilt
+// from the store. With inv.id=0 first, the unnumbered one is not taken for
+// its duplicate.
+func TestInvocationNumberingIgnoresReopen(t *testing.T) {
+	t0 := time.Date(2012, 3, 13, 12, 0, 0, 0, time.UTC)
+	line := func(sec int, id int64) string {
+		ev := bp.New(schema.InvEnd, t0.Add(time.Duration(sec)*time.Second)).Set(schema.AttrXwfID, "wf-numbering").
+			Set(schema.AttrJobID, "j").SetInt(schema.AttrJobInstID, 1).SetFloat(schema.AttrDur, 1)
+		if id >= 0 {
+			ev.SetInt(schema.AttrInvID, id)
+		}
+		return ev.Format() + "\n"
+	}
+	for _, first := range []int64{1, 0} {
+		for _, reopen := range []bool{false, true} {
+			dir := t.TempDir()
+			arch, err := archive.OpenDir(dir, relstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := views.New(views.Options{Clock: wfclock.NewManual(time.Unix(0, 0))})
+			load := func(text string) {
+				t.Helper()
+				ld, err := loader.New(arch, loader.Options{Views: live})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ld.LoadReader(strings.NewReader(text)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			load(line(0, first))
+			if reopen {
+				live.Close()
+				if err := arch.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if arch, err = archive.OpenDir(dir, relstore.Options{}); err != nil {
+					t.Fatal(err)
+				}
+				live = views.New(views.Options{Clock: wfclock.NewManual(time.Unix(0, 0))})
+				sn := arch.Snapshot()
+				err = live.BuildFromSnapshot(sn)
+				sn.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			load(line(1, -1))
+			if wfs := live.Workflows(); len(wfs) != 1 || wfs[0].Invocations != 2 {
+				t.Errorf("inv.id=%d first, reopen %v: live views count %+v, want one workflow with 2 invocations", first, reopen, wfs)
+			}
+			requireViewsEqual(t, live, rebuiltFrom(t, arch))
+			live.Close()
+			if err := arch.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -655,18 +655,18 @@ func (v *Views) observeLocked(st *vstripe, uuid string, ev *bp.Event) {
 		is := v.instFor(st, w, job, seq)
 		invSeq, ok := ev.Int(schema.AttrInvID)
 		if !ok {
-			// Mirrors applyInvEnd's auto-numbering: first unnumbered
-			// invocation gets 0, and after a reopen (warmCaches,
-			// BuildFromSnapshot) one above the largest stored.
 			invSeq = is.invSeq
-			is.invSeq = invSeq + 1
 		}
+		// Mirrors applyInvEnd's numbering: an unnumbered invocation gets
+		// one above the largest seen, numbered or not, the rule a reopen
+		// (warmCaches, BuildFromSnapshot) restores.
+		is.invSeq = max(is.invSeq, invSeq+1)
 		if is.invSeen == nil {
 			is.invSeen = make(map[int64]struct{}, 4)
 		}
 		if _, dup := is.invSeen[invSeq]; dup {
-			// The archive's unique constraint rejects the duplicate row;
-			// mirror that so view counts equal a rebuild from the store.
+			// The archive skips the duplicate invocation; mirror that so
+			// view counts equal a rebuild from the store.
 			return
 		}
 		is.invSeen[invSeq] = struct{}{}
