@@ -36,7 +36,9 @@ race:
 # reader (never panics or hangs, an accepted header re-encodes identically),
 # and on the views delta and listing encoders against encoding/json
 # (byte-identical wherever encoding/json accepts the view, valid JSON where
-# it does not; a listing row re-encoded whenever its workflow changed).
+# it does not; a listing row re-encoded whenever its workflow changed), and
+# on the schema's nl_ts check against bp.ParseTime (one accepts a timestamp
+# exactly when the other does).
 fuzz:
 	$(GO) test ./internal/bp -run FuzzParse -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/bp -run FuzzAppendFormat -fuzz FuzzAppendFormat -fuzztime 10s
@@ -46,6 +48,7 @@ fuzz:
 	$(GO) test ./internal/mq -run FuzzMQWire -fuzz FuzzMQWire -fuzztime 10s
 	$(GO) test ./internal/views -run FuzzDeltaEncoding -fuzz FuzzDeltaEncoding -fuzztime 10s
 	$(GO) test ./internal/views -run FuzzListingEncoding -fuzz FuzzListingEncoding -fuzztime 10s
+	$(GO) test ./internal/schema -run FuzzTimestampAgreement -fuzz FuzzTimestampAgreement -fuzztime 10s
 
 # A 30-second fault-plan soak through the whole pipeline
 # (mq → loader → archive), paced in real time, with ingest teed into an

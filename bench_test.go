@@ -132,7 +132,7 @@ func benchLoad(b *testing.B, jobs, batch int) {
 	// over many iterations, which skewed the cross-scale comparison.
 	{
 		a := archive.NewInMemory()
-		l, err := loader.New(a, loader.Options{BatchSize: batch, Validate: true})
+		l, err := loader.New(a, loader.Options{BatchSize: batch})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func benchLoad(b *testing.B, jobs, batch int) {
 		runtime.ReadMemStats(&ms0)
 		b.StartTimer()
 		a := archive.NewInMemory()
-		l, err := loader.New(a, loader.Options{BatchSize: batch, Validate: true})
+		l, err := loader.New(a, loader.Options{BatchSize: batch})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +199,6 @@ func BenchmarkLoaderScale10kEventlog(b *testing.B) {
 		a := archive.NewInMemory()
 		l, err := loader.New(a, loader.Options{
 			BatchSize: 512,
-			Validate:  true,
 			Tap: func(line []byte) error {
 				_, terr := lg.Append(line)
 				return terr
@@ -271,7 +270,7 @@ func benchLoadDurable(b *testing.B, jobs, batch int) {
 			b.Fatal(err)
 		}
 		a.Store().SetSync(true)
-		l, err := loader.New(a, loader.Options{BatchSize: batch, Validate: true})
+		l, err := loader.New(a, loader.Options{BatchSize: batch})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -360,7 +359,7 @@ func benchLoadParallel(b *testing.B, shards int) {
 			b.Fatal(err)
 		}
 		a.Store().SetSync(true)
-		l, err := loader.New(a, loader.Options{BatchSize: 1, Validate: false, Shards: shards})
+		l, err := loader.New(a, loader.Options{BatchSize: 1, Shards: shards})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -406,7 +405,7 @@ func benchLoadPartitioned(b *testing.B, parts int) {
 			b.Fatal(err)
 		}
 		a.Store().SetSync(true)
-		l, err := loader.New(a, loader.Options{BatchSize: 512, Validate: true, Shards: parts})
+		l, err := loader.New(a, loader.Options{BatchSize: 512, Shards: parts})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -442,7 +441,7 @@ func BenchmarkReadersUnderLoad8(b *testing.B) { benchReadersUnderLoad(b, 8) }
 
 func benchReadersUnderLoad(b *testing.B, readers int) {
 	a := archive.NewInMemory()
-	l, err := loader.New(a, loader.Options{BatchSize: 512, Validate: false})
+	l, err := loader.New(a, loader.Options{BatchSize: 512})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -555,7 +554,7 @@ func benchSubscribersUnderLoad(b *testing.B, subs int) {
 	a := archive.NewInMemory()
 	v := views.New(views.Options{})
 	defer v.Close()
-	l, err := loader.New(a, loader.Options{BatchSize: 512, Validate: false, Views: v})
+	l, err := loader.New(a, loader.Options{BatchSize: 512, Views: v})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -653,7 +652,7 @@ func BenchmarkDashboardRequestsView(b *testing.B) { benchDashboardRequests(b, tr
 func benchDashboardRequests(b *testing.B, useViews bool) {
 	trace := parallelTrace(32, 15)
 	a := archive.NewInMemoryN(4)
-	lopts := loader.Options{BatchSize: 512, Validate: false, Shards: 4}
+	lopts := loader.Options{BatchSize: 512, Shards: 4}
 	var v *views.Views
 	if useViews {
 		v = views.New(views.Options{})

@@ -68,7 +68,7 @@ func main() {
 		if *maxJobs >= 1000000 {
 			sizes = append(sizes, 1000000)
 		}
-		rows, err := experiments.LoaderScale(sizes, 512, true)
+		rows, err := experiments.LoaderScale(sizes, 512)
 		if err != nil {
 			return "", err
 		}

@@ -38,16 +38,15 @@ const drainTimeout = 30 * time.Second
 
 func main() {
 	var (
-		dbPath     = flag.String("db", "stampede.db", "archive store directory (created with one partition per shard if absent); -listen fsyncs its WAL on every loader sync, a file load never fsyncs")
-		listen     = flag.String("listen", "", "run as the live node: accept engines' events on this bus address instead of reading files")
-		httpAddr   = flag.String("http", "", "with -listen: serve the dashboard, its SSE streams and health on this address")
-		batchSize  = flag.Int("batch", loader.DefaultBatchSize, "insert batch size")
-		shards     = flag.Int("shards", 1, "parallel apply shards (events route by workflow id)")
-		noValidate = flag.Bool("no-validate", false, "skip schema validation")
-		lenient    = flag.Bool("lenient", false, "skip malformed/invalid events instead of failing")
-		verbose    = flag.Bool("v", false, "print per-source statistics")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/pprof and the health endpoints (/healthz, /readyz, /api/alerts, /api/buildinfo, /debug/bundle) on this address (empty = off)")
-		bundleDir  = flag.String("bundle-dir", ".", "firing alerts write diagnostics bundles here (empty = off)")
+		dbPath    = flag.String("db", "stampede.db", "archive store directory (created with one partition per shard if absent); -listen fsyncs its WAL on every loader sync, a file load never fsyncs")
+		listen    = flag.String("listen", "", "run as the live node: accept engines' events on this bus address instead of reading files")
+		httpAddr  = flag.String("http", "", "with -listen: serve the dashboard, its SSE streams and health on this address")
+		batchSize = flag.Int("batch", loader.DefaultBatchSize, "insert batch size")
+		shards    = flag.Int("shards", 1, "parallel apply shards (events route by workflow id)")
+		lenient   = flag.Bool("lenient", false, "skip malformed/invalid events instead of failing")
+		verbose   = flag.Bool("v", false, "print per-source statistics")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/pprof and the health endpoints (/healthz, /readyz, /api/alerts, /api/buildinfo, /debug/bundle) on this address (empty = off)")
+		bundleDir = flag.String("bundle-dir", ".", "firing alerts write diagnostics bundles here (empty = off)")
 	)
 	flag.Parse()
 	switch {
@@ -61,17 +60,15 @@ func main() {
 	var total loader.Stats
 	if *listen != "" {
 		total = runNode(core.Config{
-			DatabasePath:   *dbPath,
-			BatchSize:      *batchSize,
-			Shards:         *shards,
-			SkipValidation: *noValidate,
-			Lenient:        *lenient,
-			BundleDir:      *bundleDir,
+			DatabasePath: *dbPath,
+			BatchSize:    *batchSize,
+			Shards:       *shards,
+			Lenient:      *lenient,
+			BundleDir:    *bundleDir,
 		}, *listen, *httpAddr, *debugAddr)
 	} else {
 		total = loadFiles(*dbPath, loader.Options{
 			BatchSize: *batchSize,
-			Validate:  !*noValidate,
 			Lenient:   *lenient,
 			Shards:    *shards,
 		}, flag.Args(), *bundleDir, *debugAddr, *verbose)

@@ -27,7 +27,7 @@ func main() {
 	flag.Parse()
 
 	arch := archive.NewInMemory()
-	l, err := loader.New(arch, loader.Options{Validate: true})
+	l, err := loader.New(arch, loader.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func TestLoadAllocCeiling(t *testing.T) {
 	trace := experiments.TraceFor(2000)
 	load := func() uint64 {
 		a := archive.NewInMemory()
-		l, err := loader.New(a, loader.Options{BatchSize: 512, Validate: true})
+		l, err := loader.New(a, loader.Options{BatchSize: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestLoadAllocCeilingDurable(t *testing.T) {
 		load := func() (uint64, uint64) {
 			a := open()
 			defer a.Close()
-			l, err := loader.New(a, loader.Options{BatchSize: 512, Validate: true})
+			l, err := loader.New(a, loader.Options{BatchSize: 512})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +198,6 @@ func TestLoadAllocCeilingEventlog(t *testing.T) {
 		a := archive.NewInMemory()
 		l, err := loader.New(a, loader.Options{
 			BatchSize: 512,
-			Validate:  true,
 			Tap: func(line []byte) error {
 				_, terr := lg.Append(line)
 				return terr
@@ -246,7 +245,7 @@ func TestLoadAllocCeilingViews(t *testing.T) {
 		v := views.New(views.Options{Clock: wfclock.NewManual(time.Unix(0, 0))})
 		defer v.Close()
 		a := archive.NewInMemory()
-		l, err := loader.New(a, loader.Options{BatchSize: 512, Validate: true, Views: v})
+		l, err := loader.New(a, loader.Options{BatchSize: 512, Views: v})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +287,7 @@ func TestLoadAllocCeilingHealth(t *testing.T) {
 		a := archive.NewInMemory()
 		eng := health.Standard(health.Config{Every: 10 * time.Millisecond}, health.Sources{Store: a.Store()})
 		defer eng.Close()
-		l, err := loader.New(a, loader.Options{BatchSize: 512, Validate: true, Views: v})
+		l, err := loader.New(a, loader.Options{BatchSize: 512, Views: v})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,14 +84,13 @@ type partState struct {
 
 // instState is the per-job-instance hot-path state, held in one struct so
 // the lifecycle handlers resolve everything about an instance with a
-// single map lookup: the row id, the jobstate and invocation sequence
-// counters, and the latest EXECUTE timestamp — kept so main.end can compute
-// local_duration without selecting the instance's whole jobstate history
-// per terminating job.
+// single map lookup: the row id, the jobstate sequence counter, and the
+// latest EXECUTE timestamp — kept so main.end can compute local_duration
+// without selecting the instance's whole jobstate history per terminating
+// job.
 type instState struct {
 	id       int64
 	stateSeq int64
-	invSeq   int64
 	execTS   time.Time // zero = no EXECUTE seen
 }
 
@@ -102,6 +101,12 @@ type instState struct {
 // describes a new row or one that exists, at the cost of one map lookup.
 // The store below checks no keys and no references; CheckIntegrity
 // checks a whole store for both.
+//
+// The schema is the fold's contract: Apply and ApplyBatch run every event
+// through the Stampede schema validator before it takes a partition lock,
+// and refuse one it rejects. The handlers below therefore read mandatory
+// leaves without fallbacks: an event reaching them has each one, of its
+// declared type.
 //
 // Concurrency contract: Apply and ApplyBatch may be called from many
 // goroutines, provided all events of one workflow (one xwf.id) are applied
@@ -115,7 +120,8 @@ type instState struct {
 // are shared across workflows and pin to partition 0.
 type Archive struct {
 	store *relstore.Store
-	c     *Columns // every table's layout and column handles, resolved in New
+	c     *Columns         // every table's layout and column handles, resolved in New
+	val   schema.Validator // by value: an archive per benchmark op allocates no validator
 
 	wfMu  sync.RWMutex
 	wfIDs map[string]int64 // wf_uuid -> workflow row id
@@ -168,9 +174,14 @@ func New(store *relstore.Store) (*Archive, error) {
 	if err != nil {
 		return nil, err
 	}
+	val, err := schema.NewValidator()
+	if err != nil {
+		return nil, err
+	}
 	a := &Archive{
 		store:   store,
 		c:       c,
+		val:     *val,
 		wfIDs:   map[string]int64{},
 		hostIDs: map[hostKey]int64{},
 		host:    store.Writer(0),
@@ -313,11 +324,8 @@ func (a *Archive) warmCaches() error {
 		instByID[r.ID()] = is
 	}
 	for _, r := range sel(TInvocation) {
-		inst, seq := r.Int(c.Invocation.JobInstanceID), r.Int(c.Invocation.TaskSubmitSeq)
-		part(r.Int(c.Invocation.WfID)).invs[instKey{inst, seq}] = struct{}{}
-		if is := instByID[inst]; is != nil {
-			is.invSeq = max(is.invSeq, seq+1)
-		}
+		k := instKey{r.Int(c.Invocation.JobInstanceID), r.Int(c.Invocation.TaskSubmitSeq)}
+		part(r.Int(c.Invocation.WfID)).invs[k] = struct{}{}
 	}
 	for _, r := range sel(THost) {
 		a.hostIDs[hostKey{r.Str(c.Host.Site), r.Str(c.Host.Hostname), r.Str(c.Host.IP)}] = r.ID()
@@ -378,15 +386,23 @@ func (a *Archive) Flush() error { return a.store.Flush() }
 // Close flushes and closes the underlying store.
 func (a *Archive) Close() error { return a.store.Close() }
 
-// ErrUnknownEvent is wrapped by Apply for event types the archive does not
-// materialise. The loader counts and skips these rather than failing.
+// ErrUnknownEvent is wrapped by Apply for a schema event type the archive
+// has no handler for. The validator refuses every type the schema does not
+// declare first, and every declared type has a handler, so it marks a
+// container added to the schema without one. The loader counts it apart
+// from Invalid.
 var ErrUnknownEvent = errors.New("archive: event type not materialised")
 
-// Apply folds one event into the tables. Events must arrive in a causally
-// consistent order per workflow (the order engines emit them); duplicate
-// static events (workflow restarts re-emit task/job descriptions) are
-// tolerated and skipped.
+// Apply validates one event against the schema and folds it into the
+// tables; an event the validator refuses returns its *schema.ValidationError
+// and changes nothing. Events must arrive in a causally consistent order
+// per workflow (the order engines emit them); duplicate static events
+// (workflow restarts re-emit task/job descriptions) are tolerated and
+// skipped.
 func (a *Archive) Apply(ev *bp.Event) error {
+	if err := a.val.Validate(ev); err != nil {
+		return err
+	}
 	uuid := ev.Get(schema.AttrXwfID)
 	st := a.partOf(uuid)
 	st.mu.Lock()
@@ -408,11 +424,13 @@ func (st *partState) advance(uuid string, ts time.Time) {
 	}
 }
 
-// ApplyBatch folds a slice of events, holding each partition state's lock
-// across runs of consecutive same-partition events; the loader's batching
-// path. The first error aborts the rest of the batch; the returned count
-// is how many events were applied, so callers can resume after the
-// failing event without re-applying the prefix.
+// ApplyBatch validates and folds a slice of events, holding each partition
+// state's lock across runs of consecutive same-partition events; the
+// loader's batching path. The first error, a refusal by the validator
+// (checked before the event takes the lock) or a failed apply, aborts the
+// rest of the batch; the returned count is how many events were applied,
+// so callers can resume after the failing event without re-applying the
+// prefix.
 func (a *Archive) ApplyBatch(evs []*bp.Event) (n int, err error) {
 	var cur *partState
 	defer func() {
@@ -423,7 +441,17 @@ func (a *Archive) ApplyBatch(evs []*bp.Event) (n int, err error) {
 	// Counters move once per batch, not per event: the two atomic adds
 	// are measurable at loader rates and the totals only need to be
 	// eventually exact, which the error path below preserves.
+	fail := func(i int, err error) (int, error) {
+		if i > 0 {
+			a.applied.Add(uint64(i))
+			mApplied.Add(uint64(i))
+		}
+		return i, err
+	}
 	for i, ev := range evs {
+		if err := a.val.Validate(ev); err != nil {
+			return fail(i, err)
+		}
 		uuid := ev.Get(schema.AttrXwfID)
 		st := a.partOf(uuid)
 		if st != cur {
@@ -434,11 +462,7 @@ func (a *Archive) ApplyBatch(evs []*bp.Event) (n int, err error) {
 			cur = st
 		}
 		if err := a.applyLocked(st, ev); err != nil {
-			if i > 0 {
-				a.applied.Add(uint64(i))
-				mApplied.Add(uint64(i))
-			}
-			return i, fmt.Errorf("archive: %s: %w", ev.Type, err)
+			return fail(i, fmt.Errorf("archive: %s: %w", ev.Type, err))
 		}
 		st.advance(uuid, ev.TS)
 	}
@@ -621,11 +645,8 @@ func (a *Archive) applyWorkflowState(st *partState, ev *bp.Event, state string) 
 	d.SetTime(c.Timestamp, ev.TS)
 	restarts, _ := ev.Int("restart_count")
 	d.SetInt(c.RestartCount, restarts)
-	if ev.Has(schema.AttrStatus) {
-		status, err := needInt(ev, schema.AttrStatus)
-		if err != nil {
-			return err
-		}
+	if state == WFStateTerminated { // status is xwf.end's; xwf.start has none
+		status, _ := ev.Int(schema.AttrStatus)
 		d.SetInt(c.Status, status)
 	}
 	_, err = st.w.Insert(&d)
@@ -779,10 +800,7 @@ func (a *Archive) instRow(st *partState, ev *bp.Event) (*instState, error) {
 	if err != nil {
 		return nil, err
 	}
-	seq, err := needInt(ev, schema.AttrJobInstID)
-	if err != nil {
-		return nil, err
-	}
+	seq, _ := ev.Int(schema.AttrJobInstID)
 	k := instKey{jobRow, seq}
 	if is, ok := st.insts[k]; ok {
 		return is, nil
@@ -828,7 +846,7 @@ func (a *Archive) applyScriptEnd(st *partState, ev *bp.Event, okState, failState
 		return err
 	}
 	state := okState
-	if code, ok := ev.Int(schema.AttrExitcode); ok && code != 0 {
+	if code, _ := ev.Int(schema.AttrExitcode); code != 0 {
 		state = failState
 	}
 	return a.insertJobState(st, is, state, ev)
@@ -862,10 +880,7 @@ func (a *Archive) applyMainEnd(st *partState, ev *bp.Event) error {
 	if err != nil {
 		return err
 	}
-	exitcode, err := needInt(ev, schema.AttrExitcode)
-	if err != nil {
-		return err
-	}
+	exitcode, _ := ev.Int(schema.AttrExitcode)
 	c := &a.c.JobInstance
 	d := st.w.Edit(c.Layout, is.id)
 	d.SetInt(c.Exitcode, exitcode)
@@ -949,14 +964,7 @@ func (a *Archive) applyInvEnd(st *partState, ev *bp.Event) error {
 	if err != nil {
 		return err
 	}
-	seq, ok := ev.Int(schema.AttrInvID)
-	if !ok {
-		seq = is.invSeq
-	}
-	// Every invocation, numbered or not, puts the next unnumbered one past
-	// itself, the rule warmCaches restores on reopen: numbering does not
-	// depend on whether the store was reopened in between.
-	is.invSeq = max(is.invSeq, seq+1)
+	seq, _ := ev.Int(schema.AttrInvID)
 	k := instKey{is.id, seq}
 	if _, dup := st.invs[k]; dup {
 		mDuplicates.With(TInvocation).Inc()
@@ -971,32 +979,18 @@ func (a *Archive) applyInvEnd(st *partState, ev *bp.Event) error {
 	d.SetStr(c.Executable, ev.Get(schema.AttrExecutable))
 	d.SetStr(c.Argv, ev.Get(schema.AttrArgv))
 	d.SetStr(c.AbsTaskID, ev.Get(schema.AttrTaskID))
-	if ts := ev.Get(schema.AttrStartTime); ts != "" {
-		if parsed, err := bp.ParseTime(ts); err == nil {
-			d.SetTime(c.StartTime, parsed)
-		}
-	}
-	if dur, ok := ev.Float(schema.AttrDur); ok {
-		d.SetFloat(c.RemoteDuration, dur)
-	}
+	start, _ := bp.ParseTime(ev.Get(schema.AttrStartTime))
+	d.SetTime(c.StartTime, start)
+	dur, _ := ev.Float(schema.AttrDur)
+	d.SetFloat(c.RemoteDuration, dur)
 	if cpu, ok := ev.Float(schema.AttrRemoteCPU); ok {
 		d.SetFloat(c.RemoteCPUTime, cpu)
 	}
-	if x, ok := ev.Int(schema.AttrExitcode); ok {
-		d.SetInt(c.Exitcode, x)
-	}
+	exitcode, _ := ev.Int(schema.AttrExitcode)
+	d.SetInt(c.Exitcode, exitcode)
 	if _, err := st.w.Insert(&d); err != nil {
 		return err
 	}
 	st.invs[k] = struct{}{}
 	return nil
-}
-
-// needInt reads an integer attribute the event cannot be applied without.
-func needInt(ev *bp.Event, key string) (int64, error) {
-	n, ok := ev.Int(key)
-	if !ok {
-		return 0, fmt.Errorf("%s is missing or not an integer: %q", key, ev.Get(key))
-	}
-	return n, nil
 }

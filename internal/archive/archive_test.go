@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -315,11 +316,22 @@ func TestApplySubWorkflowLinkage(t *testing.T) {
 	}
 }
 
+// TestApplyUnknownEventType: an event type the schema does not declare is
+// the validator's to refuse, before the fold's dispatch sees it — a
+// *schema.ValidationError, not ErrUnknownEvent — and it changes nothing.
 func TestApplyUnknownEventType(t *testing.T) {
 	a := NewInMemory()
+	before := storeHash(t, a)
 	err := a.Apply(bp.New("stampede.mystery.event", t0).Set(schema.AttrXwfID, uuid.New().String()))
-	if !errors.Is(err, ErrUnknownEvent) {
-		t.Fatalf("err = %v, want ErrUnknownEvent", err)
+	var verr *schema.ValidationError
+	if !errors.As(err, &verr) || errors.Is(err, ErrUnknownEvent) || !strings.Contains(err.Error(), "unknown event type") {
+		t.Fatalf("err = %v, want the validator's refusal of an unknown event type", err)
+	}
+	if n, berr := a.ApplyBatch([]*bp.Event{bp.New("stampede.mystery.event", t0)}); n != 0 || !errors.As(berr, &verr) {
+		t.Fatalf("ApplyBatch = %d, %v; want 0 and the validator's refusal", n, berr)
+	}
+	if got := storeHash(t, a); got != before || a.Applied() != 0 {
+		t.Fatalf("the refused events changed the store: hash %s, was %s; applied %d", got, before, a.Applied())
 	}
 }
 

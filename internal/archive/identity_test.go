@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -102,23 +103,49 @@ func TestRestartReplayAcrossReopen(t *testing.T) {
 	integrity(t, re, "after the replay")
 }
 
-// TestInvocationsWithoutIDAcrossReopen: an inv.end without inv.id takes
-// the instance's next invocation sequence number, and a reopened archive
-// continues the sequence instead of restarting it at 0 — where the new
-// invocations would collide with the stored ones and be dropped.
+// invEnd is a complete stampede.inv.end of instance (j, 1) of workflow wf,
+// sec seconds after t0, numbered id.
+func invEnd(wf string, sec int, id int64) *bp.Event {
+	ts := t0.Add(time.Duration(sec) * time.Second)
+	return bp.New(schema.InvEnd, ts).Set(schema.AttrXwfID, wf).
+		Set(schema.AttrJobID, "j").SetInt(schema.AttrJobInstID, 1).SetInt(schema.AttrInvID, id).
+		Set(schema.AttrStartTime, ts.Format(bp.TimeFormat)).SetFloat(schema.AttrDur, 1).
+		SetInt(schema.AttrExitcode, 0).Set(schema.AttrTransform, "x")
+}
+
+// without returns a copy of ev lacking the attribute key.
+func without(ev *bp.Event, key string) *bp.Event {
+	out := bp.New(ev.Type, ev.TS)
+	for _, p := range ev.Attrs {
+		if p.Key != key {
+			out.Set(p.Key, p.Val)
+		}
+	}
+	return out
+}
+
+// TestInvocationsWithoutIDAcrossReopen: inv.id is mandatory, so an inv.end
+// without it is refused with the validator's error naming the leaf, in a
+// fresh store and in a reopened one alike, and changes neither; the
+// numbered invocations around it are stored under their own ids.
 func TestInvocationsWithoutIDAcrossReopen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "archive")
 	wf := uuid.New().String()
-	inv := func(sec int) *bp.Event {
-		return bp.New(schema.InvEnd, t0.Add(time.Duration(sec)*time.Second)).Set(schema.AttrXwfID, wf).
-			Set(schema.AttrJobID, "j").SetInt(schema.AttrJobInstID, 1).SetFloat(schema.AttrDur, 1)
-	}
 	for round := 0; round < 2; round++ {
 		a, err := OpenDir(dir, relstore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		applyAll(t, a, []*bp.Event{inv(2 * round), inv(2*round + 1)})
+		applyAll(t, a, []*bp.Event{invEnd(wf, 2*round, int64(round))})
+		before, applied := storeHash(t, a), a.Applied()
+		idless := without(invEnd(wf, 2*round+1, 0), schema.AttrInvID)
+		var verr *schema.ValidationError
+		if err := a.Apply(idless); !errors.As(err, &verr) || !strings.Contains(err.Error(), `"inv.id"`) {
+			t.Fatalf("round %d: id-less inv.end: err = %v, want the validator's refusal naming inv.id", round, err)
+		}
+		if got := storeHash(t, a); got != before || a.Applied() != applied {
+			t.Fatalf("round %d: the refused event changed the store (hash %s, was %s)", round, got, before)
+		}
 		if err := a.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -135,69 +162,63 @@ func TestInvocationsWithoutIDAcrossReopen(t *testing.T) {
 	for _, r := range rows {
 		seqs = append(seqs, col(r, "task_submit_seq"))
 	}
-	if fmt.Sprint(seqs) != "[0 1 2 3]" {
-		t.Fatalf("invocation task_submit_seqs %v, want [0 1 2 3]", seqs)
+	if fmt.Sprint(seqs) != "[0 1]" {
+		t.Fatalf("invocation task_submit_seqs %v, want [0 1]", seqs)
 	}
 	integrity(t, a, "after two sessions")
 }
 
-// TestInvocationNumberingIgnoresReopen: an inv.end without inv.id is
-// numbered one above every invocation its instance already has, numbered
-// or not, so a numbered invocation then an unnumbered one store the same
-// rows in one session as across a close and reopen. With inv.id=0 first,
-// the unnumbered one is not taken for its duplicate.
+// TestInvocationNumberingIgnoresReopen: an invocation is identified by its
+// instance and its inv.id alone, so the same events — inv.id 1, then 0,
+// then 1 again (a restart's re-emission) — store the same rows in one
+// session as with a close and reopen between any two of them: two
+// invocations, numbered 0 and 1, the repeat skipped.
 func TestInvocationNumberingIgnoresReopen(t *testing.T) {
 	wf := uuid.New().String()
-	inv := func(sec int) *bp.Event {
-		return bp.New(schema.InvEnd, t0.Add(time.Duration(sec)*time.Second)).Set(schema.AttrXwfID, wf).
-			Set(schema.AttrJobID, "j").SetInt(schema.AttrJobInstID, 1).SetFloat(schema.AttrDur, 1)
+	evs := []*bp.Event{invEnd(wf, 0, 1), invEnd(wf, 1, 0), invEnd(wf, 2, 1)}
+	// load applies evs[i] in session sessions[i], each session a fresh
+	// OpenDir of dir, and returns the store as LoadDir reads it.
+	load := func(sessions []int) *Archive {
+		dir := filepath.Join(t.TempDir(), "archive")
+		for s := 0; s <= sessions[len(sessions)-1]; s++ {
+			a, err := OpenDir(dir, relstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ev := range evs {
+				if sessions[i] == s {
+					applyAll(t, a, []*bp.Event{ev})
+				}
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, err := LoadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
 	}
-	for _, tc := range []struct {
-		first int64
-		want  string
-	}{{1, "[1 2]"}, {0, "[0 1]"}} {
-		evs := []*bp.Event{inv(0).SetInt(schema.AttrInvID, tc.first), inv(1)}
-		// load applies evs[i] in session sessions[i], each session a fresh
-		// OpenDir of dir, and returns the store as LoadDir reads it.
-		load := func(sessions []int) *Archive {
-			dir := filepath.Join(t.TempDir(), "archive")
-			for s := 0; s <= sessions[len(sessions)-1]; s++ {
-				a, err := OpenDir(dir, relstore.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, ev := range evs {
-					if sessions[i] == s {
-						applyAll(t, a, []*bp.Event{ev})
-					}
-				}
-				if err := a.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			a, err := LoadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
+	var want string
+	for _, sessions := range [][]int{{0, 0, 0}, {0, 1, 1}, {0, 0, 1}, {0, 1, 2}} {
+		a := load(sessions)
+		rows, err := a.Store().Select(relstore.Query{Table: TInvocation, OrderBy: "task_submit_seq"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		one, two := load([]int{0, 0}), load([]int{0, 1})
-		for _, a := range []*Archive{one, two} {
-			rows, err := a.Store().Select(relstore.Query{Table: TInvocation, OrderBy: "task_submit_seq"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var seqs []any
-			for _, r := range rows {
-				seqs = append(seqs, col(r, "task_submit_seq"))
-			}
-			if fmt.Sprint(seqs) != tc.want {
-				t.Errorf("inv.id=%d first: task_submit_seqs %v, want %s", tc.first, seqs, tc.want)
-			}
-			integrity(t, a, fmt.Sprintf("inv.id=%d first", tc.first))
+		var seqs []any
+		for _, r := range rows {
+			seqs = append(seqs, col(r, "task_submit_seq"))
 		}
-		if h1, h2 := storeHash(t, one), storeHash(t, two); h1 != h2 {
-			t.Errorf("inv.id=%d first: one session hashes %s, a reopen between the events %s", tc.first, h1, h2)
+		if fmt.Sprint(seqs) != "[0 1]" {
+			t.Errorf("sessions %v: task_submit_seqs %v, want [0 1]", sessions, seqs)
+		}
+		integrity(t, a, fmt.Sprintf("sessions %v", sessions))
+		if h := storeHash(t, a); want == "" {
+			want = h
+		} else if h != want {
+			t.Errorf("sessions %v: hash %s, one session hashes %s", sessions, h, want)
 		}
 	}
 }
@@ -242,7 +263,8 @@ func TestCheckIntegrityNamesViolations(t *testing.T) {
 		wf := uuid.New().String()
 		applyAll(t, a, append(emitWorkflow(wf),
 			bp.New(schema.TaskEdge, t0).Set(schema.AttrXwfID, wf).Set("parent.task.id", "a").Set("child.task.id", "b"),
-			bp.New(schema.WfPlan, t0).Set(schema.AttrXwfID, uuid.New().String()).Set(schema.AttrParentXwf, wf)))
+			bp.New(schema.WfPlan, t0).Set(schema.AttrXwfID, uuid.New().String()).Set(schema.AttrParentXwf, wf).
+				Set("submit.hostname", "desktop").Set(schema.AttrRootXwf, wf)))
 		integrity(t, a, "the unmutated store")
 		first := map[string]*relstore.Row{}
 		for _, ts := range Schemas() {

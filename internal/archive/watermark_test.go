@@ -28,10 +28,10 @@ func TestWatermarkPerPartition(t *testing.T) {
 	var evs [parts][]*bp.Event
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < workflows; i++ {
-			wf := fmt.Sprintf("wf-%05d", i)
+			wf := fmt.Sprintf("00000000-0000-4000-8000-%012d", i)
 			ts := t0.Add(time.Duration((i*7919+r*104729)%100000) * time.Millisecond)
 			p := Route(wf, parts)
-			evs[p] = append(evs[p], bp.New(schema.XwfStart, ts).Set(schema.AttrXwfID, wf))
+			evs[p] = append(evs[p], bp.New(schema.XwfStart, ts).Set(schema.AttrXwfID, wf).SetInt("restart_count", 0))
 			if ts.After(want[p]) {
 				want[p] = ts
 			}
@@ -102,14 +102,15 @@ func TestWatermarkPerArchive(t *testing.T) {
 	defer b.Close()
 	defer c.Close()
 
-	applyAll(t, a, emitWorkflow("wf-shared"))
+	const shared = "5e1f0c3a-7d2b-4c8e-9a61-0b3d4e5f6a7b"
+	applyAll(t, a, emitWorkflow(shared))
 	late := t0.Add(time.Hour)
-	if err := b.Apply(bp.New(schema.XwfStart, late).Set(schema.AttrXwfID, "wf-shared")); err != nil {
+	if err := b.Apply(bp.New(schema.XwfStart, late).Set(schema.AttrXwfID, shared).SetInt("restart_count", 0)); err != nil {
 		t.Fatal(err)
 	}
 
 	var newest time.Time
-	for _, ev := range emitWorkflow("wf-shared") {
+	for _, ev := range emitWorkflow(shared) {
 		if ev.TS.After(newest) {
 			newest = ev.TS
 		}

@@ -37,12 +37,6 @@ func (a Attrs) Lookup(key string) (string, bool) {
 	return "", false
 }
 
-// Has reports whether key is present.
-func (a Attrs) Has(key string) bool {
-	_, ok := a.Lookup(key)
-	return ok
-}
-
 // Set stores key=val, replacing any existing value (last write wins, the
 // same semantics the old map representation had for duplicate keys).
 // Insertion keeps the slice sorted; appending already-sorted input — the

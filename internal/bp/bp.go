@@ -92,9 +92,6 @@ func (e *Event) SetFloat(key string, v float64) *Event {
 // Get returns the attribute value, or "" when absent.
 func (e *Event) Get(key string) string { return e.Attrs.Get(key) }
 
-// Has reports whether the attribute is present.
-func (e *Event) Has(key string) bool { return e.Attrs.Has(key) }
-
 // Int reads the attribute as a base-10 integer. ok is false, and the value
 // 0, when the attribute is absent or is not an integer that fits in int64.
 // An absent attribute costs no allocation, so the apply path reads optional
@@ -113,8 +110,9 @@ func (e *Event) Int(key string) (int64, bool) {
 
 // Float reads the attribute as a finite float64, with Int's (value, ok)
 // contract. "NaN" and "±Inf" parse but count as malformed: no decimal
-// column holds one, and one would poison a quantile estimate for good (the
-// validator refuses them too, but validation is optional).
+// column holds one, and one would poison a quantile estimate for good. The
+// schema's decimal64 check refuses the same values, so on an event the
+// archive has validated, Float of a mandatory decimal leaf is always ok.
 func (e *Event) Float(key string) (float64, bool) {
 	v, ok := e.Attrs.Lookup(key)
 	if !ok {
@@ -384,9 +382,9 @@ func unquoteSlow(line string, vs int) (string, int, error) {
 
 // ParseTime decodes a BP timestamp value: the canonical ISO 8601 layout
 // (via an allocation-free fixed-width fast path), any RFC 3339 variant,
-// or fractional seconds since the epoch. Exported so consumers of
-// timestamp-valued attributes (the archive's inv.end start_time) can
-// reuse the loader's tolerance without formatting a synthetic line.
+// or fractional seconds since the epoch within years 1–9999. It is the one
+// definition of a valid nl_ts: the schema's timestamp check calls it, and
+// the archive reads inv.end's start_time with it.
 func ParseTime(v string) (time.Time, error) {
 	if t, ok := parseCanonicalTS(v); ok {
 		return t, nil

@@ -53,9 +53,6 @@ type Config struct {
 	// Shards is the loader's apply-shard count: N > 1 loads distinct
 	// workflows in parallel (see loader.Options.Shards).
 	Shards int
-	// Validate runs schema validation on every event (default on; set
-	// SkipValidation to disable for trusted producers).
-	SkipValidation bool
 	// Lenient makes malformed or invalid events non-fatal.
 	Lenient bool
 	// BundleDir is where firing alerts write diagnostics bundles; empty
@@ -118,7 +115,6 @@ func Start(cfg Config) (*Stampede, error) {
 	ldr, err := loader.New(arch, loader.Options{
 		BatchSize:  cfg.BatchSize,
 		FlushEvery: cfg.FlushEvery,
-		Validate:   !cfg.SkipValidation,
 		Lenient:    cfg.Lenient,
 		Shards:     cfg.Shards,
 		Views:      vw,

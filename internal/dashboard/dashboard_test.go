@@ -22,7 +22,7 @@ func serve(t *testing.T, cfg synth.Config) (*httptest.Server, *synth.Trace) {
 	t.Helper()
 	tr := synth.Generate(cfg)
 	a := archive.NewInMemory()
-	l, err := loader.New(a, loader.Options{Validate: true})
+	l, err := loader.New(a, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestRunningWorkflowState(t *testing.T) {
 	// dashboard must report RUNNING.
 	tr := synth.Generate(synth.Config{Seed: 7, Jobs: 4})
 	a := archive.NewInMemory()
-	l, _ := loader.New(a, loader.Options{Validate: true})
+	l, _ := loader.New(a, loader.Options{})
 	var buf bytes.Buffer
 	for _, ev := range tr.Events {
 		if ev.Type == "stampede.xwf.end" {

@@ -33,7 +33,7 @@ func TestReadersOverLoadDirOfLiveWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	l, err := loader.New(a, loader.Options{Shards: 4, Validate: true, BatchSize: 16})
+	l, err := loader.New(a, loader.Options{Shards: 4, BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

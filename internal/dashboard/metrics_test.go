@@ -93,7 +93,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer arch.Close()
 	arch.Store().SetSync(true) // make the load exercise WAL fsyncs
 
-	loadSynth(t, arch, loader.Options{Validate: true, Shards: 4, BatchSize: 64},
+	loadSynth(t, arch, loader.Options{Shards: 4, BatchSize: 64},
 		synth.Config{Seed: 7, Jobs: 24, Hosts: 3})
 
 	broker := mq.NewBroker()
@@ -228,7 +228,7 @@ func TestWorkflowsGolden(t *testing.T) {
 	for _, withViews := range []bool{false, true} {
 		arch := archive.NewInMemory()
 		defer arch.Close()
-		opts := loader.Options{Validate: true}
+		opts := loader.Options{}
 		var v *views.Views
 		if withViews {
 			v = views.New(views.Options{})

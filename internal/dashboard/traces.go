@@ -88,7 +88,7 @@ td, th { border: 1px solid #ccc; padding: 4px 8px; text-align: left; font-size: 
 .lane { position: relative; height: 18px; min-width: 360px; background: #f4f4f4; }
 .bar { position: absolute; top: 2px; height: 14px; opacity: 0.85; }
 .bar.emit { background: #888; } .bar.route { background: #b58900; }
-.bar.parse { background: #268bd2; } .bar.validate { background: #6c71c4; }
+.bar.parse { background: #268bd2; }
 .bar.queue { background: #2aa198; } .bar.apply { background: #859900; }
 .bar.commit { background: #cb4b16; } .bar.dropped { background: #dc322f; }
 .legend span { display: inline-block; margin-right: 1em; font-size: 13px; }
@@ -102,7 +102,6 @@ JSON at <a href="/api/traces">/api/traces</a>.</p>
 <span><span class="swatch bar emit"></span>emit</span>
 <span><span class="swatch bar route"></span>route</span>
 <span><span class="swatch bar parse"></span>parse</span>
-<span><span class="swatch bar validate"></span>validate</span>
 <span><span class="swatch bar queue"></span>queue</span>
 <span><span class="swatch bar apply"></span>apply</span>
 <span><span class="swatch bar commit"></span>commit</span>

@@ -23,16 +23,14 @@ func fixtureRing() *trace.Ring {
 	r.Record(0x2a, trace.StageEmit, "wf-aaaa", base, base+2*ms)
 	r.Record(0x2a, trace.StageRoute, "wf-aaaa", base+2*ms, base+5*ms)
 	r.Record(0x2a, trace.StageParse, "wf-aaaa", base+5*ms, base+5*ms+ms/2)
-	r.Record(0x2a, trace.StageValidate, "wf-aaaa", base+5*ms+ms/2, base+6*ms)
-	r.Record(0x2a, trace.StageQueue, "wf-aaaa", base+6*ms, base+30*ms)
+	r.Record(0x2a, trace.StageQueue, "wf-aaaa", base+5*ms+ms/2, base+30*ms)
 	r.Record(0x2a, trace.StageApply, "wf-aaaa", base+30*ms, base+32*ms)
 	r.RecordCommit(0x2a, "wf-aaaa", base+32*ms, base+33*ms, 7)
 
 	fb := base + 100*ms
 	r.Record(0x77, trace.StageEmit, "wf-bbbb", fb, fb+ms)
 	r.Record(0x77, trace.StageParse, "wf-bbbb", fb+ms, fb+2*ms)
-	r.Record(0x77, trace.StageValidate, "wf-bbbb", fb+2*ms, fb+3*ms)
-	r.Record(0x77, trace.StageQueue, "wf-bbbb", fb+3*ms, fb+50*ms)
+	r.Record(0x77, trace.StageQueue, "wf-bbbb", fb+2*ms, fb+50*ms)
 	r.Record(0x77, trace.StageApply, "wf-bbbb", fb+50*ms, fb+58*ms)
 	r.RecordCommit(0x77, "wf-bbbb", fb+58*ms, fb+60*ms, 8)
 

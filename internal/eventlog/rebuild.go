@@ -44,10 +44,9 @@ func Rebuild(lg *Log, upTo uint64) (*archive.Archive, loader.Stats, error) {
 //     run; nothing re-derives or re-synthesizes data.
 func RebuildInto(lg *Log, upTo uint64, arch *archive.Archive) (loader.Stats, error) {
 	ld, err := loader.New(arch, loader.Options{
-		Validate: true,
-		Lenient:  true,
-		Shards:   1,
-		Clock:    wfclock.NewManual(time.Unix(0, 0)),
+		Lenient: true,
+		Shards:  1,
+		Clock:   wfclock.NewManual(time.Unix(0, 0)),
 	})
 	if err != nil {
 		return loader.Stats{}, err

@@ -53,7 +53,7 @@ func loadSynth(cfg synth.Config) (*query.QI, *synth.Trace, int64, error) {
 		return nil, nil, 0, err
 	}
 	a := archive.NewInMemory()
-	l, err := loader.New(a, loader.Options{Validate: true})
+	l, err := loader.New(a, loader.Options{})
 	if err != nil {
 		return nil, nil, 0, err
 	}

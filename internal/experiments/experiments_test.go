@@ -89,7 +89,7 @@ func TestRunDARTFullPaperShape(t *testing.T) {
 }
 
 func TestLoaderScaleMonotoneEvents(t *testing.T) {
-	rows, err := LoaderScale([]int{100, 500, 2000}, 512, true)
+	rows, err := LoaderScale([]int{100, 500, 2000}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

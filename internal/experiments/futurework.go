@@ -83,7 +83,7 @@ func TrianaLoadScaling(sizes []int) ([]TrianaLoadRow, error) {
 			return nil, err
 		}
 		a := archive.NewInMemory()
-		l, err := loader.New(a, loader.Options{Validate: true})
+		l, err := loader.New(a, loader.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +100,7 @@ func TrianaLoadScaling(sizes []int) ([]TrianaLoadRow, error) {
 			synthJobs = 10
 		}
 		sa := archive.NewInMemory()
-		sl, err := loader.New(sa, loader.Options{Validate: true})
+		sl, err := loader.New(sa, loader.Options{})
 		if err != nil {
 			return nil, err
 		}

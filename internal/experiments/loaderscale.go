@@ -51,12 +51,12 @@ func TraceFor(jobs int) []byte {
 
 // LoaderScale measures load throughput across workflow sizes at one batch
 // size.
-func LoaderScale(jobCounts []int, batchSize int, validate bool) ([]LoaderScaleRow, error) {
+func LoaderScale(jobCounts []int, batchSize int) ([]LoaderScaleRow, error) {
 	rows := make([]LoaderScaleRow, 0, len(jobCounts))
 	for _, jobs := range jobCounts {
 		trace := TraceFor(jobs)
 		a := archive.NewInMemory()
-		l, err := loader.New(a, loader.Options{BatchSize: batchSize, Validate: validate})
+		l, err := loader.New(a, loader.Options{BatchSize: batchSize})
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +99,7 @@ func LoaderBatchSweep(jobs int, batchSizes []int) ([]LoaderScaleRow, error) {
 		// Full durability: each committed batch is fsynced, as a
 		// production SQL archive would.
 		a.Store().SetSync(true)
-		l, err := loader.New(a, loader.Options{BatchSize: bs, Validate: true})
+		l, err := loader.New(a, loader.Options{BatchSize: bs})
 		if err != nil {
 			return loader.Stats{}, err
 		}

@@ -62,9 +62,8 @@ func runTapped(t *testing.T, shards int, consume bool, stream []byte) (loader.St
 	arch := archive.NewInMemoryN(shards)
 	t.Cleanup(func() { arch.Close() })
 	ld, err := loader.New(arch, loader.Options{
-		Shards:   shards,
-		Validate: true,
-		Lenient:  true,
+		Shards:  shards,
+		Lenient: true,
 		Tap: func(line []byte) error {
 			_, terr := lg.Append(line)
 			return terr
@@ -170,9 +169,8 @@ func TestTapErrorFailsLoadEvenLenient(t *testing.T) {
 			name := fmt.Sprintf("shards=%d consume=%v", shards, consume)
 			arch := archive.NewInMemoryN(shards)
 			ld, err := loader.New(arch, loader.Options{
-				Shards:   shards,
-				Validate: true,
-				Lenient:  true,
+				Shards:  shards,
+				Lenient: true,
 				Tap: func(line []byte) error {
 					return tapErr
 				},

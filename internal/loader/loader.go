@@ -1,13 +1,13 @@
 // Package loader implements nl_load with the stampede_loader module: it
 // consumes NetLogger BP event streams (from files, readers or the message
-// bus), validates them against the Stampede YANG schema, and folds them
-// into the relational archive in batches.
+// bus) and folds them into the relational archive in batches; the archive
+// validates each against the Stampede YANG schema as it folds it.
 //
 // Batching is the paper's key loader design decision (§V-D notes inserts
 // are batched "to improve the performance of Pegasus workflows logging");
 // BenchmarkLoaderBatchSize at the repository root quantifies it. Every
 // load runs as a pipeline — a parse stage, then per shard one queue and one
-// goroutine that validates, batches and applies — routing events by xwf.id
+// goroutine that batches and applies — routing events by xwf.id
 // so per-workflow order is preserved while distinct workflows load in
 // parallel (see pipeline.go); Options.Shards is the pipeline's width. A
 // batch is as large as the load makes it: it is applied when full or when
@@ -57,12 +57,15 @@ type Options struct {
 	// Every load runs the ticker, file loads included; under Consume a shard
 	// applies as soon as the bus runs dry and the tick is only the bound.
 	FlushEvery time.Duration
-	// Validate runs every event through the YANG schema validator before
-	// loading (on by default in the published tooling). Invalid events
-	// are rejected and counted.
+	// Validate is ignored: the archive validates every event it folds
+	// (archive.Archive.Apply), so no load skips the schema.
+	//
+	// Deprecated: set nothing; validation is always on.
 	Validate bool
-	// Lenient makes malformed BP lines and schema-invalid or unknown
-	// events non-fatal: they are counted and skipped.
+	// Lenient makes malformed BP lines and events the archive refuses
+	// non-fatal: they are counted and skipped. Without it the load stops
+	// reading at the first and returns its error once every event already
+	// read is applied or counted.
 	Lenient bool
 	// Shards is the pipeline's width: the number of parallel apply
 	// shards. Zero means one. Events route to shards by the archive
@@ -118,8 +121,8 @@ type ShardStats struct {
 type Stats struct {
 	Read      uint64 // events parsed from the source
 	Loaded    uint64 // events folded into the archive
-	Invalid   uint64 // events rejected by schema validation
-	Unknown   uint64 // events whose type the archive does not materialise
+	Invalid   uint64 // events the archive refused: schema-invalid, or failed to apply
+	Unknown   uint64 // events of a schema type the archive has no handler for
 	Malformed uint64 // unparseable BP lines (lenient mode only)
 	Elapsed   time.Duration
 	// Shards holds the per-shard counters, one entry per apply shard, so
@@ -178,7 +181,6 @@ func (s *Stats) format() string {
 // two queues) may run concurrently; the batch buffer is per-call.
 type Loader struct {
 	arch *archive.Archive
-	val  *schema.Validator
 	opts Options
 	// queueDepth is shardQueueDepth, except in this package's backpressure
 	// and cancel tests, which shrink it.
@@ -210,15 +212,7 @@ func New(arch *archive.Archive, opts Options) (*Loader, error) {
 	if opts.Clock == nil {
 		opts.Clock = wfclock.Real
 	}
-	l := &Loader{arch: arch, opts: opts, queueDepth: shardQueueDepth}
-	if opts.Validate {
-		v, err := schema.NewValidator()
-		if err != nil {
-			return nil, err
-		}
-		l.val = v
-	}
-	return l, nil
+	return &Loader{arch: arch, opts: opts, queueDepth: shardQueueDepth}, nil
 }
 
 // TotalStats returns counters accumulated across every call on this
@@ -247,8 +241,7 @@ func (l *Loader) account(s Stats) {
 	l.mu.Unlock()
 }
 
-// batch is one apply shard's accumulation state; the events it buffers
-// have passed validation (see pshard.admit).
+// batch is one apply shard's accumulation state.
 type batch struct {
 	arch     *archive.Archive
 	opts     Options
@@ -316,19 +309,6 @@ func (l *Loader) newBatch(shard int) *batch {
 		b.mCommits[i] = mCommits.With(s, reason)
 	}
 	return b
-}
-
-// traceValidated records the validate span for a sampled event — parse end
-// to validated, so it includes the wait in the shard's queue — and moves
-// its stage boundary forward; the queue span that follows is the event's
-// residency in the batch.
-func traceValidated(ev *bp.Event) {
-	if ev.TraceID == 0 {
-		return
-	}
-	now := time.Now().UnixNano()
-	trace.Record(ev.TraceID, trace.StageValidate, ev.Get(schema.AttrXwfID), ev.TraceNS, now)
-	ev.TraceNS = now
 }
 
 // traceConsumed records the route (broker dwell) and parse spans for a
@@ -412,13 +392,16 @@ func (b *batch) commit(reason int) (worked bool, err error) {
 	return worked, err
 }
 
-// apply folds the buffered events into the archive and the views.
-func (b *batch) apply() error {
+// apply folds the buffered events into the archive, which validates each,
+// and the views. An event the archive refuses is counted and skipped; in
+// strict mode the first refusal is returned once the rest of the batch is
+// applied or counted too, so no event read goes unaccounted.
+func (b *batch) apply() (first error) {
 	// Gather sampled events' trace context before they are released. The
-	// queue span (validated, or parsed when validation is off, to apply
-	// start) closes here and so does the apply span; the commit span stays
-	// open until the sync.
-	first := len(b.traced)
+	// queue span (parse end to apply start) closes here and so does the
+	// apply span, validation included; the commit span stays open until
+	// the sync.
+	traced0 := len(b.traced)
 	var applyStart int64
 	if trace.Enabled() {
 		for _, ev := range b.buf {
@@ -426,7 +409,7 @@ func (b *batch) apply() error {
 				b.traced = append(b.traced, tracedRef{id: ev.TraceID, wf: ev.Get(schema.AttrXwfID), ns: ev.TraceNS})
 			}
 		}
-		if len(b.traced) > first {
+		if len(b.traced) > traced0 {
 			applyStart = time.Now().UnixNano()
 		}
 	}
@@ -448,22 +431,22 @@ func (b *batch) apply() error {
 			break
 		}
 		// rest[n] is the offender.
-		rest = rest[n:]
-		bad := rest[0]
-		rest = rest[1:]
+		bad := rest[n]
+		rest = rest[n+1:]
 		b.rejected.Add(1)
 		if errors.Is(err, archive.ErrUnknownEvent) {
 			b.stats.Unknown++
 		} else {
 			b.stats.Invalid++
 		}
-		if !b.opts.Lenient {
-			b.releaseBuf()
-			return fmt.Errorf("loader: %s: %w", bad.Type, err)
+		if !b.opts.Lenient && first == nil {
+			// Formatted now: releaseBuf hands bad back to the pool, where
+			// it is reset and may be another parse's event.
+			first = fmt.Errorf("loader: %s: %w", bad.Type, err)
 		}
 	}
 	b.releaseBuf()
-	if sampled := b.traced[first:]; len(sampled) > 0 {
+	if sampled := b.traced[traced0:]; len(sampled) > 0 {
 		applyEnd := time.Now().UnixNano()
 		// The epoch read after the apply is a version at which every event
 		// of this batch is visible to snapshot readers.
@@ -475,7 +458,7 @@ func (b *batch) apply() error {
 			tr.ns, tr.epoch = applyEnd, epoch
 		}
 	}
-	return nil
+	return first
 }
 
 // releaseBuf recycles the batch's events back to the event pool once the

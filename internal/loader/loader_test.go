@@ -57,7 +57,7 @@ func workflowStream(wf string, n int) string {
 
 func TestLoadReaderEndToEnd(t *testing.T) {
 	a := archive.NewInMemory()
-	l, err := New(a, Options{Validate: true})
+	l, err := New(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestLoadFileMatchesReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := archive.NewInMemory()
-	l, _ := New(a, Options{Validate: true})
+	l, _ := New(a, Options{})
 	stats, err := l.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestLoadFileMatchesReader(t *testing.T) {
 
 func TestValidationRejectsStrict(t *testing.T) {
 	a := archive.NewInMemory()
-	l, _ := New(a, Options{Validate: true})
+	l, _ := New(a, Options{})
 	// xwf.start without mandatory restart_count.
 	line := "ts=2012-03-13T12:35:38.000000Z event=stampede.xwf.start xwf.id=" + uuid.New().String() + "\n"
 	stats, err := l.LoadReader(strings.NewReader(line))
@@ -118,7 +118,7 @@ func TestValidationRejectsStrict(t *testing.T) {
 
 func TestLenientSkipsBadLinesAndEvents(t *testing.T) {
 	a := archive.NewInMemory()
-	l, _ := New(a, Options{Validate: true, Lenient: true, BatchSize: 2})
+	l, _ := New(a, Options{Lenient: true, BatchSize: 2})
 	wf := uuid.New().String()
 	input := "this is not bp\n" +
 		"ts=2012-03-13T12:35:38.000000Z event=stampede.xwf.start xwf.id=" + wf + "\n" + // invalid: no restart_count
@@ -150,13 +150,13 @@ func TestUnrepresentableTimestampRefused(t *testing.T) {
 	input := workflowStream(wf, 2) + bad
 
 	a := archive.NewInMemory()
-	l, _ := New(a, Options{Validate: true, Lenient: true, BatchSize: 4})
+	l, _ := New(a, Options{Lenient: true, BatchSize: 4})
 	clean, err := l.LoadReader(strings.NewReader(workflowStream(wf, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := archive.NewInMemory()
-	l, _ = New(b, Options{Validate: true, Lenient: true, BatchSize: 4})
+	l, _ = New(b, Options{Lenient: true, BatchSize: 4})
 	stats, err := l.LoadReader(strings.NewReader(input))
 	if err != nil {
 		t.Fatalf("lenient load failed: %v", err)
@@ -169,7 +169,7 @@ func TestUnrepresentableTimestampRefused(t *testing.T) {
 	}
 
 	c := archive.NewInMemory()
-	l, _ = New(c, Options{Validate: true, BatchSize: 4})
+	l, _ = New(c, Options{BatchSize: 4})
 	stats, err = l.LoadReader(strings.NewReader(input))
 	if err == nil || !strings.Contains(err.Error(), "workflowstate.timestamp: time 1600-01-01T00:00:00Z is outside the representable range") {
 		t.Fatalf("strict: err = %v, want the archive's complaint naming workflowstate.timestamp", err)
@@ -179,21 +179,57 @@ func TestUnrepresentableTimestampRefused(t *testing.T) {
 	}
 }
 
-func TestLenientWithoutValidationCountsUnknown(t *testing.T) {
-	a := archive.NewInMemory()
-	l, _ := New(a, Options{Validate: false, Lenient: true, BatchSize: 4})
+// TestStrictRefusalNamesEventType: the archive refuses an event inside a
+// batch, and the strict loader's error names its type — read before the
+// batch's events go back to the pool, where another parse may take and
+// reset them. The rest of the batch is still applied or counted.
+func TestStrictRefusalNamesEventType(t *testing.T) {
 	wf := uuid.New().String()
-	input := "ts=2012-03-13T12:35:38.000000Z event=custom.engine.event xwf.id=" + wf + "\n" +
-		workflowStream(wf, 1)
-	stats, err := l.LoadReader(strings.NewReader(input))
-	if err != nil {
+	bad := "ts=2012-03-13T12:35:38.000000Z event=stampede.xwf.start xwf.id=" + uuid.New().String() + "\n"
+	input := workflowStream(wf, 1) + bad + workflowStream(wf, 1)
+	l, _ := New(archive.NewInMemory(), Options{})
+	st, err := l.LoadReader(strings.NewReader(input))
+	if err == nil || !strings.HasPrefix(err.Error(), "loader: stampede.xwf.start: schema: event stampede.xwf.start invalid:") {
+		t.Fatalf("strict: err = %v, want it to open with the refused event's type", err)
+	}
+	if st.Invalid != 1 || st.Loaded+st.Invalid != st.Read {
+		t.Fatalf("strict: %s; want 1 invalid and every event read loaded or counted", st.String())
+	}
+}
+
+// TestOutOfRangeTimestampRefused: NaN, 1e300 and -1e20 parse as floats but
+// name no instant bp.ParseTime can read, so the schema refuses them as an
+// nl_ts: an inv.end whose mandatory start_time is one of them is counted
+// Invalid and stores nothing — not an invocation with a NULL start time.
+func TestOutOfRangeTimestampRefused(t *testing.T) {
+	wf := uuid.New().String()
+	clean := workflowStream(wf, 2)
+	ref := archive.NewInMemory()
+	l, _ := New(ref, Options{})
+	if _, err := l.LoadReader(strings.NewReader(clean)); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Unknown != 1 {
-		t.Errorf("unknown = %d, want 1; stats=%+v", stats.Unknown, stats)
-	}
-	if n, _ := a.Store().Count(archive.TInvocation); n != 1 {
-		t.Errorf("invocations = %d", n)
+	for _, v := range []string{"NaN", "1e300", "-1e20"} {
+		line := bp.New(schema.InvEnd, t0).Set(schema.AttrXwfID, wf).
+			Set(schema.AttrJobID, "job000").SetInt(schema.AttrJobInstID, 1).SetInt(schema.AttrInvID, 9).
+			Set(schema.AttrStartTime, v).SetFloat(schema.AttrDur, 1).
+			SetInt(schema.AttrExitcode, 0).Set(schema.AttrTransform, "x").Format() + "\n"
+		a := archive.NewInMemory()
+		l, _ := New(a, Options{Lenient: true})
+		st, err := l.LoadReader(strings.NewReader(clean + line))
+		if err != nil || st.Invalid != 1 {
+			t.Errorf("start_time=%s: %s, %v; want the line counted invalid", v, st.String(), err)
+		}
+		if got, want := archiveHash(t, a), archiveHash(t, ref); got != want {
+			t.Errorf("start_time=%s: the refused event changed the store: hash %s, without it %s", v, got, want)
+		}
+		ev, err := bp.Parse(strings.TrimSuffix(line, "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Apply(ev); err == nil || !strings.HasSuffix(err.Error(), `invalid: attribute "start_time": "`+v+`" is not an nl_ts timestamp`) {
+			t.Errorf("start_time=%s: Archive.Apply = %v, want the schema's nl_ts refusal", v, err)
+		}
 	}
 }
 
@@ -203,7 +239,7 @@ func TestBatchSizesProduceIdenticalArchives(t *testing.T) {
 	var counts []map[string]int
 	for _, bs := range []int{1, 7, 512} {
 		a := archive.NewInMemory()
-		l, _ := New(a, Options{Validate: true, BatchSize: bs})
+		l, _ := New(a, Options{BatchSize: bs})
 		if _, err := l.LoadReader(strings.NewReader(input)); err != nil {
 			t.Fatalf("batch size %d: %v", bs, err)
 		}
@@ -235,7 +271,7 @@ func TestConsumeFromBus(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := archive.NewInMemory()
-	l, _ := New(a, Options{Validate: true, FlushEvery: 10 * time.Millisecond})
+	l, _ := New(a, Options{FlushEvery: 10 * time.Millisecond})
 
 	wf := uuid.New().String()
 	lines := strings.Split(strings.TrimSpace(workflowStream(wf, 5)), "\n")
@@ -320,7 +356,7 @@ func TestConsumeFlushTickerMakesDataVisible(t *testing.T) {
 
 func TestLoaderTotalStatsAccumulate(t *testing.T) {
 	a := archive.NewInMemory()
-	l, _ := New(a, Options{Validate: true})
+	l, _ := New(a, Options{})
 	for i := 0; i < 3; i++ {
 		wf := uuid.New().String()
 		if _, err := l.LoadReader(strings.NewReader(workflowStream(wf, 1))); err != nil {
@@ -350,7 +386,7 @@ func TestRelstoreIntegrationPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _ := New(a, Options{Validate: true})
+	l, _ := New(a, Options{})
 	wf := uuid.New().String()
 	if _, err := l.LoadReader(strings.NewReader(workflowStream(wf, 4))); err != nil {
 		t.Fatal(err)
@@ -387,7 +423,7 @@ func TestNonFiniteDecimalRefused(t *testing.T) {
 	input := workflowStream(wfA, 2) + strings.Join(bad, "") + workflowStream(wfB, 2)
 
 	a := archive.NewInMemory()
-	l, _ := New(a, Options{Validate: true, Lenient: true, BatchSize: 4})
+	l, _ := New(a, Options{Lenient: true, BatchSize: 4})
 	want, err := l.LoadReader(strings.NewReader(clean))
 	if err != nil {
 		t.Fatal(err)
@@ -429,7 +465,7 @@ func TestNonFiniteDecimalRefused(t *testing.T) {
 	}
 
 	b := archive.NewInMemory()
-	stats, sent, snapshot := glass(b, Options{Validate: true, Lenient: true, BatchSize: 4}, input)
+	stats, sent, snapshot := glass(b, Options{Lenient: true, BatchSize: 4}, input)
 	if stats.Invalid != uint64(len(bad)) || stats.Loaded != want.Loaded {
 		t.Fatalf("lenient: %s; want the clean stream's %d loaded and %d invalid", stats.String(), want.Loaded, len(bad))
 	}
@@ -445,25 +481,8 @@ func TestNonFiniteDecimalRefused(t *testing.T) {
 		}
 	}
 
-	// Without validation the archive and the views each refuse the value and
-	// keep the event: the invocation counts, its duration does not, and the
-	// workflow it named is flushed with the other.
-	_, sent, snapshot = glass(archive.NewInMemory(), Options{BatchSize: 4}, input)
-	if len(sent) != 2 || len(snapshot) != 2 {
-		t.Fatalf("unvalidated: %d workflows flushed, %d in the snapshot; want both in both", len(sent), len(snapshot))
-	}
-	for _, d := range snapshot {
-		invs := int64(2)
-		if d.UUID == wfA {
-			invs = 3 // the three share one invocation id: one row, one count
-		}
-		if d.Invocations != invs || d.P99 != 1 || !reflect.DeepEqual(sent[d.UUID], d) {
-			t.Errorf("unvalidated: workflow %s: snapshot %+v, last delta %+v; want %d invocations and a p99 of 1 in both", d.UUID, d, sent[d.UUID], invs)
-		}
-	}
-
 	d := archive.NewInMemory()
-	l, _ = New(d, Options{Validate: true, BatchSize: 4})
+	l, _ = New(d, Options{BatchSize: 4})
 	stats, err = l.LoadReader(strings.NewReader(input))
 	if err == nil || !strings.Contains(err.Error(), `attribute "dur": "NaN" is not a decimal64`) {
 		t.Fatalf("strict: err = %v, want the validator's complaint naming dur", err)

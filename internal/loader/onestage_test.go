@@ -32,8 +32,8 @@ func loaderGoroutines(t *testing.T) (n int) {
 }
 
 // TestPipelineGoroutines: a pipeline of width N is N goroutines — one per
-// shard, validating and applying — beside the caller's parse stage, whether
-// or not validation is on.
+// shard, applying (the archive validating) — beside the caller's parse
+// stage.
 func TestPipelineGoroutines(t *testing.T) {
 	// A finished pipeline's goroutines are gone a moment after the
 	// wg.Done that finish waits for, so "none" is waited for, briefly.
@@ -45,38 +45,38 @@ func TestPipelineGoroutines(t *testing.T) {
 			}
 		}
 	}
-	for _, validate := range []bool{true, false} {
-		l, err := New(archive.NewInMemoryN(4), Options{Shards: 4, Validate: validate})
-		if err != nil {
-			t.Fatal(err)
-		}
-		quiesce("before the pipeline starts")
-		p := l.newPipeline()
-		started := loaderGoroutines(t)
-		if _, err := p.finish(t0); err != nil {
-			t.Fatal(err)
-		}
-		if started != 4 {
-			t.Fatalf("validate=%v: a width-4 pipeline started %d goroutines, want 4", validate, started)
-		}
-		quiesce("after finish")
+	l, err := New(archive.NewInMemoryN(4), Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
+	quiesce("before the pipeline starts")
+	p := l.newPipeline()
+	started := loaderGoroutines(t)
+	if _, err := p.finish(t0); err != nil {
+		t.Fatal(err)
+	}
+	if started != 4 {
+		t.Fatalf("a width-4 pipeline started %d goroutines, want 4", started)
+	}
+	quiesce("after finish")
 }
 
 // TestValidationThroughTheOneStage drives schema-invalid events through the
-// shard goroutine that now validates as well as applies, lenient and
-// strict, at width one and four. Each bad line is an xwf.start without its
-// restart_count under a workflow uuid of its own — an event the archive
-// would happily materialise — so a path that committed anything
-// unvalidated shows up as rows the validating oracle does not have.
+// shard goroutine, whose archive validates each event as it applies it,
+// lenient and strict, at width one and four. Each bad line is an xwf.start
+// without its restart_count under a workflow uuid of its own — an event
+// the fold alone would happily materialise — so a path that committed
+// anything unvalidated shows up as rows the validating oracle does not
+// have.
 //
 // Lenient: the load succeeds, every bad event is counted once and released
 // once (the event pool's gets and returns balance over the load), and the
 // store is the oracle's fold of the whole stream. Strict: the first bad
-// event fails the load and is the only one counted; everything handed to a
-// shard before the parser saw the abort is still validated, committed and
-// released, so the store is the oracle's fold of exactly the lines read,
-// whichever shard they were queued in. Per-workflow order holds in both.
+// event fails the load and is the only one counted; the rest of its batch,
+// and everything handed to a shard before the parser saw the abort, is
+// still validated, committed and released, so the store is the oracle's
+// fold of exactly the lines read, whichever shard they were queued in.
+// Per-workflow order holds in both.
 func TestValidationThroughTheOneStage(t *testing.T) {
 	const workflows = 12
 	var streams []string
@@ -107,7 +107,7 @@ func TestValidationThroughTheOneStage(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			name := fmt.Sprintf("lenient=%v shards=%d", tc.lenient, shards)
 			a := archive.NewInMemoryN(shards)
-			l, err := New(a, Options{Validate: true, Lenient: tc.lenient, Shards: shards, BatchSize: 16})
+			l, err := New(a, Options{Lenient: tc.lenient, Shards: shards, BatchSize: 16})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,9 +18,9 @@ import (
 
 // The pipeline every load runs through: one parse stage (the caller's
 // goroutine) feeding, per shard, one bounded queue and one goroutine that
-// validates, batches and applies:
+// batches and applies, the archive validating each event as it folds it:
 //
-//	source -> parse -> route by xwf.id -> queue[s] -> validate, batch, apply -> partition
+//	source -> parse -> route by xwf.id -> queue[s] -> batch, validate + apply -> partition
 //
 // Events route with archive.Route, the router the archive places rows with:
 // a workflow's partition is Route(xwf.id, partitions) and that partition's
@@ -28,9 +28,9 @@ import (
 // therefore flows through one shard in arrival order — the archive's
 // per-workflow ordering contract — and every partition is entered by one
 // shard only, so its writer and identity caches have one owner from the
-// queue down. Different shards validate and apply concurrently. The bounded
-// queue gives backpressure end to end: a slow archive fills it, which
-// blocks the parser.
+// queue down. Different shards apply concurrently. The bounded queue gives
+// backpressure end to end: a slow archive fills it, which blocks the
+// parser.
 //
 // A shard applies its batch when it is full or when the source has nothing
 // more: the parse stage, about to block on an empty delivery channel or on a
@@ -41,23 +41,21 @@ import (
 // Durability is the separate sync (batch.commit), due every BatchSize applied
 // events or FlushEvery tick: both options are upper bounds, neither a wait.
 //
-// Validation shares the apply goroutine on purpose. Per-workflow order
-// needs a worker paired with the shard anyway — a free pool could finish
-// two events of one workflow out of order — and a second paired goroutine
-// with its own queue measured no faster end to end than this one (CHANGES.md,
-// PR 16), so a width-N pipeline runs N goroutines beside the parser, with or
-// without Options.Validate.
+// Validation runs on the apply goroutine, inside Archive.ApplyBatch. Per-
+// workflow order needs a worker paired with the shard anyway — a free pool
+// could finish two events of one workflow out of order — and a separate
+// validating goroutine with its own queue measured no faster end to end
+// (CHANGES.md), so a width-N pipeline runs N goroutines beside the parser.
 
 type pipeline struct {
 	l *Loader
 	// ctx is the pipeline's own abort signal, cancelled when a stage
-	// fails (fail): the parse stage stops feeding and each shard validates
-	// and commits what it was handed. It is deliberately not the caller's
-	// context — whatever stops the parse stage itself (a
-	// caller cancelling Consume, a failing Tap, a malformed line in
-	// strict mode) stops only the reading, and the stages then drain by
-	// channel close as at end of input, so no event already read is
-	// dropped.
+	// fails (fail): the parse stage stops feeding and each shard commits
+	// what it was handed. It is deliberately not the caller's context —
+	// whatever stops the parse stage itself (a caller cancelling Consume,
+	// a failing Tap, a malformed line in strict mode) stops only the
+	// reading, and the stages then drain by channel close as at end of
+	// input, so no event already read is dropped.
 	ctx    context.Context
 	cancel context.CancelFunc
 	shards []*pshard
@@ -83,7 +81,6 @@ type pshard struct {
 	fed  bool
 	b    *batch
 
-	invalid   uint64
 	maxQueue  int
 	flushTime time.Duration
 	maxFlush  time.Duration
@@ -277,34 +274,16 @@ func (p *pipeline) produceMsgs(ctx context.Context, msgs <-chan mq.Message) {
 	}
 }
 
-// admit validates an event just taken off the queue and, if it passes, adds
-// it to the batch. A rejected event is counted and released here, its last
-// owner; in strict mode it also fails the pipeline.
-func (sh *pshard) admit(p *pipeline, ev *bp.Event) {
-	if p.l.val != nil {
-		if err := p.l.val.Validate(ev); err != nil {
-			sh.invalid++
-			mInvalid.Inc()
-			p.l.rejected.Add(1)
-			bp.ReleaseEvent(ev)
-			if !p.l.opts.Lenient {
-				p.fail(err)
-			}
-			return
-		}
-		traceValidated(ev)
-	}
-	sh.b.buf = append(sh.b.buf, ev)
-}
-
-// run is the shard's goroutine: it takes events off the queue, validates
-// them, and commits them in batches — when one is full, when the source runs
-// dry and, as the upper bound, on the flush ticker.
+// run is the shard's goroutine: it takes events off the queue and commits
+// them in batches — when one is full, when the source runs dry and, as the
+// upper bound, on the flush ticker. A failed commit aborts the pipeline but
+// not the shard, which goes on to the abort case's drain: every event handed
+// to it is applied or counted.
 func (sh *pshard) run(p *pipeline) {
 	ticker := wfclock.NewTicker(p.l.opts.Clock, p.l.opts.FlushEvery)
 	defer ticker.Stop()
-	// commit aborts the pipeline when it fails and reports whether it did not.
-	commit := func(reason int) bool {
+	// commit aborts the pipeline when it fails.
+	commit := func(reason int) {
 		t0 := time.Now()
 		worked, err := sh.b.commit(reason)
 		if worked {
@@ -314,11 +293,10 @@ func (sh *pshard) run(p *pipeline) {
 			sh.maxFlush = max(sh.maxFlush, d)
 		}
 		p.fail(err)
-		return err == nil
 	}
-	// take handles one receive from the queue: it admits the event and
-	// commits the batch it fills, or drains at end of input. False ends the
-	// goroutine.
+	// take handles one receive from the queue: it adds the event to the
+	// batch and commits the batch it fills, or drains at end of input. False
+	// ends the goroutine.
 	take := func(ev *bp.Event, ok bool) bool {
 		if !ok {
 			commit(commitDrain)
@@ -329,27 +307,27 @@ func (sh *pshard) run(p *pipeline) {
 			sh.maxQueue = depth
 			sh.mQueueHW.SetMax(int64(depth))
 		}
-		sh.admit(p, ev)
-		return len(sh.b.buf) < p.l.opts.BatchSize || commit(commitFull)
+		sh.b.buf = append(sh.b.buf, ev)
+		if len(sh.b.buf) >= p.l.opts.BatchSize {
+			commit(commitFull)
+		}
+		return true
 	}
 	for {
 		select {
 		case <-p.ctx.Done():
-			// Aborted: the failure is somewhere else (or was one event of
-			// this shard's, already rejected), and what is handed to this
-			// shard was read and tapped. Validate and commit all of it:
-			// the parse stage stops feeding on the same signal, and finish
-			// closes the queue once it has, so nothing read goes
-			// unaccounted.
+			// Aborted: the failure is somewhere else (or was this shard's,
+			// already counted), and what is handed to this shard was read
+			// and tapped. Commit all of it: the parse stage stops feeding
+			// on the same signal, and finish closes the queue once it has,
+			// so nothing read goes unaccounted.
 			for ev := range sh.ch {
-				sh.admit(p, ev)
+				sh.b.buf = append(sh.b.buf, ev)
 			}
 			commit(commitDrain)
 			return
 		case <-ticker.C():
-			if !commit(commitTimer) {
-				return
-			}
+			commit(commitTimer)
 		case <-sh.idle:
 			for queued := true; queued; {
 				select {
@@ -361,9 +339,7 @@ func (sh *pshard) run(p *pipeline) {
 					queued = false
 				}
 			}
-			if !commit(commitIdle) {
-				return
-			}
+			commit(commitIdle)
 		case ev, ok := <-sh.ch:
 			if !take(ev, ok) {
 				return
@@ -387,7 +363,7 @@ func (p *pipeline) finish(start time.Time) (Stats, error) {
 	agg := Stats{Read: p.read, Malformed: p.malformed}
 	for _, sh := range p.shards {
 		agg.Loaded += sh.b.stats.Loaded
-		agg.Invalid += sh.invalid + sh.b.stats.Invalid
+		agg.Invalid += sh.b.stats.Invalid
 		agg.Unknown += sh.b.stats.Unknown
 		agg.Shards = append(agg.Shards, ShardStats{
 			Shard:        sh.idx,

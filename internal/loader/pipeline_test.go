@@ -157,7 +157,7 @@ func TestParallelLoadMatchesSequential(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4, 8} {
 		a := archive.NewInMemoryN(shards)
-		l, err := New(a, Options{Validate: true, Shards: shards, BatchSize: 16})
+		l, err := New(a, Options{Shards: shards, BatchSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestParallelSubworkflowLinkage(t *testing.T) {
 	var want map[string]int
 	for _, shards := range []int{1, 4, 8} {
 		a := archive.NewInMemoryN(shards)
-		l, err := New(a, Options{Validate: true, Shards: shards, BatchSize: 8})
+		l, err := New(a, Options{Shards: shards, BatchSize: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestConsumeShardedStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := archive.NewInMemoryN(4)
-	l, err := New(a, Options{Validate: true, Shards: 4, BatchSize: 8, FlushEvery: 5 * time.Millisecond})
+	l, err := New(a, Options{Shards: 4, BatchSize: 8, FlushEvery: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestParallelConsumeCancelFlushes(t *testing.T) {
 				a := archive.NewInMemoryN(shards)
 				// Both stops come once the pipeline is in full flow.
 				inFlow := func() bool { return a.Applied() >= 64 }
-				opts := Options{Shards: shards, Validate: true, Lenient: true,
+				opts := Options{Shards: shards, Lenient: true,
 					BatchSize: 8, FlushEvery: time.Hour}
 				// Either stop is raised from the Tap, that is on the reading
 				// goroutine between two messages: the short queues hold the
@@ -487,7 +487,7 @@ func TestParallelConsumeCancelFlushes(t *testing.T) {
 // the pipeline: a schema-invalid event fails the load.
 func TestParallelStrictFailure(t *testing.T) {
 	a := archive.NewInMemoryN(4)
-	l, _ := New(a, Options{Validate: true, Shards: 4})
+	l, _ := New(a, Options{Shards: 4})
 	wf := uuid.New().String()
 	input := workflowStream(wf, 2) +
 		"ts=2012-03-13T12:35:38.000000Z event=stampede.xwf.start xwf.id=" + uuid.New().String() + "\n" // no restart_count

@@ -50,7 +50,7 @@ func TestPoolRecycleInvisibleToReaders(t *testing.T) {
 
 	_, _, returns0 := bp.PoolStats()
 	a := archive.NewInMemoryN(2)
-	l, err := New(a, Options{BatchSize: 32, Validate: true, Shards: 2})
+	l, err := New(a, Options{BatchSize: 32, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func TestLoneEventAppliedWithoutTick(t *testing.T) {
 			a := archive.NewInMemoryN(shards)
 			l, err := New(a, Options{
 				BatchSize: 100000, FlushEvery: time.Hour, Shards: shards,
-				Clock: wfclock.NewManual(t0), Views: seen, Validate: true,
+				Clock: wfclock.NewManual(t0), Views: seen,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -146,7 +146,7 @@ func TestBacklogAppliesFullBatches(t *testing.T) {
 	seen := make(applies, len(in))
 	l, err := New(archive.NewInMemoryN(shards), Options{
 		BatchSize: batchSize, FlushEvery: time.Hour, Shards: shards,
-		Clock: wfclock.NewManual(t0), Views: seen, Validate: true,
+		Clock: wfclock.NewManual(t0), Views: seen,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +360,7 @@ func TestPipeEventAppliedWithoutTick(t *testing.T) {
 	a := archive.NewInMemoryN(2)
 	l, err := New(a, Options{
 		BatchSize: 100000, FlushEvery: time.Hour, Shards: 2,
-		Clock: wfclock.NewManual(t0), Views: seen, Validate: true,
+		Clock: wfclock.NewManual(t0), Views: seen,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +405,7 @@ func TestFileLoadFormsFullBatches(t *testing.T) {
 	seen := make(applies, 1+len(in)/batchSize)
 	l, err := New(archive.NewInMemoryN(2), Options{
 		BatchSize: batchSize, FlushEvery: time.Hour, Shards: 2,
-		Clock: wfclock.NewManual(t0), Views: seen, Validate: true,
+		Clock: wfclock.NewManual(t0), Views: seen,
 	})
 	if err != nil {
 		t.Fatal(err)

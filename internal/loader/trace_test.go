@@ -93,7 +93,7 @@ func TestFileLoadTracesEndToEnd(t *testing.T) {
 	stream, lines := synthLines(t, synth.Config{Seed: freshSeed(11), Jobs: 4})
 	arch := archive.NewInMemory()
 	defer arch.Close()
-	l, err := New(arch, Options{Validate: true})
+	l, err := New(arch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFileLoadTracesEndToEnd(t *testing.T) {
 
 	id := trace.Sample(lines[0])
 	checkPipelineTrace(t, id, []trace.Stage{
-		trace.StageEmit, trace.StageParse, trace.StageValidate,
+		trace.StageEmit, trace.StageParse,
 		trace.StageQueue, trace.StageApply, trace.StageCommit,
 	})
 
@@ -130,7 +130,7 @@ func TestFileLoadTracesEndToEnd(t *testing.T) {
 }
 
 // TestShardedLoadTracesEndToEnd runs the same check through the sharded
-// pipeline: per-shard validators and batching appliers must thread the
+// pipeline: per-shard batching appliers must thread the
 // trace context identically.
 func TestShardedLoadTracesEndToEnd(t *testing.T) {
 	defer trace.SetSampleEvery(trace.DefaultSampleEvery)
@@ -139,7 +139,7 @@ func TestShardedLoadTracesEndToEnd(t *testing.T) {
 	stream, lines := synthLines(t, synth.Config{Seed: freshSeed(13), Jobs: 6, SubWorkflows: 2})
 	arch := archive.NewInMemoryN(4)
 	defer arch.Close()
-	l, err := New(arch, Options{Validate: true, Shards: 4, BatchSize: 32})
+	l, err := New(arch, Options{Shards: 4, BatchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestShardedLoadTracesEndToEnd(t *testing.T) {
 
 	id := trace.Sample(lines[0])
 	checkPipelineTrace(t, id, []trace.Stage{
-		trace.StageEmit, trace.StageParse, trace.StageValidate,
+		trace.StageEmit, trace.StageParse,
 		trace.StageQueue, trace.StageApply, trace.StageCommit,
 	})
 }
@@ -175,7 +175,7 @@ func TestBusConsumeTracesRouteSpan(t *testing.T) {
 
 	arch := archive.NewInMemory()
 	defer arch.Close()
-	l, err := New(arch, Options{Validate: true})
+	l, err := New(arch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestBusConsumeTracesRouteSpan(t *testing.T) {
 
 	id := trace.Sample(lines[0])
 	checkPipelineTrace(t, id, []trace.Stage{
-		trace.StageRoute, trace.StageParse, trace.StageValidate,
+		trace.StageRoute, trace.StageParse,
 		trace.StageQueue, trace.StageApply, trace.StageCommit,
 	})
 }

@@ -17,7 +17,7 @@ func loadTrace(t *testing.T, cfg synth.Config) (*QI, *synth.Trace) {
 	t.Helper()
 	tr := synth.Generate(cfg)
 	a := archive.NewInMemory()
-	l, err := loader.New(a, loader.Options{Validate: true})
+	l, err := loader.New(a, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

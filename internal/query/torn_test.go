@@ -22,7 +22,7 @@ func TestNoTornReadsUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := archive.NewInMemoryN(4)
-	l, err := loader.New(a, loader.Options{BatchSize: 8, Validate: true, Shards: 4})
+	l, err := loader.New(a, loader.Options{BatchSize: 8, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

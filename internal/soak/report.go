@@ -11,7 +11,6 @@ import (
 	"repro/internal/archive"
 	"repro/internal/bp"
 	"repro/internal/eventlog"
-	"repro/internal/schema"
 )
 
 // Check is one audited invariant of a soak run.
@@ -259,16 +258,11 @@ func checkWatermark(r *Report, res *Result) {
 }
 
 // shadowAudit replays every line that reached the broker through a fresh
-// in-memory archive with the same validate-then-apply semantics the
-// loader uses, and compares outcome counts and per-table row counts. This
-// is the exactness oracle: injected drops of structural events cascade
-// into apply failures, and the shadow predicts precisely how many.
+// in-memory archive, which validates each event as the loader's does, and
+// compares outcome counts and per-table row counts. This is the exactness
+// oracle: injected drops of structural events cascade into apply
+// failures, and the shadow predicts precisely how many.
 func shadowAudit(r *Report, res *Result) {
-	val, err := schema.NewValidator()
-	if err != nil {
-		r.check("shadow apply", false, "validator: %v", err)
-		return
-	}
 	shadow := archive.NewInMemory()
 	defer shadow.Close()
 	var loaded, invalid, unknown uint64
@@ -281,11 +275,6 @@ func shadowAudit(r *Report, res *Result) {
 		if perr != nil {
 			r.check("shadow apply", false, "unexpected parse failure: %v", perr)
 			return
-		}
-		if verr := val.Validate(ev); verr != nil {
-			invalid++
-			bp.ReleaseEvent(ev)
-			continue
 		}
 		switch aerr := shadow.Apply(ev); {
 		case aerr == nil:

@@ -241,7 +241,7 @@ func Run(sc *synth.Scenario, durationSeconds float64, opts Options) (*Result, er
 		err   error
 	}
 	doneCh := make(chan runDone, 2)
-	lopts := loader.Options{Shards: opts.Shards, Validate: true, Lenient: true}
+	lopts := loader.Options{Shards: opts.Shards, Lenient: true}
 	if opts.EventlogDir != "" {
 		lg, lerr := openRunLog(opts.EventlogDir)
 		if lerr != nil {

@@ -115,7 +115,7 @@ func loadTraceQuiet(t *testing.T, tr *synth.Trace) (*query.QI, int64, bool) {
 		return nil, 0, false
 	}
 	a := archive.NewInMemory()
-	l, err := loader.New(a, loader.Options{Validate: true})
+	l, err := loader.New(a, loader.Options{})
 	if err != nil {
 		t.Logf("loader: %v", err)
 		return nil, 0, false

@@ -16,7 +16,7 @@ func load(t *testing.T, cfg synth.Config) (*query.QI, *synth.Trace, int64) {
 	t.Helper()
 	tr := synth.Generate(cfg)
 	a := archive.NewInMemory()
-	l, err := loader.New(a, loader.Options{Validate: true})
+	l, err := loader.New(a, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestGeneratedTraceLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := archive.NewInMemory()
-	l, _ := loader.New(a, loader.Options{Validate: true})
+	l, _ := loader.New(a, loader.Options{})
 	stats, err := l.LoadReader(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestSubWorkflowsShareHostsAndLink(t *testing.T) {
 		t.Fatalf("sub uuids = %d", len(tr.SubUUIDs))
 	}
 	a := archive.NewInMemory()
-	l, _ := loader.New(a, loader.Options{Validate: true})
+	l, _ := loader.New(a, loader.Options{})
 	var buf bytes.Buffer
 	_, _ = tr.WriteTo(&buf)
 	if _, err := l.LoadReader(&buf); err != nil {

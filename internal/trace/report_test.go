@@ -24,8 +24,7 @@ func fixtureRing() *Ring {
 	r.Record(0x2a, StageEmit, "wf-aaaa", base, base+2*ms)
 	r.Record(0x2a, StageRoute, "wf-aaaa", base+2*ms, base+5*ms)
 	r.Record(0x2a, StageParse, "wf-aaaa", base+5*ms, base+5*ms+ms/2)
-	r.Record(0x2a, StageValidate, "wf-aaaa", base+5*ms+ms/2, base+6*ms)
-	r.Record(0x2a, StageQueue, "wf-aaaa", base+6*ms, base+30*ms)
+	r.Record(0x2a, StageQueue, "wf-aaaa", base+5*ms+ms/2, base+30*ms)
 	r.Record(0x2a, StageApply, "wf-aaaa", base+30*ms, base+32*ms)
 	r.RecordCommit(0x2a, "wf-aaaa", base+32*ms, base+33*ms, 7)
 
@@ -33,8 +32,7 @@ func fixtureRing() *Ring {
 	fb := base + 100*ms
 	r.Record(0x77, StageEmit, "wf-bbbb", fb, fb+ms)
 	r.Record(0x77, StageParse, "wf-bbbb", fb+ms, fb+2*ms)
-	r.Record(0x77, StageValidate, "wf-bbbb", fb+2*ms, fb+3*ms)
-	r.Record(0x77, StageQueue, "wf-bbbb", fb+3*ms, fb+50*ms)
+	r.Record(0x77, StageQueue, "wf-bbbb", fb+2*ms, fb+50*ms)
 	r.Record(0x77, StageApply, "wf-bbbb", fb+50*ms, fb+58*ms)
 	r.RecordCommit(0x77, "wf-bbbb", fb+58*ms, fb+60*ms, 8)
 
@@ -57,11 +55,11 @@ func TestCollectAssemblesTraces(t *testing.T) {
 	if a.Epoch != 7 {
 		t.Fatalf("trace A epoch = %d, want 7", a.Epoch)
 	}
-	if len(a.Spans) != 7 {
-		t.Fatalf("trace A has %d spans, want 7", len(a.Spans))
+	if len(a.Spans) != 6 {
+		t.Fatalf("trace A has %d spans, want 6", len(a.Spans))
 	}
-	if a.Spans[0].Stage != "emit" || a.Spans[6].Stage != "commit" {
-		t.Fatalf("trace A stage order: %v ... %v", a.Spans[0].Stage, a.Spans[6].Stage)
+	if a.Spans[0].Stage != "emit" || a.Spans[5].Stage != "commit" {
+		t.Fatalf("trace A stage order: %v ... %v", a.Spans[0].Stage, a.Spans[5].Stage)
 	}
 	if got, want := a.Total, 0.033; got != want {
 		t.Fatalf("trace A total = %v, want %v", got, want)
@@ -71,7 +69,7 @@ func TestCollectAssemblesTraces(t *testing.T) {
 	}
 
 	b := traces[1]
-	if b.ID != "0000000000000077" || len(b.Spans) != 6 || b.Epoch != 8 {
+	if b.ID != "0000000000000077" || len(b.Spans) != 5 || b.Epoch != 8 {
 		t.Fatalf("trace B = %+v", b)
 	}
 

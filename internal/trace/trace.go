@@ -1,9 +1,9 @@
 // Package trace is the pipeline's end-to-end event-tracing layer: it
 // follows individual BP events from engine emission (using the event's
-// own ts) through bus routing, parse, validation, shard queueing,
-// archive apply and batch commit — the paper's evaluation measures
-// exactly this path ("the average latency from the time an event was
-// generated until it was available in the database"), and this package
+// own ts) through bus routing, parse, shard queueing, archive apply
+// (schema validation included) and batch commit — the paper's evaluation
+// measures exactly this path ("the average latency from the time an event
+// was generated until it was available in the database"), and this package
 // makes the same measurement continuously available on a live system.
 //
 // Tracing is always on but sampled: a deterministic hash of the raw BP
@@ -45,15 +45,14 @@ const (
 	StageRoute
 	// StageParse is BP line decode.
 	StageParse
-	// StageValidate is YANG schema validation.
-	StageValidate
-	// StageQueue is the wait between validation and the batch starting to
-	// apply: batch-buffer residence, which ends when the batch fills or
-	// the source runs dry. Under a backlog it is the event's turn in the
-	// batch; on a quiet bus it is next to nothing.
+	// StageQueue is the wait between parse end and the batch starting to
+	// apply: shard-queue and batch-buffer residence, which ends when the
+	// batch fills or the source runs dry. Under a backlog it is the event's
+	// turn in the batch; on a quiet bus it is next to nothing.
 	StageQueue
-	// StageApply is the archive fold of the event's batch; at its end the
-	// event is visible to snapshot readers and the views.
+	// StageApply is the archive fold of the event's batch, schema
+	// validation included; at its end the event is visible to snapshot
+	// readers and the views.
 	StageApply
 	// StageCommit runs from the end of the apply to the end of the sync
 	// (WAL write + fsync) that covered the event — how long it was visible
@@ -70,7 +69,7 @@ const (
 )
 
 var stageNames = [numStages]string{
-	"emit", "route", "parse", "validate", "queue", "apply", "commit", "dropped",
+	"emit", "route", "parse", "queue", "apply", "commit", "dropped",
 }
 
 // String returns the stage's label as exposed on metrics and JSON.

@@ -122,7 +122,7 @@ func TestSampleDependsOnEveryByte(t *testing.T) {
 func TestStageString(t *testing.T) {
 	want := map[Stage]string{
 		StageEmit: "emit", StageRoute: "route", StageParse: "parse",
-		StageValidate: "validate", StageQueue: "queue", StageApply: "apply",
+		StageQueue: "queue", StageApply: "apply",
 		StageCommit: "commit", StageDropped: "dropped",
 	}
 	for st, name := range want {

@@ -115,7 +115,7 @@ func TestStampedeEventSequence(t *testing.T) {
 func loadEvents(t *testing.T, app *CollectAppender) *query.QI {
 	t.Helper()
 	a := archive.NewInMemory()
-	l, err := loader.New(a, loader.Options{Validate: true})
+	l, err := loader.New(a, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

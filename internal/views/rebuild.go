@@ -189,7 +189,6 @@ func (v *Views) BuildFromSnapshot(sn *relstore.Snapshot) error {
 		}
 		seq := r.Int(c.Invocation.TaskSubmitSeq)
 		is.invSeen[seq] = struct{}{}
-		is.invSeq = max(is.invSeq, seq+1)
 		w.invs++
 		if !r.IsNull(c.Invocation.RemoteDuration) {
 			d := r.Float(c.Invocation.RemoteDuration)

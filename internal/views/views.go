@@ -255,14 +255,13 @@ func (h *hostView) add(dBusy float64, dInst int64) {
 }
 
 // vinst is the per-job-instance scratch state a view needs to mirror the
-// archive's derived columns (local_duration, host attribution, invocation
-// sequence numbering).
+// archive's derived columns (local_duration, host attribution) and its
+// invocation identity (inv.id within the instance).
 type vinst struct {
 	execTS  time.Time
 	dur     float64 // local duration attributed to host (last main.end)
 	hasDur  bool
 	host    *hostView
-	invSeq  int64
 	invSeen map[int64]struct{}
 }
 
@@ -584,7 +583,7 @@ func (v *Views) observeLocked(st *vstripe, uuid string, ev *bp.Event) {
 	case schema.XwfEnd:
 		w := v.wfFor(st, uuid, ev.TS)
 		state := uint8(wfSuccess)
-		if s, ok := ev.Int(schema.AttrStatus); ok && s != 0 {
+		if s, _ := ev.Int(schema.AttrStatus); s != 0 {
 			state = wfFailure
 		}
 		w.noteState(state, ev.TS)
@@ -622,7 +621,7 @@ func (v *Views) observeLocked(st *vstripe, uuid string, ev *bp.Event) {
 			}
 			is.dur, is.hasDur = d, true
 		}
-		if ec, ok := ev.Int(schema.AttrExitcode); ok && ec != 0 {
+		if ec, _ := ev.Int(schema.AttrExitcode); ec != 0 {
 			w.js[jsFailure]++
 		} else {
 			w.js[jsSuccess]++
@@ -653,40 +652,32 @@ func (v *Views) observeLocked(st *vstripe, uuid string, ev *bp.Event) {
 		job := ev.Get(schema.AttrJobID)
 		seq, _ := ev.Int(schema.AttrJobInstID)
 		is := v.instFor(st, w, job, seq)
-		invSeq, ok := ev.Int(schema.AttrInvID)
-		if !ok {
-			invSeq = is.invSeq
-		}
-		// Mirrors applyInvEnd's numbering: an unnumbered invocation gets
-		// one above the largest seen, numbered or not, the rule a reopen
-		// (warmCaches, BuildFromSnapshot) restores.
-		is.invSeq = max(is.invSeq, invSeq+1)
+		invID, _ := ev.Int(schema.AttrInvID)
 		if is.invSeen == nil {
 			is.invSeen = make(map[int64]struct{}, 4)
 		}
-		if _, dup := is.invSeen[invSeq]; dup {
+		if _, dup := is.invSeen[invID]; dup {
 			// The archive skips the duplicate invocation; mirror that so
 			// view counts equal a rebuild from the store.
 			return
 		}
-		is.invSeen[invSeq] = struct{}{}
+		is.invSeen[invID] = struct{}{}
 		w.invs++
-		if d, ok := ev.Float(schema.AttrDur); ok {
-			w.q50.Observe(d)
-			w.q95.Observe(d)
-			w.q99.Observe(d)
-			if tr := ev.Get(schema.AttrTransform); tr != "" {
-				if an, bad := v.det.Observe(tr, d); bad {
-					mAnomalyAlerts.Inc()
-					st.alerts = append(st.alerts, Alert{
-						UUID:           uuid,
-						Transformation: an.Group,
-						Value:          an.Value,
-						Expected:       an.Expected,
-						Score:          an.Score,
-						Detail:         an.Detail,
-					})
-				}
+		d, _ := ev.Float(schema.AttrDur)
+		w.q50.Observe(d)
+		w.q95.Observe(d)
+		w.q99.Observe(d)
+		if tr := ev.Get(schema.AttrTransform); tr != "" {
+			if an, bad := v.det.Observe(tr, d); bad {
+				mAnomalyAlerts.Inc()
+				st.alerts = append(st.alerts, Alert{
+					UUID:           uuid,
+					Transformation: an.Group,
+					Value:          an.Value,
+					Expected:       an.Expected,
+					Score:          an.Score,
+					Detail:         an.Detail,
+				})
 			}
 		}
 		v.touch(st, w)
@@ -707,7 +698,7 @@ func jsForEvent(ev *bp.Event) (int, bool) {
 	case schema.JobInstPre:
 		return jsPreStarted, true
 	case schema.JobInstPreEnd:
-		if ec, ok := ev.Int(schema.AttrExitcode); ok && ec != 0 {
+		if ec, _ := ev.Int(schema.AttrExitcode); ec != 0 {
 			return jsPreFailure, true
 		}
 		return jsPreSuccess, true
@@ -728,7 +719,7 @@ func jsForEvent(ev *bp.Event) (int, bool) {
 	case schema.PostStart:
 		return jsPostStarted, true
 	case schema.PostEnd:
-		if ec, ok := ev.Int(schema.AttrExitcode); ok && ec != 0 {
+		if ec, _ := ev.Int(schema.AttrExitcode); ec != 0 {
 			return jsPostFailure, true
 		}
 		return jsPostSuccess, true

@@ -249,7 +249,7 @@ func TestManyWritersOnePartition(t *testing.T) {
 	stream := multiTrace(t, 8, 40, 7)
 
 	ref := archive.NewInMemory()
-	ld, err := loader.New(ref, loader.Options{Validate: true})
+	ld, err := loader.New(ref, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestManyWritersOnePartition(t *testing.T) {
 		arch := archive.NewInMemory()
 		live := views.New(views.Options{Clock: wfclock.NewManual(time.Unix(0, 0))})
 		defer live.Close()
-		ld, err := loader.New(arch, loader.Options{Shards: 4, Validate: true, Views: live})
+		ld, err := loader.New(arch, loader.Options{Shards: 4, Views: live})
 		if err != nil {
 			t.Fatal(err)
 		}

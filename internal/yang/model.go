@@ -5,7 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
+
+	"repro/internal/bp"
 )
 
 // LeafType enumerates the value types the Stampede schema uses.
@@ -303,12 +304,12 @@ func checkUUID(v string) error {
 	return nil
 }
 
+// checkTimestamp accepts exactly what bp.ParseTime reads, so a timestamp
+// the schema passes is one the archive can fold: an epoch value outside
+// years 1–9999 (or NaN) parses as a float but is no nl_ts.
 func checkTimestamp(v string) error {
-	if _, err := time.Parse(time.RFC3339Nano, v); err == nil {
-		return nil
+	if _, err := bp.ParseTime(v); err != nil {
+		return fmt.Errorf("%q is not an nl_ts timestamp", v)
 	}
-	if _, err := strconv.ParseFloat(v, 64); err == nil {
-		return nil
-	}
-	return fmt.Errorf("%q is not an nl_ts timestamp", v)
+	return nil
 }

@@ -136,7 +136,8 @@ func TestCheckValueTypes(t *testing.T) {
 		{TypeDecimal, []string{"74.0", "-1", "1e3"}, []string{"seventy"}, "decimal"},
 		{TypeUUID, []string{"ea17e8ac-02ac-4909-b5e3-16e367392556", "EA17E8AC-02AC-4909-B5E3-16E367392556"},
 			[]string{"", "nope", "ea17e8ac02ac4909b5e316e367392556", "zz17e8ac-02ac-4909-b5e3-16e367392556"}, "uuid"},
-		{TypeTimestamp, []string{"2012-03-13T12:35:38.000000Z", "1331642138.25"}, []string{"yesterday"}, "nl_ts"},
+		{TypeTimestamp, []string{"2012-03-13T12:35:38.000000Z", "1331642138.25"},
+			[]string{"yesterday", "NaN", "1e300", "-1e20", ""}, "nl_ts"},
 	}
 	for _, tc := range cases {
 		l := &Leaf{Name: tc.name, Type: tc.typ}
