@@ -73,7 +73,7 @@ soak-smoke:
 # ratio (10k-subscriber throughput vs 0), so the three variants need
 # enough iterations that GC and flush-burst placement average out.
 bench:
-	{ $(GO) test -bench 'BenchmarkLoader|BenchmarkReadersUnderLoad|BenchmarkParseBytes|BenchmarkEventlog|BenchmarkDashboardRequests' -benchmem -run XXX . ; \
+	{ $(GO) test -bench 'BenchmarkLoader|BenchmarkReadersUnderLoad|BenchmarkParseBytes|BenchmarkSchemaValidate|BenchmarkArchiveApply|BenchmarkEventlog|BenchmarkDashboardRequests' -benchmem -run XXX . ; \
 	  $(GO) test -bench 'BenchmarkWALAppend' -benchmem -run XXX ./internal/relstore ; \
 	  $(GO) test -bench 'BenchmarkMQTCP' -benchmem -run XXX ./internal/mq ; \
 	  $(GO) test -bench 'BenchmarkBuildStream' -benchmem -benchtime 3x -run XXX ./internal/synth ; \

@@ -400,14 +400,15 @@ var ErrUnknownEvent = errors.New("archive: event type not materialised")
 // (workflow restarts re-emit task/job descriptions) are tolerated and
 // skipped.
 func (a *Archive) Apply(ev *bp.Event) error {
-	if err := a.val.Validate(ev); err != nil {
+	t, err := a.val.Check(ev)
+	if err != nil {
 		return err
 	}
 	uuid := ev.Get(schema.AttrXwfID)
 	st := a.partOf(uuid)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := a.applyLocked(st, ev); err != nil {
+	if err := a.applyLocked(st, t, ev); err != nil {
 		return fmt.Errorf("archive: %s at %s: %w", ev.Type, ev.TS.Format("15:04:05.000"), err)
 	}
 	st.advance(uuid, ev.TS)
@@ -449,7 +450,8 @@ func (a *Archive) ApplyBatch(evs []*bp.Event) (n int, err error) {
 		return i, err
 	}
 	for i, ev := range evs {
-		if err := a.val.Validate(ev); err != nil {
+		t, err := a.val.Check(ev)
+		if err != nil {
 			return fail(i, err)
 		}
 		uuid := ev.Get(schema.AttrXwfID)
@@ -461,7 +463,7 @@ func (a *Archive) ApplyBatch(evs []*bp.Event) (n int, err error) {
 			st.mu.Lock()
 			cur = st
 		}
-		if err := a.applyLocked(st, ev); err != nil {
+		if err := a.applyLocked(st, t, ev); err != nil {
 			return fail(i, fmt.Errorf("archive: %s: %w", ev.Type, err))
 		}
 		st.advance(uuid, ev.TS)
@@ -473,65 +475,88 @@ func (a *Archive) ApplyBatch(evs []*bp.Event) (n int, err error) {
 	return len(evs), nil
 }
 
-func (a *Archive) applyLocked(st *partState, ev *bp.Event) error {
-	switch ev.Type {
-	case schema.WfPlan:
-		return a.applyPlan(ev)
-	case schema.StaticStart, schema.StaticEnd:
-		return nil // structural markers; nothing to materialise
-	case schema.XwfStart:
-		return a.applyWorkflowState(st, ev, WFStateStarted)
-	case schema.XwfEnd:
-		return a.applyWorkflowState(st, ev, WFStateTerminated)
-	case schema.TaskInfo:
-		return a.applyTaskInfo(st, ev)
-	case schema.TaskEdge:
-		return a.applyEdge(st, ev, false)
-	case schema.JobInfo:
-		return a.applyJobInfo(st, ev)
-	case schema.JobEdge:
-		return a.applyEdge(st, ev, true)
-	case schema.MapTaskJob:
-		return a.applyMapTaskJob(st, ev)
-	case schema.MapSubwfJob:
-		return a.applyMapSubwfJob(st, ev)
-	case schema.JobInstPre:
-		return a.applyJobState(st, ev, JSPreStarted)
-	case schema.JobInstPreEnd:
-		return a.applyScriptEnd(st, ev, JSPreSuccess, JSPreFailure)
-	case schema.SubmitStart:
-		return a.applyJobState(st, ev, JSSubmit)
-	case schema.SubmitEnd:
-		return a.applyJobState(st, ev, JSSubmitted)
-	case schema.HeldStart:
-		return a.applyJobState(st, ev, JSHeld)
-	case schema.HeldEnd:
-		return a.applyJobState(st, ev, JSReleased)
-	case schema.MainStart:
-		return a.applyMainStart(st, ev)
-	case schema.MainTerm:
-		return a.applyJobState(st, ev, JSTerminated)
-	case schema.MainError:
-		return a.applyJobState(st, ev, JSMainError)
-	case schema.MainEnd:
-		return a.applyMainEnd(st, ev)
-	case schema.PostStart:
-		return a.applyJobState(st, ev, JSPostStarted)
-	case schema.PostEnd:
-		return a.applyScriptEnd(st, ev, JSPostSuccess, JSPostFailure)
-	case schema.HostInfo:
-		return a.applyHostInfo(st, ev)
-	case schema.ImageInfo:
-		return nil // image sizes are not used by any report we produce
-	case schema.AbortInfo:
-		return a.applyJobState(st, ev, JSAborted)
-	case schema.InvStart:
-		return nil // the inv.end record carries everything we store
-	case schema.InvEnd:
-		return a.applyInvEnd(st, ev)
-	default:
+// A Lifecycle is the jobstate row an event of a job instance's lifecycle
+// appends: OK, or Fail when the event reports a non-zero exitcode. Fail is
+// empty for an event that reports none, and the zero Lifecycle appends no
+// row. The folds table below declares each type's; the views count job
+// states from the same declaration (LifecycleOf).
+type Lifecycle struct{ OK, Fail string }
+
+// Failed reports whether ev appends l.Fail rather than l.OK.
+func (l Lifecycle) Failed(ev *bp.Event) bool {
+	if l.Fail == "" {
+		return false
+	}
+	code, _ := ev.Int(schema.AttrExitcode)
+	return code != 0
+}
+
+// state returns the jobstate ev appends.
+func (l Lifecycle) state(ev *bp.Event) string {
+	if l.Failed(ev) {
+		return l.Fail
+	}
+	return l.OK
+}
+
+// fold is what folding one event type into the tables does: apply writes its
+// rows, reading what else the entry declares, the jobstate row (lc) or the
+// workflowstate row (wf) the event appends.
+type fold struct {
+	apply func(a *Archive, st *partState, ev *bp.Event, f *fold) error
+	lc    Lifecycle
+	wf    string
+}
+
+// folds is the archive's dispatch, one entry per event type of the schema,
+// indexed by type code. The lifecycle events that only append a jobstate row
+// are data: applyJobState appends what their Lifecycle picks. An entry whose
+// events change no table says so with skip; a type with no entry at all is
+// a container added to the schema without a fold, which Apply refuses with
+// ErrUnknownEvent.
+var folds = schema.ByType(map[string]fold{
+	schema.WfPlan:        {apply: (*Archive).applyPlan},
+	schema.StaticStart:   {apply: skip}, // structural markers
+	schema.StaticEnd:     {apply: skip},
+	schema.XwfStart:      {apply: (*Archive).applyWorkflowState, wf: WFStateStarted},
+	schema.XwfEnd:        {apply: (*Archive).applyWorkflowState, wf: WFStateTerminated},
+	schema.TaskInfo:      {apply: (*Archive).applyTaskInfo},
+	schema.TaskEdge:      {apply: (*Archive).applyTaskEdge},
+	schema.JobInfo:       {apply: (*Archive).applyJobInfo},
+	schema.JobEdge:       {apply: (*Archive).applyJobEdge},
+	schema.MapTaskJob:    {apply: (*Archive).applyMapTaskJob},
+	schema.MapSubwfJob:   {apply: (*Archive).applyMapSubwfJob},
+	schema.JobInstPre:    {apply: (*Archive).applyJobState, lc: Lifecycle{OK: JSPreStarted}},
+	schema.JobInstPreEnd: {apply: (*Archive).applyJobState, lc: Lifecycle{JSPreSuccess, JSPreFailure}},
+	schema.SubmitStart:   {apply: (*Archive).applyJobState, lc: Lifecycle{OK: JSSubmit}},
+	schema.SubmitEnd:     {apply: (*Archive).applyJobState, lc: Lifecycle{OK: JSSubmitted}},
+	schema.HeldStart:     {apply: (*Archive).applyJobState, lc: Lifecycle{OK: JSHeld}},
+	schema.HeldEnd:       {apply: (*Archive).applyJobState, lc: Lifecycle{OK: JSReleased}},
+	schema.MainStart:     {apply: (*Archive).applyMainStart, lc: Lifecycle{OK: JSExecute}},
+	schema.MainTerm:      {apply: (*Archive).applyJobState, lc: Lifecycle{OK: JSTerminated}},
+	schema.MainError:     {apply: (*Archive).applyJobState, lc: Lifecycle{OK: JSMainError}},
+	schema.MainEnd:       {apply: (*Archive).applyMainEnd, lc: Lifecycle{JSSuccess, JSFailure}},
+	schema.PostStart:     {apply: (*Archive).applyJobState, lc: Lifecycle{OK: JSPostStarted}},
+	schema.PostEnd:       {apply: (*Archive).applyJobState, lc: Lifecycle{JSPostSuccess, JSPostFailure}},
+	schema.HostInfo:      {apply: (*Archive).applyHostInfo},
+	schema.ImageInfo:     {apply: skip}, // image sizes are not used by any report we produce
+	schema.AbortInfo:     {apply: (*Archive).applyJobState, lc: Lifecycle{OK: JSAborted}},
+	schema.InvStart:      {apply: skip}, // the inv.end record carries everything we store
+	schema.InvEnd:        {apply: (*Archive).applyInvEnd},
+})
+
+// LifecycleOf returns the jobstate row an event of type t appends, the zero
+// Lifecycle for a type that appends none.
+func LifecycleOf(t schema.Type) Lifecycle { return folds[t].lc }
+
+func skip(*Archive, *partState, *bp.Event, *fold) error { return nil }
+
+func (a *Archive) applyLocked(st *partState, t schema.Type, ev *bp.Event) error {
+	f := &folds[t]
+	if f.apply == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownEvent, ev.Type)
 	}
+	return f.apply(a, st, ev, f)
 }
 
 // lookupWF returns the cached workflow row id for uuid, if present.
@@ -593,7 +618,7 @@ func (a *Archive) wfRow(st *partState, ev *bp.Event) (int64, error) {
 	return id, nil
 }
 
-func (a *Archive) applyPlan(ev *bp.Event) error {
+func (a *Archive) applyPlan(_ *partState, ev *bp.Event, _ *fold) error {
 	uuid := ev.Get(schema.AttrXwfID)
 	if uuid == "" {
 		return errors.New("wf.plan lacks xwf.id")
@@ -633,7 +658,9 @@ func (a *Archive) applyPlan(ev *bp.Event) error {
 	return w.Update(&d)
 }
 
-func (a *Archive) applyWorkflowState(st *partState, ev *bp.Event, state string) error {
+// applyWorkflowState appends the workflowstate row f declares; status is
+// xwf.end's, xwf.start has none.
+func (a *Archive) applyWorkflowState(st *partState, ev *bp.Event, f *fold) error {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return err
@@ -641,11 +668,11 @@ func (a *Archive) applyWorkflowState(st *partState, ev *bp.Event, state string) 
 	c := &a.c.WorkflowState
 	d := st.w.NewRow(c.Layout)
 	d.SetInt(c.WfID, wf)
-	d.SetStr(c.State, state)
+	d.SetStr(c.State, f.wf)
 	d.SetTime(c.Timestamp, ev.TS)
 	restarts, _ := ev.Int("restart_count")
 	d.SetInt(c.RestartCount, restarts)
-	if state == WFStateTerminated { // status is xwf.end's; xwf.start has none
+	if f.wf == WFStateTerminated {
 		status, _ := ev.Int(schema.AttrStatus)
 		d.SetInt(c.Status, status)
 	}
@@ -653,7 +680,7 @@ func (a *Archive) applyWorkflowState(st *partState, ev *bp.Event, state string) 
 	return err
 }
 
-func (a *Archive) applyTaskInfo(st *partState, ev *bp.Event) error {
+func (a *Archive) applyTaskInfo(st *partState, ev *bp.Event, _ *fold) error {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return err
@@ -676,6 +703,14 @@ func (a *Archive) applyTaskInfo(st *partState, ev *bp.Event) error {
 	}
 	st.taskIDs[k] = id
 	return nil
+}
+
+func (a *Archive) applyTaskEdge(st *partState, ev *bp.Event, _ *fold) error {
+	return a.applyEdge(st, ev, false)
+}
+
+func (a *Archive) applyJobEdge(st *partState, ev *bp.Event, _ *fold) error {
+	return a.applyEdge(st, ev, true)
 }
 
 // applyEdge inserts a task edge, or a job edge when job is set, unless
@@ -705,7 +740,7 @@ func (a *Archive) applyEdge(st *partState, ev *bp.Event, job bool) error {
 	return nil
 }
 
-func (a *Archive) applyJobInfo(st *partState, ev *bp.Event) error {
+func (a *Archive) applyJobInfo(st *partState, ev *bp.Event, _ *fold) error {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return err
@@ -739,7 +774,7 @@ func (a *Archive) applyJobInfo(st *partState, ev *bp.Event) error {
 	return nil
 }
 
-func (a *Archive) applyMapTaskJob(st *partState, ev *bp.Event) error {
+func (a *Archive) applyMapTaskJob(st *partState, ev *bp.Event, _ *fold) error {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return err
@@ -758,7 +793,7 @@ func (a *Archive) applyMapTaskJob(st *partState, ev *bp.Event) error {
 	return st.w.Update(&d)
 }
 
-func (a *Archive) applyMapSubwfJob(st *partState, ev *bp.Event) error {
+func (a *Archive) applyMapSubwfJob(st *partState, ev *bp.Event, _ *fold) error {
 	is, err := a.instRow(st, ev)
 	if err != nil {
 		return err
@@ -817,12 +852,14 @@ func (a *Archive) instRow(st *partState, ev *bp.Event) (*instState, error) {
 	return is, nil
 }
 
-func (a *Archive) applyJobState(st *partState, ev *bp.Event, state string) error {
+// applyJobState appends the jobstate row f's Lifecycle picks for ev: the
+// whole fold of a lifecycle event that changes no other table.
+func (a *Archive) applyJobState(st *partState, ev *bp.Event, f *fold) error {
 	is, err := a.instRow(st, ev)
 	if err != nil {
 		return err
 	}
-	return a.insertJobState(st, is, state, ev)
+	return a.insertJobState(st, is, f.lc.state(ev), ev)
 }
 
 // insertJobState is the hottest archive write: every lifecycle event of
@@ -840,19 +877,7 @@ func (a *Archive) insertJobState(st *partState, is *instState, state string, ev 
 	return err
 }
 
-func (a *Archive) applyScriptEnd(st *partState, ev *bp.Event, okState, failState string) error {
-	is, err := a.instRow(st, ev)
-	if err != nil {
-		return err
-	}
-	state := okState
-	if code, _ := ev.Int(schema.AttrExitcode); code != 0 {
-		state = failState
-	}
-	return a.insertJobState(st, is, state, ev)
-}
-
-func (a *Archive) applyMainStart(st *partState, ev *bp.Event) error {
+func (a *Archive) applyMainStart(st *partState, ev *bp.Event, f *fold) error {
 	is, err := a.instRow(st, ev)
 	if err != nil {
 		return err
@@ -872,10 +897,10 @@ func (a *Archive) applyMainStart(st *partState, ev *bp.Event) error {
 		}
 	}
 	is.execTS = ev.TS
-	return a.insertJobState(st, is, JSExecute, ev)
+	return a.insertJobState(st, is, f.lc.state(ev), ev)
 }
 
-func (a *Archive) applyMainEnd(st *partState, ev *bp.Event) error {
+func (a *Archive) applyMainEnd(st *partState, ev *bp.Event, f *fold) error {
 	is, err := a.instRow(st, ev)
 	if err != nil {
 		return err
@@ -911,14 +936,10 @@ func (a *Archive) applyMainEnd(st *partState, ev *bp.Event) error {
 	if err := st.w.Update(&d); err != nil {
 		return err
 	}
-	state := JSSuccess
-	if exitcode != 0 {
-		state = JSFailure
-	}
-	return a.insertJobState(st, is, state, ev)
+	return a.insertJobState(st, is, f.lc.state(ev), ev)
 }
 
-func (a *Archive) applyHostInfo(st *partState, ev *bp.Event) error {
+func (a *Archive) applyHostInfo(st *partState, ev *bp.Event, _ *fold) error {
 	is, err := a.instRow(st, ev)
 	if err != nil {
 		return err
@@ -955,7 +976,7 @@ func (a *Archive) applyHostInfo(st *partState, ev *bp.Event) error {
 	return st.w.Update(&d)
 }
 
-func (a *Archive) applyInvEnd(st *partState, ev *bp.Event) error {
+func (a *Archive) applyInvEnd(st *partState, ev *bp.Event, _ *fold) error {
 	wf, err := a.wfRow(st, ev)
 	if err != nil {
 		return err

@@ -461,3 +461,33 @@ func TestApplyMainErrorRecordsJobstate(t *testing.T) {
 		t.Errorf("expected 1 job_instance, got %d", len(insts))
 	}
 }
+
+// TestJobStatesAreTheLifecycleStates: JobStates, the vocabulary the views
+// size their counts by, lists each state some type's Lifecycle declares, and
+// nothing else.
+func TestJobStatesAreTheLifecycleStates(t *testing.T) {
+	declared := map[string]bool{}
+	for i := range folds {
+		lc := LifecycleOf(schema.Type(i))
+		for _, s := range []string{lc.OK, lc.Fail} {
+			if s != "" {
+				declared[s] = true
+			}
+		}
+	}
+	listed := map[string]bool{}
+	for _, s := range JobStates {
+		if listed[s] {
+			t.Errorf("JobStates lists %s twice", s)
+		}
+		listed[s] = true
+		if !declared[s] {
+			t.Errorf("JobStates lists %s, which no Lifecycle declares", s)
+		}
+	}
+	for s := range declared {
+		if !listed[s] {
+			t.Errorf("a Lifecycle declares %s, which JobStates lacks", s)
+		}
+	}
+}

@@ -49,6 +49,15 @@ const (
 	JSPostFailure = "POST_SCRIPT_FAILURE"
 )
 
+// JobStates is the jobstate vocabulary, each state once: exactly the states
+// the Lifecycles of the fold table (archive.go) name. The views count a
+// workflow's job states in an array laid out in this order.
+var JobStates = [...]string{
+	JSSubmit, JSSubmitted, JSHeld, JSReleased, JSExecute, JSTerminated,
+	JSMainError, JSSuccess, JSFailure, JSAborted, JSPreStarted, JSPreSuccess,
+	JSPreFailure, JSPostStarted, JSPostSuccess, JSPostFailure,
+}
+
 // Schemas returns every table definition of the Stampede archive, in
 // dependency order (referenced tables first).
 func Schemas() []relstore.TableSchema {

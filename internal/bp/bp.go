@@ -380,11 +380,31 @@ func unquoteSlow(line string, vs int) (string, int, error) {
 	return "", i, fmt.Errorf("bp: unterminated quote in %q", truncate(line))
 }
 
+// Representable reports whether t is an instant the archive can store: one
+// whose nanoseconds since the epoch fit an int64, which is how a relstore
+// Time slot holds it (years 1678 to 2262; the zero time is not one). It is
+// the one definition of a storable time: relstore refuses any other, and
+// the schema refuses an event whose ts or nl_ts leaf names one, so a
+// refused event is refused before any of its rows is written.
+func Representable(t time.Time) bool {
+	// The bounds are time.Unix(0, math.MinInt64) and (0, math.MaxInt64) as
+	// seconds and nanoseconds: comparing those is a quarter of the cost of
+	// time.Time's Before and After, and every event pays for it.
+	const minSec, minNsec, maxSec, maxNsec = -9223372037, 145224192, 9223372036, 854775807
+	s := t.Unix()
+	if s > minSec && s < maxSec {
+		return true
+	}
+	ns := t.Nanosecond()
+	return s == minSec && ns >= minNsec || s == maxSec && ns <= maxNsec
+}
+
 // ParseTime decodes a BP timestamp value: the canonical ISO 8601 layout
 // (via an allocation-free fixed-width fast path), any RFC 3339 variant,
 // or fractional seconds since the epoch within years 1–9999. It is the one
-// definition of a valid nl_ts: the schema's timestamp check calls it, and
-// the archive reads inv.end's start_time with it.
+// definition of a readable nl_ts: the schema's timestamp check calls it
+// (and refuses what it reads unless Representable), and the archive reads
+// inv.end's start_time with it.
 func ParseTime(v string) (time.Time, error) {
 	if t, ok := parseCanonicalTS(v); ok {
 		return t, nil

@@ -230,3 +230,18 @@ func TestFormatDeterministic(t *testing.T) {
 		t.Fatalf("attributes not sorted: %q", first)
 	}
 }
+
+// TestRepresentableIsTheUnixNanoRange: an instant is Representable exactly
+// when a Unix nanosecond count holds it, at both edges of the range.
+func TestRepresentableIsTheUnixNanoRange(t *testing.T) {
+	lo, hi := time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+	for _, ts := range []time.Time{
+		lo, hi, lo.Add(-1), hi.Add(1), lo.Add(-time.Second), hi.Add(time.Second),
+		{}, time.Unix(0, 0), time.Now(), time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2300, 1, 1, 0, 0, 0, 0, time.FixedZone("", 3600)),
+	} {
+		if got, want := Representable(ts), time.Unix(0, ts.UnixNano()).Equal(ts); got != want {
+			t.Errorf("Representable(%v) = %v, want %v", ts, got, want)
+		}
+	}
+}

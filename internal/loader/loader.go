@@ -123,7 +123,7 @@ type Stats struct {
 	Loaded    uint64 // events folded into the archive
 	Invalid   uint64 // events the archive refused: schema-invalid, or failed to apply
 	Unknown   uint64 // events of a schema type the archive has no handler for
-	Malformed uint64 // unparseable BP lines (lenient mode only)
+	Malformed uint64 // unparseable BP lines
 	Elapsed   time.Duration
 	// Shards holds the per-shard counters, one entry per apply shard, so
 	// the scaling experiment can report where time goes.
@@ -311,37 +311,19 @@ func (l *Loader) newBatch(shard int) *batch {
 	return b
 }
 
-// traceConsumed records the route (broker dwell) and parse spans for a
-// sampled bus message and stamps the trace context onto ev. id and
-// recvNS come from the pre-parse sampling check; id == 0 is the
-// unsampled fast path.
-func traceConsumed(id uint64, recvNS int64, m mq.Message, ev *bp.Event) {
-	if id == 0 {
-		return
-	}
+// traceParsed records, for a sampled line, the span that brought it to the
+// parse stage and its parse span, and stamps the trace context onto ev. t0 is
+// the clock reading taken before the parse. A bus message (m) opens the route
+// span, its dwell in the broker; a file line opens the emit span, from the
+// event's own ts (clamped to zero length when the ts is in the wall clock's
+// future — scaled virtual engine clocks).
+func traceParsed(id uint64, t0 int64, m *mq.Message, ev *bp.Event) {
 	wf := ev.Get(schema.AttrXwfID)
-	trace.Record(id, trace.StageRoute, wf, m.TS.UnixNano(), recvNS)
-	now := time.Now().UnixNano()
-	trace.Record(id, trace.StageParse, wf, recvNS, now)
-	ev.TraceID, ev.TraceNS = id, now
-}
-
-// traceRead records the emit and parse spans for a sampled file/reader
-// line. id and t0 come from the reader's pre-parse sampling hook
-// (bp.Reader.SetSampler); id == 0 is the unsampled fast path, which paid
-// only the line hash. The emit span runs from the event's own ts to the
-// load (clamped to zero length when the ts is in the wall clock's future
-// — scaled virtual engine clocks).
-func traceRead(id uint64, t0 int64, ev *bp.Event) {
-	if id == 0 {
-		return
+	if m != nil {
+		trace.Record(id, trace.StageRoute, wf, m.TS.UnixNano(), t0)
+	} else {
+		trace.Record(id, trace.StageEmit, wf, min(ev.TS.UnixNano(), t0), t0)
 	}
-	wf := ev.Get(schema.AttrXwfID)
-	start := ev.TS.UnixNano()
-	if start > t0 {
-		start = t0
-	}
-	trace.Record(id, trace.StageEmit, wf, start, t0)
 	now := time.Now().UnixNano()
 	trace.Record(id, trace.StageParse, wf, t0, now)
 	ev.TraceID, ev.TraceNS = id, now

@@ -139,43 +139,69 @@ func TestLenientSkipsBadLinesAndEvents(t *testing.T) {
 	}
 }
 
-// TestUnrepresentableTimestampRefused: an event whose timestamp the store's
-// UnixNano time slot cannot hold (here the year 1600; the schema validator
-// has no quarrel with it) is refused by the archive — naming table.column —
-// rather than stored as some other instant. The lenient loader counts it
-// Invalid and loads the rest; the strict one aborts on it.
+// TestUnrepresentableTimestampRefused: an event whose ts or nl_ts leaf names
+// an instant the store's UnixNano time slot cannot hold (before 1678 or
+// after 2262; bp.ParseTime reads years 1–9999) is refused by the schema, as
+// a whole: it names a workflow of its own, so folding any part of it — the
+// workflow, job or job-instance placeholder an inv.end makes before its
+// invocation row — would add rows. The lenient loader counts it Invalid and
+// loads the rest with the store hashing as the clean stream; the strict one
+// aborts naming it; a direct Apply refuses it and changes nothing.
 func TestUnrepresentableTimestampRefused(t *testing.T) {
 	wf := uuid.New().String()
-	bad := "ts=1600-01-01T00:00:00.000000Z event=stampede.xwf.start xwf.id=" + wf + " restart_count=0\n"
-	input := workflowStream(wf, 2) + bad
-
-	a := archive.NewInMemory()
-	l, _ := New(a, Options{Lenient: true, BatchSize: 4})
-	clean, err := l.LoadReader(strings.NewReader(workflowStream(wf, 2)))
+	clean := archive.NewInMemory()
+	l, _ := New(clean, Options{Lenient: true, BatchSize: 4})
+	cleanStats, err := l.LoadReader(strings.NewReader(workflowStream(wf, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := archive.NewInMemory()
-	l, _ = New(b, Options{Lenient: true, BatchSize: 4})
-	stats, err := l.LoadReader(strings.NewReader(input))
-	if err != nil {
-		t.Fatalf("lenient load failed: %v", err)
-	}
-	if stats.Invalid != 1 || stats.Loaded != clean.Loaded || stats.Read != clean.Read+1 {
-		t.Fatalf("lenient: %s; want the clean stream's %d loaded and 1 invalid", stats.String(), clean.Loaded)
-	}
-	if got, want := archiveHash(t, b), archiveHash(t, a); got != want {
-		t.Fatalf("the refused event changed the store: hash %s, without it %s", got, want)
-	}
+	want := archiveHash(t, clean)
 
-	c := archive.NewInMemory()
-	l, _ = New(c, Options{BatchSize: 4})
-	stats, err = l.LoadReader(strings.NewReader(input))
-	if err == nil || !strings.Contains(err.Error(), "workflowstate.timestamp: time 1600-01-01T00:00:00Z is outside the representable range") {
-		t.Fatalf("strict: err = %v, want the archive's complaint naming workflowstate.timestamp", err)
-	}
-	if stats.Invalid != 1 {
-		t.Fatalf("strict: %s; want invalid=1", stats.String())
+	other := uuid.New().String()
+	ref := " xwf.id=" + other + " job.id=j job_inst.id=1"
+	for _, bad := range []string{
+		"ts=1600-01-01T00:00:00.000000Z event=stampede.xwf.start xwf.id=" + other + " restart_count=0",
+		"ts=2300-01-01T00:00:00.000000Z event=stampede.job_inst.main.start" + ref,
+		"ts=2012-03-13T12:35:38.000000Z event=stampede.inv.end" + ref +
+			" inv.id=1 start_time=1600-01-01T00:00:00.000000Z dur=1 exitcode=0 transformation=x",
+		"ts=2012-03-13T12:35:38.000000Z event=stampede.inv.end" + ref +
+			" inv.id=1 start_time=-9999999999 dur=1 exitcode=0 transformation=x",
+	} {
+		input := workflowStream(wf, 2) + bad + "\n"
+
+		b := archive.NewInMemory()
+		l, _ := New(b, Options{Lenient: true, BatchSize: 4})
+		stats, err := l.LoadReader(strings.NewReader(input))
+		if err != nil {
+			t.Fatalf("%s: lenient load failed: %v", bad, err)
+		}
+		if stats.Invalid != 1 || stats.Loaded != cleanStats.Loaded || stats.Read != cleanStats.Read+1 {
+			t.Fatalf("%s: lenient: %s; want the clean stream's %d loaded and 1 invalid", bad, stats.String(), cleanStats.Loaded)
+		}
+		if got := archiveHash(t, b); got != want {
+			t.Fatalf("%s: the refused event changed the store: hash %s, without it %s", bad, got, want)
+		}
+
+		c := archive.NewInMemory()
+		l, _ = New(c, Options{BatchSize: 4})
+		stats, err = l.LoadReader(strings.NewReader(input))
+		if err == nil || !strings.Contains(err.Error(), "outside the representable range") {
+			t.Fatalf("%s: strict: err = %v, want the schema's complaint", bad, err)
+		}
+		if stats.Invalid != 1 {
+			t.Fatalf("%s: strict: %s; want invalid=1", bad, stats.String())
+		}
+
+		ev, err := bp.Parse(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := clean.Apply(ev); err == nil || !strings.Contains(err.Error(), "outside the representable range") {
+			t.Fatalf("%s: Apply: err = %v, want the schema's complaint", bad, err)
+		}
+		if got := archiveHash(t, clean); got != want {
+			t.Fatalf("%s: a refused Apply changed the store: hash %s, before %s", bad, got, want)
+		}
 	}
 }
 

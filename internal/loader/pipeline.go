@@ -3,6 +3,7 @@ package loader
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -184,47 +185,28 @@ func (d *dryReader) Read(b []byte) (int, error) {
 	return n, err
 }
 
-// produceReader is the parse stage over an io.Reader source.
+// produceReader is the parse stage over an io.Reader source: each content
+// line (bp.Reader skips blank and '#' lines) goes through ingest, numbered.
 func (p *pipeline) produceReader(r io.Reader) {
 	br := bp.NewReader(&dryReader{r: r, p: p})
-	br.SetLenient(p.l.opts.Lenient)
-	// Pooled events flow down the pipeline with ownership: parser → shard,
-	// which releases them when it rejects them or after its batch commits.
-	br.SetPooled(true)
-	if p.l.opts.Tap != nil {
-		br.SetTap(p.l.opts.Tap)
-	}
-	if trace.Enabled() {
-		br.SetSampler(trace.Sample)
-	}
 	for {
-		ev, err := br.Read()
+		line, err := br.Line()
 		if errors.Is(err, io.EOF) {
-			break
+			return
 		}
 		if err != nil {
 			p.note(err)
-			break
+			return
 		}
-		if id, t0 := br.LastSample(); id != 0 {
-			traceRead(id, t0, ev)
-		}
-		p.read++
-		mRead.Inc()
-		if !p.dispatch(ev) {
-			// Aborted before handoff: the event never reached a shard,
-			// so ownership is still here.
-			bp.ReleaseEvent(ev)
-			break
+		if !p.ingest(line, br.LineNo(), nil) {
+			return
 		}
 	}
-	p.malformed = uint64(br.Skipped())
-	mMalformed.Add(p.malformed)
-	p.l.rejected.Add(p.malformed)
 }
 
-// produceMsgs is the parse stage over an mq delivery channel; it returns
-// when msgs closes, ctx is done or the pipeline aborts.
+// produceMsgs is the parse stage over an mq delivery channel: each message
+// goes through ingest. It returns when msgs closes, ctx is done or the
+// pipeline aborts.
 func (p *pipeline) produceMsgs(ctx context.Context, msgs <-chan mq.Message) {
 	for {
 		if len(msgs) == 0 {
@@ -236,42 +218,66 @@ func (p *pipeline) produceMsgs(ctx context.Context, msgs <-chan mq.Message) {
 		case <-p.ctx.Done():
 			return
 		case m, ok := <-msgs:
-			if !ok {
-				return
-			}
-			if p.l.opts.Tap != nil {
-				if err := p.l.opts.Tap(m.Body); err != nil {
-					p.note(err)
-					return
-				}
-			}
-			var id uint64
-			var recvNS int64
-			if trace.Enabled() {
-				if id = trace.Sample(m.Body); id != 0 {
-					recvNS = time.Now().UnixNano()
-				}
-			}
-			ev, err := bp.ParseBytes(m.Body)
-			if err != nil {
-				p.malformed++
-				mMalformed.Inc()
-				p.l.rejected.Add(1)
-				if p.l.opts.Lenient {
-					continue
-				}
-				p.note(err)
-				return
-			}
-			traceConsumed(id, recvNS, m, ev)
-			p.read++
-			mRead.Inc()
-			if !p.dispatch(ev) {
-				bp.ReleaseEvent(ev)
+			if !ok || !p.ingest(m.Body, 0, &m) {
 				return
 			}
 		}
 	}
+}
+
+// ingest is the parse stage's one step, for a file line and a bus message
+// alike: it taps the raw line (malformed ones included, so an event log sees
+// the stream as it arrived), samples it for tracing, parses it into a pooled
+// event and hands that to its shard, or counts the line malformed. lineNo
+// numbers a file's line in a strict error; m is the bus message the line
+// came in, nil for a file. It returns false when the parse stage must stop.
+func (p *pipeline) ingest(line []byte, lineNo int, m *mq.Message) bool {
+	where := func(err error) error {
+		if m != nil {
+			return err
+		}
+		return fmt.Errorf("line %d: %w", lineNo, err)
+	}
+	if p.l.opts.Tap != nil {
+		if err := p.l.opts.Tap(line); err != nil {
+			// A tap failure is a durability failure, not a data problem:
+			// fatal even in lenient mode.
+			p.note(where(fmt.Errorf("tap: %w", err)))
+			return false
+		}
+	}
+	var id uint64
+	var t0 int64
+	if trace.Enabled() {
+		if id = trace.Sample(line); id != 0 {
+			t0 = time.Now().UnixNano()
+		}
+	}
+	// Pooled events flow down the pipeline with ownership: parser → shard,
+	// which releases them when it rejects them or after its batch commits.
+	ev, err := bp.ParseBytes(line)
+	if err != nil {
+		p.malformed++
+		mMalformed.Inc()
+		p.l.rejected.Add(1)
+		if p.l.opts.Lenient {
+			return true
+		}
+		p.note(where(err))
+		return false
+	}
+	if id != 0 {
+		traceParsed(id, t0, m, ev)
+	}
+	p.read++
+	mRead.Inc()
+	if !p.dispatch(ev) {
+		// Aborted before handoff: the event never reached a shard, so
+		// ownership is still here.
+		bp.ReleaseEvent(ev)
+		return false
+	}
+	return true
 }
 
 // run is the shard's goroutine: it takes events off the queue and commits

@@ -76,7 +76,7 @@ func hashOf(t *testing.T, a *archive.Archive) string {
 
 // TestEveryContainerHasAHandler: a minimal valid event of every container
 // the schema declares applies through Archive.Apply. A container added to
-// the schema without a case in the archive's dispatch fails here with
+// the schema without an entry in the archive's fold table fails here with
 // ErrUnknownEvent, instead of reaching a load as an Unknown count.
 func TestEveryContainerHasAHandler(t *testing.T) {
 	a := archive.NewInMemory()

@@ -2,6 +2,7 @@ package mq
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -234,4 +235,48 @@ func (c *Client) Publish(key string, body []byte) error {
 		return err
 	}
 	return c.roundTrip(func() error { return c.w.writeFrame("PUB", key, body) })
+}
+
+// flushWatch is a client's end of a connection that signals each write the
+// client makes on it, so a test can wait for the background flush.
+type flushWatch struct {
+	net.Conn
+	wrote chan struct{}
+}
+
+func (c *flushWatch) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	select {
+	case c.wrote <- struct{}{}:
+	default:
+	}
+	return n, err
+}
+
+// TestTCPFailedBackgroundFlushIsReported: a flush the client's flusher
+// makes after the server side went away fails, and the failure is not lost
+// with the flusher's goroutine: the next PublishAsync and Close return it.
+func TestTCPFailedBackgroundFlushIsReported(t *testing.T) {
+	server, client := net.Pipe()
+	server.Close() // the server side is gone: every write fails
+	conn := &flushWatch{Conn: client, wrote: make(chan struct{}, 1)}
+	c := newClient(conn)
+	if err := c.PublishAsync("stampede.xwf.start", []byte("first")); err != nil {
+		t.Fatalf("PublishAsync buffers and reports nothing yet, got %v", err)
+	}
+	select {
+	case <-conn.wrote:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the flusher never wrote the buffered frame")
+	}
+	// The flusher holds the client's lock across its write; taking it
+	// here waits for that flush to have returned.
+	c.mu.Lock()
+	c.mu.Unlock()
+	if err := c.PublishAsync("stampede.xwf.start", []byte("second")); err == nil {
+		t.Error("PublishAsync after a failed background flush returned nil")
+	}
+	if err := c.Close(); err == nil {
+		t.Error("Close after a failed background flush returned nil")
+	}
 }

@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/bp"
 )
 
 // maxColumns is how many columns a table may declare: one bit each in a
@@ -237,11 +239,10 @@ func (r *Row) Time(c Col) time.Time {
 }
 
 // timeWord is the UnixNano word a Time slot holds for t, and whether t has
-// one: an instant before 1678 or after 2262 — the zero time.Time among
-// them — does not fit 64 bits of nanoseconds.
+// one (bp.Representable): an instant before 1678 or after 2262 — the zero
+// time.Time among them — does not fit 64 bits of nanoseconds.
 func timeWord(t time.Time) (uint64, bool) {
-	ns := t.UnixNano()
-	return uint64(ns), time.Unix(0, ns).Equal(t)
+	return uint64(t.UnixNano()), bp.Representable(t)
 }
 
 // errTimeRange reports a time no Time slot of column c can hold.

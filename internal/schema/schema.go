@@ -12,14 +12,15 @@ package schema
 import (
 	"fmt"
 	"strings"
-	"sync"
+	"time"
 
 	"repro/internal/bp"
 	"repro/internal/yang"
 )
 
 // Event type names, one constant per container in the schema. Engines and
-// normalizers emit these; the loader and archive dispatch on them.
+// normalizers emit these; the archive and the views key their per-type
+// tables by them (ByType).
 const (
 	WfPlan        = "stampede.wf.plan"
 	StaticStart   = "stampede.static.start"
@@ -76,61 +77,93 @@ const (
 	AttrStderrText = "stderr.text"
 )
 
-func init() {
-	// Register the Stampede vocabulary with the BP intern table so the
-	// very first parsed event resolves its keys and type to canonical
-	// per-process strings. bp cannot import schema (schema imports bp),
-	// so the seeding runs from this side of the edge.
-	bp.InternStrings(
-		WfPlan, StaticStart, StaticEnd, XwfStart, XwfEnd,
-		TaskInfo, TaskEdge, JobInfo, JobEdge, MapTaskJob, MapSubwfJob,
-		JobInstPre, JobInstPreEnd, SubmitStart, SubmitEnd,
-		HeldStart, HeldEnd, MainStart, MainTerm, MainError, MainEnd,
-		PostStart, PostEnd, HostInfo, ImageInfo, AbortInfo,
-		InvStart, InvEnd,
-	)
-	bp.InternStrings(
-		AttrLevel, AttrXwfID, AttrTaskID, AttrJobID, AttrJobInstID,
-		AttrInvID, AttrStatus, AttrExitcode, AttrSite, AttrHostname,
-		AttrDur, AttrStartTime, AttrParentXwf, AttrRootXwf, AttrSubwfID,
-		AttrRemoteCPU, AttrTransform, AttrExecutable, AttrArgv,
-		AttrStdoutText, AttrStderrText,
-	)
-	// Non-constant keys the archive reads straight from events.
-	bp.InternStrings(
-		"submit.hostname", "dax.label", "dax.version", "dax.file",
-		"dag.file.name", "submit_dir", "user", "planner.version",
-		"restart_count", "type_desc", "parent.task.id", "child.task.id",
-		"clustered", "max_retries", "task_count", "parent.job.id",
-		"child.job.id", "stdout.file", "stderr.file", "multiplier_factor",
-		"ip", "uname", "total_memory", "sched.id",
-	)
+// Type is an event type's code: the position of its container in the
+// model, counted from 1 in declaration order. 0 is no type the model
+// declares. Consumers that dispatch on an event's type resolve the code
+// once (TypeOf, or Validator.Check, which returns it) and index a table laid
+// out with ByType, so no layer re-spells the vocabulary.
+type Type uint8
+
+// plan is what validating one event type takes, compiled from its container
+// once: the leaves that can be wrong, in declaration order — the mandatory
+// ones and those whose type CheckValue checks; ts aside, the Event struct
+// carries it. An optional string leaf is never looked up.
+type plan struct {
+	leaves   []*yang.Leaf
+	declared map[string]*yang.Leaf // every leaf, for Strict
 }
 
+// The compiled model: parsed once, at init, because the intern seeds come
+// from it and the first parsed event must find them.
 var (
-	once  sync.Once
 	model *yang.Model
 	mErr  error
+	types map[string]Type
+	plans []plan // by Type; plans[0] is the unknown type's
 )
 
-// Model returns the resolved Stampede data model. The schema text is
-// parsed once; a parse failure is a build defect and is reported on every
-// call.
-func Model() (*yang.Model, error) {
-	once.Do(func() {
-		root, err := yang.Parse(Text)
-		if err != nil {
-			mErr = err
-			return
+func init() {
+	root, err := yang.Parse(Text)
+	if err == nil {
+		model, err = yang.Resolve(root)
+	}
+	if err != nil {
+		mErr = err
+		return
+	}
+	names := model.ContainerNames()
+	if len(names) > 255 {
+		mErr = fmt.Errorf("schema: %d containers do not fit a Type", len(names))
+		return
+	}
+	types = make(map[string]Type, len(names))
+	plans = make([]plan, 1, len(names)+1)
+	// Every container and leaf name goes into the BP intern table, so the
+	// very first parsed event resolves its type and keys to canonical
+	// per-process strings. bp cannot import schema (schema imports bp), so
+	// the seeding runs from this side of the edge.
+	vocab := names
+	for i, name := range names {
+		c := model.Containers[name]
+		types[name] = Type(i + 1)
+		p := plan{declared: c.Leaves}
+		for _, leaf := range c.OrderedLeaves() {
+			vocab = append(vocab, leaf.Name)
+			if leaf.Name != bp.KeyTS && (leaf.Mandatory || leaf.Type != yang.TypeString) {
+				p.leaves = append(p.leaves, leaf)
+			}
 		}
-		model, mErr = yang.Resolve(root)
-	})
-	return model, mErr
+		plans = append(plans, p)
+	}
+	bp.InternStrings(vocab...)
+}
+
+// Model returns the resolved Stampede data model. A schema text that does
+// not parse is a build defect, reported on every call.
+func Model() (*yang.Model, error) { return model, mErr }
+
+// TypeOf returns the code of an event type name, 0 for a name the model
+// does not declare.
+func TypeOf(name string) Type { return types[name] }
+
+// ByType lays a table keyed by event type name out by type code, for a
+// consumer that dispatches on the code: entry TypeOf(name) holds m[name],
+// entry 0 and a type m leaves out hold the zero T. A name the model does
+// not declare panics: an entry no event can reach is a build defect.
+func ByType[T any](m map[string]T) []T {
+	out := make([]T, len(plans))
+	for name, x := range m {
+		t := TypeOf(name)
+		if t == 0 {
+			panic(fmt.Sprintf("schema: %q is no event type of the model", name))
+		}
+		out[t] = x
+	}
+	return out
 }
 
 // Validator checks BP events against the Stampede model.
 type Validator struct {
-	model *yang.Model
 	// Strict rejects attributes that the event's container does not
 	// declare. The published loader ignores extras, so Strict defaults to
 	// false; tests for normalizers turn it on to catch typos.
@@ -139,11 +172,10 @@ type Validator struct {
 
 // NewValidator returns a validator over the embedded schema.
 func NewValidator() (*Validator, error) {
-	m, err := Model()
-	if err != nil {
-		return nil, err
+	if mErr != nil {
+		return nil, mErr
 	}
-	return &Validator{model: m}, nil
+	return &Validator{}, nil
 }
 
 // ValidationError aggregates everything wrong with one event.
@@ -157,19 +189,24 @@ func (e *ValidationError) Error() string {
 }
 
 // Validate checks ev against its container definition: the event type must
-// exist, mandatory leaves must be present, and every present attribute
-// must type-check. It returns nil when the event conforms.
+// exist, mandatory leaves must be present, every present attribute must
+// type-check, and the timestamp must be one the archive can store. It
+// returns nil when the event conforms.
 func (v *Validator) Validate(ev *bp.Event) error {
-	c, ok := v.model.Containers[ev.Type]
-	if !ok {
-		return &ValidationError{EventType: ev.Type, Problems: []string{"unknown event type"}}
+	_, err := v.Check(ev)
+	return err
+}
+
+// Check is Validate returning the event's type code as well, so a caller
+// that dispatches on it resolves the type once.
+func (v *Validator) Check(ev *bp.Event) (Type, error) {
+	t := types[ev.Type]
+	if t == 0 {
+		return 0, &ValidationError{EventType: ev.Type, Problems: []string{"unknown event type"}}
 	}
+	p := &plans[t]
 	var problems []string
-	for _, leaf := range c.OrderedLeaves() {
-		// ts is carried on the Event struct, not in Attrs.
-		if leaf.Name == bp.KeyTS {
-			continue
-		}
+	for _, leaf := range p.leaves {
 		val, present := ev.Attrs.Lookup(leaf.Name)
 		if !present {
 			if leaf.Mandatory {
@@ -181,18 +218,23 @@ func (v *Validator) Validate(ev *bp.Event) error {
 			problems = append(problems, fmt.Sprintf("attribute %q: %v", leaf.Name, err))
 		}
 	}
-	if ev.TS.IsZero() {
-		problems = append(problems, "zero timestamp")
+	if !bp.Representable(ev.TS) {
+		if ev.TS.IsZero() {
+			problems = append(problems, "zero timestamp")
+		} else {
+			problems = append(problems, fmt.Sprintf("timestamp %s is outside the representable range (years 1678 to 2262)",
+				ev.TS.UTC().Format(time.RFC3339Nano)))
+		}
 	}
 	if v.Strict {
 		for i := range ev.Attrs {
-			if _, declared := c.Leaves[ev.Attrs[i].Key]; !declared {
+			if _, declared := p.declared[ev.Attrs[i].Key]; !declared {
 				problems = append(problems, fmt.Sprintf("undeclared attribute %q", ev.Attrs[i].Key))
 			}
 		}
 	}
 	if len(problems) > 0 {
-		return &ValidationError{EventType: ev.Type, Problems: problems}
+		return 0, &ValidationError{EventType: ev.Type, Problems: problems}
 	}
-	return nil
+	return t, nil
 }

@@ -103,10 +103,10 @@ func TestValidateUnknownEvent(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown event type") {
 		t.Fatalf("err = %v", err)
 	}
-	if _, ok := v.model.Containers["stampede.nope"]; ok {
+	if TypeOf("stampede.nope") != 0 {
 		t.Error("model knows stampede.nope")
 	}
-	if _, ok := v.model.Containers[InvEnd]; !ok {
+	if TypeOf(InvEnd) == 0 {
 		t.Error("model lacks InvEnd")
 	}
 }
@@ -224,8 +224,11 @@ func TestValidateAfterBPRoundTrip(t *testing.T) {
 }
 
 func TestEventTypesList(t *testing.T) {
-	v := newValidator(t)
-	types := v.model.ContainerNames()
+	m, err := Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := m.ContainerNames()
 	if len(types) < 25 {
 		t.Fatalf("only %d event types in schema", len(types))
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/archive"
 )
 
 // The encoder's contract: appendDelta writes exactly what encoding/json
@@ -16,6 +17,14 @@ import (
 // callers that want fields. Where encoding/json refuses the value (a
 // non-finite float, a year past 9999 — neither gets past ingest), appendDelta
 // still writes JSON.
+
+// jsCounts lays out job-state counts given as name, count pairs.
+func jsCounts(pairs ...any) (js [numJS]int64) {
+	for i := 0; i < len(pairs); i += 2 {
+		js[jsIndexByName[pairs[i].(string)]] = int64(pairs[i+1].(int))
+	}
+	return js
+}
 
 // viewOf builds a workflow view field by field. Each quantile estimator gets
 // one observation, which is then its estimate, so the three floats on the
@@ -92,7 +101,7 @@ var nastyTimes = []time.Time{
 func TestDeltaEncodingCases(t *testing.T) {
 	base := func() *wfView {
 		return viewOf("wf", "label", "host", wfRunning, nastyTimes[1], 90*time.Second, false,
-			[numJS]int64{jsExecute: 3, jsSuccess: 2}, 5, 1.5, 2.5, 3.5, true, 7)
+			jsCounts(archive.JSExecute, 3, archive.JSSuccess, 2), 5, 1.5, 2.5, 3.5, true, 7)
 	}
 	for _, s := range nastyStrings {
 		w := base()
@@ -130,7 +139,7 @@ func TestDeltaEncodingCases(t *testing.T) {
 	for i := range w.js {
 		w.js[i] = math.MaxInt64 - int64(i)
 	}
-	w.js[jsHeld] = math.MinInt64
+	w.js[jsIndexByName[archive.JSHeld]] = math.MinInt64
 	checkEncoding(t, w)
 	// No observation yet: the three quantiles read zero.
 	checkEncoding(t, viewOf("wf", "", "", wfUnknown, time.Time{}, 0, false, [numJS]int64{}, 0, 9, 9, 9, false, 0))

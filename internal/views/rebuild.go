@@ -18,9 +18,9 @@ import (
 // from shared per-table counters, so each workflow's rows replay in its
 // original apply order — which makes even the order-sensitive P² quantile
 // estimators land in the same state as live maintenance. Mirroring the
-// archive's own reopen behaviour (warmCaches), the per-instance auto
-// invocation counter resumes above the largest stored sequence number,
-// and invSeen is restored, so replayed duplicates are still rejected.
+// archive's own reopen behaviour (warmCaches), each instance's invSeen is
+// restored from its stored inv.ids, so replayed duplicates are still
+// rejected.
 //
 // The anomaly detector is warmed with the recovered durations but alerts
 // are suppressed: they were already published (or deliberately dropped)
@@ -125,17 +125,11 @@ func (v *Views) BuildFromSnapshot(sn *relstore.Snapshot) error {
 		}
 		st := v.stripeFor(w.uuid)
 		is := v.instFor(st, w, jobName[jid], r.Int(c.JobInstance.SubmitSeq))
-		if !r.IsNull(c.JobInstance.LocalDuration) {
-			is.dur, is.hasDur = r.Float(c.JobInstance.LocalDuration), true
-		}
+		is.dur = r.Float(c.JobInstance.LocalDuration)
 		if !r.IsNull(c.JobInstance.HostID) {
 			if h := hostByID[r.Int(c.JobInstance.HostID)]; h != nil {
 				is.host = h
-				dur := 0.0
-				if is.hasDur {
-					dur = is.dur
-				}
-				h.add(dur, 1)
+				h.add(is.dur, 1)
 			}
 		}
 		instByID[r.ID()] = is

@@ -63,36 +63,11 @@ const (
 
 var stateNames = [...]string{StateUnknown, StateRunning, StateSuccess, StateFailure}
 
-// Job-state vocabulary, indexed densely so per-workflow counts are a
-// fixed array touched without allocation on the hot path. Names match
-// the archive's jobstate table values.
-const (
-	jsSubmit = iota
-	jsSubmitted
-	jsHeld
-	jsReleased
-	jsExecute
-	jsTerminated
-	jsMainError
-	jsSuccess
-	jsFailure
-	jsAborted
-	jsPreStarted
-	jsPreSuccess
-	jsPreFailure
-	jsPostStarted
-	jsPostSuccess
-	jsPostFailure
-	numJS
-)
+// The job-state vocabulary is the archive's, indexed densely so per-workflow
+// counts are a fixed array touched without allocation on the hot path.
+const numJS = len(archive.JobStates)
 
-var jsNames = [numJS]string{
-	archive.JSSubmit, archive.JSSubmitted, archive.JSHeld, archive.JSReleased,
-	archive.JSExecute, archive.JSTerminated, archive.JSMainError,
-	archive.JSSuccess, archive.JSFailure, archive.JSAborted,
-	archive.JSPreStarted, archive.JSPreSuccess, archive.JSPreFailure,
-	archive.JSPostStarted, archive.JSPostSuccess, archive.JSPostFailure,
-}
+var jsNames = archive.JobStates
 
 var jsIndexByName = func() map[string]int {
 	m := make(map[string]int, numJS)
@@ -101,6 +76,9 @@ var jsIndexByName = func() map[string]int {
 	}
 	return m
 }()
+
+// jsFailure indexes the count the failures column reports.
+var jsFailure = jsIndexByName[archive.JSFailure]
 
 // WorkflowDelta is the full materialized state of one workflow — both the
 // snapshot row and the streamed delta (full-state, latest-wins; a client
@@ -259,8 +237,7 @@ func (h *hostView) add(dBusy float64, dInst int64) {
 // invocation identity (inv.id within the instance).
 type vinst struct {
 	execTS  time.Time
-	dur     float64 // local duration attributed to host (last main.end)
-	hasDur  bool
+	dur     float64 // local duration attributed to host (last main.end; 0 before one)
 	host    *hostView
 	invSeen map[int64]struct{}
 }
@@ -443,6 +420,19 @@ func (v *Views) ObserveBatch(evs []*bp.Event) {
 		if uuid == "" {
 			continue
 		}
+		t := schema.TypeOf(ev.Type)
+		// A plan event naming a parent must ensure the parent's view
+		// exists; that takes the parent's stripe lock, so do it while
+		// holding none (never two stripe locks at once).
+		if t == typePlan {
+			if p := ev.Get(schema.AttrParentXwf); p != "" && p != uuid {
+				if st != nil {
+					st.mu.Unlock()
+					st = nil
+				}
+				v.ensure(p, ev.TS)
+			}
+		}
 		if st == nil || uuid != locked {
 			// Same-uuid runs keep the stripe lock; a different uuid may
 			// still land on the same stripe, but re-locking keeps the
@@ -450,25 +440,11 @@ func (v *Views) ObserveBatch(evs []*bp.Event) {
 			if st != nil {
 				st.mu.Unlock()
 			}
-			// A plan event naming a parent must ensure the parent's view
-			// exists; that takes the parent's stripe lock, so do it while
-			// holding none (never two stripe locks at once).
-			if ev.Type == schema.WfPlan {
-				if p := ev.Get(schema.AttrParentXwf); p != "" && p != uuid {
-					v.ensure(p, ev.TS)
-				}
-			}
 			st = v.stripeFor(uuid)
 			st.mu.Lock()
 			locked = uuid
-		} else if ev.Type == schema.WfPlan {
-			if p := ev.Get(schema.AttrParentXwf); p != "" && p != uuid {
-				st.mu.Unlock()
-				v.ensure(p, ev.TS)
-				st.mu.Lock()
-			}
 		}
-		v.observeLocked(st, uuid, ev)
+		v.observeLocked(st, uuid, &observers[t], ev)
 	}
 	if st != nil {
 		st.mu.Unlock()
@@ -558,173 +534,168 @@ func (v *Views) instFor(st *vstripe, w *wfView, job string, seq int64) *vinst {
 	return is
 }
 
-// observeLocked applies one event to the views. Caller holds st.mu for
-// the event's workflow stripe. The dispatch mirrors archive.applyLocked:
-// only events that change materialized aggregates do work here.
-func (v *Views) observeLocked(st *vstripe, uuid string, ev *bp.Event) {
-	switch ev.Type {
-	case schema.WfPlan:
-		w := v.wfFor(st, uuid, ev.TS)
-		w.label = ev.Get("dax.label")
-		w.submitHost = ev.Get("submit.hostname")
-		w.planned = ev.TS
-		if ev.Get(schema.AttrParentXwf) != "" {
-			// Mirrors applyPlan: any named parent (self included) sets
-			// parent_wf_id, so the scan reports the workflow non-root.
-			w.hasParent = true
-		}
-		v.touch(st, w)
+// observe applies an event's own effect to its workflow's view, which the
+// caller holds the stripe lock of, and reports whether it changed the view.
+type observe func(v *Views, st *vstripe, w *wfView, ev *bp.Event) bool
 
-	case schema.XwfStart:
-		w := v.wfFor(st, uuid, ev.TS)
-		w.noteState(wfRunning, ev.TS)
-		v.touch(st, w)
-
-	case schema.XwfEnd:
-		w := v.wfFor(st, uuid, ev.TS)
-		state := uint8(wfSuccess)
-		if s, _ := ev.Int(schema.AttrStatus); s != 0 {
-			state = wfFailure
-		}
-		w.noteState(state, ev.TS)
-		v.touch(st, w)
-
-	case schema.StaticStart, schema.StaticEnd, schema.TaskInfo, schema.TaskEdge,
-		schema.JobInfo, schema.JobEdge, schema.MapTaskJob, schema.MapSubwfJob,
-		schema.ImageInfo, schema.InvStart:
-		// Structural / no materialized effect.
-
-	case schema.MainStart:
-		w := v.wfFor(st, uuid, ev.TS)
-		job := ev.Get(schema.AttrJobID)
-		seq, _ := ev.Int(schema.AttrJobInstID)
-		is := v.instFor(st, w, job, seq)
-		is.execTS = ev.TS
-		w.js[jsExecute]++
-		v.touch(st, w)
-
-	case schema.MainEnd:
-		w := v.wfFor(st, uuid, ev.TS)
-		job := ev.Get(schema.AttrJobID)
-		seq, _ := ev.Int(schema.AttrJobInstID)
-		is := v.instFor(st, w, job, seq)
-		if !is.execTS.IsZero() {
-			d := ev.TS.Sub(is.execTS).Seconds()
-			if is.host != nil {
-				// Re-emission replaces the attributed duration rather
-				// than double-counting it, mirroring a row Update.
-				prev := 0.0
-				if is.hasDur {
-					prev = is.dur
-				}
-				is.host.add(d-prev, 0)
-			}
-			is.dur, is.hasDur = d, true
-		}
-		if ec, _ := ev.Int(schema.AttrExitcode); ec != 0 {
-			w.js[jsFailure]++
-		} else {
-			w.js[jsSuccess]++
-		}
-		v.touch(st, w)
-
-	case schema.HostInfo:
-		w := v.wfFor(st, uuid, ev.TS)
-		h := v.hostFor(ev.Get(schema.AttrSite), ev.Get(schema.AttrHostname), ev.Get("ip"))
-		job := ev.Get(schema.AttrJobID)
-		seq, _ := ev.Int(schema.AttrJobInstID)
-		is := v.instFor(st, w, job, seq)
-		if is.host != h {
-			dur := 0.0
-			if is.hasDur {
-				dur = is.dur
-			}
-			if is.host != nil {
-				is.host.add(-dur, -1)
-			}
-			h.add(dur, 1)
-			is.host = h
-		}
-		v.touch(st, w)
-
-	case schema.InvEnd:
-		w := v.wfFor(st, uuid, ev.TS)
-		job := ev.Get(schema.AttrJobID)
-		seq, _ := ev.Int(schema.AttrJobInstID)
-		is := v.instFor(st, w, job, seq)
-		invID, _ := ev.Int(schema.AttrInvID)
-		if is.invSeen == nil {
-			is.invSeen = make(map[int64]struct{}, 4)
-		}
-		if _, dup := is.invSeen[invID]; dup {
-			// The archive skips the duplicate invocation; mirror that so
-			// view counts equal a rebuild from the store.
-			return
-		}
-		is.invSeen[invID] = struct{}{}
-		w.invs++
-		d, _ := ev.Float(schema.AttrDur)
-		w.q50.Observe(d)
-		w.q95.Observe(d)
-		w.q99.Observe(d)
-		if tr := ev.Get(schema.AttrTransform); tr != "" {
-			if an, bad := v.det.Observe(tr, d); bad {
-				mAnomalyAlerts.Inc()
-				st.alerts = append(st.alerts, Alert{
-					UUID:           uuid,
-					Transformation: an.Group,
-					Value:          an.Value,
-					Expected:       an.Expected,
-					Score:          an.Score,
-					Detail:         an.Detail,
-				})
-			}
-		}
-		v.touch(st, w)
-
-	default:
-		if idx, ok := jsForEvent(ev); ok {
-			w := v.wfFor(st, uuid, ev.TS)
-			w.js[idx]++
-			v.touch(st, w)
-		}
-	}
+// effects is what each event type does to the views besides the jobstate row
+// the archive's Lifecycle declares for it, which observers adds. A type
+// listed with nil changes no view; a lifecycle event that only appends a
+// jobstate row needs no entry here, its Lifecycle is its entry.
+var effects = map[string]observe{
+	schema.WfPlan:    observePlan,
+	schema.XwfStart:  observeXwfStart,
+	schema.XwfEnd:    observeXwfEnd,
+	schema.MainStart: observeMainStart,
+	schema.MainEnd:   observeMainEnd,
+	schema.HostInfo:  (*Views).observeHost,
+	schema.InvEnd:    (*Views).observeInvEnd,
+	// Structural: no materialized effect.
+	schema.StaticStart: nil, schema.StaticEnd: nil, schema.TaskInfo: nil,
+	schema.TaskEdge: nil, schema.JobInfo: nil, schema.JobEdge: nil,
+	schema.MapTaskJob: nil, schema.MapSubwfJob: nil, schema.ImageInfo: nil,
+	schema.InvStart: nil,
 }
 
-// jsForEvent maps the remaining jobstate-bearing event types to their
-// dense index, mirroring archive.applyLocked's jobstate rows.
-func jsForEvent(ev *bp.Event) (int, bool) {
-	switch ev.Type {
-	case schema.JobInstPre:
-		return jsPreStarted, true
-	case schema.JobInstPreEnd:
-		if ec, _ := ev.Int(schema.AttrExitcode); ec != 0 {
-			return jsPreFailure, true
-		}
-		return jsPreSuccess, true
-	case schema.SubmitStart:
-		return jsSubmit, true
-	case schema.SubmitEnd:
-		return jsSubmitted, true
-	case schema.HeldStart:
-		return jsHeld, true
-	case schema.HeldEnd:
-		return jsReleased, true
-	case schema.MainTerm:
-		return jsTerminated, true
-	case schema.MainError:
-		return jsMainError, true
-	case schema.AbortInfo:
-		return jsAborted, true
-	case schema.PostStart:
-		return jsPostStarted, true
-	case schema.PostEnd:
-		if ec, _ := ev.Int(schema.AttrExitcode); ec != 0 {
-			return jsPostFailure, true
-		}
-		return jsPostSuccess, true
+// observer is an event type's whole effect on the views: its own, and the
+// job-state count its Lifecycle adds, ok or fail being lc.OK's and lc.Fail's
+// index in jsNames.
+type observer struct {
+	on       observe
+	lc       archive.Lifecycle
+	ok, fail int
+}
+
+// observers is the views' dispatch, indexed by type code; the zero entry
+// (no effect) serves a type the model does not declare.
+var observers = func() []observer {
+	ons := schema.ByType(effects)
+	obs := make([]observer, len(ons))
+	for t, on := range ons {
+		lc := archive.LifecycleOf(schema.Type(t))
+		obs[t] = observer{on, lc, jsIndexByName[lc.OK], jsIndexByName[lc.Fail]}
 	}
-	return 0, false
+	return obs
+}()
+
+var typePlan = schema.TypeOf(schema.WfPlan)
+
+// observeLocked applies one event, whose type's entry is o, to the views.
+// Caller holds st.mu for the event's workflow stripe. Only events that
+// change materialized aggregates create or touch a workflow's view.
+func (v *Views) observeLocked(st *vstripe, uuid string, o *observer, ev *bp.Event) {
+	if o.on == nil && o.lc.OK == "" {
+		return
+	}
+	w := v.wfFor(st, uuid, ev.TS)
+	if o.on != nil && !o.on(v, st, w, ev) {
+		return
+	}
+	if o.lc.OK != "" {
+		if o.lc.Failed(ev) {
+			w.js[o.fail]++
+		} else {
+			w.js[o.ok]++
+		}
+	}
+	v.touch(st, w)
+}
+
+func observePlan(_ *Views, _ *vstripe, w *wfView, ev *bp.Event) bool {
+	w.label = ev.Get("dax.label")
+	w.submitHost = ev.Get("submit.hostname")
+	w.planned = ev.TS
+	if ev.Get(schema.AttrParentXwf) != "" {
+		// Mirrors applyPlan: any named parent (self included) sets
+		// parent_wf_id, so the scan reports the workflow non-root.
+		w.hasParent = true
+	}
+	return true
+}
+
+func observeXwfStart(_ *Views, _ *vstripe, w *wfView, ev *bp.Event) bool {
+	w.noteState(wfRunning, ev.TS)
+	return true
+}
+
+func observeXwfEnd(_ *Views, _ *vstripe, w *wfView, ev *bp.Event) bool {
+	state := uint8(wfSuccess)
+	if s, _ := ev.Int(schema.AttrStatus); s != 0 {
+		state = wfFailure
+	}
+	w.noteState(state, ev.TS)
+	return true
+}
+
+// inst returns the view state of ev's job instance.
+func (v *Views) inst(st *vstripe, w *wfView, ev *bp.Event) *vinst {
+	seq, _ := ev.Int(schema.AttrJobInstID)
+	return v.instFor(st, w, ev.Get(schema.AttrJobID), seq)
+}
+
+func observeMainStart(v *Views, st *vstripe, w *wfView, ev *bp.Event) bool {
+	v.inst(st, w, ev).execTS = ev.TS
+	return true
+}
+
+func observeMainEnd(v *Views, st *vstripe, w *wfView, ev *bp.Event) bool {
+	is := v.inst(st, w, ev)
+	if !is.execTS.IsZero() {
+		d := ev.TS.Sub(is.execTS).Seconds()
+		if is.host != nil {
+			// Re-emission replaces the attributed duration rather
+			// than double-counting it, mirroring a row Update.
+			is.host.add(d-is.dur, 0)
+		}
+		is.dur = d
+	}
+	return true
+}
+
+func (v *Views) observeHost(st *vstripe, w *wfView, ev *bp.Event) bool {
+	h := v.hostFor(ev.Get(schema.AttrSite), ev.Get(schema.AttrHostname), ev.Get("ip"))
+	is := v.inst(st, w, ev)
+	if is.host != h {
+		if is.host != nil {
+			is.host.add(-is.dur, -1)
+		}
+		h.add(is.dur, 1)
+		is.host = h
+	}
+	return true
+}
+
+func (v *Views) observeInvEnd(st *vstripe, w *wfView, ev *bp.Event) bool {
+	is := v.inst(st, w, ev)
+	invID, _ := ev.Int(schema.AttrInvID)
+	if is.invSeen == nil {
+		is.invSeen = make(map[int64]struct{}, 4)
+	}
+	if _, dup := is.invSeen[invID]; dup {
+		// The archive skips the duplicate invocation; mirror that so
+		// view counts equal a rebuild from the store.
+		return false
+	}
+	is.invSeen[invID] = struct{}{}
+	w.invs++
+	d, _ := ev.Float(schema.AttrDur)
+	w.q50.Observe(d)
+	w.q95.Observe(d)
+	w.q99.Observe(d)
+	if tr := ev.Get(schema.AttrTransform); tr != "" {
+		if an, bad := v.det.Observe(tr, d); bad {
+			mAnomalyAlerts.Inc()
+			st.alerts = append(st.alerts, Alert{
+				UUID:           w.uuid,
+				Transformation: an.Group,
+				Value:          an.Value,
+				Expected:       an.Expected,
+				Score:          an.Score,
+				Detail:         an.Detail,
+			})
+		}
+	}
+	return true
 }
 
 // wallSeconds is the span from the first start to the latest state change.

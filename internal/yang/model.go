@@ -304,12 +304,17 @@ func checkUUID(v string) error {
 	return nil
 }
 
-// checkTimestamp accepts exactly what bp.ParseTime reads, so a timestamp
-// the schema passes is one the archive can fold: an epoch value outside
-// years 1–9999 (or NaN) parses as a float but is no nl_ts.
+// checkTimestamp accepts exactly what bp.ParseTime reads as an instant the
+// archive can store (bp.Representable), so a timestamp the schema passes is
+// one the archive can fold: an epoch value outside years 1–9999 (or NaN)
+// parses as a float but is no nl_ts, and the year 1600 is no storable one.
 func checkTimestamp(v string) error {
-	if _, err := bp.ParseTime(v); err != nil {
+	t, err := bp.ParseTime(v)
+	if err != nil {
 		return fmt.Errorf("%q is not an nl_ts timestamp", v)
+	}
+	if !bp.Representable(t) {
+		return fmt.Errorf("%q is outside the representable range (years 1678 to 2262)", v)
 	}
 	return nil
 }
